@@ -2,8 +2,10 @@
 
 Everything here works on plain numpy arrays (complex128). Matrices stay
 small (dimension about 12 or less), so robustness is preferred over
-asymptotic speed: singular values go through full Hermitian eigensolves
-of the smaller Gram matrix rather than iterative methods.
+asymptotic speed: ``largest_singular_value`` goes through a full Hermitian
+eigensolve of the smaller Gram matrix rather than an iterative method.
+It backs the reference oracle; the batched kernel in ``submatrices`` takes
+2x2 and 3x3 Gram eigenvalues in closed form instead.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ import numpy as np
 # Central tolerance constants. Tests and downstream modules import these
 # so there is a single source of truth.
 UNITARITY_TOL = 1e-10
-EIG_REL_TOL = 1e-12
+# The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
+# 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1). Grams
+# with 1 + r below this gap are recomputed with eigvalsh, which bounds the
+# closed form's error to a few ulps of the Gram's trace.
+CARDANO_MIN_GAP = 1e-2
 PROB_SUM_TOL = 1e-10
 
 _UINT64 = 2**64

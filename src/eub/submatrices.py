@@ -9,7 +9,11 @@ Two independent routes are kept on purpose:
 * ``max_norm_over_shape`` enumerates index pairs one by one through
   ``largest_singular_value`` and is the slow reference oracle;
 * ``s_coefficients`` enumerates the same blocks shape by shape but
-  vectorized (batched Grams, closed-form 2x2 eigenvalues).
+  vectorized. A block's Gram is a principal submatrix of the N x N Gram
+  of its column set, and one matmul against a 0/1 indicator matrix gives
+  those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are
+  taken in closed form (3x3 by the trigonometric Cardano form, with an
+  eigvalsh fallback near a double top eigenvalue), larger ones by eigvalsh.
 
 ``s_coefficients_batch`` additionally uses two exact reductions that are
 cross-checked against the reference route in the tests: every shape with
@@ -25,14 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import UNITARITY_TOL, largest_singular_value, require_unitary
+from .matrices import CARDANO_MIN_GAP, UNITARITY_TOL, largest_singular_value, require_unitary
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n);
 # beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
-# Cap on gathered block tensor elements per chunk (memory guard).
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on the array elements one chunk of the Gram kernel holds: a memory
+# guard, and small enough that a chunk stays in cache (4M ran about 2x
+# slower at N = 6 on a Xeon with 2 MB of L2 per core).
+_CHUNK_ELEMENTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -73,36 +79,115 @@ def _row_col_cumsums(u3: np.ndarray):
     return row_cum, col_cum
 
 
+def _column_grams(u3: np.ndarray, cols: np.ndarray):
+    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, every column set C.
+
+    Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
+    so all sets come out of one matmul of the per-column outer products
+    with the 0/1 indicator matrix of the sets. Returns the real and
+    imaginary parts, shape (batch, N(N+1)/2, len(cols)), indexed by pair
+    (i, j), i <= j, in ``np.triu_indices(N)`` order.
+    """
+    batch, dim = u3.shape[0], u3.shape[1]
+    indicator = np.zeros((dim, cols.shape[0]))
+    np.put_along_axis(indicator, cols.T, 1.0, axis=0)
+    # Outer products as interleaved (re, im) pairs, in real arithmetic: numpy's
+    # complex multiply does not round alike at every array size.
+    ur, ui = u3.real, u3.imag
+    outer = np.empty((batch, dim * (dim + 1) // 2, dim, 2))
+    p = 0
+    for i in range(dim):
+        pairs = slice(p, p + dim - i)
+        outer[:, pairs, :, 0] = ur[:, i : i + 1] * ur[:, i:] + ui[:, i : i + 1] * ui[:, i:]
+        outer[:, pairs, :, 1] = ui[:, i : i + 1] * ur[:, i:] - ur[:, i : i + 1] * ui[:, i:]
+        p += dim - i
+    # The stacked product is one small matmul per matrix, so a matrix's Grams,
+    # unlike those of one (batch * pairs) x N product, do not depend on the
+    # batch size.
+    grams = (outer.reshape(batch, p, 2 * dim) @ np.kron(indicator, np.eye(2))).view(complex)
+    return grams.real, grams.imag
+
+
+def _top_eigenvalue(re, im, m: int) -> np.ndarray:
+    # Largest eigenvalue of m x m Hermitian matrices given as the real and
+    # imaginary parts of their upper triangles, entry by entry in
+    # ``np.triu_indices(m)`` order.
+    if m == 2:
+        return _top_eig_2x2(re, im)
+    if m == 3:
+        return _top_eig_3x3(re, im)
+    return _top_eig_eigvalsh(re, im, m)
+
+
+def _top_eig_2x2(re, im):
+    a, d = re[0], re[2]
+    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + re[1] ** 2 + im[1] ** 2)
+
+
+def _top_eig_3x3(re, im):
+    # Trigonometric form of the cubic's largest root (O. K. Smith, CACM 4(4),
+    # 1961): with q = tr/3 and 6 p^2 = |G - qI|_F^2, lambda_max = q + 2p cos(phi)
+    # where cos(3 phi) = r = det(G - qI) / (2 p^3). The triu entries are
+    # (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
+    q = (re[0] + re[3] + re[5]) / 3.0
+    x, y, z = re[0] - q, re[3] - q, re[5] - q
+    a01 = re[1] ** 2 + im[1] ** 2
+    a02 = re[2] ** 2 + im[2] ** 2
+    a12 = re[4] ** 2 + im[4] ** 2
+    p = np.sqrt((x * x + y * y + z * z + 2.0 * (a01 + a02 + a12)) / 6.0)
+    # 2 Re(g01 g12 conj(g02))
+    cyc = 2.0 * ((re[1] * re[4] - im[1] * im[4]) * re[2] + (re[1] * im[4] + im[1] * re[4]) * im[2])
+    det = x * y * z + cyc - x * a12 - y * a02 - z * a01
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = det / (2.0 * p**3)
+    lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    # Near r = -1 the top eigenvalue is nearly double and d(lambda)/dr blows up
+    # as 1/sqrt(1 + r); p = 0 (G = qI) gives r = NaN, which fails the test too.
+    bad = ~(r > CARDANO_MIN_GAP - 1.0)
+    if bad.any():
+        lam[bad] = _top_eig_eigvalsh([e[bad] for e in re], [e[bad] for e in im], 3)
+    return lam
+
+
+def _top_eig_eigvalsh(re, im, m):
+    ti, tj = np.triu_indices(m)
+    h = np.zeros(re[0].shape + (m, m), dtype=complex)
+    for t in range(ti.size):
+        h.real[..., ti[t], tj[t]] = re[t]
+        h.imag[..., ti[t], tj[t]] = im[t]
+    return np.linalg.eigvalsh(h, UPLO="U")[..., -1]
+
+
 def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Max spectral norm over m x n blocks for a stack of matrices.
 
-    min(m, n) >= 2 required. ``rows`` restricts the row selections
-    (used by the complement reduction); columns always range over all
-    C(N, n) subsets.
+    min(m, n) >= 2 required; m > n is taken on the transposes. The Gram of
+    block (R, C) is the principal submatrix at R of the N x N Gram of the
+    column set C (see ``_column_grams``), and its top eigenvalue is taken in
+    closed form for m = 2 and 3. ``rows`` restricts the row selections of an
+    m <= n shape (used by the complement reduction); columns always range
+    over all C(N, n) subsets.
     """
+    if m > n:
+        u3, m, n = np.swapaxes(u3, 1, 2), n, m
     batch, dim = u3.shape[0], u3.shape[1]
     if rows is None:
         rows = np.array(list(itertools.combinations(range(dim), m)), dtype=int)
     cols = np.array(list(itertools.combinations(range(dim), n)), dtype=int)
+    pair = np.zeros((dim, dim), dtype=int)
+    pair[np.triu_indices(dim)] = np.arange(dim * (dim + 1) // 2)
+    ti, tj = np.triu_indices(m)
     best = np.zeros(batch)
-    step = max(1, _CHUNK_ELEMENTS // max(1, batch * cols.shape[0] * m * n))
-    for lo in range(0, rows.shape[0], step):
-        rsel = rows[lo : lo + step]
-        blocks = u3[:, rsel[:, None, :, None], cols[None, :, None, :]]
-        if m <= n:
-            g = blocks @ np.conj(np.swapaxes(blocks, -1, -2))
-        else:
-            g = np.conj(np.swapaxes(blocks, -1, -2)) @ blocks
-        if min(m, n) == 2:
-            a = g[..., 0, 0].real
-            d = g[..., 1, 1].real
-            off = np.abs(g[..., 0, 1]) ** 2
-            lam = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + off)
-        else:
-            lam = np.linalg.eigvalsh(g)[..., -1]
-        vals = np.sqrt(np.maximum(lam, 0.0)).max(axis=(1, 2))
-        best = np.maximum(best, vals)
-    return best
+    bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, cols.shape[0])))
+    for b0 in range(0, batch, bstep):
+        re, im = _column_grams(u3[b0 : b0 + bstep], cols)
+        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * cols.shape[0] * m * m))
+        for r0 in range(0, rows.shape[0], rstep):
+            rsel = rows[r0 : r0 + rstep]
+            idx = [pair[rsel[:, i], rsel[:, j]] for i, j in zip(ti, tj)]
+            lam = _top_eigenvalue([re[:, k] for k in idx], [im[:, k] for k in idx], m)
+            best[b0 : b0 + bstep] = np.maximum(best[b0 : b0 + bstep], lam.max(axis=(1, 2)))
+    return np.sqrt(best)
 
 
 def _shape_max(u3, m, n, row_cum, col_cum) -> np.ndarray:
@@ -115,11 +200,17 @@ def _shape_max(u3, m, n, row_cum, col_cum) -> np.ndarray:
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
-    # Rounding may break monotonicity or push past 1 by an ulp or two.
-    s = np.minimum(s, 1.0)
-    s = np.maximum.accumulate(s, axis=-1)
-    s[..., -1] = 1.0
-    return s
+    # Rounding may break monotonicity or push past 1 by an ulp or two; a
+    # larger repair (or a NaN) means a non-unitary input or a kernel fault.
+    fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
+    repair = float(np.abs(fixed - s).max(initial=0.0))
+    if not repair <= UNITARITY_TOL:
+        raise ValueError(
+            f"s needs a repair of {repair:.3e} to be monotone and <= 1 "
+            f"(tolerance {UNITARITY_TOL:g})"
+        )
+    fixed[..., -1] = 1.0
+    return fixed
 
 
 def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoefficients:

@@ -1,20 +1,46 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+import eub.submatrices as submatrices
 from eub import (
     RngSeed,
+    cyclic_shift,
     fourier_matrix,
     haar_unitary,
     max_norm_over_shape,
+    permutation_power,
     rotation_matrix,
     s_coefficients,
     s_coefficients_batch,
 )
+from eub.submatrices import _top_eig_3x3
 
 SEED = 515151
+
+
+def _oracle_s(u):
+    # s_k from the one-block-at-a-time reference, capped at 1 like the fast paths
+    dim = u.shape[0]
+    return np.array(
+        [
+            min(1.0, max(max_norm_over_shape(u, m, k + 1 - m) for m in range(max(1, k + 1 - dim), min(k, dim) + 1)))
+            for k in range(1, dim + 1)
+        ]
+    )
+
+
+def _direct_sum(*blocks):
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    i = 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
 
 
 def test_identity_all_ones():
@@ -90,13 +116,104 @@ def test_brute_force_reference_agreement():
     """The vectorized path must reproduce the per-shape brute-force maxima."""
     for i, n in enumerate((3, 4, 5)):
         u = haar_unitary(n, RngSeed(SEED + 100 + i))
-        sc = s_coefficients(u)
-        for k in range(1, n + 1):
-            best = 0.0
-            for m in range(max(1, k + 1 - n), min(k, n) + 1):
-                best = max(best, max_norm_over_shape(u, m, k + 1 - m))
-            best = min(best, 1.0)
-            assert abs(sc.s[k - 1] - best) <= 1e-12
+        assert np.max(np.abs(s_coefficients(u).s - _oracle_s(u))) <= 1e-12
+
+
+F = fourier_matrix
+STRUCTURED = {
+    "F5": F(5),
+    "F6": F(6),
+    "F7": F(7),
+    "I6": np.eye(6),
+    "shift6": cyclic_shift(6),
+    "P6^(1/3)": permutation_power(6, 1.0 / 3.0),
+    "P6^(1/2)": permutation_power(6, 0.5),
+    "P7^(1/2)": permutation_power(7, 0.5),
+    "F3+F3": _direct_sum(F(3), F(3)),
+    "F3+I3": _direct_sum(F(3), np.eye(3)),
+    "F2+F2+F2": _direct_sum(F(2), F(2), F(2)),
+    "F2xF2": np.kron(F(2), F(2)),
+    "F2xF3": np.kron(F(2), F(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+def test_structured_oracle_agreement(name):
+    """Repeated singular values (degenerate Grams) on both fast paths."""
+    u = STRUCTURED[name]
+    ref = _oracle_s(u)
+    assert np.max(np.abs(s_coefficients(u).s - ref)) <= 1e-12
+    assert np.max(np.abs(s_coefficients_batch(u[None])[0] - ref)) <= 1e-12
+
+
+def _hermitian_3x3_cases():
+    q = haar_unitary(3, RngSeed(SEED + 700))
+    v = 0.9 * q[:, :1]
+
+    def spectrum(*lam):
+        h = (q * np.array(lam)) @ q.conj().T
+        return 0.5 * (h + h.conj().T)
+
+    cases = {
+        "scalar": 0.7 * np.eye(3),
+        "zero": np.zeros((3, 3)),
+        "rank1": v @ v.conj().T,
+        "double_top": spectrum(1.0, 1.0, 0.3),
+        "double_bottom": spectrum(1.0, 0.3, 0.3),
+    }
+    for e in range(4, 11):
+        cases[f"top_gap_1e-{e}"] = spectrum(1.0, 1.0 - 10.0**-e, 0.3)
+    return cases
+
+
+def test_top_eig_3x3_matches_eigvalsh():
+    cases = _hermitian_3x3_cases()
+    h = np.array(list(cases.values()), dtype=complex)
+    ti, tj = np.triu_indices(3)
+    got = _top_eig_3x3([h[:, i, j].real for i, j in zip(ti, tj)], [h[:, i, j].imag for i, j in zip(ti, tj)])
+    err = np.abs(got - np.linalg.eigvalsh(h)[:, -1])
+    assert err.max() <= 8 * np.finfo(float).eps, dict(zip(cases, err))
+
+
+def test_chunking_is_bit_identical(monkeypatch):
+    for n in (5, 6):
+        batch = np.stack([haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(12)] + [fourier_matrix(n)])
+        default = s_coefficients_batch(batch), s_coefficients(batch[0]).s
+        monkeypatch.setattr(submatrices, "_CHUNK_ELEMENTS", 1)
+        chunked = s_coefficients_batch(batch), s_coefficients(batch[0]).s
+        monkeypatch.undo()
+        assert np.array_equal(default[0], chunked[0])
+        assert np.array_equal(default[1], chunked[1])
+        assert np.array_equal(s_coefficients_batch(batch[3:4])[0], default[0][3])
+
+
+def test_grams_do_not_depend_on_batch():
+    # numpy's complex multiply rounds differently on large arrays; 300
+    # matrices are enough to show it
+    for n in (5, 6):
+        batch = np.stack([haar_unitary(n, RngSeed(SEED + 1000 + i)) for i in range(300)])
+        cols = np.array(list(itertools.combinations(range(n), 3)))
+        grams = np.stack(submatrices._column_grams(batch, cols))
+        alone = [np.stack(submatrices._column_grams(u[None], cols))[:, 0] for u in batch]
+        assert np.array_equal(grams, np.stack(alone, axis=1))
+
+
+@pytest.mark.parametrize("path", ["single", "batch"])
+def test_bounded_repair(path):
+    def s_of(u):
+        return s_coefficients(u).s if path == "single" else s_coefficients_batch(u[None])[0]
+
+    # an ulp-level overshoot of 1 is repaired ...
+    assert np.array_equal(s_of(np.eye(4) * (1.0 + 4.4e-16)), np.ones(4))
+    # ... a 1e-8 one is refused
+    with pytest.raises(ValueError, match="unitarity" if path == "single" else "repair"):
+        s_of(np.eye(4) * (1.0 + 1e-8))
+
+
+def test_repair_rejects_broken_monotonicity():
+    with pytest.raises(ValueError, match="repair"):
+        submatrices._finalize(np.array([[0.6, 0.5, 1.0]]))
+    assert np.array_equal(submatrices._finalize(np.array([[0.6, 0.6 - 1e-16, 1.0]])), [[0.6, 0.6, 1.0]])
 
 
 def test_batch_agrees_with_single():
