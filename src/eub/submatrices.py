@@ -24,7 +24,9 @@ share their largest singular value.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,39 +81,59 @@ def _row_col_cumsums(u3: np.ndarray):
     return row_cum, col_cum
 
 
-def _column_grams(u3: np.ndarray, cols: np.ndarray):
-    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, every column set C.
+@functools.lru_cache(maxsize=256)
+def _combinations(dim: int, k: int) -> np.ndarray:
+    # Every k-subset of range(dim), one per row; cached, so read-only.
+    out = np.array(list(itertools.combinations(range(dim), k)), dtype=int)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _indicator(dim: int, n: int) -> np.ndarray:
+    # dim x C(dim, n) 0/1 matrix; column j marks the j-th n-subset.
+    out = np.zeros((dim, math.comb(dim, n)))
+    np.put_along_axis(out, _combinations(dim, n).T, 1.0, axis=0)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _triu(dim: int):
+    # Upper-triangle pairs (i, j), i <= j, in row-major order, and the map
+    # from (i, j) to the pair's position in that order.
+    iu, ju = np.triu_indices(dim)
+    pos = np.zeros((dim, dim), dtype=int)
+    pos[iu, ju] = np.arange(iu.size)
+    for a in (iu, ju, pos):
+        a.setflags(write=False)
+    return iu, ju, pos
+
+
+def _column_grams(u3: np.ndarray, n: int):
+    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, every n-subset C.
 
     Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
-    so all sets come out of one matmul of the per-column outer products
-    with the 0/1 indicator matrix of the sets. Returns the real and
-    imaginary parts, shape (batch, N(N+1)/2, len(cols)), indexed by pair
-    (i, j), i <= j, in ``np.triu_indices(N)`` order.
+    so all subsets come out of one matmul of the per-column outer products
+    with the 0/1 indicator matrix of the subsets. Returns the real and
+    imaginary parts, shape (batch, N(N+1)/2, C(N, n)), indexed by pair
+    (i, j), i <= j, in ``_triu(N)`` order.
     """
-    batch, dim = u3.shape[0], u3.shape[1]
-    indicator = np.zeros((dim, cols.shape[0]))
-    np.put_along_axis(indicator, cols.T, 1.0, axis=0)
-    # Outer products as interleaved (re, im) pairs, in real arithmetic: numpy's
-    # complex multiply does not round alike at every array size.
+    iu, ju, _ = _triu(u3.shape[1])
+    indicator = _indicator(u3.shape[1], n)
     ur, ui = u3.real, u3.imag
-    outer = np.empty((batch, dim * (dim + 1) // 2, dim, 2))
-    p = 0
-    for i in range(dim):
-        pairs = slice(p, p + dim - i)
-        outer[:, pairs, :, 0] = ur[:, i : i + 1] * ur[:, i:] + ui[:, i : i + 1] * ui[:, i:]
-        outer[:, pairs, :, 1] = ui[:, i : i + 1] * ur[:, i:] - ur[:, i : i + 1] * ui[:, i:]
-        p += dim - i
-    # The stacked product is one small matmul per matrix, so a matrix's Grams,
-    # unlike those of one (batch * pairs) x N product, do not depend on the
-    # batch size.
-    grams = (outer.reshape(batch, p, 2 * dim) @ np.kron(indicator, np.eye(2))).view(complex)
-    return grams.real, grams.imag
+    ar, ai, br, bi = ur[:, iu], ui[:, iu], ur[:, ju], ui[:, ju]
+    # Real arithmetic, since numpy's complex multiply does not round alike at
+    # every array size; and stacked products, one small matmul per matrix,
+    # since a single (batch * pairs) x N product may round differently with
+    # the batch size. So a matrix's Grams do not depend on its batch.
+    return (ar * br + ai * bi) @ indicator, (ai * br - ar * bi) @ indicator
 
 
-def _top_eigenvalue(re, im, m: int) -> np.ndarray:
+def _top_eigenvalue(re: np.ndarray, im: np.ndarray, m: int) -> np.ndarray:
     # Largest eigenvalue of m x m Hermitian matrices given as the real and
-    # imaginary parts of their upper triangles, entry by entry in
-    # ``np.triu_indices(m)`` order.
+    # imaginary parts of their upper triangles: axis 0 runs over the entries
+    # in ``_triu(m)`` order, the other axes over the matrices.
     if m == 2:
         return _top_eig_2x2(re, im)
     if m == 3:
@@ -145,12 +167,12 @@ def _top_eig_3x3(re, im):
     # as 1/sqrt(1 + r); p = 0 (G = qI) gives r = NaN, which fails the test too.
     bad = ~(r > CARDANO_MIN_GAP - 1.0)
     if bad.any():
-        lam[bad] = _top_eig_eigvalsh([e[bad] for e in re], [e[bad] for e in im], 3)
+        lam[bad] = _top_eig_eigvalsh(re[:, bad], im[:, bad], 3)
     return lam
 
 
 def _top_eig_eigvalsh(re, im, m):
-    ti, tj = np.triu_indices(m)
+    ti, tj, _ = _triu(m)
     h = np.zeros(re[0].shape + (m, m), dtype=complex)
     for t in range(ti.size):
         h.real[..., ti[t], tj[t]] = re[t]
@@ -172,20 +194,19 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None) -
         u3, m, n = np.swapaxes(u3, 1, 2), n, m
     batch, dim = u3.shape[0], u3.shape[1]
     if rows is None:
-        rows = np.array(list(itertools.combinations(range(dim), m)), dtype=int)
-    cols = np.array(list(itertools.combinations(range(dim), n)), dtype=int)
-    pair = np.zeros((dim, dim), dtype=int)
-    pair[np.triu_indices(dim)] = np.arange(dim * (dim + 1) // 2)
-    ti, tj = np.triu_indices(m)
+        rows = _combinations(dim, m)
+    ncols = math.comb(dim, n)
+    pos = _triu(dim)[2]
+    ti, tj, _ = _triu(m)
     best = np.zeros(batch)
-    bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, cols.shape[0])))
+    bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
-        re, im = _column_grams(u3[b0 : b0 + bstep], cols)
-        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * cols.shape[0] * m * m))
+        re, im = _column_grams(u3[b0 : b0 + bstep], n)
+        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * m * m))
         for r0 in range(0, rows.shape[0], rstep):
             rsel = rows[r0 : r0 + rstep]
-            idx = [pair[rsel[:, i], rsel[:, j]] for i, j in zip(ti, tj)]
-            lam = _top_eigenvalue([re[:, k] for k in idx], [im[:, k] for k in idx], m)
+            idx = pos[rsel[:, ti], rsel[:, tj]].T
+            lam = _top_eigenvalue(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1), m)
             best[b0 : b0 + bstep] = np.maximum(best[b0 : b0 + bstep], lam.max(axis=(1, 2)))
     return np.sqrt(best)
 
@@ -260,7 +281,8 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     Trusted-input fast path for ensemble work: no unitarity validation
     (the Haar sampler feeds it), semiperimeter class N + 1 is pinned to
     exactly 1, and class N enumerates only one block of each
-    complementary pair.
+    complementary pair. A chain that needs a repair larger than
+    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2]:

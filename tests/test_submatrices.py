@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 
@@ -170,7 +169,7 @@ def test_top_eig_3x3_matches_eigvalsh():
     cases = _hermitian_3x3_cases()
     h = np.array(list(cases.values()), dtype=complex)
     ti, tj = np.triu_indices(3)
-    got = _top_eig_3x3([h[:, i, j].real for i, j in zip(ti, tj)], [h[:, i, j].imag for i, j in zip(ti, tj)])
+    got = _top_eig_3x3(h[:, ti, tj].real.T, h[:, ti, tj].imag.T)
     err = np.abs(got - np.linalg.eigvalsh(h)[:, -1])
     assert err.max() <= 8 * np.finfo(float).eps, dict(zip(cases, err))
 
@@ -192,9 +191,8 @@ def test_grams_do_not_depend_on_batch():
     # matrices are enough to show it
     for n in (5, 6):
         batch = np.stack([haar_unitary(n, RngSeed(SEED + 1000 + i)) for i in range(300)])
-        cols = np.array(list(itertools.combinations(range(n), 3)))
-        grams = np.stack(submatrices._column_grams(batch, cols))
-        alone = [np.stack(submatrices._column_grams(u[None], cols))[:, 0] for u in batch]
+        grams = np.stack(submatrices._column_grams(batch, 3))
+        alone = [np.stack(submatrices._column_grams(u[None], 3))[:, 0] for u in batch]
         assert np.array_equal(grams, np.stack(alone, axis=1))
 
 
