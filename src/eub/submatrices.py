@@ -114,15 +114,15 @@ def _column_grams(u3: np.ndarray, n: int):
     """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, every n-subset C.
 
     Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
-    so all subsets come out of one matmul of the per-column outer products
+    so all subsets come out of a matmul of the per-column outer products
     with the 0/1 indicator matrix of the subsets. Returns the real and
     imaginary parts, shape (batch, N(N+1)/2, C(N, n)), indexed by pair
     (i, j), i <= j, in ``_triu(N)`` order.
     """
     iu, ju, _ = _triu(u3.shape[1])
     indicator = _indicator(u3.shape[1], n)
-    ur, ui = u3.real, u3.imag
-    ar, ai, br, bi = ur[:, iu], ui[:, iu], ur[:, ju], ui[:, ju]
+    a, b = u3[:, iu], u3[:, ju]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # Real arithmetic, since numpy's complex multiply does not round alike at
     # every array size; and stacked products, one small matmul per matrix,
     # since a single (batch * pairs) x N product may round differently with
