@@ -198,14 +198,15 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None) -
     ncols = math.comb(dim, n)
     pos = _triu(dim)[2]
     ti, tj, _ = _triu(m)
+    # Pair positions of each row set's upper triangle: entries x row sets.
+    entries = pos[rows[:, ti], rows[:, tj]].T
     best = np.zeros(batch)
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
         re, im = _column_grams(u3[b0 : b0 + bstep], n)
         rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * m * m))
         for r0 in range(0, rows.shape[0], rstep):
-            rsel = rows[r0 : r0 + rstep]
-            idx = pos[rsel[:, ti], rsel[:, tj]].T
+            idx = entries[:, r0 : r0 + rstep]
             lam = _top_eigenvalue(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1), m)
             best[b0 : b0 + bstep] = np.maximum(best[b0 : b0 + bstep], lam.max(axis=(1, 2)))
     return np.sqrt(best)
