@@ -2,8 +2,10 @@
 
 All experiments are deterministic given (seed, stream): each sample index
 gets its own derived generator, so results do not depend on chunking or
-worker scheduling. The hot path runs through the batched s-vector kernel;
-its agreement with the reference enumeration is covered by the tests.
+worker scheduling. They share one ensemble loop, ``_ensemble``, which draws
+the Haar unitaries (and states) chunk by chunk and runs each chunk through
+the batched s-vector kernel; the kernel's agreement with the reference
+enumeration is covered by the tests.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
     return _haar_from_ginibre(z), psi
 
 
+def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False):
+    # The one chunked ensemble loop: yields (start, u, psi, s) for sample
+    # indices start .. start + len(u) - 1, with s from the batch kernel.
+    for start in range(0, count, _CHUNK):
+        u, psi = _haar_batch(n, rng, start, min(_CHUNK, count - start), with_state)
+        yield start, u, psi, s_coefficients_batch(u)
+
+
 def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatRateResult:
     """Count Haar draws where the Shannon ladder bound strictly beats -2 ln c.
 
@@ -122,10 +132,7 @@ def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatR
     if not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
     wins = 0
-    for start in range(0, samples, _CHUNK):
-        count = min(_CHUNK, samples - start)
-        u, _ = _haar_batch(n, rng, start, count, with_state=False)
-        s = s_coefficients_batch(u)
+    for _, _, _, s in _ensemble(n, samples, rng):
         ladder = _renyi_rows(_q_rows(s, k), 1.0)
         b_mu = -2.0 * np.log(s[:, 0])
         wins += int(np.count_nonzero(ladder > b_mu))
@@ -153,20 +160,17 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed, tol: float = 1e-10) -> F
         raise ValueError("pairs must be >= 1")
     violations = 0
     worst = math.inf
-    for start in range(0, pairs, _CHUNK):
-        count = min(_CHUNK, pairs - start)
-        u, psi = _haar_batch(n, rng, start, count, with_state=True)
+    for _, u, psi, s in _ensemble(n, pairs, rng, with_state=True):
         p = np.abs(psi) ** 2
         q = np.abs(np.einsum("bij,bj->bi", u, psi)) ** 2
         p /= p.sum(axis=1, keepdims=True)
         q /= q.sum(axis=1, keepdims=True)
-        pq = (p[:, :, None] * q[:, None, :]).reshape(count, n * n)
-        s = s_coefficients_batch(u)
+        pq = (p[:, :, None] * q[:, None, :]).reshape(-1, n * n)
         qmaj = _q_rows(s, n - 1)
         # decreasing rearrangements; Q is padded with zeros, so its partial
         # sums saturate at 1 beyond n components
         cum_pq = np.cumsum(np.sort(pq, axis=1)[:, ::-1], axis=1)
-        cum_q = np.ones((count, n * n))
+        cum_q = np.ones_like(cum_pq)
         cum_q[:, :n] = np.cumsum(np.sort(qmaj, axis=1)[:, ::-1], axis=1)
         slack = cum_q - cum_pq
         worst = min(worst, float(slack.min()))
@@ -187,14 +191,11 @@ def bound_gap_stats(
         raise ValueError("samples must be >= 1")
     gaps_mu = np.empty(samples)
     gaps_d = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        count = min(_CHUNK, samples - start)
-        u, _ = _haar_batch(n, rng, start, count, with_state=False)
-        s = s_coefficients_batch(u)
+    for start, _, _, s in _ensemble(n, samples, rng):
         ladder = _renyi_rows(_q_rows(s, n - 1), alpha)
         c = s[:, 0]
-        gaps_mu[start : start + count] = ladder + 2.0 * np.log(c)
-        gaps_d[start : start + count] = ladder + 2.0 * np.log((1.0 + c) / 2.0)
+        gaps_mu[start : start + len(s)] = ladder + 2.0 * np.log(c)
+        gaps_d[start : start + len(s)] = ladder + 2.0 * np.log((1.0 + c) / 2.0)
     qs_mu = {str(q): float(np.quantile(gaps_mu, q)) for q in _QUANTILES}
     qs_d = {str(q): float(np.quantile(gaps_d, q)) for q in _QUANTILES}
     cnt_mu, edges_mu = np.histogram(gaps_mu, bins=bins)

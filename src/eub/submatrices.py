@@ -4,22 +4,23 @@ For an N x N unitary the coefficient s_k is the largest spectral norm
 among all submatrices whose shape (m, n) has semiperimeter m + n = k + 1.
 The derived r_k = ((1 + s_k) / 2)^2 feed the bound construction.
 
-Two independent routes are kept on purpose:
+One vectorized enumeration, ``s_coefficients_batch``, computes the chain
+for a stack of unitaries; ``s_coefficients`` validates one matrix and runs
+it as a stack of one. Vector strips reduce to sorted cumulative sums of
+squared moduli. A block's Gram is a principal submatrix of the N x N Gram
+of its column set, and one matmul against a 0/1 indicator matrix gives
+those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
+in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
+fallback near a double top eigenvalue), larger ones by eigvalsh.
 
-* ``max_norm_over_shape`` enumerates index pairs one by one through
-  ``largest_singular_value`` and is the slow reference oracle;
-* ``s_coefficients`` enumerates the same blocks shape by shape but
-  vectorized. A block's Gram is a principal submatrix of the N x N Gram
-  of its column set, and one matmul against a 0/1 indicator matrix gives
-  those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are
-  taken in closed form (3x3 by the trigonometric Cardano form, with an
-  eigvalsh fallback near a double top eigenvalue), larger ones by eigvalsh.
+The enumeration uses two exact reductions: every shape with m + n > N
+contains a full row or column of some unitary completion and has norm
+exactly 1, and at m + n = N a block and its complementary block share
+their largest singular value.
 
-``s_coefficients_batch`` additionally uses two exact reductions that are
-cross-checked against the reference route in the tests: every shape with
-m + n > N contains a full row or column of some unitary completion and
-has norm exactly 1, and at m + n = N a block and its complementary block
-share their largest singular value.
+``max_norm_over_shape`` enumerates index pairs one by one through
+``largest_singular_value``; it is the independent slow oracle the
+enumeration and both reductions are checked against in the tests.
 """
 
 from __future__ import annotations
@@ -239,9 +240,12 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
     """Compute (s_1..s_N) and (r_1..r_N) for a unitary u.
 
     s_k maximizes the spectral norm over all submatrices with
-    semiperimeter m + n = k + 1. The input must be unitary within
-    UNITARITY_TOL: s_N = 1 is relied on downstream, so near-unitary
-    matrices are rejected rather than accepted with degraded guarantees.
+    semiperimeter m + n = k + 1. The validated entry: u must be square,
+    at most MAX_ENUMERATION_DIM unless ``allow_large``, unitary within
+    UNITARITY_TOL, and of norm at most 1 + UNITARITY_TOL. The norm bounds
+    every block, so that check stands in for s_N = 1, which the kernel
+    pins and downstream code relies on. Near-unitary matrices are rejected
+    rather than accepted with degraded guarantees.
 
     Parameters
     ----------
@@ -260,18 +264,10 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
             f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
         )
     u = require_unitary(u, UNITARITY_TOL)
-    u3 = u[None, :, :]
-    row_cum, col_cum = _row_col_cumsums(u3)
-    s = np.empty(dim)
-    for k in range(1, dim + 1):
-        vals = []
-        for m in range(max(1, k + 1 - dim), min(k, dim) + 1):
-            n = k + 1 - m
-            vals.append(float(_shape_max(u3, m, n, row_cum, col_cum)[0]))
-        s[k - 1] = max(vals)
-    if abs(s[-1] - 1.0) > UNITARITY_TOL:
-        raise ValueError(f"s_N deviates from 1 by {abs(s[-1] - 1.0):.3e}")
-    s = _finalize(s)
+    excess = largest_singular_value(u) - 1.0
+    if excess > UNITARITY_TOL:
+        raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess:.3e}")
+    s = s_coefficients_batch(u[None])[0]
     r = ((1.0 + s) / 2.0) ** 2
     return SubmatrixCoefficients(n=dim, s=s, r=r)
 
@@ -279,10 +275,11 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
 def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     """Vectorized s vectors, shape (batch, N), for a stack of unitaries.
 
-    Trusted-input fast path for ensemble work: no unitarity validation
-    (the Haar sampler feeds it), semiperimeter class N + 1 is pinned to
-    exactly 1, and class N enumerates only one block of each
-    complementary pair. A chain that needs a repair larger than
+    The trusted entry, and the only enumeration: it checks the stack's
+    shape but assumes every matrix is unitary (the Haar sampler and
+    ``s_coefficients`` feed it) and does not limit N. Semiperimeter class
+    N + 1 is pinned to exactly 1, and class N enumerates only one block of
+    each complementary pair. A chain that needs a repair larger than
     UNITARITY_TOL to be monotone and <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
@@ -302,10 +299,7 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
                 if m == n and m >= 2:
                     # self-complementary shape: row sets containing index 0
                     # meet every complementary pair exactly once
-                    half = np.array(
-                        [(0,) + rest for rest in itertools.combinations(range(1, dim), m - 1)],
-                        dtype=int,
-                    )
+                    half = np.insert(_combinations(dim - 1, m - 1) + 1, 0, 0, axis=1)
                     best = np.maximum(best, _block_max(u_batch, m, n, rows=half))
                     continue
             best = np.maximum(best, _shape_max(u_batch, m, n, row_cum, col_cum))

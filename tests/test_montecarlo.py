@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import eub.montecarlo as montecarlo
 from eub import RngSeed, beat_rate, bound_gap_stats, majorization_fuzz
 
 SEED = 1717
@@ -100,3 +101,22 @@ def test_gap_stats_json():
     assert obj["samples"] == 100
     assert "quantiles_mu" in obj and "quantiles_deutsch" in obj
     assert "hist_mu" not in obj  # histograms travel as CSV, not JSON
+
+
+def test_results_do_not_depend_on_chunking(monkeypatch):
+    def run():
+        rate = beat_rate(3, 50, RngSeed(SEED + 20))
+        fuzz = majorization_fuzz(3, 50, RngSeed(SEED + 21))
+        gaps = bound_gap_stats(3, 50, 1.0, RngSeed(SEED + 22), bins=12)
+        return (
+            (rate.wins, fuzz.violations, fuzz.worst_slack, gaps.mean_mu, gaps.mean_deutsch),
+            (gaps.quantiles_mu, gaps.quantiles_deutsch),
+            gaps.hist_mu + gaps.hist_deutsch,
+        )
+
+    default = run()
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    chunked = run()
+    assert default[:2] == chunked[:2]
+    for a, b in zip(default[2], chunked[2]):
+        assert np.array_equal(a, b)

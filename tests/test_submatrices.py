@@ -15,7 +15,9 @@ from eub import (
     rotation_matrix,
     s_coefficients,
     s_coefficients_batch,
+    unitarity_residual,
 )
+from eub.matrices import UNITARITY_TOL
 from eub.submatrices import _top_eig_3x3
 
 SEED = 515151
@@ -177,13 +179,15 @@ def test_top_eig_3x3_matches_eigvalsh():
 def test_chunking_is_bit_identical(monkeypatch):
     for n in (5, 6):
         batch = np.stack([haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(12)] + [fourier_matrix(n)])
-        default = s_coefficients_batch(batch), s_coefficients(batch[0]).s
+        default = s_coefficients_batch(batch)
         monkeypatch.setattr(submatrices, "_CHUNK_ELEMENTS", 1)
-        chunked = s_coefficients_batch(batch), s_coefficients(batch[0]).s
+        chunked = s_coefficients_batch(batch)
         monkeypatch.undo()
-        assert np.array_equal(default[0], chunked[0])
-        assert np.array_equal(default[1], chunked[1])
-        assert np.array_equal(s_coefficients_batch(batch[3:4])[0], default[0][3])
+        assert np.array_equal(default, chunked)
+        assert np.array_equal(s_coefficients_batch(batch[3:4])[0], default[3])
+        # the validated entry is the same kernel on a stack of one
+        assert np.array_equal(s_coefficients(batch[0]).s, default[0])
+        assert np.array_equal(s_coefficients(batch[-1]).s, default[-1])
 
 
 def test_grams_do_not_depend_on_batch():
@@ -214,25 +218,38 @@ def test_repair_rejects_broken_monotonicity():
     assert np.array_equal(submatrices._finalize(np.array([[0.6, 0.6 - 1e-16, 1.0]])), [[0.6, 0.6, 1.0]])
 
 
-def test_batch_agrees_with_single():
-    batch = np.stack([haar_unitary(4, RngSeed(SEED + 300 + i)) for i in range(40)])
+def test_batch_agrees_with_oracle():
+    batch = np.stack([haar_unitary(4, RngSeed(SEED + 300 + i)) for i in range(10)])
     s = s_coefficients_batch(batch)
-    assert s.shape == (40, 4)
-    for i in range(40):
-        assert np.max(np.abs(s[i] - s_coefficients(batch[i]).s)) <= 1e-12
+    assert s.shape == (10, 4)
+    for i in range(10):
+        assert np.max(np.abs(s[i] - _oracle_s(batch[i]))) <= 1e-12
 
 
 def test_batch_small_dims():
     for n in (2, 3):
-        batch = np.stack([haar_unitary(n, RngSeed(SEED + 500 + n * 10 + i)) for i in range(25)])
+        batch = np.stack([haar_unitary(n, RngSeed(SEED + 500 + n * 10 + i)) for i in range(10)])
         s = s_coefficients_batch(batch)
-        for i in range(25):
-            assert np.max(np.abs(s[i] - s_coefficients(batch[i]).s)) <= 1e-12
+        assert s.shape == (10, n)
+        for i in range(10):
+            assert np.max(np.abs(s[i] - _oracle_s(batch[i]))) <= 1e-12
 
 
 def test_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitarity residual"):
         s_coefficients(np.eye(3) * 0.99)
+
+
+def test_rejects_norm_above_one():
+    # (I + eps J)^(1/2) F6 has unitarity residual eps = 9.9e-11, inside the
+    # tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10; the kernel pins
+    # s_N = 1, so the validated entry has to refuse it
+    eps = 0.99e-10
+    c = np.expm1(0.5 * np.log1p(6 * eps)) / 6  # (I + cJ)^2 = I + eps J
+    u = (np.eye(6) + c * np.ones((6, 6))) @ fourier_matrix(6)
+    assert unitarity_residual(u) <= UNITARITY_TOL
+    with pytest.raises(ValueError, match="s_N deviates from 1"):
+        s_coefficients(u)
 
 
 def test_dimension_guard():
