@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import PROB_SUM_TOL, check_probability_vector, renyi_entropy
+from .entropy import PROB_SUM_TOL, check_probability_vector, clamp_negative, renyi_entropy
 from .matrices import require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
-
-# Q components may go negative by an ulp where consecutive r_k tie;
-# anything more negative than this is a bug, not rounding.
-_NEGATIVE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,30 +52,30 @@ class BoundReport:
         }
 
 
-def _clean_probability(v: np.ndarray) -> np.ndarray:
-    lo = float(v.min())
-    if lo < -_NEGATIVE_CLAMP:
-        raise ValueError(f"majorizing vector component {lo:.3e} below clamp window")
-    v = np.clip(v, 0.0, None)
-    return v / v.sum()
-
-
-def _truncation(r: np.ndarray, k: int) -> np.ndarray:
-    # Q^(k) = (r_1, r_2 - r_1, ..., r_k - r_{k-1}, 1 - r_k)
-    head = np.diff(r[:k], prepend=0.0)
-    return _clean_probability(np.append(head, 1.0 - r[k - 1]))
+def _q_rows(s_rows: np.ndarray, k: int) -> np.ndarray:
+    # The only builder of Q^(k) = (r_1, r_2 - r_1, ..., r_k - r_{k-1}, 1 - r_k),
+    # r = ((1 + s) / 2)^2, one row per s vector of the stack. Components go
+    # negative only by rounding where consecutive r tie; clamp_negative zeroes
+    # those and raises on anything beyond the clamp window.
+    r = ((1.0 + s_rows) / 2.0) ** 2
+    head = np.diff(r[:, :k], prepend=0.0, axis=1)
+    q = np.concatenate([head, (1.0 - r[:, k - 1])[:, None]], axis=1)
+    q = clamp_negative(q, "majorizing vector component {:.3e} below clamp window")
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def majorizing_vector(sc: SubmatrixCoefficients) -> MajorizingVector:
     """Q = (r_1, r_2 - r_1, ..., r_N - r_{N-1}) plus all truncations Q^(k).
 
-    Monotone r guarantees nonnegativity analytically; components negative
-    by rounding are clamped to zero and the vector renormalized.
+    Built from sc.s, with r_k = ((1 + s_k)/2)^2, by the same ``_q_rows``
+    the ensembles use. Monotone s makes every component nonnegative;
+    components down to -NEGATIVE_CLAMP (rounding where consecutive r_k
+    tie) are zeroed and the vector renormalized, and a more negative one
+    raises ValueError.
     """
-    r = np.asarray(sc.r, dtype=float)
     if sc.n == 1:
         return MajorizingVector(q_full=np.array([1.0]), truncations=())
-    truncs = tuple(_truncation(r, k) for k in range(1, sc.n))
+    truncs = tuple(_q_rows(sc.s[None], k)[0] for k in range(1, sc.n))
     return MajorizingVector(q_full=truncs[-1], truncations=truncs)
 
 
@@ -143,15 +139,6 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha) -> float:
     return renyi_entropy(p, alpha) + renyi_entropy(q, alpha)
 
 
-def _q_rows(s_rows: np.ndarray, k: int) -> np.ndarray:
-    # Batched Q^(k) from a stack of s vectors; trusted input.
-    r = ((1.0 + s_rows) / 2.0) ** 2
-    head = np.diff(r[:, :k], prepend=0.0, axis=1)
-    q = np.concatenate([head, (1.0 - r[:, k - 1])[:, None]], axis=1)
-    q = np.clip(q, 0.0, None)
-    return q / q.sum(axis=1, keepdims=True)
-
-
 # --- classical analogue -----------------------------------------------------
 
 
@@ -160,10 +147,7 @@ def check_stochastic(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError("expected a 2d array")
-    lo = float(t.min())
-    if lo < -1e-12:
-        raise ValueError(f"negative entry {lo:.3e} in stochastic matrix")
-    t = np.where(t < 0.0, 0.0, t)
+    t = clamp_negative(t, "negative entry {:.3e} in stochastic matrix")
     col = t.sum(axis=0)
     if np.abs(col - 1.0).max() > PROB_SUM_TOL:
         row = t.sum(axis=1)

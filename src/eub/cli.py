@@ -294,7 +294,7 @@ def _verify_chain(seed: RngSeed):
             u = haar_unitary(n, RngSeed(seed.seed + 13 * n + i, seed.stream))
             mv = majorizing_vector(s_coefficients(u))
             for k in range(len(mv.truncations) - 1):
-                if not majorizes(mv.truncations[k], mv.truncations[k + 1], 1e-10):
+                if not majorizes(mv.truncations[k], mv.truncations[k + 1]):
                     return False, f"chain break at n={n} k={k + 1}"
     return True, ""
 

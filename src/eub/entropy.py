@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .matrices import PROB_SUM_TOL
+from .matrices import NEGATIVE_CLAMP, PROB_SUM_TOL
 
 # Components below this are treated as exact zeros for alpha < 1 and for
 # support counting: subnormal leakage must not flip the support size.
@@ -19,20 +19,30 @@ SHANNON_WINDOW = 1e-9
 MAJORIZATION_TOL = 1e-10
 
 
+def clamp_negative(x: np.ndarray, message: str) -> np.ndarray:
+    """Zero the entries of x in [-NEGATIVE_CLAMP, 0); raise below that.
+
+    The ValueError text is ``message`` formatted with the most negative
+    entry. Returns x itself when no entry is negative.
+    """
+    lo = float(x.min())
+    if lo < -NEGATIVE_CLAMP:
+        raise ValueError(message.format(lo))
+    if lo < 0.0:
+        x = np.where(x < 0.0, 0.0, x)
+    return x
+
+
 def check_probability_vector(x) -> np.ndarray:
     """Validate and return x as a 1d float array.
 
-    Components must be nonnegative (rounding debris above -1e-12 is
-    clamped to zero) and sum to 1 within PROB_SUM_TOL.
+    Components must be nonnegative (rounding debris down to
+    -NEGATIVE_CLAMP is clamped to zero) and sum to 1 within PROB_SUM_TOL.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("empty probability vector")
-    lo = float(x.min())
-    if lo < -1e-12:
-        raise ValueError(f"negative component {lo:.3e} in probability vector")
-    if lo < 0.0:
-        x = np.where(x < 0.0, 0.0, x)
+    x = clamp_negative(x, "negative component {:.3e} in probability vector")
     s = float(x.sum())
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probability vector sums to {s!r}, not 1")
@@ -89,12 +99,12 @@ def tensor_product(p, q) -> np.ndarray:
     return np.outer(p, q).ravel()
 
 
-def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> bool:
+def majorizes(y, x) -> bool:
     """True iff x is majorized by y.
 
     The shorter vector is padded with zeros. Every partial sum of the
     decreasing rearrangement of x must be at most the matching partial
-    sum for y plus tol.
+    sum for y plus MAJORIZATION_TOL.
     """
     x = check_probability_vector(x)
     y = check_probability_vector(y)
@@ -103,7 +113,7 @@ def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> bool:
     xs[: x.size] = np.sort(x)[::-1]
     ys = np.zeros(n)
     ys[: y.size] = np.sort(y)[::-1]
-    return bool(np.all(np.cumsum(xs) <= np.cumsum(ys) + tol))
+    return bool(np.all(np.cumsum(xs) <= np.cumsum(ys) + MAJORIZATION_TOL))
 
 
 def schur_concavity_witness(x, y, alpha) -> bool:
@@ -112,6 +122,6 @@ def schur_concavity_witness(x, y, alpha) -> bool:
     Requires x majorized by y; raises if the precondition fails. Returns
     whether H_alpha(x) >= H_alpha(y) - 1e-10. Used as a test predicate.
     """
-    if not majorizes(y, x, MAJORIZATION_TOL):
+    if not majorizes(y, x):
         raise ValueError("precondition failed: y does not majorize x")
     return renyi_entropy(x, alpha) >= renyi_entropy(y, alpha) - 1e-10

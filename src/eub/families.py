@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_ladder, bound_mu
-from .entropy import PROB_SUM_TOL
+from .entropy import PROB_SUM_TOL, clamp_negative
 
 _LINK_TOL = 1e-12
 LIFT_RESIDUAL_TOL = 1e-9
@@ -83,10 +83,7 @@ def _check_bistochastic_3(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (3, 3):
         raise ValueError(f"expected a 3 x 3 matrix, got shape {b.shape}")
-    lo = float(b.min())
-    if lo < -1e-12:
-        raise ValueError(f"negative entry {lo:.3e}")
-    b = np.where(b < 0.0, 0.0, b)
+    b = clamp_negative(b, "negative entry {:.3e}")
     bad = max(np.abs(b.sum(axis=0) - 1.0).max(), np.abs(b.sum(axis=1) - 1.0).max())
     if bad > PROB_SUM_TOL:
         raise ValueError(f"row/column sums deviate from 1 by {bad:.3e}")

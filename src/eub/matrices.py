@@ -25,6 +25,9 @@ UNITARITY_TOL = 1e-10
 # closed form's error to a few ulps of the Gram's trace.
 CARDANO_MIN_GAP = 1e-2
 PROB_SUM_TOL = 1e-10
+# Entries of a probability vector or stochastic matrix this far below zero
+# are rounding debris and are zeroed; anything more negative is an error.
+NEGATIVE_CLAMP = 1e-12
 
 _UINT64 = 2**64
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _q_rows
-from .entropy import _renyi_rows
+from .entropy import MAJORIZATION_TOL, _renyi_rows
 from .matrices import RngSeed, _haar_from_ginibre, sample_generator
 from .submatrices import s_coefficients_batch
 
@@ -147,11 +147,11 @@ def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatR
     )
 
 
-def majorization_fuzz(n: int, pairs: int, rng: RngSeed, tol: float = 1e-10) -> FuzzReport:
+def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     """Check p (x) q against Q on Haar (U, psi) pairs.
 
     For each pair the flattened product distribution must be majorized by
-    Q at the given tolerance. Expected violations: zero; any hit is an
+    Q within MAJORIZATION_TOL. Expected violations: zero; any hit is an
     implementation bug, reported with the worst partial-sum slack.
     """
     if n < 2:
@@ -174,7 +174,7 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed, tol: float = 1e-10) -> F
         cum_q[:, :n] = np.cumsum(np.sort(qmaj, axis=1)[:, ::-1], axis=1)
         slack = cum_q - cum_pq
         worst = min(worst, float(slack.min()))
-        violations += int(np.count_nonzero(slack.min(axis=1) < -tol))
+        violations += int(np.count_nonzero(slack.min(axis=1) < -MAJORIZATION_TOL))
     return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)
 
 

@@ -22,6 +22,8 @@ from eub import (
     s_coefficients,
     slomczynski_check,
 )
+from eub.bounds import _q_rows
+from eub.submatrices import SubmatrixCoefficients
 
 SEED = 70707
 
@@ -46,6 +48,27 @@ def test_majorizing_vector_truncation_chain():
         for a, b in zip(mv.truncations, mv.truncations[1:]):
             assert majorizes(a, b)
         assert np.allclose(mv.truncations[-1], mv.q_full, atol=1e-15)
+
+
+def _hand_built(s):
+    s = np.array(s)
+    return SubmatrixCoefficients(n=s.size, s=s, r=((1.0 + s) / 2.0) ** 2)
+
+
+def test_q_rows_rejects_non_monotone_s():
+    # r_2 - r_1 = 0.5625 - 0.64: far outside the clamp window
+    with pytest.raises(ValueError, match="below clamp window"):
+        _q_rows(np.array([[0.6, 0.5, 1.0]]), 2)
+    with pytest.raises(ValueError, match="below clamp window"):
+        majorizing_vector(_hand_built([0.6, 0.5, 1.0]))
+
+
+def test_one_ulp_dip_is_zeroed():
+    s = [0.6, 0.6 - 1e-15, 1.0]
+    q = _q_rows(np.array([s]), 2)[0]
+    assert q[1] == 0.0
+    assert np.all(q >= 0.0) and q.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(majorizing_vector(_hand_built(s)).q_full, q)
 
 
 def test_closed_form_bounds():

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -234,3 +236,23 @@ def test_bad_alpha_exit(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--input", path, "--alpha", "-1")
     assert code == 2
     assert "order" in err
+
+
+def _load_cli_digests():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_digests_rerun_identical(monkeypatch):
+    "Every command of tools/cli_digests.py exits 0 and reruns byte-identically."
+    tool = _load_cli_digests()
+    # bounds reports at N >= 9 take most of a full pass
+    for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS"):
+        monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 8))
+    first = tool.run()
+    assert len(first) == 20
+    assert all(line.split("  ")[1] in ("0", "-") for line in first)
+    assert tool.run() == first

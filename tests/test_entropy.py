@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from eub import majorizes, renyi_entropy, schur_concavity_witness, tensor_product
+from eub.bounds import _q_rows, check_stochastic
+from eub.entropy import check_probability_vector, clamp_negative
+from eub.families import _check_bistochastic_3
 
 SEED = 8831
 
@@ -156,3 +159,39 @@ def test_validation_errors():
         renyi_entropy([0.5, 0.5], float("nan"))
     # tiny negative noise is clamped, not rejected
     assert renyi_entropy([1.0, -1e-13], 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _q_dip(d):
+    # s_2 chosen so that r_2 = r_1 - d, with r_1 = ((1 + 0.6) / 2)^2 = 0.64
+    return _q_rows(np.array([[0.6, 2.0 * math.sqrt(0.64 - d) - 1.0, 1.0]]), 2)
+
+
+# Each caller of clamp_negative, fed an input whose most negative entry is -d.
+CLAMP_CALLERS = {
+    "probability_vector": (
+        lambda d: check_probability_vector([0.5 + d, 0.5, -d]),
+        "negative component",
+    ),
+    "stochastic": (
+        lambda d: check_stochastic([[1.0 + d, 0.5], [-d, 0.5]]),
+        "negative entry .* in stochastic matrix",
+    ),
+    "bistochastic_3": (
+        lambda d: _check_bistochastic_3([[1.0 + d, -d, 0.0], [-d, 1.0 + d, 0.0], [0.0, 0.0, 1.0]]),
+        "negative entry",
+    ),
+    "q_rows": (_q_dip, "below clamp window"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CLAMP_CALLERS))
+def test_clamp_window_edge(caller):
+    check, message = CLAMP_CALLERS[caller]
+    assert float(np.min(check(0.5e-12))) == 0.0
+    with pytest.raises(ValueError, match=message):
+        check(2e-12)
+
+
+def test_clamp_negative_passes_nonnegative_input_through():
+    x = np.array([0.0, 0.25, 0.75])
+    assert clamp_negative(x, "unused {}") is x
