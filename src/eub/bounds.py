@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import PROB_SUM_TOL, check_probability_vector, clamp_negative, renyi_entropy
-from .matrices import require_unitary
+from .matrices import ENTROPY_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 
@@ -160,13 +160,26 @@ def check_stochastic(t) -> np.ndarray:
     return t
 
 
-def classical_mixture_entropy(t, p) -> float:
-    """Average Shannon entropy of the columns of t, weighted by p."""
+def _classical_entropies(t, p) -> tuple:
+    # Validates (t, p) once; returns (mixture entropy, H(TP), H(P)), the three
+    # numbers every classical check compares.
     t = check_stochastic(t)
     p = check_probability_vector(p)
     if p.size != t.shape[1]:
         raise ValueError(f"weight vector length {p.size} does not match {t.shape[1]} columns")
-    return float(sum(p[i] * renyi_entropy(t[:, i], 1.0) for i in range(t.shape[1]) if p[i] > 0.0))
+    mixture = sum(p[i] * renyi_entropy(t[:, i], 1.0) for i in range(t.shape[1]) if p[i] > 0.0)
+    return float(mixture), renyi_entropy(t @ p, 1.0), renyi_entropy(p, 1.0)
+
+
+def _mixture_inequalities_hold(lower: float, mid: float, h_p: float) -> bool:
+    # lower <= mid <= lower + h_p within ENTROPY_TOL, for the triple
+    # (mixture entropy, H(TP), H(P)) of _classical_entropies
+    return (lower - ENTROPY_TOL <= mid) and (mid <= lower + h_p + ENTROPY_TOL)
+
+
+def classical_mixture_entropy(t, p) -> float:
+    """Average Shannon entropy of the columns of t, weighted by p."""
+    return _classical_entropies(t, p)[0]
 
 
 def classical_bound(t) -> float:
@@ -176,14 +189,9 @@ def classical_bound(t) -> float:
 
 
 def slomczynski_check(t, p) -> bool:
-    """Both mixture inequalities within 1e-10.
+    """Both mixture inequalities within ENTROPY_TOL (1e-10).
 
     The column mixture entropy must not exceed H(TP), and H(TP) must not
     exceed the mixture entropy plus H(P).
     """
-    t = check_stochastic(t)
-    p = check_probability_vector(p)
-    lower = classical_mixture_entropy(t, p)
-    mid = renyi_entropy(t @ p, 1.0)
-    upper = lower + renyi_entropy(p, 1.0)
-    return (lower - 1e-10 <= mid) and (mid <= upper + 1e-10)
+    return _mixture_inequalities_hold(*_classical_entropies(t, p))

@@ -19,16 +19,16 @@ import sys
 import numpy as np
 
 from .bounds import (
+    _classical_entropies,
+    _mixture_inequalities_hold,
     bound_deutsch,
     bound_mu,
     classical_bound,
-    classical_mixture_entropy,
     eur_lhs,
     ladder_from_coefficients,
     majorizing_vector,
-    slomczynski_check,
 )
-from .entropy import majorizes, renyi_entropy
+from .entropy import majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
 from .equivalence import random_transform, apply_transform
 from .extremal import (
     SubspacePair,
@@ -45,11 +45,10 @@ from .families import (
     lift_residual,
     permutation_power,
     rotation_matrix,
-    unistochastic_check_3,
     unistochastic_lift_3,
 )
-from .matrices import RngSeed, generator, haar_unitary, is_unitary, load_matrix
-from .montecarlo import beat_rate, bound_gap_stats, majorization_fuzz
+from .matrices import ENTROPY_TOL, RngSeed, generator, haar_unitary, is_unitary, load_matrix
+from .montecarlo import _beat_and_gaps, beat_rate, majorization_fuzz
 from .submatrices import s_coefficients
 
 
@@ -188,10 +187,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_mc(args) -> int:
     _require_format(args, "json")
-    result = beat_rate(args.n, args.samples, _seed_of(args), k=args.k)
+    alpha = _parse_alpha(args.alpha)
+    k = args.n - 1 if args.k is None else args.k
+    gap_alpha = None if args.gap_hist is None else alpha
+    result, stats = _beat_and_gaps(args.n, args.samples, _seed_of(args), k, gap_alpha)
     _emit(args.output, _dump_json(result.to_json()))
-    if args.gap_hist is not None:
-        stats = bound_gap_stats(args.n, args.samples, _parse_alpha(args.alpha), _seed_of(args))
+    if stats is not None:
         lo, hi, cnt = stats.hist_mu
         lines = ["bin_lo,bin_hi,count"]
         lines += [f"{repr(float(a))},{repr(float(b))},{int(c)}" for a, b, c in zip(lo, hi, cnt)]
@@ -215,51 +216,42 @@ def _load_stochastic(path) -> np.ndarray:
 
 def _cmd_classical(args) -> int:
     _require_format(args, "json")
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     t = _load_stochastic(args.input)
     bound = classical_bound(t)
-    kappa = float(t.max())
+    obj = {"kappa": float(t.max()), "bound": bound}
     if args.p is not None:
         p = np.array([float(tok) for tok in args.p.split(",")])
-        mixture = classical_mixture_entropy(t, p)
-        out_entropy = renyi_entropy(t @ p, 1.0)
-        p_entropy = renyi_entropy(p, 1.0)
-        ok_pair = slomczynski_check(t, p)
-        ok_bound = p_entropy + out_entropy >= bound - 1e-10
-        obj = {
-            "kappa": kappa,
-            "bound": bound,
-            "mixture_entropy": mixture,
-            "output_entropy": out_entropy,
-            "input_entropy": p_entropy,
-            "mixture_inequalities_hold": bool(ok_pair),
-            "bound_holds": bool(ok_bound),
-        }
+        mixture, out_entropy, p_entropy = _classical_entropies(t, p)
+        ok_pair = _mixture_inequalities_hold(mixture, out_entropy, p_entropy)
+        ok_bound = p_entropy + out_entropy >= bound - ENTROPY_TOL
+        obj.update(
+            mixture_entropy=mixture,
+            output_entropy=out_entropy,
+            input_entropy=p_entropy,
+            mixture_inequalities_hold=bool(ok_pair),
+            bound_holds=bool(ok_bound),
+        )
         _emit(args.output, _dump_json(obj))
         return 0 if (ok_pair and ok_bound) else 1
     g = generator(_seed_of(args))
-    worst_lower = math.inf
-    worst_upper = math.inf
-    worst_bound = math.inf
+    slacks = []
     for _ in range(args.samples):
         p = g.exponential(size=t.shape[1])
         p /= p.sum()
-        mixture = classical_mixture_entropy(t, p)
-        out_entropy = renyi_entropy(t @ p, 1.0)
-        p_entropy = renyi_entropy(p, 1.0)
-        worst_lower = min(worst_lower, out_entropy - mixture)
-        worst_upper = min(worst_upper, mixture + p_entropy - out_entropy)
-        worst_bound = min(worst_bound, p_entropy + out_entropy - bound)
-    all_hold = min(worst_lower, worst_upper, worst_bound) >= -1e-10
-    obj = {
-        "kappa": kappa,
-        "bound": bound,
-        "samples": args.samples,
-        "seed": _seed_of(args).to_json(),
-        "min_slack_lower": worst_lower,
-        "min_slack_upper": worst_upper,
-        "min_slack_bound": worst_bound,
-        "all_hold": bool(all_hold),
-    }
+        lower, mid, h_p = _classical_entropies(t, p)
+        slacks.append((mid - lower, lower + h_p - mid, h_p + mid - bound))
+    worst_lower, worst_upper, worst_bound = (min(column) for column in zip(*slacks))
+    all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
+    obj.update(
+        samples=args.samples,
+        seed=_seed_of(args).to_json(),
+        min_slack_lower=worst_lower,
+        min_slack_upper=worst_upper,
+        min_slack_bound=worst_bound,
+        all_hold=bool(all_hold),
+    )
     _emit(args.output, _dump_json(obj))
     return 0 if all_hold else 1
 
@@ -313,7 +305,7 @@ def _verify_ladder(seed: RngSeed):
                 for _ in range(5):
                     v = g.standard_normal(n) + 1j * g.standard_normal(n)
                     v /= np.linalg.norm(v)
-                    if eur_lhs(u, v, a) < rep.ladder[-1] - 1e-10:
+                    if eur_lhs(u, v, a) < rep.ladder[-1] - ENTROPY_TOL:
                         return False, f"entropy sum below ladder top at n={n} alpha={a}"
     return True, ""
 
@@ -388,10 +380,10 @@ def _verify_classical(seed: RngSeed):
         t /= t.sum(axis=0, keepdims=True)
         p = g.exponential(size=n)
         p /= p.sum()
-        if not slomczynski_check(t, p):
+        mixture, out_entropy, p_entropy = _classical_entropies(t, p)
+        if not _mixture_inequalities_hold(mixture, out_entropy, p_entropy):
             return False, f"mixture inequalities failed at trial {i}"
-        total = renyi_entropy(p, 1.0) + renyi_entropy(t @ p, 1.0)
-        if total < classical_bound(t) - 1e-10:
+        if p_entropy + out_entropy < classical_bound(t) - ENTROPY_TOL:
             return False, f"entropy sum below -ln kappa at trial {i}"
     return True, ""
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .matrices import NEGATIVE_CLAMP, PROB_SUM_TOL
+from .matrices import ENTROPY_TOL, NEGATIVE_CLAMP, PROB_SUM_TOL
 
 # Components below this are treated as exact zeros for alpha < 1 and for
 # support counting: subnormal leakage must not flip the support size.
@@ -120,8 +120,8 @@ def schur_concavity_witness(x, y, alpha) -> bool:
     """Check that entropy does not increase from x to the coarser y.
 
     Requires x majorized by y; raises if the precondition fails. Returns
-    whether H_alpha(x) >= H_alpha(y) - 1e-10. Used as a test predicate.
+    whether H_alpha(x) >= H_alpha(y) - ENTROPY_TOL. Used as a test predicate.
     """
     if not majorizes(y, x):
         raise ValueError("precondition failed: y does not majorize x")
-    return renyi_entropy(x, alpha) >= renyi_entropy(y, alpha) - 1e-10
+    return renyi_entropy(x, alpha) >= renyi_entropy(y, alpha) - ENTROPY_TOL

@@ -28,6 +28,10 @@ PROB_SUM_TOL = 1e-10
 # Entries of a probability vector or stochastic matrix this far below zero
 # are rounding debris and are zeroed; anything more negative is an error.
 NEGATIVE_CLAMP = 1e-12
+# Rounding allowance of every entropy inequality checked in floating point
+# (mixture inequalities, -ln kappa, Schur concavity, the ladder top below
+# an entropy sum): a side may miss its bound by this much and still hold.
+ENTROPY_TOL = 1e-10
 
 _UINT64 = 2**64
 

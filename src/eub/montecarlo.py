@@ -4,8 +4,8 @@ All experiments are deterministic given (seed, stream): each sample index
 gets its own derived generator, so results do not depend on chunking or
 worker scheduling. They share one ensemble loop, ``_ensemble``, which draws
 the Haar unitaries (and states) chunk by chunk and runs each chunk through
-the batched s-vector kernel; the kernel's agreement with the reference
-enumeration is covered by the tests.
+the batched s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
+summaries of one pass over it, ``_beat_and_gaps``.
 """
 
 from __future__ import annotations
@@ -116,6 +116,51 @@ def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False):
         yield start, u, psi, s_coefficients_batch(u)
 
 
+_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def _gap_summary(gaps: np.ndarray, bins: int):
+    # mean, quantiles and histogram (bin_lo, bin_hi, count) of one gap array
+    cnt, edges = np.histogram(gaps, bins=bins)
+    quantiles = {str(q): float(np.quantile(gaps, q)) for q in _QUANTILES}
+    return float(gaps.mean()), quantiles, (edges[:-1].copy(), edges[1:].copy(), cnt)
+
+
+def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha, bins: int = 60):
+    # The one pass behind beat_rate (k given), bound_gap_stats (alpha given)
+    # and `mc --gap-hist` (both): each chunk is drawn and kernelled once. The
+    # Shannon rung B^k counts wins over -2 ln c, the top rung B_alpha^{n-1}
+    # gives the gaps, and at (k, alpha) = (n - 1, 1) the two are one ladder.
+    # Returns (BeatRateResult or None, GapStats or None).
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if k is not None and not (1 <= k <= n - 1):
+        raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
+    wins = 0
+    gaps_mu, gaps_d = (None, None) if alpha is None else (np.empty(samples), np.empty(samples))
+    for start, _, _, s in _ensemble(n, samples, rng):
+        c = s[:, 0]
+        if k is not None:
+            shannon = _renyi_rows(_q_rows(s, k), 1.0)
+            wins += int(np.count_nonzero(shannon > -2.0 * np.log(c)))
+        if alpha is not None:
+            shared = k == n - 1 and float(alpha) == 1.0
+            top = shannon if shared else _renyi_rows(_q_rows(s, n - 1), alpha)
+            gaps_mu[start : start + len(s)] = top + 2.0 * np.log(c)
+            gaps_d[start : start + len(s)] = top + 2.0 * np.log((1.0 + c) / 2.0)
+    rate = wins / samples
+    stderr = math.sqrt(rate * (1.0 - rate) / samples)
+    beat = None if k is None else BeatRateResult(n, samples, wins, rate, stderr, rng)
+    if alpha is None:
+        return beat, None
+    mean_mu, qs_mu, hist_mu = _gap_summary(gaps_mu, bins)
+    mean_d, qs_d, hist_d = _gap_summary(gaps_d, bins)
+    stats = GapStats(n, samples, float(alpha), rng, mean_mu, mean_d, qs_mu, qs_d, hist_mu, hist_d)
+    return beat, stats
+
+
 def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatRateResult:
     """Count Haar draws where the Shannon ladder bound strictly beats -2 ln c.
 
@@ -123,28 +168,7 @@ def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatR
     majorizing vector); lower levels can be compared via ``k``. Ties count
     as non-wins.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if k is None:
-        k = n - 1
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
-    wins = 0
-    for _, _, _, s in _ensemble(n, samples, rng):
-        ladder = _renyi_rows(_q_rows(s, k), 1.0)
-        b_mu = -2.0 * np.log(s[:, 0])
-        wins += int(np.count_nonzero(ladder > b_mu))
-    rate = wins / samples
-    return BeatRateResult(
-        n=n,
-        samples=samples,
-        wins=wins,
-        rate=rate,
-        stderr=math.sqrt(rate * (1.0 - rate) / samples),
-        seed=rng,
-    )
+    return _beat_and_gaps(n, samples, rng, n - 1 if k is None else k, None)[0]
 
 
 def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
@@ -178,37 +202,8 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)
 
 
-_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
-
-
 def bound_gap_stats(
     n: int, samples: int, alpha, rng: RngSeed, bins: int = 60
 ) -> GapStats:
     """Distribution of the top ladder bound minus each closed-form bound."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    gaps_mu = np.empty(samples)
-    gaps_d = np.empty(samples)
-    for start, _, _, s in _ensemble(n, samples, rng):
-        ladder = _renyi_rows(_q_rows(s, n - 1), alpha)
-        c = s[:, 0]
-        gaps_mu[start : start + len(s)] = ladder + 2.0 * np.log(c)
-        gaps_d[start : start + len(s)] = ladder + 2.0 * np.log((1.0 + c) / 2.0)
-    qs_mu = {str(q): float(np.quantile(gaps_mu, q)) for q in _QUANTILES}
-    qs_d = {str(q): float(np.quantile(gaps_d, q)) for q in _QUANTILES}
-    cnt_mu, edges_mu = np.histogram(gaps_mu, bins=bins)
-    cnt_d, edges_d = np.histogram(gaps_d, bins=bins)
-    return GapStats(
-        n=n,
-        samples=samples,
-        alpha=float(alpha),
-        seed=rng,
-        mean_mu=float(gaps_mu.mean()),
-        mean_deutsch=float(gaps_d.mean()),
-        quantiles_mu=qs_mu,
-        quantiles_deutsch=qs_d,
-        hist_mu=(edges_mu[:-1].copy(), edges_mu[1:].copy(), cnt_mu.copy()),
-        hist_deutsch=(edges_d[:-1].copy(), edges_d[1:].copy(), cnt_d.copy()),
-    )
+    return _beat_and_gaps(n, samples, rng, None, alpha, bins)[1]

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from eub import fourier_matrix, save_matrix
+import eub.montecarlo as montecarlo
+from eub import RngSeed, beat_rate, bound_gap_stats, fourier_matrix, save_matrix
 from eub.cli import main
 
 
@@ -179,6 +180,51 @@ def test_mc_gap_hist(tmp_path, capsys):
     assert sum(counts) == 200
 
 
+def test_mc_gap_hist_is_one_pass(tmp_path, capsys, monkeypatch):
+    # 3000 samples are two chunks: one kernel call each, not two
+    calls = []
+    kernel = montecarlo.s_coefficients_batch
+    monkeypatch.setattr(montecarlo, "s_coefficients_batch", lambda u: calls.append(len(u)) or kernel(u))
+    hist_path = tmp_path / "gap.csv"
+    code, out, err = run(
+        capsys, "mc", "--n", "3", "--samples", "3000", "--seed", "4", "--k", "1", "--alpha", "2",
+        "--gap-hist", str(hist_path),
+    )
+    assert code == 0 and err == ""
+    assert calls == [2048, 952]
+    # the one pass gives what the two separate experiments give
+    monkeypatch.undo()
+    assert json.loads(out) == beat_rate(3, 3000, RngSeed(4), k=1).to_json()
+    lo, hi, cnt = bound_gap_stats(3, 3000, 2.0, RngSeed(4)).hist_mu
+    rows = [line.split(",") for line in hist_path.read_text().strip().split("\n")[1:]]
+    assert rows == [[repr(float(a)), repr(float(b)), str(int(c))] for a, b, c in zip(lo, hi, cnt)]
+
+
+def test_mc_rejects_bad_alpha_before_sampling(tmp_path, capsys):
+    out_path = tmp_path / "out.json"
+    hist_path = tmp_path / "h.csv"
+    for extra in ([], ["--output", str(out_path)]):
+        code, out, err = run(
+            capsys, "mc", "--n", "3", "--samples", "50", "--gap-hist", str(hist_path),
+            "--alpha", "bogus", *extra,
+        )
+        assert code == 2 and out == ""
+        assert "cannot parse entropy order" in err
+    assert not out_path.exists() and not hist_path.exists()
+
+
+def test_classical_rejects_nonpositive_samples(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_matrix(path, np.eye(3))
+    out_path = tmp_path / "out.json"
+    for samples in ("0", "-3"):
+        for extra in ([], ["--output", str(out_path)]):
+            code, out, err = run(capsys, "classical", "--input", str(path), "--samples", samples, *extra)
+            assert code == 2 and out == ""
+            assert "samples must be >= 1" in err
+    assert not out_path.exists()
+
+
 def test_fuzz_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "fuzz", "--n", "3", "--pairs", "200", "--seed", "1")
     assert code == 0
@@ -253,6 +299,6 @@ def test_cli_digests_rerun_identical(monkeypatch):
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 8))
     first = tool.run()
-    assert len(first) == 20
+    assert len(first) == 22
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

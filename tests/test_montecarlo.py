@@ -108,10 +108,12 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
         rate = beat_rate(3, 50, RngSeed(SEED + 20))
         fuzz = majorization_fuzz(3, 50, RngSeed(SEED + 21))
         gaps = bound_gap_stats(3, 50, 1.0, RngSeed(SEED + 22), bins=12)
+        # the fused pass behind `mc --gap-hist`, wins and gaps from one ladder
+        fused_rate, fused = montecarlo._beat_and_gaps(3, 50, RngSeed(SEED + 23), 2, 1.0, bins=12)
         return (
             (rate.wins, fuzz.violations, fuzz.worst_slack, gaps.mean_mu, gaps.mean_deutsch),
-            (gaps.quantiles_mu, gaps.quantiles_deutsch),
-            gaps.hist_mu + gaps.hist_deutsch,
+            (gaps.quantiles_mu, gaps.quantiles_deutsch, fused_rate.wins, fused.mean_mu, fused.quantiles_mu),
+            gaps.hist_mu + gaps.hist_deutsch + fused.hist_mu + fused.hist_deutsch,
         )
 
     default = run()

@@ -2,7 +2,7 @@
 
 Runs every command of ``command_set`` in-process through ``eub.cli.main``
 and prints one line per command, ``sha256  exit  argv``, where the digest
-is of the command's stdout. The ``mc --gap-hist`` CSV gets a line of its
+is of the command's stdout. Each ``mc --gap-hist`` CSV gets a line of its
 own with ``-`` in the exit column. Input matrices are written from fixed
 seeds to a temporary directory, which the printed argv shows as ``$TMP``,
 so two checkouts print the same lines exactly when their outputs agree:
@@ -63,6 +63,8 @@ def command_set(workdir: str) -> list:
          "--alpha", "1", "--alpha", "inf"],
         ["mc", "--n", "4", "--samples", "3000", "--seed", "3",
          "--gap-hist", os.path.join(workdir, "gap_hist.csv")],
+        ["mc", "--n", "4", "--samples", "3000", "--seed", "3", "--k", "1", "--alpha", "2",
+         "--gap-hist", os.path.join(workdir, "gap_hist_k1_alpha2.csv")],
         ["fuzz", "--n", "4", "--pairs", "2000"],
         ["classical", "--input", stochastic, "--p", "0.1,0.2,0.3,0.4"],
         ["classical", "--input", stochastic, "--samples", "2000", "--seed", "5"],
