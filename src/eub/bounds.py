@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import PROB_SUM_TOL, check_probability_vector, clamp_negative, renyi_entropy
-from .matrices import ENTROPY_TOL, require_unitary
+from .matrices import ENTROPY_TOL, STATE_NORM_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 
@@ -129,8 +129,10 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha) -> float:
     if psi.size != u.shape[0]:
         raise ValueError(f"state dimension {psi.size} does not match matrix {u.shape[0]}")
     nrm = float(np.vdot(psi, psi).real)
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"state norm squared {nrm!r} deviates from 1 beyond 1e-12")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(
+            f"state norm squared {nrm!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
+        )
     p = np.abs(psi) ** 2
     q = np.abs(u @ psi) ** 2
     # rounding from the product is absorbed before the entropy evaluation

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -69,10 +70,35 @@ def _fmt_alpha(a: float) -> str:
 
 
 def _emit(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    _emit_all(((path, text),))
+
+
+def _emit_all(outputs) -> None:
+    # Writes every (path, text) pair, to stdout where path is None, or none
+    # of them: each file is opened, without truncation, before anything is
+    # written, and when one cannot be opened the files created so far are
+    # removed again, so an error leaves every destination as it was.
+    opened = []
+    try:
+        for path, text in outputs:
+            if path is not None:
+                created = not os.path.exists(path)
+                fh = open(path, "a", encoding="utf-8", newline="\n")
+                opened.append((fh, path, created, text))
+    except OSError:
+        for fh, path, created, _ in opened:
+            fh.close()
+            if created:
+                os.remove(path)
+        raise
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
+    for fh, _, _, text in opened:
+        with fh:
+            if fh.seekable():
+                fh.seek(0)
+                fh.truncate()
             fh.write(text)
 
 
@@ -191,12 +217,13 @@ def _cmd_mc(args) -> int:
     k = args.n - 1 if args.k is None else args.k
     gap_alpha = None if args.gap_hist is None else alpha
     result, stats = _beat_and_gaps(args.n, args.samples, _seed_of(args), k, gap_alpha)
-    _emit(args.output, _dump_json(result.to_json()))
+    outputs = [(args.output, _dump_json(result.to_json()))]
     if stats is not None:
         lo, hi, cnt = stats.hist_mu
         lines = ["bin_lo,bin_hi,count"]
         lines += [f"{repr(float(a))},{repr(float(b))},{int(c)}" for a, b, c in zip(lo, hi, cnt)]
-        _emit(args.gap_hist, "\n".join(lines) + "\n")
+        outputs.append((args.gap_hist, "\n".join(lines) + "\n"))
+    _emit_all(outputs)
     return 0
 
 

@@ -6,12 +6,18 @@ asymptotic speed: ``largest_singular_value`` goes through a full Hermitian
 eigensolve of the smaller Gram matrix rather than an iterative method.
 It backs the reference oracle; the batched kernel in ``submatrices`` takes
 2x2 and 3x3 Gram eigenvalues in closed form instead.
+
+Random draws come from one Philox stream per run, keyed by (seed, stream).
+Sample ``index`` of an ensemble reads that stream from counter
+(0, 0, index, 0), the start of its own block of 2**128 counter values,
+for index 0 .. 2**64 - 1. ``_seek`` is the one definition of that rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,8 @@ NEGATIVE_CLAMP = 1e-12
 # (mixture inequalities, -ln kappa, Schur concavity, the ladder top below
 # an entropy sum): a side may miss its bound by this much and still hold.
 ENTROPY_TOL = 1e-10
+# A state vector's squared norm may deviate from 1 by this much.
+STATE_NORM_TOL = 1e-12
 
 _UINT64 = 2**64
 
@@ -65,14 +73,36 @@ def generator(rng: RngSeed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(rng)))
 
 
+def _seek(bitgen: np.random.Philox, rng: RngSeed, index: int) -> None:
+    # The per-index rule: key (seed, stream), counter (0, 0, index, 0) and an
+    # empty output buffer. That is the state of Philox(key).jumped(index), so
+    # the draws are those of jumped(index). A larger index would carry into
+    # the counter's top word, so it is refused rather than wrapped.
+    index = operator.index(index)
+    if not 0 <= index < _UINT64:
+        raise ValueError(f"sample index {index} out of range 0..2**64 - 1")
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, index, 0), "key": (int(rng.seed), int(rng.stream))},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def sample_generator(rng: RngSeed, index: int) -> np.random.Generator:
     """Independent generator for one sample index.
 
-    Jumping the base counter gives non-overlapping streams, so parallel
-    workers may partition the index range arbitrarily and still reproduce
-    the exact per-sample draws.
+    It reads the run's Philox stream from counter (0, 0, index, 0), the
+    start of a block of 2**128 counter values no other index reaches, so
+    parallel workers may partition the index range arbitrarily and still
+    reproduce the exact per-sample draws. The index must lie in
+    0 .. 2**64 - 1; anything else raises ValueError.
     """
-    return np.random.Generator(np.random.Philox(key=philox_key(rng)).jumped(index))
+    bitgen = np.random.Philox(key=philox_key(rng))
+    _seek(bitgen, rng, index)
+    return np.random.Generator(bitgen)
 
 
 def _as_generator(source) -> np.random.Generator:
@@ -83,13 +113,18 @@ def _as_generator(source) -> np.random.Generator:
     raise TypeError("expected an RngSeed or numpy Generator")
 
 
-def unitarity_residual(m: np.ndarray) -> float:
-    """Max-norm of M M^dag - I; raises on non-square input."""
+def _gram_residual(m) -> tuple[np.ndarray, float]:
+    # M M^dag and the max-norm of M M^dag - I; raises on non-square input
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    resid = m @ m.conj().T - np.eye(m.shape[0])
-    return float(np.abs(resid).max())
+    g = m @ m.conj().T
+    return g, float(np.abs(g - np.eye(m.shape[0])).max())
+
+
+def unitarity_residual(m: np.ndarray) -> float:
+    """Max-norm of M M^dag - I; raises on non-square input."""
+    return _gram_residual(m)[1]
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
@@ -100,10 +135,16 @@ def is_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
 def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Return m as a complex array, or raise naming the violated invariant."""
     m = np.asarray(m, dtype=complex)
-    resid = unitarity_residual(m)
+    _unitary_gram(m, tol)
+    return m
+
+
+def _unitary_gram(m: np.ndarray, tol: float) -> np.ndarray:
+    # The check of require_unitary, returning M M^dag for callers that reuse it
+    g, resid = _gram_residual(m)
     if resid > tol:
         raise ValueError(f"unitarity residual {resid:.3e} exceeds tolerance {tol:g}")
-    return m
+    return g
 
 
 def largest_singular_value(a: np.ndarray) -> float:
@@ -126,6 +167,11 @@ def largest_singular_value(a: np.ndarray) -> float:
         g = a @ a.conj().T
     else:
         g = a.conj().T @ a
+    return _gram_norm(g)
+
+
+def _gram_norm(g: np.ndarray) -> float:
+    # sqrt(lambda_max(g)): the spectral norm of a, for g = a a^dag or a^dag a
     w = np.linalg.eigvalsh(g)
     return math.sqrt(max(float(w[-1]), 0.0))
 

@@ -1,10 +1,12 @@
 """Haar-ensemble experiments: beat rates, majorization fuzzing, gap statistics.
 
-All experiments are deterministic given (seed, stream): each sample index
-gets its own derived generator, so results do not depend on chunking or
-worker scheduling. They share one ensemble loop, ``_ensemble``, which draws
-the Haar unitaries (and states) chunk by chunk and runs each chunk through
-the batched s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
+All experiments are deterministic given (seed, stream): sample ``index``
+draws from its own block of the run's Philox stream, starting at counter
+(0, 0, index, 0) for index 0 .. 2**64 - 1 (``matrices._seek``), so results
+do not depend on chunking or worker scheduling. They share one ensemble
+loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
+chunk, one generator per chunk, and runs each chunk through the batched
+s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
 summaries of one pass over it, ``_beat_and_gaps``.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .bounds import _q_rows
 from .entropy import MAJORIZATION_TOL, _renyi_rows
-from .matrices import RngSeed, _haar_from_ginibre, sample_generator
+from .matrices import RngSeed, _haar_from_ginibre, _seek, sample_generator
 from .submatrices import s_coefficients_batch
 
 _CHUNK = 2048
@@ -94,17 +96,23 @@ class GapStats:
 
 
 def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
-    # One derived generator per sample index; the unitary's Ginibre seed is
-    # always drawn before the optional state, so either call sequence
-    # reproduces the same matrices.
-    z = np.empty((count, n, n), dtype=complex)
-    psi = np.empty((count, n), dtype=complex) if with_state else None
+    # One generator per chunk, re-seeked to each sample index. Row off of
+    # `draws` holds sample start + off's normals in draw order: the Ginibre
+    # real and imaginary parts, then the optional state's, so the unitaries
+    # do not depend on with_state.
+    g = sample_generator(rng, start)
+    nn = n * n
+    draws = np.empty((count, 2 * nn + (2 * n if with_state else 0)))
     for off in range(count):
-        g = sample_generator(rng, start + off)
-        z[off] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-        if with_state:
-            v = g.standard_normal(n) + 1j * g.standard_normal(n)
-            psi[off] = v / np.linalg.norm(v)
+        _seek(g.bit_generator, rng, start + off)
+        g.standard_normal(out=draws[off])
+    z = (draws[:, :nn] + 1j * draws[:, nn : 2 * nn]).reshape(count, n, n)
+    psi = None
+    if with_state:
+        psi = draws[:, 2 * nn : 2 * nn + n] + 1j * draws[:, 2 * nn + n :]
+        # per row: a vectorised norm rounds differently
+        for v in psi:
+            v /= np.linalg.norm(v)
     return _haar_from_ginibre(z), psi
 
 

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import CARDANO_MIN_GAP, UNITARITY_TOL, largest_singular_value, require_unitary
+from .matrices import (
+    CARDANO_MIN_GAP,
+    UNITARITY_TOL,
+    _gram_norm,
+    _unitary_gram,
+    largest_singular_value,
+)
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n);
 # beyond this size the caller must opt in explicitly.
@@ -263,8 +269,8 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
             f"dimension {dim} exceeds the enumeration guard "
             f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
         )
-    u = require_unitary(u, UNITARITY_TOL)
-    excess = largest_singular_value(u) - 1.0
+    # one Gram of u serves the unitarity check and the norm check
+    excess = _gram_norm(_unitary_gram(u, UNITARITY_TOL)) - 1.0
     if excess > UNITARITY_TOL:
         raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess:.3e}")
     s = s_coefficients_batch(u[None])[0]

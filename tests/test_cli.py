@@ -213,6 +213,30 @@ def test_mc_rejects_bad_alpha_before_sampling(tmp_path, capsys):
     assert not out_path.exists() and not hist_path.exists()
 
 
+def test_mc_unopenable_destination_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "o.json"
+    hist_path = tmp_path / "h.csv"
+    missing = str(tmp_path / "nodir" / "x")
+    base = ["mc", "--n", "2", "--samples", "10"]
+    for extra in (
+        ["--gap-hist", missing],
+        ["--gap-hist", missing, "--output", str(out_path)],
+        ["--output", missing, "--gap-hist", str(hist_path)],
+    ):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err
+        assert not out_path.exists() and not hist_path.exists()
+    # an existing destination keeps its bytes
+    out_path.write_text("old\n")
+    code, out, _ = run(capsys, *base, "--output", str(out_path), "--gap-hist", missing)
+    assert code == 2 and out == "" and out_path.read_text() == "old\n"
+    # and is overwritten, not appended to, when every destination opens
+    assert run(capsys, *base, "--output", str(out_path), "--gap-hist", str(hist_path))[0] == 0
+    assert json.loads(out_path.read_text())["samples"] == 10
+    assert hist_path.read_text().startswith("bin_lo,bin_hi,count\n")
+
+
 def test_classical_rejects_nonpositive_samples(tmp_path, capsys):
     path = tmp_path / "t.json"
     save_matrix(path, np.eye(3))

@@ -18,6 +18,7 @@ from eub import (
     submatrix,
     unitarity_residual,
 )
+from eub.matrices import philox_key, sample_generator
 
 SEED = 20240817
 
@@ -76,6 +77,21 @@ def test_haar_reproducibility():
     assert not np.allclose(a, c)
     d = haar_unitary(5, RngSeed(124, stream=9))
     assert not np.allclose(a, d)
+
+
+def test_sample_generator_matches_jumped_philox():
+    # the per-index counter rule reproduces Philox(key).jumped(index) draws
+    rng = RngSeed(SEED, stream=4)
+    indices = [*range(2001), *range(2**40 - 8, 2**40 + 8), 2**64 - 1]
+    for i in indices:
+        jumped = np.random.Generator(np.random.Philox(key=philox_key(rng)).jumped(i))
+        assert np.array_equal(sample_generator(rng, i).standard_normal(9), jumped.standard_normal(9)), i
+
+
+@pytest.mark.parametrize("index", [-1, 2**64, 2**70])
+def test_sample_generator_rejects_out_of_range_index(index):
+    with pytest.raises(ValueError, match="out of range"):
+        sample_generator(RngSeed(1), index)
 
 
 def test_haar_entry_moment():

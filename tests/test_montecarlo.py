@@ -5,6 +5,7 @@ import pytest
 
 import eub.montecarlo as montecarlo
 from eub import RngSeed, beat_rate, bound_gap_stats, majorization_fuzz
+from eub.matrices import _haar_from_ginibre, philox_key
 
 SEED = 1717
 
@@ -122,3 +123,31 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert default[:2] == chunked[:2]
     for a, b in zip(default[2], chunked[2]):
         assert np.array_equal(a, b)
+
+
+def _reference_haar_batch(n, rng, start, count, with_state):
+    # the per-index loop the chunked sampler replaces: one jumped generator per
+    # sample, the Ginibre parts drawn as two matrices, then the state's
+    z = np.empty((count, n, n), dtype=complex)
+    psi = np.empty((count, n), dtype=complex) if with_state else None
+    for off in range(count):
+        g = np.random.Generator(np.random.Philox(key=philox_key(rng)).jumped(start + off))
+        z[off] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        if with_state:
+            v = g.standard_normal(n) + 1j * g.standard_normal(n)
+            psi[off] = v / np.linalg.norm(v)
+    return _haar_from_ginibre(z), psi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("start", [0, 2**40])
+@pytest.mark.parametrize("with_state", [False, True])
+def test_haar_batch_matches_per_index_loop(n, start, with_state):
+    rng = RngSeed(SEED + n, stream=7)
+    u, psi = montecarlo._haar_batch(n, rng, start, 40, with_state)
+    ref_u, ref_psi = _reference_haar_batch(n, rng, start, 40, with_state)
+    assert np.array_equal(u, ref_u)
+    if with_state:
+        assert np.array_equal(psi, ref_psi)
+    else:
+        assert psi is None
