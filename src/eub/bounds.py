@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import PROB_SUM_TOL, check_probability_vector, clamp_negative, renyi_entropy
-from .matrices import ENTROPY_TOL, STATE_NORM_TOL, require_unitary
+from .entropy import check_probability_vector, clamp_negative, renyi_entropy
+from .matrices import ENTROPY_TOL, PROB_SUM_TOL, STATE_NORM_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 

@@ -48,7 +48,22 @@ from .families import (
     rotation_matrix,
     unistochastic_lift_3,
 )
-from .matrices import ENTROPY_TOL, RngSeed, generator, haar_unitary, is_unitary, load_matrix
+from .matrices import (
+    BLOCK_EIGENVALUE_TOL,
+    CLOSED_FORM_ORDER_TOL,
+    ENTROPY_TOL,
+    LADDER_MONOTONE_TOL,
+    LIFT_RESIDUAL_TOL,
+    MAX_PRODUCT_TOL,
+    OVERLAP_SUM_TOL,
+    STOCHASTIC_IMAG_TOL,
+    TRANSFORM_INVARIANCE_TOL,
+    RngSeed,
+    generator,
+    haar_unitary,
+    is_unitary,
+    load_matrix,
+)
 from .montecarlo import _beat_and_gaps, beat_rate, majorization_fuzz
 from .submatrices import s_coefficients
 
@@ -236,7 +251,7 @@ def _cmd_fuzz(args) -> int:
 
 def _load_stochastic(path) -> np.ndarray:
     t = load_matrix(path)
-    if float(np.abs(t.imag).max()) > 1e-12:
+    if float(np.abs(t.imag).max()) > STOCHASTIC_IMAG_TOL:
         raise ValueError("stochastic matrix must be real (imaginary parts found)")
     return t.real.copy()
 
@@ -290,7 +305,7 @@ def _verify_haar_unitarity(seed: RngSeed):
     for n in range(2, 7):
         for i in range(50):
             u = haar_unitary(n, RngSeed(seed.seed + 31 * n + i, seed.stream))
-            if not is_unitary(u, 1e-10):
+            if not is_unitary(u):
                 return False, f"haar draw n={n} i={i} failed unitarity"
     return True, ""
 
@@ -302,7 +317,7 @@ def _verify_transform_invariance(seed: RngSeed):
             u = haar_unitary(n, RngSeed(seed.seed + 97 * n + i, seed.stream))
             v = apply_transform(u, random_transform(n, g))
             delta = float(np.abs(s_coefficients(u).s - s_coefficients(v).s).max())
-            if delta > 1e-10:
+            if delta > TRANSFORM_INVARIANCE_TOL:
                 return False, f"s drifted {delta:.3e} under transform at n={n}"
     return True, ""
 
@@ -327,7 +342,7 @@ def _verify_ladder(seed: RngSeed):
             sc = s_coefficients(u)
             for a in alphas:
                 rep = ladder_from_coefficients(sc, a)
-                if np.any(np.diff(rep.ladder) < -1e-12):
+                if np.any(np.diff(rep.ladder) < -LADDER_MONOTONE_TOL):
                     return False, f"ladder not monotone at n={n} alpha={a}"
                 for _ in range(5):
                     v = g.standard_normal(n) + 1j * g.standard_normal(n)
@@ -358,14 +373,14 @@ def _verify_extremal(seed: RngSeed):
             for _ in range(200):
                 v = g.standard_normal(n) + 1j * g.standard_normal(n)
                 v /= np.linalg.norm(v)
-                if pair_objective(sp, v) > top + 1e-10:
+                if pair_objective(sp, v) > top + OVERLAP_SUM_TOL:
                     return False, f"objective exceeded bound at n={n}"
             psi = maximizing_state(sp)
-            if abs(pair_objective(sp, psi) - top) > 1e-10:
+            if abs(pair_objective(sp, psi) - top) > OVERLAP_SUM_TOL:
                 return False, f"attainment failed at n={n}"
             s1 = float((np.abs(sp.first_set.conj() @ psi) ** 2).sum())
             s2 = float((np.abs(sp.second_set.conj() @ psi) ** 2).sum())
-            if abs(s1 - s2) > 1e-10:
+            if abs(s1 - s2) > OVERLAP_SUM_TOL:
                 return False, f"partial sums unequal at n={n}"
             a = cross_gram(sp)
             block = np.block(
@@ -375,7 +390,7 @@ def _verify_extremal(seed: RngSeed):
                 ]
             )
             lam = float(np.linalg.eigvalsh(block)[-1])
-            if abs(lam - top) > 1e-12:
+            if abs(lam - top) > BLOCK_EIGENVALUE_TOL:
                 return False, f"block eigenvalue mismatch at n={n}"
     return True, ""
 
@@ -384,7 +399,7 @@ def _verify_deutsch(seed: RngSeed):
     for n in range(2, 7):
         for i in range(20):
             u = haar_unitary(n, RngSeed(seed.seed + 5 * n + i, seed.stream))
-            if bound_deutsch(u) > bound_mu(u) + 1e-12:
+            if bound_deutsch(u) > bound_mu(u) + CLOSED_FORM_ORDER_TOL:
                 return False, f"closed-form ordering violated at n={n}"
             # rows of u index the transformed basis, columns the input one
             j_star, i_star = np.unravel_index(int(np.abs(u).argmax()), u.shape)
@@ -394,7 +409,7 @@ def _verify_deutsch(seed: RngSeed):
             psi = maximizing_state(SubspacePair(first, second))
             p = float(np.abs(psi[i_star]) ** 2)
             q = float(np.abs((u @ psi)[j_star]) ** 2)
-            if abs(p * q - deutsch_max_product(u)) > 1e-10:
+            if abs(p * q - deutsch_max_product(u)) > MAX_PRODUCT_TOL:
                 return False, f"max product cross-check failed at n={n}"
     return True, ""
 
@@ -437,7 +452,7 @@ def _verify_scan(seed: RngSeed):
         if rec.feasible:
             mat = birkhoff_matrix(BirkhoffPoint(min(rec.a, 1.0), min(rec.b, 1.0)))
             resid = lift_residual(unistochastic_lift_3(mat), mat)
-            if resid > 1e-9:
+            if resid > LIFT_RESIDUAL_TOL:
                 return False, f"lift residual {resid:.3e} at ({rec.a}, {rec.b})"
     return True, ""
 

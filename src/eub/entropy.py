@@ -6,17 +6,14 @@ import math
 
 import numpy as np
 
-from .matrices import ENTROPY_TOL, NEGATIVE_CLAMP, PROB_SUM_TOL
-
-# Components below this are treated as exact zeros for alpha < 1 and for
-# support counting: subnormal leakage must not flip the support size.
-ZERO_FLOOR = 1e-300
-
-# Orders this close to 1 take the Shannon branch; 1/(1-alpha) amplifies
-# rounding catastrophically near the limit.
-SHANNON_WINDOW = 1e-9
-
-MAJORIZATION_TOL = 1e-10
+from .matrices import (
+    ENTROPY_TOL,
+    MAJORIZATION_TOL,
+    NEGATIVE_CLAMP,
+    PROB_SUM_TOL,
+    SHANNON_WINDOW,
+    ZERO_FLOOR,
+)
 
 
 def clamp_negative(x: np.ndarray, message: str) -> np.ndarray:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _as_generator, require_unitary
-
-_PHASE_TOL = 1e-12
+from .matrices import STATE_NORM_TOL, _as_generator, require_unitary
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,7 @@ class EquivalenceTransform:
             if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
                 raise ValueError(f"{name} is not a permutation of 0..n-1")
         for name, arr in (("left_phases", lph), ("right_phases", rph)):
-            if arr.ndim != 1 or np.abs(np.abs(arr) - 1.0).max() > _PHASE_TOL:
+            if arr.ndim != 1 or np.abs(np.abs(arr) - 1.0).max() > STATE_NORM_TOL:
                 raise ValueError(f"{name} entries must be unimodular")
         if not (lp.size == rp.size == lph.size == rph.size):
             raise ValueError("transform parts disagree on the dimension")

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import require_unitary
-
-ORTHONORMAL_TOL = 1e-10
+from .matrices import UNITARITY_TOL, require_unitary
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class SubspacePair:
                 raise ValueError(f"{label} set has more vectors than the dimension")
             gram = vecs.conj() @ vecs.T
             resid = float(np.abs(gram - np.eye(vecs.shape[0])).max())
-            if resid > ORTHONORMAL_TOL:
+            if resid > UNITARITY_TOL:
                 raise ValueError(f"{label} set orthonormality residual {resid:.3e}")
 
     @property

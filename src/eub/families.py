@@ -17,10 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_ladder, bound_mu
-from .entropy import PROB_SUM_TOL, clamp_negative
-
-_LINK_TOL = 1e-12
-LIFT_RESIDUAL_TOL = 1e-9
+from .entropy import clamp_negative
+from .matrices import (
+    DEGENERATE_LINK,
+    LIFT_RESIDUAL_TOL,
+    LINK_TRIANGLE_TOL,
+    NEGATIVE_CLAMP,
+    PROB_SUM_TOL,
+)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -63,13 +67,18 @@ def permutation_power(n: int, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BirkhoffPoint:
-    """Simplex coordinates of the bistochastic slice; a, b >= 0, a+b <= 1."""
+    """Simplex coordinates of the bistochastic slice; a, b >= 0, a+b <= 1.
+
+    Each of the weights a, b and 1 - a - b may be negative by at most
+    NEGATIVE_CLAMP (rounding debris); anything beyond raises ValueError.
+    """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a < -1e-12 or self.b < -1e-12 or self.a + self.b > 1.0 + 1e-12:
+        lo = -NEGATIVE_CLAMP
+        if self.a < lo or self.b < lo or self.a + self.b > 1.0 + NEGATIVE_CLAMP:
             raise ValueError(f"point ({self.a}, {self.b}) outside the simplex")
 
 
@@ -99,7 +108,7 @@ def unistochastic_check_3(b) -> bool:
     """Whether a 3 x 3 bistochastic matrix is the squared-modulus pattern
     of some unitary: triangle inequality on the three column links."""
     links = _links(_check_bistochastic_3(b))
-    return bool(2.0 * links.max() <= links.sum() + _LINK_TOL)
+    return bool(2.0 * links.max() <= links.sum() + LINK_TRIANGLE_TOL)
 
 
 def unistochastic_lift_3(b) -> np.ndarray:
@@ -113,12 +122,12 @@ def unistochastic_lift_3(b) -> np.ndarray:
     """
     b = _check_bistochastic_3(b)
     links = _links(b)
-    if 2.0 * links.max() > links.sum() + _LINK_TOL:
+    if 2.0 * links.max() > links.sum() + LINK_TRIANGLE_TOL:
         raise ValueError("matrix is not unistochastic: link triangle inequality fails")
     mods = np.sqrt(b)
 
     phi = np.zeros(3)
-    if links.max() > 1e-15:
+    if links.max() > DEGENERATE_LINK:
         anchor = int(np.argmax(links))
         i, j = [idx for idx in range(3) if idx != anchor]
         la, li, lj = links[anchor], links[i], links[j]
@@ -157,9 +166,9 @@ class ScanRecord:
 def cross_section_scan(grid_step: float, alpha) -> list:
     """Scan the simplex slice on a regular grid.
 
-    For each (a, b) with a + b <= 1: record feasibility; where feasible,
-    lift to a unitary and record the gap between the max-entry bound and
-    the order-alpha two-step ladder bound. Deterministic output ordering,
+    For each (a, b) with a + b <= 1 + NEGATIVE_CLAMP: record feasibility;
+    where feasible, lift to a unitary and record the gap between the
+    max-entry bound and the order-alpha two-step ladder bound. Deterministic output ordering,
     sorted by (a, b). A lift that fails its own reconstruction residual
     aborts the scan: that is an implementation bug, not data.
     """
@@ -171,7 +180,9 @@ def cross_section_scan(grid_step: float, alpha) -> list:
         a = ia * grid_step
         for ib in range(steps + 1 - ia):
             bb = ib * grid_step
-            if a + bb > 1.0 + 1e-9:
+            # the same edge allowance as BirkhoffPoint, so every kept point
+            # is a valid one
+            if a + bb > 1.0 + NEGATIVE_CLAMP:
                 continue
             mat = birkhoff_matrix(BirkhoffPoint(min(a, 1.0), min(bb, 1.0)))
             if not unistochastic_check_3(mat):

@@ -11,6 +11,14 @@ Random draws come from one Philox stream per run, keyed by (seed, stream).
 Sample ``index`` of an ensemble reads that stream from counter
 (0, 0, index, 0), the start of its own block of 2**128 counter values,
 for index 0 .. 2**64 - 1. ``_seek`` is the one definition of that rule.
+
+The constant block below is the package's numeric contract: every
+allowance a floating-point check grants (a residual, a window, a clamp, a
+floor) is written there and nowhere else in ``eub``. This module is the
+bottom of the import graph, so each module imports the allowances it uses
+from here, and each constant's comment says what it guards and who reads
+it. A constant is shared only where both the value and the guarded
+quantity are the same.
 """
 
 from __future__ import annotations
@@ -22,24 +30,86 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Central tolerance constants. Tests and downstream modules import these
-# so there is a single source of truth.
+# --- numeric contract -----------------------------------------------------
+#
+# The largest max-norm of M M^dag - I a unitary M may show, and of V V^dag - I
+# for a set V of orthonormal rows. Read by is_unitary, require_unitary and
+# _unitary_gram, by submatrices (the bound on its eigenvalue repairs and on
+# the spectral norm's excess over 1), by extremal.SubspacePair and by the
+# verify suite's haar-unitarity check.
 UNITARITY_TOL = 1e-10
 # The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
 # 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1). Grams
 # with 1 + r below this gap are recomputed with eigvalsh, which bounds the
-# closed form's error to a few ulps of the Gram's trace.
+# closed form's error to a few ulps of the Gram's trace. Read by submatrices.
 CARDANO_MIN_GAP = 1e-2
+# The sum of a probability vector, and each row or column sum of a
+# (bi)stochastic matrix, may miss 1 by this much. Read by
+# entropy.check_probability_vector, bounds.check_stochastic and
+# families._check_bistochastic_3.
 PROB_SUM_TOL = 1e-10
-# Entries of a probability vector or stochastic matrix this far below zero
-# are rounding debris and are zeroed; anything more negative is an error.
+# Entries of a probability vector or stochastic matrix, and the barycentric
+# weights a, b and 1 - a - b of a point of the order-3 Birkhoff slice, this
+# far below zero are rounding debris: entries are zeroed, points accepted,
+# and anything more negative is an error. Read by entropy.clamp_negative
+# (and so by every Q, probability and stochastic check), by
+# families.BirkhoffPoint and by the grid guard of families.cross_section_scan.
 NEGATIVE_CLAMP = 1e-12
 # Rounding allowance of every entropy inequality checked in floating point
 # (mixture inequalities, -ln kappa, Schur concavity, the ladder top below
 # an entropy sum): a side may miss its bound by this much and still hold.
+# Read by entropy, bounds and the cli's classical command and verify suite.
 ENTROPY_TOL = 1e-10
-# A state vector's squared norm may deviate from 1 by this much.
+# A partial sum of the decreasing rearrangement of the majorized vector may
+# exceed the majorizing one's by this much. Read by entropy.majorizes and
+# montecarlo.majorization_fuzz.
+MAJORIZATION_TOL = 1e-10
+# Components below this are treated as exact zeros for alpha < 1 and for
+# support counting: subnormal leakage must not flip the support size. Read
+# by entropy._renyi_rows.
+ZERO_FLOOR = 1e-300
+# Orders this close to 1 take the Shannon branch; 1/(1-alpha) amplifies
+# rounding catastrophically near the limit. Read by entropy._renyi_rows.
+SHANNON_WINDOW = 1e-9
+# A state vector's squared norm, and the modulus of a unit phase, may
+# deviate from 1 by this much. Read by bounds.eur_lhs (states) and
+# equivalence.EquivalenceTransform (the diagonal phases).
 STATE_NORM_TOL = 1e-12
+# The longest of the three column links sqrt(B_1j B_2j) of a 3x3
+# bistochastic matrix may exceed the sum of the other two by this much and
+# still close a triangle. Read by families.unistochastic_check_3 and
+# families.unistochastic_lift_3.
+LINK_TRIANGLE_TOL = 1e-12
+# Links no longer than this are all zero: the lift keeps zero phases
+# instead of dividing by the longest link. Read by
+# families.unistochastic_lift_3.
+DEGENERATE_LINK = 1e-15
+# The max deviation of |U|^2 of a lifted unitary from its target
+# bistochastic matrix. Read by families.cross_section_scan and the verify
+# suite's scan-smoke check.
+LIFT_RESIDUAL_TOL = 1e-9
+# The largest imaginary part a stochastic matrix file may carry. Read by
+# the cli's classical command.
+STOCHASTIC_IMAG_TOL = 1e-12
+# The verify suite's cross-checks, read only by cli, each named by the
+# quantity it compares (check name in parentheses).
+# s of u against s of an equivalent P1 D1 U D2 P2 (s-transform-invariance).
+TRANSFORM_INVARIANCE_TOL = 1e-10
+# A ladder rung may fall below the one before it by this much
+# (ladder-monotone-and-lhs).
+LADDER_MONOTONE_TOL = 1e-12
+# The summed squared overlaps of a state with two orthonormal sets against
+# 1 + sigma_1 (bound and attainment), and the two partial sums at the
+# maximizing state (extremal-suite).
+OVERLAP_SUM_TOL = 1e-10
+# 1 + sigma_1 against the top eigenvalue of [[I, A^dag], [A, I]]
+# (extremal-suite).
+BLOCK_EIGENVALUE_TOL = 1e-12
+# The Deutsch bound may exceed -2 ln c by this much (deutsch-closed-forms).
+CLOSED_FORM_ORDER_TOL = 1e-12
+# The largest product p_i q_j at the maximizing state against
+# ((1 + c) / 2)^2 (deutsch-closed-forms).
+MAX_PRODUCT_TOL = 1e-10
 
 _UINT64 = 2**64
 
@@ -127,23 +197,29 @@ def unitarity_residual(m: np.ndarray) -> float:
     return _gram_residual(m)[1]
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """True iff the max-norm of M M^dag - I is at most tol."""
-    return unitarity_residual(m) <= tol
+def is_unitary(m: np.ndarray) -> bool:
+    """True iff the max-norm of M M^dag - I is at most UNITARITY_TOL."""
+    return unitarity_residual(m) <= UNITARITY_TOL
 
 
-def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    """Return m as a complex array, or raise naming the violated invariant."""
+def require_unitary(m: np.ndarray) -> np.ndarray:
+    """Return m as a complex array, or raise naming the violated invariant.
+
+    Raises ValueError for a non-square m and for a unitarity residual
+    (max-norm of M M^dag - I) above UNITARITY_TOL.
+    """
     m = np.asarray(m, dtype=complex)
-    _unitary_gram(m, tol)
+    _unitary_gram(m)
     return m
 
 
-def _unitary_gram(m: np.ndarray, tol: float) -> np.ndarray:
+def _unitary_gram(m: np.ndarray) -> np.ndarray:
     # The check of require_unitary, returning M M^dag for callers that reuse it
     g, resid = _gram_residual(m)
-    if resid > tol:
-        raise ValueError(f"unitarity residual {resid:.3e} exceeds tolerance {tol:g}")
+    if resid > UNITARITY_TOL:
+        raise ValueError(
+            f"unitarity residual {resid:.3e} exceeds tolerance {UNITARITY_TOL:g}"
+        )
     return g
 
 

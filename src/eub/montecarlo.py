@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _q_rows
-from .entropy import MAJORIZATION_TOL, _renyi_rows
-from .matrices import RngSeed, _haar_from_ginibre, _seek, sample_generator
+from .entropy import _renyi_rows
+from .matrices import MAJORIZATION_TOL, RngSeed, _haar_from_ginibre, _seek, sample_generator
 from .submatrices import s_coefficients_batch
 
 _CHUNK = 2048
@@ -110,9 +110,7 @@ def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
     psi = None
     if with_state:
         psi = draws[:, 2 * nn : 2 * nn + n] + 1j * draws[:, 2 * nn + n :]
-        # per row: a vectorised norm rounds differently
-        for v in psi:
-            v /= np.linalg.norm(v)
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return _haar_from_ginibre(z), psi
 
 
@@ -125,16 +123,18 @@ def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False):
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+# equal-width bins of each gap histogram (GapStats.hist_mu, hist_deutsch)
+_GAP_BINS = 60
 
 
-def _gap_summary(gaps: np.ndarray, bins: int):
+def _gap_summary(gaps: np.ndarray):
     # mean, quantiles and histogram (bin_lo, bin_hi, count) of one gap array
-    cnt, edges = np.histogram(gaps, bins=bins)
+    cnt, edges = np.histogram(gaps, bins=_GAP_BINS)
     quantiles = {str(q): float(np.quantile(gaps, q)) for q in _QUANTILES}
     return float(gaps.mean()), quantiles, (edges[:-1].copy(), edges[1:].copy(), cnt)
 
 
-def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha, bins: int = 60):
+def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
     # The one pass behind beat_rate (k given), bound_gap_stats (alpha given)
     # and `mc --gap-hist` (both): each chunk is drawn and kernelled once. The
     # Shannon rung B^k counts wins over -2 ln c, the top rung B_alpha^{n-1}
@@ -163,8 +163,8 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha, bins: int = 60)
     beat = None if k is None else BeatRateResult(n, samples, wins, rate, stderr, rng)
     if alpha is None:
         return beat, None
-    mean_mu, qs_mu, hist_mu = _gap_summary(gaps_mu, bins)
-    mean_d, qs_d, hist_d = _gap_summary(gaps_d, bins)
+    mean_mu, qs_mu, hist_mu = _gap_summary(gaps_mu)
+    mean_d, qs_d, hist_d = _gap_summary(gaps_d)
     stats = GapStats(n, samples, float(alpha), rng, mean_mu, mean_d, qs_mu, qs_d, hist_mu, hist_d)
     return beat, stats
 
@@ -210,8 +210,10 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)
 
 
-def bound_gap_stats(
-    n: int, samples: int, alpha, rng: RngSeed, bins: int = 60
-) -> GapStats:
-    """Distribution of the top ladder bound minus each closed-form bound."""
-    return _beat_and_gaps(n, samples, rng, None, alpha, bins)[1]
+def bound_gap_stats(n: int, samples: int, alpha, rng: RngSeed) -> GapStats:
+    """Distribution of the top ladder bound minus each closed-form bound.
+
+    Gaps to -2 ln c and to the Deutsch value, each summarised by its mean,
+    the ``_QUANTILES`` and a ``_GAP_BINS``-bin histogram.
+    """
+    return _beat_and_gaps(n, samples, rng, None, alpha)[1]

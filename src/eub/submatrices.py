@@ -270,7 +270,7 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
             f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
         )
     # one Gram of u serves the unitarity check and the norm check
-    excess = _gram_norm(_unitary_gram(u, UNITARITY_TOL)) - 1.0
+    excess = _gram_norm(_unitary_gram(u)) - 1.0
     if excess > UNITARITY_TOL:
         raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess:.3e}")
     s = s_coefficients_batch(u[None])[0]

@@ -130,6 +130,12 @@ def test_sweep_rejects_bad_range(capsys):
     assert code == 2
 
 
+def test_scan_step_just_above_a_grid_divisor(capsys):
+    code, out, err = run(capsys, "scan", "--grid-step", "0.05000000002")
+    assert code == 0 and err == ""
+    assert len(out.strip().split("\n")) == 211
+
+
 def test_scan_csv(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run(capsys, "scan", "--grid-step", "0.1", "--output", str(out_path))

@@ -18,6 +18,7 @@ from eub import (
     unistochastic_check_3,
     unistochastic_lift_3,
 )
+from eub.matrices import NEGATIVE_CLAMP
 
 SEED = 31337
 
@@ -161,6 +162,15 @@ def test_scan_smoke():
     assert corner.diff == pytest.approx(0.0, abs=1e-12)
     infeasible = by_key[(0.0, 0.5)]
     assert infeasible.b_mu is None and infeasible.diff is None
+
+
+def test_scan_step_just_above_a_grid_divisor():
+    # 20 steps of 0.05000000002 overshoot the edge a + b = 1 by 4e-10: those
+    # points lie outside the simplex and are skipped, not passed on to
+    # BirkhoffPoint, which refuses them
+    records = cross_section_scan(0.05000000002, 1.0)
+    assert len(records) == 210
+    assert all(r.a + r.b <= 1.0 + NEGATIVE_CLAMP for r in records)
 
 
 def test_scan_grid_step_validation():

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +192,18 @@ def test_save_matrix_emits_parseable_json(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["rows"] == 3 and obj["cols"] == 3
     assert len(obj["re"]) == 3 and len(obj["im"]) == 3
+
+
+def test_tolerances_are_defined_only_in_matrices():
+    # Every numeric allowance lives in the constant block of matrices.py: no
+    # other module writes a float literal with a negative exponent.
+    src = Path(__file__).resolve().parents[1] / "src" / "eub"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+        for tok in tokens:
+            if tok.type == tokenize.NUMBER and "e-" in tok.string.lower():
+                found.append(f"{path.name}:{tok.start[0]} {tok.string}")
+    assert found == []

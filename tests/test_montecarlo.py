@@ -79,11 +79,12 @@ def test_majorization_fuzz_reproducible():
 
 
 def test_gap_stats():
-    stats = bound_gap_stats(3, 300, 1.0, RngSeed(SEED + 10), bins=24)
+    stats = bound_gap_stats(3, 300, 1.0, RngSeed(SEED + 10))
     assert stats.n == 3
     assert stats.samples == 300
     lo, hi, cnt = stats.hist_mu
-    assert lo.size == 24 and hi.size == 24 and cnt.sum() == 300
+    bins = montecarlo._GAP_BINS
+    assert lo.size == bins and hi.size == bins and cnt.size == bins and cnt.sum() == 300
     lo_d, hi_d, cnt_d = stats.hist_deutsch
     assert cnt_d.sum() == 300
     assert np.all(lo < hi)
@@ -108,9 +109,9 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     def run():
         rate = beat_rate(3, 50, RngSeed(SEED + 20))
         fuzz = majorization_fuzz(3, 50, RngSeed(SEED + 21))
-        gaps = bound_gap_stats(3, 50, 1.0, RngSeed(SEED + 22), bins=12)
+        gaps = bound_gap_stats(3, 50, 1.0, RngSeed(SEED + 22))
         # the fused pass behind `mc --gap-hist`, wins and gaps from one ladder
-        fused_rate, fused = montecarlo._beat_and_gaps(3, 50, RngSeed(SEED + 23), 2, 1.0, bins=12)
+        fused_rate, fused = montecarlo._beat_and_gaps(3, 50, RngSeed(SEED + 23), 2, 1.0)
         return (
             (rate.wins, fuzz.violations, fuzz.worst_slack, gaps.mean_mu, gaps.mean_deutsch),
             (gaps.quantiles_mu, gaps.quantiles_deutsch, fused_rate.wins, fused.mean_mu, fused.quantiles_mu),
@@ -123,19 +124,22 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     assert default[:2] == chunked[:2]
     for a, b in zip(default[2], chunked[2]):
         assert np.array_equal(a, b)
+    assert all(h.size == montecarlo._GAP_BINS for h in default[2])
 
 
 def _reference_haar_batch(n, rng, start, count, with_state):
     # the per-index loop the chunked sampler replaces: one jumped generator per
-    # sample, the Ginibre parts drawn as two matrices, then the state's
+    # sample, the Ginibre parts drawn as two matrices, then the state's; the
+    # stacked states are normalised row-wise in one call
     z = np.empty((count, n, n), dtype=complex)
     psi = np.empty((count, n), dtype=complex) if with_state else None
     for off in range(count):
         g = np.random.Generator(np.random.Philox(key=philox_key(rng)).jumped(start + off))
         z[off] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         if with_state:
-            v = g.standard_normal(n) + 1j * g.standard_normal(n)
-            psi[off] = v / np.linalg.norm(v)
+            psi[off] = g.standard_normal(n) + 1j * g.standard_normal(n)
+    if with_state:
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return _haar_from_ginibre(z), psi
 
 
