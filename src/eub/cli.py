@@ -39,11 +39,8 @@ from .extremal import (
     maximizing_state,
     pair_objective,
 )
-from .families import (
-    BirkhoffPoint,
-    birkhoff_matrix,
+from .families import (  # noqa: F401, bench/tracer.py wraps unistochastic_lift_3
     cross_section_scan,
-    lift_residual,
     permutation_power,
     rotation_matrix,
     unistochastic_lift_3,
@@ -53,7 +50,6 @@ from .matrices import (
     CLOSED_FORM_ORDER_TOL,
     ENTROPY_TOL,
     LADDER_MONOTONE_TOL,
-    LIFT_RESIDUAL_TOL,
     MAX_PRODUCT_TOL,
     OVERLAP_SUM_TOL,
     STOCHASTIC_IMAG_TOL,
@@ -438,7 +434,10 @@ def _verify_beat_rate(seed: RngSeed):
 
 
 def _verify_scan(seed: RngSeed):
-    records = cross_section_scan(0.1, 1.0)
+    try:
+        records = cross_section_scan(0.1, 1.0)
+    except RuntimeError as exc:  # a lift beyond LIFT_RESIDUAL_TOL
+        return False, str(exc)
     by_point = {(round(r.a, 9), round(r.b, 9)): r for r in records}
     for corner in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
         if not by_point[corner].feasible:
@@ -448,12 +447,6 @@ def _verify_scan(seed: RngSeed):
         return False, "near-center point not feasible"
     if by_point[(0.5, 0.5)].feasible:
         return False, "edge midpoint unexpectedly feasible"
-    for rec in records:
-        if rec.feasible:
-            mat = birkhoff_matrix(BirkhoffPoint(min(rec.a, 1.0), min(rec.b, 1.0)))
-            resid = lift_residual(unistochastic_lift_3(mat), mat)
-            if resid > LIFT_RESIDUAL_TOL:
-                return False, f"lift residual {resid:.3e} at ({rec.a}, {rec.b})"
     return True, ""
 
 

@@ -43,6 +43,12 @@ UNITARITY_TOL = 1e-10
 # with 1 + r below this gap are recomputed with eigvalsh, which bounds the
 # closed form's error to a few ulps of the Gram's trace. Read by submatrices.
 CARDANO_MIN_GAP = 1e-2
+# A block of an m >= 4 submatrix class goes to eigvalsh unless its
+# power-trace upper bound on the top Gram eigenvalue falls short of the
+# class threshold by more than this relative margin. The bound and eigvalsh
+# each round at about 1e-15 relative, so the block that attains the class
+# maximum always passes. Read by submatrices.
+PRUNE_SLACK = 1e-9
 # The sum of a probability vector, and each row or column sum of a
 # (bi)stochastic matrix, may miss 1 by this much. Read by
 # entropy.check_probability_vector, bounds.check_stochastic and
@@ -85,8 +91,8 @@ LINK_TRIANGLE_TOL = 1e-12
 # families.unistochastic_lift_3.
 DEGENERATE_LINK = 1e-15
 # The max deviation of |U|^2 of a lifted unitary from its target
-# bistochastic matrix. Read by families.cross_section_scan and the verify
-# suite's scan-smoke check.
+# bistochastic matrix. Read by families.cross_section_scan, whose error
+# the verify suite's scan-smoke check reports.
 LIFT_RESIDUAL_TOL = 1e-9
 # The largest imaginary part a stochastic matrix file may carry. Read by
 # the cli's classical command.

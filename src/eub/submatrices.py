@@ -13,6 +13,22 @@ those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
 in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
 fallback near a double top eigenvalue), larger ones by eigvalsh.
 
+Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
+class's maximum is used. A first pass bounds the top eigenvalue of every
+block Gram G = A + iB from the traces of powers of its real embedding
+H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue twice:
+ub = (tr H^16 / 2)^(1/16) is at least lambda_max and the Rayleigh quotient
+lb = (tr H^16 / tr H^8)^(1/8) at most. The class threshold of a matrix is
+the larger of its blocks' largest lb and the square of the exact maximum
+already found for the same k (strips and smaller classes run first). A
+second pass runs eigvalsh only on the blocks whose ub reaches the
+threshold within PRUNE_SLACK; a NaN bound is kept. This leaves s
+bit-identical: eigvalsh works on one matrix at a time, so a surviving
+block gets the same value as without pruning, and the block attaining the
+maximum has ub >= lambda_max >= threshold up to rounding far below
+PRUNE_SLACK, so it always survives. The threshold enters only that test,
+never the returned maximum.
+
 The enumeration uses two exact reductions: every shape with m + n > N
 contains a full row or column of some unitary completion and has norm
 exactly 1, and at m + n = N a block and its complementary block share
@@ -34,20 +50,28 @@ import numpy as np
 
 from .matrices import (
     CARDANO_MIN_GAP,
+    PRUNE_SLACK,
     UNITARITY_TOL,
     _gram_norm,
     _unitary_gram,
     largest_singular_value,
 )
 
-# Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n);
-# beyond this size the caller must opt in explicitly.
+# Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
+# 6x per step in N here. One s_coefficients call on a Haar draw, each in a
+# fresh process (2-core Xeon, one BLAS thread), took 0.26-0.29 s at N = 10,
+# 1.5 s at N = 11 and 9.0-9.2 s at N = 12, at 43, 44 and 54 MB peak RSS.
+# Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
 # Cap on the array elements one chunk of the Gram kernel holds: a memory
 # guard, and small enough that a chunk stays in cache (4M ran about 2x
 # slower at N = 6 on a Xeon with 2 MB of L2 per core).
 _CHUNK_ELEMENTS = 250_000
+
+# Squarings of the real embedding H in ``_power_bounds``: three give H^8,
+# whose traces tr H^8 and tr H^16 bound each block's top eigenvalue.
+_SQUARINGS = 3
 
 
 @dataclass(frozen=True)
@@ -137,17 +161,6 @@ def _column_grams(u3: np.ndarray, n: int):
     return (ar * br + ai * bi) @ indicator, (ai * br - ar * bi) @ indicator
 
 
-def _top_eigenvalue(re: np.ndarray, im: np.ndarray, m: int) -> np.ndarray:
-    # Largest eigenvalue of m x m Hermitian matrices given as the real and
-    # imaginary parts of their upper triangles: axis 0 runs over the entries
-    # in ``_triu(m)`` order, the other axes over the matrices.
-    if m == 2:
-        return _top_eig_2x2(re, im)
-    if m == 3:
-        return _top_eig_3x3(re, im)
-    return _top_eig_eigvalsh(re, im, m)
-
-
 def _top_eig_2x2(re, im):
     a, d = re[0], re[2]
     return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + re[1] ** 2 + im[1] ** 2)
@@ -179,6 +192,9 @@ def _top_eig_3x3(re, im):
 
 
 def _top_eig_eigvalsh(re, im, m):
+    # Largest eigenvalue of m x m Hermitian matrices given as the real and
+    # imaginary parts of their upper triangles: axis 0 runs over the entries
+    # in ``_triu(m)`` order, the other axes over the matrices.
     ti, tj, _ = _triu(m)
     h = np.zeros(re[0].shape + (m, m), dtype=complex)
     for t in range(ti.size):
@@ -187,45 +203,140 @@ def _top_eig_eigvalsh(re, im, m):
     return np.linalg.eigvalsh(h, UPLO="U")[..., -1]
 
 
-def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+def _embedding(re, im):
+    """Column Grams laid out for ``_embedding_index``: [re; im; -im; 0].
+
+    Takes the ``_column_grams`` output, shape (batch, pairs, columns), and
+    returns shape (batch, columns, 3 * pairs + 1), so that a gather along
+    the last axis gives C-contiguous matrices.
+    """
+    zero = np.zeros(re.shape[:-2] + (1, re.shape[-1]))
+    return np.ascontiguousarray(np.concatenate([re, im, -im, zero], axis=-2).swapaxes(-1, -2))
+
+
+def _embedding_index(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Gather table of the real embeddings H = [[A, -B], [B, A]] of block Grams.
+
+    For each row set R (a row of ``rows``), G = A + iB is the principal
+    submatrix at R of a column Gram laid out by ``_embedding``. Returns
+    shape (row sets, 2m, 2m): the position of each entry of H in that layout.
+    """
+    npairs = dim * (dim + 1) // 2
+    i, j = np.indices((rows.shape[1],) * 2)
+    pair = _triu(dim)[2][rows[:, np.minimum(i, j)], rows[:, np.maximum(i, j)]]
+    # B = Im G is im above the diagonal, -im below it and 0 on it
+    above, below = i < j, i > j
+    b = np.select([above, below], [npairs + pair, 2 * npairs + pair], 3 * npairs)
+    neg_b = np.select([above, below], [2 * npairs + pair, npairs + pair], 3 * npairs)
+    return np.block([[pair, neg_b], [b, pair]])
+
+
+def _power_bounds(h: np.ndarray):
+    """Lower and upper bounds on the top eigenvalue from real embeddings H.
+
+    ``h`` holds the 2m x 2m embeddings of PSD Grams G on its last two axes.
+    H's spectrum is G's with each eigenvalue twice, so tr H^(2p) / 2 bounds
+    lambda_max^(2p) from above and tr H^(2p) / tr H^p, the Rayleigh quotient
+    of H^(p/2) at H^(p/2), bounds lambda_max^p from below, with
+    p = 2^_SQUARINGS. A zero Gram gets lb = 0; a NaN one a NaN ub.
+    """
+    for _ in range(_SQUARINGS - 1):
+        h = h @ h
+    lo = np.einsum("...ij,...ij->...", h, h)  # tr H^p, H^(p/2) symmetric
+    h = h @ h
+    hi = np.einsum("...ij,...ij->...", h, h)  # tr H^(2p)
+    p = 2**_SQUARINGS
+    ub = (0.5 * hi) ** (1.0 / (2 * p))
+    lb = np.divide(hi, lo, out=np.zeros_like(hi), where=lo > 0) ** (1.0 / p)
+    return lb, ub
+
+
+def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    # The eigvalsh keep test, written so that a NaN bound keeps its block.
+    return ~(ub < thr * (1.0 - PRUNE_SLACK))
+
+
+def _pruned_max(re, im, entries, hidx, floor2):
+    """Largest top eigenvalue over the m x m blocks, m >= 4, of one Gram chunk.
+
+    ``re`` and ``im`` come from ``_column_grams``; ``entries`` and ``hidx``
+    hold, per row set, the pair positions of its upper triangle and the
+    ``_embedding_index`` table. ``floor2`` (one value per matrix) only
+    raises the threshold of the keep test, so a result at or below it may
+    fall short of the class maximum.
+    """
+    batch, ncols, nrows = re.shape[0], re.shape[2], hidx.shape[0]
+    m = hidx.shape[1] // 2
+    src = _embedding(re, im)
+    # pass 1: bounds on every block, in sub-chunks of about
+    # _CHUNK_ELEMENTS / (16 m^2) blocks: H and its powers take 4 m^2 each
+    ub = np.empty((batch, ncols, nrows))
+    thr = floor2
+    rstep = max(1, _CHUNK_ELEMENTS // (16 * m * m) // (batch * ncols))
+    for r0 in range(0, nrows, rstep):
+        lb, ub[:, :, r0 : r0 + rstep] = _power_bounds(src[:, :, hidx[r0 : r0 + rstep]])
+        thr = np.maximum(thr, lb.max(axis=(1, 2)))
+    # pass 2: eigvalsh on the blocks that may attain the threshold, in steps
+    # of about _CHUNK_ELEMENTS / (4 m^2) blocks: each holds its complex Gram
+    # and the positions and parts of its upper triangle
+    bi, ci, ri = np.nonzero(_may_attain(ub, thr[:, None, None]))
+    best = np.zeros(batch)
+    step = max(1, _CHUNK_ELEMENTS // (4 * m * m))
+    for s0 in range(0, bi.size, step):
+        b, c, idx = bi[s0 : s0 + step], ci[s0 : s0 + step], entries[:, ri[s0 : s0 + step]]
+        np.maximum.at(best, b, _top_eig_eigvalsh(re[b, idx, c], im[b, idx, c], m))
+    return best
+
+
+def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, floor=None) -> np.ndarray:
     """Max spectral norm over m x n blocks for a stack of matrices.
 
     min(m, n) >= 2 required; m > n is taken on the transposes. The Gram of
     block (R, C) is the principal submatrix at R of the N x N Gram of the
     column set C (see ``_column_grams``), and its top eigenvalue is taken in
-    closed form for m = 2 and 3. ``rows`` restricts the row selections of an
-    m <= n shape (used by the complement reduction); columns always range
-    over all C(N, n) subsets.
+    closed form for m = 2 and 3, and by ``_pruned_max`` above. ``rows``
+    restricts the row selections of an m <= n shape (used by the complement
+    reduction); columns always range over all C(N, n) subsets. ``floor``
+    holds a norm per matrix already attained at the same k. Blocks that
+    cannot exceed it may be skipped: the result never exceeds the class
+    maximum and equals it wherever that maximum is above ``floor``.
     """
     if m > n:
         u3, m, n = np.swapaxes(u3, 1, 2), n, m
     batch, dim = u3.shape[0], u3.shape[1]
     if rows is None:
         rows = _combinations(dim, m)
+    floor2 = np.zeros(batch) if floor is None else np.square(floor)
     ncols = math.comb(dim, n)
     pos = _triu(dim)[2]
     ti, tj, _ = _triu(m)
     # Pair positions of each row set's upper triangle: entries x row sets.
     entries = pos[rows[:, ti], rows[:, tj]].T
+    hidx = _embedding_index(rows, dim) if m >= 4 else None
+    top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     best = np.zeros(batch)
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
-        re, im = _column_grams(u3[b0 : b0 + bstep], n)
+        chunk = slice(b0, b0 + bstep)
+        re, im = _column_grams(u3[chunk], n)
+        if hidx is not None:
+            best[chunk] = _pruned_max(re, im, entries, hidx, floor2[chunk])
+            continue
         rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * m * m))
         for r0 in range(0, rows.shape[0], rstep):
             idx = entries[:, r0 : r0 + rstep]
-            lam = _top_eigenvalue(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1), m)
-            best[b0 : b0 + bstep] = np.maximum(best[b0 : b0 + bstep], lam.max(axis=(1, 2)))
+            lam = top(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1))
+            best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
     return np.sqrt(best)
 
 
-def _shape_max(u3, m, n, row_cum, col_cum) -> np.ndarray:
+def _shape_max(u3, m, n, row_cum, col_cum, floor) -> np.ndarray:
     # Vector strips reduce to sorted cumulative sums; blocks need Grams.
     if m == 1:
         return np.sqrt(row_cum[:, :, n - 1].max(axis=1))
     if n == 1:
         return np.sqrt(col_cum[:, :, m - 1].max(axis=1))
-    return _block_max(u3, m, n)
+    return _block_max(u3, m, n, floor=floor)
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
@@ -297,8 +408,10 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     s[:, dim - 1] = 1.0
     for k in range(1, dim):
         best = np.zeros(batch)
-        for m in range(max(1, k + 1 - dim), min(k, dim) + 1):
-            n = k + 1 - m
+        # strips and closed-form classes first: their maximum is the floor
+        # that lets the m >= 4 classes skip most of their blocks
+        shapes = sorted(((m, k + 1 - m) for m in range(max(1, k + 1 - dim), min(k, dim) + 1)), key=min)
+        for m, n in shapes:
             if k + 1 == dim:
                 if m > n:
                     continue  # complement of the (n, m) pass
@@ -306,8 +419,8 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
                     # self-complementary shape: row sets containing index 0
                     # meet every complementary pair exactly once
                     half = np.insert(_combinations(dim - 1, m - 1) + 1, 0, 0, axis=1)
-                    best = np.maximum(best, _block_max(u_batch, m, n, rows=half))
+                    best = np.maximum(best, _block_max(u_batch, m, n, rows=half, floor=best))
                     continue
-            best = np.maximum(best, _shape_max(u_batch, m, n, row_cum, col_cum))
+            best = np.maximum(best, _shape_max(u_batch, m, n, row_cum, col_cum, best))
         s[:, k - 1] = best
     return _finalize(s)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+import eub.families as families
 import eub.montecarlo as montecarlo
 from eub import RngSeed, beat_rate, bound_gap_stats, fourier_matrix, save_matrix
 from eub.cli import main
@@ -307,6 +308,16 @@ def test_verify_passes(capsys):
     assert lines[-1] == "10/10 checks passed"
 
 
+def test_verify_reports_lift_residual(capsys, monkeypatch):
+    # a scan lift above LIFT_RESIDUAL_TOL fails scan-smoke instead of escaping
+    monkeypatch.setattr(families, "lift_residual", lambda u, mat: 1.0)
+    code, out, _ = run(capsys, "verify", "--seed", "0")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert lines[-2] == "FAIL  scan-smoke: lift residual 1.000e+00 at (0.0, 0.0) exceeds 1e-09"
+    assert lines[-1] == "9/10 checks passed"
+
+
 def test_bad_alpha_exit(tmp_path, capsys):
     path = write_f3(tmp_path)
     code, _, err = run(capsys, "bounds", "--input", path, "--alpha", "-1")
@@ -325,10 +336,10 @@ def _load_cli_digests():
 def test_cli_digests_rerun_identical(monkeypatch):
     "Every command of tools/cli_digests.py exits 0 and reruns byte-identically."
     tool = _load_cli_digests()
-    # bounds reports at N >= 9 take most of a full pass
+    # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS"):
-        monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 8))
+        monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    assert len(first) == 22
+    assert len(first) == 25
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

@@ -17,7 +17,7 @@ from eub import (
     s_coefficients_batch,
     unitarity_residual,
 )
-from eub.matrices import UNITARITY_TOL
+from eub.matrices import PRUNE_SLACK, UNITARITY_TOL
 from eub.submatrices import _top_eig_3x3
 
 SEED = 515151
@@ -147,28 +147,75 @@ def test_structured_oracle_agreement(name):
     assert np.max(np.abs(s_coefficients_batch(u[None])[0] - ref)) <= 1e-12
 
 
-def _hermitian_3x3_cases():
-    q = haar_unitary(3, RngSeed(SEED + 700))
+# N = 8 is the first size with an m, n >= 4 class, the pruned one
+STRUCTURED_8 = {
+    "F8": F(8),
+    "P8^(1/2)": permutation_power(8, 0.5),
+    "I8": np.eye(8),
+    "perm8": np.eye(8)[[3, 0, 7, 1, 6, 2, 5, 4]],
+    "F4+F4": _direct_sum(F(4), F(4)),
+    "F2xF4": np.kron(F(2), F(4)),
+}
+
+
+def _unpruned_s(u, monkeypatch):
+    # eigvalsh on every block of every m >= 4 class
+    with monkeypatch.context() as mp:
+        mp.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
+        return s_coefficients(u).s
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_8))
+def test_structured_pruned_classes(name, monkeypatch):
+    """Degenerate Grams through the pruned classes: oracle and unpruned agreement."""
+    u = STRUCTURED_8[name]
+    assert submatrices._block_max(u[None], 4, 4)[0] == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
+    assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
+
+
+def test_pruning_keeps_haar_s_bit_identical(monkeypatch):
+    # N = 9 and 10 add the (4, 5), (5, 4) and (5, 5) classes
+    for n in (9, 10):
+        u = haar_unitary(n, RngSeed(SEED + 1100 + n))
+        assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
+
+
+def test_pruning_keeps_a_rank_one_maximum():
+    # a rank-1 block's bounds both meet its top eigenvalue, the tightest case
+    # of the keep test; the unique maximum must survive it, also under a
+    # floor below it
+    u = np.zeros((8, 8), dtype=complex)
+    x, y = haar_unitary(4, RngSeed(SEED + 1200))[:, 0], haar_unitary(4, RngSeed(SEED + 1201))[0]
+    u[:4, :4] = 0.9 * np.outer(x, y)
+    u[4:, 4:] = 0.3 * haar_unitary(4, RngSeed(SEED + 1202))
+    top = submatrices._block_max(u[None], 4, 4)[0]
+    assert top == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
+    assert submatrices._block_max(u[None], 4, 4, floor=np.array([0.95 * top]))[0] == top
+
+
+def _hermitian_cases(m):
+    q = haar_unitary(m, RngSeed(SEED + 700, m - 3))
     v = 0.9 * q[:, :1]
+    tail = list(np.linspace(0.3, 0.1, m - 2))
 
     def spectrum(*lam):
         h = (q * np.array(lam)) @ q.conj().T
         return 0.5 * (h + h.conj().T)
 
     cases = {
-        "scalar": 0.7 * np.eye(3),
-        "zero": np.zeros((3, 3)),
+        "scalar": 0.7 * np.eye(m),
+        "zero": np.zeros((m, m)),
         "rank1": v @ v.conj().T,
-        "double_top": spectrum(1.0, 1.0, 0.3),
-        "double_bottom": spectrum(1.0, 0.3, 0.3),
+        "double_top": spectrum(1.0, 1.0, *tail),
+        "double_bottom": spectrum(1.0, *tail, tail[-1]),
     }
     for e in range(4, 11):
-        cases[f"top_gap_1e-{e}"] = spectrum(1.0, 1.0 - 10.0**-e, 0.3)
+        cases[f"top_gap_1e-{e}"] = spectrum(1.0, 1.0 - 10.0**-e, *tail)
     return cases
 
 
 def test_top_eig_3x3_matches_eigvalsh():
-    cases = _hermitian_3x3_cases()
+    cases = _hermitian_cases(3)
     h = np.array(list(cases.values()), dtype=complex)
     ti, tj = np.triu_indices(3)
     got = _top_eig_3x3(h[:, ti, tj].real.T, h[:, ti, tj].imag.T)
@@ -176,15 +223,52 @@ def test_top_eig_3x3_matches_eigvalsh():
     assert err.max() <= 8 * np.finfo(float).eps, dict(zip(cases, err))
 
 
+def _embeddings(h):
+    # real embeddings of a stack of m x m Grams, gathered as the kernel does
+    m = h.shape[-1]
+    ti, tj = np.triu_indices(m)
+    src = submatrices._embedding(h[:, ti, tj].real.T[None], h[:, ti, tj].imag.T[None])
+    return src[:, :, submatrices._embedding_index(submatrices._combinations(m, m), m)][0, :, 0]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_power_bounds_bracket_eigvalsh(m):
+    rng = np.random.default_rng(SEED + m)
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    g = x @ x.conj().T / np.linalg.norm(x, 2) ** 2
+    cases = {"random": 0.5 * (g + g.conj().T), **_hermitian_cases(m)}
+    h = np.array(list(cases.values()), dtype=complex)
+    emb = _embeddings(h)
+    assert np.array_equal(emb, np.block([[h.real, -h.imag], [h.imag, h.real]]))
+    lb, ub = submatrices._power_bounds(emb)
+    top = np.linalg.eigvalsh(h)[:, -1]
+    # lb and ub are exact bounds in real arithmetic; each may miss by rounding,
+    # and half the slack on either side keeps the attaining block in the class
+    assert np.all(lb * (1.0 - PRUNE_SLACK / 2) <= top), dict(zip(cases, lb - top))
+    assert np.all(top <= ub * (1.0 + PRUNE_SLACK / 2)), dict(zip(cases, top - ub))
+    assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
+    # a NaN Gram has a NaN bound, and the keep test keeps it
+    h[0, 0, 1], h[0, 1, 0] = np.nan, np.nan
+    _, ub = submatrices._power_bounds(_embeddings(h[:1]))
+    assert np.isnan(ub[0]) and submatrices._may_attain(ub[0], 0.5)
+
+
 def test_chunking_is_bit_identical(monkeypatch):
-    for n in (5, 6):
-        batch = np.stack([haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(12)] + [fourier_matrix(n)])
+    # at N = 8 the pruned (4, 4) class carries thresholds and sub-chunks
+    # across chunks of one element
+    for n, haar_count in ((5, 12), (6, 12), (8, 3)):
+        haar = [haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(haar_count)]
+        batch = np.stack(haar + [fourier_matrix(n)])
         default = s_coefficients_batch(batch)
         monkeypatch.setattr(submatrices, "_CHUNK_ELEMENTS", 1)
         chunked = s_coefficients_batch(batch)
+        chunked_single = s_coefficients_batch(batch[:1])[0]
         monkeypatch.undo()
         assert np.array_equal(default, chunked)
-        assert np.array_equal(s_coefficients_batch(batch[3:4])[0], default[3])
+        assert np.array_equal(chunked_single, default[0])
+        # thresholds are per matrix: each row is its single-matrix result
+        for i, u in enumerate(batch):
+            assert np.array_equal(s_coefficients_batch(u[None])[0], default[i])
         # the validated entry is the same kernel on a stack of one
         assert np.array_equal(s_coefficients(batch[0]).s, default[0])
         assert np.array_equal(s_coefficients(batch[-1]).s, default[-1])
