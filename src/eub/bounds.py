@@ -129,7 +129,7 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha) -> float:
     if psi.size != u.shape[0]:
         raise ValueError(f"state dimension {psi.size} does not match matrix {u.shape[0]}")
     nrm = float(np.vdot(psi, psi).real)
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
+    if not abs(nrm - 1.0) <= STATE_NORM_TOL:
         raise ValueError(
             f"state norm squared {nrm!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
         )
@@ -151,7 +151,7 @@ def check_stochastic(t) -> np.ndarray:
         raise ValueError("expected a 2d array")
     t = clamp_negative(t, "negative entry {:.3e} in stochastic matrix")
     col = t.sum(axis=0)
-    if np.abs(col - 1.0).max() > PROB_SUM_TOL:
+    if not np.abs(col - 1.0).max() <= PROB_SUM_TOL:
         row = t.sum(axis=1)
         if np.abs(row - 1.0).max() <= PROB_SUM_TOL:
             raise ValueError(

@@ -41,7 +41,7 @@ def check_probability_vector(x) -> np.ndarray:
         raise ValueError("empty probability vector")
     x = clamp_negative(x, "negative component {:.3e} in probability vector")
     s = float(x.sum())
-    if abs(s - 1.0) > PROB_SUM_TOL:
+    if not abs(s - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"probability vector sums to {s!r}, not 1")
     return x
 

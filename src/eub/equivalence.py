@@ -32,7 +32,7 @@ class EquivalenceTransform:
             if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
                 raise ValueError(f"{name} is not a permutation of 0..n-1")
         for name, arr in (("left_phases", lph), ("right_phases", rph)):
-            if arr.ndim != 1 or np.abs(np.abs(arr) - 1.0).max() > STATE_NORM_TOL:
+            if arr.ndim != 1 or not np.abs(np.abs(arr) - 1.0).max() <= STATE_NORM_TOL:
                 raise ValueError(f"{name} entries must be unimodular")
         if not (lp.size == rp.size == lph.size == rph.size):
             raise ValueError("transform parts disagree on the dimension")

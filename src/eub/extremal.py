@@ -41,7 +41,7 @@ class SubspacePair:
                 raise ValueError(f"{label} set has more vectors than the dimension")
             gram = vecs.conj() @ vecs.T
             resid = float(np.abs(gram - np.eye(vecs.shape[0])).max())
-            if resid > UNITARITY_TOL:
+            if not resid <= UNITARITY_TOL:
                 raise ValueError(f"{label} set orthonormality residual {resid:.3e}")
 
     @property

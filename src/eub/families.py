@@ -78,7 +78,7 @@ class BirkhoffPoint:
 
     def __post_init__(self):
         lo = -NEGATIVE_CLAMP
-        if self.a < lo or self.b < lo or self.a + self.b > 1.0 + NEGATIVE_CLAMP:
+        if not (self.a >= lo and self.b >= lo and self.a + self.b <= 1.0 + NEGATIVE_CLAMP):
             raise ValueError(f"point ({self.a}, {self.b}) outside the simplex")
 
 
@@ -94,7 +94,7 @@ def _check_bistochastic_3(b) -> np.ndarray:
         raise ValueError(f"expected a 3 x 3 matrix, got shape {b.shape}")
     b = clamp_negative(b, "negative entry {:.3e}")
     bad = max(np.abs(b.sum(axis=0) - 1.0).max(), np.abs(b.sum(axis=1) - 1.0).max())
-    if bad > PROB_SUM_TOL:
+    if not bad <= PROB_SUM_TOL:
         raise ValueError(f"row/column sums deviate from 1 by {bad:.3e}")
     return b
 

@@ -222,7 +222,7 @@ def require_unitary(m: np.ndarray) -> np.ndarray:
 def _unitary_gram(m: np.ndarray) -> np.ndarray:
     # The check of require_unitary, returning M M^dag for callers that reuse it
     g, resid = _gram_residual(m)
-    if resid > UNITARITY_TOL:
+    if not resid <= UNITARITY_TOL:
         raise ValueError(
             f"unitarity residual {resid:.3e} exceeds tolerance {UNITARITY_TOL:g}"
         )

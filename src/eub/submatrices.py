@@ -14,20 +14,19 @@ in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
 fallback near a double top eigenvalue), larger ones by eigvalsh.
 
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
-class's maximum is used. A first pass bounds the top eigenvalue of every
-block Gram G = A + iB from the traces of powers of its real embedding
-H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue twice:
-ub = (tr H^16 / 2)^(1/16) is at least lambda_max and the Rayleigh quotient
-lb = (tr H^16 / tr H^8)^(1/8) at most. The class threshold of a matrix is
-the larger of its blocks' largest lb and the square of the exact maximum
-already found for the same k (strips and smaller classes run first). A
-second pass runs eigvalsh only on the blocks whose ub reaches the
-threshold within PRUNE_SLACK; a NaN bound is kept. This leaves s
-bit-identical: eigvalsh works on one matrix at a time, so a surviving
-block gets the same value as without pruning, and the block attaining the
-maximum has ub >= lambda_max >= threshold up to rounding far below
-PRUNE_SLACK, so it always survives. The threshold enters only that test,
-never the returned maximum.
+class's maximum is used, in one pass over sub-chunks of row sets. Each
+block Gram G = A + iB is bounded from the traces of powers of its real
+embedding H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue
+twice: ub = (tr H^16 / 2)^(1/16) is at least lambda_max. eigvalsh then runs
+at once on the blocks whose ub reaches the floor within PRUNE_SLACK; a NaN
+bound is kept. The floor of a matrix is the square of the exact maximum
+already found for the same k (strips and smaller classes run first), so it
+is known before the class starts and nothing is stored between sub-chunks.
+This leaves s bit-identical: eigvalsh works on one matrix at a time, so a
+surviving block gets the same value as without pruning, and a block whose
+top eigenvalue is above the floor has ub >= lambda_max > floor up to
+rounding far below PRUNE_SLACK, so it always survives. The floor enters
+only that test, never the returned maximum.
 
 The enumeration uses two exact reductions: every shape with m + n > N
 contains a full row or column of some unitary completion and has norm
@@ -59,8 +58,9 @@ from .matrices import (
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
 # 6x per step in N here. One s_coefficients call on a Haar draw, each in a
-# fresh process (2-core Xeon, one BLAS thread), took 0.26-0.29 s at N = 10,
-# 1.5 s at N = 11 and 9.0-9.2 s at N = 12, at 43, 44 and 54 MB peak RSS.
+# fresh process (2-core Xeon, one BLAS thread), took 0.18-0.34 s at N = 10,
+# 1.4-1.7 s at N = 11 and 7.6-8.8 s at N = 12, at 43, 44 and 46-48 MB peak
+# RSS.
 # Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
@@ -69,8 +69,8 @@ MAX_ENUMERATION_DIM = 12
 # slower at N = 6 on a Xeon with 2 MB of L2 per core).
 _CHUNK_ELEMENTS = 250_000
 
-# Squarings of the real embedding H in ``_power_bounds``: three give H^8,
-# whose traces tr H^8 and tr H^16 bound each block's top eigenvalue.
+# Squarings of the real embedding H in ``_power_bound``: three give H^8,
+# whose squared Frobenius norm tr H^16 bounds each block's top eigenvalue.
 _SQUARINGS = 3
 
 
@@ -231,61 +231,23 @@ def _embedding_index(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.block([[pair, neg_b], [b, pair]])
 
 
-def _power_bounds(h: np.ndarray):
-    """Lower and upper bounds on the top eigenvalue from real embeddings H.
+def _power_bound(h: np.ndarray) -> np.ndarray:
+    """Upper bound on the top eigenvalue from real embeddings H.
 
     ``h`` holds the 2m x 2m embeddings of PSD Grams G on its last two axes.
     H's spectrum is G's with each eigenvalue twice, so tr H^(2p) / 2 bounds
-    lambda_max^(2p) from above and tr H^(2p) / tr H^p, the Rayleigh quotient
-    of H^(p/2) at H^(p/2), bounds lambda_max^p from below, with
-    p = 2^_SQUARINGS. A zero Gram gets lb = 0; a NaN one a NaN ub.
+    lambda_max^(2p) from above, with p = 2^_SQUARINGS. A NaN Gram gets a
+    NaN bound.
     """
-    for _ in range(_SQUARINGS - 1):
+    for _ in range(_SQUARINGS):
         h = h @ h
-    lo = np.einsum("...ij,...ij->...", h, h)  # tr H^p, H^(p/2) symmetric
-    h = h @ h
-    hi = np.einsum("...ij,...ij->...", h, h)  # tr H^(2p)
-    p = 2**_SQUARINGS
-    ub = (0.5 * hi) ** (1.0 / (2 * p))
-    lb = np.divide(hi, lo, out=np.zeros_like(hi), where=lo > 0) ** (1.0 / p)
-    return lb, ub
+    tr = np.einsum("...ij,...ij->...", h, h)  # tr H^(2p), H^p symmetric
+    return (0.5 * tr) ** (1.0 / 2 ** (_SQUARINGS + 1))
 
 
 def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
     # The eigvalsh keep test, written so that a NaN bound keeps its block.
     return ~(ub < thr * (1.0 - PRUNE_SLACK))
-
-
-def _pruned_max(re, im, entries, hidx, floor2):
-    """Largest top eigenvalue over the m x m blocks, m >= 4, of one Gram chunk.
-
-    ``re`` and ``im`` come from ``_column_grams``; ``entries`` and ``hidx``
-    hold, per row set, the pair positions of its upper triangle and the
-    ``_embedding_index`` table. ``floor2`` (one value per matrix) only
-    raises the threshold of the keep test, so a result at or below it may
-    fall short of the class maximum.
-    """
-    batch, ncols, nrows = re.shape[0], re.shape[2], hidx.shape[0]
-    m = hidx.shape[1] // 2
-    src = _embedding(re, im)
-    # pass 1: bounds on every block, in sub-chunks of about
-    # _CHUNK_ELEMENTS / (16 m^2) blocks: H and its powers take 4 m^2 each
-    ub = np.empty((batch, ncols, nrows))
-    thr = floor2
-    rstep = max(1, _CHUNK_ELEMENTS // (16 * m * m) // (batch * ncols))
-    for r0 in range(0, nrows, rstep):
-        lb, ub[:, :, r0 : r0 + rstep] = _power_bounds(src[:, :, hidx[r0 : r0 + rstep]])
-        thr = np.maximum(thr, lb.max(axis=(1, 2)))
-    # pass 2: eigvalsh on the blocks that may attain the threshold, in steps
-    # of about _CHUNK_ELEMENTS / (4 m^2) blocks: each holds its complex Gram
-    # and the positions and parts of its upper triangle
-    bi, ci, ri = np.nonzero(_may_attain(ub, thr[:, None, None]))
-    best = np.zeros(batch)
-    step = max(1, _CHUNK_ELEMENTS // (4 * m * m))
-    for s0 in range(0, bi.size, step):
-        b, c, idx = bi[s0 : s0 + step], ci[s0 : s0 + step], entries[:, ri[s0 : s0 + step]]
-        np.maximum.at(best, b, _top_eig_eigvalsh(re[b, idx, c], im[b, idx, c], m))
-    return best
 
 
 def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, floor=None) -> np.ndarray:
@@ -294,12 +256,13 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, f
     min(m, n) >= 2 required; m > n is taken on the transposes. The Gram of
     block (R, C) is the principal submatrix at R of the N x N Gram of the
     column set C (see ``_column_grams``), and its top eigenvalue is taken in
-    closed form for m = 2 and 3, and by ``_pruned_max`` above. ``rows``
-    restricts the row selections of an m <= n shape (used by the complement
+    closed form for m = 2 and 3, and by eigvalsh above. ``rows`` restricts
+    the row selections of an m <= n shape (used by the complement
     reduction); columns always range over all C(N, n) subsets. ``floor``
-    holds a norm per matrix already attained at the same k. Blocks that
-    cannot exceed it may be skipped: the result never exceeds the class
-    maximum and equals it wherever that maximum is above ``floor``.
+    holds a norm per matrix already attained at the same k. For m >= 4,
+    eigvalsh skips the blocks whose ``_power_bound`` cannot reach it: the
+    result never exceeds the class maximum and equals it wherever that
+    maximum is above ``floor``. Without ``floor`` no block is skipped.
     """
     if m > n:
         u3, m, n = np.swapaxes(u3, 1, 2), n, m
@@ -312,21 +275,28 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, f
     ti, tj, _ = _triu(m)
     # Pair positions of each row set's upper triangle: entries x row sets.
     entries = pos[rows[:, ti], rows[:, tj]].T
-    hidx = _embedding_index(rows, dim) if m >= 4 else None
     top = _top_eig_2x2 if m == 2 else _top_eig_3x3
+    hidx = _embedding_index(rows, dim) if m >= 4 else None
+    # elements a block holds in a row sub-chunk: its Gram entries for the
+    # closed forms, H and its powers (4 m^2 each) for the power bound
+    width = m * m if hidx is None else 16 * m * m
     best = np.zeros(batch)
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
         re, im = _column_grams(u3[chunk], n)
-        if hidx is not None:
-            best[chunk] = _pruned_max(re, im, entries, hidx, floor2[chunk])
-            continue
-        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * m * m))
+        src = None if hidx is None else _embedding(re, im)
+        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * width))
         for r0 in range(0, rows.shape[0], rstep):
             idx = entries[:, r0 : r0 + rstep]
-            lam = top(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1))
-            best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
+            if hidx is None:
+                lam = top(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1))
+                best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
+            else:
+                # eigvalsh at once on the blocks whose bound may reach the floor
+                ub = _power_bound(src[:, :, hidx[r0 : r0 + rstep]])
+                b, c, r = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
+                np.maximum.at(best, b0 + b, _top_eig_eigvalsh(re[b, idx[:, r], c], im[b, idx[:, r], c], m))
     return np.sqrt(best)
 
 
@@ -349,7 +319,6 @@ def _finalize(s: np.ndarray) -> np.ndarray:
             f"s needs a repair of {repair:.3e} to be monotone and <= 1 "
             f"(tolerance {UNITARITY_TOL:g})"
         )
-    fixed[..., -1] = 1.0
     return fixed
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eub
 from eub import (
     RngSeed,
     fourier_matrix,
@@ -207,3 +208,40 @@ def test_tolerances_are_defined_only_in_matrices():
             if tok.type == tokenize.NUMBER and "e-" in tok.string.lower():
                 found.append(f"{path.name}:{tok.start[0]} {tok.string}")
     assert found == []
+
+
+def _with_nan(a, index):
+    a = np.array(a)
+    a[index] = np.nan
+    return a
+
+
+_F3_NAN = _with_nan(fourier_matrix(3), (1, 2))
+_UNIFORM3 = np.full((3, 3), 1.0 / 3.0)
+
+# One NaN entry per validated entry; each check is written as
+# "not deviation <= tolerance", so that a NaN deviation fails it.
+NAN_INPUTS = {
+    "require_unitary": (lambda: require_unitary(_F3_NAN), "unitarity residual"),
+    "bound_mu": (lambda: eub.bound_mu(_F3_NAN), "unitarity residual"),
+    "bound_deutsch": (lambda: eub.bound_deutsch(_F3_NAN), "unitarity residual"),
+    "dephase": (lambda: eub.dephase(_F3_NAN), "unitarity residual"),
+    "s_coefficients": (lambda: eub.s_coefficients(_F3_NAN), "unitarity residual"),
+    "check_probability_vector": (lambda: eub.check_probability_vector([0.5, np.nan, 0.5]), "sums to"),
+    "eur_lhs": (lambda: eub.eur_lhs(fourier_matrix(3), [np.nan, 0.0, 0.0], 1), "state norm"),
+    "check_stochastic": (lambda: eub.check_stochastic(_with_nan(_UNIFORM3, (0, 1))), "column sums"),
+    "unistochastic_check_3": (lambda: eub.unistochastic_check_3(_with_nan(_UNIFORM3, (2, 0))), "row/column sums"),
+    "BirkhoffPoint": (lambda: eub.BirkhoffPoint(np.nan, 0.2), "outside the simplex"),
+    "SubspacePair": (lambda: eub.SubspacePair(_F3_NAN[:2], np.eye(3)[:1]), "orthonormality"),
+    "EquivalenceTransform": (
+        lambda: eub.EquivalenceTransform([0, 1, 2], [1.0, np.nan, 1.0], [1.0, 1.0, 1.0], [0, 1, 2]),
+        "unimodular",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_validated_entries_refuse_nan(name):
+    call, message = NAN_INPUTS[name]
+    with pytest.raises(ValueError, match=message):
+        call()

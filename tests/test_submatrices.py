@@ -232,7 +232,7 @@ def _embeddings(h):
 
 
 @pytest.mark.parametrize("m", [4, 5])
-def test_power_bounds_bracket_eigvalsh(m):
+def test_power_bound_caps_eigvalsh(m):
     rng = np.random.default_rng(SEED + m)
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     g = x @ x.conj().T / np.linalg.norm(x, 2) ** 2
@@ -240,22 +240,21 @@ def test_power_bounds_bracket_eigvalsh(m):
     h = np.array(list(cases.values()), dtype=complex)
     emb = _embeddings(h)
     assert np.array_equal(emb, np.block([[h.real, -h.imag], [h.imag, h.real]]))
-    lb, ub = submatrices._power_bounds(emb)
+    ub = submatrices._power_bound(emb)
     top = np.linalg.eigvalsh(h)[:, -1]
-    # lb and ub are exact bounds in real arithmetic; each may miss by rounding,
-    # and half the slack on either side keeps the attaining block in the class
-    assert np.all(lb * (1.0 - PRUNE_SLACK / 2) <= top), dict(zip(cases, lb - top))
+    # ub is an exact bound in real arithmetic and may miss by rounding; half
+    # the slack keeps the attaining block in the class
     assert np.all(top <= ub * (1.0 + PRUNE_SLACK / 2)), dict(zip(cases, top - ub))
     assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
     # a NaN Gram has a NaN bound, and the keep test keeps it
     h[0, 0, 1], h[0, 1, 0] = np.nan, np.nan
-    _, ub = submatrices._power_bounds(_embeddings(h[:1]))
+    ub = submatrices._power_bound(_embeddings(h[:1]))
     assert np.isnan(ub[0]) and submatrices._may_attain(ub[0], 0.5)
 
 
 def test_chunking_is_bit_identical(monkeypatch):
-    # at N = 8 the pruned (4, 4) class carries thresholds and sub-chunks
-    # across chunks of one element
+    # at N = 8 the pruned (4, 4) class runs in sub-chunks of one row set,
+    # each against its matrix's floor
     for n, haar_count in ((5, 12), (6, 12), (8, 3)):
         haar = [haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(haar_count)]
         batch = np.stack(haar + [fourier_matrix(n)])
@@ -266,7 +265,7 @@ def test_chunking_is_bit_identical(monkeypatch):
         monkeypatch.undo()
         assert np.array_equal(default, chunked)
         assert np.array_equal(chunked_single, default[0])
-        # thresholds are per matrix: each row is its single-matrix result
+        # floors are per matrix: each row is its single-matrix result
         for i, u in enumerate(batch):
             assert np.array_equal(s_coefficients_batch(u[None])[0], default[i])
         # the validated entry is the same kernel on a stack of one
@@ -300,6 +299,20 @@ def test_repair_rejects_broken_monotonicity():
     with pytest.raises(ValueError, match="repair"):
         submatrices._finalize(np.array([[0.6, 0.5, 1.0]]))
     assert np.array_equal(submatrices._finalize(np.array([[0.6, 0.6 - 1e-16, 1.0]])), [[0.6, 0.6, 1.0]])
+    # no entry is set without a bound: a last entry below 1 stays
+    assert np.array_equal(submatrices._finalize(np.array([[0.5, 0.9]])), [[0.5, 0.9]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_batch_refuses_non_finite_input(n, value):
+    # the trusted entry makes no input check of its own: eigvalsh fails on
+    # the entry (LinAlgError is a ValueError) or the strips carry it into s,
+    # which the bounded repair refuses
+    u = F(n)
+    u[1, 2] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        s_coefficients_batch(u[None])
 
 
 def test_batch_agrees_with_oracle():

@@ -26,9 +26,9 @@ import eub
 from eub.cli import main
 from eub.matrices import generator
 
-HAAR_DIMS = tuple(range(3, 11))
+HAAR_DIMS = tuple(range(3, 12))
 FOURIER_DIMS = (4, 6, 8, 9, 10)
-PERM_HALF_DIMS = (6, 8, 9, 10)
+PERM_HALF_DIMS = (6, 8, 9, 10, 11)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
 
 
