@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import check_probability_vector, clamp_negative, renyi_entropy
+from .entropy import _check_order, check_probability_vector, clamp_negative, renyi_entropy
 from .matrices import ENTROPY_TOL, PROB_SUM_TOL, STATE_NORM_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
@@ -101,12 +101,13 @@ def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
     Useful when several orders are evaluated for one matrix: the s
     computation dominates and can be shared.
     """
+    a = _check_order(alpha)
     mv = majorizing_vector(sc)
     c = float(sc.s[0])
-    ladder = np.array([renyi_entropy(t, alpha) for t in mv.truncations])
+    ladder = np.array([renyi_entropy(t, a) for t in mv.truncations])
     return BoundReport(
         n=sc.n,
-        alpha=float(alpha),
+        alpha=a,
         b_deutsch=-2.0 * math.log((1.0 + c) / 2.0) + 0.0,
         b_mu=-2.0 * math.log(c) + 0.0,
         ladder=ladder,

@@ -29,7 +29,7 @@ from .bounds import (
     ladder_from_coefficients,
     majorizing_vector,
 )
-from .entropy import majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
+from .entropy import _check_order, majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
 from .equivalence import random_transform, apply_transform
 from .extremal import (
     SubspacePair,
@@ -55,6 +55,7 @@ from .matrices import (
     STOCHASTIC_IMAG_TOL,
     TRANSFORM_INVARIANCE_TOL,
     RngSeed,
+    _UINT64,
     generator,
     haar_unitary,
     is_unitary,
@@ -65,23 +66,15 @@ from .submatrices import s_coefficients
 
 
 def _parse_alpha(token: str) -> float:
-    if token.strip().lower() == "inf":
-        return math.inf
     try:
         a = float(token)
     except ValueError:
         raise ValueError(f"cannot parse entropy order {token!r}") from None
-    if math.isnan(a) or a < 0.0:
-        raise ValueError(f"entropy order must be nonnegative, got {token!r}")
-    return a
+    return _check_order(a)
 
 
 def _fmt_alpha(a: float) -> str:
     return "inf" if math.isinf(a) else repr(float(a))
-
-
-def _emit(path, text: str) -> None:
-    _emit_all(((path, text),))
 
 
 def _emit_all(outputs) -> None:
@@ -117,14 +110,13 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _require_format(args, native: str) -> None:
-    fmt = getattr(args, "format", None)
-    if fmt is not None and fmt != native:
-        raise ValueError(f"command {args.command!r} emits {native} only")
-
-
 def _seed_of(args) -> RngSeed:
     return RngSeed(seed=args.seed, stream=args.stream)
+
+
+def _draw_seed(seed: RngSeed, offset: int) -> RngSeed:
+    # One verify draw's seed, wrapped into 0..2**64 - 1 so any valid --seed works.
+    return RngSeed((seed.seed + offset) % _UINT64, seed.stream)
 
 
 def _fmt12(v) -> str:
@@ -135,11 +127,10 @@ def _fmt12(v) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    _require_format(args, "json")
+    alphas = [_parse_alpha(a) for a in (args.alpha or ["1"])]
     u = load_matrix(args.input)
     sc = s_coefficients(u, allow_large=args.allow_large_n)
     mv = majorizing_vector(sc)
-    alphas = [_parse_alpha(a) for a in (args.alpha or ["1"])]
     obj = {
         "n": sc.n,
         "s": [float(v) for v in sc.s],
@@ -148,7 +139,7 @@ def _cmd_bounds(args) -> int:
         "q_truncations": [[float(v) for v in t] for t in mv.truncations],
         "reports": [ladder_from_coefficients(sc, a).to_json() for a in alphas],
     }
-    _emit(args.output, _dump_json(obj))
+    _emit_all(((args.output, _dump_json(obj)),))
     return 0
 
 
@@ -161,8 +152,6 @@ def _parse_family(token: str):
     m = _FAMILY_RE.fullmatch(token)
     if m:
         n = int(m.group(1))
-        if n < 2:
-            raise ValueError("perm_power requires n >= 2")
         return lambda beta: permutation_power(n, beta)
     raise ValueError(f"unknown family {token!r}; expected rotation or perm_power:N")
 
@@ -178,7 +167,6 @@ def _parse_range(token: str):
 
 
 def _cmd_sweep(args) -> int:
-    _require_format(args, "csv")
     build = _parse_family(args.family)
     lo, hi = _parse_range(args.range)
     if args.steps < 2:
@@ -196,12 +184,11 @@ def _cmd_sweep(args) -> int:
             cells = [repr(t), _fmt_alpha(a), repr(rep.b_deutsch), repr(rep.b_mu)]
             cells += [repr(float(v)) for v in rep.ladder]
             lines.append(",".join(cells))
-    _emit(args.output, "\n".join(lines) + "\n")
+    _emit_all(((args.output, "\n".join(lines) + "\n"),))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    _require_format(args, "csv")
     alpha = _parse_alpha(args.alpha)
     records = cross_section_scan(args.grid_step, alpha)
     lines = ["a,b,feasible,b_mu,b_ladder_2,diff"]
@@ -218,12 +205,11 @@ def _cmd_scan(args) -> int:
                 ]
             )
         )
-    _emit(args.output, "\n".join(lines) + "\n")
+    _emit_all(((args.output, "\n".join(lines) + "\n"),))
     return 0
 
 
 def _cmd_mc(args) -> int:
-    _require_format(args, "json")
     alpha = _parse_alpha(args.alpha)
     k = args.n - 1 if args.k is None else args.k
     gap_alpha = None if args.gap_hist is None else alpha
@@ -239,9 +225,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    _require_format(args, "json")
     report = majorization_fuzz(args.n, args.pairs, _seed_of(args))
-    _emit(args.output, _dump_json(report.to_json()))
+    _emit_all(((args.output, _dump_json(report.to_json())),))
     return 0 if report.violations == 0 else 1
 
 
@@ -253,7 +238,6 @@ def _load_stochastic(path) -> np.ndarray:
 
 
 def _cmd_classical(args) -> int:
-    _require_format(args, "json")
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
     t = _load_stochastic(args.input)
@@ -271,7 +255,7 @@ def _cmd_classical(args) -> int:
             mixture_inequalities_hold=bool(ok_pair),
             bound_holds=bool(ok_bound),
         )
-        _emit(args.output, _dump_json(obj))
+        _emit_all(((args.output, _dump_json(obj)),))
         return 0 if (ok_pair and ok_bound) else 1
     g = generator(_seed_of(args))
     slacks = []
@@ -290,7 +274,7 @@ def _cmd_classical(args) -> int:
         min_slack_bound=worst_bound,
         all_hold=bool(all_hold),
     )
-    _emit(args.output, _dump_json(obj))
+    _emit_all(((args.output, _dump_json(obj)),))
     return 0 if all_hold else 1
 
 
@@ -300,7 +284,7 @@ def _cmd_classical(args) -> int:
 def _verify_haar_unitarity(seed: RngSeed):
     for n in range(2, 7):
         for i in range(50):
-            u = haar_unitary(n, RngSeed(seed.seed + 31 * n + i, seed.stream))
+            u = haar_unitary(n, _draw_seed(seed, 31 * n + i))
             if not is_unitary(u):
                 return False, f"haar draw n={n} i={i} failed unitarity"
     return True, ""
@@ -310,7 +294,7 @@ def _verify_transform_invariance(seed: RngSeed):
     g = generator(seed)
     for n in range(2, 6):
         for i in range(10):
-            u = haar_unitary(n, RngSeed(seed.seed + 97 * n + i, seed.stream))
+            u = haar_unitary(n, _draw_seed(seed, 97 * n + i))
             v = apply_transform(u, random_transform(n, g))
             delta = float(np.abs(s_coefficients(u).s - s_coefficients(v).s).max())
             if delta > TRANSFORM_INVARIANCE_TOL:
@@ -321,7 +305,7 @@ def _verify_transform_invariance(seed: RngSeed):
 def _verify_chain(seed: RngSeed):
     for n in range(2, 7):
         for i in range(20):
-            u = haar_unitary(n, RngSeed(seed.seed + 13 * n + i, seed.stream))
+            u = haar_unitary(n, _draw_seed(seed, 13 * n + i))
             mv = majorizing_vector(s_coefficients(u))
             for k in range(len(mv.truncations) - 1):
                 if not majorizes(mv.truncations[k], mv.truncations[k + 1]):
@@ -334,7 +318,7 @@ def _verify_ladder(seed: RngSeed):
     g = generator(seed)
     for n in range(2, 7):
         for i in range(10):
-            u = haar_unitary(n, RngSeed(seed.seed + 7 * n + i, seed.stream))
+            u = haar_unitary(n, _draw_seed(seed, 7 * n + i))
             sc = s_coefficients(u)
             for a in alphas:
                 rep = ladder_from_coefficients(sc, a)
@@ -350,7 +334,7 @@ def _verify_ladder(seed: RngSeed):
 
 def _verify_product_majorization(seed: RngSeed):
     for n in range(2, 7):
-        rep = majorization_fuzz(n, 300, RngSeed(seed.seed + n, seed.stream))
+        rep = majorization_fuzz(n, 300, _draw_seed(seed, n))
         if rep.violations:
             return False, f"{rep.violations} majorization violations at n={n}"
     return True, ""
@@ -362,8 +346,8 @@ def _verify_extremal(seed: RngSeed):
         for i in range(5):
             m1 = int(g.integers(1, n + 1))
             m2 = int(g.integers(1, n + 1))
-            u1 = haar_unitary(n, RngSeed(seed.seed + 211 * n + 2 * i, seed.stream))
-            u2 = haar_unitary(n, RngSeed(seed.seed + 211 * n + 2 * i + 1, seed.stream))
+            u1 = haar_unitary(n, _draw_seed(seed, 211 * n + 2 * i))
+            u2 = haar_unitary(n, _draw_seed(seed, 211 * n + 2 * i + 1))
             sp = SubspacePair(u1[:m1], u2[:m2])
             top = lemma_max_value(sp)
             for _ in range(200):
@@ -394,7 +378,7 @@ def _verify_extremal(seed: RngSeed):
 def _verify_deutsch(seed: RngSeed):
     for n in range(2, 7):
         for i in range(20):
-            u = haar_unitary(n, RngSeed(seed.seed + 5 * n + i, seed.stream))
+            u = haar_unitary(n, _draw_seed(seed, 5 * n + i))
             if bound_deutsch(u) > bound_mu(u) + CLOSED_FORM_ORDER_TOL:
                 return False, f"closed-form ordering violated at n={n}"
             # rows of u index the transformed basis, columns the input one
@@ -498,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--alpha", action="append", help="entropy order (repeatable; default 1)")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--allow-large-n", action="store_true", dest="allow_large_n")
     p.set_defaults(func=_cmd_bounds)
 
@@ -508,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="inclusive grid point count")
     p.add_argument("--alpha", action="append", help="entropy order (repeatable; default 1)")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--allow-large-n", action="store_true", dest="allow_large_n")
     p.set_defaults(func=_cmd_sweep)
 
@@ -516,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, required=True, dest="grid_step")
     p.add_argument("--alpha", default="1", help="entropy order (default 1)")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("mc", help="Haar beat-rate experiment")
@@ -526,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1", help="order for --gap-hist stats")
     p.add_argument("--gap-hist", default=None, dest="gap_hist", help="also write gap histogram CSV")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_seed_args(p)
     p.set_defaults(func=_cmd_mc)
 
@@ -534,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_seed_args(p)
     p.set_defaults(func=_cmd_fuzz)
 
@@ -543,7 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None, help="comma-separated input distribution")
     p.add_argument("--samples", type=int, default=1000, help="random P trials when --p absent")
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_seed_args(p)
     p.set_defaults(func=_cmd_classical)
 

@@ -46,8 +46,16 @@ def check_probability_vector(x) -> np.ndarray:
     return x
 
 
+def _check_order(alpha) -> float:
+    # The one rule for an entropy order: a nonnegative real or inf.
+    a = float(alpha)
+    if math.isnan(a) or a < 0.0:
+        raise ValueError(f"entropy order must be a nonnegative real or inf, got {alpha!r}")
+    return a
+
+
 def _renyi_rows(x: np.ndarray, alpha) -> np.ndarray:
-    # Row-wise entropies for a 2d stack of already-valid vectors.
+    # Row-wise entropies for a 2d stack of valid vectors and a checked order.
     a = float(alpha)
     if math.isinf(a):
         return -np.log(x.max(axis=1)) + 0.0
@@ -77,16 +85,14 @@ def renyi_entropy(x, alpha) -> float:
     alpha : float
         Order. 1 gives Shannon entropy with 0 ln 0 := 0, 0 gives the log
         of the support size, inf gives the min-entropy -ln(max component).
+        NaN or a negative order raises ValueError.
 
     Returns
     -------
     float
     """
     x = check_probability_vector(x)
-    a = float(alpha)
-    if math.isnan(a) or a < 0.0:
-        raise ValueError("alpha must be a nonnegative real or inf")
-    return float(_renyi_rows(x[None, :], a)[0])
+    return float(_renyi_rows(x[None, :], _check_order(alpha))[0])
 
 
 def tensor_product(p, q) -> np.ndarray:

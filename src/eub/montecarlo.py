@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _q_rows
-from .entropy import _renyi_rows
+from .entropy import _check_order, _renyi_rows
 from .matrices import MAJORIZATION_TOL, RngSeed, _haar_from_ginibre, _seek, sample_generator
-from .submatrices import s_coefficients_batch
+from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 
 _CHUNK = 2048
 
@@ -114,6 +114,17 @@ def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
     return _haar_from_ginibre(z), psi
 
 
+def _check_ensemble(n: int, count: int, what: str) -> None:
+    # The argument rule of every ensemble, run before any sampling; `what`
+    # names the count in the error text.
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n > MAX_ENUMERATION_DIM:
+        raise ValueError(f"dimension {n} exceeds the enumeration guard ({MAX_ENUMERATION_DIM})")
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1")
+
+
 def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False):
     # The one chunked ensemble loop: yields (start, u, psi, s) for sample
     # indices start .. start + len(u) - 1, with s from the batch kernel.
@@ -140,12 +151,11 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
     # Shannon rung B^k counts wins over -2 ln c, the top rung B_alpha^{n-1}
     # gives the gaps, and at (k, alpha) = (n - 1, 1) the two are one ladder.
     # Returns (BeatRateResult or None, GapStats or None).
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_ensemble(n, samples, "samples")
     if k is not None and not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
+    if alpha is not None:
+        alpha = _check_order(alpha)
     wins = 0
     gaps_mu, gaps_d = (None, None) if alpha is None else (np.empty(samples), np.empty(samples))
     for start, _, _, s in _ensemble(n, samples, rng):
@@ -154,7 +164,7 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
             shannon = _renyi_rows(_q_rows(s, k), 1.0)
             wins += int(np.count_nonzero(shannon > -2.0 * np.log(c)))
         if alpha is not None:
-            shared = k == n - 1 and float(alpha) == 1.0
+            shared = k == n - 1 and alpha == 1.0
             top = shannon if shared else _renyi_rows(_q_rows(s, n - 1), alpha)
             gaps_mu[start : start + len(s)] = top + 2.0 * np.log(c)
             gaps_d[start : start + len(s)] = top + 2.0 * np.log((1.0 + c) / 2.0)
@@ -165,7 +175,7 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
         return beat, None
     mean_mu, qs_mu, hist_mu = _gap_summary(gaps_mu)
     mean_d, qs_d, hist_d = _gap_summary(gaps_d)
-    stats = GapStats(n, samples, float(alpha), rng, mean_mu, mean_d, qs_mu, qs_d, hist_mu, hist_d)
+    stats = GapStats(n, samples, alpha, rng, mean_mu, mean_d, qs_mu, qs_d, hist_mu, hist_d)
     return beat, stats
 
 
@@ -186,10 +196,7 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     Q within MAJORIZATION_TOL. Expected violations: zero; any hit is an
     implementation bug, reported with the worst partial-sum slack.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    _check_ensemble(n, pairs, "pairs")
     violations = 0
     worst = math.inf
     for _, u, psi, s in _ensemble(n, pairs, rng, with_state=True):

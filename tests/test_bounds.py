@@ -112,6 +112,14 @@ def test_ladder_from_coefficients_consistency():
         assert direct.b_mu == shared.b_mu
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), -2.0, -math.inf])
+def test_ladder_rejects_bad_order_at_every_n(alpha):
+    # N = 1 has no rungs, so the order is checked before any is evaluated
+    for u in (np.eye(1), fourier_matrix(3)):
+        with pytest.raises(ValueError, match="entropy order"):
+            bound_ladder(u, alpha)
+
+
 def test_bound_report_json():
     rep = bound_ladder(fourier_matrix(2), math.inf)
     obj = rep.to_json()

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eub.families as families
 import eub.montecarlo as montecarlo
@@ -62,10 +63,20 @@ def test_bounds_rejects_missing_file(capsys):
 
 
 def test_bounds_rejects_wrong_format(tmp_path, capsys):
+    # no subcommand has a --format option; each emits one format only
     path = write_f3(tmp_path)
-    code, _, err = run(capsys, "bounds", "--input", path, "--format", "csv")
-    assert code == 2
-    assert "json" in err
+    for argv in (
+        ["bounds", "--input", path],
+        ["sweep", "--family", "rotation", "--range", "0:1", "--steps", "2"],
+        ["scan", "--grid-step", "0.5"],
+        ["mc", "--n", "2", "--samples", "1"],
+        ["fuzz", "--n", "2", "--pairs", "1"],
+        ["classical", "--input", path],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_dimension_guard_exit(tmp_path, capsys):
@@ -318,11 +329,30 @@ def test_verify_reports_lift_residual(capsys, monkeypatch):
     assert lines[-1] == "9/10 checks passed"
 
 
+def test_verify_at_largest_seed(capsys):
+    # per-draw seeds wrap below 2**64 instead of overflowing RngSeed
+    code, out, _ = run(capsys, "verify", "--seed", "18446744073709551615")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "10/10 checks passed"
+
+
+def test_ensembles_refuse_large_n_before_sampling(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "_haar_batch", fail)
+    for argv in (["mc", "--n", "13", "--samples", "1"], ["fuzz", "--n", "13", "--pairs", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "dimension 13 exceeds the enumeration guard (12)" in err
+
+
 def test_bad_alpha_exit(tmp_path, capsys):
     path = write_f3(tmp_path)
-    code, _, err = run(capsys, "bounds", "--input", path, "--alpha", "-1")
-    assert code == 2
-    assert "order" in err
+    for token in ("-1", "nan", "-inf"):
+        code, out, err = run(capsys, "bounds", "--input", path, f"--alpha={token}")
+        assert code == 2 and out == ""
+        assert "order" in err
 
 
 def _load_cli_digests():
@@ -340,6 +370,6 @@ def test_cli_digests_rerun_identical(monkeypatch):
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    assert len(first) == 25
+    assert len(first) == 26
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

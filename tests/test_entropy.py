@@ -153,9 +153,9 @@ def test_validation_errors():
         renyi_entropy([0.5, 0.6], 1.0)  # sums to 1.1
     with pytest.raises(ValueError):
         renyi_entropy([1.5, -0.5], 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entropy order"):
         renyi_entropy([0.5, 0.5], -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entropy order"):
         renyi_entropy([0.5, 0.5], float("nan"))
     # tiny negative noise is clamped, not rejected
     assert renyi_entropy([1.0, -1e-13], 1.0) == pytest.approx(0.0, abs=1e-12)

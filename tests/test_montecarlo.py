@@ -50,6 +50,37 @@ def test_beat_rate_k_levels():
         beat_rate(3, 10, RngSeed(0), k=3)
 
 
+def _no_sampling(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "_haar_batch", fail)
+
+
+def test_bad_order_refused_before_sampling(monkeypatch):
+    _no_sampling(monkeypatch)
+    for alpha in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="entropy order"):
+            bound_gap_stats(3, 50, alpha, RngSeed(0))
+
+
+def test_dimension_guard_before_sampling(monkeypatch):
+    _no_sampling(monkeypatch)
+    message = "dimension 13 exceeds the enumeration guard \\(12\\)"
+    with pytest.raises(ValueError, match=message):
+        beat_rate(13, 1, RngSeed(0))
+    with pytest.raises(ValueError, match=message):
+        bound_gap_stats(13, 1, 1.0, RngSeed(0))
+    with pytest.raises(ValueError, match=message):
+        majorization_fuzz(13, 1, RngSeed(0))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        bound_gap_stats(1, 5, 1.0, RngSeed(0))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        beat_rate(2, 0, RngSeed(0))
+    with pytest.raises(ValueError, match="pairs must be >= 1"):
+        majorization_fuzz(3, 0, RngSeed(0))
+
+
 def test_beat_rate_json():
     res = beat_rate(2, 50, RngSeed(9, stream=4))
     obj = res.to_json()

@@ -69,6 +69,7 @@ def command_set(workdir: str) -> list:
         ["classical", "--input", stochastic, "--p", "0.1,0.2,0.3,0.4"],
         ["classical", "--input", stochastic, "--samples", "2000", "--seed", "5"],
         ["verify"],
+        ["verify", "--seed", "18446744073709551615"],
     ]
     return commands
 
