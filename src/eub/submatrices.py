@@ -17,16 +17,29 @@ Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
 class's maximum is used, in one pass over sub-chunks of row sets. Each
 block Gram G = A + iB is bounded from the traces of powers of its real
 embedding H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue
-twice: ub = (tr H^16 / 2)^(1/16) is at least lambda_max. eigvalsh then runs
-at once on the blocks whose ub reaches the floor within PRUNE_SLACK; a NaN
-bound is kept. The floor of a matrix is the square of the exact maximum
-already found for the same k (strips and smaller classes run first), so it
-is known before the class starts and nothing is stored between sub-chunks.
-This leaves s bit-identical: eigvalsh works on one matrix at a time, so a
-surviving block gets the same value as without pruning, and a block whose
-top eigenvalue is above the floor has ub >= lambda_max > floor up to
-rounding far below PRUNE_SLACK, so it always survives. The floor enters
-only that test, never the returned maximum.
+twice: ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p, and
+falls towards it as p grows. The bound is tested in tiers. The first
+squares H three times and keeps the blocks whose ub at p = 8 reaches the
+floor within PRUNE_SLACK; a NaN bound is kept. Only those survivors are
+squared again, and the same test runs after each squaring up to p = 64,
+each tier on the survivors of the last. eigvalsh runs on the blocks that
+pass every tier, and not at all when none do. The floor of a matrix is
+the square of the exact maximum already found for the same k (strips and
+smaller classes run first), so it is known before the class starts and
+nothing is stored between sub-chunks. This leaves s bit-identical:
+eigvalsh works on one matrix at a time, so a surviving block gets the
+same value as without pruning, and a block whose top eigenvalue is above
+the floor has ub >= lambda_max > floor at every tier, up to rounding far
+below PRUNE_SLACK, so it always survives. The floor enters only that
+test, never the returned maximum.
+
+Nothing in the bound overflows or underflows where it matters. The
+entries of H^p are at most lambda_max^p <= 1, since G is the Gram of a
+block of a unitary. A block that can reach the floor has lambda_max >=
+floor^2 >= 1/N (each row of a unitary has an entry of modulus at least
+1/sqrt(N)), so tr H^(2p) >= lambda_max^128 >= N^-128 at p = 64, a normal
+double for N <= 250. Smaller terms round to subnormals with an absolute
+error below 1e-323, far below such a trace.
 
 The enumeration uses two exact reductions: every shape with m + n > N
 contains a full row or column of some unitary completion and has norm
@@ -58,9 +71,9 @@ from .matrices import (
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
 # 6x per step in N here. One s_coefficients call on a Haar draw, each in a
-# fresh process (2-core Xeon, one BLAS thread), took 0.18-0.34 s at N = 10,
-# 1.4-1.7 s at N = 11 and 7.6-8.8 s at N = 12, at 43, 44 and 46-48 MB peak
-# RSS.
+# fresh process (2-core Xeon, one BLAS thread), took 0.17-0.28 s at N = 10,
+# 0.74-0.95 s at N = 11 and 5.2-5.6 s at N = 12, at 43, 44 and 46-47 MB
+# peak RSS.
 # Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
@@ -69,9 +82,11 @@ MAX_ENUMERATION_DIM = 12
 # slower at N = 6 on a Xeon with 2 MB of L2 per core).
 _CHUNK_ELEMENTS = 250_000
 
-# Squarings of the real embedding H in ``_power_bound``: three give H^8,
-# whose squared Frobenius norm tr H^16 bounds each block's top eigenvalue.
+# Squarings of the real embedding H before the first bound test: three
+# give H^8, whose squared Frobenius norm tr H^16 bounds each block's top
+# eigenvalue. Survivors are squared and tested again, up to H^64.
 _SQUARINGS = 3
+_MAX_SQUARINGS = 6
 
 
 @dataclass(frozen=True)
@@ -231,23 +246,42 @@ def _embedding_index(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.block([[pair, neg_b], [b, pair]])
 
 
-def _power_bound(h: np.ndarray) -> np.ndarray:
-    """Upper bound on the top eigenvalue from real embeddings H.
+def _power_bound(hp: np.ndarray, squarings: int) -> np.ndarray:
+    """Upper bound on the top eigenvalue from powers H^p of real embeddings.
 
-    ``h`` holds the 2m x 2m embeddings of PSD Grams G on its last two axes.
-    H's spectrum is G's with each eigenvalue twice, so tr H^(2p) / 2 bounds
-    lambda_max^(2p) from above, with p = 2^_SQUARINGS. A NaN Gram gets a
-    NaN bound.
+    ``hp`` holds H^p, p = 2^squarings, for 2m x 2m embeddings H of PSD
+    Grams G on its last two axes. H's spectrum is G's with each eigenvalue
+    twice, so tr H^(2p) / 2 bounds lambda_max^(2p) from above. A NaN Gram
+    gets a NaN bound.
     """
-    for _ in range(_SQUARINGS):
-        h = h @ h
-    tr = np.einsum("...ij,...ij->...", h, h)  # tr H^(2p), H^p symmetric
-    return (0.5 * tr) ** (1.0 / 2 ** (_SQUARINGS + 1))
+    tr = np.einsum("...ij,...ij->...", hp, hp)  # tr H^(2p), H^p symmetric
+    return (0.5 * tr) ** (1.0 / 2 ** (squarings + 1))
 
 
 def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
     # The eigvalsh keep test, written so that a NaN bound keeps its block.
     return ~(ub < thr * (1.0 - PRUNE_SLACK))
+
+
+def _survivors(h: np.ndarray, floor2: np.ndarray):
+    """Indices (b, c, r) of the blocks whose bound may reach the floor at every tier.
+
+    ``h`` holds the real embeddings, shape (batch, columns, row sets, 2m, 2m),
+    and ``floor2`` the squared floor of each matrix. The first test is at
+    H^(2^_SQUARINGS); each later squaring runs on the survivors of the last
+    test only, up to H^(2^_MAX_SQUARINGS).
+    """
+    for _ in range(_SQUARINGS):
+        h = h @ h
+    b, c, r = np.nonzero(_may_attain(_power_bound(h, _SQUARINGS), floor2[:, None, None]))
+    h = h[b, c, r]
+    for squarings in range(_SQUARINGS + 1, _MAX_SQUARINGS + 1):
+        if not b.size:
+            break
+        h = h @ h
+        keep = _may_attain(_power_bound(h, squarings), floor2[b])
+        b, c, r, h = b[keep], c[keep], r[keep], h[keep]
+    return b, c, r
 
 
 def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, floor=None) -> np.ndarray:
@@ -262,14 +296,14 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, f
     holds a norm per matrix already attained at the same k. For m >= 4,
     eigvalsh skips the blocks whose ``_power_bound`` cannot reach it: the
     result never exceeds the class maximum and equals it wherever that
-    maximum is above ``floor``. Without ``floor`` no block is skipped.
+    maximum is above ``floor``. Without ``floor`` no bound is taken and
+    every block goes to eigvalsh.
     """
     if m > n:
         u3, m, n = np.swapaxes(u3, 1, 2), n, m
     batch, dim = u3.shape[0], u3.shape[1]
     if rows is None:
         rows = _combinations(dim, m)
-    floor2 = np.zeros(batch) if floor is None else np.square(floor)
     ncols = math.comb(dim, n)
     pos = _triu(dim)[2]
     ti, tj, _ = _triu(m)
@@ -294,9 +328,12 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, f
                 best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
             else:
                 # eigvalsh at once on the blocks whose bound may reach the floor
-                ub = _power_bound(src[:, :, hidx[r0 : r0 + rstep]])
-                b, c, r = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
-                np.maximum.at(best, b0 + b, _top_eig_eigvalsh(re[b, idx[:, r], c], im[b, idx[:, r], c], m))
+                if floor is None:
+                    b, c, r = np.indices((re.shape[0], ncols, idx.shape[1])).reshape(3, -1)
+                else:
+                    b, c, r = _survivors(src[:, :, hidx[r0 : r0 + rstep]], np.square(floor[chunk]))
+                if b.size:
+                    np.maximum.at(best, b0 + b, _top_eig_eigvalsh(re[b, idx[:, r], c], im[b, idx[:, r], c], m))
     return np.sqrt(best)
 
 

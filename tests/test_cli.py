@@ -367,9 +367,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
     "Every command of tools/cli_digests.py exits 0 and reruns byte-identically."
     tool = _load_cli_digests()
     # bounds reports at N = 10 take most of a full pass
-    for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS"):
+    for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    assert len(first) == 26
+    assert len(first) == 27
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

@@ -180,6 +180,23 @@ def test_pruning_keeps_haar_s_bit_identical(monkeypatch):
         assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
+@pytest.mark.parametrize("u", [F(9), permutation_power(9, 1.0 / 3.0)], ids=["F9", "P9^(1/3)"])
+def test_pruning_keeps_tied_s_bit_identical(u, monkeypatch):
+    # exact ties through the (4, 5) class: many blocks pass every tier
+    assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
+
+
+def test_keep_test_gates_every_tier(monkeypatch):
+    """With every keep test failing, a pruned class evaluates no block."""
+    calls = []
+    monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.zeros(ub.shape, dtype=bool))
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda re, im, m: calls.append(m))
+    u = haar_unitary(9, RngSeed(SEED + 1150))
+    for m, n in ((4, 4), (4, 5), (5, 4)):
+        assert submatrices._block_max(u[None], m, n, floor=np.array([0.5]))[0] == 0.0
+    assert calls == []
+
+
 def test_pruning_keeps_a_rank_one_maximum():
     # a rank-1 block's bounds both meet its top eigenvalue, the tightest case
     # of the keep test; the unique maximum must survive it, also under a
@@ -208,6 +225,9 @@ def _hermitian_cases(m):
         "rank1": v @ v.conj().T,
         "double_top": spectrum(1.0, 1.0, *tail),
         "double_bottom": spectrum(1.0, *tail, tail[-1]),
+        # the smallest squared floor at N <= 12: a block must still pass
+        # every tier with lambda_max = 1/12
+        "top_1/12": spectrum(1.0 / 12.0, *(t / 12.0 for t in tail), 0.0),
     }
     for e in range(4, 11):
         cases[f"top_gap_1e-{e}"] = spectrum(1.0, 1.0 - 10.0**-e, *tail)
@@ -231,7 +251,7 @@ def _embeddings(h):
     return src[:, :, submatrices._embedding_index(submatrices._combinations(m, m), m)][0, :, 0]
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [4, 5, 6])
 def test_power_bound_caps_eigvalsh(m):
     rng = np.random.default_rng(SEED + m)
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -240,16 +260,37 @@ def test_power_bound_caps_eigvalsh(m):
     h = np.array(list(cases.values()), dtype=complex)
     emb = _embeddings(h)
     assert np.array_equal(emb, np.block([[h.real, -h.imag], [h.imag, h.real]]))
-    ub = submatrices._power_bound(emb)
     top = np.linalg.eigvalsh(h)[:, -1]
-    # ub is an exact bound in real arithmetic and may miss by rounding; half
-    # the slack keeps the attaining block in the class
-    assert np.all(top <= ub * (1.0 + PRUNE_SLACK / 2)), dict(zip(cases, top - ub))
-    assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
-    # a NaN Gram has a NaN bound, and the keep test keeps it
+    # a NaN Gram has a NaN bound at every tier, and the keep test keeps it
     h[0, 0, 1], h[0, 1, 0] = np.nan, np.nan
-    ub = submatrices._power_bound(_embeddings(h[:1]))
-    assert np.isnan(ub[0]) and submatrices._may_attain(ub[0], 0.5)
+    nan_emb = _embeddings(h[:1])
+    hp, nan_hp = emb, nan_emb
+    for squarings in range(1, submatrices._MAX_SQUARINGS + 1):
+        hp, nan_hp = hp @ hp, nan_hp @ nan_hp
+        if squarings < submatrices._SQUARINGS:
+            continue
+        ub = submatrices._power_bound(hp, squarings)
+        # ub is an exact bound in real arithmetic and may miss by rounding;
+        # half the slack keeps the attaining block in the class
+        assert np.all(top <= ub * (1.0 + PRUNE_SLACK / 2)), (squarings, dict(zip(cases, top - ub)))
+        assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
+        nan_ub = submatrices._power_bound(nan_hp, squarings)
+        assert np.isnan(nan_ub[0]) and submatrices._may_attain(nan_ub[0], 0.5)
+        if squarings == submatrices._SQUARINGS:
+            first = ub
+    # all tiers together: a block passes at a floor at or below its top
+    # eigenvalue, the NaN block at any floor, the zero block at none
+    stack = np.concatenate([nan_emb, emb])[None, None]
+    for floor2 in (0.5, 1.0 / 12.0):
+        b, c, r = submatrices._survivors(stack, np.array([floor2]))
+        assert not b.any() and not c.any()
+        must = {0} | {1 + i for i in np.flatnonzero(top >= floor2)}
+        assert must <= set(r) and 1 + list(cases).index("zero") not in r
+    # the later tiers prune what the first keeps: a double top eigenvalue 0.8
+    # has ub = 0.8 * 2^(1/16) = 0.836 at H^8 but 0.8 * 2^(1/128) = 0.804 at H^64
+    double = list(cases).index("double_top")
+    assert submatrices._may_attain(0.8 * first[double], 0.816)
+    assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816]))[0].size
 
 
 def test_chunking_is_bit_identical(monkeypatch):

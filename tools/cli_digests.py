@@ -29,6 +29,8 @@ from eub.matrices import generator
 HAAR_DIMS = tuple(range(3, 12))
 FOURIER_DIMS = (4, 6, 8, 9, 10)
 PERM_HALF_DIMS = (6, 8, 9, 10, 11)
+# P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
+PERM_THIRD_DIMS = (9, 10)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
 
 
@@ -37,6 +39,7 @@ def write_inputs(workdir: str) -> list:
     mats = [(f"haar{n}", eub.haar_unitary(n, eub.RngSeed(1000 + n))) for n in HAAR_DIMS]
     mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in FOURIER_DIMS]
     mats += [(f"perm_half{n}", eub.permutation_power(n, 0.5)) for n in PERM_HALF_DIMS]
+    mats += [(f"perm_third{n}", eub.permutation_power(n, 1.0 / 3.0)) for n in PERM_THIRD_DIMS]
     paths = []
     for name, m in mats:
         paths.append(os.path.join(workdir, name + ".json"))
