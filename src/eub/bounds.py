@@ -118,9 +118,11 @@ def bound_ladder(u: np.ndarray, alpha, allow_large: bool = False) -> BoundReport
     """Evaluate the full bound report for one unitary and one order.
 
     ladder[k-1] = H_alpha(Q^(k)); the closed-form bounds are filled from
-    c = s_1 so every number in the report shares one s computation.
+    c = s_1 so every number in the report shares one s computation. The
+    order is checked before s is computed.
     """
-    return ladder_from_coefficients(s_coefficients(u, allow_large=allow_large), alpha)
+    a = _check_order(alpha)
+    return ladder_from_coefficients(s_coefficients(u, allow_large=allow_large), a)
 
 
 def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha) -> float:

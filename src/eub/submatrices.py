@@ -13,30 +13,34 @@ those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
 in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
 fallback near a double top eigenvalue), larger ones by eigvalsh.
 
+The kernel works on squared norms lambda = sigma^2: each class yields
+its largest block-Gram top eigenvalue (a strip, its largest sum of squared
+moduli), and s_k = sqrt(max lambda) is taken once per k; sqrt is monotone
+and correctly rounded, so that is the largest norm.
+
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
 class's maximum is used, in one pass over sub-chunks of row sets. Each
 block Gram G = A + iB is bounded from the traces of powers of its real
 embedding H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue
 twice: ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p, and
-falls towards it as p grows. The bound is tested in tiers. The first
-squares H three times and keeps the blocks whose ub at p = 8 reaches the
-floor within PRUNE_SLACK; a NaN bound is kept. Only those survivors are
-squared again, and the same test runs after each squaring up to p = 64,
-each tier on the survivors of the last. eigvalsh runs on the blocks that
-pass every tier, and not at all when none do. The floor of a matrix is
-the square of the exact maximum already found for the same k (strips and
-smaller classes run first), so it is known before the class starts and
-nothing is stored between sub-chunks. This leaves s bit-identical:
-eigvalsh works on one matrix at a time, so a surviving block gets the
-same value as without pruning, and a block whose top eigenvalue is above
-the floor has ub >= lambda_max > floor at every tier, up to rounding far
-below PRUNE_SLACK, so it always survives. The floor enters only that
-test, never the returned maximum.
+falls towards it as p grows. One loop squares H; from p = 8 on, each
+squaring is followed by a test that keeps the blocks whose ub reaches the
+floor within PRUNE_SLACK (a NaN bound is kept), and only those are
+squared again, up to p = 64. eigvalsh runs on the blocks that pass every
+tier, and not at all when none do. The floor of a matrix is the exact
+maximum lambda already found for the same k (strips and smaller classes
+run first), so it is known before the class starts and nothing is stored
+between sub-chunks; a zero floor keeps every block. This leaves s
+bit-identical: eigvalsh works on one matrix at a time, so a surviving
+block gets the same value as without pruning, and a block whose top
+eigenvalue is above the floor has ub >= lambda_max > floor at every
+tier, up to rounding far below PRUNE_SLACK, so it always survives. The
+floor enters only that test, never the returned maximum.
 
 Nothing in the bound overflows or underflows where it matters. The
 entries of H^p are at most lambda_max^p <= 1, since G is the Gram of a
 block of a unitary. A block that can reach the floor has lambda_max >=
-floor^2 >= 1/N (each row of a unitary has an entry of modulus at least
+floor >= 1/N (each row of a unitary has an entry of modulus at least
 1/sqrt(N)), so tr H^(2p) >= lambda_max^128 >= N^-128 at p = 64, a normal
 double for N <= 250. Smaller terms round to subnormals with an absolute
 error below 1e-323, far below such a trace.
@@ -120,7 +124,7 @@ def max_norm_over_shape(u: np.ndarray, m: int, n: int) -> float:
 
 def _row_col_cumsums(u3: np.ndarray):
     # Descending cumulative sums of squared moduli along rows and columns;
-    # the norm of a 1 x n strip is the root of the top-n row entries.
+    # the squared norm of a 1 x n strip is the sum of the top-n row entries.
     absq = np.abs(u3) ** 2
     row_cum = np.cumsum(np.sort(absq, axis=2)[:, :, ::-1], axis=2)
     col_cum = np.cumsum(np.sort(absq.transpose(0, 2, 1), axis=2)[:, :, ::-1], axis=2)
@@ -267,37 +271,38 @@ def _survivors(h: np.ndarray, floor2: np.ndarray):
     """Indices (b, c, r) of the blocks whose bound may reach the floor at every tier.
 
     ``h`` holds the real embeddings, shape (batch, columns, row sets, 2m, 2m),
-    and ``floor2`` the squared floor of each matrix. The first test is at
-    H^(2^_SQUARINGS); each later squaring runs on the survivors of the last
-    test only, up to H^(2^_MAX_SQUARINGS).
+    and ``floor2`` the floor of each matrix, a squared norm. One loop
+    squares H up to H^(2^_MAX_SQUARINGS); from H^(2^_SQUARINGS) on, each
+    squaring is followed by the keep test, and only the blocks that pass
+    it are squared again.
     """
-    for _ in range(_SQUARINGS):
+    shape = h.shape[:3]
+    per_matrix = shape[1] * shape[2]
+    h = h.reshape((-1,) + h.shape[3:])
+    alive = np.arange(h.shape[0])
+    for squarings in range(1, _MAX_SQUARINGS + 1):
         h = h @ h
-    b, c, r = np.nonzero(_may_attain(_power_bound(h, _SQUARINGS), floor2[:, None, None]))
-    h = h[b, c, r]
-    for squarings in range(_SQUARINGS + 1, _MAX_SQUARINGS + 1):
-        if not b.size:
-            break
-        h = h @ h
-        keep = _may_attain(_power_bound(h, squarings), floor2[b])
-        b, c, r, h = b[keep], c[keep], r[keep], h[keep]
-    return b, c, r
+        if squarings >= _SQUARINGS:
+            keep = _may_attain(_power_bound(h, squarings), floor2[alive // per_matrix])
+            alive, h = alive[keep], h[keep]
+            if not alive.size:
+                break
+    return np.unravel_index(alive, shape)
 
 
-def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, floor=None) -> np.ndarray:
-    """Max spectral norm over m x n blocks for a stack of matrices.
+def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Max top eigenvalue of the block Grams, lambda = sigma^2, over m x n blocks.
 
     min(m, n) >= 2 required; m > n is taken on the transposes. The Gram of
     block (R, C) is the principal submatrix at R of the N x N Gram of the
     column set C (see ``_column_grams``), and its top eigenvalue is taken in
     closed form for m = 2 and 3, and by eigvalsh above. ``rows`` restricts
     the row selections of an m <= n shape (used by the complement
-    reduction); columns always range over all C(N, n) subsets. ``floor``
-    holds a norm per matrix already attained at the same k. For m >= 4,
-    eigvalsh skips the blocks whose ``_power_bound`` cannot reach it: the
-    result never exceeds the class maximum and equals it wherever that
-    maximum is above ``floor``. Without ``floor`` no bound is taken and
-    every block goes to eigvalsh.
+    reduction); columns always range over all C(N, n) subsets. ``floor2``
+    holds a squared norm per matrix already attained at the same k. For
+    m >= 4, eigvalsh skips the blocks whose ``_power_bound`` cannot reach
+    it: the result never exceeds the class maximum and equals it wherever
+    that maximum is above ``floor2``. A zero floor keeps every block.
     """
     if m > n:
         u3, m, n = np.swapaxes(u3, 1, 2), n, m
@@ -328,22 +333,10 @@ def _block_max(u3: np.ndarray, m: int, n: int, rows: np.ndarray | None = None, f
                 best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
             else:
                 # eigvalsh at once on the blocks whose bound may reach the floor
-                if floor is None:
-                    b, c, r = np.indices((re.shape[0], ncols, idx.shape[1])).reshape(3, -1)
-                else:
-                    b, c, r = _survivors(src[:, :, hidx[r0 : r0 + rstep]], np.square(floor[chunk]))
+                b, c, r = _survivors(src[:, :, hidx[r0 : r0 + rstep]], floor2[chunk])
                 if b.size:
                     np.maximum.at(best, b0 + b, _top_eig_eigvalsh(re[b, idx[:, r], c], im[b, idx[:, r], c], m))
-    return np.sqrt(best)
-
-
-def _shape_max(u3, m, n, row_cum, col_cum, floor) -> np.ndarray:
-    # Vector strips reduce to sorted cumulative sums; blocks need Grams.
-    if m == 1:
-        return np.sqrt(row_cum[:, :, n - 1].max(axis=1))
-    if n == 1:
-        return np.sqrt(col_cum[:, :, m - 1].max(axis=1))
-    return _block_max(u3, m, n, floor=floor)
+    return best
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
@@ -413,20 +406,21 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     s = np.zeros((batch, dim))
     s[:, dim - 1] = 1.0
     for k in range(1, dim):
+        # best holds squared norms. Strips and closed-form classes run
+        # first: their maximum is the floor that lets the m >= 4 classes skip
+        # most of their blocks. Class N runs m <= n only (the complements).
         best = np.zeros(batch)
-        # strips and closed-form classes first: their maximum is the floor
-        # that lets the m >= 4 classes skip most of their blocks
-        shapes = sorted(((m, k + 1 - m) for m in range(max(1, k + 1 - dim), min(k, dim) + 1)), key=min)
-        for m, n in shapes:
-            if k + 1 == dim:
-                if m > n:
-                    continue  # complement of the (n, m) pass
-                if m == n and m >= 2:
-                    # self-complementary shape: row sets containing index 0
-                    # meet every complementary pair exactly once
-                    half = np.insert(_combinations(dim - 1, m - 1) + 1, 0, 0, axis=1)
-                    best = np.maximum(best, _block_max(u_batch, m, n, rows=half, floor=best))
-                    continue
-            best = np.maximum(best, _shape_max(u_batch, m, n, row_cum, col_cum, best))
-        s[:, k - 1] = best
+        for m, n in sorted(((m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1), key=min):
+            if m == 1:
+                lam = row_cum[:, :, n - 1].max(axis=1)
+            elif n == 1:
+                lam = col_cum[:, :, m - 1].max(axis=1)
+            else:
+                # self-complementary shape: row sets containing index 0
+                # meet every complementary pair exactly once
+                half = m == n and k + 1 == dim
+                rows = np.insert(_combinations(dim - 1, m - 1) + 1, 0, 0, axis=1) if half else None
+                lam = _block_max(u_batch, m, n, best, rows)
+            best = np.maximum(best, lam)
+        s[:, k - 1] = np.sqrt(best)
     return _finalize(s)

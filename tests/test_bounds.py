@@ -120,6 +120,17 @@ def test_ladder_rejects_bad_order_at_every_n(alpha):
             bound_ladder(u, alpha)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), -1.0, -math.inf])
+def test_ladder_checks_order_before_s(alpha, monkeypatch):
+    # a bad order is refused before the s chain, the costly step, is computed
+    def no_s(*args, **kwargs):
+        raise AssertionError("s_coefficients called before the order check")
+
+    monkeypatch.setattr("eub.bounds.s_coefficients", no_s)
+    with pytest.raises(ValueError, match="entropy order"):
+        bound_ladder(fourier_matrix(11), alpha)
+
+
 def test_bound_report_json():
     rep = bound_ladder(fourier_matrix(2), math.inf)
     obj = rep.to_json()

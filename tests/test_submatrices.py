@@ -169,7 +169,8 @@ def _unpruned_s(u, monkeypatch):
 def test_structured_pruned_classes(name, monkeypatch):
     """Degenerate Grams through the pruned classes: oracle and unpruned agreement."""
     u = STRUCTURED_8[name]
-    assert submatrices._block_max(u[None], 4, 4)[0] == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
+    top = math.sqrt(submatrices._block_max(u[None], 4, 4, np.zeros(1))[0])
+    assert top == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
@@ -193,8 +194,60 @@ def test_keep_test_gates_every_tier(monkeypatch):
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda re, im, m: calls.append(m))
     u = haar_unitary(9, RngSeed(SEED + 1150))
     for m, n in ((4, 4), (4, 5), (5, 4)):
-        assert submatrices._block_max(u[None], m, n, floor=np.array([0.5]))[0] == 0.0
+        assert submatrices._block_max(u[None], m, n, np.zeros(1))[0] == 0.0
     assert calls == []
+
+
+@pytest.mark.parametrize("u", [haar_unitary(9, RngSeed(SEED + 1170)), F(9)], ids=["haar9", "F9"])
+def test_floor_is_a_squared_norm(u, monkeypatch):
+    """A zero floor sends every block of a pruned class to eigvalsh; a floor
+    lambda prunes every block whose top eigenvalue the bound puts below it."""
+    seen = []
+    top_eig = submatrices._top_eig_eigvalsh
+
+    def spy(re, im, m):
+        lam = top_eig(re, im, m)
+        seen.append(lam.ravel())
+        return lam
+
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
+    for m, n in ((4, 4), (4, 5), (5, 4)):
+        seen.clear()
+        top = submatrices._block_max(u[None], m, n, np.zeros(1))[0]
+        lam = np.concatenate(seen)
+        assert lam.size == math.comb(9, m) * math.comb(9, n)
+        assert math.sqrt(top) == pytest.approx(max_norm_over_shape(u, m, n), abs=1e-12)
+        # a 4 x 4 Gram has ub <= lambda_max * 4^(1/128) at H^64, the last tier
+        floor2 = 0.9 * top
+        reach = floor2 * (1.0 - 2 * PRUNE_SLACK) / 4.0 ** (1.0 / 2 ** (submatrices._MAX_SQUARINGS + 1))
+        seen.clear()
+        assert submatrices._block_max(u[None], m, n, np.array([floor2]))[0] == top
+        assert sum(x.size for x in seen) <= np.count_nonzero(lam >= reach)
+
+
+@pytest.mark.parametrize("dim", [8, 9])
+def test_class_loop_runs_each_block_shape_once(dim, monkeypatch):
+    """Classes below N run every block shape; class N runs m <= n only."""
+    calls = []
+    block_max = submatrices._block_max
+
+    def spy(u3, m, n, floor2, rows=None):
+        calls.append((m, n, rows))
+        return block_max(u3, m, n, floor2, rows)
+
+    monkeypatch.setattr(submatrices, "_block_max", spy)
+    s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
+    shapes = {(m, n): rows for m, n, rows in calls}
+    below = [(m, k - m) for k in range(4, dim) for m in range(2, k - 1)]
+    at_n = [(m, dim - m) for m in range(2, dim // 2 + 1)]
+    assert len(calls) == len(shapes) and sorted(shapes) == sorted(below + at_n)
+    if dim == 8:
+        # the self-complementary shape runs the row sets containing index 0,
+        # one of each complementary pair; every other shape runs all
+        half = shapes.pop((4, 4))
+        assert half.shape == (math.comb(7, 3), 4) and np.all(half[:, 0] == 0)
+        assert len({tuple(r) for r in half}) == half.shape[0]
+    assert all(rows is None for rows in shapes.values())
 
 
 def test_pruning_keeps_a_rank_one_maximum():
@@ -205,9 +258,9 @@ def test_pruning_keeps_a_rank_one_maximum():
     x, y = haar_unitary(4, RngSeed(SEED + 1200))[:, 0], haar_unitary(4, RngSeed(SEED + 1201))[0]
     u[:4, :4] = 0.9 * np.outer(x, y)
     u[4:, 4:] = 0.3 * haar_unitary(4, RngSeed(SEED + 1202))
-    top = submatrices._block_max(u[None], 4, 4)[0]
-    assert top == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
-    assert submatrices._block_max(u[None], 4, 4, floor=np.array([0.95 * top]))[0] == top
+    top = submatrices._block_max(u[None], 4, 4, np.zeros(1))[0]
+    assert math.sqrt(top) == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
+    assert submatrices._block_max(u[None], 4, 4, np.array([0.95 * top]))[0] == top
 
 
 def _hermitian_cases(m):
