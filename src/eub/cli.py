@@ -143,7 +143,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_FAMILY_RE = re.compile(r"perm_power[:(](\d+)\)?$")
+_FAMILY_RE = re.compile(r"perm_power(?::(\d+)|\((\d+)\))")
 
 
 def _parse_family(token: str):
@@ -151,9 +151,9 @@ def _parse_family(token: str):
         return rotation_matrix
     m = _FAMILY_RE.fullmatch(token)
     if m:
-        n = int(m.group(1))
+        n = int(m.group(1) or m.group(2))
         return lambda beta: permutation_power(n, beta)
-    raise ValueError(f"unknown family {token!r}; expected rotation or perm_power:N")
+    raise ValueError(f"unknown family {token!r}; expected rotation, perm_power:N or perm_power(N)")
 
 
 def _parse_range(token: str):
@@ -486,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="bound curves along a matrix family")
-    p.add_argument("--family", required=True, help="rotation or perm_power:N")
+    p.add_argument("--family", required=True, help="rotation, perm_power:N or perm_power(N)")
     p.add_argument("--range", required=True, help="parameter range lo:hi")
     p.add_argument("--steps", type=int, required=True, help="inclusive grid point count")
     p.add_argument("--alpha", action="append", help="entropy order (repeatable; default 1)")

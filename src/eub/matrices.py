@@ -323,7 +323,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"matrix json missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # bool is an int subclass; JSON true/false are not dimensions
+    if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (rows, cols)):
         raise ValueError("rows and cols must be positive integers")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)

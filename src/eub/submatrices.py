@@ -19,23 +19,25 @@ moduli), and s_k = sqrt(max lambda) is taken once per k; sqrt is monotone
 and correctly rounded, so that is the largest norm.
 
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
-class's maximum is used, in one pass over sub-chunks of row sets. Each
-block Gram G = A + iB is bounded from the traces of powers of its real
-embedding H = [[A, -B], [B, A]], whose spectrum is G's, each eigenvalue
-twice: ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p, and
-falls towards it as p grows. One loop squares H; from p = 8 on, each
+class's maximum is used, in one pass over sub-chunks of row sets. A block
+is held only as the real embedding H = [[A, -B], [B, A]] of its Gram
+G = A + iB, gathered once by np.take; H's spectrum is G's, each eigenvalue
+twice, so ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p,
+and falls towards it as p grows. One loop squares H; from p = 8 on, each
 squaring is followed by a test that keeps the blocks whose ub reaches the
-floor within PRUNE_SLACK (a NaN bound is kept), and only those are
-squared again, up to p = 64. eigvalsh runs on the blocks that pass every
-tier, and not at all when none do. The floor of a matrix is the exact
-maximum lambda already found for the same k (strips and smaller classes
-run first), so it is known before the class starts and nothing is stored
-between sub-chunks; a zero floor keeps every block. This leaves s
+floor within PRUNE_SLACK (a NaN bound is kept), and only those are squared
+again, up to p = 64. eigvalsh runs on the blocks that pass every tier, if
+any, on G read back from H: A = H[:m, :m], and B = H[m:, :m] holds the
+column Gram's own imaginary parts above the diagonal, so the triangle
+eigvalsh reads is the Gram's, bit for bit. The floor of a matrix is the
+exact maximum lambda already found for the same k (strips and smaller
+classes run first), so it is known before the class starts and nothing is
+stored between sub-chunks; a zero floor keeps every block. This leaves s
 bit-identical: eigvalsh works on one matrix at a time, so a surviving
 block gets the same value as without pruning, and a block whose top
-eigenvalue is above the floor has ub >= lambda_max > floor at every
-tier, up to rounding far below PRUNE_SLACK, so it always survives. The
-floor enters only that test, never the returned maximum.
+eigenvalue is above the floor has ub >= lambda_max > floor at every tier,
+up to rounding far below PRUNE_SLACK, so it always survives. The floor
+enters only that test, never the returned maximum.
 
 Nothing in the bound overflows or underflows where it matters. The
 entries of H^p are at most lambda_max^p <= 1, since G is the Gram of a
@@ -206,28 +208,25 @@ def _top_eig_3x3(re, im):
     # as 1/sqrt(1 + r); p = 0 (G = qI) gives r = NaN, which fails the test too.
     bad = ~(r > CARDANO_MIN_GAP - 1.0)
     if bad.any():
-        lam[bad] = _top_eig_eigvalsh(re[:, bad], im[:, bad], 3)
+        ti, tj, _ = _triu(3)
+        g = np.zeros((np.count_nonzero(bad), 3, 3), dtype=complex)
+        g.real[:, ti, tj], g.imag[:, ti, tj] = re[:, bad].T, im[:, bad].T
+        lam[bad] = _top_eig_eigvalsh(g)
     return lam
 
 
-def _top_eig_eigvalsh(re, im, m):
-    # Largest eigenvalue of m x m Hermitian matrices given as the real and
-    # imaginary parts of their upper triangles: axis 0 runs over the entries
-    # in ``_triu(m)`` order, the other axes over the matrices.
-    ti, tj, _ = _triu(m)
-    h = np.zeros(re[0].shape + (m, m), dtype=complex)
-    for t in range(ti.size):
-        h.real[..., ti[t], tj[t]] = re[t]
-        h.imag[..., ti[t], tj[t]] = im[t]
-    return np.linalg.eigvalsh(h, UPLO="U")[..., -1]
+def _top_eig_eigvalsh(g):
+    # The kernel's one eigvalsh: top eigenvalues of Hermitian matrices from their
+    # upper triangles (G read back from H, or Cardano's fallback via _triu(3)).
+    return np.linalg.eigvalsh(g, UPLO="U")[..., -1]
 
 
 def _embedding(re, im):
     """Column Grams laid out for ``_embedding_index``: [re; im; -im; 0].
 
     Takes the ``_column_grams`` output, shape (batch, pairs, columns), and
-    returns shape (batch, columns, 3 * pairs + 1), so that a gather along
-    the last axis gives C-contiguous matrices.
+    returns shape (batch, columns, 3 * pairs + 1): ``np.take`` along the last
+    axis gathers the embeddings C-contiguous, so reshaping them is a view.
     """
     zero = np.zeros(re.shape[:-2] + (1, re.shape[-1]))
     return np.ascontiguousarray(np.concatenate([re, im, -im, zero], axis=-2).swapaxes(-1, -2))
@@ -246,8 +245,7 @@ def _embedding_index(rows: np.ndarray, dim: int) -> np.ndarray:
     # B = Im G is im above the diagonal, -im below it and 0 on it
     above, below = i < j, i > j
     b = np.select([above, below], [npairs + pair, 2 * npairs + pair], 3 * npairs)
-    neg_b = np.select([above, below], [2 * npairs + pair, npairs + pair], 3 * npairs)
-    return np.block([[pair, neg_b], [b, pair]])
+    return np.block([[pair, b.swapaxes(1, 2)], [b, pair]])  # -B = B^T
 
 
 def _power_bound(hp: np.ndarray, squarings: int) -> np.ndarray:
@@ -267,17 +265,16 @@ def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return ~(ub < thr * (1.0 - PRUNE_SLACK))
 
 
-def _survivors(h: np.ndarray, floor2: np.ndarray):
-    """Indices (b, c, r) of the blocks whose bound may reach the floor at every tier.
+def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
+    """Flat indices of the blocks whose bound may reach the floor at every tier.
 
-    ``h`` holds the real embeddings, shape (batch, columns, row sets, 2m, 2m),
-    and ``floor2`` the floor of each matrix, a squared norm. One loop
-    squares H up to H^(2^_MAX_SQUARINGS); from H^(2^_SQUARINGS) on, each
-    squaring is followed by the keep test, and only the blocks that pass
-    it are squared again.
+    ``h`` holds the gathered embeddings, shape (batch, columns, row sets, 2m,
+    2m), and ``floor2`` each matrix's floor, a squared norm. Index i is block
+    i of ``h.reshape(-1, 2m, 2m)``, of matrix i // (columns * row sets). One
+    loop squares H; from H^(2^_SQUARINGS) on, each squaring is followed by the
+    keep test, and only the blocks that pass it go on, to H^(2^_MAX_SQUARINGS).
     """
-    shape = h.shape[:3]
-    per_matrix = shape[1] * shape[2]
+    per_matrix = h.shape[1] * h.shape[2]
     h = h.reshape((-1,) + h.shape[3:])
     alive = np.arange(h.shape[0])
     for squarings in range(1, _MAX_SQUARINGS + 1):
@@ -287,7 +284,7 @@ def _survivors(h: np.ndarray, floor2: np.ndarray):
             alive, h = alive[keep], h[keep]
             if not alive.size:
                 break
-    return np.unravel_index(alive, shape)
+    return alive
 
 
 def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -310,12 +307,12 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     if rows is None:
         rows = _combinations(dim, m)
     ncols = math.comb(dim, n)
-    pos = _triu(dim)[2]
-    ti, tj, _ = _triu(m)
-    # Pair positions of each row set's upper triangle: entries x row sets.
-    entries = pos[rows[:, ti], rows[:, tj]].T
-    top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     hidx = _embedding_index(rows, dim) if m >= 4 else None
+    if hidx is None:
+        # Pair positions of each row set's upper triangle: entries x row sets.
+        ti, tj, _ = _triu(m)
+        entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
+        top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # elements a block holds in a row sub-chunk: its Gram entries for the
     # closed forms, H and its powers (4 m^2 each) for the power bound
     width = m * m if hidx is None else 16 * m * m
@@ -327,15 +324,18 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         src = None if hidx is None else _embedding(re, im)
         rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * width))
         for r0 in range(0, rows.shape[0], rstep):
-            idx = entries[:, r0 : r0 + rstep]
             if hidx is None:
+                idx = entries[:, r0 : r0 + rstep]
                 lam = top(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1))
                 best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
-            else:
-                # eigvalsh at once on the blocks whose bound may reach the floor
-                b, c, r = _survivors(src[:, :, hidx[r0 : r0 + rstep]], floor2[chunk])
-                if b.size:
-                    np.maximum.at(best, b0 + b, _top_eig_eigvalsh(re[b, idx[:, r], c], im[b, idx[:, r], c], m))
+                continue
+            h = np.take(src, hidx[r0 : r0 + rstep], axis=2)
+            alive = _survivors(h, floor2[chunk])
+            if alive.size:
+                kept = h.reshape(-1, 2 * m, 2 * m)[alive]
+                g = np.empty((alive.size, m, m), dtype=complex)
+                g.real, g.imag = kept[:, :m, :m], kept[:, m:, :m]
+                np.maximum.at(best, b0 + alive // (ncols * h.shape[2]), _top_eig_eigvalsh(g))
     return best
 
 

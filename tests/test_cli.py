@@ -137,6 +137,13 @@ def test_sweep_rejects_unknown_family(capsys):
     assert "family" in err
 
 
+@pytest.mark.parametrize("family", ["perm_power(6", "perm_power:6)"])
+def test_sweep_rejects_unbalanced_family(family, capsys):
+    code, out, err = run(capsys, "sweep", "--family", family, "--range", "0:1", "--steps", "3")
+    assert code == 2 and out == ""
+    assert "family" in err
+
+
 def test_sweep_rejects_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--family", "rotation", "--range", "1:1", "--steps", "3")
     assert code == 2
@@ -370,6 +377,8 @@ def test_cli_digests_rerun_identical(monkeypatch):
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    assert len(first) == 27
+    # 15 bounds inputs, 12 lines for the other commands and their CSVs, and
+    # 3 for the n = 8 ensembles, which run the pruned classes batched
+    assert len(first) == 30
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

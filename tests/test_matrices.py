@@ -164,6 +164,10 @@ def test_matrix_json_rejects_bad_payloads(tmp_path):
         del bad[key]
         with pytest.raises(ValueError):
             matrix_from_json(bad)
+    # JSON booleans are ints to Python, but not dimensions
+    for rows, cols in ((True, True), (True, 1), (2, True), (False, 2)):
+        with pytest.raises(ValueError, match="rows and cols must be positive integers"):
+            matrix_from_json({"rows": rows, "cols": cols, "re": [[1.0]], "im": [[0.0]]})
     bad = dict(good)
     bad["re"] = [[1.0, 0.0]]  # shape disagrees with rows
     with pytest.raises(ValueError):

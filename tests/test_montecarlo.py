@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import eub.montecarlo as montecarlo
 from eub import RngSeed, beat_rate, bound_gap_stats, majorization_fuzz
+from eub.cli import main
 from eub.matrices import _haar_from_ginibre, philox_key
 
 SEED = 1717
@@ -101,6 +103,30 @@ def test_majorization_fuzz_clean():
         obj = rep.to_json()
         assert obj["violations"] == 0
         assert obj["n"] == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_majorization_fuzz_counts_violations(n, monkeypatch, capsys):
+    """Pairs the check must reject are all counted, with the exact slack,
+    and ``eub fuzz`` exits 1 with its report on stdout.
+
+    Identity unitaries and basis states give p (x) q = e0 (x) e0, whose first
+    partial sum is 1; against a uniform Q, whose first is 1/n, every pair
+    falls short by 1 - 1/n."""
+
+    def identity_batch(n, rng, start, count, with_state):
+        psi = np.zeros((count, n), dtype=complex)
+        psi[:, 0] = 1.0
+        return np.broadcast_to(np.eye(n, dtype=complex), (count, n, n)).copy(), psi
+
+    monkeypatch.setattr(montecarlo, "_haar_batch", identity_batch)
+    monkeypatch.setattr(montecarlo, "_q_rows", lambda s, k: np.full((len(s), k + 1), 1.0 / (k + 1)))
+    rep = majorization_fuzz(n, 40, RngSeed(SEED))
+    assert rep.violations == rep.pairs == 40
+    assert rep.worst_slack == pytest.approx(1.0 / n - 1.0, abs=1e-15)
+    assert main(["fuzz", "--n", str(n), "--pairs", "40"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["violations"] == obj["pairs"] == 40 and obj["worst_slack"] == rep.worst_slack
 
 
 def test_majorization_fuzz_reproducible():

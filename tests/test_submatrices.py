@@ -191,7 +191,7 @@ def test_keep_test_gates_every_tier(monkeypatch):
     """With every keep test failing, a pruned class evaluates no block."""
     calls = []
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.zeros(ub.shape, dtype=bool))
-    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda re, im, m: calls.append(m))
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda g: calls.append(g.shape))
     u = haar_unitary(9, RngSeed(SEED + 1150))
     for m, n in ((4, 4), (4, 5), (5, 4)):
         assert submatrices._block_max(u[None], m, n, np.zeros(1))[0] == 0.0
@@ -205,8 +205,8 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
     seen = []
     top_eig = submatrices._top_eig_eigvalsh
 
-    def spy(re, im, m):
-        lam = top_eig(re, im, m)
+    def spy(g):
+        lam = top_eig(g)
         seen.append(lam.ravel())
         return lam
 
@@ -223,6 +223,32 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
         seen.clear()
         assert submatrices._block_max(u[None], m, n, np.array([floor2]))[0] == top
         assert sum(x.size for x in seen) <= np.count_nonzero(lam >= reach)
+
+
+def test_embeddings_are_gathered_contiguous(monkeypatch):
+    """Each row sub-chunk's embeddings come out of the gather C-contiguous,
+    so flattening them is a view, and each is its block Gram's embedding."""
+    seen = []
+    survivors = submatrices._survivors
+
+    def spy(h, floor2):
+        seen.append(h)
+        return survivors(h, floor2)
+
+    monkeypatch.setattr(submatrices, "_survivors", spy)
+    batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(3)])
+    submatrices._block_max(batch, 4, 4, np.zeros(3))
+    combos = submatrices._combinations(8, 4)
+    r0 = 0
+    for h in seen:
+        assert h.flags.c_contiguous and h.shape[:2] == (3, len(combos))
+        assert np.shares_memory(h, h.reshape(-1, 8, 8))
+        for b, c, r in ((0, 0, 0), (2, len(combos) - 1, h.shape[2] - 1)):
+            x = batch[b][np.ix_(combos[r0 + r], combos[c])]
+            g = x @ x.conj().T
+            assert np.allclose(h[b, c, r], np.block([[g.real, -g.imag], [g.imag, g.real]]), rtol=0, atol=1e-14)
+        r0 += h.shape[2]
+    assert len(seen) > 1 and r0 == len(combos)
 
 
 @pytest.mark.parametrize("dim", [8, 9])
@@ -301,7 +327,7 @@ def _embeddings(h):
     m = h.shape[-1]
     ti, tj = np.triu_indices(m)
     src = submatrices._embedding(h[:, ti, tj].real.T[None], h[:, ti, tj].imag.T[None])
-    return src[:, :, submatrices._embedding_index(submatrices._combinations(m, m), m)][0, :, 0]
+    return np.take(src, submatrices._embedding_index(submatrices._combinations(m, m), m), axis=2)[0, :, 0]
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -332,18 +358,22 @@ def test_power_bound_caps_eigvalsh(m):
         if squarings == submatrices._SQUARINGS:
             first = ub
     # all tiers together: a block passes at a floor at or below its top
-    # eigenvalue, the NaN block at any floor, the zero block at none
-    stack = np.concatenate([nan_emb, emb])[None, None]
-    for floor2 in (0.5, 1.0 / 12.0):
-        b, c, r = submatrices._survivors(stack, np.array([floor2]))
-        assert not b.any() and not c.any()
+    # eigenvalue, the NaN block at any floor, the zero block at none; two
+    # matrices in one stack, each against its own floor
+    stack = np.concatenate([nan_emb, emb])
+    floors = np.array([0.5, 1.0 / 12.0])
+    alive = submatrices._survivors(np.stack([stack, stack])[:, None], floors)
+    kept = [{int(a) - i * len(stack) for a in alive if a // len(stack) == i} for i in range(2)]
+    for floor2, mine in zip(floors, kept):
         must = {0} | {1 + i for i in np.flatnonzero(top >= floor2)}
-        assert must <= set(r) and 1 + list(cases).index("zero") not in r
+        assert must <= mine and 1 + list(cases).index("zero") not in mine
+    low = 1 + list(cases).index("top_1/12")
+    assert low not in kept[0] and low in kept[1]
     # the later tiers prune what the first keeps: a double top eigenvalue 0.8
     # has ub = 0.8 * 2^(1/16) = 0.836 at H^8 but 0.8 * 2^(1/128) = 0.804 at H^64
     double = list(cases).index("double_top")
     assert submatrices._may_attain(0.8 * first[double], 0.816)
-    assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816]))[0].size
+    assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816])).size
 
 
 def test_chunking_is_bit_identical(monkeypatch):

@@ -32,6 +32,9 @@ PERM_HALF_DIMS = (6, 8, 9, 10, 11)
 # P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
 PERM_THIRD_DIMS = (9, 10)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
+# Ensembles through the pruned m >= 4 classes, where several matrices share
+# a row sub-chunk and each survivor maps back to its matrix
+PRUNED_ENSEMBLE_DIMS = (8,)
 
 
 def write_inputs(workdir: str) -> list:
@@ -74,6 +77,12 @@ def command_set(workdir: str) -> list:
         ["verify"],
         ["verify", "--seed", "18446744073709551615"],
     ]
+    for n in PRUNED_ENSEMBLE_DIMS:
+        commands += [
+            ["mc", "--n", str(n), "--samples", "200", "--seed", "3",
+             "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
+            ["fuzz", "--n", str(n), "--pairs", "200"],
+        ]
     return commands
 
 
