@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_order, check_probability_vector, clamp_negative, renyi_entropy
+from .entropy import _check_order, _order_json, check_probability_vector, clamp_negative, renyi_entropy
 from .matrices import ENTROPY_TOL, PROB_SUM_TOL, STATE_NORM_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
@@ -45,7 +45,7 @@ class BoundReport:
     def to_json(self) -> dict:
         return {
             "n": int(self.n),
-            "alpha": "inf" if math.isinf(self.alpha) else float(self.alpha),
+            "alpha": _order_json(self.alpha),
             "deutsch": float(self.b_deutsch),
             "mu": float(self.b_mu),
             "ladder": [float(v) for v in self.ladder],
@@ -79,20 +79,20 @@ def majorizing_vector(sc: SubmatrixCoefficients) -> MajorizingVector:
     return MajorizingVector(q_full=truncs[-1], truncations=truncs)
 
 
-def _max_entry_modulus(u: np.ndarray) -> float:
-    return float(np.abs(u).max())
+def _closed_forms(c: float) -> tuple:
+    # (-2 ln((1 + c) / 2), -2 ln c) for the largest entry modulus c; the
+    # ensembles keep their np.log forms, as the two logs need not round alike.
+    return -2.0 * math.log((1.0 + c) / 2.0) + 0.0, -2.0 * math.log(c) + 0.0
 
 
 def bound_deutsch(u: np.ndarray) -> float:
     """-2 ln((1 + c) / 2) with c the largest entry modulus of a unitary."""
-    u = require_unitary(u)
-    return -2.0 * math.log((1.0 + _max_entry_modulus(u)) / 2.0) + 0.0
+    return _closed_forms(float(np.abs(require_unitary(u)).max()))[0]
 
 
 def bound_mu(u: np.ndarray) -> float:
     """-2 ln c with c the largest entry modulus of a unitary."""
-    u = require_unitary(u)
-    return -2.0 * math.log(_max_entry_modulus(u)) + 0.0
+    return _closed_forms(float(np.abs(require_unitary(u)).max()))[1]
 
 
 def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
@@ -103,15 +103,9 @@ def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
     """
     a = _check_order(alpha)
     mv = majorizing_vector(sc)
-    c = float(sc.s[0])
     ladder = np.array([renyi_entropy(t, a) for t in mv.truncations])
-    return BoundReport(
-        n=sc.n,
-        alpha=a,
-        b_deutsch=-2.0 * math.log((1.0 + c) / 2.0) + 0.0,
-        b_mu=-2.0 * math.log(c) + 0.0,
-        ladder=ladder,
-    )
+    b_deutsch, b_mu = _closed_forms(float(sc.s[0]))
+    return BoundReport(n=sc.n, alpha=a, b_deutsch=b_deutsch, b_mu=b_mu, ladder=ladder)
 
 
 def bound_ladder(u: np.ndarray, alpha, allow_large: bool = False) -> BoundReport:
@@ -176,10 +170,11 @@ def _classical_entropies(t, p) -> tuple:
     return float(mixture), renyi_entropy(t @ p, 1.0), renyi_entropy(p, 1.0)
 
 
-def _mixture_inequalities_hold(lower: float, mid: float, h_p: float) -> bool:
-    # lower <= mid <= lower + h_p within ENTROPY_TOL, for the triple
-    # (mixture entropy, H(TP), H(P)) of _classical_entropies
-    return (lower - ENTROPY_TOL <= mid) and (mid <= lower + h_p + ENTROPY_TOL)
+def _classical_slacks(lower: float, mid: float, h_p: float, bound: float) -> tuple:
+    # Slacks of mixture <= H(TP), H(TP) <= mixture + H(P) and -ln kappa <=
+    # H(P) + H(TP), from _classical_entropies' (mixture, H(TP), H(P)) and
+    # bound = classical_bound(T); each holds when its slack is >= -ENTROPY_TOL.
+    return mid - lower, lower + h_p - mid, h_p + mid - bound
 
 
 def classical_mixture_entropy(t, p) -> float:
@@ -199,4 +194,4 @@ def slomczynski_check(t, p) -> bool:
     The column mixture entropy must not exceed H(TP), and H(TP) must not
     exceed the mixture entropy plus H(P).
     """
-    return _mixture_inequalities_hold(*_classical_entropies(t, p))
+    return min(_classical_slacks(*_classical_entropies(t, p), classical_bound(t))[:2]) >= -ENTROPY_TOL

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import (
     _classical_entropies,
-    _mixture_inequalities_hold,
+    _classical_slacks,
     bound_deutsch,
     bound_mu,
     classical_bound,
@@ -29,7 +29,7 @@ from .bounds import (
     ladder_from_coefficients,
     majorizing_vector,
 )
-from .entropy import _check_order, majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
+from .entropy import _check_order, _order_json, majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
 from .equivalence import random_transform, apply_transform
 from .extremal import (
     SubspacePair,
@@ -73,15 +73,14 @@ def _parse_alpha(token: str) -> float:
     return _check_order(a)
 
 
-def _fmt_alpha(a: float) -> str:
-    return "inf" if math.isinf(a) else repr(float(a))
-
-
 def _emit_all(outputs) -> None:
     # Writes every (path, text) pair, to stdout where path is None, or none
-    # of them: each file is opened, without truncation, before anything is
-    # written, and when one cannot be opened the files created so far are
-    # removed again, so an error leaves every destination as it was.
+    # of them: two paths naming one file are refused, every file is opened
+    # (without truncation) before any is written, and files created before a
+    # failed open are removed, so an error leaves every destination as it was.
+    real = [os.path.realpath(path) for path, _ in outputs if path is not None]
+    if len(set(real)) < len(real):
+        raise ValueError("two output destinations name the same file")
     opened = []
     try:
         for path, text in outputs:
@@ -181,7 +180,7 @@ def _cmd_sweep(args) -> int:
         sc = s_coefficients(build(t), allow_large=args.allow_large_n)
         for a in alphas:
             rep = ladder_from_coefficients(sc, a)
-            cells = [repr(t), _fmt_alpha(a), repr(rep.b_deutsch), repr(rep.b_mu)]
+            cells = [repr(t), str(_order_json(a)), repr(rep.b_deutsch), repr(rep.b_mu)]
             cells += [repr(float(v)) for v in rep.ladder]
             lines.append(",".join(cells))
     _emit_all(((args.output, "\n".join(lines) + "\n"),))
@@ -246,8 +245,9 @@ def _cmd_classical(args) -> int:
     if args.p is not None:
         p = np.array([float(tok) for tok in args.p.split(",")])
         mixture, out_entropy, p_entropy = _classical_entropies(t, p)
-        ok_pair = _mixture_inequalities_hold(mixture, out_entropy, p_entropy)
-        ok_bound = p_entropy + out_entropy >= bound - ENTROPY_TOL
+        slack_lower, slack_upper, slack_bound = _classical_slacks(mixture, out_entropy, p_entropy, bound)
+        ok_pair = min(slack_lower, slack_upper) >= -ENTROPY_TOL
+        ok_bound = slack_bound >= -ENTROPY_TOL
         obj.update(
             mixture_entropy=mixture,
             output_entropy=out_entropy,
@@ -262,8 +262,7 @@ def _cmd_classical(args) -> int:
     for _ in range(args.samples):
         p = g.exponential(size=t.shape[1])
         p /= p.sum()
-        lower, mid, h_p = _classical_entropies(t, p)
-        slacks.append((mid - lower, lower + h_p - mid, h_p + mid - bound))
+        slacks.append(_classical_slacks(*_classical_entropies(t, p), bound))
     worst_lower, worst_upper, worst_bound = (min(column) for column in zip(*slacks))
     all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
     obj.update(
@@ -402,10 +401,10 @@ def _verify_classical(seed: RngSeed):
         t /= t.sum(axis=0, keepdims=True)
         p = g.exponential(size=n)
         p /= p.sum()
-        mixture, out_entropy, p_entropy = _classical_entropies(t, p)
-        if not _mixture_inequalities_hold(mixture, out_entropy, p_entropy):
+        lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t, p), classical_bound(t))
+        if not min(lower, upper) >= -ENTROPY_TOL:
             return False, f"mixture inequalities failed at trial {i}"
-        if p_entropy + out_entropy < classical_bound(t) - ENTROPY_TOL:
+        if not vs_bound >= -ENTROPY_TOL:
             return False, f"entropy sum below -ln kappa at trial {i}"
     return True, ""
 

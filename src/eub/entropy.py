@@ -1,4 +1,8 @@
-"""Renyi entropies and the majorization preorder on probability vectors."""
+"""Renyi entropies and the majorization preorder on probability vectors.
+
+Majorization compares partial sums of decreasing rearrangements; past a
+vector's length its partial sums count as exactly 1.0 (zero padding).
+"""
 
 from __future__ import annotations
 
@@ -54,6 +58,10 @@ def _check_order(alpha) -> float:
     return a
 
 
+def _order_json(a: float):
+    return "inf" if math.isinf(a) else float(a)
+
+
 def _renyi_rows(x: np.ndarray, alpha) -> np.ndarray:
     # Row-wise entropies for a 2d stack of valid vectors and a checked order.
     a = float(alpha)
@@ -102,21 +110,25 @@ def tensor_product(p, q) -> np.ndarray:
     return np.outer(p, q).ravel()
 
 
+def _majorization_slack(y_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+    # Row-wise partial sums of the decreasing rearrangements, y's minus x's, past a side's
+    # length taken as 1.0; an x row is majorized where no slack is below -MAJORIZATION_TOL.
+    cum = np.ones((2, len(y_rows), max(y_rows.shape[1], x_rows.shape[1])))
+    for side, rows in zip(cum, (y_rows, x_rows)):
+        side[:, : rows.shape[1]] = np.cumsum(np.sort(rows, axis=1)[:, ::-1], axis=1)
+    return cum[0] - cum[1]
+
+
 def majorizes(y, x) -> bool:
     """True iff x is majorized by y.
 
-    The shorter vector is padded with zeros. Every partial sum of the
-    decreasing rearrangement of x must be at most the matching partial
-    sum for y plus MAJORIZATION_TOL.
+    Every partial sum of x's decreasing rearrangement must be at most y's
+    plus MAJORIZATION_TOL. Past a vector's length its partial sums count
+    as exactly 1.0, as for a zero-padded vector whose sum is exactly 1.
     """
     x = check_probability_vector(x)
     y = check_probability_vector(y)
-    n = max(x.size, y.size)
-    xs = np.zeros(n)
-    xs[: x.size] = np.sort(x)[::-1]
-    ys = np.zeros(n)
-    ys[: y.size] = np.sort(y)[::-1]
-    return bool(np.all(np.cumsum(xs) <= np.cumsum(ys) + MAJORIZATION_TOL))
+    return bool(_majorization_slack(y[None], x[None]).min() >= -MAJORIZATION_TOL)
 
 
 def schur_concavity_witness(x, y, alpha) -> bool:

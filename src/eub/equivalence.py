@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import STATE_NORM_TOL, _as_generator, require_unitary
+from .matrices import STATE_NORM_TOL, _as_generator, _square_matrix, require_unitary
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ def perm_matrix(perm) -> np.ndarray:
 
 def apply_transform(u: np.ndarray, t: EquivalenceTransform) -> np.ndarray:
     """P1 D1 U D2 P2; unitary iff u is."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = _square_matrix(u)
     if u.shape[0] != t.dim:
         raise ValueError(f"transform dimension {t.dim} does not match matrix {u.shape[0]}")
     v = t.left_phases[:, None] * u * t.right_phases[None, :]

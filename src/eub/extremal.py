@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import UNITARITY_TOL, require_unitary
+from .matrices import UNITARITY_TOL, _orthonormality_residual, require_unitary
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,9 @@ class SubspacePair:
         for label, vecs in (("first", first), ("second", second)):
             if vecs.shape[0] > dim:
                 raise ValueError(f"{label} set has more vectors than the dimension")
-            gram = vecs.conj() @ vecs.T
-            resid = float(np.abs(gram - np.eye(vecs.shape[0])).max())
+            resid = _orthonormality_residual(vecs)[1]
             if not resid <= UNITARITY_TOL:
                 raise ValueError(f"{label} set orthonormality residual {resid:.3e}")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.first_set.shape[1]
 
 
 def cross_gram(sp: SubspacePair) -> np.ndarray:

@@ -99,16 +99,17 @@ def _check_bistochastic_3(b) -> np.ndarray:
     return b
 
 
-def _links(b: np.ndarray) -> np.ndarray:
-    # column link lengths between the first two rows
-    return np.sqrt(b[0, :] * b[1, :])
+def _link_triangle(b) -> tuple:
+    # validated b, its column links (rows 0 and 1) and whether they close a triangle
+    b = _check_bistochastic_3(b)
+    links = np.sqrt(b[0, :] * b[1, :])
+    return b, links, bool(2.0 * links.max() <= links.sum() + LINK_TRIANGLE_TOL)
 
 
 def unistochastic_check_3(b) -> bool:
     """Whether a 3 x 3 bistochastic matrix is the squared-modulus pattern
     of some unitary: triangle inequality on the three column links."""
-    links = _links(_check_bistochastic_3(b))
-    return bool(2.0 * links.max() <= links.sum() + LINK_TRIANGLE_TOL)
+    return _link_triangle(b)[2]
 
 
 def unistochastic_lift_3(b) -> np.ndarray:
@@ -120,9 +121,8 @@ def unistochastic_lift_3(b) -> np.ndarray:
     unique unit vector orthogonal to both up to phase. Boundary points
     (degenerate triangles) are handled by the same construction.
     """
-    b = _check_bistochastic_3(b)
-    links = _links(b)
-    if 2.0 * links.max() > links.sum() + LINK_TRIANGLE_TOL:
+    b, links, closes = _link_triangle(b)
+    if not closes:
         raise ValueError("matrix is not unistochastic: link triangle inequality fails")
     mods = np.sqrt(b)
 

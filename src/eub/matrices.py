@@ -33,10 +33,10 @@ import numpy as np
 # --- numeric contract -----------------------------------------------------
 #
 # The largest max-norm of M M^dag - I a unitary M may show, and of V V^dag - I
-# for a set V of orthonormal rows. Read by is_unitary, require_unitary and
-# _unitary_gram, by submatrices (the bound on its eigenvalue repairs and on
-# the spectral norm's excess over 1), by extremal.SubspacePair and by the
-# verify suite's haar-unitarity check.
+# for a set V of orthonormal rows, both computed by _orthonormality_residual.
+# Read by is_unitary, require_unitary and _unitary_gram, by submatrices (the
+# bound on its eigenvalue repairs and on the spectral norm's excess over 1),
+# by extremal.SubspacePair and by the verify suite's haar-unitarity check.
 UNITARITY_TOL = 1e-10
 # The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
 # 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1). Grams
@@ -189,18 +189,23 @@ def _as_generator(source) -> np.random.Generator:
     raise TypeError("expected an RngSeed or numpy Generator")
 
 
-def _gram_residual(m) -> tuple[np.ndarray, float]:
-    # M M^dag and the max-norm of M M^dag - I; raises on non-square input
+def _orthonormality_residual(v: np.ndarray) -> tuple[np.ndarray, float]:
+    # V V^dag and the max-norm of V V^dag - I for a 2d complex array V of rows
+    g = v @ v.conj().T
+    return g, float(np.abs(g - np.eye(v.shape[0])).max())
+
+
+def _square_matrix(m) -> np.ndarray:
+    # m as a complex array; the one square-shape rule
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    g = m @ m.conj().T
-    return g, float(np.abs(g - np.eye(m.shape[0])).max())
+    return m
 
 
 def unitarity_residual(m: np.ndarray) -> float:
     """Max-norm of M M^dag - I; raises on non-square input."""
-    return _gram_residual(m)[1]
+    return _orthonormality_residual(_square_matrix(m))[1]
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -221,7 +226,7 @@ def require_unitary(m: np.ndarray) -> np.ndarray:
 
 def _unitary_gram(m: np.ndarray) -> np.ndarray:
     # The check of require_unitary, returning M M^dag for callers that reuse it
-    g, resid = _gram_residual(m)
+    g, resid = _orthonormality_residual(_square_matrix(m))
     if not resid <= UNITARITY_TOL:
         raise ValueError(
             f"unitarity residual {resid:.3e} exceeds tolerance {UNITARITY_TOL:g}"

@@ -7,7 +7,8 @@ do not depend on chunking or worker scheduling. They share one ensemble
 loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
-summaries of one pass over it, ``_beat_and_gaps``.
+summaries of one pass over it, ``_beat_and_gaps``. ``majorization_fuzz``
+pads Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _q_rows
-from .entropy import _check_order, _renyi_rows
+from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
 from .matrices import MAJORIZATION_TOL, RngSeed, _haar_from_ginibre, _seek, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 
@@ -86,7 +87,7 @@ class GapStats:
         return {
             "n": int(self.n),
             "samples": int(self.samples),
-            "alpha": "inf" if math.isinf(self.alpha) else float(self.alpha),
+            "alpha": _order_json(self.alpha),
             "seed": self.seed.to_json(),
             "mean_mu": float(self.mean_mu),
             "mean_deutsch": float(self.mean_deutsch),
@@ -193,7 +194,8 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     """Check p (x) q against Q on Haar (U, psi) pairs.
 
     For each pair the flattened product distribution must be majorized by
-    Q within MAJORIZATION_TOL. Expected violations: zero; any hit is an
+    Q, whose partial sums count as 1.0 past its n components, within
+    MAJORIZATION_TOL. Expected violations: zero; any hit is an
     implementation bug, reported with the worst partial-sum slack.
     """
     _check_ensemble(n, pairs, "pairs")
@@ -205,13 +207,7 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
         p /= p.sum(axis=1, keepdims=True)
         q /= q.sum(axis=1, keepdims=True)
         pq = (p[:, :, None] * q[:, None, :]).reshape(-1, n * n)
-        qmaj = _q_rows(s, n - 1)
-        # decreasing rearrangements; Q is padded with zeros, so its partial
-        # sums saturate at 1 beyond n components
-        cum_pq = np.cumsum(np.sort(pq, axis=1)[:, ::-1], axis=1)
-        cum_q = np.ones_like(cum_pq)
-        cum_q[:, :n] = np.cumsum(np.sort(qmaj, axis=1)[:, ::-1], axis=1)
-        slack = cum_q - cum_pq
+        slack = _majorization_slack(_q_rows(s, n - 1), pq)
         worst = min(worst, float(slack.min()))
         violations += int(np.count_nonzero(slack.min(axis=1) < -MAJORIZATION_TOL))
     return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)

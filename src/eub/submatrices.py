@@ -71,6 +71,7 @@ from .matrices import (
     PRUNE_SLACK,
     UNITARITY_TOL,
     _gram_norm,
+    _square_matrix,
     _unitary_gram,
     largest_singular_value,
 )
@@ -110,9 +111,7 @@ def max_norm_over_shape(u: np.ndarray, m: int, n: int) -> float:
     Exhaustive over all C(N,m) * C(N,n) row/column selections; this is
     the reference oracle the vectorized path is tested against.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = _square_matrix(u)
     dim = u.shape[0]
     if not (1 <= m <= dim and 1 <= n <= dim):
         raise ValueError(f"shape ({m}, {n}) out of range for dimension {dim}")
@@ -356,9 +355,10 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
     """Compute (s_1..s_N) and (r_1..r_N) for a unitary u.
 
     s_k maximizes the spectral norm over all submatrices with
-    semiperimeter m + n = k + 1. The validated entry: u must be square,
-    at most MAX_ENUMERATION_DIM unless ``allow_large``, unitary within
-    UNITARITY_TOL, and of norm at most 1 + UNITARITY_TOL. The norm bounds
+    semiperimeter m + n = k + 1. The validated entry: u must be square
+    and unitary within UNITARITY_TOL (checked first), at most
+    MAX_ENUMERATION_DIM unless ``allow_large``, and of norm at most
+    1 + UNITARITY_TOL. The norm bounds
     every block, so that check stands in for s_N = 1, which the kernel
     pins and downstream code relies on. Near-unitary matrices are rejected
     rather than accepted with degraded guarantees.
@@ -371,16 +371,15 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
         Permit dimensions above MAX_ENUMERATION_DIM (combinatorial cost).
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    # one Gram of u serves the shape, unitarity and norm checks
+    gram = _unitary_gram(u)
     dim = u.shape[0]
     if dim > MAX_ENUMERATION_DIM and not allow_large:
         raise ValueError(
             f"dimension {dim} exceeds the enumeration guard "
             f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
         )
-    # one Gram of u serves the unitarity check and the norm check
-    excess = _gram_norm(_unitary_gram(u)) - 1.0
+    excess = _gram_norm(gram) - 1.0
     if excess > UNITARITY_TOL:
         raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess:.3e}")
     s = s_coefficients_batch(u[None])[0]

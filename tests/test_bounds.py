@@ -22,7 +22,7 @@ from eub import (
     s_coefficients,
     slomczynski_check,
 )
-from eub.bounds import _q_rows
+from eub.bounds import _classical_entropies, _classical_slacks, _q_rows
 from eub.submatrices import SubmatrixCoefficients
 
 SEED = 70707
@@ -218,6 +218,31 @@ def test_slomczynski_point_mass():
             assert classical_mixture_entropy(t, p) == pytest.approx(
                 renyi_entropy(t[:, i], 1.0), abs=1e-12
             )
+
+
+def test_classical_slacks_known_answers():
+    rng = np.random.default_rng(SEED)
+    for n in (2, 3, 5):
+        p = rng.exponential(size=n)
+        p /= p.sum()
+        h_p = renyi_entropy(p, 1.0)
+        # T = I: H(TP) = H(P), zero mixture entropy, bound -ln 1 = 0
+        eye = np.eye(n)
+        assert _classical_slacks(*_classical_entropies(eye, p), classical_bound(eye)) == (
+            h_p, 0.0, 2.0 * h_p,
+        )
+        # flat T: H(TP) = mixture = -ln kappa = ln n
+        flat = np.full((n, n), 1.0 / n)
+        slacks = _classical_slacks(*_classical_entropies(flat, p), classical_bound(flat))
+        assert slacks == pytest.approx((0.0, h_p, h_p), abs=1e-12)
+        # a basis input: both mixture inequalities are equalities, bit for bit
+        t = rng.exponential(size=(n, n))
+        t /= t.sum(axis=0, keepdims=True)
+        for j in range(n):
+            e_j = np.zeros(n)
+            e_j[j] = 1.0
+            slacks = _classical_slacks(*_classical_entropies(t, e_j), classical_bound(t))
+            assert slacks[:2] == (0.0, 0.0)
 
 
 def test_classical_fuzz():

@@ -262,6 +262,24 @@ def test_mc_unopenable_destination_writes_nothing(tmp_path, capsys):
     assert hist_path.read_text().startswith("bin_lo,bin_hi,count\n")
 
 
+def test_mc_same_destination_twice_writes_nothing(tmp_path, capsys):
+    # --output and --gap-hist naming one file, by the same path or another
+    # spelling of it, exit 2 before anything is written
+    (tmp_path / "d").mkdir()
+    same = tmp_path / "same.txt"
+    base = ["mc", "--n", "3", "--samples", "50", "--output", str(same)]
+    spellings = (str(same), str(tmp_path / "d" / ".." / "same.txt"))
+    for spelling in spellings:
+        code, out, err = run(capsys, *base, "--gap-hist", spelling)
+        assert code == 2 and out == ""
+        assert "two output destinations name the same file" in err
+        assert not same.exists()
+    same.write_text("old\n")
+    for spelling in spellings:
+        assert run(capsys, *base, "--gap-hist", spelling)[0] == 2
+        assert same.read_text() == "old\n"
+
+
 def test_classical_rejects_nonpositive_samples(tmp_path, capsys):
     path = tmp_path / "t.json"
     save_matrix(path, np.eye(3))
@@ -377,8 +395,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    # 15 bounds inputs, 12 lines for the other commands and their CSVs, and
-    # 3 for the n = 8 ensembles, which run the pruned classes batched
-    assert len(first) == 30
+    # 15 bounds inputs, 12 lines for the other commands and their CSVs, 3
+    # for the n = 8 ensembles, which run the pruned classes batched, and 1
+    # for the classical basis input
+    assert len(first) == 31
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

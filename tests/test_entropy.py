@@ -5,7 +5,7 @@ import pytest
 
 from eub import majorizes, renyi_entropy, schur_concavity_witness, tensor_product
 from eub.bounds import _q_rows, check_stochastic
-from eub.entropy import check_probability_vector, clamp_negative
+from eub.entropy import _majorization_slack, check_probability_vector, clamp_negative
 from eub.families import _check_bistochastic_3
 
 SEED = 8831
@@ -106,6 +106,38 @@ def test_majorizes_examples():
     assert majorizes([1.0], [0.25, 0.25, 0.25, 0.25])
     assert majorizes([0.5, 0.3, 0.2], [0.5, 0.25, 0.25])
     assert not majorizes([0.4, 0.3, 0.3], [0.5, 0.25, 0.25])
+
+
+def test_majorizes_tail_counts_as_one():
+    # past a vector's length its partial sums are exactly 1.0: y shorter
+    assert majorizes([0.6, 0.4], [0.5, 0.3, 0.2])
+    assert not majorizes([0.5, 0.5], [0.6, 0.3, 0.1])
+    # y longer
+    assert majorizes([0.7, 0.3, 0.0], [0.6, 0.4])
+    assert not majorizes([0.5, 0.3, 0.2], [0.6, 0.4])
+    # not the shorter vector's own sum, here 1 - 5e-11 (inside PROB_SUM_TOL)
+    short = np.array([[0.75, 0.25 - 5e-11]])
+    full = np.array([[0.5, 0.25, 0.25]])
+    assert _majorization_slack(short, full)[0, 2] == 0.0
+    assert _majorization_slack(full, short)[0, 2] == 0.0
+
+
+def test_majorization_slack_matches_inline_fuzz_form():
+    # the partial sums written out by hand for stacks of Q-like and
+    # product-like rows: Q's saturate at 1.0 past its n components
+    rng = np.random.default_rng(SEED)
+    for n in (2, 3, 5, 8):
+        y = rng.exponential(size=(64, n))
+        x = rng.exponential(size=(64, n * n))
+        y /= y.sum(axis=1, keepdims=True)
+        x /= x.sum(axis=1, keepdims=True)
+        cum_x = np.cumsum(np.sort(x, axis=1)[:, ::-1], axis=1)
+        cum_y = np.ones_like(cum_x)
+        cum_y[:, :n] = np.cumsum(np.sort(y, axis=1)[:, ::-1], axis=1)
+        expect = cum_y - cum_x
+        got = _majorization_slack(y, x)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
 
 
 def test_majorizes_order_free():

@@ -83,6 +83,9 @@ def command_set(workdir: str) -> list:
              "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
             ["fuzz", "--n", str(n), "--pairs", "200"],
         ]
+    # a basis input: both mixture slacks are exactly 0, and the mixture sum
+    # skips the zero weights
+    commands.append(["classical", "--input", stochastic, "--p", "1,0,0,0"])
     return commands
 
 
