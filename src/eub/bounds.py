@@ -159,15 +159,21 @@ def check_stochastic(t) -> np.ndarray:
     return t
 
 
-def _classical_entropies(t, p) -> tuple:
-    # Validates (t, p) once; returns (mixture entropy, H(TP), H(P)), the three
-    # numbers every classical check compares.
+def _classical_entropies(t):
+    # Validates t and takes its column entropies once; returns the function
+    # that validates an input P and gives (mixture entropy, H(TP), H(P)), the
+    # three numbers every classical check compares.
     t = check_stochastic(t)
-    p = check_probability_vector(p)
-    if p.size != t.shape[1]:
-        raise ValueError(f"weight vector length {p.size} does not match {t.shape[1]} columns")
-    mixture = sum(p[i] * renyi_entropy(t[:, i], 1.0) for i in range(t.shape[1]) if p[i] > 0.0)
-    return float(mixture), renyi_entropy(t @ p, 1.0), renyi_entropy(p, 1.0)
+    columns = [renyi_entropy(t[:, i], 1.0) for i in range(t.shape[1])]
+
+    def entropies(p) -> tuple:
+        p = check_probability_vector(p)
+        if p.size != t.shape[1]:
+            raise ValueError(f"weight vector length {p.size} does not match {t.shape[1]} columns")
+        mixture = sum(p[i] * columns[i] for i in range(t.shape[1]) if p[i] > 0.0)
+        return float(mixture), renyi_entropy(t @ p, 1.0), renyi_entropy(p, 1.0)
+
+    return entropies
 
 
 def _classical_slacks(lower: float, mid: float, h_p: float, bound: float) -> tuple:
@@ -179,7 +185,7 @@ def _classical_slacks(lower: float, mid: float, h_p: float, bound: float) -> tup
 
 def classical_mixture_entropy(t, p) -> float:
     """Average Shannon entropy of the columns of t, weighted by p."""
-    return _classical_entropies(t, p)[0]
+    return _classical_entropies(t)(p)[0]
 
 
 def classical_bound(t) -> float:
@@ -194,4 +200,4 @@ def slomczynski_check(t, p) -> bool:
     The column mixture entropy must not exceed H(TP), and H(TP) must not
     exceed the mixture entropy plus H(P).
     """
-    return min(_classical_slacks(*_classical_entropies(t, p), classical_bound(t))[:2]) >= -ENTROPY_TOL
+    return min(_classical_slacks(*_classical_entropies(t)(p), classical_bound(t))[:2]) >= -ENTROPY_TOL

@@ -244,7 +244,7 @@ def _cmd_classical(args) -> int:
     obj = {"kappa": float(t.max()), "bound": bound}
     if args.p is not None:
         p = np.array([float(tok) for tok in args.p.split(",")])
-        mixture, out_entropy, p_entropy = _classical_entropies(t, p)
+        mixture, out_entropy, p_entropy = _classical_entropies(t)(p)
         slack_lower, slack_upper, slack_bound = _classical_slacks(mixture, out_entropy, p_entropy, bound)
         ok_pair = min(slack_lower, slack_upper) >= -ENTROPY_TOL
         ok_bound = slack_bound >= -ENTROPY_TOL
@@ -258,11 +258,12 @@ def _cmd_classical(args) -> int:
         _emit_all(((args.output, _dump_json(obj)),))
         return 0 if (ok_pair and ok_bound) else 1
     g = generator(_seed_of(args))
+    entropies = _classical_entropies(t)
     slacks = []
     for _ in range(args.samples):
         p = g.exponential(size=t.shape[1])
         p /= p.sum()
-        slacks.append(_classical_slacks(*_classical_entropies(t, p), bound))
+        slacks.append(_classical_slacks(*entropies(p), bound))
     worst_lower, worst_upper, worst_bound = (min(column) for column in zip(*slacks))
     all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
     obj.update(
@@ -401,7 +402,7 @@ def _verify_classical(seed: RngSeed):
         t /= t.sum(axis=0, keepdims=True)
         p = g.exponential(size=n)
         p /= p.sum()
-        lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t, p), classical_bound(t))
+        lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t)(p), classical_bound(t))
         if not min(lower, upper) >= -ENTROPY_TOL:
             return False, f"mixture inequalities failed at trial {i}"
         if not vs_bound >= -ENTROPY_TOL:

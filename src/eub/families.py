@@ -7,6 +7,11 @@ of order 3. A 3 x 3 bistochastic matrix is unistochastic iff the three
 column link lengths sqrt(B_1j B_2j) satisfy the triangle inequality; the
 lift construction realizes a witness unitary and validates itself by its
 reconstruction residual.
+
+The slice's matrices and their checks (simplex weights, bistochastic sums,
+link triangle) work on one matrix or on a stack of them, each matrix
+checked on its own, so the cross-section scan checks its whole grid in one
+call, and the single-matrix functions are the same rules on one matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_ladder, bound_mu
+# the scan calls bounds.ladder_from_coefficients through the module, where
+# bench/tracer.py wraps it; bound_ladder and bound_mu are imported only for
+# the tracer's WRAPS, which names them
+from . import bounds
+from .bounds import _closed_forms, bound_ladder, bound_mu  # noqa: F401
 from .entropy import clamp_negative
 from .matrices import (
     DEGENERATE_LINK,
@@ -24,7 +33,9 @@ from .matrices import (
     LINK_TRIANGLE_TOL,
     NEGATIVE_CLAMP,
     PROB_SUM_TOL,
+    _first_failure,
 )
+from .submatrices import _checked_coefficients
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -70,46 +81,65 @@ class BirkhoffPoint:
     """Simplex coordinates of the bistochastic slice; a, b >= 0, a+b <= 1.
 
     Each of the weights a, b and 1 - a - b may be negative by at most
-    NEGATIVE_CLAMP (rounding debris); anything beyond raises ValueError.
+    NEGATIVE_CLAMP (rounding debris); anything beyond raises ValueError,
+    naming the first such point. a and b may also be arrays of one shape,
+    a stack of points, each checked by the same rule.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
+        a, b = np.broadcast_arrays(self.a, self.b)
         lo = -NEGATIVE_CLAMP
-        if not (self.a >= lo and self.b >= lo and self.a + self.b <= 1.0 + NEGATIVE_CLAMP):
-            raise ValueError(f"point ({self.a}, {self.b}) outside the simplex")
+        inside = (a >= lo) & (b >= lo) & (a + b <= 1.0 + NEGATIVE_CLAMP)
+        if not inside.all():
+            i = np.flatnonzero(~inside)[0]
+            raise ValueError(f"point ({a.flat[i]}, {b.flat[i]}) outside the simplex")
 
 
 def birkhoff_matrix(p: BirkhoffPoint) -> np.ndarray:
-    """a P + b P^2 + (1 - a - b) I as a real doubly stochastic 3 x 3 matrix."""
+    """a P + b P^2 + (1 - a - b) I as a real doubly stochastic 3 x 3 matrix.
+
+    For a stack of points, one matrix per point on the trailing axes.
+    """
     shift = cyclic_shift(3).real
-    return p.a * shift + p.b * (shift @ shift) + (1.0 - p.a - p.b) * np.eye(3)
+    a, b = np.asarray(p.a)[..., None, None], np.asarray(p.b)[..., None, None]
+    return a * shift + b * (shift @ shift) + (1.0 - a - b) * np.eye(3)
 
 
-def _check_bistochastic_3(b) -> np.ndarray:
+def _matrix_3(b) -> np.ndarray:
+    # The input rule of the single-matrix entries: one 3 x 3 float matrix,
+    # which the stack rules below take as a stack with no leading axes.
     b = np.asarray(b, dtype=float)
     if b.shape != (3, 3):
         raise ValueError(f"expected a 3 x 3 matrix, got shape {b.shape}")
-    b = clamp_negative(b, "negative entry {:.3e}")
-    bad = max(np.abs(b.sum(axis=0) - 1.0).max(), np.abs(b.sum(axis=1) - 1.0).max())
-    if not bad <= PROB_SUM_TOL:
+    return b
+
+
+def _check_bistochastic_3(b) -> np.ndarray:
+    # 3 x 3 matrices on the trailing axes, clamped and checked matrix by
+    # matrix; the first failing matrix names the deviation.
+    b = clamp_negative(np.asarray(b, dtype=float), "negative entry {:.3e}")
+    sums = np.maximum(np.abs(b.sum(axis=-2) - 1.0).max(axis=-1), np.abs(b.sum(axis=-1) - 1.0).max(axis=-1))
+    bad = _first_failure(sums, PROB_SUM_TOL)
+    if bad is not None:
         raise ValueError(f"row/column sums deviate from 1 by {bad:.3e}")
     return b
 
 
 def _link_triangle(b) -> tuple:
-    # validated b, its column links (rows 0 and 1) and whether they close a triangle
+    # validated b, its column links (rows 0 and 1) and whether they close a
+    # triangle, per matrix of a stack on the trailing axes
     b = _check_bistochastic_3(b)
-    links = np.sqrt(b[0, :] * b[1, :])
-    return b, links, bool(2.0 * links.max() <= links.sum() + LINK_TRIANGLE_TOL)
+    links = np.sqrt(b[..., 0, :] * b[..., 1, :])
+    return b, links, 2.0 * links.max(axis=-1) <= links.sum(axis=-1) + LINK_TRIANGLE_TOL
 
 
 def unistochastic_check_3(b) -> bool:
     """Whether a 3 x 3 bistochastic matrix is the squared-modulus pattern
     of some unitary: triangle inequality on the three column links."""
-    return _link_triangle(b)[2]
+    return bool(_link_triangle(_matrix_3(b))[2])
 
 
 def unistochastic_lift_3(b) -> np.ndarray:
@@ -121,7 +151,7 @@ def unistochastic_lift_3(b) -> np.ndarray:
     unique unit vector orthogonal to both up to phase. Boundary points
     (degenerate triangles) are handled by the same construction.
     """
-    b, links, closes = _link_triangle(b)
+    b, links, closes = _link_triangle(_matrix_3(b))
     if not closes:
         raise ValueError("matrix is not unistochastic: link triangle inequality fails")
     mods = np.sqrt(b)
@@ -170,32 +200,47 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     where feasible, lift to a unitary and record the gap between the
     max-entry bound and the order-alpha two-step ladder bound. Deterministic output ordering,
     sorted by (a, b). A lift that fails its own reconstruction residual
-    aborts the scan: that is an implementation bug, not data.
+    aborts the scan at the first such point in grid order: that is an
+    implementation bug, not data.
+
+    The grid's Birkhoff matrices are built and checked as one stack, and
+    each feasible point is lifted on its own. The lifts then pass the
+    checks of ``s_coefficients`` as one stack, and one
+    ``s_coefficients_batch`` call gives every s chain. The records are those
+    of ``bound_ladder`` and ``bound_mu`` at each lift.
     """
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
     steps = int(round(1.0 / grid_step))
+    # the same edge allowance as BirkhoffPoint, so every kept point is a
+    # valid one
+    grid = [(ia * grid_step, ib * grid_step) for ia in range(steps + 1) for ib in range(steps + 1 - ia)]
+    grid = [(a, bb) for a, bb in grid if a + bb <= 1.0 + NEGATIVE_CLAMP]
+    ab = np.minimum(np.array(grid), 1.0)
+    mats = birkhoff_matrix(BirkhoffPoint(ab[:, 0], ab[:, 1]))
+    feasible = _link_triangle(mats)[2]
+    lifts = []
+    for (a, bb), mat, ok in zip(grid, mats, feasible):
+        if not ok:
+            continue
+        u = unistochastic_lift_3(mat)
+        resid = lift_residual(u, mat)
+        if resid > LIFT_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"lift residual {resid:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
+            )
+        lifts.append(u)
+    # (0, 0), the identity, is always feasible, so the stack is never empty
+    reports = zip(lifts, _checked_coefficients(np.array(lifts)))
     records = []
-    for ia in range(steps + 1):
-        a = ia * grid_step
-        for ib in range(steps + 1 - ia):
-            bb = ib * grid_step
-            # the same edge allowance as BirkhoffPoint, so every kept point
-            # is a valid one
-            if a + bb > 1.0 + NEGATIVE_CLAMP:
-                continue
-            mat = birkhoff_matrix(BirkhoffPoint(min(a, 1.0), min(bb, 1.0)))
-            if not unistochastic_check_3(mat):
-                records.append(ScanRecord(a, bb, False, None, None, None))
-                continue
-            u = unistochastic_lift_3(mat)
-            resid = lift_residual(u, mat)
-            if resid > LIFT_RESIDUAL_TOL:
-                raise RuntimeError(
-                    f"lift residual {resid:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
-                )
-            report = bound_ladder(u, alpha)
-            mu = bound_mu(u)
-            b2 = float(report.ladder[1])
-            records.append(ScanRecord(a, bb, True, mu, b2, mu - b2))
+    for (a, bb), ok in zip(grid, feasible):
+        if not ok:
+            records.append(ScanRecord(a, bb, False, None, None, None))
+            continue
+        u, sc = next(reports)
+        # bound_mu's arithmetic on the lift itself: s_1 is sqrt(|u|^2), which
+        # may differ from max |u| by an ulp
+        mu = _closed_forms(float(np.abs(u).max()))[1]
+        b2 = float(bounds.ladder_from_coefficients(sc, alpha).ladder[1])
+        records.append(ScanRecord(a, bb, True, mu, b2, mu - b2))
     return records

@@ -189,10 +189,21 @@ def _as_generator(source) -> np.random.Generator:
     raise TypeError("expected an RngSeed or numpy Generator")
 
 
-def _orthonormality_residual(v: np.ndarray) -> tuple[np.ndarray, float]:
-    # V V^dag and the max-norm of V V^dag - I for a 2d complex array V of rows
-    g = v @ v.conj().T
-    return g, float(np.abs(g - np.eye(v.shape[0])).max())
+def _orthonormality_residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # V V^dag and the max-norm of V V^dag - I for complex rows V on the last
+    # two axes: one Gram and one residual per matrix of a stack
+    g = v @ v.conj().swapaxes(-1, -2)
+    return g, np.abs(g - np.eye(v.shape[-2])).max(axis=(-2, -1))
+
+
+def _first_failure(dev: np.ndarray, tol: float):
+    # The first of the per-matrix deviations dev that is not <= tol (so a NaN
+    # fails), or None when every matrix passes. A loop over Python floats:
+    # for one matrix a numpy reduction would cost more than the check.
+    for d in dev.reshape(-1).tolist():
+        if not d <= tol:
+            return d
+    return None
 
 
 def _square_matrix(m) -> np.ndarray:
@@ -205,7 +216,7 @@ def _square_matrix(m) -> np.ndarray:
 
 def unitarity_residual(m: np.ndarray) -> float:
     """Max-norm of M M^dag - I; raises on non-square input."""
-    return _orthonormality_residual(_square_matrix(m))[1]
+    return float(_orthonormality_residual(_square_matrix(m))[1])
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -219,17 +230,20 @@ def require_unitary(m: np.ndarray) -> np.ndarray:
     Raises ValueError for a non-square m and for a unitarity residual
     (max-norm of M M^dag - I) above UNITARITY_TOL.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _square_matrix(m)
     _unitary_gram(m)
     return m
 
 
 def _unitary_gram(m: np.ndarray) -> np.ndarray:
-    # The check of require_unitary, returning M M^dag for callers that reuse it
-    g, resid = _orthonormality_residual(_square_matrix(m))
-    if not resid <= UNITARITY_TOL:
+    # The check of require_unitary on a complex square matrix, or on each
+    # matrix of a stack (the first failing one names the residual), returning
+    # M M^dag for callers that reuse it
+    g, resid = _orthonormality_residual(m)
+    bad = _first_failure(resid, UNITARITY_TOL)
+    if bad is not None:
         raise ValueError(
-            f"unitarity residual {resid:.3e} exceeds tolerance {UNITARITY_TOL:g}"
+            f"unitarity residual {bad:.3e} exceeds tolerance {UNITARITY_TOL:g}"
         )
     return g
 
@@ -254,13 +268,13 @@ def largest_singular_value(a: np.ndarray) -> float:
         g = a @ a.conj().T
     else:
         g = a.conj().T @ a
-    return _gram_norm(g)
+    return float(_gram_norm(g))
 
 
-def _gram_norm(g: np.ndarray) -> float:
-    # sqrt(lambda_max(g)): the spectral norm of a, for g = a a^dag or a^dag a
-    w = np.linalg.eigvalsh(g)
-    return math.sqrt(max(float(w[-1]), 0.0))
+def _gram_norm(g: np.ndarray) -> np.ndarray:
+    # sqrt(lambda_max(g)): the spectral norm of a, for g = a a^dag or a^dag a;
+    # one per matrix of a stack
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:

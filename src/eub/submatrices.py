@@ -5,8 +5,9 @@ among all submatrices whose shape (m, n) has semiperimeter m + n = k + 1.
 The derived r_k = ((1 + s_k) / 2)^2 feed the bound construction.
 
 One vectorized enumeration, ``s_coefficients_batch``, computes the chain
-for a stack of unitaries; ``s_coefficients`` validates one matrix and runs
-it as a stack of one. Vector strips reduce to sorted cumulative sums of
+for a stack of unitaries; ``_checked_coefficients`` validates every matrix
+of a stack before it, and ``s_coefficients`` runs one matrix as a stack of
+one. Vector strips reduce to sorted cumulative sums of
 squared moduli. A block's Gram is a principal submatrix of the N x N Gram
 of its column set, and one matmul against a 0/1 indicator matrix gives
 those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
@@ -70,6 +71,7 @@ from .matrices import (
     CARDANO_MIN_GAP,
     PRUNE_SLACK,
     UNITARITY_TOL,
+    _first_failure,
     _gram_norm,
     _square_matrix,
     _unitary_gram,
@@ -370,21 +372,30 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
     allow_large : bool
         Permit dimensions above MAX_ENUMERATION_DIM (combinatorial cost).
     """
-    u = np.asarray(u, dtype=complex)
-    # one Gram of u serves the shape, unitarity and norm checks
-    gram = _unitary_gram(u)
-    dim = u.shape[0]
+    return _checked_coefficients(_square_matrix(u)[None], allow_large)[0]
+
+
+def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> list:
+    """``s_coefficients`` for each matrix of a complex stack (batch, N, N).
+
+    Runs the checks of ``s_coefficients`` on every matrix, in its order and
+    with its messages, the first failing matrix naming the value; then one
+    ``s_coefficients_batch`` call computes every chain.
+    """
+    # one Gram per matrix serves the unitarity and norm checks
+    gram = _unitary_gram(u3)
+    dim = u3.shape[-1]
     if dim > MAX_ENUMERATION_DIM and not allow_large:
         raise ValueError(
             f"dimension {dim} exceeds the enumeration guard "
             f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
         )
-    excess = _gram_norm(gram) - 1.0
-    if excess > UNITARITY_TOL:
-        raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess:.3e}")
-    s = s_coefficients_batch(u[None])[0]
+    bad = _first_failure(_gram_norm(gram) - 1.0, UNITARITY_TOL)
+    if bad is not None:
+        raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {bad:.3e}")
+    s = s_coefficients_batch(u3)
     r = ((1.0 + s) / 2.0) ** 2
-    return SubmatrixCoefficients(n=dim, s=s, r=r)
+    return [SubmatrixCoefficients(n=dim, s=si, r=ri) for si, ri in zip(s, r)]
 
 
 def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
@@ -392,7 +403,7 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
 
     The trusted entry, and the only enumeration: it checks the stack's
     shape but assumes every matrix is unitary (the Haar sampler and
-    ``s_coefficients`` feed it) and does not limit N. Semiperimeter class
+    ``_checked_coefficients`` feed it) and does not limit N. Semiperimeter class
     N + 1 is pinned to exactly 1, and class N enumerates only one block of
     each complementary pair. A chain that needs a repair larger than
     UNITARITY_TOL to be monotone and <= 1 raises ValueError.

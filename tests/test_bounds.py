@@ -22,6 +22,7 @@ from eub import (
     s_coefficients,
     slomczynski_check,
 )
+import eub.bounds as bounds
 from eub.bounds import _classical_entropies, _classical_slacks, _q_rows
 from eub.submatrices import SubmatrixCoefficients
 
@@ -228,12 +229,12 @@ def test_classical_slacks_known_answers():
         h_p = renyi_entropy(p, 1.0)
         # T = I: H(TP) = H(P), zero mixture entropy, bound -ln 1 = 0
         eye = np.eye(n)
-        assert _classical_slacks(*_classical_entropies(eye, p), classical_bound(eye)) == (
+        assert _classical_slacks(*_classical_entropies(eye)(p), classical_bound(eye)) == (
             h_p, 0.0, 2.0 * h_p,
         )
         # flat T: H(TP) = mixture = -ln kappa = ln n
         flat = np.full((n, n), 1.0 / n)
-        slacks = _classical_slacks(*_classical_entropies(flat, p), classical_bound(flat))
+        slacks = _classical_slacks(*_classical_entropies(flat)(p), classical_bound(flat))
         assert slacks == pytest.approx((0.0, h_p, h_p), abs=1e-12)
         # a basis input: both mixture inequalities are equalities, bit for bit
         t = rng.exponential(size=(n, n))
@@ -241,8 +242,24 @@ def test_classical_slacks_known_answers():
         for j in range(n):
             e_j = np.zeros(n)
             e_j[j] = 1.0
-            slacks = _classical_slacks(*_classical_entropies(t, e_j), classical_bound(t))
+            slacks = _classical_slacks(*_classical_entropies(t)(e_j), classical_bound(t))
             assert slacks[:2] == (0.0, 0.0)
+
+
+def test_classical_column_entropies_once_per_t(monkeypatch):
+    # H(t[:, i]) depends on T only: four column entropies in all, then H(TP)
+    # and H(P) per input, and the same numbers as a fresh T each time
+    rng = np.random.default_rng(SEED)
+    t = rng.exponential(size=(4, 4))
+    t /= t.sum(axis=0, keepdims=True)
+    ps = rng.dirichlet(np.ones(4), size=10)
+    fresh = [_classical_entropies(t)(p) for p in ps]
+    calls = []
+    entropy = bounds.renyi_entropy
+    monkeypatch.setattr(bounds, "renyi_entropy", lambda x, a: calls.append(1) or entropy(x, a))
+    entropies = _classical_entropies(t)
+    assert [entropies(p) for p in ps] == fresh
+    assert len(calls) == 4 + 2 * len(ps)
 
 
 def test_classical_fuzz():

@@ -396,8 +396,8 @@ def test_cli_digests_rerun_identical(monkeypatch):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
     # 15 bounds inputs, 12 lines for the other commands and their CSVs, 3
-    # for the n = 8 ensembles, which run the pruned classes batched, and 1
-    # for the classical basis input
-    assert len(first) == 31
+    # for the n = 8 ensembles, which run the pruned classes batched, 1 for
+    # the classical basis input and 4 for the scans at orders other than 1
+    assert len(first) == 35
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first

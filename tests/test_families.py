@@ -18,7 +18,11 @@ from eub import (
     unistochastic_check_3,
     unistochastic_lift_3,
 )
-from eub.matrices import NEGATIVE_CLAMP
+import eub.bounds as bounds
+import eub.families as families
+import eub.submatrices as submatrices
+from eub.families import _check_bistochastic_3, _link_triangle
+from eub.matrices import LIFT_RESIDUAL_TOL, NEGATIVE_CLAMP
 
 SEED = 31337
 
@@ -178,3 +182,104 @@ def test_scan_grid_step_validation():
         cross_section_scan(0.0, 1.0)
     with pytest.raises(ValueError):
         cross_section_scan(0.2, 1.0)
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _per_point_scan(grid_step, alpha):
+    # The scan as one loop over grid points: every matrix checked on its own
+    # and every report from the validated single-matrix bounds.
+    steps = int(round(1.0 / grid_step))
+    records = []
+    for ia in range(steps + 1):
+        a = ia * grid_step
+        for ib in range(steps + 1 - ia):
+            b = ib * grid_step
+            if a + b > 1.0 + NEGATIVE_CLAMP:
+                continue
+            mat = birkhoff_matrix(BirkhoffPoint(min(a, 1.0), min(b, 1.0)))
+            if not unistochastic_check_3(mat):
+                records.append((a, b, False, None, None, None))
+                continue
+            u = unistochastic_lift_3(mat)
+            assert lift_residual(u, mat) <= LIFT_RESIDUAL_TOL
+            mu = bound_mu(u)
+            b2 = float(bound_ladder(u, alpha).ladder[1])
+            records.append((a, b, True, mu, b2, mu - b2))
+    return records
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("grid_step", [0.1, 0.05])
+def test_scan_matches_per_point_oracle(grid_step, alpha):
+    got = [
+        (_hex(r.a), _hex(r.b), r.feasible, _hex(r.b_mu), _hex(r.b_ladder_2), _hex(r.diff))
+        for r in cross_section_scan(grid_step, alpha)
+    ]
+    want = [(_hex(a), _hex(b), ok, _hex(mu), _hex(b2), _hex(d)) for a, b, ok, mu, b2, d in _per_point_scan(grid_step, alpha)]
+    assert got == want
+
+
+def test_scan_computes_s_in_one_batch(monkeypatch):
+    calls = []
+    batch = submatrices.s_coefficients_batch
+
+    def spy(u_batch):
+        calls.append(np.shape(u_batch))
+        return batch(u_batch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point call in the scan")
+
+    monkeypatch.setattr(submatrices, "s_coefficients_batch", spy)
+    for module, name in ((submatrices, "s_coefficients"), (bounds, "s_coefficients"), (families, "bound_ladder")):
+        monkeypatch.setattr(module, name, refuse)
+    records = cross_section_scan(0.05, 1.0)
+    assert calls == [(sum(r.feasible for r in records), 3, 3)]
+
+
+def test_scan_refuses_a_lift_that_is_not_unitary(monkeypatch):
+    # the moduli stay exact, so the lift residual passes; rotating the phase
+    # of u[1, 0] breaks the orthogonality of rows 0 and 1 wherever it is nonzero
+    lift = families.unistochastic_lift_3
+
+    def rotated(mat):
+        u = lift(mat)
+        u[1, 0] *= np.exp(0.5j)
+        return u
+
+    monkeypatch.setattr(families, "unistochastic_lift_3", rotated)
+    with pytest.raises(ValueError, match="unitarity residual"):
+        cross_section_scan(0.1, 1.0)
+
+
+def test_birkhoff_stack_is_pointwise():
+    rng = np.random.default_rng(SEED)
+    ab = rng.dirichlet(np.ones(3), size=40)[:, :2]
+    stack = birkhoff_matrix(BirkhoffPoint(ab[:, 0], ab[:, 1]))
+    assert stack.shape == (40, 3, 3)
+    for (a, b), mat in zip(ab, stack):
+        assert np.array_equal(mat, birkhoff_matrix(BirkhoffPoint(float(a), float(b))))
+    _, links, closes = _link_triangle(stack)
+    for mat, row, ok in zip(stack, links, closes):
+        _, single_links, single_ok = _link_triangle(mat)
+        assert np.array_equal(row, single_links) and ok == single_ok == unistochastic_check_3(mat)
+
+
+def test_birkhoff_stack_names_the_first_point_outside():
+    with pytest.raises(ValueError, match=r"point \(0.7, 0.4\) outside the simplex"):
+        BirkhoffPoint(np.array([0.2, 0.7, 0.9]), np.array([0.3, 0.4, 0.5]))
+
+
+def test_bistochastic_stack_raises_the_single_message():
+    good = np.full((3, 3), 1.0 / 3.0)
+    bad = np.array([[0.9, 0.1, 0.1], [0.1, 0.9, 0.0], [0.0, 0.0, 0.9]])
+    with pytest.raises(ValueError) as single:
+        unistochastic_check_3(bad)
+    with pytest.raises(ValueError) as stacked:
+        _check_bistochastic_3(np.array([good, bad, bad * 0.5]))
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
+        unistochastic_check_3(np.array([good, good]))

@@ -18,7 +18,7 @@ from eub import (
     unitarity_residual,
 )
 from eub.matrices import PRUNE_SLACK, UNITARITY_TOL
-from eub.submatrices import _top_eig_3x3
+from eub.submatrices import _checked_coefficients, _top_eig_3x3
 
 SEED = 515151
 
@@ -461,16 +461,48 @@ def test_rejects_non_unitary():
         s_coefficients(np.eye(3) * 0.99)
 
 
-def test_rejects_norm_above_one():
+def _norm_above_one():
     # (I + eps J)^(1/2) F6 has unitarity residual eps = 9.9e-11, inside the
-    # tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10; the kernel pins
-    # s_N = 1, so the validated entry has to refuse it
+    # tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10
     eps = 0.99e-10
     c = np.expm1(0.5 * np.log1p(6 * eps)) / 6  # (I + cJ)^2 = I + eps J
-    u = (np.eye(6) + c * np.ones((6, 6))) @ fourier_matrix(6)
+    return (np.eye(6) + c * np.ones((6, 6))) @ fourier_matrix(6)
+
+
+def test_rejects_norm_above_one():
+    # the kernel pins s_N = 1, so the validated entry has to refuse it
+    u = _norm_above_one()
     assert unitarity_residual(u) <= UNITARITY_TOL
     with pytest.raises(ValueError, match="s_N deviates from 1"):
         s_coefficients(u)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        # two non-unitary matrices: the first one's residual is named
+        [fourier_matrix(6), np.eye(6) * 0.99, np.eye(6) * 0.9],
+        [fourier_matrix(6), _norm_above_one(), fourier_matrix(6)],
+        [np.eye(13), np.eye(13)],
+    ],
+    ids=["unitarity", "norm", "guard"],
+)
+def test_stack_check_raises_the_single_message(stack):
+    with pytest.raises(ValueError) as single:
+        s_coefficients(stack[1])
+    with pytest.raises(ValueError) as batched:
+        _checked_coefficients(np.array(stack, dtype=complex))
+    assert str(batched.value) == str(single.value)
+
+
+def test_stack_check_gives_the_single_coefficients():
+    us = [haar_unitary(n, RngSeed(SEED + 40 + i)) for n in (3, 5) for i in range(4)]
+    for n in (3, 5):
+        stack = np.array([u for u in us if u.shape[0] == n])
+        for u, sc in zip(stack, _checked_coefficients(stack)):
+            single = s_coefficients(u)
+            assert sc.n == n
+            assert np.array_equal(sc.s, single.s) and np.array_equal(sc.r, single.r)
 
 
 def test_dimension_guard():

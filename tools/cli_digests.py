@@ -32,6 +32,7 @@ PERM_HALF_DIMS = (6, 8, 9, 10, 11)
 # P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
 PERM_THIRD_DIMS = (9, 10)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
+SCAN_ALPHAS = ("0", "0.5", "2", "inf")
 # Ensembles through the pruned m >= 4 classes, where several matrices share
 # a row sub-chunk and each survivor maps back to its matrix
 PRUNED_ENSEMBLE_DIMS = (8,)
@@ -86,6 +87,9 @@ def command_set(workdir: str) -> list:
     # a basis input: both mixture slacks are exactly 0, and the mixture sum
     # skips the zero weights
     commands.append(["classical", "--input", stochastic, "--p", "1,0,0,0"])
+    # scans at the other orders, through the ladder's alpha < 1, alpha > 1
+    # and min-entropy branches
+    commands += [["scan", "--grid-step", "0.05", "--alpha", a] for a in SCAN_ALPHAS]
     return commands
 
 
