@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_order, _order_json, check_probability_vector, clamp_negative, renyi_entropy
+from .entropy import _check_order, _order_json, _renyi_rows, check_probability_vector, clamp_negative, renyi_entropy
 from .matrices import ENTROPY_TOL, PROB_SUM_TOL, STATE_NORM_TOL, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
@@ -119,23 +119,32 @@ def bound_ladder(u: np.ndarray, alpha, allow_large: bool = False) -> BoundReport
     return ladder_from_coefficients(s_coefficients(u, allow_large=allow_large), a)
 
 
-def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha) -> float:
-    """H_alpha(p) + H_alpha(q) for p_i = |psi_i|^2, q_j = |(U psi)_j|^2."""
+def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
+    """H_alpha(p) + H_alpha(q) for p_i = |psi_i|^2, q_j = |(U psi)_j|^2.
+
+    psi is one state (a float is returned) or a stack of states on its rows
+    (an array), each to the bits of its value alone; U is checked once.
+    """
     u = require_unitary(u)
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != u.shape[0]:
-        raise ValueError(f"state dimension {psi.size} does not match matrix {u.shape[0]}")
-    nrm = float(np.vdot(psi, psi).real)
-    if not abs(nrm - 1.0) <= STATE_NORM_TOL:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != u.shape[0]:
+        dim = psi.shape[-1] if psi.ndim in (1, 2) else psi.shape
+        raise ValueError(f"state dimension {dim} does not match matrix {u.shape[0]}")
+    rows = np.atleast_2d(psi)
+    nrm = np.vecdot(rows, rows).real
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= STATE_NORM_TOL))
+    if bad.size:
         raise ValueError(
-            f"state norm squared {nrm!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
+            f"state norm squared {float(nrm[bad[0]])!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
         )
-    p = np.abs(psi) ** 2
-    q = np.abs(u @ psi) ** 2
+    a = _check_order(alpha)
+    p = np.abs(rows) ** 2
+    q = np.abs(np.matmul(u, rows[..., None])[..., 0]) ** 2
     # rounding from the product is absorbed before the entropy evaluation
-    p = p / p.sum()
-    q = q / q.sum()
-    return renyi_entropy(p, alpha) + renyi_entropy(q, alpha)
+    p = p / p.sum(axis=1, keepdims=True)
+    q = q / q.sum(axis=1, keepdims=True)
+    lhs = _renyi_rows(p, a) + _renyi_rows(q, a)
+    return float(lhs[0]) if psi.ndim == 1 else lhs
 
 
 # --- classical analogue -----------------------------------------------------

@@ -324,11 +324,11 @@ def _verify_ladder(seed: RngSeed):
                 rep = ladder_from_coefficients(sc, a)
                 if np.any(np.diff(rep.ladder) < -LADDER_MONOTONE_TOL):
                     return False, f"ladder not monotone at n={n} alpha={a}"
-                for _ in range(5):
-                    v = g.standard_normal(n) + 1j * g.standard_normal(n)
-                    v /= np.linalg.norm(v)
-                    if eur_lhs(u, v, a) < rep.ladder[-1] - ENTROPY_TOL:
-                        return False, f"entropy sum below ladder top at n={n} alpha={a}"
+                w = g.standard_normal((5, 2, n))  # five (real, imaginary) pairs
+                v = w[:, 0] + 1j * w[:, 1]
+                v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm
+                if (eur_lhs(u, v, a) < rep.ladder[-1] - ENTROPY_TOL).any():
+                    return False, f"entropy sum below ladder top at n={n} alpha={a}"
     return True, ""
 
 

@@ -8,10 +8,11 @@ column link lengths sqrt(B_1j B_2j) satisfy the triangle inequality; the
 lift construction realizes a witness unitary and validates itself by its
 reconstruction residual.
 
-The slice's matrices and their checks (simplex weights, bistochastic sums,
-link triangle) work on one matrix or on a stack of them, each matrix
-checked on its own, so the cross-section scan checks its whole grid in one
-call, and the single-matrix functions are the same rules on one matrix.
+The slice's matrices, their checks (simplex weights, bistochastic sums,
+link triangle), the lift and its residual work on one matrix or on a stack
+of them, each matrix on its own, so the cross-section scan checks its whole
+grid and lifts its feasible points in one call each, and the single-matrix
+functions are the same rules on one matrix.
 """
 
 from __future__ import annotations
@@ -108,19 +109,13 @@ def birkhoff_matrix(p: BirkhoffPoint) -> np.ndarray:
     return a * shift + b * (shift @ shift) + (1.0 - a - b) * np.eye(3)
 
 
-def _matrix_3(b) -> np.ndarray:
-    # The input rule of the single-matrix entries: one 3 x 3 float matrix,
-    # which the stack rules below take as a stack with no leading axes.
-    b = np.asarray(b, dtype=float)
-    if b.shape != (3, 3):
-        raise ValueError(f"expected a 3 x 3 matrix, got shape {b.shape}")
-    return b
-
-
 def _check_bistochastic_3(b) -> np.ndarray:
     # 3 x 3 matrices on the trailing axes, clamped and checked matrix by
     # matrix; the first failing matrix names the deviation.
-    b = clamp_negative(np.asarray(b, dtype=float), "negative entry {:.3e}")
+    b = np.asarray(b, dtype=float)
+    if b.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3 x 3 matrices on the trailing axes, got shape {b.shape}")
+    b = clamp_negative(b, "negative entry {:.3e}")
     sums = np.maximum(np.abs(b.sum(axis=-2) - 1.0).max(axis=-1), np.abs(b.sum(axis=-1) - 1.0).max(axis=-1))
     bad = _first_failure(sums, PROB_SUM_TOL)
     if bad is not None:
@@ -139,7 +134,9 @@ def _link_triangle(b) -> tuple:
 def unistochastic_check_3(b) -> bool:
     """Whether a 3 x 3 bistochastic matrix is the squared-modulus pattern
     of some unitary: triangle inequality on the three column links."""
-    return bool(_link_triangle(_matrix_3(b))[2])
+    if np.ndim(b) != 2:
+        raise ValueError(f"expected a 3 x 3 matrix, got shape {np.shape(b)}")
+    return bool(_link_triangle(b)[2])
 
 
 def unistochastic_lift_3(b) -> np.ndarray:
@@ -150,37 +147,48 @@ def unistochastic_lift_3(b) -> np.ndarray:
     row is the conjugated cross product of the first two, which is the
     unique unit vector orthogonal to both up to phase. Boundary points
     (degenerate triangles) are handled by the same construction.
+
+    A stack of matrices on the trailing axes lifts matrix by matrix, each
+    to the bits of its lift alone; one matrix is a stack with no leading axes.
     """
-    b, links, closes = _link_triangle(_matrix_3(b))
-    if not closes:
+    b, links, closes = _link_triangle(b)
+    if not closes.all():
         raise ValueError("matrix is not unistochastic: link triangle inequality fails")
     mods = np.sqrt(b)
 
-    phi = np.zeros(3)
-    if links.max() > DEGENERATE_LINK:
-        anchor = int(np.argmax(links))
-        i, j = [idx for idx in range(3) if idx != anchor]
-        la, li, lj = links[anchor], links[i], links[j]
-        # close the triangle: walk la along +x, then li, then lj back home
+    # Close each triangle: walk the longest link la along +x, then li, then
+    # lj back home (i < j the other two columns). All-degenerate links keep
+    # zero phases, and a step the one-matrix arithmetic skips (zero norm,
+    # zero first entry) leaves its matrix untouched, signed zeros included.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        others = np.array([[1, 2], [0, 2], [0, 1]])[links.argmax(axis=-1)]
+        la = links.max(axis=-1)
+        li, lj = np.moveaxis(np.take_along_axis(links, others, -1), -1, 0)
         px = (la * la + lj * lj - li * li) / (2.0 * la)
-        py = math.sqrt(max(lj * lj - px * px, 0.0))
-        phi[i] = math.atan2(py, px - la)
-        phi[j] = math.atan2(-py, -px)
+        py = np.sqrt(np.maximum(lj * lj - px * px, 0.0))
+        # atan2(py, px - la) and atan2(-py, -px) with the bits of math.atan2:
+        # numpy's complex log takes its phase from the C library's atan2,
+        # which np.arctan2 does not
+        z = np.empty(others.shape, dtype=complex)
+        z.real, z.imag = np.stack([px - la, -px], -1), np.stack([py, -py], -1)
+        phi = np.zeros(links.shape)
+        np.put_along_axis(phi, others, np.log(z).imag, -1)
+        phi = np.where((la > DEGENERATE_LINK)[..., None], phi, 0.0)
 
-    row0 = mods[0].astype(complex)
-    row1 = mods[1] * np.exp(1j * phi)
-    row2 = np.conj(np.cross(row0, row1))
-    nrm = np.linalg.norm(row2)
-    if nrm > 0.0:
-        row2 = row2 / nrm
-    if abs(row2[0]) > 0.0:
-        row2 = row2 * (row2[0].conj() / abs(row2[0]))
-    return np.vstack([row0, row1, row2])
+        row0 = mods[..., 0, :].astype(complex)
+        row1 = mods[..., 1, :] * np.exp(1j * phi)
+        row2 = np.conj(np.cross(row0, row1))
+        # np.linalg.norm's arithmetic, per row
+        nrm = np.sqrt(np.vecdot(row2.real, row2.real) + np.vecdot(row2.imag, row2.imag))[..., None]
+        row2 = np.where(nrm > 0.0, row2 / nrm, row2)
+        first = np.hypot(row2[..., :1].real, row2[..., :1].imag)
+        row2 = np.where(first > 0.0, row2 * (np.conj(row2[..., :1]) / first), row2)
+    return np.stack([row0, row1, row2], axis=-2)
 
 
-def lift_residual(u: np.ndarray, b) -> float:
-    """Max deviation of |u|^2 from the target bistochastic matrix."""
-    return float(np.abs(np.abs(np.asarray(u)) ** 2 - np.asarray(b, dtype=float)).max())
+def lift_residual(u: np.ndarray, b) -> np.ndarray:
+    """Max deviation of |u|^2 from the target bistochastic matrix, per matrix of a stack."""
+    return np.abs(np.abs(np.asarray(u)) ** 2 - np.asarray(b, dtype=float)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -204,10 +212,10 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     implementation bug, not data.
 
     The grid's Birkhoff matrices are built and checked as one stack, and
-    each feasible point is lifted on its own. The lifts then pass the
-    checks of ``s_coefficients`` as one stack, and one
+    the feasible ones are lifted and residual-checked as one stack. The
+    lifts then pass the checks of ``s_coefficients`` as one stack, and one
     ``s_coefficients_batch`` call gives every s chain. The records are those
-    of ``bound_ladder`` and ``bound_mu`` at each lift.
+    of ``bound_ladder`` and ``bound_mu`` at each lift, the ladder per point.
     """
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -216,22 +224,20 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     # valid one
     grid = [(ia * grid_step, ib * grid_step) for ia in range(steps + 1) for ib in range(steps + 1 - ia)]
     grid = [(a, bb) for a, bb in grid if a + bb <= 1.0 + NEGATIVE_CLAMP]
-    ab = np.minimum(np.array(grid), 1.0)
+    points = np.array(grid)
+    ab = np.minimum(points, 1.0)
     mats = birkhoff_matrix(BirkhoffPoint(ab[:, 0], ab[:, 1]))
     feasible = _link_triangle(mats)[2]
-    lifts = []
-    for (a, bb), mat, ok in zip(grid, mats, feasible):
-        if not ok:
-            continue
-        u = unistochastic_lift_3(mat)
-        resid = lift_residual(u, mat)
-        if resid > LIFT_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"lift residual {resid:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
-            )
-        lifts.append(u)
     # (0, 0), the identity, is always feasible, so the stack is never empty
-    reports = zip(lifts, _checked_coefficients(np.array(lifts)))
+    lifts = unistochastic_lift_3(mats[feasible])
+    resid = lift_residual(lifts, mats[feasible])
+    bad = np.flatnonzero(~(resid <= LIFT_RESIDUAL_TOL))
+    if bad.size:
+        a, bb = points[feasible][bad[0]].tolist()
+        raise RuntimeError(
+            f"lift residual {resid[bad[0]]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
+        )
+    reports = zip(lifts, _checked_coefficients(lifts))
     records = []
     for (a, bb), ok in zip(grid, feasible):
         if not ok:

@@ -163,6 +163,37 @@ def test_eur_lhs_validation():
         eur_lhs(np.eye(2), np.array([1.0, 1.0]), 1.0)
 
 
+def test_eur_lhs_takes_the_last_axis_as_the_state():
+    # a (2, 2) stack is two states of dimension 2, not one of dimension 4
+    with pytest.raises(ValueError, match="state dimension 2 does not match matrix 4"):
+        eur_lhs(np.eye(4), np.full((2, 2), 0.5), 1.0)
+    with pytest.raises(ValueError, match="state dimension"):
+        eur_lhs(np.eye(2), np.full((1, 1, 2), math.sqrt(0.5)), 1.0)
+    with pytest.raises(ValueError, match="state norm"):
+        eur_lhs(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]), 1.0)
+
+
+def _scalar_eur_lhs(u, psi, a):
+    # the one-state arithmetic the stack rule replaced, kept as its oracle
+    p = np.abs(psi) ** 2
+    q = np.abs(u @ psi) ** 2
+    return renyi_entropy(p / p.sum(), a) + renyi_entropy(q / q.sum(), a)
+
+
+def test_eur_lhs_stack_rows_match_single_states():
+    rng = np.random.default_rng(SEED)
+    for n in (2, 3, 5, 8, 11):
+        u = haar_unitary(n, RngSeed(SEED + 300 + n))
+        psi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        psi[0] = np.eye(n)[n - 1]
+        for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+            rows = eur_lhs(u, psi, a)
+            assert rows.shape == (6,)
+            assert [float(v).hex() for v in rows] == [eur_lhs(u, v, a).hex() for v in psi]
+            assert [float(v).hex() for v in rows] == [_scalar_eur_lhs(u, v, a).hex() for v in psi]
+
+
 def test_eur_lhs_dominates_ladder_fuzz():
     rng = np.random.default_rng(SEED)
     for i in range(25):

@@ -346,7 +346,7 @@ def test_verify_passes(capsys):
 
 def test_verify_reports_lift_residual(capsys, monkeypatch):
     # a scan lift above LIFT_RESIDUAL_TOL fails scan-smoke instead of escaping
-    monkeypatch.setattr(families, "lift_residual", lambda u, mat: 1.0)
+    monkeypatch.setattr(families, "lift_residual", lambda u, mat: np.ones(np.shape(u)[:-2]))
     code, out, _ = run(capsys, "verify", "--seed", "0")
     assert code == 1
     lines = out.strip().split("\n")
@@ -389,8 +389,11 @@ def _load_cli_digests():
 
 
 def test_cli_digests_rerun_identical(monkeypatch):
-    "Every command of tools/cli_digests.py exits 0 and reruns byte-identically."
+    """Every command of tools/cli_digests.py exits 0 and reruns byte-identically,
+    and, on the build the pinned lines were made with, prints those lines."""
     tool = _load_cli_digests()
+    header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
+    assert len(pinned) == 41
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -401,3 +404,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     assert len(first) == 35
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first
+    if header != tool.environment():
+        pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
+    by_argv = {line.split("  ", 2)[2]: line for line in pinned}
+    assert first == [by_argv[line.split("  ", 2)[2]] for line in first]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ import eub.bounds as bounds
 import eub.families as families
 import eub.submatrices as submatrices
 from eub.families import _check_bistochastic_3, _link_triangle
-from eub.matrices import LIFT_RESIDUAL_TOL, NEGATIVE_CLAMP
+from eub.matrices import DEGENERATE_LINK, LIFT_RESIDUAL_TOL, NEGATIVE_CLAMP
 
 SEED = 31337
 
@@ -240,6 +241,26 @@ def test_scan_computes_s_in_one_batch(monkeypatch):
     assert calls == [(sum(r.feasible for r in records), 3, 3)]
 
 
+def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
+    calls = []
+    for name in ("unistochastic_lift_3", "lift_residual"):
+        def spy(*args, _rule=getattr(families, name), _name=name):
+            calls.append((_name, np.shape(args[0])))
+            return _rule(*args)
+
+        monkeypatch.setattr(families, name, spy)
+    records = cross_section_scan(0.05, 1.0)
+    n = sum(r.feasible for r in records)
+    assert calls == [("unistochastic_lift_3", (n, 3, 3)), ("lift_residual", (n, 3, 3))]
+
+
+def test_scan_refuses_a_nan_lift_residual(monkeypatch):
+    # NaN is not <= the tolerance, so it fails like any residual above it
+    monkeypatch.setattr(families, "lift_residual", lambda u, mat: np.full(np.shape(u)[:-2], np.nan))
+    with pytest.raises(RuntimeError, match=r"lift residual nan at \(0\.0, 0\.0\)"):
+        cross_section_scan(0.1, 1.0)
+
+
 def test_scan_refuses_a_lift_that_is_not_unitary(monkeypatch):
     # the moduli stay exact, so the lift residual passes; rotating the phase
     # of u[1, 0] breaks the orthogonality of rows 0 and 1 wherever it is nonzero
@@ -247,7 +268,7 @@ def test_scan_refuses_a_lift_that_is_not_unitary(monkeypatch):
 
     def rotated(mat):
         u = lift(mat)
-        u[1, 0] *= np.exp(0.5j)
+        u[..., 1, 0] *= np.exp(0.5j)
         return u
 
     monkeypatch.setattr(families, "unistochastic_lift_3", rotated)
@@ -283,3 +304,68 @@ def test_bistochastic_stack_raises_the_single_message():
     assert str(stacked.value) == str(single.value)
     with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
         unistochastic_check_3(np.array([good, good]))
+
+
+def _scalar_lift_3(b):
+    # The one-matrix construction the stacked lift replaced, kept as its
+    # oracle: per-matrix control flow, math.atan2 and np.linalg.norm.
+    b, links, closes = _link_triangle(np.asarray(b, dtype=float))
+    assert closes
+    mods = np.sqrt(b)
+    phi = np.zeros(3)
+    if links.max() > DEGENERATE_LINK:
+        anchor = int(np.argmax(links))
+        i, j = [idx for idx in range(3) if idx != anchor]
+        la, li, lj = links[anchor], links[i], links[j]
+        px = (la * la + lj * lj - li * li) / (2.0 * la)
+        py = math.sqrt(max(lj * lj - px * px, 0.0))
+        phi[i] = math.atan2(py, px - la)
+        phi[j] = math.atan2(-py, -px)
+    row0 = mods[0].astype(complex)
+    row1 = mods[1] * np.exp(1j * phi)
+    row2 = np.conj(np.cross(row0, row1))
+    nrm = np.linalg.norm(row2)
+    if nrm > 0.0:
+        row2 = row2 / nrm
+    if abs(row2[0]) > 0.0:
+        row2 = row2 * (row2[0].conj() / abs(row2[0]))
+    return np.vstack([row0, row1, row2])
+
+
+def _feasible_grid(step):
+    steps = int(round(1.0 / step))
+    ab = np.array([(ia * step, ib * step) for ia in range(steps + 1) for ib in range(steps + 1 - ia)])
+    mats = birkhoff_matrix(BirkhoffPoint(*np.minimum(ab, 1.0).T))
+    return mats[_link_triangle(mats)[2]]
+
+
+def _lift_test_matrices():
+    # the scan grids' feasible points, random feasible points of the whole
+    # Birkhoff polytope, the six permutations (degenerate links) and J/3
+    perms = np.array([np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+    weights = np.random.default_rng(SEED).dirichlet(np.ones(6), size=12000)
+    polytope = np.einsum("kp,pij->kij", weights, perms)
+    polytope = polytope[_link_triangle(polytope)[2]][:5000]
+    assert len(polytope) == 5000
+    return np.concatenate([_feasible_grid(0.01), _feasible_grid(0.005), polytope, perms, np.full((1, 3, 3), 1.0 / 3.0)])
+
+
+def test_lift_stack_is_bit_identical_to_the_scalar_construction():
+    mats = _lift_test_matrices()
+    stack = unistochastic_lift_3(mats)
+    assert stack.shape == mats.shape
+    for mat, lifted in zip(mats, stack):
+        want = _scalar_lift_3(mat).tobytes()
+        assert lifted.tobytes() == want
+        assert unistochastic_lift_3(mat).tobytes() == want
+    assert lift_residual(stack, mats).shape == (len(mats),)
+    half = len(mats) // 2
+    assert unistochastic_lift_3(mats[: 2 * half].reshape(2, half, 3, 3)).tobytes() == stack[: 2 * half].tobytes()
+
+
+def test_lift_stack_refuses_any_infeasible_matrix():
+    mats = birkhoff_matrix(BirkhoffPoint(np.array([0.0, 0.5, 1 / 3]), np.array([0.0, 0.5, 1 / 3])))
+    with pytest.raises(ValueError, match="link triangle"):
+        unistochastic_lift_3(mats)
+    with pytest.raises(ValueError, match="3 x 3 matrices on the trailing axes"):
+        unistochastic_lift_3(np.eye(4))

@@ -10,7 +10,16 @@ so two checkouts print the same lines exactly when their outputs agree:
     PYTHONPATH=src python3 tools/cli_digests.py > after.txt
     diff before.txt after.txt
 
-Needs only the standard library and eub.
+``cli_digests.expected`` pins the lines. Its first line is ``environment()``,
+the numpy, BLAS and SIMD build the digests were made with, since another
+build may round differently. After a deliberate output change, rewrite it
+and record the change next to the diff of that file:
+
+    PYTHONPATH=src python3 -c "import runpy; print(runpy.run_path('tools/cli_digests.py')['environment']())" \
+        > tools/cli_digests.expected
+    PYTHONPATH=src python3 tools/cli_digests.py >> tools/cli_digests.expected
+
+Needs only the standard library, numpy and eub.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 import eub
 from eub.cli import main
@@ -91,6 +102,14 @@ def command_set(workdir: str) -> list:
     # and min-entropy branches
     commands += [["scan", "--grid-step", "0.05", "--alpha", a] for a in SCAN_ALPHAS]
     return commands
+
+
+def environment() -> str:
+    """The header line of ``cli_digests.expected``: numpy, BLAS and SIMD."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = " ".join(config["SIMD Extensions"]["found"])
+    return f"# numpy {np.__version__}; blas {blas['name']} {blas['version']}; simd {simd}"
 
 
 def _sha256(data: bytes) -> str:
