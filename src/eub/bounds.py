@@ -22,7 +22,7 @@ from .submatrices import SubmatrixCoefficients, s_coefficients
 
 @dataclass(frozen=True)
 class MajorizingVector:
-    """Q and its truncations; truncations[k-1] is Q^(k), length k + 1."""
+    """Q and its truncations; truncations[k-1] is Q^(k), length k + 1 (per row of a stack)."""
 
     q_full: np.ndarray
     truncations: tuple
@@ -68,15 +68,14 @@ def majorizing_vector(sc: SubmatrixCoefficients) -> MajorizingVector:
     """Q = (r_1, r_2 - r_1, ..., r_N - r_{N-1}) plus all truncations Q^(k).
 
     Built from sc.s, with r_k = ((1 + s_k)/2)^2, by the same ``_q_rows``
-    the ensembles use. Monotone s makes every component nonnegative;
-    components down to -NEGATIVE_CLAMP (rounding where consecutive r_k
-    tie) are zeroed and the vector renormalized, and a more negative one
-    raises ValueError.
+    the ensembles use, on all rows of stacked s at once. Monotone s makes
+    every component nonnegative; components down to -NEGATIVE_CLAMP
+    (rounding where consecutive r_k tie) are zeroed and the vector
+    renormalized, and a more negative one raises ValueError.
     """
-    if sc.n == 1:
-        return MajorizingVector(q_full=np.array([1.0]), truncations=())
-    truncs = tuple(_q_rows(sc.s[None], k)[0] for k in range(1, sc.n))
-    return MajorizingVector(q_full=truncs[-1], truncations=truncs)
+    rows = sc.s.reshape(-1, sc.n)
+    truncs = tuple(_q_rows(rows, k).reshape(sc.s.shape[:-1] + (k + 1,)) for k in range(1, sc.n))
+    return MajorizingVector(q_full=truncs[-1] if truncs else np.ones(sc.s.shape), truncations=truncs)
 
 
 def _closed_forms(c: float) -> tuple:
@@ -99,12 +98,16 @@ def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
     """Bound report from precomputed coefficients; see ``bound_ladder``.
 
     Useful when several orders are evaluated for one matrix: the s
-    computation dominates and can be shared.
+    computation dominates and can be shared. Stacked s gives b_deutsch,
+    b_mu and ladder a row per matrix, each rung one ``renyi_entropy`` call.
     """
     a = _check_order(alpha)
     mv = majorizing_vector(sc)
-    ladder = np.array([renyi_entropy(t, a) for t in mv.truncations])
-    b_deutsch, b_mu = _closed_forms(float(sc.s[0]))
+    ladder = np.empty(sc.s.shape[:-1] + (sc.n - 1,))
+    for k, t in enumerate(mv.truncations):
+        ladder[..., k] = renyi_entropy(t, a)
+    c = sc.s[..., 0].tolist()  # a float for one matrix, a list for a stack
+    b_deutsch, b_mu = _closed_forms(c) if sc.s.ndim == 1 else np.reshape([_closed_forms(v) for v in c], (-1, 2)).T
     return BoundReport(n=sc.n, alpha=a, b_deutsch=b_deutsch, b_mu=b_mu, ladder=ladder)
 
 

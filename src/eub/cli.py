@@ -62,7 +62,7 @@ from .matrices import (
     load_matrix,
 )
 from .montecarlo import _beat_and_gaps, beat_rate, majorization_fuzz
-from .submatrices import s_coefficients
+from .submatrices import _checked_coefficients, _enumeration_guard, s_coefficients
 
 
 def _parse_alpha(token: str) -> float:
@@ -147,11 +147,11 @@ _FAMILY_RE = re.compile(r"perm_power(?::(\d+)|\((\d+)\))")
 
 def _parse_family(token: str):
     if token == "rotation":
-        return rotation_matrix
+        return 2, rotation_matrix
     m = _FAMILY_RE.fullmatch(token)
     if m:
         n = int(m.group(1) or m.group(2))
-        return lambda beta: permutation_power(n, beta)
+        return n, lambda beta: permutation_power(n, beta)
     raise ValueError(f"unknown family {token!r}; expected rotation, perm_power:N or perm_power(N)")
 
 
@@ -166,22 +166,22 @@ def _parse_range(token: str):
 
 
 def _cmd_sweep(args) -> int:
-    build = _parse_family(args.family)
+    dim, build = _parse_family(args.family)
     lo, hi = _parse_range(args.range)
     if args.steps < 2:
         raise ValueError("steps must be >= 2 (inclusive grid point count)")
     alphas = [_parse_alpha(a) for a in (args.alpha or ["1"])]
-    dim = build(lo).shape[0]
+    _enumeration_guard(dim, args.allow_large_n)  # before any N x N build
+    ts = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
+    sc = _checked_coefficients(np.array([build(t) for t in ts]), args.allow_large_n)
+    reports = [ladder_from_coefficients(sc, a) for a in alphas]
     header = ["parameter", "alpha", "b_deutsch", "b_mu"]
     header += [f"ladder_{k}" for k in range(1, dim)]
     lines = [",".join(header)]
-    for i in range(args.steps):
-        t = lo + (hi - lo) * i / (args.steps - 1)
-        sc = s_coefficients(build(t), allow_large=args.allow_large_n)
-        for a in alphas:
-            rep = ladder_from_coefficients(sc, a)
-            cells = [repr(t), str(_order_json(a)), repr(rep.b_deutsch), repr(rep.b_mu)]
-            cells += [repr(float(v)) for v in rep.ladder]
+    for i, t in enumerate(ts):
+        for a, rep in zip(alphas, reports):
+            cells = [repr(t), str(_order_json(a)), repr(float(rep.b_deutsch[i])), repr(float(rep.b_mu[i]))]
+            cells += [repr(float(v)) for v in rep.ladder[i]]
             lines.append(",".join(cells))
     _emit_all(((args.output, "\n".join(lines) + "\n"),))
     return 0
@@ -317,17 +317,17 @@ def _verify_ladder(seed: RngSeed):
     alphas = (0.0, 0.5, 1.0, 2.0, math.inf)
     g = generator(seed)
     for n in range(2, 7):
-        for i in range(10):
-            u = haar_unitary(n, _draw_seed(seed, 7 * n + i))
-            sc = s_coefficients(u)
-            for a in alphas:
-                rep = ladder_from_coefficients(sc, a)
-                if np.any(np.diff(rep.ladder) < -LADDER_MONOTONE_TOL):
+        us = np.array([haar_unitary(n, _draw_seed(seed, 7 * n + i)) for i in range(10)])
+        sc = _checked_coefficients(us)
+        ladders = [ladder_from_coefficients(sc, a).ladder for a in alphas]
+        for i, u in enumerate(us):
+            for a, ladder in zip(alphas, ladders):
+                if np.any(np.diff(ladder[i]) < -LADDER_MONOTONE_TOL):
                     return False, f"ladder not monotone at n={n} alpha={a}"
                 w = g.standard_normal((5, 2, n))  # five (real, imaginary) pairs
                 v = w[:, 0] + 1j * w[:, 1]
                 v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm
-                if (eur_lhs(u, v, a) < rep.ladder[-1] - ENTROPY_TOL).any():
+                if (eur_lhs(u, v, a) < ladder[i, -1] - ENTROPY_TOL).any():
                     return False, f"entropy sum below ladder top at n={n} alpha={a}"
     return True, ""
 

@@ -40,22 +40,31 @@ def check_probability_vector(x) -> np.ndarray:
     Components must be nonnegative (rounding debris down to
     -NEGATIVE_CLAMP is clamped to zero) and sum to 1 within PROB_SUM_TOL.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
+    return _probability_rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+
+def _probability_rows(x: np.ndarray) -> np.ndarray:
+    # check_probability_vector on each row of a 2d stack, the first failing row
+    # raising its own message; ufunc reductions skip ndarray.min's wrapper
+    if x.shape[1] == 0:
         raise ValueError("empty probability vector")
-    x = clamp_negative(x, "negative component {:.3e} in probability vector")
-    s = float(x.sum())
-    if not abs(s - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"probability vector sums to {s!r}, not 1")
+    lows = np.minimum.reduce(x, axis=1).tolist()
+    if lows and min(lows) < 0.0:
+        x = np.where(x < 0.0, 0.0, x)
+    for lo, s in zip(lows, np.add.reduce(x, axis=1).tolist()):
+        if lo < -NEGATIVE_CLAMP:
+            raise ValueError(f"negative component {lo:.3e} in probability vector")
+        if not abs(s - 1.0) <= PROB_SUM_TOL:
+            raise ValueError(f"probability vector sums to {s!r}, not 1")
     return x
 
 
 def _check_order(alpha) -> float:
-    # The one rule for an entropy order: a nonnegative real or inf.
+    # The one rule for an entropy order: a nonnegative real or inf; -0.0 comes back as 0.0.
     a = float(alpha)
     if math.isnan(a) or a < 0.0:
         raise ValueError(f"entropy order must be a nonnegative real or inf, got {alpha!r}")
-    return a
+    return a + 0.0
 
 
 def _order_json(a: float):
@@ -83,13 +92,13 @@ def _renyi_rows(x: np.ndarray, alpha) -> np.ndarray:
     return (a * np.log(m[:, 0]) + np.log(total)) / (1.0 - a) + 0.0
 
 
-def renyi_entropy(x, alpha) -> float:
+def renyi_entropy(x, alpha):
     """Order-alpha entropy of a probability vector, natural logarithm.
 
     Parameters
     ----------
     x : array_like
-        Probability vector (validated).
+        Probability vector (validated); a 2d array is a stack of them, one per row.
     alpha : float
         Order. 1 gives Shannon entropy with 0 ln 0 := 0, 0 gives the log
         of the support size, inf gives the min-entropy -ln(max component).
@@ -97,10 +106,11 @@ def renyi_entropy(x, alpha) -> float:
 
     Returns
     -------
-    float
+    float, or an array with one entropy per row of a stack
     """
-    x = check_probability_vector(x)
-    return float(_renyi_rows(x[None, :], _check_order(alpha))[0])
+    x = np.asarray(x, dtype=float)
+    h = _renyi_rows(_probability_rows(x if x.ndim == 2 else x.reshape(1, -1)), _check_order(alpha))
+    return h if x.ndim == 2 else float(h[0])
 
 
 def tensor_product(p, q) -> np.ndarray:
@@ -139,4 +149,4 @@ def schur_concavity_witness(x, y, alpha) -> bool:
     """
     if not majorizes(y, x):
         raise ValueError("precondition failed: y does not majorize x")
-    return renyi_entropy(x, alpha) >= renyi_entropy(y, alpha) - ENTROPY_TOL
+    return renyi_entropy(np.ravel(x), alpha) >= renyi_entropy(np.ravel(y), alpha) - ENTROPY_TOL

@@ -214,8 +214,8 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     The grid's Birkhoff matrices are built and checked as one stack, and
     the feasible ones are lifted and residual-checked as one stack. The
     lifts then pass the checks of ``s_coefficients`` as one stack, and one
-    ``s_coefficients_batch`` call gives every s chain. The records are those
-    of ``bound_ladder`` and ``bound_mu`` at each lift, the ladder per point.
+    ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
+    the records of ``bound_ladder`` and ``bound_mu`` at every lift.
     """
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -237,16 +237,16 @@ def cross_section_scan(grid_step: float, alpha) -> list:
         raise RuntimeError(
             f"lift residual {resid[bad[0]]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
         )
-    reports = zip(lifts, _checked_coefficients(lifts))
+    # bound_mu's arithmetic on the lift itself: s_1 is sqrt(|u|^2), which
+    # may differ from max |u| by an ulp
+    mus = [_closed_forms(c)[1] for c in np.abs(lifts).max(axis=(-2, -1)).tolist()]
+    ladder = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha).ladder
+    values = zip(mus, ladder[:, 1].tolist())
     records = []
     for (a, bb), ok in zip(grid, feasible):
         if not ok:
             records.append(ScanRecord(a, bb, False, None, None, None))
             continue
-        u, sc = next(reports)
-        # bound_mu's arithmetic on the lift itself: s_1 is sqrt(|u|^2), which
-        # may differ from max |u| by an ulp
-        mu = _closed_forms(float(np.abs(u).max()))[1]
-        b2 = float(bounds.ladder_from_coefficients(sc, alpha).ladder[1])
+        mu, b2 = next(values)
         records.append(ScanRecord(a, bb, True, mu, b2, mu - b2))
     return records

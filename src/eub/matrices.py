@@ -57,8 +57,8 @@ PROB_SUM_TOL = 1e-10
 # Entries of a probability vector or stochastic matrix, and the barycentric
 # weights a, b and 1 - a - b of a point of the order-3 Birkhoff slice, this
 # far below zero are rounding debris: entries are zeroed, points accepted,
-# and anything more negative is an error. Read by entropy.clamp_negative
-# (and so by every Q, probability and stochastic check), by
+# and anything more negative is an error. Read by entropy.clamp_negative and
+# so by every Q and stochastic check, by entropy's probability check, by
 # families.BirkhoffPoint and by the grid guard of families.cross_section_scan.
 NEGATIVE_CLAMP = 1e-12
 # Rounding allowance of every entropy inequality checked in floating point

@@ -100,7 +100,7 @@ _MAX_SQUARINGS = 6
 
 @dataclass(frozen=True)
 class SubmatrixCoefficients:
-    """The vectors s_1..s_N and r_k = ((1+s_k)/2)^2 for one unitary."""
+    """The vectors s_1..s_N and r_k = ((1+s_k)/2)^2 for one unitary, or one row each for a stack."""
 
     n: int
     s: np.ndarray
@@ -372,11 +372,19 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
     allow_large : bool
         Permit dimensions above MAX_ENUMERATION_DIM (combinatorial cost).
     """
-    return _checked_coefficients(_square_matrix(u)[None], allow_large)[0]
+    sc = _checked_coefficients(_square_matrix(u)[None], allow_large)
+    return SubmatrixCoefficients(n=sc.n, s=sc.s[0], r=sc.r[0])
 
 
-def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> list:
-    """``s_coefficients`` for each matrix of a complex stack (batch, N, N).
+def _enumeration_guard(dim: int, allow_large: bool) -> None:
+    if dim > MAX_ENUMERATION_DIM and not allow_large:
+        raise ValueError(
+            f"dimension {dim} exceeds the enumeration guard ({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
+        )
+
+
+def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> SubmatrixCoefficients:
+    """``s_coefficients`` for a complex stack (batch, N, N), s and r (batch, N).
 
     Runs the checks of ``s_coefficients`` on every matrix, in its order and
     with its messages, the first failing matrix naming the value; then one
@@ -385,17 +393,12 @@ def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> list:
     # one Gram per matrix serves the unitarity and norm checks
     gram = _unitary_gram(u3)
     dim = u3.shape[-1]
-    if dim > MAX_ENUMERATION_DIM and not allow_large:
-        raise ValueError(
-            f"dimension {dim} exceeds the enumeration guard "
-            f"({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
-        )
+    _enumeration_guard(dim, allow_large)
     bad = _first_failure(_gram_norm(gram) - 1.0, UNITARITY_TOL)
     if bad is not None:
         raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {bad:.3e}")
     s = s_coefficients_batch(u3)
-    r = ((1.0 + s) / 2.0) ** 2
-    return [SubmatrixCoefficients(n=dim, s=si, r=ri) for si, ri in zip(s, r)]
+    return SubmatrixCoefficients(n=dim, s=s, r=((1.0 + s) / 2.0) ** 2)
 
 
 def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:

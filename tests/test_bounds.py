@@ -17,6 +17,7 @@ from eub import (
     ladder_from_coefficients,
     majorizes,
     majorizing_vector,
+    permutation_power,
     renyi_entropy,
     rotation_matrix,
     s_coefficients,
@@ -24,7 +25,7 @@ from eub import (
 )
 import eub.bounds as bounds
 from eub.bounds import _classical_entropies, _classical_slacks, _q_rows
-from eub.submatrices import SubmatrixCoefficients
+from eub.submatrices import SubmatrixCoefficients, _checked_coefficients
 
 SEED = 70707
 
@@ -111,6 +112,27 @@ def test_ladder_from_coefficients_consistency():
         shared = ladder_from_coefficients(sc, a)
         assert np.array_equal(direct.ladder, shared.ladder)
         assert direct.b_mu == shared.b_mu
+
+
+def test_stacked_ladder_rows_match_single_reports():
+    # a Haar draw, the Fourier matrix (tied s entries) and P^(1/2) per N
+    for n in range(2, 12):
+        us = [haar_unitary(n, RngSeed(SEED + 400 + n)), fourier_matrix(n), permutation_power(n, 0.5)]
+        stacked = _checked_coefficients(np.array(us))
+        singles = [SubmatrixCoefficients(n=n, s=s, r=r) for s, r in zip(stacked.s, stacked.r)]
+        mv = majorizing_vector(stacked)
+        for i, sc in enumerate(singles):
+            one = majorizing_vector(sc)
+            assert np.array_equal(mv.q_full[i], one.q_full)
+            assert all(np.array_equal(t[i], t1) for t, t1 in zip(mv.truncations, one.truncations, strict=True))
+        for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+            rep = ladder_from_coefficients(stacked, a)
+            assert rep.ladder.shape == (3, n - 1)
+            for i, sc in enumerate(singles):
+                one = ladder_from_coefficients(sc, a)
+                assert [v.hex() for v in rep.ladder[i].tolist()] == [v.hex() for v in one.ladder.tolist()]
+                assert float(rep.b_deutsch[i]).hex() == one.b_deutsch.hex()
+                assert float(rep.b_mu[i]).hex() == one.b_mu.hex()
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), -2.0, -math.inf])

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eub.cli as cli
 import eub.families as families
 import eub.montecarlo as montecarlo
-from eub import RngSeed, beat_rate, bound_gap_stats, fourier_matrix, save_matrix
+import eub.submatrices as submatrices
+from eub import RngSeed, beat_rate, bound_gap_stats, bound_ladder, fourier_matrix, save_matrix
 from eub.cli import main
 
 
@@ -147,6 +149,60 @@ def test_sweep_rejects_unbalanced_family(family, capsys):
 def test_sweep_rejects_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--family", "rotation", "--range", "1:1", "--steps", "3")
     assert code == 2
+
+
+def _spy_kernel_and_ladder(monkeypatch):
+    # shapes of the s-kernel stacks, and (stack shape, order) per ladder call
+    kernels, ladders = [], []
+    kernel, ladder = submatrices.s_coefficients_batch, cli.ladder_from_coefficients
+
+    def spy_kernel(u):
+        kernels.append(np.shape(u))
+        return kernel(u)
+
+    def spy_ladder(sc, alpha):
+        ladders.append((np.shape(sc.s), alpha))
+        return ladder(sc, alpha)
+
+    monkeypatch.setattr(submatrices, "s_coefficients_batch", spy_kernel)
+    monkeypatch.setattr(cli, "ladder_from_coefficients", spy_ladder)
+    return kernels, ladders
+
+
+def test_sweep_makes_one_kernel_call_and_one_ladder_call_per_order(capsys, monkeypatch):
+    kernels, ladders = _spy_kernel_and_ladder(monkeypatch)
+    code, out, err = run(
+        capsys, "sweep", "--family", "perm_power:4", "--range", "0:1", "--steps", "5",
+        "--alpha", "1", "--alpha", "inf",
+    )
+    assert code == 0 and err == ""
+    assert kernels == [(5, 4, 4)]
+    assert ladders == [((5, 4), 1.0), ((5, 4), math.inf)]
+
+
+def test_sweep_refuses_large_n_before_building(capsys, monkeypatch):
+    def refuse(n, beta):
+        raise ValueError(f"built a {n} x {n} matrix")
+
+    monkeypatch.setattr(cli, "permutation_power", refuse)
+    for n in (13, 10**6):
+        code, out, err = run(capsys, "sweep", "--family", f"perm_power:{n}", "--range", "0:1", "--steps", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: dimension {n} exceeds the enumeration guard (12); pass allow_large=True to force\n"
+    # the opt-in still reaches the build
+    code, out, err = run(
+        capsys, "sweep", "--family", "perm_power:13", "--range", "0:1", "--steps", "3", "--allow-large-n",
+    )
+    assert code == 2 and err == "error: built a 13 x 13 matrix\n"
+
+
+def test_negative_zero_order_prints_signless(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "rotation", "--range", "0:1", "--steps", "2", "--alpha", "-0")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0.0", "0.0"]
+    code, out, _ = run(capsys, "bounds", "--input", write_f3(tmp_path), "--alpha", "-0")
+    assert code == 0
+    assert '"alpha": 0.0,' in out and "-0.0" not in out
 
 
 def test_scan_step_just_above_a_grid_divisor(capsys):
@@ -344,6 +400,31 @@ def test_verify_passes(capsys):
     assert lines[-1] == "10/10 checks passed"
 
 
+def test_verify_ladder_check_makes_one_kernel_call_and_five_ladder_calls_per_n(monkeypatch):
+    kernels, ladders = _spy_kernel_and_ladder(monkeypatch)
+    assert cli._verify_ladder(RngSeed(0)) == (True, "")
+    assert kernels == [(10, n, n) for n in range(2, 7)]
+    orders = [0.0, 0.5, 1.0, 2.0, math.inf]
+    assert ladders == [((10, n), a) for n in range(2, 7) for a in orders]
+
+
+@pytest.mark.parametrize("dips", [(), (117, 126)])
+def test_verify_ladder_check_compares_each_draw_with_its_own_ladder(monkeypatch, dips):
+    # entropy sums just inside the tolerance below each draw's own ladder top
+    # pass; dipping below it at call 117 (n = 4, draw 3, order 1/2) and
+    # later is reported at the first dip
+    calls = []
+
+    def lhs(u, v, a):
+        calls.append(a)
+        slack = 2.0 if len(calls) in dips else 0.5
+        return np.full(len(v), bound_ladder(u, a).ladder[-1] - slack * cli.ENTROPY_TOL)
+
+    monkeypatch.setattr(cli, "eur_lhs", lhs)
+    want = (False, "entropy sum below ladder top at n=4 alpha=0.5") if dips else (True, "")
+    assert cli._verify_ladder(RngSeed(0)) == want
+
+
 def test_verify_reports_lift_residual(capsys, monkeypatch):
     # a scan lift above LIFT_RESIDUAL_TOL fails scan-smoke instead of escaping
     monkeypatch.setattr(families, "lift_residual", lambda u, mat: np.ones(np.shape(u)[:-2]))
@@ -393,15 +474,16 @@ def test_cli_digests_rerun_identical(monkeypatch):
     and, on the build the pinned lines were made with, prints those lines."""
     tool = _load_cli_digests()
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 41
+    assert len(pinned) == 43
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
     # 15 bounds inputs, 12 lines for the other commands and their CSVs, 3
     # for the n = 8 ensembles, which run the pruned classes batched, 1 for
-    # the classical basis input and 4 for the scans at orders other than 1
-    assert len(first) == 35
+    # the classical basis input, 4 for the scans at orders other than 1 and
+    # 2 for the sweeps at orders 0, 1/2, 2 and -0
+    assert len(first) == 37
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first
     if header != tool.environment():

@@ -178,6 +178,8 @@ def test_schur_concavity_witness():
             assert schur_concavity_witness(x, y, a)
     with pytest.raises(ValueError, match="majorize"):
         schur_concavity_witness([1.0, 0.0], [0.5, 0.5], 1.0)
+    # 2d inputs are raveled, as majorizes ravels them, and give one bool
+    assert schur_concavity_witness(np.full((2, 2), 0.25), [[0.5, 0.5], [0.0, 0.0]], 1.0) is True
 
 
 def test_validation_errors():
@@ -191,6 +193,43 @@ def test_validation_errors():
         renyi_entropy([0.5, 0.5], float("nan"))
     # tiny negative noise is clamped, not rejected
     assert renyi_entropy([1.0, -1e-13], 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_renyi_stack_rows_match_single_calls():
+    rng = np.random.default_rng(SEED + 5)
+    rows = np.array([random_dist(rng, 6) for _ in range(9)])
+    # exact zeros in several places, a basis vector, and clamped debris
+    rows[::2, 1] = 0.0
+    rows[1::3, 3:] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[4] = np.eye(6)[2]
+    rows[7] = [0.5 + 1e-13, 0.5, -1e-13, 0.0, 0.0, 0.0]
+    for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+        stacked = renyi_entropy(rows, a)
+        assert stacked.shape == (9,)
+        assert [v.hex() for v in stacked.tolist()] == [renyi_entropy(row, a).hex() for row in rows]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.5, 0.6, 0.0], [1.5, -0.5, 0.0]],
+    ids=["sum", "negative"],
+)
+def test_renyi_stack_first_bad_row_raises_its_single_message(bad):
+    # later rows that fail by their sum, or more negatively, are not named
+    with pytest.raises(ValueError) as single:
+        renyi_entropy(bad, 1.0)
+    with pytest.raises(ValueError) as stacked:
+        renyi_entropy([[0.25, 0.25, 0.5], bad, [0.2, 0.2, 0.2], [1.7, 0.0, -0.7]], 1.0)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_renyi_entropy_refuses_a_2d_joint_distribution():
+    # a 2d array is a stack of rows, no longer raveled into one vector
+    joint = np.outer([0.5, 0.5], [0.25, 0.75])
+    with pytest.raises(ValueError, match=r"probability vector sums to 0\.5, not 1"):
+        renyi_entropy(joint, 1.0)
+    assert renyi_entropy(joint.ravel(), 1.0) == pytest.approx(math.log(2) + renyi_entropy([0.25, 0.75], 1.0))
 
 
 def _q_dip(d):

@@ -241,6 +241,19 @@ def test_scan_computes_s_in_one_batch(monkeypatch):
     assert calls == [(sum(r.feasible for r in records), 3, 3)]
 
 
+def test_scan_ladders_in_one_call(monkeypatch):
+    calls = []
+    ladder = bounds.ladder_from_coefficients
+
+    def spy(sc, alpha):
+        calls.append(np.shape(sc.s))
+        return ladder(sc, alpha)
+
+    monkeypatch.setattr(bounds, "ladder_from_coefficients", spy)
+    records = cross_section_scan(0.05, 1.0)
+    assert calls == [(sum(r.feasible for r in records), 3)]
+
+
 def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
     calls = []
     for name in ("unistochastic_lift_3", "lift_residual"):

@@ -499,10 +499,11 @@ def test_stack_check_gives_the_single_coefficients():
     us = [haar_unitary(n, RngSeed(SEED + 40 + i)) for n in (3, 5) for i in range(4)]
     for n in (3, 5):
         stack = np.array([u for u in us if u.shape[0] == n])
-        for u, sc in zip(stack, _checked_coefficients(stack)):
+        sc = _checked_coefficients(stack)
+        assert sc.n == n and sc.s.shape == sc.r.shape == (len(stack), n)
+        for u, s, r in zip(stack, sc.s, sc.r):
             single = s_coefficients(u)
-            assert sc.n == n
-            assert np.array_equal(sc.s, single.s) and np.array_equal(sc.r, single.r)
+            assert np.array_equal(s, single.s) and np.array_equal(r, single.r)
 
 
 def test_dimension_guard():

@@ -101,6 +101,14 @@ def command_set(workdir: str) -> list:
     # scans at the other orders, through the ladder's alpha < 1, alpha > 1
     # and min-entropy branches
     commands += [["scan", "--grid-step", "0.05", "--alpha", a] for a in SCAN_ALPHAS]
+    # a sweep through the ladder's alpha = 0, alpha < 1 and alpha > 1
+    # branches, and one whose order -0 prints as 0.0
+    commands += [
+        ["sweep", "--family", "perm_power(5)", "--range", "0:2", "--steps", "17",
+         "--alpha", "0", "--alpha", "0.5", "--alpha", "2"],
+        ["sweep", "--family", "rotation", "--range", "0:1.5707963267948966", "--steps", "9",
+         "--alpha", "-0"],
+    ]
     return commands
 
 
