@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_order, _order_json, _renyi_rows, check_probability_vector, clamp_negative, renyi_entropy
-from .matrices import ENTROPY_TOL, PROB_SUM_TOL, STATE_NORM_TOL, require_unitary
+from .entropy import _check_order, _order_json, _probability_rows, _renyi_rows, clamp_negative, renyi_entropy
+from .matrices import ENTROPY_TOL, NEGATIVE_CLAMP, PROB_SUM_TOL, _unit_rows, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 
@@ -129,17 +129,7 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
     (an array), each to the bits of its value alone; U is checked once.
     """
     u = require_unitary(u)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != u.shape[0]:
-        dim = psi.shape[-1] if psi.ndim in (1, 2) else psi.shape
-        raise ValueError(f"state dimension {dim} does not match matrix {u.shape[0]}")
-    rows = np.atleast_2d(psi)
-    nrm = np.vecdot(rows, rows).real
-    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= STATE_NORM_TOL))
-    if bad.size:
-        raise ValueError(
-            f"state norm squared {float(nrm[bad[0]])!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
-        )
+    rows = _unit_rows(psi, u.shape[0])
     a = _check_order(alpha)
     p = np.abs(rows) ** 2
     q = np.abs(np.matmul(u, rows[..., None])[..., 0]) ** 2
@@ -147,43 +137,65 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
     p = p / p.sum(axis=1, keepdims=True)
     q = q / q.sum(axis=1, keepdims=True)
     lhs = _renyi_rows(p, a) + _renyi_rows(q, a)
-    return float(lhs[0]) if psi.ndim == 1 else lhs
+    return float(lhs[0]) if np.ndim(psi) == 1 else lhs
 
 
 # --- classical analogue -----------------------------------------------------
 
 
 def check_stochastic(t) -> np.ndarray:
-    """Validate a column-stochastic matrix (columns sum to 1)."""
+    """Validate a column-stochastic matrix (columns sum to 1), or a stack of them.
+
+    A 3d t is a stack of matrices on its leading axis, each checked by the
+    same rule; the first failing matrix raises the message it raises alone.
+    Entries down to -NEGATIVE_CLAMP are rounding debris and are zeroed.
+    """
     t = np.asarray(t, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("expected a 2d array")
-    t = clamp_negative(t, "negative entry {:.3e} in stochastic matrix")
-    col = t.sum(axis=0)
-    if not np.abs(col - 1.0).max() <= PROB_SUM_TOL:
-        row = t.sum(axis=1)
-        if np.abs(row - 1.0).max() <= PROB_SUM_TOL:
-            raise ValueError(
-                "rows sum to 1 but columns do not; row-stochastic input "
-                "is rejected rather than transposed"
-            )
-        raise ValueError(f"column sums deviate from 1 by {np.abs(col - 1.0).max():.3e}")
+    if t.ndim not in (2, 3):
+        raise ValueError("expected a 2d array or a stack of them")
+    mats = t.reshape((-1,) + t.shape[-2:])
+    lows = mats.min(axis=(1, 2)).tolist()
+    if lows and min(lows) < 0.0:
+        t = np.where(t < 0.0, 0.0, t)
+        mats = t.reshape(mats.shape)
+    for j, (lo, dev) in enumerate(zip(lows, np.abs(mats.sum(axis=1) - 1.0).max(axis=1).tolist())):
+        if lo < -NEGATIVE_CLAMP:
+            raise ValueError(f"negative entry {lo:.3e} in stochastic matrix")
+        if not dev <= PROB_SUM_TOL:
+            if np.abs(mats[j].sum(axis=1) - 1.0).max() <= PROB_SUM_TOL:
+                raise ValueError(
+                    "rows sum to 1 but columns do not; row-stochastic input "
+                    "is rejected rather than transposed"
+                )
+            raise ValueError(f"column sums deviate from 1 by {dev:.3e}")
     return t
 
 
 def _classical_entropies(t):
-    # Validates t and takes its column entropies once; returns the function
-    # that validates an input P and gives (mixture entropy, H(TP), H(P)), the
-    # three numbers every classical check compares.
+    # Validates t, one matrix or a stack on the leading axis, and takes all its
+    # column entropies in one call; returns the function that validates P and
+    # gives (mixture entropy, H(TP), H(P)), the three numbers every classical
+    # check compares. P is one vector (three floats) or a stack of rows (three
+    # arrays): one row per matrix of a stack, or any number against one matrix.
     t = check_stochastic(t)
-    columns = [renyi_entropy(t[:, i], 1.0) for i in range(t.shape[1])]
+    n = t.shape[-1]
+    columns = renyi_entropy(np.ascontiguousarray(np.swapaxes(t, -1, -2)).reshape(-1, t.shape[-2]), 1.0)
+    columns = columns.reshape(-1, n)
 
     def entropies(p) -> tuple:
-        p = check_probability_vector(p)
-        if p.size != t.shape[1]:
-            raise ValueError(f"weight vector length {p.size} does not match {t.shape[1]} columns")
-        mixture = sum(p[i] * columns[i] for i in range(t.shape[1]) if p[i] > 0.0)
-        return float(mixture), renyi_entropy(t @ p, 1.0), renyi_entropy(p, 1.0)
+        p = np.asarray(p, dtype=float)
+        rows = _probability_rows(p if p.ndim == 2 else p.reshape(1, -1))
+        if rows.shape[1] != n:
+            raise ValueError(f"weight vector length {rows.shape[1]} does not match {n} columns")
+        if t.ndim == 3 and len(rows) != len(t):
+            raise ValueError(f"{len(rows)} weight vectors for a stack of {len(t)} matrices")
+        # summed over i in column order, skipping zero weights: the bits of a Python sum
+        mixture = np.zeros(len(rows))
+        for i in range(n):
+            mixture = np.where(rows[:, i] > 0.0, mixture + rows[:, i] * columns[:, i], mixture)
+        h_tp = renyi_entropy(np.matmul(t, rows[..., None])[..., 0], 1.0)
+        h_p = renyi_entropy(rows, 1.0)
+        return (mixture, h_tp, h_p) if p.ndim == 2 else (float(mixture[0]), float(h_tp[0]), float(h_p[0]))
 
     return entropies
 
@@ -200,10 +212,15 @@ def classical_mixture_entropy(t, p) -> float:
     return _classical_entropies(t)(p)[0]
 
 
-def classical_bound(t) -> float:
-    """-ln(max entry): H(P) + H(TP) is at least this for every input P."""
+def classical_bound(t):
+    """-ln(max entry): H(P) + H(TP) is at least this for every input P.
+
+    A stack of matrices on the leading axis gives an array of bounds, each
+    ``math.log`` of its own matrix's largest entry.
+    """
     t = check_stochastic(t)
-    return -math.log(float(t.max())) + 0.0
+    bound = [-math.log(c) + 0.0 for c in np.reshape(t.max(axis=(-2, -1)), -1).tolist()]
+    return bound[0] if t.ndim == 2 else np.array(bound)
 
 
 def slomczynski_check(t, p) -> bool:

@@ -29,7 +29,7 @@ from .bounds import (
     ladder_from_coefficients,
     majorizing_vector,
 )
-from .entropy import _check_order, _order_json, majorizes, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
+from .entropy import _check_order, _majorization_slack, _order_json, renyi_entropy  # noqa: F401, bench/tracer.py wraps it
 from .equivalence import random_transform, apply_transform
 from .extremal import (
     SubspacePair,
@@ -50,6 +50,7 @@ from .matrices import (
     CLOSED_FORM_ORDER_TOL,
     ENTROPY_TOL,
     LADDER_MONOTONE_TOL,
+    MAJORIZATION_TOL,
     MAX_PRODUCT_TOL,
     OVERLAP_SUM_TOL,
     STOCHASTIC_IMAG_TOL,
@@ -61,7 +62,7 @@ from .matrices import (
     is_unitary,
     load_matrix,
 )
-from .montecarlo import _beat_and_gaps, beat_rate, majorization_fuzz
+from .montecarlo import _CHUNK, _beat_and_gaps, beat_rate, majorization_fuzz
 from .submatrices import _checked_coefficients, _enumeration_guard, s_coefficients
 
 
@@ -259,12 +260,14 @@ def _cmd_classical(args) -> int:
         return 0 if (ok_pair and ok_bound) else 1
     g = generator(_seed_of(args))
     entropies = _classical_entropies(t)
-    slacks = []
-    for _ in range(args.samples):
-        p = g.exponential(size=t.shape[1])
-        p /= p.sum()
-        slacks.append(_classical_slacks(*entropies(p), bound))
-    worst_lower, worst_upper, worst_bound = (min(column) for column in zip(*slacks))
+    worst = [math.inf] * 3
+    # P rows in ensemble-sized chunks, drawn in the per-sample order
+    for start in range(0, args.samples, _CHUNK):
+        p = g.exponential(size=(min(_CHUNK, args.samples - start), t.shape[1]))
+        p /= p.sum(axis=1, keepdims=True)
+        slacks = _classical_slacks(*entropies(p), bound)
+        worst = [min(w, float(column.min())) for w, column in zip(worst, slacks)]
+    worst_lower, worst_upper, worst_bound = worst
     all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
     obj.update(
         samples=args.samples,
@@ -293,10 +296,10 @@ def _verify_haar_unitarity(seed: RngSeed):
 def _verify_transform_invariance(seed: RngSeed):
     g = generator(seed)
     for n in range(2, 6):
-        for i in range(10):
-            u = haar_unitary(n, _draw_seed(seed, 97 * n + i))
-            v = apply_transform(u, random_transform(n, g))
-            delta = float(np.abs(s_coefficients(u).s - s_coefficients(v).s).max())
+        us = [haar_unitary(n, _draw_seed(seed, 97 * n + i)) for i in range(10)]
+        pairs = np.array([(u, apply_transform(u, random_transform(n, g))) for u in us])
+        s = _checked_coefficients(pairs.reshape(20, n, n)).s.reshape(10, 2, n)
+        for delta in np.abs(s[:, 0] - s[:, 1]).max(axis=1).tolist():
             if delta > TRANSFORM_INVARIANCE_TOL:
                 return False, f"s drifted {delta:.3e} under transform at n={n}"
     return True, ""
@@ -304,12 +307,13 @@ def _verify_transform_invariance(seed: RngSeed):
 
 def _verify_chain(seed: RngSeed):
     for n in range(2, 7):
-        for i in range(20):
-            u = haar_unitary(n, _draw_seed(seed, 13 * n + i))
-            mv = majorizing_vector(s_coefficients(u))
-            for k in range(len(mv.truncations) - 1):
-                if not majorizes(mv.truncations[k], mv.truncations[k + 1]):
-                    return False, f"chain break at n={n} k={k + 1}"
+        us = np.array([haar_unitary(n, _draw_seed(seed, 13 * n + i)) for i in range(20)])
+        truncs = majorizing_vector(_checked_coefficients(us)).truncations
+        # slack[i, k - 1]: the smallest partial-sum slack of Q^(k) over Q^(k + 1) of draw i
+        slack = np.reshape([_majorization_slack(y, x).min(axis=1) for y, x in zip(truncs, truncs[1:])], (n - 2, 20)).T
+        broken = np.argwhere(~(slack >= -MAJORIZATION_TOL))  # (draw, k - 1), in loop order
+        if len(broken):
+            return False, f"chain break at n={n} k={broken[0, 1] + 1}"
     return True, ""
 
 
@@ -350,11 +354,11 @@ def _verify_extremal(seed: RngSeed):
             u2 = haar_unitary(n, _draw_seed(seed, 211 * n + 2 * i + 1))
             sp = SubspacePair(u1[:m1], u2[:m2])
             top = lemma_max_value(sp)
-            for _ in range(200):
-                v = g.standard_normal(n) + 1j * g.standard_normal(n)
-                v /= np.linalg.norm(v)
-                if pair_objective(sp, v) > top + OVERLAP_SUM_TOL:
-                    return False, f"objective exceeded bound at n={n}"
+            w = g.standard_normal((200, 2, n))  # 200 (real, imaginary) pairs
+            v = w[:, 0] + 1j * w[:, 1]
+            v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm
+            if (pair_objective(sp, v) > top + OVERLAP_SUM_TOL).any():
+                return False, f"objective exceeded bound at n={n}"
             psi = maximizing_state(sp)
             if abs(pair_objective(sp, psi) - top) > OVERLAP_SUM_TOL:
                 return False, f"attainment failed at n={n}"
@@ -395,18 +399,25 @@ def _verify_deutsch(seed: RngSeed):
 
 
 def _verify_classical(seed: RngSeed):
-    g = generator(seed)
-    for i in range(500):
-        n = 2 + i % 5
-        t = g.exponential(size=(n, n))
-        t /= t.sum(axis=0, keepdims=True)
-        p = g.exponential(size=n)
-        p /= p.sum()
+    # Trial i draws an n x n T, then P, with n = 2 + i % 5. One draw holds the
+    # 500 trials in that order as 100 blocks of five (2 * 3 + ... + 6 * 7 = 110
+    # values), and each n is one stack of 100 trials.
+    blocks = generator(seed).exponential(size=(100, 110))
+    ok = np.empty((100, 5, 2), dtype=bool)
+    start = 0
+    for n in range(2, 7):
+        t = blocks[:, start : start + n * n].reshape(100, n, n)
+        t /= t.sum(axis=1, keepdims=True)
+        p = blocks[:, start + n * n : start + n * n + n]
+        p /= p.sum(axis=1, keepdims=True)
+        start += n * n + n
         lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t)(p), classical_bound(t))
-        if not min(lower, upper) >= -ENTROPY_TOL:
-            return False, f"mixture inequalities failed at trial {i}"
-        if not vs_bound >= -ENTROPY_TOL:
-            return False, f"entropy sum below -ln kappa at trial {i}"
+        ok[:, n - 2, 0] = np.minimum(lower, upper) >= -ENTROPY_TOL
+        ok[:, n - 2, 1] = vs_bound >= -ENTROPY_TOL
+    failed = np.argwhere(~ok.reshape(500, 2))
+    if len(failed):
+        i, which = failed[0].tolist()
+        return False, (f"mixture inequalities failed at trial {i}", f"entropy sum below -ln kappa at trial {i}")[which]
     return True, ""
 
 

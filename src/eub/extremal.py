@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import UNITARITY_TOL, _orthonormality_residual, require_unitary
+from .matrices import UNITARITY_TOL, _orthonormality_residual, _unit_rows, require_unitary
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,20 @@ def lemma_max_value(sp: SubspacePair) -> float:
     return 1.0 + sigma
 
 
-def pair_objective(sp: SubspacePair, psi: np.ndarray) -> float:
-    """sum_i |<a_i|psi>|^2 + sum_j |<b_j|psi>|^2 for a unit vector psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    ov1 = sp.first_set.conj() @ psi
-    ov2 = sp.second_set.conj() @ psi
-    return float((np.abs(ov1) ** 2).sum() + (np.abs(ov2) ** 2).sum())
+def pair_objective(sp: SubspacePair, psi: np.ndarray):
+    """sum_i |<a_i|psi>|^2 + sum_j |<b_j|psi>|^2 for a unit vector psi.
+
+    psi is one state (a float is returned) or a stack of states on its rows
+    (an array, one value per row, each to the bits of its value alone).
+    Each state must have the ambient dimension and a squared norm within
+    STATE_NORM_TOL of 1, the first bad row naming its norm; a longer state
+    would exceed the lemma's maximum 1 + sigma_1.
+    """
+    rows = _unit_rows(psi, sp.first_set.shape[1])
+    ov1 = np.matmul(sp.first_set.conj(), rows[..., None])[..., 0]
+    ov2 = np.matmul(sp.second_set.conj(), rows[..., None])[..., 0]
+    val = (np.abs(ov1) ** 2).sum(axis=1) + (np.abs(ov2) ** 2).sum(axis=1)
+    return float(val[0]) if np.ndim(psi) == 1 else val
 
 
 def maximizing_state(sp: SubspacePair) -> np.ndarray:

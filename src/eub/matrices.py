@@ -78,7 +78,8 @@ ZERO_FLOOR = 1e-300
 # rounding catastrophically near the limit. Read by entropy._renyi_rows.
 SHANNON_WINDOW = 1e-9
 # A state vector's squared norm, and the modulus of a unit phase, may
-# deviate from 1 by this much. Read by bounds.eur_lhs (states) and
+# deviate from 1 by this much. Read by _unit_rows, and so by bounds.eur_lhs
+# and extremal.pair_objective (states), and by
 # equivalence.EquivalenceTransform (the diagonal phases).
 STATE_NORM_TOL = 1e-12
 # The longest of the three column links sqrt(B_1j B_2j) of a 3x3
@@ -204,6 +205,24 @@ def _first_failure(dev: np.ndarray, tol: float):
         if not d <= tol:
             return d
     return None
+
+
+def _unit_rows(psi, dim: int) -> np.ndarray:
+    # One state, or a stack of states on its rows, as a 2d complex stack: the
+    # one check of a state's dimension and of its squared norm against
+    # STATE_NORM_TOL (so a NaN fails), the first bad row naming its norm
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
+        shown = psi.shape[-1] if psi.ndim in (1, 2) else psi.shape
+        raise ValueError(f"state dimension {shown} does not match matrix {dim}")
+    rows = np.atleast_2d(psi)
+    nrm = np.vecdot(rows, rows).real
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= STATE_NORM_TOL))
+    if bad.size:
+        raise ValueError(
+            f"state norm squared {float(nrm[bad[0]])!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
+        )
+    return rows
 
 
 def _square_matrix(m) -> np.ndarray:

@@ -300,8 +300,8 @@ def test_classical_slacks_known_answers():
 
 
 def test_classical_column_entropies_once_per_t(monkeypatch):
-    # H(t[:, i]) depends on T only: four column entropies in all, then H(TP)
-    # and H(P) per input, and the same numbers as a fresh T each time
+    # H(t[:, i]) depends on T only: the four column entropies in one call,
+    # then H(TP) and H(P) per input, and the same numbers as a fresh T each time
     rng = np.random.default_rng(SEED)
     t = rng.exponential(size=(4, 4))
     t /= t.sum(axis=0, keepdims=True)
@@ -312,7 +312,7 @@ def test_classical_column_entropies_once_per_t(monkeypatch):
     monkeypatch.setattr(bounds, "renyi_entropy", lambda x, a: calls.append(1) or entropy(x, a))
     entropies = _classical_entropies(t)
     assert [entropies(p) for p in ps] == fresh
-    assert len(calls) == 4 + 2 * len(ps)
+    assert len(calls) == 1 + 2 * len(ps)
 
 
 def test_classical_fuzz():
@@ -326,3 +326,102 @@ def test_classical_fuzz():
         assert slomczynski_check(t, p)
         total = renyi_entropy(p, 1.0) + renyi_entropy(t @ p, 1.0)
         assert total >= classical_bound(t) - 1e-10
+
+
+# The T of trial 170 of the classical check at seed 2**64 - 1, whose bound
+# -ln kappa differs in its last bit between math.log and np.log.
+_LOG_SPLIT_T = [
+    [float.fromhex("0x1.2eb9fbcdc4e7cp-2"), float.fromhex("0x1.239efac465696p-2")],
+    [float.fromhex("0x1.68a302191d8c2p-1"), float.fromhex("0x1.6e30829dcd4b5p-1")],
+]
+
+
+def _classical_cases(n, rng):
+    # 12 (T, P) pairs at order n: random pairs, P with zero weights, T with
+    # tied largest entries, and at n = 2 the T where math.log and np.log split
+    ts = rng.exponential(size=(12, n, n))
+    ts /= ts.sum(axis=1, keepdims=True)
+    ps = rng.exponential(size=(12, n))
+    ps[3:6, rng.integers(n)] = 0.0
+    ps[5, :] = 0.0
+    ps[5, n - 1] = 1.0
+    ps /= ps.sum(axis=1, keepdims=True)
+    ts[6] = np.eye(n)
+    ts[7] = np.full((n, n), 1.0 / n)
+    ts[8, :, 0] = ts[8, :, 1]
+    if n == 2:
+        ts[9] = _LOG_SPLIT_T
+    return ts, ps
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_classical_stack_rows_match_single_calls(n):
+    # one P row per T of a stack, and many P rows against one T, give each
+    # trial the bits of its single-T call
+    ts, ps = _classical_cases(n, np.random.default_rng(SEED + n))
+    singles = [_classical_entropies(t)(p) + (classical_bound(t),) for t, p in zip(ts, ps)]
+    assert all(type(v) is float for row in singles for v in row)
+    stacked = _classical_entropies(ts)(ps) + (classical_bound(ts),)
+    assert all(np.shape(column) == (12,) for column in stacked)
+    for column, single in zip(stacked, zip(*singles)):
+        assert _hex(column) == _hex(single)
+    # the mixture is Python's sum over the columns in order, zero weights skipped
+    columns = [[renyi_entropy(t[:, i], 1.0) for i in range(n)] for t in ts]
+    oracle = [sum(p[i] * h[i] for i in range(n) if p[i] > 0.0) for p, h in zip(ps, columns)]
+    assert _hex(stacked[0]) == _hex(oracle)
+    single_slacks = [_classical_slacks(*row) for row in singles]
+    assert [_hex(c) for c in _classical_slacks(*stacked)] == [_hex(c) for c in zip(*single_slacks)]
+    against_one = _classical_entropies(ts[0])(ps)
+    for column, single in zip(against_one, zip(*[_classical_entropies(ts[0])(p) for p in ps])):
+        assert _hex(column) == _hex(single)
+    # a stack of one is a stack: arrays, not floats
+    assert np.shape(classical_bound(ts[:1])) == (1,)
+    assert np.shape(_classical_entropies(ts[:1])(ps[:1])[0]) == (1,)
+
+
+def test_classical_bound_stays_math_log_per_matrix():
+    kappa = _LOG_SPLIT_T[1][1]
+    stack = np.array([np.eye(2), _LOG_SPLIT_T, np.full((2, 2), 0.5)])
+    assert _hex(classical_bound(stack)) == _hex([0.0, -math.log(kappa), math.log(2.0)])
+    assert classical_bound(np.array(_LOG_SPLIT_T)).hex() == (-math.log(kappa)).hex()
+
+
+_BAD_STOCHASTIC = {
+    "negative": ([[1.0 + 2e-12, 0.5], [-2e-12, 0.5]], "negative entry -2.000e-12 in stochastic matrix"),
+    "columns": ([[0.5, 0.5], [0.25, 0.25]], "column sums deviate from 1 by 2.500e-01"),
+    "rows": ([[0.2, 0.8], [0.5, 0.5]], "rows sum to 1 but columns do not"),
+}
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_STOCHASTIC))
+@pytest.mark.parametrize("later", sorted(_BAD_STOCHASTIC))
+def test_stochastic_stack_first_bad_matrix_raises_its_single_message(first, later):
+    # a good matrix, the first bad one, then a second bad one: the stack raises
+    # the first bad matrix's own message, whatever comes after it
+    bad, message = _BAD_STOCHASTIC[first]
+    with pytest.raises(ValueError) as single:
+        check_stochastic(bad)
+    assert str(single.value).startswith(message)
+    second = _BAD_STOCHASTIC[later][0] if later != first else [[-1.0, 0.5], [2.0, 0.5]]
+    stack = np.array([np.full((2, 2), 0.5), bad, second])
+    for check in (check_stochastic, classical_bound, _classical_entropies):
+        with pytest.raises(ValueError) as stacked:
+            check(stack)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_classical_stack_first_bad_row_raises_its_single_message():
+    t = np.full((3, 3), 1.0 / 3.0)
+    rows = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 0.5], [1.5, -0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"probability vector sums to 1\.5, not 1"):
+        _classical_entropies(t)(rows)
+    with pytest.raises(ValueError, match="negative component -5.000e-01"):
+        _classical_entropies(t)(rows[[0, 2, 1]])
+    with pytest.raises(ValueError, match="weight vector length 2 does not match 3 columns"):
+        _classical_entropies(t)(np.full((4, 2), 0.5))
+    with pytest.raises(ValueError, match="2 weight vectors for a stack of 3 matrices"):
+        _classical_entropies(np.array([t, t, t]))(rows[:1].repeat(2, axis=0))

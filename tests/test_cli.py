@@ -10,8 +10,20 @@ import eub.cli as cli
 import eub.families as families
 import eub.montecarlo as montecarlo
 import eub.submatrices as submatrices
-from eub import RngSeed, beat_rate, bound_gap_stats, bound_ladder, fourier_matrix, save_matrix
+from eub import (
+    RngSeed,
+    beat_rate,
+    bound_gap_stats,
+    bound_ladder,
+    classical_bound,
+    fourier_matrix,
+    haar_unitary,
+    s_coefficients,
+    save_matrix,
+)
+from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks
 from eub.cli import main
+from eub.matrices import generator
 
 
 def run(capsys, *argv):
@@ -474,19 +486,252 @@ def test_cli_digests_rerun_identical(monkeypatch):
     and, on the build the pinned lines were made with, prints those lines."""
     tool = _load_cli_digests()
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 43
+    assert len(pinned) == 45
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
     # 15 bounds inputs, 12 lines for the other commands and their CSVs, 3
     # for the n = 8 ensembles, which run the pruned classes batched, 1 for
-    # the classical basis input, 4 for the scans at orders other than 1 and
-    # 2 for the sweeps at orders 0, 1/2, 2 and -0
-    assert len(first) == 37
+    # the classical basis input, 4 for the scans at orders other than 1, 2
+    # for the sweeps at orders 0, 1/2, 2 and -0, and 2 for verify at seed 1
+    # and the chunked classical samples
+    assert len(first) == 39
     assert all(line.split("  ")[1] in ("0", "-") for line in first)
     assert tool.run() == first
     if header != tool.environment():
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert first == [by_argv[line.split("  ", 2)[2]] for line in first]
+
+
+def _states_per_draw(seed, n, pairs):
+    # the extremal check's states drawn one at a time, as (real, imaginary)
+    # pairs from the check's generator, after each pair's two set sizes
+    g = generator(seed)
+    states = []
+    for _ in range(pairs):
+        g.integers(1, n + 1), g.integers(1, n + 1)
+        for _ in range(200):
+            v = g.standard_normal(n) + 1j * g.standard_normal(n)
+            states.append(v / np.linalg.norm(v))
+    return states
+
+
+def test_verify_extremal_check_makes_one_objective_call_per_pair_and_one_per_attainment(monkeypatch):
+    # 25 stacks of 200 states and 25 attainment states, where there were 5025
+    # one-state calls; the stacked states are the one-at-a-time draws, bit for bit
+    calls = []
+    objective = cli.pair_objective
+
+    def spy(sp, psi):
+        calls.append(np.array(psi))
+        return objective(sp, psi)
+
+    monkeypatch.setattr(cli, "pair_objective", spy)
+    assert cli._verify_extremal(RngSeed(0)) == (True, "")
+    assert [c.shape for c in calls] == [s for n in range(2, 7) for _ in range(5) for s in ((200, n), (n,))]
+    stacked = np.concatenate([c for c in calls if c.ndim == 2][:5])
+    reference = np.array(_states_per_draw(RngSeed(0), 2, 5))
+    assert [v.hex() for v in stacked.view(float).ravel()] == [v.hex() for v in reference.view(float).ravel()]
+
+
+@pytest.mark.parametrize("top, want", [(0.0, "objective exceeded bound at n=5"), (3.0, "attainment failed at n=5")])
+def test_verify_extremal_check_reports_the_first_failure(monkeypatch, top, want):
+    # the third pair at n = 5 and every pair at n = 6 get a wrong lemma value:
+    # 0 fails the random states before the attainment check, 3 only the latter
+    seen = []
+    lemma = cli.lemma_max_value
+
+    def wrong(sp):
+        n = sp.first_set.shape[1]
+        seen.append(n)
+        return top if (n == 5 and seen.count(5) == 3) or n == 6 else lemma(sp)
+
+    monkeypatch.setattr(cli, "lemma_max_value", wrong)
+    assert cli._verify_extremal(RngSeed(0)) == (False, want)
+
+
+def _spy_checked_coefficients(monkeypatch):
+    shapes = []
+    checked = cli._checked_coefficients
+
+    def spy(u, *args):
+        shapes.append(np.shape(u))
+        return checked(u, *args)
+
+    def single(*args):
+        raise AssertionError("one-matrix s_coefficients call")
+
+    monkeypatch.setattr(cli, "_checked_coefficients", spy)
+    monkeypatch.setattr(cli, "s_coefficients", single)
+    return shapes
+
+
+def test_verify_chain_and_transform_checks_make_one_kernel_call_per_n(monkeypatch):
+    # 5 and 4 stacks, where there were 100 and 80 one-matrix calls
+    shapes = _spy_checked_coefficients(monkeypatch)
+    assert cli._verify_chain(RngSeed(0)) == (True, "")
+    assert shapes == [(20, n, n) for n in range(2, 7)]
+    shapes.clear()
+    assert cli._verify_transform_invariance(RngSeed(0)) == (True, "")
+    assert shapes == [(20, n, n) for n in range(2, 6)]
+
+
+def test_verify_chain_reports_the_first_break_in_draw_order(monkeypatch):
+    # at n = 5, Q^(3) of draw 7 and Q^(2) of draw 12 are made uniform, so each
+    # is majorized by nothing longer: draw 7's break at k = 3 comes first in
+    # the draw-then-k loop order, though draw 12 breaks at a smaller k
+    build = cli.majorizing_vector
+
+    def broken(sc):
+        mv = build(sc)
+        if sc.n != 5:
+            return mv
+        truncs = [t.copy() for t in mv.truncations]
+        for draw, k in ((7, 3), (12, 2)):
+            truncs[k - 1][draw] = 1.0 / (k + 1)
+        return MajorizingVector(q_full=truncs[-1], truncations=tuple(truncs))
+
+    monkeypatch.setattr(cli, "majorizing_vector", broken)
+    assert cli._verify_chain(RngSeed(0)) == (False, "chain break at n=5 k=3")
+
+
+def test_verify_transform_check_reports_the_first_drift(monkeypatch):
+    # at n = 4, draw 6's transformed matrix is replaced by a slightly rotated
+    # one and draw 8's by the identity: the first drift in draw order is
+    # reported with its own size, not the larger one after it
+    seed = RngSeed(0)
+    draws = {i: haar_unitary(4, cli._draw_seed(seed, 97 * 4 + i)) for i in (6, 8)}
+    c, s = math.cos(0.01), math.sin(0.01)
+    rot = np.eye(4, dtype=complex)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    swaps = {6: draws[6] @ rot, 8: np.eye(4, dtype=complex)}
+    apply = cli.apply_transform
+
+    def drifted(u, t):
+        for i, w in swaps.items():
+            if u.shape == w.shape and np.array_equal(u, draws[i]):
+                return w
+        return apply(u, t)
+
+    drift = {i: float(np.abs(s_coefficients(draws[i]).s - s_coefficients(swaps[i]).s).max()) for i in swaps}
+    assert cli.TRANSFORM_INVARIANCE_TOL < drift[6] < drift[8]
+    monkeypatch.setattr(cli, "apply_transform", drifted)
+    assert cli._verify_transform_invariance(seed) == (False, f"s drifted {drift[6]:.3e} under transform at n=4")
+
+
+class _CountingGenerator:
+    # a numpy Generator that records the size of each exponential draw
+    def __init__(self, g, sizes):
+        self._g, self._sizes = g, sizes
+
+    def exponential(self, size=None):
+        self._sizes.append(size)
+        return self._g.exponential(size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+def _classical_trials(seed):
+    # the classical check's 500 T drawn one trial at a time, as they were
+    g = generator(seed)
+    ts = []
+    for i in range(500):
+        n = 2 + i % 5
+        t = g.exponential(size=(n, n))
+        t /= t.sum(axis=0, keepdims=True)
+        g.exponential(size=n)
+        ts.append(t)
+    return ts
+
+
+def test_verify_classical_check_takes_one_draw(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "generator", lambda seed: _CountingGenerator(generator(seed), sizes))
+    assert cli._verify_classical(RngSeed(0)) == (True, "")
+    assert len(sizes) == 1 and np.prod(sizes[0]) == sum((n * n + n) * 100 for n in range(2, 7))
+
+
+@pytest.mark.parametrize(
+    "faults, want",
+    [
+        ({317: "bound", 400: "bound"}, "entropy sum below -ln kappa at trial 317"),
+        ({317: "both", 400: "mixture"}, "mixture inequalities failed at trial 317"),
+    ],
+)
+def test_verify_classical_check_reports_the_first_failing_trial(monkeypatch, faults, want):
+    # trial 400 (n = 2) sits in a stack evaluated before trial 317's (n = 4);
+    # trial 317 fails first in trial order, and its mixture inequalities are
+    # checked before its bound. Faults are keyed by each trial's own T.
+    trials = _classical_trials(RngSeed(0))
+    entropies, bound = cli._classical_entropies, cli.classical_bound
+
+    def hits(t, kinds):
+        mats = np.reshape(t, (-1,) + np.shape(t)[-2:])
+        return np.array([any(faults[i] in kinds and np.array_equal(m, trials[i]) for i in faults) for m in mats])
+
+    def faulty_entropies(t):
+        evaluate, bad = entropies(t), hits(t, ("mixture", "both"))
+
+        def faulty(p):
+            mixture, h_tp, h_p = evaluate(p)
+            mixture = mixture + bad
+            return (mixture, h_tp, h_p) if np.ndim(p) == 2 else (float(mixture[0]), h_tp, h_p)
+
+        return faulty
+
+    def faulty_bound(t):
+        b = np.where(hits(t, ("bound", "both")), 100.0, bound(t))
+        return b if np.ndim(t) == 3 else float(b[0])
+
+    monkeypatch.setattr(cli, "_classical_entropies", faulty_entropies)
+    monkeypatch.setattr(cli, "classical_bound", faulty_bound)
+    assert cli._verify_classical(RngSeed(0)) == (False, want)
+
+
+def _classical_samples_reference(t, samples, seed):
+    # the classical command's output with P drawn, normalized and checked one
+    # sample at a time
+    g = generator(RngSeed(seed))
+    bound = classical_bound(t)
+    entropies = _classical_entropies(t)
+    slacks = []
+    for _ in range(samples):
+        p = g.exponential(size=t.shape[1])
+        p /= p.sum()
+        slacks.append(_classical_slacks(*entropies(p), bound))
+    worst = [min(column) for column in zip(*slacks)]
+    obj = {
+        "kappa": float(t.max()),
+        "bound": bound,
+        "samples": samples,
+        "seed": {"seed": seed, "stream": 0},
+        "min_slack_lower": worst[0],
+        "min_slack_upper": worst[1],
+        "min_slack_bound": worst[2],
+        "all_hold": min(worst) >= -cli.ENTROPY_TOL,
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (9, 12)])
+def test_classical_samples_match_a_per_sample_loop(tmp_path, capsys, monkeypatch, shape):
+    # 4097 samples cross two 2048-row chunk boundaries; no stack grows with
+    # --samples. The 9 x 12 T has a basis column and a zero row.
+    t = generator(RngSeed(41)).exponential(size=shape)
+    if shape == (9, 12):
+        t[:, 2] = 0.0
+        t[3, 2] = 1.0
+        t[5, :] = 0.0
+    path = tmp_path / "t.json"
+    save_matrix(path, t / t.sum(axis=0))
+    rows = []
+    slacks = cli._classical_slacks
+    monkeypatch.setattr(cli, "_classical_slacks", lambda *a: rows.append(len(a[0])) or slacks(*a))
+    code, out, err = run(capsys, "classical", "--input", str(path), "--samples", "4097", "--seed", "9")
+    assert code == 0 and err == ""
+    assert rows == [2048, 2048, 1]
+    monkeypatch.setattr(cli, "_classical_slacks", slacks)
+    assert out == _classical_samples_reference(cli._load_stochastic(path), 4097, 9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import eub
 from eub import (
     RngSeed,
     SubspacePair,
@@ -117,3 +118,65 @@ def test_deutsch_max_product_attained():
         p = abs(psi[i_star]) ** 2
         q = abs((u @ psi)[j_star]) ** 2
         assert p * q == pytest.approx(deutsch_max_product(u), abs=1e-10)
+
+
+def _unit_states(rng, count, n):
+    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_pair_objective_stack_rows_match_single_calls():
+    # one value per row, each to the bits of the one-state call; a 1-d state
+    # still gives a float
+    rng = np.random.default_rng(SEED)
+    for n in range(2, 9):
+        for j in range(4):
+            sp = random_pair(n, SEED + 500 + 10 * n + j)
+            states = _unit_states(rng, 50, n)
+            stacked = pair_objective(sp, states)
+            assert stacked.shape == (50,)
+            singles = [pair_objective(sp, psi) for psi in states]
+            assert all(type(v) is float for v in singles)
+            assert [float(v).hex() for v in stacked] == [v.hex() for v in singles]
+            assert pair_objective(sp, states[:1]).shape == (1,)
+
+
+def test_pair_objective_refuses_a_state_off_the_unit_sphere():
+    # a longer state would exceed the lemma's maximum: 2 e1 against the pair
+    # (e1, e2) gives 4, where the maximum is 1 + sigma_1 = 1
+    e1 = np.array([[1.0, 0.0]], dtype=complex)
+    e2 = np.array([[0.0, 1.0]], dtype=complex)
+    sp = SubspacePair(e1, e2)
+    assert lemma_max_value(sp) == 1.0
+    with pytest.raises(ValueError, match=r"state norm squared 4\.0 deviates from 1 beyond 1e-12"):
+        pair_objective(sp, 2.0 * e1[0])
+    with pytest.raises(ValueError, match="state norm squared nan"):
+        pair_objective(sp, np.array([math.nan, 1.0]))
+    # the first bad row of a stack names its own norm
+    rows = np.array([[1.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"state norm squared 9\.0 deviates"):
+        pair_objective(sp, rows)
+
+
+def test_pair_objective_takes_the_last_axis_as_the_state():
+    sp = random_pair(3, SEED + 900)
+    with pytest.raises(ValueError, match="state dimension 2 does not match matrix 3"):
+        pair_objective(sp, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="state dimension 2 does not match matrix 3"):
+        pair_objective(sp, np.full((3, 2), math.sqrt(0.5)))
+    with pytest.raises(ValueError, match=r"state dimension \(1, 1, 3\) does not match matrix 3"):
+        pair_objective(sp, np.full((1, 1, 3), math.sqrt(1.0 / 3.0)))
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [np.array([2.0, 0.0]), np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([1.0, 0.0, 0.0]), np.ones((1, 1, 2))],
+    ids=["long", "long-row", "dimension", "3d"],
+)
+def test_pair_objective_and_eur_lhs_share_one_state_check(psi):
+    # the same bad state gets the same message from both entries
+    with pytest.raises(ValueError) as from_lhs:
+        eub.eur_lhs(np.eye(2), psi, 1.0)
+    with pytest.raises(ValueError) as from_objective:
+        pair_objective(SubspacePair(np.eye(2)[:1], np.eye(2)[1:]), psi)
+    assert str(from_objective.value) == str(from_lhs.value)

@@ -109,6 +109,12 @@ def command_set(workdir: str) -> list:
         ["sweep", "--family", "rotation", "--range", "0:1.5707963267948966", "--steps", "9",
          "--alpha", "-0"],
     ]
+    # verify at a second seed, and random P in three chunks of rows, the last
+    # of one row
+    commands += [
+        ["verify", "--seed", "1"],
+        ["classical", "--input", stochastic, "--samples", "4097", "--seed", "9"],
+    ]
     return commands
 
 
