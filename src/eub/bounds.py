@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_order, _order_json, _probability_rows, _renyi_rows, clamp_negative, renyi_entropy
-from .matrices import ENTROPY_TOL, NEGATIVE_CLAMP, PROB_SUM_TOL, _unit_rows, require_unitary
+from .entropy import _check_order, _order_json, _probability_rows, _renyi_rows, renyi_entropy
+from .matrices import ENTROPY_TOL, PROB_SUM_TOL, _clamp_debris, _first_failure, _unit_rows, require_unitary
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 
@@ -55,12 +55,15 @@ class BoundReport:
 def _q_rows(s_rows: np.ndarray, k: int) -> np.ndarray:
     # The only builder of Q^(k) = (r_1, r_2 - r_1, ..., r_k - r_{k-1}, 1 - r_k),
     # r = ((1 + s) / 2)^2, one row per s vector of the stack. Components go
-    # negative only by rounding where consecutive r tie; clamp_negative zeroes
-    # those and raises on anything beyond the clamp window.
+    # negative only by rounding where consecutive r tie; _clamp_debris zeroes
+    # those, and the first row with a component beyond the window raises.
     r = ((1.0 + s_rows) / 2.0) ** 2
     head = np.diff(r[:, :k], prepend=0.0, axis=1)
     q = np.concatenate([head, (1.0 - r[:, k - 1])[:, None]], axis=1)
-    q = clamp_negative(q, "majorizing vector component {:.3e} below clamp window")
+    q, lows, clean = _clamp_debris(q, (1,))
+    bad = _first_failure(clean)
+    if bad is not None:
+        raise ValueError(f"majorizing vector component {lows[bad]:.3e} below clamp window")
     return q / q.sum(axis=1, keepdims=True)
 
 
@@ -71,7 +74,8 @@ def majorizing_vector(sc: SubmatrixCoefficients) -> MajorizingVector:
     the ensembles use, on all rows of stacked s at once. Monotone s makes
     every component nonnegative; components down to -NEGATIVE_CLAMP
     (rounding where consecutive r_k tie) are zeroed and the vector
-    renormalized, and a more negative one raises ValueError.
+    renormalized, and a more negative one raises ValueError, the first such
+    row of a stack naming its own component.
     """
     rows = sc.s.reshape(-1, sc.n)
     truncs = tuple(_q_rows(rows, k).reshape(sc.s.shape[:-1] + (k + 1,)) for k in range(1, sc.n))
@@ -153,21 +157,18 @@ def check_stochastic(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim not in (2, 3):
         raise ValueError("expected a 2d array or a stack of them")
-    mats = t.reshape((-1,) + t.shape[-2:])
-    lows = mats.min(axis=(1, 2)).tolist()
-    if lows and min(lows) < 0.0:
-        t = np.where(t < 0.0, 0.0, t)
-        mats = t.reshape(mats.shape)
-    for j, (lo, dev) in enumerate(zip(lows, np.abs(mats.sum(axis=1) - 1.0).max(axis=1).tolist())):
-        if lo < -NEGATIVE_CLAMP:
-            raise ValueError(f"negative entry {lo:.3e} in stochastic matrix")
-        if not dev <= PROB_SUM_TOL:
-            if np.abs(mats[j].sum(axis=1) - 1.0).max() <= PROB_SUM_TOL:
-                raise ValueError(
-                    "rows sum to 1 but columns do not; row-stochastic input "
-                    "is rejected rather than transposed"
-                )
-            raise ValueError(f"column sums deviate from 1 by {dev:.3e}")
+    t, lows, clean = _clamp_debris(t, (-2, -1))
+    dev = np.abs(t.sum(axis=-2) - 1.0).max(axis=-1)
+    bad = _first_failure(clean & (dev <= PROB_SUM_TOL))
+    if bad is not None:
+        if not clean.flat[bad]:
+            raise ValueError(f"negative entry {lows.flat[bad]:.3e} in stochastic matrix")
+        if np.abs(t.sum(axis=-1) - 1.0).max(axis=-1).flat[bad] <= PROB_SUM_TOL:
+            raise ValueError(
+                "rows sum to 1 but columns do not; row-stochastic input "
+                "is rejected rather than transposed"
+            )
+        raise ValueError(f"column sums deviate from 1 by {dev.flat[bad]:.3e}")
     return t
 
 

@@ -57,6 +57,7 @@ from .matrices import (
     TRANSFORM_INVARIANCE_TOL,
     RngSeed,
     _UINT64,
+    _unit_normalized,
     generator,
     haar_unitary,
     is_unitary,
@@ -329,9 +330,7 @@ def _verify_ladder(seed: RngSeed):
                 if np.any(np.diff(ladder[i]) < -LADDER_MONOTONE_TOL):
                     return False, f"ladder not monotone at n={n} alpha={a}"
                 w = g.standard_normal((5, 2, n))  # five (real, imaginary) pairs
-                v = w[:, 0] + 1j * w[:, 1]
-                v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm
-                if (eur_lhs(u, v, a) < ladder[i, -1] - ENTROPY_TOL).any():
+                if (eur_lhs(u, _unit_normalized(w[:, 0] + 1j * w[:, 1]), a) < ladder[i, -1] - ENTROPY_TOL).any():
                     return False, f"entropy sum below ladder top at n={n} alpha={a}"
     return True, ""
 
@@ -355,9 +354,7 @@ def _verify_extremal(seed: RngSeed):
             sp = SubspacePair(u1[:m1], u2[:m2])
             top = lemma_max_value(sp)
             w = g.standard_normal((200, 2, n))  # 200 (real, imaginary) pairs
-            v = w[:, 0] + 1j * w[:, 1]
-            v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]  # as np.linalg.norm
-            if (pair_objective(sp, v) > top + OVERLAP_SUM_TOL).any():
+            if (pair_objective(sp, _unit_normalized(w[:, 0] + 1j * w[:, 1])) > top + OVERLAP_SUM_TOL).any():
                 return False, f"objective exceeded bound at n={n}"
             psi = maximizing_state(sp)
             if abs(pair_objective(sp, psi) - top) > OVERLAP_SUM_TOL:

@@ -13,25 +13,12 @@ import numpy as np
 from .matrices import (
     ENTROPY_TOL,
     MAJORIZATION_TOL,
-    NEGATIVE_CLAMP,
     PROB_SUM_TOL,
     SHANNON_WINDOW,
     ZERO_FLOOR,
+    _clamp_debris,
+    _first_failure,
 )
-
-
-def clamp_negative(x: np.ndarray, message: str) -> np.ndarray:
-    """Zero the entries of x in [-NEGATIVE_CLAMP, 0); raise below that.
-
-    The ValueError text is ``message`` formatted with the most negative
-    entry. Returns x itself when no entry is negative.
-    """
-    lo = float(x.min())
-    if lo < -NEGATIVE_CLAMP:
-        raise ValueError(message.format(lo))
-    if lo < 0.0:
-        x = np.where(x < 0.0, 0.0, x)
-    return x
 
 
 def check_probability_vector(x) -> np.ndarray:
@@ -45,17 +32,16 @@ def check_probability_vector(x) -> np.ndarray:
 
 def _probability_rows(x: np.ndarray) -> np.ndarray:
     # check_probability_vector on each row of a 2d stack, the first failing row
-    # raising its own message; ufunc reductions skip ndarray.min's wrapper
+    # raising its own message; ufunc reductions skip ndarray.sum's wrapper
     if x.shape[1] == 0:
         raise ValueError("empty probability vector")
-    lows = np.minimum.reduce(x, axis=1).tolist()
-    if lows and min(lows) < 0.0:
-        x = np.where(x < 0.0, 0.0, x)
-    for lo, s in zip(lows, np.add.reduce(x, axis=1).tolist()):
-        if lo < -NEGATIVE_CLAMP:
-            raise ValueError(f"negative component {lo:.3e} in probability vector")
-        if not abs(s - 1.0) <= PROB_SUM_TOL:
-            raise ValueError(f"probability vector sums to {s!r}, not 1")
+    x, lows, clean = _clamp_debris(x, (1,))
+    sums = np.add.reduce(x, axis=1)
+    bad = _first_failure(clean & (np.abs(sums - 1.0) <= PROB_SUM_TOL))
+    if bad is not None:
+        if not clean[bad]:
+            raise ValueError(f"negative component {lows[bad]:.3e} in probability vector")
+        raise ValueError(f"probability vector sums to {float(sums[bad])!r}, not 1")
     return x
 
 

@@ -27,14 +27,15 @@ import numpy as np
 # the tracer's WRAPS, which names them
 from . import bounds
 from .bounds import _closed_forms, bound_ladder, bound_mu  # noqa: F401
-from .entropy import clamp_negative
 from .matrices import (
     DEGENERATE_LINK,
     LIFT_RESIDUAL_TOL,
     LINK_TRIANGLE_TOL,
     NEGATIVE_CLAMP,
     PROB_SUM_TOL,
+    _clamp_debris,
     _first_failure,
+    _unit_normalized,
 )
 from .submatrices import _checked_coefficients
 
@@ -92,10 +93,8 @@ class BirkhoffPoint:
 
     def __post_init__(self):
         a, b = np.broadcast_arrays(self.a, self.b)
-        lo = -NEGATIVE_CLAMP
-        inside = (a >= lo) & (b >= lo) & (a + b <= 1.0 + NEGATIVE_CLAMP)
-        if not inside.all():
-            i = np.flatnonzero(~inside)[0]
+        i = _first_failure((np.minimum(a, b) >= -NEGATIVE_CLAMP) & (a + b <= 1.0 + NEGATIVE_CLAMP))
+        if i is not None:
             raise ValueError(f"point ({a.flat[i]}, {b.flat[i]}) outside the simplex")
 
 
@@ -111,15 +110,17 @@ def birkhoff_matrix(p: BirkhoffPoint) -> np.ndarray:
 
 def _check_bistochastic_3(b) -> np.ndarray:
     # 3 x 3 matrices on the trailing axes, clamped and checked matrix by
-    # matrix; the first failing matrix names the deviation.
+    # matrix; the first failing matrix names its entry or deviation.
     b = np.asarray(b, dtype=float)
     if b.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3 x 3 matrices on the trailing axes, got shape {b.shape}")
-    b = clamp_negative(b, "negative entry {:.3e}")
+    b, lows, clean = _clamp_debris(b, (-2, -1))
     sums = np.maximum(np.abs(b.sum(axis=-2) - 1.0).max(axis=-1), np.abs(b.sum(axis=-1) - 1.0).max(axis=-1))
-    bad = _first_failure(sums, PROB_SUM_TOL)
+    bad = _first_failure(clean & (sums <= PROB_SUM_TOL))
     if bad is not None:
-        raise ValueError(f"row/column sums deviate from 1 by {bad:.3e}")
+        if not clean.flat[bad]:
+            raise ValueError(f"negative entry {lows.flat[bad]:.3e}")
+        raise ValueError(f"row/column sums deviate from 1 by {sums.flat[bad]:.3e}")
     return b
 
 
@@ -178,9 +179,7 @@ def unistochastic_lift_3(b) -> np.ndarray:
         row0 = mods[..., 0, :].astype(complex)
         row1 = mods[..., 1, :] * np.exp(1j * phi)
         row2 = np.conj(np.cross(row0, row1))
-        # np.linalg.norm's arithmetic, per row
-        nrm = np.sqrt(np.vecdot(row2.real, row2.real) + np.vecdot(row2.imag, row2.imag))[..., None]
-        row2 = np.where(nrm > 0.0, row2 / nrm, row2)
+        row2 = _unit_normalized(row2)
         first = np.hypot(row2[..., :1].real, row2[..., :1].imag)
         row2 = np.where(first > 0.0, row2 * (np.conj(row2[..., :1]) / first), row2)
     return np.stack([row0, row1, row2], axis=-2)
@@ -231,12 +230,10 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     # (0, 0), the identity, is always feasible, so the stack is never empty
     lifts = unistochastic_lift_3(mats[feasible])
     resid = lift_residual(lifts, mats[feasible])
-    bad = np.flatnonzero(~(resid <= LIFT_RESIDUAL_TOL))
-    if bad.size:
-        a, bb = points[feasible][bad[0]].tolist()
-        raise RuntimeError(
-            f"lift residual {resid[bad[0]]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}"
-        )
+    bad = _first_failure(resid <= LIFT_RESIDUAL_TOL)
+    if bad is not None:
+        a, bb = points[feasible][bad].tolist()
+        raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}")
     # bound_mu's arithmetic on the lift itself: s_1 is sqrt(|u|^2), which
     # may differ from max |u| by an ulp
     mus = [_closed_forms(c)[1] for c in np.abs(lifts).max(axis=(-2, -1)).tolist()]

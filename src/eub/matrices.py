@@ -50,15 +50,15 @@ CARDANO_MIN_GAP = 1e-2
 # maximum always passes. Read by submatrices.
 PRUNE_SLACK = 1e-9
 # The sum of a probability vector, and each row or column sum of a
-# (bi)stochastic matrix, may miss 1 by this much. Read by
-# entropy.check_probability_vector, bounds.check_stochastic and
-# families._check_bistochastic_3.
+# (bi)stochastic matrix, may miss 1 by this much. Read by entropy's
+# probability check, bounds.check_stochastic and
+# families._check_bistochastic_3, each next to _clamp_debris.
 PROB_SUM_TOL = 1e-10
 # Entries of a probability vector or stochastic matrix, and the barycentric
 # weights a, b and 1 - a - b of a point of the order-3 Birkhoff slice, this
 # far below zero are rounding debris: entries are zeroed, points accepted,
-# and anything more negative is an error. Read by entropy.clamp_negative and
-# so by every Q and stochastic check, by entropy's probability check, by
+# and anything more negative is an error. Read by _clamp_debris and so by
+# entropy's probability check, every Q check and every stochastic check, by
 # families.BirkhoffPoint and by the grid guard of families.cross_section_scan.
 NEGATIVE_CLAMP = 1e-12
 # Rounding allowance of every entropy inequality checked in floating point
@@ -197,31 +197,49 @@ def _orthonormality_residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, np.abs(g - np.eye(v.shape[-2])).max(axis=(-2, -1))
 
 
-def _first_failure(dev: np.ndarray, tol: float):
-    # The first of the per-matrix deviations dev that is not <= tol (so a NaN
-    # fails), or None when every matrix passes. A loop over Python floats:
-    # for one matrix a numpy reduction would cost more than the check.
-    for d in dev.reshape(-1).tolist():
-        if not d <= tol:
-            return d
-    return None
+def _first_failure(ok: np.ndarray):
+    # The stack-order index of the first unit whose test ok is False, or None
+    # when every unit passes: the one first-failure rule of the stack checks.
+    # Tests are written dev <= tol, so a NaN fails. argmin finds the first
+    # False, and for one unit costs less than ok.all().
+    i = int(ok.argmin()) if ok.size else None
+    return None if i is None or ok.flat[i] else i
+
+
+def _clamp_debris(x: np.ndarray, axis: tuple):
+    # The one debris rule of the probability checks: x with its entries in
+    # [-NEGATIVE_CLAMP, 0) zeroed (x itself if none is negative), each unit's
+    # minimum over the trailing axes axis, and whether it is inside the window
+    # (a NaN passes, to fail its unit's sum test). Unit minima are taken only
+    # when the stack's is beyond the window; else it stands for them all.
+    lo = np.minimum.reduce(x, axis=None, initial=0.0)
+    if lo >= -NEGATIVE_CLAMP:
+        clean = np.ones(x.shape[: x.ndim - len(axis)], dtype=bool)
+        return (x if lo == 0.0 else np.where(x < 0.0, 0.0, x)), lo, clean
+    lows = np.minimum.reduce(x, axis=axis)
+    return np.where(x < 0.0, 0.0, x), lows, ~(lows < -NEGATIVE_CLAMP)
+
+
+def _unit_normalized(v: np.ndarray) -> np.ndarray:
+    # The one row-norm rule: each complex row (last axis) of v divided by its
+    # norm, taken with np.linalg.norm's arithmetic; a zero row stays as it is
+    nrm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    return np.where(nrm > 0.0, v / nrm, v)
 
 
 def _unit_rows(psi, dim: int) -> np.ndarray:
     # One state, or a stack of states on its rows, as a 2d complex stack: the
     # one check of a state's dimension and of its squared norm against
-    # STATE_NORM_TOL (so a NaN fails), the first bad row naming its norm
+    # STATE_NORM_TOL, the first bad row naming its norm
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
         shown = psi.shape[-1] if psi.ndim in (1, 2) else psi.shape
         raise ValueError(f"state dimension {shown} does not match matrix {dim}")
     rows = np.atleast_2d(psi)
     nrm = np.vecdot(rows, rows).real
-    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= STATE_NORM_TOL))
-    if bad.size:
-        raise ValueError(
-            f"state norm squared {float(nrm[bad[0]])!r} deviates from 1 beyond {STATE_NORM_TOL:g}"
-        )
+    bad = _first_failure(np.abs(nrm - 1.0) <= STATE_NORM_TOL)
+    if bad is not None:
+        raise ValueError(f"state norm squared {float(nrm[bad])!r} deviates from 1 beyond {STATE_NORM_TOL:g}")
     return rows
 
 
@@ -259,11 +277,9 @@ def _unitary_gram(m: np.ndarray) -> np.ndarray:
     # matrix of a stack (the first failing one names the residual), returning
     # M M^dag for callers that reuse it
     g, resid = _orthonormality_residual(m)
-    bad = _first_failure(resid, UNITARITY_TOL)
+    bad = _first_failure(resid <= UNITARITY_TOL)
     if bad is not None:
-        raise ValueError(
-            f"unitarity residual {bad:.3e} exceeds tolerance {UNITARITY_TOL:g}"
-        )
+        raise ValueError(f"unitarity residual {resid.flat[bad]:.3e} exceeds tolerance {UNITARITY_TOL:g}")
     return g
 
 

@@ -394,9 +394,10 @@ def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> Submatri
     gram = _unitary_gram(u3)
     dim = u3.shape[-1]
     _enumeration_guard(dim, allow_large)
-    bad = _first_failure(_gram_norm(gram) - 1.0, UNITARITY_TOL)
+    excess = _gram_norm(gram) - 1.0
+    bad = _first_failure(excess <= UNITARITY_TOL)
     if bad is not None:
-        raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {bad:.3e}")
+        raise ValueError(f"s_N deviates from 1: the norm of u exceeds 1 by {excess[bad]:.3e}")
     s = s_coefficients_batch(u3)
     return SubmatrixCoefficients(n=dim, s=s, r=((1.0 + s) / 2.0) ** 2)
 

@@ -65,6 +65,19 @@ def test_q_rows_rejects_non_monotone_s():
         majorizing_vector(_hand_built([0.6, 0.5, 1.0]))
 
 
+def test_stacked_q_names_the_first_row_beyond_the_window():
+    # row 0 dips by 9.5e-12, row 1 by 9.5e-10: the stack raises row 0's message
+    s = np.array([[0.9, 0.9 - 1e-11, 1.0], [0.9, 0.9 - 1e-9, 1.0]])
+    with pytest.raises(ValueError) as single:
+        majorizing_vector(_hand_built(s[0]))
+    assert "-9.500e-12 below clamp window" in str(single.value)
+    stacked = SubmatrixCoefficients(n=3, s=s, r=((1.0 + s) / 2.0) ** 2)
+    for build in (majorizing_vector, lambda sc: ladder_from_coefficients(sc, 1.0)):
+        with pytest.raises(ValueError) as caught:
+            build(stacked)
+        assert str(caught.value) == str(single.value)
+
+
 def test_one_ulp_dip_is_zeroed():
     s = [0.6, 0.6 - 1e-15, 1.0]
     q = _q_rows(np.array([s]), 2)[0]

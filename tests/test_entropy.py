@@ -5,8 +5,9 @@ import pytest
 
 from eub import majorizes, renyi_entropy, schur_concavity_witness, tensor_product
 from eub.bounds import _q_rows, check_stochastic
-from eub.entropy import _majorization_slack, check_probability_vector, clamp_negative
+from eub.entropy import _majorization_slack, _probability_rows, check_probability_vector
 from eub.families import _check_bistochastic_3
+from eub.matrices import _clamp_debris
 
 SEED = 8831
 
@@ -234,35 +235,60 @@ def test_renyi_entropy_refuses_a_2d_joint_distribution():
 
 def _q_dip(d):
     # s_2 chosen so that r_2 = r_1 - d, with r_1 = ((1 + 0.6) / 2)^2 = 0.64
-    return _q_rows(np.array([[0.6, 2.0 * math.sqrt(0.64 - d) - 1.0, 1.0]]), 2)
+    return [0.6, 2.0 * math.sqrt(0.64 - d) - 1.0, 1.0]
 
 
-# Each caller of clamp_negative, fed an input whose most negative entry is -d.
+def _bistochastic_dip(d):
+    return [[1.0 + d, -d, 0.0], [-d, 1.0 + d, 0.0], [0.0, 0.0, 1.0]]
+
+
+# Each caller of _clamp_debris: one input whose most negative entry is -d,
+# and the same check on a stack of such inputs, one per d.
 CLAMP_CALLERS = {
     "probability_vector": (
         lambda d: check_probability_vector([0.5 + d, 0.5, -d]),
+        lambda ds: _probability_rows(np.array([[0.5 + d, 0.5, -d] for d in ds])),
         "negative component",
     ),
     "stochastic": (
         lambda d: check_stochastic([[1.0 + d, 0.5], [-d, 0.5]]),
+        lambda ds: check_stochastic([[[1.0 + d, 0.5], [-d, 0.5]] for d in ds]),
         "negative entry .* in stochastic matrix",
     ),
     "bistochastic_3": (
-        lambda d: _check_bistochastic_3([[1.0 + d, -d, 0.0], [-d, 1.0 + d, 0.0], [0.0, 0.0, 1.0]]),
+        lambda d: _check_bistochastic_3(_bistochastic_dip(d)),
+        lambda ds: _check_bistochastic_3([_bistochastic_dip(d) for d in ds]),
         "negative entry",
     ),
-    "q_rows": (_q_dip, "below clamp window"),
+    "q_rows": (
+        lambda d: _q_rows(np.array([_q_dip(d)]), 2),
+        lambda ds: _q_rows(np.array([_q_dip(d) for d in ds]), 2),
+        "below clamp window",
+    ),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(CLAMP_CALLERS))
 def test_clamp_window_edge(caller):
-    check, message = CLAMP_CALLERS[caller]
+    check, _, message = CLAMP_CALLERS[caller]
     assert float(np.min(check(0.5e-12))) == 0.0
     with pytest.raises(ValueError, match=message):
         check(2e-12)
 
 
-def test_clamp_negative_passes_nonnegative_input_through():
-    x = np.array([0.0, 0.25, 0.75])
-    assert clamp_negative(x, "unused {}") is x
+@pytest.mark.parametrize("caller", sorted(CLAMP_CALLERS))
+def test_clamp_window_edge_on_a_stack(caller):
+    # row 0's debris is zeroed; row 1, beyond the window, raises the message
+    # it raises alone, and the more negative row 2 is not the one named
+    check, stack, _ = CLAMP_CALLERS[caller]
+    assert float(np.min(stack([0.5e-12, 0.0]))) == 0.0
+    with pytest.raises(ValueError) as single:
+        check(2e-12)
+    with pytest.raises(ValueError) as stacked:
+        stack([0.5e-12, 2e-12, 5e-12])
+    assert str(stacked.value) == str(single.value)
+
+
+def test_clamp_debris_passes_nonnegative_input_through():
+    x = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0]])
+    assert _clamp_debris(x, (1,))[0] is x

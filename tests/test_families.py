@@ -319,6 +319,20 @@ def test_bistochastic_stack_raises_the_single_message():
         unistochastic_check_3(np.array([good, good]))
 
 
+def test_bistochastic_stack_names_the_first_matrix_not_the_most_negative_entry():
+    # matrix 0 fails by its sums; matrix 1's entry -2e-11 is the stack's minimum
+    first, later = np.eye(3), np.eye(3)
+    first[0, 0] = 0.9
+    later[0, 1], later[0, 0] = -2e-11, 1.0 + 2e-11
+    with pytest.raises(ValueError) as single:
+        _check_bistochastic_3(first)
+    assert str(single.value) == "row/column sums deviate from 1 by 1.000e-01"
+    for check in (_check_bistochastic_3, unistochastic_lift_3):
+        with pytest.raises(ValueError) as stacked:
+            check(np.array([first, later]))
+        assert str(stacked.value) == str(single.value)
+
+
 def _scalar_lift_3(b):
     # The one-matrix construction the stacked lift replaced, kept as its
     # oracle: per-matrix control flow, math.atan2 and np.linalg.norm.

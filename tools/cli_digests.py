@@ -2,8 +2,9 @@
 
 Runs every command of ``command_set`` in-process through ``eub.cli.main``
 and prints one line per command, ``sha256  exit  argv``, where the digest
-is of the command's stdout. Each ``mc --gap-hist`` CSV gets a line of its
-own with ``-`` in the exit column. Input matrices are written from fixed
+is of the command's stdout followed by its stderr, which is empty on
+success. Each ``mc --gap-hist`` CSV gets a line of its own with ``-`` in
+the exit column. Input matrices are written from fixed
 seeds to a temporary directory, which the printed argv shows as ``$TMP``,
 so two checkouts print the same lines exactly when their outputs agree:
 
@@ -50,7 +51,11 @@ PRUNED_ENSEMBLE_DIMS = (8,)
 
 
 def write_inputs(workdir: str) -> list:
-    """Write the bounds and classical input matrices; return bounds paths."""
+    """Write the bounds and classical input matrices; return bounds paths.
+
+    The refused inputs, a row-stochastic T and a non-unitary U, are written
+    too but not returned.
+    """
     mats = [(f"haar{n}", eub.haar_unitary(n, eub.RngSeed(1000 + n))) for n in HAAR_DIMS]
     mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in FOURIER_DIMS]
     mats += [(f"perm_half{n}", eub.permutation_power(n, 0.5)) for n in PERM_HALF_DIMS]
@@ -61,6 +66,8 @@ def write_inputs(workdir: str) -> list:
         eub.save_matrix(paths[-1], m)
     t = generator(eub.RngSeed(5)).exponential(size=(4, 4))
     eub.save_matrix(os.path.join(workdir, "stochastic4.json"), t / t.sum(axis=0))
+    eub.save_matrix(os.path.join(workdir, "row_stochastic4.json"), t / t.sum(axis=1, keepdims=True))
+    eub.save_matrix(os.path.join(workdir, "nonunitary3.json"), 1.01 * eub.haar_unitary(3, eub.RngSeed(1003)))
     return paths
 
 
@@ -115,6 +122,15 @@ def command_set(workdir: str) -> list:
         ["verify", "--seed", "1"],
         ["classical", "--input", stochastic, "--samples", "4097", "--seed", "9"],
     ]
+    # refused inputs, which exit 2 with one line on stderr: a negative
+    # weight, a row-stochastic T, a non-unitary U and a weight vector of the
+    # wrong length
+    commands += [
+        ["classical", "--input", stochastic, "--p", "0.5,0.6,-0.1,0"],
+        ["classical", "--input", os.path.join(workdir, "row_stochastic4.json"), "--p", "0.1,0.2,0.3,0.4"],
+        ["bounds", "--input", os.path.join(workdir, "nonunitary3.json")],
+        ["classical", "--input", stochastic, "--p", "0.5,0.5"],
+    ]
     return commands
 
 
@@ -134,11 +150,11 @@ def digest_lines(commands: list, workdir: str) -> list:
     """Run each command; return its digest line (and the gap-hist line)."""
     lines = []
     for argv in commands:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         shown = " ".join(a.replace(workdir, "$TMP") for a in argv)
-        lines.append(f"{_sha256(buf.getvalue().encode())}  {code}  {shown}")
+        lines.append(f"{_sha256((out.getvalue() + err.getvalue()).encode())}  {code}  {shown}")
         if "--gap-hist" in argv:
             path = argv[argv.index("--gap-hist") + 1]
             with open(path, "rb") as fh:
