@@ -60,7 +60,6 @@ from .families import (
 )
 from .matrices import (
     RngSeed,
-    haar_unitary,
     is_unitary,
     largest_singular_value,
     load_matrix,
@@ -77,6 +76,7 @@ from .montecarlo import (
     GapStats,
     beat_rate,
     bound_gap_stats,
+    haar_unitary,
     majorization_fuzz,
 )
 from .submatrices import (

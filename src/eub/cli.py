@@ -55,15 +55,16 @@ from .matrices import (
     OVERLAP_SUM_TOL,
     STOCHASTIC_IMAG_TOL,
     TRANSFORM_INVARIANCE_TOL,
+    UNITARITY_TOL,
     RngSeed,
-    _UINT64,
+    _first_failure,
+    _orthonormality_residual,
     _unit_normalized,
     generator,
-    haar_unitary,
-    is_unitary,
     load_matrix,
 )
-from .montecarlo import _CHUNK, _beat_and_gaps, beat_rate, majorization_fuzz
+from .montecarlo import _CHUNK, _beat_and_gaps, _haar_batch, beat_rate, majorization_fuzz
+from .montecarlo import haar_unitary  # noqa: F401, bench/tracer.py wraps it
 from .submatrices import _checked_coefficients, _enumeration_guard, s_coefficients
 
 
@@ -113,11 +114,6 @@ def _dump_json(obj) -> str:
 
 def _seed_of(args) -> RngSeed:
     return RngSeed(seed=args.seed, stream=args.stream)
-
-
-def _draw_seed(seed: RngSeed, offset: int) -> RngSeed:
-    # One verify draw's seed, wrapped into 0..2**64 - 1 so any valid --seed works.
-    return RngSeed((seed.seed + offset) % _UINT64, seed.stream)
 
 
 def _fmt12(v) -> str:
@@ -283,21 +279,25 @@ def _cmd_classical(args) -> int:
 
 
 # --- verify suite -------------------------------------------------------------
+#
+# Each check takes its Haar unitaries at each n from one _haar_batch call:
+# samples start .. start + count - 1 of the run (seed, stream), at a start
+# of its own (31n, 97n, 13n, 7n, 211n or 5n).
 
 
 def _verify_haar_unitarity(seed: RngSeed):
     for n in range(2, 7):
-        for i in range(50):
-            u = haar_unitary(n, _draw_seed(seed, 31 * n + i))
-            if not is_unitary(u):
-                return False, f"haar draw n={n} i={i} failed unitarity"
+        resid = _orthonormality_residual(_haar_batch(n, seed, 31 * n, 50, False)[0])[1]
+        i = _first_failure(resid <= UNITARITY_TOL)
+        if i is not None:
+            return False, f"haar draw n={n} i={i} failed unitarity"
     return True, ""
 
 
 def _verify_transform_invariance(seed: RngSeed):
     g = generator(seed)
     for n in range(2, 6):
-        us = [haar_unitary(n, _draw_seed(seed, 97 * n + i)) for i in range(10)]
+        us = _haar_batch(n, seed, 97 * n, 10, False)[0]
         pairs = np.array([(u, apply_transform(u, random_transform(n, g))) for u in us])
         s = _checked_coefficients(pairs.reshape(20, n, n)).s.reshape(10, 2, n)
         for delta in np.abs(s[:, 0] - s[:, 1]).max(axis=1).tolist():
@@ -308,7 +308,7 @@ def _verify_transform_invariance(seed: RngSeed):
 
 def _verify_chain(seed: RngSeed):
     for n in range(2, 7):
-        us = np.array([haar_unitary(n, _draw_seed(seed, 13 * n + i)) for i in range(20)])
+        us = _haar_batch(n, seed, 13 * n, 20, False)[0]
         truncs = majorizing_vector(_checked_coefficients(us)).truncations
         # slack[i, k - 1]: the smallest partial-sum slack of Q^(k) over Q^(k + 1) of draw i
         slack = np.reshape([_majorization_slack(y, x).min(axis=1) for y, x in zip(truncs, truncs[1:])], (n - 2, 20)).T
@@ -322,7 +322,7 @@ def _verify_ladder(seed: RngSeed):
     alphas = (0.0, 0.5, 1.0, 2.0, math.inf)
     g = generator(seed)
     for n in range(2, 7):
-        us = np.array([haar_unitary(n, _draw_seed(seed, 7 * n + i)) for i in range(10)])
+        us = _haar_batch(n, seed, 7 * n, 10, False)[0]
         sc = _checked_coefficients(us)
         ladders = [ladder_from_coefficients(sc, a).ladder for a in alphas]
         for i, u in enumerate(us):
@@ -337,7 +337,7 @@ def _verify_ladder(seed: RngSeed):
 
 def _verify_product_majorization(seed: RngSeed):
     for n in range(2, 7):
-        rep = majorization_fuzz(n, 300, _draw_seed(seed, n))
+        rep = majorization_fuzz(n, 300, seed)
         if rep.violations:
             return False, f"{rep.violations} majorization violations at n={n}"
     return True, ""
@@ -346,11 +346,11 @@ def _verify_product_majorization(seed: RngSeed):
 def _verify_extremal(seed: RngSeed):
     g = generator(seed)
     for n in range(2, 7):
+        us = _haar_batch(n, seed, 211 * n, 10, False)[0]
         for i in range(5):
             m1 = int(g.integers(1, n + 1))
             m2 = int(g.integers(1, n + 1))
-            u1 = haar_unitary(n, _draw_seed(seed, 211 * n + 2 * i))
-            u2 = haar_unitary(n, _draw_seed(seed, 211 * n + 2 * i + 1))
+            u1, u2 = us[2 * i], us[2 * i + 1]
             sp = SubspacePair(u1[:m1], u2[:m2])
             top = lemma_max_value(sp)
             w = g.standard_normal((200, 2, n))  # 200 (real, imaginary) pairs
@@ -378,8 +378,7 @@ def _verify_extremal(seed: RngSeed):
 
 def _verify_deutsch(seed: RngSeed):
     for n in range(2, 7):
-        for i in range(20):
-            u = haar_unitary(n, _draw_seed(seed, 5 * n + i))
+        for u in _haar_batch(n, seed, 5 * n, 20, False)[0]:
             if bound_deutsch(u) > bound_mu(u) + CLOSED_FORM_ORDER_TOL:
                 return False, f"closed-form ordering violated at n={n}"
             # rows of u index the transformed basis, columns the input one

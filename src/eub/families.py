@@ -26,7 +26,7 @@ import numpy as np
 # bench/tracer.py wraps it; bound_ladder and bound_mu are imported only for
 # the tracer's WRAPS, which names them
 from . import bounds
-from .bounds import _closed_forms, bound_ladder, bound_mu  # noqa: F401
+from .bounds import bound_ladder, bound_mu  # noqa: F401
 from .matrices import (
     DEGENERATE_LINK,
     LIFT_RESIDUAL_TOL,
@@ -234,11 +234,8 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     if bad is not None:
         a, bb = points[feasible][bad].tolist()
         raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}")
-    # bound_mu's arithmetic on the lift itself: s_1 is sqrt(|u|^2), which
-    # may differ from max |u| by an ulp
-    mus = [_closed_forms(c)[1] for c in np.abs(lifts).max(axis=(-2, -1)).tolist()]
-    ladder = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha).ladder
-    values = zip(mus, ladder[:, 1].tolist())
+    report = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha)
+    values = zip(report.b_mu.tolist(), report.ladder[:, 1].tolist())
     records = []
     for (a, bb), ok in zip(grid, feasible):
         if not ok:

@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers: unitarity checks, spectral norms, Haar sampling, JSON I/O.
+"""Dense complex matrix helpers: unitarity checks, spectral norms, random streams, JSON I/O.
 
 Everything here works on plain numpy arrays (complex128). Matrices stay
 small (dimension about 12 or less), so robustness is preferred over
@@ -11,6 +11,8 @@ Random draws come from one Philox stream per run, keyed by (seed, stream).
 Sample ``index`` of an ensemble reads that stream from counter
 (0, 0, index, 0), the start of its own block of 2**128 counter values,
 for index 0 .. 2**64 - 1. ``_seek`` is the one definition of that rule.
+The one Haar sampler that reads it, ``montecarlo._haar_batch``, lives
+with the ensembles; ``haar_unitary`` is its sample 0.
 
 The constant block below is the package's numeric contract: every
 allowance a floating-point check grants (a residual, a window, a clamp, a
@@ -24,7 +26,6 @@ quantity are the same.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 
@@ -310,27 +311,6 @@ def _gram_norm(g: np.ndarray) -> np.ndarray:
     # sqrt(lambda_max(g)): the spectral norm of a, for g = a a^dag or a^dag a;
     # one per matrix of a stack
     return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
-
-
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    # QR alone is not Haar-distributed; the R-diagonal phase correction is
-    # required. Works on a single matrix or a stack.
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(n: int, rng: RngSeed) -> np.ndarray:
-    """Draw an n x n unitary from the Haar measure.
-
-    Ginibre matrix -> QR -> multiply Q on the right by the phases of the
-    R diagonal. Deterministic given the seed.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = generator(rng)
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / math.sqrt(2.0)
-    return _haar_from_ginibre(z)
 
 
 def _check_index_set(idx, bound: int, label: str) -> np.ndarray:

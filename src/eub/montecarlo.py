@@ -3,7 +3,10 @@
 All experiments are deterministic given (seed, stream): sample ``index``
 draws from its own block of the run's Philox stream, starting at counter
 (0, 0, index, 0) for index 0 .. 2**64 - 1 (``matrices._seek``), so results
-do not depend on chunking or worker scheduling. They share one ensemble
+do not depend on chunking or worker scheduling. ``_haar_batch`` is the
+package's one Haar draw (Ginibre, QR, R-diagonal phases): sample i of a
+run is the same matrix whether an ensemble, the verify suite or
+``haar_unitary`` (sample 0) asks for it. The experiments share one ensemble
 loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
@@ -20,7 +23,7 @@ import numpy as np
 
 from .bounds import _q_rows
 from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
-from .matrices import MAJORIZATION_TOL, RngSeed, _haar_from_ginibre, _seek, sample_generator
+from .matrices import MAJORIZATION_TOL, RngSeed, _seek, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 
 _CHUNK = 2048
@@ -96,6 +99,15 @@ class GapStats:
         }
 
 
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    # QR alone is not Haar-distributed; the R-diagonal phase correction is
+    # required, and makes the law independent of the Ginibre scale. Works on
+    # a single matrix or a stack.
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
     # One generator per chunk, re-seeked to each sample index. Row off of
     # `draws` holds sample start + off's normals in draw order: the Ginibre
@@ -113,6 +125,16 @@ def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
         psi = draws[:, 2 * nn : 2 * nn + n] + 1j * draws[:, 2 * nn + n :]
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return _haar_from_ginibre(z), psi
+
+
+def haar_unitary(n: int, rng: RngSeed) -> np.ndarray:
+    """Draw an n x n unitary from the Haar measure: sample 0 of the run (seed, stream).
+
+    The same matrix as the first draw of every ensemble on that run.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _haar_batch(n, rng, 0, 1, False)[0][0]
 
 
 def _check_ensemble(n: int, count: int, what: str) -> None:

@@ -17,7 +17,6 @@ from eub import (
     bound_ladder,
     classical_bound,
     fourier_matrix,
-    haar_unitary,
     s_coefficients,
     save_matrix,
 )
@@ -448,7 +447,8 @@ def test_verify_reports_lift_residual(capsys, monkeypatch):
 
 
 def test_verify_at_largest_seed(capsys):
-    # per-draw seeds wrap below 2**64 instead of overflowing RngSeed
+    # the seed is the Philox key and each draw a sample index, so the largest
+    # seed needs no wrap
     code, out, _ = run(capsys, "verify", "--seed", "18446744073709551615")
     assert code == 0
     assert out.strip().split("\n")[-1] == "10/10 checks passed"
@@ -600,15 +600,16 @@ def test_verify_chain_reports_the_first_break_in_draw_order(monkeypatch):
 
 
 def test_verify_transform_check_reports_the_first_drift(monkeypatch):
-    # at n = 4, draw 6's transformed matrix is replaced by a slightly rotated
-    # one and draw 8's by the identity: the first drift in draw order is
+    # at n = 4, draw 6's transformed matrix is replaced by one with rows 0
+    # and 1 slightly rotated (a column rotation leaves this draw's s alone)
+    # and draw 8's by the identity: the first drift in draw order is
     # reported with its own size, not the larger one after it
     seed = RngSeed(0)
-    draws = {i: haar_unitary(4, cli._draw_seed(seed, 97 * 4 + i)) for i in (6, 8)}
+    draws = {i: cli._haar_batch(4, seed, 97 * 4, 10, False)[0][i] for i in (6, 8)}
     c, s = math.cos(0.01), math.sin(0.01)
     rot = np.eye(4, dtype=complex)
     rot[:2, :2] = [[c, -s], [s, c]]
-    swaps = {6: draws[6] @ rot, 8: np.eye(4, dtype=complex)}
+    swaps = {6: rot @ draws[6], 8: np.eye(4, dtype=complex)}
     apply = cli.apply_transform
 
     def drifted(u, t):
@@ -621,6 +622,22 @@ def test_verify_transform_check_reports_the_first_drift(monkeypatch):
     assert cli.TRANSFORM_INVARIANCE_TOL < drift[6] < drift[8]
     monkeypatch.setattr(cli, "apply_transform", drifted)
     assert cli._verify_transform_invariance(seed) == (False, f"s drifted {drift[6]:.3e} under transform at n=4")
+
+
+def test_verify_unitarity_names_the_first_failing_draw(monkeypatch):
+    # at n = 4, draws 17 and 30 are scaled off the unitary group, draw 30
+    # further: the first failure in draw order is named, not the worst
+    batch = cli._haar_batch
+
+    def corrupted(n, rng, start, count, with_state):
+        u, psi = batch(n, rng, start, count, with_state)
+        if n == 4:
+            u[17] *= 1.01
+            u[30] *= 1.1
+        return u, psi
+
+    monkeypatch.setattr(cli, "_haar_batch", corrupted)
+    assert cli._verify_haar_unitarity(RngSeed(0)) == (False, "haar draw n=4 i=17 failed unitarity")
 
 
 class _CountingGenerator:

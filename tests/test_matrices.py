@@ -23,6 +23,7 @@ from eub import (
     unitarity_residual,
 )
 from eub.matrices import philox_key, sample_generator
+from eub.montecarlo import _haar_batch
 
 SEED = 20240817
 
@@ -65,12 +66,15 @@ def test_largest_singular_value_adjoint_symmetry():
 
 
 def test_haar_unitary_is_unitary():
+    # and is sample 0 of the ensemble stream, to the bit
     for n in range(1, 9):
         for i in range(25):
-            u = haar_unitary(n, RngSeed(SEED + i, stream=n))
+            rng = RngSeed(SEED + i, stream=n)
+            u = haar_unitary(n, rng)
             assert u.shape == (n, n)
             assert is_unitary(u)
             assert unitarity_residual(u) <= 1e-12
+            assert u.tobytes() == _haar_batch(n, rng, 0, 1, False)[0][0].tobytes()
 
 
 def test_haar_reproducibility():

@@ -7,7 +7,8 @@ import pytest
 import eub.montecarlo as montecarlo
 from eub import RngSeed, beat_rate, bound_gap_stats, majorization_fuzz
 from eub.cli import main
-from eub.matrices import _haar_from_ginibre, philox_key
+from eub.matrices import philox_key
+from eub.montecarlo import _haar_from_ginibre
 
 SEED = 1717
 
