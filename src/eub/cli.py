@@ -46,6 +46,7 @@ from .families import (  # noqa: F401, bench/tracer.py wraps unistochastic_lift_
     unistochastic_lift_3,
 )
 from .matrices import (
+    BEAT_RATE_ALLOWANCE,
     BLOCK_EIGENVALUE_TOL,
     CLOSED_FORM_ORDER_TOL,
     ENTROPY_TOL,
@@ -282,7 +283,12 @@ def _cmd_classical(args) -> int:
 #
 # Each check takes its Haar unitaries at each n from one _haar_batch call:
 # samples start .. start + count - 1 of the run (seed, stream), at a start
-# of its own (31n, 97n, 13n, 7n, 211n or 5n).
+# of its own (31n, 97n, 13n, 7n, 211n or 5n). Every comparison is written
+# as a passing test (dev <= tol) and negated, directly or through
+# _first_failure, so that a NaN fails it.
+
+# The entropy orders at which the ladder and transform checks evaluate bounds
+_VERIFY_ORDERS = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
 def _verify_haar_unitarity(seed: RngSeed):
@@ -299,10 +305,22 @@ def _verify_transform_invariance(seed: RngSeed):
     for n in range(2, 6):
         us = _haar_batch(n, seed, 97 * n, 10, False)[0]
         pairs = np.array([(u, apply_transform(u, random_transform(n, g))) for u in us])
-        s = _checked_coefficients(pairs.reshape(20, n, n)).s.reshape(10, 2, n)
-        for delta in np.abs(s[:, 0] - s[:, 1]).max(axis=1).tolist():
-            if delta > TRANSFORM_INVARIANCE_TOL:
-                return False, f"s drifted {delta:.3e} under transform at n={n}"
+        sc = _checked_coefficients(pairs.reshape(20, n, n))
+        # drift[i, 0]: s of draw i against its transform's; drift[i, 1 + j]:
+        # b_deutsch, b_mu and every rung at order j, the same way
+        drift = np.empty((10, 1 + len(_VERIFY_ORDERS)))
+        s = sc.s.reshape(10, 2, n)
+        drift[:, 0] = np.abs(s[:, 0] - s[:, 1]).max(axis=1)
+        for j, a in enumerate(_VERIFY_ORDERS):
+            rep = ladder_from_coefficients(sc, a)
+            bounds = np.column_stack((rep.b_deutsch, rep.b_mu, rep.ladder)).reshape(10, 2, n + 1)
+            drift[:, 1 + j] = np.abs(bounds[:, 0] - bounds[:, 1]).max(axis=1)
+        bad = _first_failure(drift.ravel() <= TRANSFORM_INVARIANCE_TOL)  # draw by draw, s first
+        if bad is not None:
+            i, j = divmod(bad, drift.shape[1])
+            if j == 0:
+                return False, f"s drifted {drift[i, 0]:.3e} under transform at n={n}"
+            return False, f"bounds drifted {drift[i, j]:.3e} under transform at n={n} alpha={_VERIFY_ORDERS[j - 1]}"
     return True, ""
 
 
@@ -319,18 +337,17 @@ def _verify_chain(seed: RngSeed):
 
 
 def _verify_ladder(seed: RngSeed):
-    alphas = (0.0, 0.5, 1.0, 2.0, math.inf)
     g = generator(seed)
     for n in range(2, 7):
         us = _haar_batch(n, seed, 7 * n, 10, False)[0]
         sc = _checked_coefficients(us)
-        ladders = [ladder_from_coefficients(sc, a).ladder for a in alphas]
+        ladders = [ladder_from_coefficients(sc, a).ladder for a in _VERIFY_ORDERS]
         for i, u in enumerate(us):
-            for a, ladder in zip(alphas, ladders):
-                if np.any(np.diff(ladder[i]) < -LADDER_MONOTONE_TOL):
+            for a, ladder in zip(_VERIFY_ORDERS, ladders):
+                if not (np.diff(ladder[i]) >= -LADDER_MONOTONE_TOL).all():
                     return False, f"ladder not monotone at n={n} alpha={a}"
                 w = g.standard_normal((5, 2, n))  # five (real, imaginary) pairs
-                if (eur_lhs(u, _unit_normalized(w[:, 0] + 1j * w[:, 1]), a) < ladder[i, -1] - ENTROPY_TOL).any():
+                if not (eur_lhs(u, _unit_normalized(w[:, 0] + 1j * w[:, 1]), a) >= ladder[i, -1] - ENTROPY_TOL).all():
                     return False, f"entropy sum below ladder top at n={n} alpha={a}"
     return True, ""
 
@@ -354,14 +371,14 @@ def _verify_extremal(seed: RngSeed):
             sp = SubspacePair(u1[:m1], u2[:m2])
             top = lemma_max_value(sp)
             w = g.standard_normal((200, 2, n))  # 200 (real, imaginary) pairs
-            if (pair_objective(sp, _unit_normalized(w[:, 0] + 1j * w[:, 1])) > top + OVERLAP_SUM_TOL).any():
+            if not (pair_objective(sp, _unit_normalized(w[:, 0] + 1j * w[:, 1])) <= top + OVERLAP_SUM_TOL).all():
                 return False, f"objective exceeded bound at n={n}"
             psi = maximizing_state(sp)
-            if abs(pair_objective(sp, psi) - top) > OVERLAP_SUM_TOL:
+            if not abs(pair_objective(sp, psi) - top) <= OVERLAP_SUM_TOL:
                 return False, f"attainment failed at n={n}"
             s1 = float((np.abs(sp.first_set.conj() @ psi) ** 2).sum())
             s2 = float((np.abs(sp.second_set.conj() @ psi) ** 2).sum())
-            if abs(s1 - s2) > OVERLAP_SUM_TOL:
+            if not abs(s1 - s2) <= OVERLAP_SUM_TOL:
                 return False, f"partial sums unequal at n={n}"
             a = cross_gram(sp)
             block = np.block(
@@ -371,7 +388,7 @@ def _verify_extremal(seed: RngSeed):
                 ]
             )
             lam = float(np.linalg.eigvalsh(block)[-1])
-            if abs(lam - top) > BLOCK_EIGENVALUE_TOL:
+            if not abs(lam - top) <= BLOCK_EIGENVALUE_TOL:
                 return False, f"block eigenvalue mismatch at n={n}"
     return True, ""
 
@@ -379,7 +396,7 @@ def _verify_extremal(seed: RngSeed):
 def _verify_deutsch(seed: RngSeed):
     for n in range(2, 7):
         for u in _haar_batch(n, seed, 5 * n, 20, False)[0]:
-            if bound_deutsch(u) > bound_mu(u) + CLOSED_FORM_ORDER_TOL:
+            if not bound_deutsch(u) <= bound_mu(u) + CLOSED_FORM_ORDER_TOL:
                 return False, f"closed-form ordering violated at n={n}"
             # rows of u index the transformed basis, columns the input one
             j_star, i_star = np.unravel_index(int(np.abs(u).argmax()), u.shape)
@@ -389,7 +406,7 @@ def _verify_deutsch(seed: RngSeed):
             psi = maximizing_state(SubspacePair(first, second))
             p = float(np.abs(psi[i_star]) ** 2)
             q = float(np.abs((u @ psi)[j_star]) ** 2)
-            if abs(p * q - deutsch_max_product(u)) > MAX_PRODUCT_TOL:
+            if not abs(p * q - deutsch_max_product(u)) <= MAX_PRODUCT_TOL:
                 return False, f"max product cross-check failed at n={n}"
     return True, ""
 
@@ -419,7 +436,7 @@ def _verify_classical(seed: RngSeed):
 
 def _verify_beat_rate(seed: RngSeed):
     res = beat_rate(2, 3000, seed)
-    if abs(res.rate - 0.814) > 0.03:
+    if not abs(res.rate - 0.814) <= BEAT_RATE_ALLOWANCE:
         return False, f"beat rate {res.rate:.3f} far from 0.814"
     return True, ""
 

@@ -217,8 +217,9 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
 
     For each pair the flattened product distribution must be majorized by
     Q, whose partial sums count as 1.0 past its n components, within
-    MAJORIZATION_TOL. Expected violations: zero; any hit is an
-    implementation bug, reported with the worst partial-sum slack.
+    MAJORIZATION_TOL; a NaN slack counts as a violation. Expected
+    violations: zero; any hit is an implementation bug, reported with the
+    worst partial-sum slack.
     """
     _check_ensemble(n, pairs, "pairs")
     violations = 0
@@ -231,7 +232,7 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
         pq = (p[:, :, None] * q[:, None, :]).reshape(-1, n * n)
         slack = _majorization_slack(_q_rows(s, n - 1), pq)
         worst = min(worst, float(slack.min()))
-        violations += int(np.count_nonzero(slack.min(axis=1) < -MAJORIZATION_TOL))
+        violations += int(np.count_nonzero(~(slack.min(axis=1) >= -MAJORIZATION_TOL)))
     return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from eub import (
     s_coefficients,
     save_matrix,
 )
-from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks
+from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks, ladder_from_coefficients
 from eub.cli import main
 from eub.matrices import generator
 
@@ -571,13 +572,18 @@ def _spy_checked_coefficients(monkeypatch):
 
 
 def test_verify_chain_and_transform_checks_make_one_kernel_call_per_n(monkeypatch):
-    # 5 and 4 stacks, where there were 100 and 80 one-matrix calls
+    # 5 and 4 stacks, where there were 100 and 80 one-matrix calls; the
+    # transform check takes its bounds from one ladder call per order on
+    # the 20-row report of each n
     shapes = _spy_checked_coefficients(monkeypatch)
+    ladders = _spy_kernel_and_ladder(monkeypatch)[1]
     assert cli._verify_chain(RngSeed(0)) == (True, "")
     assert shapes == [(20, n, n) for n in range(2, 7)]
     shapes.clear()
+    ladders.clear()
     assert cli._verify_transform_invariance(RngSeed(0)) == (True, "")
     assert shapes == [(20, n, n) for n in range(2, 6)]
+    assert ladders == [((20, n), a) for n in range(2, 6) for a in (0.0, 0.5, 1.0, 2.0, math.inf)]
 
 
 def test_verify_chain_reports_the_first_break_in_draw_order(monkeypatch):
@@ -622,6 +628,76 @@ def test_verify_transform_check_reports_the_first_drift(monkeypatch):
     assert cli.TRANSFORM_INVARIANCE_TOL < drift[6] < drift[8]
     monkeypatch.setattr(cli, "apply_transform", drifted)
     assert cli._verify_transform_invariance(seed) == (False, f"s drifted {drift[6]:.3e} under transform at n=4")
+
+
+def test_verify_transform_check_reports_the_first_bound_drift(monkeypatch):
+    # at n = 4 and order 2 the transformed rows of draws 3 and 7 (stack rows
+    # 7 and 15) get every rung raised by 2 and 5 times the tolerance: the
+    # first drift in draw order is reported with its own size
+    tol = cli.TRANSFORM_INVARIANCE_TOL
+
+    def drifted(sc, alpha):
+        rep = ladder_from_coefficients(sc, alpha)
+        if sc.n == 4 and alpha == 2.0:
+            rep.ladder[7] += 2 * tol
+            rep.ladder[15] += 5 * tol
+        return rep
+
+    monkeypatch.setattr(cli, "ladder_from_coefficients", drifted)
+    want = (False, "bounds drifted 2.000e-10 under transform at n=4 alpha=2.0")
+    assert cli._verify_transform_invariance(RngSeed(0)) == want
+
+
+def _nan_ladder(sc, alpha):
+    rep = ladder_from_coefficients(sc, alpha)
+    rep.ladder[:] = math.nan
+    return rep
+
+
+# (check, module and name patched, its NaN-returning stand-in, the failure)
+NAN_VALUES = {
+    "ladder-lhs": (
+        cli._verify_ladder, cli, "eur_lhs", lambda u, psi, a: np.full(len(psi), math.nan),
+        "entropy sum below ladder top at n=2 alpha=0.0",
+    ),
+    "extremal-lemma": (
+        cli._verify_extremal, cli, "lemma_max_value", lambda sp: math.nan, "objective exceeded bound at n=2",
+    ),
+    "deutsch-product": (
+        cli._verify_deutsch, cli, "deutsch_max_product", lambda u: math.nan, "max product cross-check failed at n=2",
+    ),
+    "deutsch-mu": (cli._verify_deutsch, cli, "bound_mu", lambda u: math.nan, "closed-form ordering violated at n=2"),
+    "transform-bounds": (
+        cli._verify_transform_invariance, cli, "ladder_from_coefficients", _nan_ladder,
+        "bounds drifted nan under transform at n=2 alpha=0.0",
+    ),
+    "product-majorization": (
+        cli._verify_product_majorization, montecarlo, "_majorization_slack",
+        lambda y, x: np.full(np.shape(x), math.nan),
+        "300 majorization violations at n=2",
+    ),
+    "beat-rate": (
+        cli._verify_beat_rate, cli, "beat_rate", lambda n, samples, seed: SimpleNamespace(rate=math.nan),
+        "beat rate nan far from 0.814",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_VALUES))
+def test_verify_checks_fail_on_nan(monkeypatch, case):
+    # every comparison is a passing test negated, so a NaN fails its check
+    check, module, name, stand_in, want = NAN_VALUES[case]
+    monkeypatch.setattr(module, name, stand_in)
+    assert check(RngSeed(0)) == (False, want)
+
+
+@pytest.mark.parametrize("rate, fails", [(0.843, False), (0.785, False), (0.845, True), (0.783, True)])
+def test_verify_beat_rate_allowance(monkeypatch, rate, fails):
+    # the allowance is 0.03 on either side of 0.814: rates 0.001 inside it
+    # pass, and rates 0.001 outside it fail
+    monkeypatch.setattr(cli, "beat_rate", lambda n, samples, seed: SimpleNamespace(rate=rate))
+    want = (False, f"beat rate {rate:.3f} far from 0.814") if fails else (True, "")
+    assert cli._verify_beat_rate(RngSeed(0)) == want
 
 
 def test_verify_unitarity_names_the_first_failing_draw(monkeypatch):
