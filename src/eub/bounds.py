@@ -82,20 +82,21 @@ def majorizing_vector(sc: SubmatrixCoefficients) -> MajorizingVector:
     return MajorizingVector(q_full=truncs[-1] if truncs else np.ones(sc.s.shape), truncations=truncs)
 
 
-def _closed_forms(c: float) -> tuple:
-    # (-2 ln((1 + c) / 2), -2 ln c) for the largest entry modulus c; the
-    # ensembles keep their np.log forms, as the two logs need not round alike.
-    return -2.0 * math.log((1.0 + c) / 2.0) + 0.0, -2.0 * math.log(c) + 0.0
+def _closed_forms(c) -> tuple:
+    # The one rule for (-2 ln((1 + c) / 2), -2 ln c), c the largest entry
+    # modulus: floats for one c, arrays for an array, each element its own np.log.
+    forms = -2.0 * np.log((1.0 + c) / 2.0) + 0.0, -2.0 * np.log(c) + 0.0
+    return tuple(map(float, forms)) if np.ndim(c) == 0 else forms
 
 
-def bound_deutsch(u: np.ndarray) -> float:
-    """-2 ln((1 + c) / 2) with c the largest entry modulus of a unitary."""
-    return _closed_forms(float(np.abs(require_unitary(u)).max()))[0]
+def bound_deutsch(u: np.ndarray):
+    """-2 ln((1 + c) / 2) with c the largest entry modulus of a unitary, per matrix of a stack."""
+    return _closed_forms(np.abs(require_unitary(u)).max(axis=(-2, -1)))[0]
 
 
-def bound_mu(u: np.ndarray) -> float:
-    """-2 ln c with c the largest entry modulus of a unitary."""
-    return _closed_forms(float(np.abs(require_unitary(u)).max()))[1]
+def bound_mu(u: np.ndarray):
+    """-2 ln c with c the largest entry modulus of a unitary, per matrix of a stack."""
+    return _closed_forms(np.abs(require_unitary(u)).max(axis=(-2, -1)))[1]
 
 
 def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
@@ -110,8 +111,7 @@ def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
     ladder = np.empty(sc.s.shape[:-1] + (sc.n - 1,))
     for k, t in enumerate(mv.truncations):
         ladder[..., k] = renyi_entropy(t, a)
-    c = sc.s[..., 0].tolist()  # a float for one matrix, a list for a stack
-    b_deutsch, b_mu = _closed_forms(c) if sc.s.ndim == 1 else np.reshape([_closed_forms(v) for v in c], (-1, 2)).T
+    b_deutsch, b_mu = _closed_forms(sc.s[..., 0])
     return BoundReport(n=sc.n, alpha=a, b_deutsch=b_deutsch, b_mu=b_mu, ladder=ladder)
 
 
@@ -130,18 +130,21 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
     """H_alpha(p) + H_alpha(q) for p_i = |psi_i|^2, q_j = |(U psi)_j|^2.
 
     psi is one state (a float is returned) or a stack of states on its rows
-    (an array), each to the bits of its value alone; U is checked once.
+    (an array), each to the bits of its value alone; U is checked once. A
+    stack of P unitaries takes states (P, S, N) and gives (P, S).
     """
     u = require_unitary(u)
-    rows = _unit_rows(psi, u.shape[0])
+    if u.ndim == 3 and (np.ndim(psi) != 3 or len(psi) != len(u)):
+        raise ValueError(f"states of shape {np.shape(psi)} for a stack of {len(u)} unitaries; expected (P, S, N)")
+    rows = _unit_rows(np.reshape(psi, (-1, np.shape(psi)[-1])) if u.ndim == 3 else psi, u.shape[-1])
     a = _check_order(alpha)
     p = np.abs(rows) ** 2
-    q = np.abs(np.matmul(u, rows[..., None])[..., 0]) ** 2
+    q = np.abs(np.matmul(u[..., None, :, :], rows.reshape(u.shape[:-2] + (-1, u.shape[-1], 1))).reshape(p.shape)) ** 2
     # rounding from the product is absorbed before the entropy evaluation
     p = p / p.sum(axis=1, keepdims=True)
     q = q / q.sum(axis=1, keepdims=True)
     lhs = _renyi_rows(p, a) + _renyi_rows(q, a)
-    return float(lhs[0]) if np.ndim(psi) == 1 else lhs
+    return float(lhs[0]) if np.ndim(psi) == 1 else lhs.reshape(np.shape(psi)[:-1])
 
 
 # --- classical analogue -----------------------------------------------------

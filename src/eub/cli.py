@@ -341,14 +341,18 @@ def _verify_ladder(seed: RngSeed):
     for n in range(2, 7):
         us = _haar_batch(n, seed, 7 * n, 10, False)[0]
         sc = _checked_coefficients(us)
-        ladders = [ladder_from_coefficients(sc, a).ladder for a in _VERIFY_ORDERS]
-        for i, u in enumerate(us):
-            for a, ladder in zip(_VERIFY_ORDERS, ladders):
-                if not (np.diff(ladder[i]) >= -LADDER_MONOTONE_TOL).all():
-                    return False, f"ladder not monotone at n={n} alpha={a}"
-                w = g.standard_normal((5, 2, n))  # five (real, imaginary) pairs
-                if not (eur_lhs(u, _unit_normalized(w[:, 0] + 1j * w[:, 1]), a) >= ladder[i, -1] - ENTROPY_TOL).all():
-                    return False, f"entropy sum below ladder top at n={n} alpha={a}"
+        w = g.standard_normal((10, len(_VERIFY_ORDERS), 5, 2, n))  # per draw and order, five (re, im) pairs
+        states = _unit_normalized(w[..., 0, :] + 1j * w[..., 1, :])
+        ok = np.empty((10, len(_VERIFY_ORDERS), 2), dtype=bool)  # per draw and order: rungs ascend, sums above top
+        for j, a in enumerate(_VERIFY_ORDERS):
+            ladder = ladder_from_coefficients(sc, a).ladder
+            ok[:, j, 0] = (np.diff(ladder, axis=1) >= -LADDER_MONOTONE_TOL).all(axis=1)
+            ok[:, j, 1] = (eur_lhs(us, states[:, j], a) >= ladder[:, -1:] - ENTROPY_TOL).all(axis=1)
+        bad = _first_failure(ok.ravel())  # draw by draw, then order by order
+        if bad is not None:
+            _, j, which = np.unravel_index(bad, ok.shape)
+            what = ("ladder not monotone", "entropy sum below ladder top")[which]
+            return False, f"{what} at n={n} alpha={_VERIFY_ORDERS[j]}"
     return True, ""
 
 
@@ -394,20 +398,19 @@ def _verify_extremal(seed: RngSeed):
 
 
 def _verify_deutsch(seed: RngSeed):
+    draws = np.arange(20)
     for n in range(2, 7):
-        for u in _haar_batch(n, seed, 5 * n, 20, False)[0]:
-            if not bound_deutsch(u) <= bound_mu(u) + CLOSED_FORM_ORDER_TOL:
-                return False, f"closed-form ordering violated at n={n}"
-            # rows of u index the transformed basis, columns the input one
-            j_star, i_star = np.unravel_index(int(np.abs(u).argmax()), u.shape)
-            first = np.zeros((1, n), dtype=complex)
-            first[0, i_star] = 1.0
-            second = u[j_star : j_star + 1, :].conj()
-            psi = maximizing_state(SubspacePair(first, second))
-            p = float(np.abs(psi[i_star]) ** 2)
-            q = float(np.abs((u @ psi)[j_star]) ** 2)
-            if not abs(p * q - deutsch_max_product(u)) <= MAX_PRODUCT_TOL:
-                return False, f"max product cross-check failed at n={n}"
+        us = _haar_batch(n, seed, 5 * n, 20, False)[0]
+        ordered = bound_deutsch(us) <= bound_mu(us) + CLOSED_FORM_ORDER_TOL
+        # rows of u index the transformed basis, columns the input one
+        j_star, i_star = np.unravel_index(np.abs(us).reshape(20, -1).argmax(axis=1), (n, n))
+        psi = maximizing_state(SubspacePair(np.eye(n)[i_star, None], us[draws, j_star, None].conj()))
+        p = np.abs(psi[draws, i_star]) ** 2
+        q = np.abs((us @ psi[..., None])[draws, j_star, 0]) ** 2
+        attained = np.abs(p * q - deutsch_max_product(us)) <= MAX_PRODUCT_TOL
+        bad = _first_failure(np.column_stack((ordered, attained)).ravel())  # draw by draw, the ordering first
+        if bad is not None:
+            return False, ("closed-form ordering violated", "max product cross-check failed")[bad % 2] + f" at n={n}"
     return True, ""
 
 

@@ -86,7 +86,7 @@ def dephase(u: np.ndarray) -> np.ndarray:
     Uses diagonal phase factors only (identity permutations), so exactly
     the (N-1)^2 lower-right phases remain free. Idempotent.
     """
-    u = require_unitary(u)
+    u = require_unitary(_square_matrix(u))  # one matrix, not a stack
     v = u * _phases_of(u[0, :]).conj()[None, :]
     return _phases_of(v[:, 0]).conj()[:, None] * v
 

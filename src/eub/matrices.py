@@ -270,11 +270,12 @@ def is_unitary(m: np.ndarray) -> bool:
 def require_unitary(m: np.ndarray) -> np.ndarray:
     """Return m as a complex array, or raise naming the violated invariant.
 
-    Raises ValueError for a non-square m and for a unitarity residual
-    (max-norm of M M^dag - I) above UNITARITY_TOL.
+    m is one matrix or a stack (P, N, N) of them. Raises ValueError for a
+    non-square m and for a unitarity residual (max-norm of M M^dag - I)
+    above UNITARITY_TOL, the first failing matrix of a stack naming its own.
     """
-    m = _square_matrix(m)
-    _unitary_gram(m)
+    m = np.asarray(m, dtype=complex)
+    _unitary_gram(m if m.ndim == 3 and m.shape[1] == m.shape[2] else _square_matrix(m))
     return m
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _q_rows
+from .bounds import _closed_forms, _q_rows
 from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
 from .matrices import MAJORIZATION_TOL, RngSeed, _seek, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
@@ -182,15 +182,15 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
     wins = 0
     gaps_mu, gaps_d = (None, None) if alpha is None else (np.empty(samples), np.empty(samples))
     for start, _, _, s in _ensemble(n, samples, rng):
-        c = s[:, 0]
+        b_deutsch, b_mu = _closed_forms(s[:, 0])
         if k is not None:
             shannon = _renyi_rows(_q_rows(s, k), 1.0)
-            wins += int(np.count_nonzero(shannon > -2.0 * np.log(c)))
+            wins += int(np.count_nonzero(shannon > b_mu))
         if alpha is not None:
             shared = k == n - 1 and alpha == 1.0
             top = shannon if shared else _renyi_rows(_q_rows(s, n - 1), alpha)
-            gaps_mu[start : start + len(s)] = top + 2.0 * np.log(c)
-            gaps_d[start : start + len(s)] = top + 2.0 * np.log((1.0 + c) / 2.0)
+            gaps_mu[start : start + len(s)] = top - b_mu
+            gaps_d[start : start + len(s)] = top - b_deutsch
     rate = wins / samples
     stderr = math.sqrt(rate * (1.0 - rate) / samples)
     beat = None if k is None else BeatRateResult(n, samples, wins, rate, stderr, rng)
@@ -217,13 +217,13 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
 
     For each pair the flattened product distribution must be majorized by
     Q, whose partial sums count as 1.0 past its n components, within
-    MAJORIZATION_TOL; a NaN slack counts as a violation. Expected
-    violations: zero; any hit is an implementation bug, reported with the
-    worst partial-sum slack.
+    MAJORIZATION_TOL; a NaN slack counts as a violation and is reported as
+    the worst slack. Expected violations: zero; any hit is an
+    implementation bug, reported with the worst partial-sum slack.
     """
     _check_ensemble(n, pairs, "pairs")
     violations = 0
-    worst = math.inf
+    worst = math.inf  # np.minimum keeps a NaN, which min() would drop
     for _, u, psi, s in _ensemble(n, pairs, rng, with_state=True):
         p = np.abs(psi) ** 2
         q = np.abs(np.einsum("bij,bj->bi", u, psi)) ** 2
@@ -231,9 +231,9 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
         q /= q.sum(axis=1, keepdims=True)
         pq = (p[:, :, None] * q[:, None, :]).reshape(-1, n * n)
         slack = _majorization_slack(_q_rows(s, n - 1), pq)
-        worst = min(worst, float(slack.min()))
+        worst = np.minimum(worst, slack.min())
         violations += int(np.count_nonzero(~(slack.min(axis=1) >= -MAJORIZATION_TOL)))
-    return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=worst, seed=rng)
+    return FuzzReport(n=n, pairs=pairs, violations=violations, worst_slack=float(worst), seed=rng)
 
 
 def bound_gap_stats(n: int, samples: int, alpha, rng: RngSeed) -> GapStats:

@@ -83,9 +83,8 @@ def test_ac05_deutsch_relation():
     the rotation family."""
     assert (matrices.CLOSED_FORM_ORDER_TOL, matrices.MAX_PRODUCT_TOL) == (1e-12, 1e-10)
     assert _failing_streams(cli._verify_deutsch, 50505, 10) == []
-    for theta in np.linspace(0.0, math.pi / 2, 11):
-        r = rotation_matrix(float(theta))
-        assert bound_deutsch(r) <= bound_mu(r) + matrices.CLOSED_FORM_ORDER_TOL
+    rotations = np.array([rotation_matrix(float(theta)) for theta in np.linspace(0.0, math.pi / 2, 11)])
+    assert (bound_deutsch(rotations) <= bound_mu(rotations) + matrices.CLOSED_FORM_ORDER_TOL).all()
 
 
 def test_ac06_two_subspace_extremal_suite():

@@ -128,9 +128,14 @@ def test_ladder_from_coefficients_consistency():
 
 
 def test_stacked_ladder_rows_match_single_reports():
-    # a Haar draw, the Fourier matrix (tied s entries) and P^(1/2) per N
+    # a Haar draw, the Fourier matrix (tied s entries) and P^(1/2) per N; the
+    # closed forms of the stack are those of each matrix alone as well
     for n in range(2, 12):
         us = [haar_unitary(n, RngSeed(SEED + 400 + n)), fourier_matrix(n), permutation_power(n, 0.5)]
+        for closed_form in (bound_deutsch, bound_mu):
+            singles = [closed_form(u) for u in us]
+            assert all(type(v) is float for v in singles)
+            assert [float(v).hex() for v in closed_form(np.array(us))] == [v.hex() for v in singles]
         stacked = _checked_coefficients(np.array(us))
         singles = [SubmatrixCoefficients(n=n, s=s, r=r) for s, r in zip(stacked.s, stacked.r)]
         mv = majorizing_vector(stacked)
@@ -206,6 +211,15 @@ def test_eur_lhs_takes_the_last_axis_as_the_state():
         eur_lhs(np.eye(2), np.full((1, 1, 2), math.sqrt(0.5)), 1.0)
     with pytest.raises(ValueError, match="state norm"):
         eur_lhs(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]), 1.0)
+    # a stack of P unitaries takes P stacks of states, each of the ambient dimension
+    us = np.array([np.eye(2)] * 3)
+    for psi in (np.eye(2)[:1], np.full((2, 1, 2), math.sqrt(0.5)), np.full((3, 1, 2), math.sqrt(0.5))[:, :, None]):
+        with pytest.raises(ValueError, match="for a stack of 3 unitaries"):
+            eur_lhs(us, psi, 1.0)
+    with pytest.raises(ValueError, match="state dimension 4 does not match matrix 2"):
+        eur_lhs(us, np.full((3, 2, 4), 0.5), 1.0)
+    with pytest.raises(ValueError, match=r"state norm squared 2\.0"):
+        eur_lhs(us, np.array([[[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 1.0]]]), 1.0)
 
 
 def _scalar_eur_lhs(u, psi, a):
@@ -216,17 +230,23 @@ def _scalar_eur_lhs(u, psi, a):
 
 
 def test_eur_lhs_stack_rows_match_single_states():
+    # rows of a state stack against one U, and of a stack of four U with six
+    # states each (the Fourier matrix among them), are their one-state calls
     rng = np.random.default_rng(SEED)
-    for n in (2, 3, 5, 8, 11):
-        u = haar_unitary(n, RngSeed(SEED + 300 + n))
-        psi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        psi[0] = np.eye(n)[n - 1]
+    for n in (2, 3, 4, 5, 6, 8, 11):
+        us = np.array([haar_unitary(n, RngSeed(SEED + 300 + n, stream=j)) for j in range(3)] + [fourier_matrix(n)])
+        psi = rng.standard_normal((4, 6, n)) + 1j * rng.standard_normal((4, 6, n))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        psi[:, 0] = np.eye(n)[n - 1]
         for a in (0.0, 0.5, 1.0, 2.0, math.inf):
-            rows = eur_lhs(u, psi, a)
+            rows = eur_lhs(us[0], psi[0], a)
             assert rows.shape == (6,)
-            assert [float(v).hex() for v in rows] == [eur_lhs(u, v, a).hex() for v in psi]
-            assert [float(v).hex() for v in rows] == [_scalar_eur_lhs(u, v, a).hex() for v in psi]
+            assert [float(v).hex() for v in rows] == [eur_lhs(us[0], v, a).hex() for v in psi[0]]
+            assert [float(v).hex() for v in rows] == [_scalar_eur_lhs(us[0], v, a).hex() for v in psi[0]]
+            stacked = eur_lhs(us, psi, a)
+            assert stacked.shape == (4, 6)
+            singles = [eur_lhs(u, v, a).hex() for u, states in zip(us, psi) for v in states]
+            assert [float(v).hex() for v in stacked.ravel()] == singles
 
 
 def test_eur_lhs_dominates_ladder_fuzz():

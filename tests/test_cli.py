@@ -413,28 +413,122 @@ def test_verify_passes(capsys):
 
 
 def test_verify_ladder_check_makes_one_kernel_call_and_five_ladder_calls_per_n(monkeypatch):
+    # and five entropy-sum calls per n, one per order, each on the ten draws'
+    # five states, where there were 50 one-draw calls
     kernels, ladders = _spy_kernel_and_ladder(monkeypatch)
+    sums = []
+    lhs = cli.eur_lhs
+
+    def spy(u, psi, a):
+        sums.append((np.shape(u), np.shape(psi), a))
+        return lhs(u, psi, a)
+
+    monkeypatch.setattr(cli, "eur_lhs", spy)
     assert cli._verify_ladder(RngSeed(0)) == (True, "")
     assert kernels == [(10, n, n) for n in range(2, 7)]
     orders = [0.0, 0.5, 1.0, 2.0, math.inf]
     assert ladders == [((10, n), a) for n in range(2, 7) for a in orders]
+    assert sums == [((10, n, n), (10, 5, n), a) for n in range(2, 7) for a in orders]
 
 
-@pytest.mark.parametrize("dips", [(), (117, 126)])
+@pytest.mark.parametrize("dips", [(), ((4, 3, 0.5), (4, 5, 0.0))])
 def test_verify_ladder_check_compares_each_draw_with_its_own_ladder(monkeypatch, dips):
     # entropy sums just inside the tolerance below each draw's own ladder top
-    # pass; dipping below it at call 117 (n = 4, draw 3, order 1/2) and
-    # later is reported at the first dip
-    calls = []
-
-    def lhs(u, v, a):
-        calls.append(a)
-        slack = 2.0 if len(calls) in dips else 0.5
-        return np.full(len(v), bound_ladder(u, a).ladder[-1] - slack * cli.ENTROPY_TOL)
+    # pass; dipping below it at (n = 4, draw 3, order 1/2) and at a later draw
+    # (draw 5, order 0, which is evaluated first) is reported at the first
+    # dip in draw order
+    def lhs(us, states, a):
+        slack = np.full(states.shape[:-1], 0.5)
+        for n, draw, order in dips:
+            if us.shape[-1] == n and a == order:
+                slack[draw] = 2.0
+        tops = np.array([bound_ladder(u, a).ladder[-1] for u in us])
+        return tops[:, None] - slack * cli.ENTROPY_TOL
 
     monkeypatch.setattr(cli, "eur_lhs", lhs)
     want = (False, "entropy sum below ladder top at n=4 alpha=0.5") if dips else (True, "")
     assert cli._verify_ladder(RngSeed(0)) == want
+
+
+@pytest.mark.parametrize(
+    "dip, want",
+    [
+        ((2, 2.0), "ladder not monotone at n=5 alpha=2.0"),
+        ((1, math.inf), "entropy sum below ladder top at n=5 alpha=inf"),
+        ((2, 0.5), "entropy sum below ladder top at n=5 alpha=0.5"),
+    ],
+)
+def test_verify_ladder_check_reports_draw_then_order_then_fall_before_sums(monkeypatch, dip, want):
+    # at n = 5 draw 2's rungs fall at order 2, and the entropy sums of one
+    # (draw, order) dip: the first failure is taken draw by draw, then order
+    # by order, and a fall comes before the sums at its own order
+    ladder, lhs = cli.ladder_from_coefficients, cli.eur_lhs
+
+    def falling(sc, alpha):
+        rep = ladder(sc, alpha)
+        if sc.n == 5 and alpha == 2.0:
+            rep.ladder[2, 1] = rep.ladder[2, 0] - 2 * cli.LADDER_MONOTONE_TOL
+        return rep
+
+    def dipping(us, states, a):
+        sums = lhs(us, states, a)
+        if us.shape[-1] == 5 and a == dip[1]:
+            sums[dip[0]] = -1.0
+        return sums
+
+    monkeypatch.setattr(cli, "ladder_from_coefficients", falling)
+    monkeypatch.setattr(cli, "eur_lhs", dipping)
+    assert cli._verify_ladder(RngSeed(0)) == (False, want)
+
+
+def test_verify_deutsch_check_makes_one_call_of_each_per_n(monkeypatch):
+    # one stack of 20 draws per n through the closed forms, the maximizing
+    # state and the max product, where there were 20 one-draw calls of each
+    calls = []
+    for name in ("bound_deutsch", "bound_mu", "maximizing_state", "deutsch_max_product"):
+        def spy(x, name=name, call=getattr(cli, name)):
+            calls.append((name, np.shape(getattr(x, "first_set", x))))
+            return call(x)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert cli._verify_deutsch(RngSeed(0)) == (True, "")
+    want = []
+    for n in range(2, 7):
+        want += [("bound_deutsch", (20, n, n)), ("bound_mu", (20, n, n))]
+        want += [("maximizing_state", (20, 1, n)), ("deutsch_max_product", (20, n, n))]
+    assert calls == want
+
+
+@pytest.mark.parametrize(
+    "faults, want",
+    [
+        ({"ordering": 7, "product": 4}, "max product cross-check failed at n=3"),
+        ({"ordering": 4, "product": 4}, "closed-form ordering violated at n=3"),
+        ({"ordering": 4}, "closed-form ordering violated at n=3"),
+        ({"product": 19}, "max product cross-check failed at n=3"),
+    ],
+)
+def test_verify_deutsch_check_reports_the_first_failure_in_draw_order(monkeypatch, faults, want):
+    # at n = 3 one draw's Deutsch bound is raised past -2 ln c and one
+    # draw's max product is moved off: the first draw's failure is reported,
+    # the ordering before the product within a draw
+    deutsch, product = cli.bound_deutsch, cli.deutsch_max_product
+
+    def raised(us):
+        out = deutsch(us)
+        if us.shape[-1] == 3 and "ordering" in faults:
+            out[faults["ordering"]] += 1.0
+        return out
+
+    def moved(us):
+        out = product(us)
+        if us.shape[-1] == 3 and "product" in faults:
+            out[faults["product"]] += 2 * cli.MAX_PRODUCT_TOL
+        return out
+
+    monkeypatch.setattr(cli, "bound_deutsch", raised)
+    monkeypatch.setattr(cli, "deutsch_max_product", moved)
+    assert cli._verify_deutsch(RngSeed(0)) == (False, want)
 
 
 def test_verify_reports_lift_residual(capsys, monkeypatch):
@@ -657,16 +751,19 @@ def _nan_ladder(sc, alpha):
 # (check, module and name patched, its NaN-returning stand-in, the failure)
 NAN_VALUES = {
     "ladder-lhs": (
-        cli._verify_ladder, cli, "eur_lhs", lambda u, psi, a: np.full(len(psi), math.nan),
+        cli._verify_ladder, cli, "eur_lhs", lambda u, psi, a: np.full(np.shape(psi)[:-1], math.nan),
         "entropy sum below ladder top at n=2 alpha=0.0",
     ),
     "extremal-lemma": (
         cli._verify_extremal, cli, "lemma_max_value", lambda sp: math.nan, "objective exceeded bound at n=2",
     ),
     "deutsch-product": (
-        cli._verify_deutsch, cli, "deutsch_max_product", lambda u: math.nan, "max product cross-check failed at n=2",
+        cli._verify_deutsch, cli, "deutsch_max_product", lambda u: np.full(len(u), math.nan),
+        "max product cross-check failed at n=2",
     ),
-    "deutsch-mu": (cli._verify_deutsch, cli, "bound_mu", lambda u: math.nan, "closed-form ordering violated at n=2"),
+    "deutsch-mu": (
+        cli._verify_deutsch, cli, "bound_mu", lambda u: np.full(len(u), math.nan), "closed-form ordering violated at n=2",
+    ),
     "transform-bounds": (
         cli._verify_transform_invariance, cli, "ladder_from_coefficients", _nan_ladder,
         "bounds drifted nan under transform at n=2 alpha=0.0",

@@ -57,6 +57,13 @@ def test_orthonormality_validation():
         SubspacePair(bad, np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="orthonormality residual"):
         SubspacePair(np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex))
+    # a stack whose pairs 1 and 3 fail names pair 1's residual, here of its second set
+    good = np.eye(2, dtype=complex)
+    firsts, seconds = np.array([good, good, good, bad]), np.array([good, 1.5 * good, good, good])
+    with pytest.raises(ValueError, match=r"^second set orthonormality residual 1\.250e\+00$"):
+        SubspacePair(firsts, seconds)
+    with pytest.raises(ValueError, match="different ambient dimensions or stacks"):
+        SubspacePair(firsts, seconds[:3])
 
 
 def test_maximizing_state_postconditions():
@@ -125,9 +132,14 @@ def _unit_states(rng, count, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=complex).view(float).ravel().tolist()]
+
+
 def test_pair_objective_stack_rows_match_single_calls():
     # one value per row, each to the bits of the one-state call; a 1-d state
-    # still gives a float
+    # still gives a float. A stack of four pairs (or four unitaries) gives
+    # each pair the bits of its own lemma value, state, objective and product.
     rng = np.random.default_rng(SEED)
     for n in range(2, 9):
         for j in range(4):
@@ -139,6 +151,17 @@ def test_pair_objective_stack_rows_match_single_calls():
             assert all(type(v) is float for v in singles)
             assert [float(v).hex() for v in stacked] == [v.hex() for v in singles]
             assert pair_objective(sp, states[:1]).shape == (1,)
+        for m1, m2 in ((1, 1), (1, n), (n, 1 + n // 2), (n, n)):
+            pairs = [random_pair(n, SEED + 700 + 10 * n + j, m1, m2) for j in range(4)]
+            sp = SubspacePair([p.first_set for p in pairs], [p.second_set for p in pairs])
+            assert _hex(cross_gram(sp)) == _hex([cross_gram(p) for p in pairs])
+            assert _hex(lemma_max_value(sp)) == _hex([lemma_max_value(p) for p in pairs])
+            psi = maximizing_state(sp)
+            assert psi.shape == (4, n) and _hex(psi) == _hex([maximizing_state(p) for p in pairs])
+            assert _hex(pair_objective(sp, psi)) == _hex([pair_objective(p, v) for p, v in zip(pairs, psi)])
+        us = np.array([haar_unitary(n, RngSeed(SEED + 800 + n, stream=j)) for j in range(3)] + [np.eye(n)])
+        assert all(type(deutsch_max_product(u)) is float for u in us)
+        assert _hex(deutsch_max_product(us)) == _hex([deutsch_max_product(u) for u in us])
 
 
 def test_pair_objective_refuses_a_state_off_the_unit_sphere():
@@ -166,6 +189,11 @@ def test_pair_objective_takes_the_last_axis_as_the_state():
         pair_objective(sp, np.full((3, 2), math.sqrt(0.5)))
     with pytest.raises(ValueError, match=r"state dimension \(1, 1, 3\) does not match matrix 3"):
         pair_objective(sp, np.full((1, 1, 3), math.sqrt(1.0 / 3.0)))
+    # a stack of pairs takes one state per pair
+    stack = SubspacePair([sp.first_set] * 3, [sp.second_set] * 3)
+    for psi, count in ((np.eye(3)[0], 1), (np.eye(3)[:2], 2)):
+        with pytest.raises(ValueError, match=f"{count} states for a stack of 3 pairs"):
+            pair_objective(stack, psi)
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,18 @@ def test_require_unitary_messages():
         require_unitary(np.eye(3) * 1.01)
     u = require_unitary(np.eye(3))
     assert u.dtype == complex
+    # a stack whose matrices 1 and 3 fail names matrix 1's residual, from
+    # require_unitary and from every stacked closed form
+    stack = np.array([np.eye(3), np.eye(3) * 1.01, np.eye(3), np.eye(3) * 1.5])
+    for check in (require_unitary, eub.bound_deutsch, eub.bound_mu, eub.deutsch_max_product):
+        with pytest.raises(ValueError, match=r"unitarity residual 2\.010e-02 exceeds"):
+            check(stack)
+    with pytest.raises(ValueError, match=r"unitarity residual 2\.010e-02 exceeds"):
+        eub.eur_lhs(stack, np.ones((4, 1, 3)) / math.sqrt(3.0), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        require_unitary(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        eub.dephase(np.array([np.eye(2)] * 2))
 
 
 def test_submatrix_basic():

@@ -130,6 +130,24 @@ def test_majorization_fuzz_counts_violations(n, monkeypatch, capsys):
     assert obj["violations"] == obj["pairs"] == 40 and obj["worst_slack"] == rep.worst_slack
 
 
+def test_majorization_fuzz_reports_a_nan_slack_as_the_worst(monkeypatch, capsys):
+    # one NaN partial-sum slack in 100 pairs is one violation and the worst
+    # slack, not hidden behind the clean pairs' minimum
+    slack = montecarlo._majorization_slack
+
+    def one_nan(y, x):
+        out = slack(y, x)
+        out[17, 4] = math.nan
+        return out
+
+    monkeypatch.setattr(montecarlo, "_majorization_slack", one_nan)
+    rep = majorization_fuzz(3, 100, RngSeed(SEED))
+    assert rep.violations == 1 and math.isnan(rep.worst_slack)
+    assert main(["fuzz", "--n", "3", "--pairs", "100"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["violations"] == 1 and math.isnan(obj["worst_slack"])
+
+
 def test_majorization_fuzz_reproducible():
     a = majorization_fuzz(3, 200, RngSeed(44))
     b = majorization_fuzz(3, 200, RngSeed(44))
