@@ -40,6 +40,8 @@ class SubspacePair:
         if first.shape[:-2] + first.shape[-1:] != second.shape[:-2] + second.shape[-1:]:
             raise ValueError(f"sets live in different ambient dimensions or stacks: {first.shape}, {second.shape}")
         for label, vecs in (("first", first), ("second", second)):
+            if vecs.shape[-2] == 0:
+                raise ValueError(f"{label} set is empty")
             if vecs.shape[-2] > vecs.shape[-1]:
                 raise ValueError(f"{label} set has more vectors than the dimension")
         resid = np.stack((_orthonormality_residual(first)[1], _orthonormality_residual(second)[1]), axis=-1)

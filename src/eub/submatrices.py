@@ -51,7 +51,27 @@ error below 1e-323, far below such a trace.
 The enumeration uses two exact reductions: every shape with m + n > N
 contains a full row or column of some unitary completion and has norm
 exactly 1, and at m + n = N a block and its complementary block share
-their largest singular value.
+their largest singular value, so the self-complementary shape runs the
+row sets containing index 0 (unless its row sets are reduced as below).
+
+A third reduction holds up to rounding. A circulant U, such as P_N^beta,
+has U[i + a, j + a] = U[i, j], and F_N has F[i + a, j + b] = x_i F[i, j]
+y_j for unit phases x, y; every translate (R + a, C + b) of a block then
+has the block's norm, and the kernel visits one block per orbit. The
+detection rule, ``_translation_symmetry``, runs once per stack: generator
+(1, 0), (0, 1) or (1, 1) holds when each of its powers maps every matrix
+to a translate W = diag(x) U diag(y) with max-norm residual at most
+SYMMETRY_TOL. Moduli are compared before any phase is fitted, and matrix
+0 before the rest, so a Haar draw, or a stack led by one, costs one
+comparison; one matrix without the symmetry sends its whole stack down
+the full enumeration. Where the row (column) shift holds, the row (column)
+sets take one representative per rotation orbit, the necklaces of
+``_necklaces``; F_N has both. Where only the diagonal shift holds, as for
+circulants, dephased or not, the smaller side of the shape takes them and
+the other side takes every subset. The strips are unchanged. The maximum
+over the representatives is within 2 ((k + 1) / 2) SYMMETRY_TOL of the
+full enumeration's s_k, plus rounding (see SYMMETRY_TOL); in practice a
+few ulps below it, since translates differ only by rounding.
 
 ``max_norm_over_shape`` enumerates index pairs one by one through
 ``largest_singular_value``; it is the independent slow oracle the
@@ -70,6 +90,7 @@ import numpy as np
 from .matrices import (
     CARDANO_MIN_GAP,
     PRUNE_SLACK,
+    SYMMETRY_TOL,
     UNITARITY_TOL,
     _first_failure,
     _gram_norm,
@@ -82,7 +103,9 @@ from .matrices import (
 # 6x per step in N here. One s_coefficients call on a Haar draw, each in a
 # fresh process (2-core Xeon, one BLAS thread), took 0.17-0.28 s at N = 10,
 # 0.74-0.95 s at N = 11 and 5.2-5.6 s at N = 12, at 43, 44 and 46-47 MB
-# peak RSS.
+# peak RSS. Inputs with translation symmetry visit one block per orbit: on
+# the same box, F_N took 13, 31 and 94 ms at N = 10, 11 and 12, and
+# P_N^(1/2) 47, 220 and 880 ms (0.19-9.2 s for both on every block).
 # Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
@@ -143,10 +166,25 @@ def _combinations(dim: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _indicator(dim: int, n: int) -> np.ndarray:
-    # dim x C(dim, n) 0/1 matrix; column j marks the j-th n-subset.
-    out = np.zeros((dim, math.comb(dim, n)))
-    np.put_along_axis(out, _combinations(dim, n).T, 1.0, axis=0)
+def _necklaces(dim: int, k: int) -> np.ndarray:
+    # One k-subset of range(dim) per orbit of the rotation i -> i + 1 mod dim:
+    # those whose bitmask is the least of its dim rotations, in
+    # _combinations order; cached, so read-only. int64 masks hold dim <= 62,
+    # far past any size the enumeration can reach.
+    combos = _combinations(dim, k)
+    masks = (1 << combos).sum(axis=1, keepdims=True)
+    r = np.arange(dim)
+    turns = ((masks << r) | (masks >> (dim - r))) & ((1 << dim) - 1)
+    out = combos[masks[:, 0] == turns.min(axis=1)]
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _with_zero(dim: int, k: int) -> np.ndarray:
+    # The k-subsets of range(dim) that contain 0; one of each complementary
+    # pair when 2k = dim. Cached, so read-only.
+    out = np.insert(_combinations(dim - 1, k - 1) + 1, 0, 0, axis=1)
     out.setflags(write=False)
     return out
 
@@ -163,17 +201,19 @@ def _triu(dim: int):
     return iu, ju, pos
 
 
-def _column_grams(u3: np.ndarray, n: int):
-    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, every n-subset C.
+def _column_grams(u3: np.ndarray, cols: np.ndarray):
+    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, C a row of ``cols``.
 
     Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
     so all subsets come out of a matmul of the per-column outer products
     with the 0/1 indicator matrix of the subsets. Returns the real and
-    imaginary parts, shape (batch, N(N+1)/2, C(N, n)), indexed by pair
+    imaginary parts, shape (batch, N(N+1)/2, len(cols)), indexed by pair
     (i, j), i <= j, in ``_triu(N)`` order.
     """
-    iu, ju, _ = _triu(u3.shape[1])
-    indicator = _indicator(u3.shape[1], n)
+    dim = u3.shape[1]
+    iu, ju, _ = _triu(dim)
+    indicator = np.zeros((dim, len(cols)))  # column c marks the column set cols[c]
+    np.put_along_axis(indicator, cols.T, 1.0, axis=0)
     a, b = u3[:, iu], u3[:, ju]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # Real arithmetic, since numpy's complex multiply does not round alike at
@@ -288,26 +328,141 @@ def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+# Generators of the translations the kernel looks for, as (row, column)
+# shifts: the rows alone, the columns alone, and both at once.
+_SHIFTS = np.array([(1, 0), (0, 1), (1, 1)])
+_SHIFTS.setflags(write=False)
+
+
+def _translation_symmetry(u3: np.ndarray) -> np.ndarray:
+    """Which generator shifts every matrix of the stack keeps, up to phases.
+
+    Returns one bool per row of ``_SHIFTS``. Generator g holds for U when
+    every power a g, a = 1..N-1, maps U to a translate W[i, j] =
+    U[i + a g_0, j + a g_1] (indices mod N) with W = diag(x) U diag(y) for
+    unit phases x, y, up to a max-norm residual of SYMMETRY_TOL. Matrix 0
+    is tested first, so a stack led by a Haar draw pays one comparison of
+    moduli; a generator holds for the stack only if it holds for every
+    matrix. N <= 3 has no block class to reduce, and it and an empty stack
+    return all False.
+    """
+    held = np.zeros(len(_SHIFTS), dtype=bool)
+    if u3.shape[1] <= 3 or not len(u3):
+        return held
+    held = _shifts_hold(u3[:1], ~held)
+    if held.any() and len(u3) > 1:
+        held = _shifts_hold(u3, held)
+    return held
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_index(dim: int) -> np.ndarray:
+    # Flat positions in U of the translates W[i, j] = U[i + a g_0, j + a g_1],
+    # shape (generators, N - 1, N * N): generator g of _SHIFTS, power a = 1..N-1
+    shift = _SHIFTS[:, None, :] * np.arange(1, dim)[:, None]
+    idx = np.arange(dim)
+    rows, cols = (idx + shift[..., :1]) % dim, (idx + shift[..., 1:]) % dim
+    out = (rows[..., :, None] * dim + cols[..., None, :]).reshape(len(_SHIFTS), dim - 1, dim * dim)
+    out.setflags(write=False)
+    return out
+
+
+def _shifts_hold(u3: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    # _translation_symmetry for the generators marked in gens, every power
+    # of each in one stacked array: the moduli first, then the phase fit
+    batch, dim = u3.shape[0], u3.shape[1]
+    flat = _shift_index(dim)[gens]
+    mod = np.abs(u3).reshape(batch, -1)
+    ok = (np.abs(mod[:, flat] - mod[:, None, None]) <= SYMMETRY_TOL).all(axis=(0, 2, 3))
+    if ok.any():
+        w = u3.reshape(batch, -1)[:, flat[ok]].reshape(batch, -1, dim, dim)
+        resid = _phase_residual(u3, mod.reshape(u3.shape), w)
+        ok[ok] = (resid <= SYMMETRY_TOL).all(axis=0).reshape(-1, dim - 1).all(axis=1)
+    held = np.zeros(len(_SHIFTS), dtype=bool)
+    held[gens] = ok
+    return held
+
+
+def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max |W - diag(x) U diag(y)| for each translate W of each matrix U.
+
+    ``w`` holds the translates, shape (batch, shifts, N, N), and ``mod`` is
+    |U|. The unit phases x, y are fitted along a spanning forest of the
+    links, the entries of modulus at least 1/(2 sqrt(N)) (each row and
+    column of a unitary has one): the lowest row of each connected
+    component takes x = 1, and every other row and column takes its phase
+    from one link to a row or column fitted before it, so a component's
+    phases share one gauge. Any fit would do, since the residual over every
+    entry decides; a poor one only sends U down the full enumeration.
+    """
+    batch, dim = mod.shape[0], mod.shape[1]
+    link = mod >= 0.5 / math.sqrt(dim)  # the same for every translate of U
+    w, u = np.moveaxis(w, 1, -1), u3[..., None]  # translates last: one gather serves all
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = w * u.conj()
+        phase = ratio / np.abs(ratio)  # x_i y_j on the links
+    # rows reach each other through shared columns; a root reaches no lower row
+    reach = link @ link.swapaxes(1, 2)
+    for _ in range(math.ceil(math.log2(dim))):
+        reach = reach @ reach
+    fit_x = ~np.tril(reach, -1).any(axis=2)
+    fit_y = np.zeros((batch, dim), dtype=bool)
+    x, y = np.ones((2, batch, dim, w.shape[-1]), dtype=complex)
+    b, k = np.arange(batch)[:, None], np.arange(dim)
+    for _ in range(dim):
+        hit = np.where(link & fit_x[:, :, None], mod, 0.0)
+        new_y = ~fit_y & hit.any(axis=1)
+        i = hit.argmax(axis=1)  # the largest link of each column to a fitted row
+        y = np.where(new_y[..., None], phase[b, i, k] * x[b, i].conj(), y)
+        fit_y |= new_y
+        hit = np.where(link & fit_y[:, None, :], mod, 0.0)
+        new_x = ~fit_x & hit.any(axis=2)
+        j = hit.argmax(axis=2)  # the largest link of each row to a fitted column
+        x = np.where(new_x[..., None], phase[b, k, j] * y[b, j].conj(), x)
+        fit_x |= new_x
+        if fit_x.all() and fit_y.all() or not (new_x.any() or new_y.any()):
+            break
+    return np.abs(w - x[:, :, None] * u * y[:, None]).max(axis=(1, 2))
+
+
+def _block_sets(dim: int, m: int, n: int, sym: np.ndarray, half: bool):
+    """Row sets and column sets of the m x n blocks the kernel visits.
+
+    ``sym`` is ``_translation_symmetry``'s result. A row (column) shift
+    symmetry lets the row (column) sets take one representative per
+    rotation orbit, and F_N has both; the diagonal one alone lets the
+    smaller side take them, with every subset on the other. In the
+    self-complementary class (``half``) row sets that are not reduced are
+    those containing index 0, one of each complementary pair.
+    """
+    by_rows, by_cols, diagonal = sym
+    if diagonal and not (by_rows or by_cols):
+        by_rows, by_cols = m <= n, m > n
+    rows = _necklaces(dim, m) if by_rows else _with_zero(dim, m) if half else _combinations(dim, m)
+    cols = _necklaces(dim, n) if by_cols else _combinations(dim, n)
+    return rows, cols
+
+
+def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Max top eigenvalue of the block Grams, lambda = sigma^2, over m x n blocks.
 
-    min(m, n) >= 2 required; m > n is taken on the transposes. The Gram of
-    block (R, C) is the principal submatrix at R of the N x N Gram of the
-    column set C (see ``_column_grams``), and its top eigenvalue is taken in
-    closed form for m = 2 and 3, and by eigvalsh above. ``rows`` restricts
-    the row selections of an m <= n shape (used by the complement
-    reduction); columns always range over all C(N, n) subsets. ``floor2``
-    holds a squared norm per matrix already attained at the same k. For
-    m >= 4, eigvalsh skips the blocks whose ``_power_bound`` cannot reach
-    it: the result never exceeds the class maximum and equals it wherever
-    that maximum is above ``floor2``. A zero floor keeps every block.
+    The blocks are U[R, C] for R a row of ``rows`` (m-subsets) and C a row
+    of ``cols`` (n-subsets); ``s_coefficients_batch`` passes every subset,
+    one of each complementary pair, or one per translation orbit.
+    min(m, n) >= 2 required; m > n is taken on the transposes, with the two
+    lists swapped. The Gram of block (R, C) is the principal submatrix at R
+    of the N x N Gram of the column set C (see ``_column_grams``), and its
+    top eigenvalue is taken in closed form for m = 2 and 3, and by eigvalsh
+    above. ``floor2`` holds a squared norm per matrix already attained at
+    the same k. For m >= 4, eigvalsh skips the blocks whose ``_power_bound``
+    cannot reach it: the result never exceeds the maximum over the listed
+    blocks and equals it wherever that maximum is above ``floor2``. A zero
+    floor keeps every block.
     """
     if m > n:
-        u3, m, n = np.swapaxes(u3, 1, 2), n, m
+        u3, m, n, rows, cols = np.swapaxes(u3, 1, 2), n, m, cols, rows
     batch, dim = u3.shape[0], u3.shape[1]
-    if rows is None:
-        rows = _combinations(dim, m)
-    ncols = math.comb(dim, n)
+    ncols = len(cols)
     hidx = _embedding_index(rows, dim) if m >= 4 else None
     if hidx is None:
         # Pair positions of each row set's upper triangle: entries x row sets.
@@ -321,7 +476,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(u3[chunk], n)
+        re, im = _column_grams(u3[chunk], cols)
         src = None if hidx is None else _embedding(re, im)
         rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * width))
         for r0 in range(0, rows.shape[0], rstep):
@@ -409,13 +564,16 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     shape but assumes every matrix is unitary (the Haar sampler and
     ``_checked_coefficients`` feed it) and does not limit N. Semiperimeter class
     N + 1 is pinned to exactly 1, and class N enumerates only one block of
-    each complementary pair. A chain that needs a repair larger than
-    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    each complementary pair. A stack whose every matrix has a translation
+    symmetry visits one block per orbit (see the module docstring). A chain
+    that needs a repair larger than UNITARITY_TOL to be monotone and <= 1
+    raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2]:
         raise ValueError("expected a stack of square matrices")
     batch, dim = u_batch.shape[0], u_batch.shape[1]
+    sym = _translation_symmetry(u_batch)
     row_cum, col_cum = _row_col_cumsums(u_batch)
     s = np.zeros((batch, dim))
     s[:, dim - 1] = 1.0
@@ -430,11 +588,8 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
             elif n == 1:
                 lam = col_cum[:, :, m - 1].max(axis=1)
             else:
-                # self-complementary shape: row sets containing index 0
-                # meet every complementary pair exactly once
-                half = m == n and k + 1 == dim
-                rows = np.insert(_combinations(dim - 1, m - 1) + 1, 0, 0, axis=1) if half else None
-                lam = _block_max(u_batch, m, n, best, rows)
+                rows, cols = _block_sets(dim, m, n, sym, m == n and k + 1 == dim)
+                lam = _block_max(u_batch, m, n, best, rows, cols)
             best = np.maximum(best, lam)
         s[:, k - 1] = np.sqrt(best)
     return _finalize(s)

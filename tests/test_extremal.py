@@ -66,6 +66,20 @@ def test_orthonormality_validation():
         SubspacePair(firsts, seconds[:3])
 
 
+@pytest.mark.parametrize(
+    "first, second, label",
+    [
+        (np.zeros((0, 3)), np.eye(3), "first"),
+        (np.eye(3)[:1], np.zeros((0, 3)), "second"),
+        (np.zeros((2, 0, 3)), np.stack([np.eye(3)] * 2), "first"),
+    ],
+    ids=["first", "second", "stack"],
+)
+def test_empty_set_is_refused_by_name(first, second, label):
+    with pytest.raises(ValueError, match=rf"^{label} set is empty$"):
+        SubspacePair(first, second)
+
+
 def test_maximizing_state_postconditions():
     for i in range(40):
         n = 2 + i % 5

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -17,8 +18,8 @@ from eub import (
     s_coefficients_batch,
     unitarity_residual,
 )
-from eub.matrices import PRUNE_SLACK, UNITARITY_TOL
-from eub.submatrices import _checked_coefficients, _top_eig_3x3
+from eub.matrices import PRUNE_SLACK, SYMMETRY_TOL, UNITARITY_TOL
+from eub.submatrices import _checked_coefficients, _combinations, _necklaces, _top_eig_3x3, _translation_symmetry
 
 SEED = 515151
 
@@ -32,6 +33,12 @@ def _oracle_s(u):
             for k in range(1, dim + 1)
         ]
     )
+
+
+def _all_blocks(u3, m, n, floor2):
+    # _block_max over every m x n block, as for an input without symmetry
+    dim = u3.shape[1]
+    return submatrices._block_max(u3, m, n, floor2, _combinations(dim, m), _combinations(dim, n))
 
 
 def _direct_sum(*blocks):
@@ -147,10 +154,23 @@ def test_structured_oracle_agreement(name):
     assert np.max(np.abs(s_coefficients_batch(u[None])[0] - ref)) <= 1e-12
 
 
+# Non-affine permutations: F_N and P_N^beta with rows and columns permuted
+# by them keep their tied blocks but lose every translation symmetry, so
+# they stay on the full enumeration
+PERM_ROWS = {8: [3, 0, 7, 1, 6, 2, 5, 4], 9: [4, 0, 8, 1, 7, 2, 6, 3, 5]}
+PERM_COLS = {8: [1, 4, 6, 0, 7, 3, 2, 5], 9: [2, 7, 0, 5, 8, 1, 4, 6, 3]}
+
+
+def _permuted(u):
+    return u[PERM_ROWS[len(u)]][:, PERM_COLS[len(u)]]
+
+
 # N = 8 is the first size with an m, n >= 4 class, the pruned one
 STRUCTURED_8 = {
     "F8": F(8),
+    "F8 permuted": _permuted(F(8)),
     "P8^(1/2)": permutation_power(8, 0.5),
+    "P8^(1/2) permuted": _permuted(permutation_power(8, 0.5)),
     "I8": np.eye(8),
     "perm8": np.eye(8)[[3, 0, 7, 1, 6, 2, 5, 4]],
     "F4+F4": _direct_sum(F(4), F(4)),
@@ -169,7 +189,7 @@ def _unpruned_s(u, monkeypatch):
 def test_structured_pruned_classes(name, monkeypatch):
     """Degenerate Grams through the pruned classes: oracle and unpruned agreement."""
     u = STRUCTURED_8[name]
-    top = math.sqrt(submatrices._block_max(u[None], 4, 4, np.zeros(1))[0])
+    top = math.sqrt(_all_blocks(u[None], 4, 4, np.zeros(1))[0])
     assert top == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
@@ -181,9 +201,14 @@ def test_pruning_keeps_haar_s_bit_identical(monkeypatch):
         assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
-@pytest.mark.parametrize("u", [F(9), permutation_power(9, 1.0 / 3.0)], ids=["F9", "P9^(1/3)"])
+@pytest.mark.parametrize(
+    "u",
+    [F(9), permutation_power(9, 1.0 / 3.0), _permuted(F(9)), _permuted(permutation_power(9, 1.0 / 3.0))],
+    ids=["F9", "P9^(1/3)", "F9 permuted", "P9^(1/3) permuted"],
+)
 def test_pruning_keeps_tied_s_bit_identical(u, monkeypatch):
-    # exact ties through the (4, 5) class: many blocks pass every tier
+    # exact ties through the (4, 5) class: many blocks pass every tier, on
+    # the representatives and (permuted) on the full enumeration
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
@@ -194,7 +219,7 @@ def test_keep_test_gates_every_tier(monkeypatch):
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda g: calls.append(g.shape))
     u = haar_unitary(9, RngSeed(SEED + 1150))
     for m, n in ((4, 4), (4, 5), (5, 4)):
-        assert submatrices._block_max(u[None], m, n, np.zeros(1))[0] == 0.0
+        assert _all_blocks(u[None], m, n, np.zeros(1))[0] == 0.0
     assert calls == []
 
 
@@ -213,7 +238,7 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
     for m, n in ((4, 4), (4, 5), (5, 4)):
         seen.clear()
-        top = submatrices._block_max(u[None], m, n, np.zeros(1))[0]
+        top = _all_blocks(u[None], m, n, np.zeros(1))[0]
         lam = np.concatenate(seen)
         assert lam.size == math.comb(9, m) * math.comb(9, n)
         assert math.sqrt(top) == pytest.approx(max_norm_over_shape(u, m, n), abs=1e-12)
@@ -221,7 +246,7 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
         floor2 = 0.9 * top
         reach = floor2 * (1.0 - 2 * PRUNE_SLACK) / 4.0 ** (1.0 / 2 ** (submatrices._MAX_SQUARINGS + 1))
         seen.clear()
-        assert submatrices._block_max(u[None], m, n, np.array([floor2]))[0] == top
+        assert _all_blocks(u[None], m, n, np.array([floor2]))[0] == top
         assert sum(x.size for x in seen) <= np.count_nonzero(lam >= reach)
 
 
@@ -237,7 +262,7 @@ def test_embeddings_are_gathered_contiguous(monkeypatch):
 
     monkeypatch.setattr(submatrices, "_survivors", spy)
     batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(3)])
-    submatrices._block_max(batch, 4, 4, np.zeros(3))
+    _all_blocks(batch, 4, 4, np.zeros(3))
     combos = submatrices._combinations(8, 4)
     r0 = 0
     for h in seen:
@@ -257,23 +282,25 @@ def test_class_loop_runs_each_block_shape_once(dim, monkeypatch):
     calls = []
     block_max = submatrices._block_max
 
-    def spy(u3, m, n, floor2, rows=None):
-        calls.append((m, n, rows))
-        return block_max(u3, m, n, floor2, rows)
+    def spy(u3, m, n, floor2, rows, cols):
+        calls.append((m, n, rows, cols))
+        return block_max(u3, m, n, floor2, rows, cols)
 
     monkeypatch.setattr(submatrices, "_block_max", spy)
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
-    shapes = {(m, n): rows for m, n, rows in calls}
+    shapes = {(m, n): (rows, cols) for m, n, rows, cols in calls}
     below = [(m, k - m) for k in range(4, dim) for m in range(2, k - 1)]
     at_n = [(m, dim - m) for m in range(2, dim // 2 + 1)]
     assert len(calls) == len(shapes) and sorted(shapes) == sorted(below + at_n)
     if dim == 8:
         # the self-complementary shape runs the row sets containing index 0,
-        # one of each complementary pair; every other shape runs all
-        half = shapes.pop((4, 4))
+        # one of each complementary pair, against every column set
+        half, cols = shapes.pop((4, 4))
         assert half.shape == (math.comb(7, 3), 4) and np.all(half[:, 0] == 0)
         assert len({tuple(r) for r in half}) == half.shape[0]
-    assert all(rows is None for rows in shapes.values())
+        assert cols is _combinations(8, 4)
+    # every other shape runs every row set against every column set
+    assert all(rows is _combinations(dim, m) and cols is _combinations(dim, n) for (m, n), (rows, cols) in shapes.items())
 
 
 def test_pruning_keeps_a_rank_one_maximum():
@@ -284,9 +311,162 @@ def test_pruning_keeps_a_rank_one_maximum():
     x, y = haar_unitary(4, RngSeed(SEED + 1200))[:, 0], haar_unitary(4, RngSeed(SEED + 1201))[0]
     u[:4, :4] = 0.9 * np.outer(x, y)
     u[4:, 4:] = 0.3 * haar_unitary(4, RngSeed(SEED + 1202))
-    top = submatrices._block_max(u[None], 4, 4, np.zeros(1))[0]
+    top = _all_blocks(u[None], 4, 4, np.zeros(1))[0]
     assert math.sqrt(top) == pytest.approx(max_norm_over_shape(u, 4, 4), abs=1e-12)
-    assert submatrices._block_max(u[None], 4, 4, np.array([0.95 * top]))[0] == top
+    assert _all_blocks(u[None], 4, 4, np.array([0.95 * top]))[0] == top
+
+
+def _totient(d):
+    return sum(math.gcd(d, t) == 1 for t in range(1, d + 1))
+
+
+def test_necklace_count():
+    # binary necklaces of length N with k ones:
+    # (1/N) sum over d | gcd(N, k) of phi(d) C(N/d, k/d)
+    for dim in range(2, 13):
+        for k in range(dim + 1):
+            g = math.gcd(dim, k)
+            terms = sum(_totient(d) * math.comb(dim // d, k // d) for d in range(1, g + 1) if g % d == 0)
+            assert len(_necklaces(dim, k)) * dim == terms, (dim, k)
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_necklaces_meet_each_orbit_once(dim):
+    for k in range(dim + 1):
+        reps = {tuple(r) for r in _necklaces(dim, k)}
+        assert len(reps) == len(_necklaces(dim, k))
+        for c in itertools.combinations(range(dim), k):
+            orbit = {tuple(sorted((i + a) % dim for i in c)) for a in range(dim)}
+            assert len(orbit & reps) == 1, (dim, c)
+
+
+@pytest.mark.parametrize(
+    "dim, sym", [(6, (1, 1, 1)), (6, (1, 0, 0)), (6, (0, 1, 0)), (6, (0, 0, 1)), (7, (0, 1, 0)), (7, (0, 0, 1))]
+)
+def test_block_sets_meet_every_orbit(dim, sym):
+    """Every block (R, C) has a translate (and, in the self-complementary
+    class, a complement) among the blocks the kernel visits."""
+    rows_shift, cols_shift, both = sym
+    steps = range(dim)
+    moves = {(a * rows_shift + c * both, b * cols_shift + c * both) for a in steps for b in steps for c in steps}
+    full = set(range(dim))
+    for m in range(2, dim - 1):
+        for n in range(2, dim + 1 - m):
+            half = m == n and m + n == dim
+            rows, cols = submatrices._block_sets(dim, m, n, np.array(sym, dtype=bool), half)
+            seen = {(tuple(r), tuple(c)) for r in rows for c in cols}
+            for r in itertools.combinations(range(dim), m):
+                for c in itertools.combinations(range(dim), n):
+                    pairs = [(r, c)] + ([(full - set(r), full - set(c))] if half else [])
+                    orbit = {
+                        (tuple(sorted((i + da) % dim for i in rr)), tuple(sorted((j + db) % dim for j in cc)))
+                        for rr, cc in pairs for da, db in moves
+                    }
+                    assert orbit & seen, (m, n, r, c)
+
+
+def _dephased(u, seed):
+    g = np.random.default_rng(seed)
+    x, y = (np.exp(2j * np.pi * g.random(len(u))) for _ in range(2))
+    return x[:, None] * u * y
+
+
+def _path(u3, monkeypatch):
+    # "full" when every class visits every block (one of each complementary
+    # pair in the self-complementary class), "reduced" when all visit fewer
+    seen = []
+    block_max = submatrices._block_max
+    dim = u3.shape[1]
+
+    def spy(u3, m, n, floor2, rows, cols):
+        whole = rows is _combinations(dim, m) or rows is submatrices._with_zero(dim, m)
+        seen.append(whole and cols is _combinations(dim, n))
+        return block_max(u3, m, n, floor2, rows, cols)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(submatrices, "_block_max", spy)
+        s_coefficients_batch(u3)
+    assert seen and (all(seen) or not any(seen))
+    return "full" if all(seen) else "reduced"
+
+
+# expected detector results: row shift, column shift, both at once
+KERNEL_PATHS = {
+    "haar8": (haar_unitary(8, RngSeed(SEED + 1300)), (0, 0, 0)),
+    "F8 permuted": (_permuted(F(8)), (0, 0, 0)),
+    "P9^(1/3) permuted": (_permuted(permutation_power(9, 1.0 / 3.0)), (0, 0, 0)),
+    "F3+F3": (_direct_sum(F(3), F(3)), (0, 0, 0)),
+    "F2xF3": (np.kron(F(2), F(3)), (0, 0, 0)),
+    "F8": (F(8), (1, 1, 1)),
+    "F9": (F(9), (1, 1, 1)),
+    "F8 rows permuted": (F(8)[PERM_ROWS[8]], (0, 1, 0)),
+    "F8 columns permuted": (F(8)[:, PERM_COLS[8]], (1, 0, 0)),
+    "P8^(1/2)": (permutation_power(8, 0.5), (0, 0, 1)),
+    "P9^(1/3)": (permutation_power(9, 1.0 / 3.0), (0, 0, 1)),
+    "shift8": (cyclic_shift(8), (0, 0, 1)),
+    "I6": (np.eye(6), (0, 0, 1)),
+    "P8^(1/2) dephased": (_dephased(permutation_power(8, 0.5), SEED), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_PATHS))
+def test_kernel_path_follows_translation_symmetry(name, monkeypatch):
+    u, held = KERNEL_PATHS[name]
+    u3 = np.asarray(u, dtype=complex)[None]
+    assert _translation_symmetry(u3).tolist() == [bool(h) for h in held]
+    assert _path(u3, monkeypatch) == ("reduced" if any(held) else "full")
+
+
+def test_one_asymmetric_matrix_sends_its_stack_down_the_full_path(monkeypatch):
+    circulants = [permutation_power(6, beta) for beta in np.linspace(0.0, 1.0, 33)]
+    assert _path(np.array(circulants), monkeypatch) == "reduced"
+    circulants[17] = haar_unitary(6, RngSeed(SEED + 1310))
+    assert _path(np.array(circulants), monkeypatch) == "full"
+
+
+@pytest.mark.parametrize("how", ["phase", "modulus"])
+def test_a_perturbed_circulant_takes_the_full_path(how, monkeypatch):
+    u = permutation_power(8, 0.5)
+    x = u[2, 5]
+    u[2, 5] = x * np.exp(10j * SYMMETRY_TOL / abs(x)) if how == "phase" else x * (1.0 + 10 * SYMMETRY_TOL / abs(x))
+    assert not _translation_symmetry(u[None]).any()
+    assert _path(u[None], monkeypatch) == "full"
+
+
+def test_a_haar_led_stack_is_tested_on_its_first_matrix_only(monkeypatch):
+    calls = []
+    hold = submatrices._shifts_hold
+    monkeypatch.setattr(submatrices, "_shifts_hold", lambda u3, gens: calls.append(len(u3)) or hold(u3, gens))
+    monkeypatch.setattr(submatrices, "_phase_residual", None)  # never reached
+    stack = np.stack([haar_unitary(5, RngSeed(SEED + 1320 + i)) for i in range(50)])
+    assert not _translation_symmetry(stack).any()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("dim", range(4, 11))
+def test_representatives_match_full_enumeration(dim, monkeypatch):
+    """s from one block per orbit is within (k + 1) SYMMETRY_TOL of s from all."""
+    rng = np.random.default_rng(SEED + dim)
+    cases = {
+        "F": F(dim),
+        "P^(1/3)": permutation_power(dim, 1.0 / 3.0),
+        "P^(1/2)": permutation_power(dim, 0.5),
+        "P^0.37": permutation_power(dim, 0.37),
+        "shift": cyclic_shift(dim),
+        "I": np.eye(dim, dtype=complex),
+        "P^(1/2) dephased": _dephased(permutation_power(dim, 0.5), SEED + dim),
+        # one side reduced: the column sets, then the row sets
+        "F rows permuted": F(dim)[rng.permutation(dim)],
+        "F columns permuted": F(dim)[:, rng.permutation(dim)],
+    }
+    bound = np.arange(2, dim + 2) * SYMMETRY_TOL + 8 * np.finfo(float).eps
+    for name, u in cases.items():
+        assert _translation_symmetry(u[None]).any(), name
+        reduced = s_coefficients_batch(u[None])[0]
+        with monkeypatch.context() as mp:
+            mp.setattr(submatrices, "_translation_symmetry", _no_symmetry)
+            full = s_coefficients_batch(u[None])[0]
+        assert np.all(np.abs(reduced - full) <= bound), (name, np.abs(reduced - full).max())
 
 
 def _hermitian_cases(m):
@@ -376,6 +556,11 @@ def test_power_bound_caps_eigvalsh(m):
     assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816])).size
 
 
+def _no_symmetry(u3):
+    # the detector's answer for an input without symmetry
+    return np.zeros(len(submatrices._SHIFTS), dtype=bool)
+
+
 def test_chunking_is_bit_identical(monkeypatch):
     # at N = 8 the pruned (4, 4) class runs in sub-chunks of one row set,
     # each against its matrix's floor
@@ -383,18 +568,25 @@ def test_chunking_is_bit_identical(monkeypatch):
         haar = [haar_unitary(n, RngSeed(SEED + 800 + i)) for i in range(haar_count)]
         batch = np.stack(haar + [fourier_matrix(n)])
         default = s_coefficients_batch(batch)
+        reduced = s_coefficients_batch(batch[-1:])
         monkeypatch.setattr(submatrices, "_CHUNK_ELEMENTS", 1)
         chunked = s_coefficients_batch(batch)
         chunked_single = s_coefficients_batch(batch[:1])[0]
+        # F_N alone takes one block per translation orbit, in chunks too
+        assert np.array_equal(s_coefficients_batch(batch[-1:]), reduced)
         monkeypatch.undo()
         assert np.array_equal(default, chunked)
         assert np.array_equal(chunked_single, default[0])
-        # floors are per matrix: each row is its single-matrix result
+        # a stack led by a Haar draw visits every block, so F_N's row is
+        # its single-matrix result on the full enumeration, as each Haar
+        # row is its own: floors are per matrix
+        monkeypatch.setattr(submatrices, "_translation_symmetry", _no_symmetry)
         for i, u in enumerate(batch):
             assert np.array_equal(s_coefficients_batch(u[None])[0], default[i])
         # the validated entry is the same kernel on a stack of one
         assert np.array_equal(s_coefficients(batch[0]).s, default[0])
         assert np.array_equal(s_coefficients(batch[-1]).s, default[-1])
+        monkeypatch.undo()
 
 
 def test_grams_do_not_depend_on_batch():
@@ -402,8 +594,8 @@ def test_grams_do_not_depend_on_batch():
     # matrices are enough to show it
     for n in (5, 6):
         batch = np.stack([haar_unitary(n, RngSeed(SEED + 1000 + i)) for i in range(300)])
-        grams = np.stack(submatrices._column_grams(batch, 3))
-        alone = [np.stack(submatrices._column_grams(u[None], 3))[:, 0] for u in batch]
+        grams = np.stack(submatrices._column_grams(batch, _combinations(n, 3)))
+        alone = [np.stack(submatrices._column_grams(u[None], _combinations(n, 3)))[:, 0] for u in batch]
         assert np.array_equal(grams, np.stack(alone, axis=1))
 
 
@@ -437,6 +629,11 @@ def test_batch_refuses_non_finite_input(n, value):
     u[1, 2] = value
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         s_coefficients_batch(u[None])
+
+
+def test_batch_takes_an_empty_stack():
+    for n in (3, 5):
+        assert s_coefficients_batch(np.zeros((0, n, n), dtype=complex)).shape == (0, n)
 
 
 def test_batch_agrees_with_oracle():

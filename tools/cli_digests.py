@@ -43,6 +43,10 @@ FOURIER_DIMS = (4, 6, 8, 9, 10)
 PERM_HALF_DIMS = (6, 8, 9, 10, 11)
 # P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
 PERM_THIRD_DIMS = (9, 10)
+# F_N with rows and columns permuted by non-affine permutations: tied
+# blocks, but no translation symmetry, so the kernel visits every block
+PERMUTED_ROWS = (3, 0, 7, 1, 6, 2, 5, 4)
+PERMUTED_COLS = (1, 4, 6, 0, 7, 3, 2, 5)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
 SCAN_ALPHAS = ("0", "0.5", "2", "inf")
 # Ensembles through the pruned m >= 4 classes, where several matrices share
@@ -60,6 +64,10 @@ def write_inputs(workdir: str) -> list:
     mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in FOURIER_DIMS]
     mats += [(f"perm_half{n}", eub.permutation_power(n, 0.5)) for n in PERM_HALF_DIMS]
     mats += [(f"perm_third{n}", eub.permutation_power(n, 1.0 / 3.0)) for n in PERM_THIRD_DIMS]
+    # a dephased circulant, which keeps the diagonal translation symmetry
+    phases = np.exp(2j * np.pi * generator(eub.RngSeed(8)).random((2, 8)))
+    mats.append(("perm_half8_dephased", phases[0][:, None] * eub.permutation_power(8, 0.5) * phases[1]))
+    mats.append(("fourier8_permuted", eub.fourier_matrix(8)[list(PERMUTED_ROWS)][:, list(PERMUTED_COLS)]))
     paths = []
     for name, m in mats:
         paths.append(os.path.join(workdir, name + ".json"))
