@@ -104,13 +104,22 @@ def ladder_from_coefficients(sc: SubmatrixCoefficients, alpha) -> BoundReport:
 
     Useful when several orders are evaluated for one matrix: the s
     computation dominates and can be shared. Stacked s gives b_deutsch,
-    b_mu and ladder a row per matrix, each rung one ``renyi_entropy`` call.
+    b_mu and ladder a row per matrix, each rung one ``renyi_entropy`` call,
+    so coefficients whose Q is not a probability vector (a NaN s) raise.
     """
     a = _check_order(alpha)
-    mv = majorizing_vector(sc)
+    return _ladder_report(sc, majorizing_vector(sc), a, renyi_entropy)
+
+
+def _ladder_report(sc: SubmatrixCoefficients, mv: MajorizingVector, a: float, entropy=_renyi_rows) -> BoundReport:
+    # The report at a checked order from sc's majorizing vector mv, which the
+    # orders of one report share; each rung is one `entropy` call on all rows.
+    # Coefficients from the validated kernel give finite s, and _q_rows hands
+    # back Q^(k) clamped and normalised, so the CLI's reports take the
+    # unchecked _renyi_rows; ladder_from_coefficients checks caller input.
     ladder = np.empty(sc.s.shape[:-1] + (sc.n - 1,))
     for k, t in enumerate(mv.truncations):
-        ladder[..., k] = renyi_entropy(t, a)
+        ladder[..., k] = entropy(t.reshape(-1, k + 2), a).reshape(sc.s.shape[:-1])
     b_deutsch, b_mu = _closed_forms(sc.s[..., 0])
     return BoundReport(n=sc.n, alpha=a, b_deutsch=b_deutsch, b_mu=b_mu, ladder=ladder)
 

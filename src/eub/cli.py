@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
-from .bounds import (
+from .bounds import (  # noqa: F401, bench/tracer.py wraps ladder_from_coefficients
     _classical_entropies,
     _classical_slacks,
+    _ladder_report,
     bound_deutsch,
     bound_mu,
     classical_bound,
@@ -135,7 +136,7 @@ def _cmd_bounds(args) -> int:
         "r": [float(v) for v in sc.r],
         "q": [float(v) for v in mv.q_full],
         "q_truncations": [[float(v) for v in t] for t in mv.truncations],
-        "reports": [ladder_from_coefficients(sc, a).to_json() for a in alphas],
+        "reports": [_ladder_report(sc, mv, a).to_json() for a in alphas],
     }
     _emit_all(((args.output, _dump_json(obj)),))
     return 0
@@ -173,7 +174,8 @@ def _cmd_sweep(args) -> int:
     _enumeration_guard(dim, args.allow_large_n)  # before any N x N build
     ts = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
     sc = _checked_coefficients(np.array([build(t) for t in ts]), args.allow_large_n)
-    reports = [ladder_from_coefficients(sc, a) for a in alphas]
+    mv = majorizing_vector(sc)
+    reports = [_ladder_report(sc, mv, a) for a in alphas]
     header = ["parameter", "alpha", "b_deutsch", "b_mu"]
     header += [f"ladder_{k}" for k in range(1, dim)]
     lines = [",".join(header)]
@@ -306,13 +308,14 @@ def _verify_transform_invariance(seed: RngSeed):
         us = _haar_batch(n, seed, 97 * n, 10, False)[0]
         pairs = np.array([(u, apply_transform(u, random_transform(n, g))) for u in us])
         sc = _checked_coefficients(pairs.reshape(20, n, n))
+        mv = majorizing_vector(sc)
         # drift[i, 0]: s of draw i against its transform's; drift[i, 1 + j]:
         # b_deutsch, b_mu and every rung at order j, the same way
         drift = np.empty((10, 1 + len(_VERIFY_ORDERS)))
         s = sc.s.reshape(10, 2, n)
         drift[:, 0] = np.abs(s[:, 0] - s[:, 1]).max(axis=1)
         for j, a in enumerate(_VERIFY_ORDERS):
-            rep = ladder_from_coefficients(sc, a)
+            rep = _ladder_report(sc, mv, a)
             bounds = np.column_stack((rep.b_deutsch, rep.b_mu, rep.ladder)).reshape(10, 2, n + 1)
             drift[:, 1 + j] = np.abs(bounds[:, 0] - bounds[:, 1]).max(axis=1)
         bad = _first_failure(drift.ravel() <= TRANSFORM_INVARIANCE_TOL)  # draw by draw, s first
@@ -341,11 +344,12 @@ def _verify_ladder(seed: RngSeed):
     for n in range(2, 7):
         us = _haar_batch(n, seed, 7 * n, 10, False)[0]
         sc = _checked_coefficients(us)
+        mv = majorizing_vector(sc)
         w = g.standard_normal((10, len(_VERIFY_ORDERS), 5, 2, n))  # per draw and order, five (re, im) pairs
         states = _unit_normalized(w[..., 0, :] + 1j * w[..., 1, :])
         ok = np.empty((10, len(_VERIFY_ORDERS), 2), dtype=bool)  # per draw and order: rungs ascend, sums above top
         for j, a in enumerate(_VERIFY_ORDERS):
-            ladder = ladder_from_coefficients(sc, a).ladder
+            ladder = _ladder_report(sc, mv, a).ladder
             ok[:, j, 0] = (np.diff(ladder, axis=1) >= -LADDER_MONOTONE_TOL).all(axis=1)
             ok[:, j, 1] = (eur_lhs(us, states[:, j], a) >= ladder[:, -1:] - ENTROPY_TOL).all(axis=1)
         bad = _first_failure(ok.ravel())  # draw by draw, then order by order

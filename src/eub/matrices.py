@@ -169,22 +169,31 @@ def generator(rng: RngSeed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(rng)))
 
 
-def _seek(bitgen: np.random.Philox, rng: RngSeed, index: int) -> None:
+def _seek(bitgen: np.random.Philox, rng: RngSeed, start: int, count: int = 1):
     # The per-index rule: key (seed, stream), counter (0, 0, index, 0) and an
     # empty output buffer. That is the state of Philox(key).jumped(index), so
-    # the draws are those of jumped(index). A larger index would carry into
-    # the counter's top word, so it is refused rather than wrapped.
-    index = operator.index(index)
-    if not 0 <= index < _UINT64:
-        raise ValueError(f"sample index {index} out of range 0..2**64 - 1")
-    bitgen.state = {
+    # the draws are those of jumped(index). Seeks bitgen to indices start ..
+    # start + count - 1 in turn, yielding each offset from start, with one
+    # state dict whose counter alone changes. The whole range is checked
+    # before the first seek: an index past 2**64 - 1 would carry into the
+    # counter's top word, so it is refused rather than wrapped.
+    start, count = operator.index(start), operator.index(count)
+    if not (0 <= start and start + count <= _UINT64):
+        which = f"index {start}" if count == 1 else f"indices {start}..{start + count - 1}"
+        raise ValueError(f"sample {which} out of range 0..2**64 - 1")
+    counter = [0, 0, start, 0]
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, index, 0), "key": (int(rng.seed), int(rng.stream))},
+        "state": {"counter": counter, "key": (int(rng.seed), int(rng.stream))},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    for off in range(count):
+        counter[2] = start + off
+        bitgen.state = state
+        yield off
 
 
 def sample_generator(rng: RngSeed, index: int) -> np.random.Generator:
@@ -197,7 +206,7 @@ def sample_generator(rng: RngSeed, index: int) -> np.random.Generator:
     0 .. 2**64 - 1; anything else raises ValueError.
     """
     bitgen = np.random.Philox(key=philox_key(rng))
-    _seek(bitgen, rng, index)
+    next(_seek(bitgen, rng, index))
     return np.random.Generator(bitgen)
 
 

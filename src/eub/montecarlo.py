@@ -109,15 +109,15 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 
 
 def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
-    # One generator per chunk, re-seeked to each sample index. Row off of
-    # `draws` holds sample start + off's normals in draw order: the Ginibre
-    # real and imaginary parts, then the optional state's, so the unitaries
-    # do not depend on with_state.
+    # One generator per chunk, re-seeked to each sample index; the chunk's
+    # index range is checked before the first draw. Row off of `draws` holds
+    # sample start + off's normals in draw order: the Ginibre real and
+    # imaginary parts, then the optional state's, so the unitaries do not
+    # depend on with_state.
     g = sample_generator(rng, start)
     nn = n * n
     draws = np.empty((count, 2 * nn + (2 * n if with_state else 0)))
-    for off in range(count):
-        _seek(g.bit_generator, rng, start + off)
+    for off in _seek(g.bit_generator, rng, start, count):
         g.standard_normal(out=draws[off])
     z = (draws[:, :nn] + 1j * draws[:, nn : 2 * nn]).reshape(count, n, n)
     psi = None

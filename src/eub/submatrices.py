@@ -12,7 +12,14 @@ squared moduli. A block's Gram is a principal submatrix of the N x N Gram
 of its column set, and one matmul against a 0/1 indicator matrix gives
 those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
 in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
-fallback near a double top eigenvalue), larger ones by eigvalsh.
+fallback near a double top eigenvalue), larger ones by eigvalsh. Each
+class runs over sub-chunks of the stack's matrices and of its row sets,
+sized so that what one keeps live fits _CHUNK_ELEMENTS, about one core's
+L2 cache: in the closed forms on a stack, the column Grams take a quarter
+of it and the gathered entries and their temporaries the rest, while a
+stack of one and the power bound let each part fill it. Chunking never
+changes s, since every block's value is computed on its own and a class
+keeps only each matrix's maximum.
 
 The kernel works on squared norms lambda = sigma^2: each class yields
 its largest block-Gram top eigenvalue (a strip, its largest sum of squared
@@ -109,9 +116,26 @@ from .matrices import (
 # Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
-# Cap on the array elements one chunk of the Gram kernel holds: a memory
-# guard, and small enough that a chunk stays in cache (4M ran about 2x
-# slower at N = 6 on a Xeon with 2 MB of L2 per core).
+# Budget, in float64 elements, for what one sub-chunk of a block class keeps
+# live: 250,000 elements, 2 MB, one core's L2 on the 2-core Xeon the timings
+# here come from. Per matrix, the column Grams (re and im) hold N (N + 1) C
+# elements for C column sets, and building them up to four times that when
+# C >= N (the gathered pairs and their products). Per block, a row sub-chunk
+# holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
+# entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
+# tracemalloc reads peaks of 4 and 14) and 16 m^2 in the power bound (H and
+# its powers). _block_max sizes the sub-chunks by one of two rules:
+# - closed forms (m = 2, 3) on a stack of two or more matrices: a batch
+#   sub-chunk's Grams take at most a quarter of the budget, so that building
+#   them fits it, and its row sub-chunks take what the Grams leave. Batched
+#   kernel per matrix, 2048 Haar draws at n = 4-6 and 256 at n = 7, one BLAS
+#   thread, median CPU time of 9 interleaved runs, against the second rule:
+#   3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254 us;
+# - the power bound (m >= 4), and the closed forms on a stack of one: the
+#   Grams of a batch sub-chunk, and the blocks of a row sub-chunk at 16 m^2
+#   or m^2 elements each, may each fill the whole budget. The power bound ran
+#   best at these sizes, and a stack of one's row sub-chunks cut to a quarter
+#   made one bounds report at N = 8-10 15-20% slower.
 _CHUNK_ELEMENTS = 250_000
 
 # Squarings of the real embedding H before the first bound test: three
@@ -201,19 +225,23 @@ def _triu(dim: int):
     return iu, ju, pos
 
 
-def _column_grams(u3: np.ndarray, cols: np.ndarray):
-    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, C a row of ``cols``.
+def _indicator(dim: int, cols: np.ndarray) -> np.ndarray:
+    # The 0/1 matrix, N x len(cols), whose column c marks the column set cols[c].
+    out = np.zeros((dim, len(cols)))
+    np.put_along_axis(out, cols.T, 1.0, axis=0)
+    return out
+
+
+def _column_grams(u3: np.ndarray, indicator: np.ndarray):
+    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, C a set of ``indicator``.
 
     Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
     so all subsets come out of a matmul of the per-column outer products
-    with the 0/1 indicator matrix of the subsets. Returns the real and
-    imaginary parts, shape (batch, N(N+1)/2, len(cols)), indexed by pair
-    (i, j), i <= j, in ``_triu(N)`` order.
+    with the 0/1 indicator matrix of the subsets (``_indicator``). Returns
+    the real and imaginary parts, shape (batch, N(N+1)/2, column sets),
+    indexed by pair (i, j), i <= j, in ``_triu(N)`` order.
     """
-    dim = u3.shape[1]
-    iu, ju, _ = _triu(dim)
-    indicator = np.zeros((dim, len(cols)))  # column c marks the column set cols[c]
-    np.put_along_axis(indicator, cols.T, 1.0, axis=0)
+    iu, ju, _ = _triu(u3.shape[1])
     a, b = u3[:, iu], u3[:, ju]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # Real arithmetic, since numpy's complex multiply does not round alike at
@@ -469,21 +497,24 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         ti, tj, _ = _triu(m)
         entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
         top = _top_eig_2x2 if m == 2 else _top_eig_3x3
-    # elements a block holds in a row sub-chunk: its Gram entries for the
-    # closed forms, H and its powers (4 m^2 each) for the power bound
-    width = m * m if hidx is None else 16 * m * m
+    # sub-chunk sizes: see _CHUNK_ELEMENTS
+    span = dim * (dim + 1) * max(dim, ncols)
+    if hidx is None and batch > 1:
+        bstep, held, width = max(1, _CHUNK_ELEMENTS // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m
+    else:
+        bstep, held, width = max(1, _CHUNK_ELEMENTS // span), 0, m * m if hidx is None else 16 * m * m
+    indicator = _indicator(dim, cols)
     best = np.zeros(batch)
-    bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(dim, ncols)))
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(u3[chunk], cols)
+        re, im = _column_grams(u3[chunk], indicator)
         src = None if hidx is None else _embedding(re, im)
-        rstep = max(1, _CHUNK_ELEMENTS // (re.shape[0] * ncols * width))
+        rstep = max(1, (_CHUNK_ELEMENTS - re.shape[0] * held) // (re.shape[0] * ncols * width))
         for r0 in range(0, rows.shape[0], rstep):
             if hidx is None:
                 idx = entries[:, r0 : r0 + rstep]
-                lam = top(re[:, idx].swapaxes(0, 1), im[:, idx].swapaxes(0, 1))
-                best[chunk] = np.maximum(best[chunk], lam.max(axis=(1, 2)))
+                lam = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
+                best[chunk] = np.maximum(best[chunk], lam.max(axis=(0, 2)))
                 continue
             h = np.take(src, hidx[r0 : r0 + rstep], axis=2)
             alive = _survivors(h, floor2[chunk])

@@ -120,11 +120,20 @@ def test_ladder_report():
 def test_ladder_from_coefficients_consistency():
     u = haar_unitary(5, RngSeed(SEED + 60))
     sc = s_coefficients(u)
+    truncations = majorizing_vector(sc).truncations
     for a in (0.0, 0.5, 1.0, 2.0, math.inf):
         direct = bound_ladder(u, a)
         shared = ladder_from_coefficients(sc, a)
         assert np.array_equal(direct.ladder, shared.ladder)
         assert direct.b_mu == shared.b_mu
+        # each rung is the validated entropy of its truncation, bit for bit
+        assert [v.hex() for v in shared.ladder.tolist()] == [renyi_entropy(t, a).hex() for t in truncations]
+
+
+def test_ladder_from_coefficients_refuses_a_nan_s():
+    # the public entry checks each rung's Q^(k), which a NaN s leaves NaN
+    with pytest.raises(ValueError, match="sums to nan"):
+        ladder_from_coefficients(_hand_built([0.6, math.nan, 1.0]), 1.0)
 
 
 def test_stacked_ladder_rows_match_single_reports():

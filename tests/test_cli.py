@@ -21,7 +21,7 @@ from eub import (
     s_coefficients,
     save_matrix,
 )
-from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks, ladder_from_coefficients
+from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks, _ladder_report
 from eub.cli import main
 from eub.matrices import generator
 
@@ -164,25 +164,31 @@ def test_sweep_rejects_bad_range(capsys):
 
 
 def _spy_kernel_and_ladder(monkeypatch):
-    # shapes of the s-kernel stacks, and (stack shape, order) per ladder call
-    kernels, ladders = [], []
-    kernel, ladder = submatrices.s_coefficients_batch, cli.ladder_from_coefficients
+    # shapes of the s-kernel stacks, (stack shape, order) per ladder call, and
+    # the stack shape of each majorizing vector built
+    kernels, ladders, vectors = [], [], []
+    kernel, ladder, build = submatrices.s_coefficients_batch, cli._ladder_report, cli.majorizing_vector
 
     def spy_kernel(u):
         kernels.append(np.shape(u))
         return kernel(u)
 
-    def spy_ladder(sc, alpha):
+    def spy_ladder(sc, mv, alpha):
         ladders.append((np.shape(sc.s), alpha))
-        return ladder(sc, alpha)
+        return ladder(sc, mv, alpha)
+
+    def spy_build(sc):
+        vectors.append(np.shape(sc.s))
+        return build(sc)
 
     monkeypatch.setattr(submatrices, "s_coefficients_batch", spy_kernel)
-    monkeypatch.setattr(cli, "ladder_from_coefficients", spy_ladder)
-    return kernels, ladders
+    monkeypatch.setattr(cli, "_ladder_report", spy_ladder)
+    monkeypatch.setattr(cli, "majorizing_vector", spy_build)
+    return kernels, ladders, vectors
 
 
 def test_sweep_makes_one_kernel_call_and_one_ladder_call_per_order(capsys, monkeypatch):
-    kernels, ladders = _spy_kernel_and_ladder(monkeypatch)
+    kernels, ladders, vectors = _spy_kernel_and_ladder(monkeypatch)
     code, out, err = run(
         capsys, "sweep", "--family", "perm_power:4", "--range", "0:1", "--steps", "5",
         "--alpha", "1", "--alpha", "inf",
@@ -190,6 +196,15 @@ def test_sweep_makes_one_kernel_call_and_one_ladder_call_per_order(capsys, monke
     assert code == 0 and err == ""
     assert kernels == [(5, 4, 4)]
     assert ladders == [((5, 4), 1.0), ((5, 4), math.inf)]
+    assert vectors == [(5, 4)]  # one majorizing vector serves both orders
+
+
+def test_bounds_builds_one_majorizing_vector_for_all_orders(tmp_path, capsys, monkeypatch):
+    _, ladders, vectors = _spy_kernel_and_ladder(monkeypatch)
+    code, out, err = run(capsys, "bounds", "--input", write_f3(tmp_path), "--alpha", "1", "--alpha", "2", "--alpha", "inf")
+    assert code == 0 and err == ""
+    assert vectors == [(3,)]
+    assert ladders == [((3,), 1.0), ((3,), 2.0), ((3,), math.inf)]
 
 
 def test_sweep_refuses_large_n_before_building(capsys, monkeypatch):
@@ -415,7 +430,7 @@ def test_verify_passes(capsys):
 def test_verify_ladder_check_makes_one_kernel_call_and_five_ladder_calls_per_n(monkeypatch):
     # and five entropy-sum calls per n, one per order, each on the ten draws'
     # five states, where there were 50 one-draw calls
-    kernels, ladders = _spy_kernel_and_ladder(monkeypatch)
+    kernels, ladders, vectors = _spy_kernel_and_ladder(monkeypatch)
     sums = []
     lhs = cli.eur_lhs
 
@@ -428,6 +443,7 @@ def test_verify_ladder_check_makes_one_kernel_call_and_five_ladder_calls_per_n(m
     assert kernels == [(10, n, n) for n in range(2, 7)]
     orders = [0.0, 0.5, 1.0, 2.0, math.inf]
     assert ladders == [((10, n), a) for n in range(2, 7) for a in orders]
+    assert vectors == [(10, n) for n in range(2, 7)]
     assert sums == [((10, n, n), (10, 5, n), a) for n in range(2, 7) for a in orders]
 
 
@@ -462,10 +478,10 @@ def test_verify_ladder_check_reports_draw_then_order_then_fall_before_sums(monke
     # at n = 5 draw 2's rungs fall at order 2, and the entropy sums of one
     # (draw, order) dip: the first failure is taken draw by draw, then order
     # by order, and a fall comes before the sums at its own order
-    ladder, lhs = cli.ladder_from_coefficients, cli.eur_lhs
+    ladder, lhs = cli._ladder_report, cli.eur_lhs
 
-    def falling(sc, alpha):
-        rep = ladder(sc, alpha)
+    def falling(sc, mv, alpha):
+        rep = ladder(sc, mv, alpha)
         if sc.n == 5 and alpha == 2.0:
             rep.ladder[2, 1] = rep.ladder[2, 0] - 2 * cli.LADDER_MONOTONE_TOL
         return rep
@@ -476,7 +492,7 @@ def test_verify_ladder_check_reports_draw_then_order_then_fall_before_sums(monke
             sums[dip[0]] = -1.0
         return sums
 
-    monkeypatch.setattr(cli, "ladder_from_coefficients", falling)
+    monkeypatch.setattr(cli, "_ladder_report", falling)
     monkeypatch.setattr(cli, "eur_lhs", dipping)
     assert cli._verify_ladder(RngSeed(0)) == (False, want)
 
@@ -672,14 +688,16 @@ def test_verify_chain_and_transform_checks_make_one_kernel_call_per_n(monkeypatc
     # transform check takes its bounds from one ladder call per order on
     # the 20-row report of each n
     shapes = _spy_checked_coefficients(monkeypatch)
-    ladders = _spy_kernel_and_ladder(monkeypatch)[1]
+    _, ladders, vectors = _spy_kernel_and_ladder(monkeypatch)
     assert cli._verify_chain(RngSeed(0)) == (True, "")
     assert shapes == [(20, n, n) for n in range(2, 7)]
     shapes.clear()
     ladders.clear()
+    vectors.clear()
     assert cli._verify_transform_invariance(RngSeed(0)) == (True, "")
     assert shapes == [(20, n, n) for n in range(2, 6)]
     assert ladders == [((20, n), a) for n in range(2, 6) for a in (0.0, 0.5, 1.0, 2.0, math.inf)]
+    assert vectors == [(20, n) for n in range(2, 6)]
 
 
 def test_verify_chain_reports_the_first_break_in_draw_order(monkeypatch):
@@ -732,20 +750,20 @@ def test_verify_transform_check_reports_the_first_bound_drift(monkeypatch):
     # first drift in draw order is reported with its own size
     tol = cli.TRANSFORM_INVARIANCE_TOL
 
-    def drifted(sc, alpha):
-        rep = ladder_from_coefficients(sc, alpha)
+    def drifted(sc, mv, alpha):
+        rep = _ladder_report(sc, mv, alpha)
         if sc.n == 4 and alpha == 2.0:
             rep.ladder[7] += 2 * tol
             rep.ladder[15] += 5 * tol
         return rep
 
-    monkeypatch.setattr(cli, "ladder_from_coefficients", drifted)
+    monkeypatch.setattr(cli, "_ladder_report", drifted)
     want = (False, "bounds drifted 2.000e-10 under transform at n=4 alpha=2.0")
     assert cli._verify_transform_invariance(RngSeed(0)) == want
 
 
-def _nan_ladder(sc, alpha):
-    rep = ladder_from_coefficients(sc, alpha)
+def _nan_ladder(sc, mv, alpha):
+    rep = _ladder_report(sc, mv, alpha)
     rep.ladder[:] = math.nan
     return rep
 
@@ -767,7 +785,7 @@ NAN_VALUES = {
         cli._verify_deutsch, cli, "bound_mu", lambda u: np.full(len(u), math.nan), "closed-form ordering violated at n=2",
     ),
     "transform-bounds": (
-        cli._verify_transform_invariance, cli, "ladder_from_coefficients", _nan_ladder,
+        cli._verify_transform_invariance, cli, "_ladder_report", _nan_ladder,
         "bounds drifted nan under transform at n=2 alpha=0.0",
     ),
     "product-majorization": (

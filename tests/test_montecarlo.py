@@ -231,3 +231,28 @@ def test_haar_batch_matches_per_index_loop(n, start, with_state):
         assert np.array_equal(psi, ref_psi)
     else:
         assert psi is None
+
+
+def test_haar_batch_refuses_a_chunk_past_the_last_index_before_drawing(monkeypatch):
+    # a chunk whose indices would reach 2**64 fails on its range, not on the
+    # first index past it after the ones below have been drawn
+    draws = []
+    make = montecarlo.sample_generator
+
+    class Counting:
+        def __init__(self, g):
+            self.bit_generator = g.bit_generator
+            self._g = g
+
+        def standard_normal(self, **kw):
+            draws.append(1)
+            return self._g.standard_normal(**kw)
+
+    monkeypatch.setattr(montecarlo, "sample_generator", lambda rng, index: Counting(make(rng, index)))
+    rng = RngSeed(SEED, stream=7)
+    with pytest.raises(ValueError, match=r"sample indices 18446744073709551612\.\.18446744073709551616 out of range"):
+        montecarlo._haar_batch(3, rng, 2**64 - 4, 5, False)
+    assert draws == []
+    # the last index itself is drawn, as the per-index reference draws it
+    u, _ = montecarlo._haar_batch(3, rng, 2**64 - 4, 4, False)
+    assert len(draws) == 4 and np.array_equal(u, _reference_haar_batch(3, rng, 2**64 - 4, 4, False)[0])

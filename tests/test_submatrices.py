@@ -1,10 +1,12 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import eub.montecarlo as montecarlo
 import eub.submatrices as submatrices
 from eub import (
     RngSeed,
@@ -589,13 +591,108 @@ def test_chunking_is_bit_identical(monkeypatch):
         monkeypatch.undo()
 
 
+def _haar_stack(n, count, seed):
+    return montecarlo._haar_batch(n, RngSeed(seed), 0, count, False)[0]
+
+
+@pytest.mark.parametrize("n,count", [(5, 700), (6, 300), (7, 64)])
+def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
+    # stacks that span several batch sub-chunks of the closed-form classes
+    batch = _haar_stack(n, count, SEED + 850 + n)
+    grams, classes = [], []
+    column_grams, block_max = submatrices._column_grams, submatrices._block_max
+    monkeypatch.setattr(submatrices, "_column_grams", lambda u3, ind: grams.append(len(u3)) or column_grams(u3, ind))
+    monkeypatch.setattr(submatrices, "_block_max", lambda *a: classes.append(1) or block_max(*a))
+    default = s_coefficients_batch(batch)
+    assert len(grams) > 2 * len(classes) and max(grams) < count
+    monkeypatch.undo()
+    for i, u in enumerate(batch):
+        assert np.array_equal(s_coefficients_batch(u[None])[0], default[i])
+    monkeypatch.setattr(submatrices, "_CHUNK_ELEMENTS", 1)
+    assert np.array_equal(s_coefficients_batch(batch), default)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
+    """What a closed-form sub-chunk of a 2048-stack keeps live, as tracemalloc
+    reads it, fits _CHUNK_ELEMENTS: building the column Grams, and the Grams
+    with the entries gathered for _top_eig_2x2 / _top_eig_3x3 and those
+    functions' temporaries."""
+    batch = _haar_stack(n, 2048, SEED + 870 + n)
+    budget = 8 * submatrices._CHUNK_ELEMENTS  # bytes
+    held, seen = [0], []
+
+    def peak_of(fn, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+
+    def spy_grams(u3, indicator, fn=submatrices._column_grams):
+        (re, im), peak = peak_of(fn, u3, indicator)
+        held[0] = re.nbytes + im.nbytes
+        seen.append(("grams", len(u3), peak))
+        return re, im
+
+    def spy_top(re, im, fn):
+        lam, peak = peak_of(fn, re, im)
+        seen.append(("top", re.shape[2], held[0] + re.nbytes + im.nbytes + peak))
+        return lam
+
+    monkeypatch.setattr(submatrices, "_column_grams", spy_grams)
+    for name in ("_top_eig_2x2", "_top_eig_3x3"):
+        monkeypatch.setattr(submatrices, name, lambda re, im, fn=getattr(submatrices, name): spy_top(re, im, fn))
+    tracemalloc.start()
+    try:
+        s = s_coefficients_batch(batch)
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert np.array_equal(s, s_coefficients_batch(batch))
+    assert {kind for kind, _, _ in seen} == {"grams", "top"}
+    for kind, matrices, live in seen:
+        assert 1 < matrices < 2048 and live <= budget, (kind, matrices, live)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 10])
+def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
+    # one matrix: a row sub-chunk takes 250,000 elements at m^2 a block in
+    # the closed forms and 16 m^2 in the power bound, whatever its Grams hold
+    classes = []
+    block_max = submatrices._block_max
+
+    def spy_block_max(u3, m, n, floor2, rows, cols):
+        small, large = (rows, cols) if m <= n else (cols, rows)
+        classes.append((min(m, n), len(small), len(large), []))
+        return block_max(u3, m, n, floor2, rows, cols)
+
+    def spy(fn, blocks):
+        def run(*args):
+            classes[-1][3].append(blocks(args[0]))
+            return fn(*args)
+
+        return run
+
+    # blocks per row sub-chunk: one Gram entry each, or one embedding each
+    monkeypatch.setattr(submatrices, "_block_max", spy_block_max)
+    monkeypatch.setattr(submatrices, "_top_eig_2x2", spy(submatrices._top_eig_2x2, lambda re: re[0].size))
+    monkeypatch.setattr(submatrices, "_top_eig_3x3", spy(submatrices._top_eig_3x3, lambda re: re[0].size))
+    monkeypatch.setattr(submatrices, "_survivors", spy(submatrices._survivors, lambda h: math.prod(h.shape[:3])))
+    s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
+    assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
+    for m, nrows, ncols, steps in classes:
+        rstep = max(1, 250_000 // (ncols * m * m * (1 if m <= 3 else 16)))
+        assert steps == [ncols * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
+
+
 def test_grams_do_not_depend_on_batch():
     # numpy's complex multiply rounds differently on large arrays; 300
     # matrices are enough to show it
     for n in (5, 6):
         batch = np.stack([haar_unitary(n, RngSeed(SEED + 1000 + i)) for i in range(300)])
-        grams = np.stack(submatrices._column_grams(batch, _combinations(n, 3)))
-        alone = [np.stack(submatrices._column_grams(u[None], _combinations(n, 3)))[:, 0] for u in batch]
+        indicator = submatrices._indicator(n, _combinations(n, 3))
+        grams = np.stack(submatrices._column_grams(batch, indicator))
+        alone = [np.stack(submatrices._column_grams(u[None], indicator))[:, 0] for u in batch]
         assert np.array_equal(grams, np.stack(alone, axis=1))
 
 
