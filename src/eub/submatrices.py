@@ -80,9 +80,27 @@ over the representatives is within 2 ((k + 1) / 2) SYMMETRY_TOL of the
 full enumeration's s_k, plus rounding (see SYMMETRY_TOL); in practice a
 few ulps below it, since translates differ only by rounding.
 
+A fourth reduction holds up to the input's unitarity residual. With C'
+the complement of a column set C, G_C + G_C' = U U^dag, so on a row set R
+G_C[R, R] = I - G_C'[R, R] + E with E = (U U^dag - I)[R, R], and by Weyl
+lambda_max(G_C[R, R]) is within |E|_2 of 1 - lambda_min(G_C'[R, R]). For
+|R| = 2 that is at most 2 r, r the max-norm unitarity residual; by rows
+on U^T, r is that of U^dag U - I instead. So a (2, n) class with
+N - n < n <= N - 2 is not enumerated: its maximum is 1 minus the least
+bottom eigenvalue of the (2, N - n) blocks, which ran at a smaller k on
+the same row sets and the complementary column sets, and (n, 2) is taken
+from (N - n, 2) likewise (``_complement_classes``). Under a translation
+symmetry the complements of one block per orbit are again one block per
+orbit. ``_top_eig_2x2`` returns the bottom eigenvalue from the same
+terms as the top one, so the sources' own maxima keep their bits, and s
+moves only at the k of a served class, by at most 2 r in lambda (see
+UNITARITY_TOL). The 3 x 3 Cardano classes stay enumerated: the bottom
+root loses accuracy near a double bottom eigenvalue as the top one does
+near a double top, and would need a fallback of its own.
+
 ``max_norm_over_shape`` enumerates index pairs one by one through
 ``largest_singular_value``; it is the independent slow oracle the
-enumeration and both reductions are checked against in the tests.
+enumeration and every reduction are checked against in the tests.
 """
 
 from __future__ import annotations
@@ -123,8 +141,9 @@ MAX_ENUMERATION_DIM = 12
 # C >= N (the gathered pairs and their products). Per block, a row sub-chunk
 # holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
-# tracemalloc reads peaks of 4 and 14) and 16 m^2 in the power bound (H and
-# its powers). _block_max sizes the sub-chunks by one of two rules:
+# tracemalloc reads peaks of 4 and 14, and 4 for _top_eig_2x2 with its
+# bottom eigenvalue too) and 16 m^2 in the power bound (H and its powers).
+# _block_max sizes the sub-chunks by one of two rules:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: a batch
 #   sub-chunk's Grams take at most a quarter of the budget, so that building
 #   them fits it, and its row sub-chunks take what the Grams leave. Batched
@@ -251,9 +270,13 @@ def _column_grams(u3: np.ndarray, indicator: np.ndarray):
     return (ar * br + ai * bi) @ indicator, (ai * br - ar * bi) @ indicator
 
 
-def _top_eig_2x2(re, im):
+def _top_eig_2x2(re, im, low=False):
+    # lambda_max = h + r; with low, also lambda_min = h - r from the same h
+    # and r, so lambda_max has the same bits either way
     a, d = re[0], re[2]
-    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + re[1] ** 2 + im[1] ** 2)
+    h = 0.5 * (a + d)
+    r = np.sqrt(0.25 * (a - d) ** 2 + re[1] ** 2 + im[1] ** 2)
+    return (h + r, h - r) if low else h + r
 
 
 def _top_eig_3x3(re, im):
@@ -471,7 +494,23 @@ def _block_sets(dim: int, m: int, n: int, sym: np.ndarray, half: bool):
     return rows, cols
 
 
-def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _complement_classes(dim: int) -> dict:
+    """The block classes taken from the complements of their blocks, {served: source}.
+
+    For 2 <= q < N / 2 the (2, N - q) class is served by the (2, q) class,
+    whose blocks are its blocks' column complements, and (N - q, 2) by
+    (q, 2), by row complements; see the module docstring. A source runs at
+    k = q + 1, below the served class's N - q + 1. The (N - 2, 2) entry is
+    never read, since class N runs m <= n only.
+    """
+    return {
+        shape: source
+        for q in range(2, (dim + 1) // 2)
+        for shape, source in (((2, dim - q), (2, q)), ((dim - q, 2), (q, 2)))
+    }
+
+
+def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray, cols: np.ndarray, low=False):
     """Max top eigenvalue of the block Grams, lambda = sigma^2, over m x n blocks.
 
     The blocks are U[R, C] for R a row of ``rows`` (m-subsets) and C a row
@@ -486,6 +525,9 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     cannot reach it: the result never exceeds the maximum over the listed
     blocks and equals it wherever that maximum is above ``floor2``. A zero
     floor keeps every block.
+
+    With ``low`` (min(m, n) = 2 only), also returns each matrix's least
+    bottom eigenvalue over the same blocks, which a complement class reads.
     """
     if m > n:
         u3, m, n, rows, cols = np.swapaxes(u3, 1, 2), n, m, cols, rows
@@ -505,6 +547,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         bstep, held, width = max(1, _CHUNK_ELEMENTS // span), 0, m * m if hidx is None else 16 * m * m
     indicator = _indicator(dim, cols)
     best = np.zeros(batch)
+    least = np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
         re, im = _column_grams(u3[chunk], indicator)
@@ -513,8 +556,18 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         for r0 in range(0, rows.shape[0], rstep):
             if hidx is None:
                 idx = entries[:, r0 : r0 + rstep]
-                lam = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
-                best[chunk] = np.maximum(best[chunk], lam.max(axis=(0, 2)))
+                # the gathered entries are not named, so that they are freed
+                # before the next row sub-chunk gathers its own. lam is (row
+                # sets, matrices, column sets): reducing the leading axis
+                # first runs elementwise over contiguous rows, 3-5x faster
+                # than one reduction over axes (0, 2) on the box of the
+                # _CHUNK_ELEMENTS timings
+                if low:
+                    lam, bottom = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx], low=True)
+                    least[chunk] = np.minimum(least[chunk], bottom.min(axis=0).min(axis=1))
+                else:
+                    lam = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
+                best[chunk] = np.maximum(best[chunk], lam.max(axis=0).max(axis=1))
                 continue
             h = np.take(src, hidx[r0 : r0 + rstep], axis=2)
             alive = _survivors(h, floor2[chunk])
@@ -523,7 +576,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
                 g = np.empty((alive.size, m, m), dtype=complex)
                 g.real, g.imag = kept[:, :m, :m], kept[:, m:, :m]
                 np.maximum.at(best, b0 + alive // (ncols * h.shape[2]), _top_eig_eigvalsh(g))
-    return best
+    return (best, least) if low else best
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
@@ -596,9 +649,10 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     ``_checked_coefficients`` feed it) and does not limit N. Semiperimeter class
     N + 1 is pinned to exactly 1, and class N enumerates only one block of
     each complementary pair. A stack whose every matrix has a translation
-    symmetry visits one block per orbit (see the module docstring). A chain
-    that needs a repair larger than UNITARITY_TOL to be monotone and <= 1
-    raises ValueError.
+    symmetry visits one block per orbit, and the (2, n) and (n, 2) classes
+    with N - n < n <= N - 2 are taken from their blocks' complements (see
+    the module docstring for both). A chain that needs a repair larger than
+    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2]:
@@ -606,6 +660,8 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     batch, dim = u_batch.shape[0], u_batch.shape[1]
     sym = _translation_symmetry(u_batch)
     row_cum, col_cum = _row_col_cumsums(u_batch)
+    served = _complement_classes(dim)
+    least = {}  # each source class's least bottom eigenvalue per matrix
     s = np.zeros((batch, dim))
     s[:, dim - 1] = 1.0
     for k in range(1, dim):
@@ -618,9 +674,14 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
                 lam = row_cum[:, :, n - 1].max(axis=1)
             elif n == 1:
                 lam = col_cum[:, :, m - 1].max(axis=1)
+            elif (m, n) in served:
+                lam = 1.0 - least[served[m, n]]
             else:
                 rows, cols = _block_sets(dim, m, n, sym, m == n and k + 1 == dim)
-                lam = _block_max(u_batch, m, n, best, rows, cols)
+                if (m, n) in served.values():
+                    lam, least[m, n] = _block_max(u_batch, m, n, best, rows, cols, low=True)
+                else:
+                    lam = _block_max(u_batch, m, n, best, rows, cols)
             best = np.maximum(best, lam)
         s[:, k - 1] = np.sqrt(best)
     return _finalize(s)

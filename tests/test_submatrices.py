@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -278,29 +279,44 @@ def test_embeddings_are_gathered_contiguous(monkeypatch):
     assert len(seen) > 1 and r0 == len(combos)
 
 
-@pytest.mark.parametrize("dim", [8, 9])
+# The (2, n) and (n, 2) classes with N - n < n <= N - 2, each taken from
+# the complements of the blocks of the source class named beside it
+SERVED = {
+    5: {(2, 3): (2, 2)},
+    6: {(2, 4): (2, 2)},
+    7: {(2, 5): (2, 2), (2, 4): (2, 3), (4, 2): (3, 2)},
+    8: {(2, 6): (2, 2), (2, 5): (2, 3), (5, 2): (3, 2)},
+    9: {(2, 7): (2, 2), (2, 6): (2, 3), (6, 2): (3, 2), (2, 5): (2, 4), (5, 2): (4, 2)},
+}
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7, 8, 9])
 def test_class_loop_runs_each_block_shape_once(dim, monkeypatch):
-    """Classes below N run every block shape; class N runs m <= n only."""
+    """Classes below N run every block shape but the served ones; class N
+    runs m <= n only. Only the sources take their bottom eigenvalues."""
     calls = []
     block_max = submatrices._block_max
 
-    def spy(u3, m, n, floor2, rows, cols):
-        calls.append((m, n, rows, cols))
-        return block_max(u3, m, n, floor2, rows, cols)
+    def spy(u3, m, n, floor2, rows, cols, low=False):
+        calls.append((m, n, rows, cols, low))
+        return block_max(u3, m, n, floor2, rows, cols, low=low)
 
     monkeypatch.setattr(submatrices, "_block_max", spy)
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
-    shapes = {(m, n): (rows, cols) for m, n, rows, cols in calls}
+    shapes = {(m, n): (rows, cols) for m, n, rows, cols, _ in calls}
     below = [(m, k - m) for k in range(4, dim) for m in range(2, k - 1)]
     at_n = [(m, dim - m) for m in range(2, dim // 2 + 1)]
-    assert len(calls) == len(shapes) and sorted(shapes) == sorted(below + at_n)
-    if dim == 8:
+    served = SERVED[dim]
+    assert submatrices._complement_classes(dim).items() >= served.items()
+    assert len(calls) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - set(served))
+    assert {(m, n) for m, n, _, _, low in calls if low} == set(served.values())
+    if dim % 2 == 0:
         # the self-complementary shape runs the row sets containing index 0,
         # one of each complementary pair, against every column set
-        half, cols = shapes.pop((4, 4))
-        assert half.shape == (math.comb(7, 3), 4) and np.all(half[:, 0] == 0)
+        half, cols = shapes.pop((dim // 2, dim // 2))
+        assert half.shape == (math.comb(dim - 1, dim // 2 - 1), dim // 2) and np.all(half[:, 0] == 0)
         assert len({tuple(r) for r in half}) == half.shape[0]
-        assert cols is _combinations(8, 4)
+        assert cols is _combinations(dim, dim // 2)
     # every other shape runs every row set against every column set
     assert all(rows is _combinations(dim, m) and cols is _combinations(dim, n) for (m, n), (rows, cols) in shapes.items())
 
@@ -380,10 +396,10 @@ def _path(u3, monkeypatch):
     block_max = submatrices._block_max
     dim = u3.shape[1]
 
-    def spy(u3, m, n, floor2, rows, cols):
+    def spy(u3, m, n, floor2, rows, cols, low=False):
         whole = rows is _combinations(dim, m) or rows is submatrices._with_zero(dim, m)
         seen.append(whole and cols is _combinations(dim, n))
-        return block_max(u3, m, n, floor2, rows, cols)
+        return block_max(u3, m, n, floor2, rows, cols, low=low)
 
     with monkeypatch.context() as mp:
         mp.setattr(submatrices, "_block_max", spy)
@@ -469,6 +485,109 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
             mp.setattr(submatrices, "_translation_symmetry", _no_symmetry)
             full = s_coefficients_batch(u[None])[0]
         assert np.all(np.abs(reduced - full) <= bound), (name, np.abs(reduced - full).max())
+
+
+def _served_lambda(u, shape, sym):
+    # a served class's maximum squared norm as the kernel takes it: 1 minus
+    # the least bottom eigenvalue over its source class's blocks
+    dim = len(u)
+    source = submatrices._complement_classes(dim)[shape]
+    rows, cols = submatrices._block_sets(dim, *source, sym, False)
+    return 1.0 - submatrices._block_max(u[None], *source, np.zeros(1), rows, cols, low=True)[1][0]
+
+
+@pytest.mark.parametrize("dim", range(5, 10))
+def test_complement_classes_match_the_oracle_on_haar(dim):
+    """Every served class, (2, n) and (n, 2), agrees with one-block-at-a-time
+    enumeration; at N <= 7 the whole chain does too."""
+    for i in range(2):
+        u = haar_unitary(dim, RngSeed(SEED + 1400 + dim, i))
+        for shape in SERVED[dim]:
+            top = math.sqrt(_served_lambda(u, shape, _no_symmetry(u[None])))
+            assert top == pytest.approx(max_norm_over_shape(u, *shape), abs=1e-12), shape
+        if dim <= 7:
+            assert np.max(np.abs(s_coefficients(u).s - _oracle_s(u))) <= 1e-12
+
+
+def _degenerate(dim):
+    # inputs whose Grams have repeated eigenvalues, zero ones among them
+    half = dim // 2
+    return {
+        "F": F(dim),
+        "perm": np.eye(dim)[np.random.default_rng(SEED + dim).permutation(dim)],
+        "I": np.eye(dim, dtype=complex),
+        "haar+haar": _direct_sum(
+            haar_unitary(half, RngSeed(SEED + 1450 + dim)), haar_unitary(dim - half, RngSeed(SEED + 1460 + dim))
+        ),
+        "P^(1/2) dephased": _dephased(permutation_power(dim, 0.5), SEED + 1470 + dim),
+    }
+
+
+@pytest.mark.parametrize("path", ["reduced", "full"])
+@pytest.mark.parametrize("dim", range(5, 9))
+def test_complement_classes_match_the_oracle_on_degenerate_grams(dim, path, monkeypatch):
+    """Degenerate Grams through the served classes, on the representatives
+    of a translation symmetry and on every block; at N <= 7 the whole chain
+    of both fast paths agrees with the oracle too."""
+    for name, u in _degenerate(dim).items():
+        sym = _translation_symmetry(u[None]) if path == "reduced" else _no_symmetry(u[None])
+        for shape in SERVED[dim]:
+            top = math.sqrt(_served_lambda(u, shape, sym))
+            assert top == pytest.approx(max_norm_over_shape(u, *shape), abs=1e-12), (name, shape)
+        if dim <= 7:
+            with monkeypatch.context() as mp:
+                if path == "full":
+                    mp.setattr(submatrices, "_translation_symmetry", _no_symmetry)
+                ref = _oracle_s(u)
+                assert np.max(np.abs(s_coefficients(u).s - ref)) <= 1e-12, name
+                assert np.max(np.abs(s_coefficients_batch(u[None])[0] - ref)) <= 1e-12, name
+
+
+def _residuals(u):
+    # max-norm residuals of U U^dag - I and U^dag U - I
+    eye = np.eye(len(u))
+    return np.abs(u @ u.conj().T - eye).max(), np.abs(u.conj().T @ u - eye).max()
+
+
+def _near_tolerance(u, seed, frac=0.7):
+    # u plus a random perturbation, scaled back to norm 1 so that the norm
+    # check passes, with its larger residual at about frac * UNITARITY_TOL
+    g = np.random.default_rng(seed)
+    e = g.standard_normal(u.shape) + 1j * g.standard_normal(u.shape)
+
+    def perturbed(eps):
+        v = u + eps * e
+        return v / np.linalg.norm(v, 2)
+
+    eps = 1e-12
+    return perturbed(eps * frac * UNITARITY_TOL / max(_residuals(perturbed(eps))))
+
+
+@pytest.mark.parametrize("dim", range(5, 9))
+def test_complement_classes_near_the_unitarity_tolerance(dim, monkeypatch):
+    """With residuals r at 0.5-0.9 UNITARITY_TOL, a served class is within
+    2 r of the direct maximum of its blocks (r of U U^dag - I for (2, n),
+    of U^dag U - I for (n, 2)), s^2 within 2 r of s^2 with every class
+    enumerated, and s_coefficients needs no repair it cannot make."""
+    base = {"haar": haar_unitary(dim, RngSeed(SEED + 1500 + dim)), "perm": _degenerate(dim)["perm"]}
+    eps = 8 * np.finfo(float).eps
+    for name, u0 in base.items():
+        u = _near_tolerance(u0, SEED + 1510 + dim)
+        by_rows, by_cols = _residuals(u)
+        assert 0.5 * UNITARITY_TOL <= max(by_rows, by_cols) <= 0.9 * UNITARITY_TOL, name
+        assert unitarity_residual(u) <= UNITARITY_TOL
+        for shape in SERVED[dim]:
+            r = by_rows if shape[0] == 2 else by_cols
+            direct = _all_blocks(u[None], *shape, np.zeros(1))[0]
+            assert abs(_served_lambda(u, shape, _no_symmetry(u[None])) - direct) <= 2 * r + eps, (name, shape)
+        s = s_coefficients(u).s
+        with monkeypatch.context() as mp:
+            mp.setattr(submatrices, "_complement_classes", lambda dim: {})
+            enumerated = s_coefficients(u).s
+        assert np.max(np.abs(s**2 - enumerated**2)) <= 2 * max(by_rows, by_cols) + eps, name
+        # the other entries keep their bits
+        moved = {sum(shape) - 1 for shape in SERVED[dim]}
+        assert all(s[k - 1] == enumerated[k - 1] for k in range(1, dim + 1) if k not in moved), name
 
 
 def _hermitian_cases(m):
@@ -602,7 +721,7 @@ def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
     grams, classes = [], []
     column_grams, block_max = submatrices._column_grams, submatrices._block_max
     monkeypatch.setattr(submatrices, "_column_grams", lambda u3, ind: grams.append(len(u3)) or column_grams(u3, ind))
-    monkeypatch.setattr(submatrices, "_block_max", lambda *a: classes.append(1) or block_max(*a))
+    monkeypatch.setattr(submatrices, "_block_max", lambda *a, **kw: classes.append(1) or block_max(*a, **kw))
     default = s_coefficients_batch(batch)
     assert len(grams) > 2 * len(classes) and max(grams) < count
     monkeypatch.undo()
@@ -634,14 +753,19 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         seen.append(("grams", len(u3), peak))
         return re, im
 
-    def spy_top(re, im, fn):
-        lam, peak = peak_of(fn, re, im)
+    def spy_top(re, im, fn, **kw):
+        lam, peak = peak_of(functools.partial(fn, **kw), re, im)
         seen.append(("top", re.shape[2], held[0] + re.nbytes + im.nbytes + peak))
+        # the closed forms keep at most 4 temporaries a block, with or
+        # without the bottom eigenvalue: 2 + 4 or 6 + 4 of 3 m^2 elements
+        top_peak.append((fn.__name__, bool(kw), peak / re[0].nbytes))
         return lam
 
+    top_peak = []
     monkeypatch.setattr(submatrices, "_column_grams", spy_grams)
     for name in ("_top_eig_2x2", "_top_eig_3x3"):
-        monkeypatch.setattr(submatrices, name, lambda re, im, fn=getattr(submatrices, name): spy_top(re, im, fn))
+        fn = getattr(submatrices, name)
+        monkeypatch.setattr(submatrices, name, lambda re, im, fn=fn, **kw: spy_top(re, im, fn, **kw))
     tracemalloc.start()
     try:
         s = s_coefficients_batch(batch)
@@ -652,6 +776,39 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
     assert {kind for kind, _, _ in seen} == {"grams", "top"}
     for kind, matrices, live in seen:
         assert 1 < matrices < 2048 and live <= budget, (kind, matrices, live)
+    # n = 5 runs only the (2, 2) source; n = 6 adds the direct (2, 3), (3, 2) and (3, 3)
+    kinds = {(name, low) for name, low, _ in top_peak}
+    direct = set() if n == 5 else {("_top_eig_2x2", False), ("_top_eig_3x3", False)}
+    assert kinds == {("_top_eig_2x2", True)} | direct
+    for name, low, per_block in top_peak:
+        assert per_block <= (4.5 if name == "_top_eig_2x2" else 14.5), (name, low, per_block)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
+    """A whole closed-form class of a 2048-stack, as tracemalloc reads it,
+    fits _CHUNK_ELEMENTS: a row sub-chunk's gathered entries are freed before
+    the next one gathers its own, and a source's bottom eigenvalues fit too."""
+    batch = _haar_stack(n, 2048, SEED + 875 + n)
+    seen = []
+    block_max = submatrices._block_max
+
+    def spy(*args, **kw):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = block_max(*args, **kw)
+        seen.append((args[1:3], kw.get("low", False), tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(submatrices, "_block_max", spy)
+    tracemalloc.start()
+    try:
+        s_coefficients_batch(batch)
+    finally:
+        tracemalloc.stop()
+    assert any(low for _, low, _ in seen)
+    for shape, low, peak in seen:
+        assert peak <= 8 * submatrices._CHUNK_ELEMENTS, (shape, low, peak)
 
 
 @pytest.mark.parametrize("dim", [8, 9, 10])
@@ -661,15 +818,15 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     classes = []
     block_max = submatrices._block_max
 
-    def spy_block_max(u3, m, n, floor2, rows, cols):
+    def spy_block_max(u3, m, n, floor2, rows, cols, low=False):
         small, large = (rows, cols) if m <= n else (cols, rows)
         classes.append((min(m, n), len(small), len(large), []))
-        return block_max(u3, m, n, floor2, rows, cols)
+        return block_max(u3, m, n, floor2, rows, cols, low=low)
 
     def spy(fn, blocks):
-        def run(*args):
+        def run(*args, **kw):
             classes[-1][3].append(blocks(args[0]))
-            return fn(*args)
+            return fn(*args, **kw)
 
         return run
 
@@ -701,11 +858,14 @@ def test_bounded_repair(path):
     def s_of(u):
         return s_coefficients(u).s if path == "single" else s_coefficients_batch(u[None])[0]
 
-    # an ulp-level overshoot of 1 is repaired ...
-    assert np.array_equal(s_of(np.eye(4) * (1.0 + 4.4e-16)), np.ones(4))
-    # ... a 1e-8 one is refused
-    with pytest.raises(ValueError, match="unitarity" if path == "single" else "repair"):
-        s_of(np.eye(4) * (1.0 + 1e-8))
+    # N = 5, 6 take a (2, n) class from its complements, whose value for a
+    # scaled identity has no overshoot; the strips still carry it into s
+    for dim in (4, 5, 6):
+        # an ulp-level overshoot of 1 is repaired ...
+        assert np.array_equal(s_of(np.eye(dim) * (1.0 + 4.4e-16)), np.ones(dim))
+        # ... a 1e-8 one is refused
+        with pytest.raises(ValueError, match="unitarity" if path == "single" else "repair"):
+            s_of(np.eye(dim) * (1.0 + 1e-8))
 
 
 def test_repair_rejects_broken_monotonicity():

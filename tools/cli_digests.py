@@ -52,6 +52,10 @@ SCAN_ALPHAS = ("0", "0.5", "2", "inf")
 # Ensembles through the pruned m >= 4 classes, where several matrices share
 # a row sub-chunk and each survivor maps back to its matrix
 PRUNED_ENSEMBLE_DIMS = (8,)
+# Ensembles at the first size whose (2, n) class is taken from the column
+# complements of the (2, N - n) blocks: the batched kernel of beat_rate,
+# gap_stats and the fuzz
+COMPLEMENT_ENSEMBLE_DIMS = (5,)
 
 
 def write_inputs(workdir: str) -> list:
@@ -109,6 +113,12 @@ def command_set(workdir: str) -> list:
             ["mc", "--n", str(n), "--samples", "200", "--seed", "3",
              "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
             ["fuzz", "--n", str(n), "--pairs", "200"],
+        ]
+    for n in COMPLEMENT_ENSEMBLE_DIMS:
+        commands += [
+            ["mc", "--n", str(n), "--samples", "2000", "--seed", "3",
+             "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
+            ["fuzz", "--n", str(n), "--pairs", "2000"],
         ]
     # a basis input: both mixture slacks are exactly 0, and the mixture sum
     # skips the zero weights
