@@ -120,6 +120,13 @@ def command_set(workdir: str) -> list:
              "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
             ["fuzz", "--n", str(n), "--pairs", "2000"],
         ]
+    # ensembles at the sizes where the Haar draw is most of the time (the
+    # ensemble-sampling benchmark's n = 2 and 3)
+    commands += [
+        ["mc", "--n", "2", "--samples", "3000", "--seed", "3",
+         "--gap-hist", os.path.join(workdir, "gap_hist_n2.csv")],
+        ["fuzz", "--n", "3", "--pairs", "2000"],
+    ]
     # a basis input: both mixture slacks are exactly 0, and the mixture sum
     # skips the zero weights
     commands.append(["classical", "--input", stochastic, "--p", "1,0,0,0"])
