@@ -4,9 +4,11 @@ All experiments are deterministic given (seed, stream): sample ``index``
 draws from its own block of the run's Philox stream, starting at counter
 (0, 0, index, 0) for index 0 .. 2**64 - 1 (``matrices._seek``), so results
 do not depend on chunking or worker scheduling. ``_haar_batch`` is the
-package's one Haar draw (Ginibre, QR, R-diagonal phases): sample i of a
-run is the same matrix whether an ensemble, the verify suite or
-``haar_unitary`` (sample 0) asks for it. The experiments share one ensemble
+package's one Haar draw: a Ginibre matrix Z and the unitary factor of
+Z = U R with R's diagonal real and positive, computed for the whole stack
+at once and with the same bits at any batch size (``_haar_from_ginibre``).
+Sample i of a run is the same matrix whether an ensemble, the verify suite
+or ``haar_unitary`` (sample 0) asks for it. The experiments share one ensemble
 loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
@@ -100,12 +102,26 @@ class GapStats:
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    # QR alone is not Haar-distributed; the R-diagonal phase correction is
-    # required, and makes the law independent of the Ginibre scale. Works on
-    # a single matrix or a stack.
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    # The unitary factor U of Z = U R with R's diagonal real and positive. The
+    # factorisation is unique, so U is QR's Q times the phases of R's diagonal:
+    # the correction that makes the law Haar, whatever the Ginibre scale
+    # (Mezzadri, Notices AMS 54 (2007)). Classical Gram-Schmidt with a second
+    # pass ("twice is enough": Giraud, Langou, Rozloznik, Comput. Math. Appl.
+    # 50 (2005)), one column at a time over the whole stack: each matrix goes
+    # through the same operations at any batch size, so its bits do not depend
+    # on its batch. Works on a single matrix or a stack; U is built by rows,
+    # as U^T, and returned C-contiguous.
+    z = np.asarray(z, dtype=complex)
+    ut = np.empty(z.shape, dtype=complex)
+    for j in range(z.shape[-1]):
+        v = z[..., :, j, None]
+        for _ in range(2 if j else 0):
+            # v -= Q Q^dag v over the first j columns Q, Q^dag v = conj(Q^T conj(v))
+            q = ut[..., :j, :]
+            v = v - q.swapaxes(-1, -2) @ (q @ v.conj()).conj()
+        w = np.ascontiguousarray(v[..., 0]).view(np.float64)
+        ut[..., j, :] = (w / np.sqrt((w * w).sum(-1, keepdims=True))).view(complex)
+    return np.ascontiguousarray(ut.swapaxes(-1, -2))
 
 
 def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):

@@ -144,12 +144,20 @@ MAX_ENUMERATION_DIM = 12
 # tracemalloc reads peaks of 4 and 14, and 4 for _top_eig_2x2 with its
 # bottom eigenvalue too) and 16 m^2 in the power bound (H and its powers).
 # _block_max sizes the sub-chunks by one of two rules:
-# - closed forms (m = 2, 3) on a stack of two or more matrices: a batch
-#   sub-chunk's Grams take at most a quarter of the budget, so that building
-#   them fits it, and its row sub-chunks take what the Grams leave. Batched
-#   kernel per matrix, 2048 Haar draws at n = 4-6 and 256 at n = 7, one BLAS
-#   thread, median CPU time of 9 interleaved runs, against the second rule:
-#   3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254 us;
+# - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
+#   own arrays (best and least per matrix, the indicator, the entry
+#   positions) come off the budget first. A batch sub-chunk's Grams take at
+#   most a quarter of the rest, so that building them fits it, and its row
+#   sub-chunks take what the Grams leave. A row sub-chunk's eigenvalues are
+#   freed before the next one gathers, or the next batch sub-chunk builds
+#   its Grams. The last Grams stay live while the next are built: the two
+#   peak at about 3.8 times one sub-chunk's Grams (tracemalloc, N = 4),
+#   inside the quarter. Freeing them first cost fresh pages, 4236 against
+#   1414 page faults and 25 against 19 ms per kernel call on 300 draws at
+#   N = 6. Batched kernel per matrix, 2048 Haar draws at n = 4-6 and 256 at
+#   n = 7, one BLAS thread, median CPU time of 9 interleaved runs, against
+#   the second rule: 3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254
+#   us;
 # - the power bound (m >= 4), and the closed forms on a stack of one: the
 #   Grams of a batch sub-chunk, and the blocks of a row sub-chunk at 16 m^2
 #   or m^2 elements each, may each fill the whole budget. The power bound ran
@@ -541,10 +549,12 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # sub-chunk sizes: see _CHUNK_ELEMENTS
     span = dim * (dim + 1) * max(dim, ncols)
+    budget = _CHUNK_ELEMENTS
     if hidx is None and batch > 1:
-        bstep, held, width = max(1, _CHUNK_ELEMENTS // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m
+        budget -= 2 * batch + dim * ncols + entries.size
+        bstep, held, width = max(1, budget // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m
     else:
-        bstep, held, width = max(1, _CHUNK_ELEMENTS // span), 0, m * m if hidx is None else 16 * m * m
+        bstep, held, width = max(1, budget // span), 0, m * m if hidx is None else 16 * m * m
     indicator = _indicator(dim, cols)
     best = np.zeros(batch)
     least = np.full(batch, np.inf)
@@ -552,12 +562,13 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         chunk = slice(b0, b0 + bstep)
         re, im = _column_grams(u3[chunk], indicator)
         src = None if hidx is None else _embedding(re, im)
-        rstep = max(1, (_CHUNK_ELEMENTS - re.shape[0] * held) // (re.shape[0] * ncols * width))
+        rstep = max(1, (budget - re.shape[0] * held) // (re.shape[0] * ncols * width))
         for r0 in range(0, rows.shape[0], rstep):
             if hidx is None:
                 idx = entries[:, r0 : r0 + rstep]
-                # the gathered entries are not named, so that they are freed
-                # before the next row sub-chunk gathers its own. lam is (row
+                # the gathered entries are not named, and lam and bottom are
+                # deleted, so that they are freed before the next row or
+                # batch sub-chunk gathers or builds its own. lam is (row
                 # sets, matrices, column sets): reducing the leading axis
                 # first runs elementwise over contiguous rows, 3-5x faster
                 # than one reduction over axes (0, 2) on the box of the
@@ -565,9 +576,11 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
                 if low:
                     lam, bottom = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx], low=True)
                     least[chunk] = np.minimum(least[chunk], bottom.min(axis=0).min(axis=1))
+                    del bottom
                 else:
                     lam = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
                 best[chunk] = np.maximum(best[chunk], lam.max(axis=0).max(axis=1))
+                del lam
                 continue
             h = np.take(src, hidx[r0 : r0 + rstep], axis=2)
             alive = _survivors(h, floor2[chunk])

@@ -784,11 +784,13 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         assert per_block <= (4.5 if name == "_top_eig_2x2" else 14.5), (name, low, per_block)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
     """A whole closed-form class of a 2048-stack, as tracemalloc reads it,
-    fits _CHUNK_ELEMENTS: a row sub-chunk's gathered entries are freed before
-    the next one gathers its own, and a source's bottom eigenvalues fit too."""
+    fits _CHUNK_ELEMENTS: a row sub-chunk's gathered entries and eigenvalues
+    are freed before the next one gathers its own or the next batch sub-chunk
+    builds its Grams, and a source's bottom eigenvalues fit too. n = 4 has no
+    source class."""
     batch = _haar_stack(n, 2048, SEED + 875 + n)
     seen = []
     block_max = submatrices._block_max
@@ -806,7 +808,7 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
         s_coefficients_batch(batch)
     finally:
         tracemalloc.stop()
-    assert any(low for _, low, _ in seen)
+    assert any(low for _, low, _ in seen) == (n >= 5)
     for shape, low, peak in seen:
         assert peak <= 8 * submatrices._CHUNK_ELEMENTS, (shape, low, peak)
 
