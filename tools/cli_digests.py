@@ -44,7 +44,9 @@ PERM_HALF_DIMS = (6, 8, 9, 10, 11)
 # P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
 PERM_THIRD_DIMS = (9, 10)
 # F_N with rows and columns permuted by non-affine permutations: tied
-# blocks, but no translation symmetry, so the kernel visits every block
+# blocks, but no translation symmetry, so the kernel visits every block.
+# Rows alone keep the column shift, and columns alone the row shift, so
+# the kernel reduces only the other side's sets
 PERMUTED_ROWS = (3, 0, 7, 1, 6, 2, 5, 4)
 PERMUTED_COLS = (1, 4, 6, 0, 7, 3, 2, 5)
 BOUNDS_ALPHAS = ("0.5", "1", "2", "inf")
@@ -72,6 +74,8 @@ def write_inputs(workdir: str) -> list:
     phases = np.exp(2j * np.pi * generator(eub.RngSeed(8)).random((2, 8)))
     mats.append(("perm_half8_dephased", phases[0][:, None] * eub.permutation_power(8, 0.5) * phases[1]))
     mats.append(("fourier8_permuted", eub.fourier_matrix(8)[list(PERMUTED_ROWS)][:, list(PERMUTED_COLS)]))
+    mats.append(("fourier8_rows_permuted", eub.fourier_matrix(8)[list(PERMUTED_ROWS)]))
+    mats.append(("fourier8_cols_permuted", eub.fourier_matrix(8)[:, list(PERMUTED_COLS)]))
     paths = []
     for name, m in mats:
         paths.append(os.path.join(workdir, name + ".json"))
