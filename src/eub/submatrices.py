@@ -55,8 +55,9 @@ floor >= 1/N (each row of a unitary has an entry of modulus at least
 double for N <= 250. Smaller terms round to subnormals with an absolute
 error below 1e-323, far below such a trace.
 
-The enumeration uses two exact reductions: every shape with m + n > N
-contains a full row or column of some unitary completion and has norm
+``_class_plan`` lists, once per N and translation symmetry, the blocks
+the kernel visits, by four reductions. Two are exact: every shape with
+m + n > N contains a full row or column of some unitary completion and has norm
 exactly 1, and at m + n = N a block and its complementary block share
 their largest singular value, so the self-complementary shape runs the
 row sets containing index 0 (unless its row sets are reduced as below).
@@ -89,7 +90,7 @@ on U^T, r is that of U^dag U - I instead. So a (2, n) class with
 N - n < n <= N - 2 is not enumerated: its maximum is 1 minus the least
 bottom eigenvalue of the (2, N - n) blocks, which ran at a smaller k on
 the same row sets and the complementary column sets, and (n, 2) is taken
-from (N - n, 2) likewise (``_complement_classes``). Under a translation
+from (N - n, 2) likewise. Under a translation
 symmetry the complements of one block per orbit are again one block per
 orbit. ``_top_eig_2x2`` returns the bottom eigenvalue from the same
 terms as the top one, so the sources' own maxima keep their bits, and s
@@ -484,46 +485,51 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
     return np.abs(w - x[:, :, None] * u * y[:, None]).max(axis=(1, 2))
 
 
-def _block_sets(dim: int, m: int, n: int, sym: np.ndarray, half: bool):
-    """Row sets and column sets of the m x n blocks the kernel visits.
+@functools.lru_cache(maxsize=64)
+def _class_plan(dim: int, sym: tuple) -> tuple:
+    """The classes ``s_coefficients_batch`` runs at k = 1..N-1, one tuple per k.
 
-    ``sym`` is ``_translation_symmetry``'s result. A row (column) shift
-    symmetry lets the row (column) sets take one representative per
-    rotation orbit, and F_N has both; the diagonal one alone lets the
-    smaller side take them, with every subset on the other. In the
-    self-complementary class (``half``) row sets that are not reduced are
-    those containing index 0, one of each complementary pair.
+    ``sym`` is ``_translation_symmetry``'s result as a tuple of bools. Each
+    entry is (m, n, how): how is None for a strip, the source's shape for a
+    class served by its complements, and (rows, cols, low) for a class that
+    ``_block_max`` enumerates over those row and column sets, low marking a
+    source. The reductions are the module docstring's. Strips run first,
+    then classes by min(m, n): the maximum so far is the floor the m >= 4
+    classes prune against. Cached, so its arrays are the read-only cached
+    subsets.
     """
     by_rows, by_cols, diagonal = sym
-    if diagonal and not (by_rows or by_cols):
-        by_rows, by_cols = m <= n, m > n
-    rows = _necklaces(dim, m) if by_rows else _with_zero(dim, m) if half else _combinations(dim, m)
-    cols = _necklaces(dim, n) if by_cols else _combinations(dim, n)
-    return rows, cols
-
-
-def _complement_classes(dim: int) -> dict:
-    """The block classes taken from the complements of their blocks, {served: source}.
-
-    For 2 <= q < N / 2 the (2, N - q) class is served by the (2, q) class,
-    whose blocks are its blocks' column complements, and (N - q, 2) by
-    (q, 2), by row complements; see the module docstring. A source runs at
-    k = q + 1, below the served class's N - q + 1. The (N - 2, 2) entry is
-    never read, since class N runs m <= n only.
-    """
-    return {
+    served = {
         shape: source
         for q in range(2, (dim + 1) // 2)
         for shape, source in (((2, dim - q), (2, q)), ((dim - q, 2), (q, 2)))
     }
+    plan = []
+    for k in range(1, dim):
+        entries = []
+        # class N runs m <= n only, one of each complementary pair of blocks
+        for m, n in sorted(((m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1), key=min):
+            if m == 1 or n == 1:
+                how = None
+            elif (m, n) in served:
+                how = served[m, n]
+            else:
+                # the diagonal shift alone reduces the smaller side
+                reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
+                half = 2 * m == k + 1 == dim
+                rows = _necklaces(dim, m) if reduce_rows else _with_zero(dim, m) if half else _combinations(dim, m)
+                cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
+                how = (rows, cols, (m, n) in served.values())
+            entries.append((m, n, how))
+        plan.append(tuple(entries))
+    return tuple(plan)
 
 
 def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray, cols: np.ndarray, low=False):
     """Max top eigenvalue of the block Grams, lambda = sigma^2, over m x n blocks.
 
     The blocks are U[R, C] for R a row of ``rows`` (m-subsets) and C a row
-    of ``cols`` (n-subsets); ``s_coefficients_batch`` passes every subset,
-    one of each complementary pair, or one per translation orbit.
+    of ``cols`` (n-subsets), as ``_class_plan`` lists them.
     min(m, n) >= 2 required; m > n is taken on the transposes, with the two
     lists swapped. The Gram of block (R, C) is the principal submatrix at R
     of the N x N Gram of the column set C (see ``_column_grams``), and its
@@ -660,41 +666,30 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     The trusted entry, and the only enumeration: it checks the stack's
     shape but assumes every matrix is unitary (the Haar sampler and
     ``_checked_coefficients`` feed it) and does not limit N. Semiperimeter class
-    N + 1 is pinned to exactly 1, and class N enumerates only one block of
-    each complementary pair. A stack whose every matrix has a translation
-    symmetry visits one block per orbit, and the (2, n) and (n, 2) classes
-    with N - n < n <= N - 2 are taken from their blocks' complements (see
-    the module docstring for both). A chain that needs a repair larger than
-    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    N + 1 is pinned to exactly 1, and classes 2..N run the entries of
+    ``_class_plan`` for the symmetry every matrix of the stack shares. A
+    chain that needs a repair larger than UNITARITY_TOL to be monotone and
+    <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2]:
         raise ValueError("expected a stack of square matrices")
     batch, dim = u_batch.shape[0], u_batch.shape[1]
-    sym = _translation_symmetry(u_batch)
     row_cum, col_cum = _row_col_cumsums(u_batch)
-    served = _complement_classes(dim)
     least = {}  # each source class's least bottom eigenvalue per matrix
     s = np.zeros((batch, dim))
     s[:, dim - 1] = 1.0
-    for k in range(1, dim):
-        # best holds squared norms. Strips and closed-form classes run
-        # first: their maximum is the floor that lets the m >= 4 classes skip
-        # most of their blocks. Class N runs m <= n only (the complements).
-        best = np.zeros(batch)
-        for m, n in sorted(((m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1), key=min):
-            if m == 1:
-                lam = row_cum[:, :, n - 1].max(axis=1)
-            elif n == 1:
-                lam = col_cum[:, :, m - 1].max(axis=1)
-            elif (m, n) in served:
-                lam = 1.0 - least[served[m, n]]
+    for k, entries in enumerate(_class_plan(dim, tuple(_translation_symmetry(u_batch).tolist())), 1):
+        best = np.zeros(batch)  # squared norms
+        for m, n, how in entries:
+            if how is None:
+                lam = (row_cum[:, :, n - 1] if m == 1 else col_cum[:, :, m - 1]).max(axis=1)
+            elif len(how) == 2:
+                lam = 1.0 - least[how]
+            elif how[2]:
+                lam, least[m, n] = _block_max(u_batch, m, n, best, how[0], how[1], low=True)
             else:
-                rows, cols = _block_sets(dim, m, n, sym, m == n and k + 1 == dim)
-                if (m, n) in served.values():
-                    lam, least[m, n] = _block_max(u_batch, m, n, best, rows, cols, low=True)
-                else:
-                    lam = _block_max(u_batch, m, n, best, rows, cols)
+                lam = _block_max(u_batch, m, n, best, how[0], how[1])
             best = np.maximum(best, lam)
         s[:, k - 1] = np.sqrt(best)
     return _finalize(s)

@@ -290,26 +290,34 @@ SERVED = {
 }
 
 
+def _enumerated(plan):
+    # the plan's enumerated classes in run order, (m, n, rows, cols, low)
+    return [(m, n, *how) for entries in plan for m, n, how in entries if how is not None and len(how) == 3]
+
+
+def _served(plan):
+    # the plan's served classes, {shape: source}
+    return {(m, n): how for entries in plan for m, n, how in entries if how is not None and len(how) == 2}
+
+
+def _plan_of(u3):
+    # the plan the kernel runs for a stack
+    return submatrices._class_plan(u3.shape[1], tuple(_translation_symmetry(u3).tolist()))
+
+
 @pytest.mark.parametrize("dim", [5, 6, 7, 8, 9])
-def test_class_loop_runs_each_block_shape_once(dim, monkeypatch):
+def test_class_loop_runs_each_block_shape_once(dim):
     """Classes below N run every block shape but the served ones; class N
     runs m <= n only. Only the sources take their bottom eigenvalues."""
-    calls = []
-    block_max = submatrices._block_max
-
-    def spy(u3, m, n, floor2, rows, cols, low=False):
-        calls.append((m, n, rows, cols, low))
-        return block_max(u3, m, n, floor2, rows, cols, low=low)
-
-    monkeypatch.setattr(submatrices, "_block_max", spy)
-    s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
-    shapes = {(m, n): (rows, cols) for m, n, rows, cols, _ in calls}
+    plan = _plan_of(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
+    runs = _enumerated(plan)
+    shapes = {(m, n): (rows, cols) for m, n, rows, cols, _ in runs}
     below = [(m, k - m) for k in range(4, dim) for m in range(2, k - 1)]
     at_n = [(m, dim - m) for m in range(2, dim // 2 + 1)]
     served = SERVED[dim]
-    assert submatrices._complement_classes(dim).items() >= served.items()
-    assert len(calls) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - set(served))
-    assert {(m, n) for m, n, _, _, low in calls if low} == set(served.values())
+    assert _served(plan) == served
+    assert len(runs) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - set(served))
+    assert {(m, n) for m, n, _, _, low in runs if low} == set(served.values())
     if dim % 2 == 0:
         # the self-complementary shape runs the row sets containing index 0,
         # one of each complementary pair, against every column set
@@ -319,6 +327,79 @@ def test_class_loop_runs_each_block_shape_once(dim, monkeypatch):
         assert cols is _combinations(dim, dim // 2)
     # every other shape runs every row set against every column set
     assert all(rows is _combinations(dim, m) and cols is _combinations(dim, n) for (m, n), (rows, cols) in shapes.items())
+
+
+REACHABLE_SYMMETRIES = [(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("sym", REACHABLE_SYMMETRIES)
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_class_plan_lists_each_shape_once(dim, sym):
+    """Each shape of classes 2..N once (class N with m <= n only), sources
+    enumerated before the classes they serve, strips first, min(m, n) never
+    falling, and the row and column set counts of the reductions."""
+    sym = tuple(bool(x) for x in sym)
+    plan = submatrices._class_plan(dim, sym)
+    assert len(plan) == dim - 1
+    enumerated = {(m, n): (rows, cols, low) for m, n, rows, cols, low in _enumerated(plan)}
+    for k, entries in enumerate(plan, 1):
+        shapes = [(m, n) for m, n, _ in entries]
+        want = {(m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1}
+        assert len(shapes) == len(want) and set(shapes) == want, k
+        sides = [min(shape) for shape in shapes]
+        assert sides == sorted(sides), k
+        for m, n, how in entries:
+            assert (how is None) == (min(m, n) == 1), (m, n)
+            if how is not None and len(how) == 2:
+                # served: from the (2, N - n) column complements or the (N - m, 2) row complements
+                assert how == ((2, dim - n) if m == 2 else (dim - m, 2)) and 2 in (m, n), (m, n)
+                assert sum(how) - 1 < k and enumerated[how][2], (m, n, how)
+    served = _served(plan)
+    assert {shape for shape, (_, _, low) in enumerated.items() if low} == set(served.values())
+    if dim in SERVED:
+        assert served == SERVED[dim]
+    by_rows, by_cols, diagonal = sym
+    for (m, n), (rows, cols, _) in enumerated.items():
+        # the diagonal shift alone reduces the smaller side
+        reduce_rows = by_rows or diagonal and not by_cols and m <= n
+        reduce_cols = by_cols or diagonal and not by_rows and m > n
+        whole = math.comb(dim - 1, m - 1) if 2 * m == dim == m + n else math.comb(dim, m)  # half class
+        assert len(rows) == (_necklace_count(dim, m) if reduce_rows else whole), (m, n)
+        assert len(cols) == (_necklace_count(dim, n) if reduce_cols else math.comb(dim, n)), (m, n)
+        assert rows.shape[1:] == (m,) and cols.shape[1:] == (n,)
+        assert not rows.flags.writeable and not cols.flags.writeable
+    assert submatrices._class_plan(dim, sym) is plan
+
+
+BLOCK_MAX_INPUTS = {
+    **{f"haar{dim}": haar_unitary(dim, RngSeed(SEED + 1190 + dim)) for dim in range(5, 10)},
+    "F8": F(8),
+    "P8^(1/2)": permutation_power(8, 0.5),
+    "F8 rows permuted": F(8)[PERM_ROWS[8]],
+    "F8 columns permuted": F(8)[:, PERM_COLS[8]],
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_MAX_INPUTS))
+def test_kernel_runs_the_plan(name, monkeypatch):
+    """_block_max is called on exactly the plan's enumerated classes, in
+    order, with the plan's own arrays, and with low by keyword for the
+    sources only."""
+    u3 = np.asarray(BLOCK_MAX_INPUTS[name], dtype=complex)[None]
+    calls = []
+    block_max = submatrices._block_max
+
+    def spy(u3, m, n, floor2, rows, cols, **kw):
+        calls.append((m, n, rows, cols, kw))
+        return block_max(u3, m, n, floor2, rows, cols, **kw)
+
+    monkeypatch.setattr(submatrices, "_block_max", spy)
+    s_coefficients_batch(u3)
+    want = _enumerated(_plan_of(u3))
+    assert len(calls) == len(want)
+    for (m, n, rows, cols, kw), (pm, pn, prows, pcols, low) in zip(calls, want):
+        assert (m, n) == (pm, pn) and rows is prows and cols is pcols, (m, n)
+        assert kw == ({"low": True} if low else {}), (m, n)
 
 
 def test_pruning_keeps_a_rank_one_maximum():
@@ -338,14 +419,19 @@ def _totient(d):
     return sum(math.gcd(d, t) == 1 for t in range(1, d + 1))
 
 
-def test_necklace_count():
+def _necklace_count(dim, k):
     # binary necklaces of length N with k ones:
     # (1/N) sum over d | gcd(N, k) of phi(d) C(N/d, k/d)
+    g = math.gcd(dim, k)
+    terms = sum(_totient(d) * math.comb(dim // d, k // d) for d in range(1, g + 1) if g % d == 0)
+    assert terms % dim == 0, (dim, k)
+    return terms // dim
+
+
+def test_necklace_count():
     for dim in range(2, 13):
         for k in range(dim + 1):
-            g = math.gcd(dim, k)
-            terms = sum(_totient(d) * math.comb(dim // d, k // d) for d in range(1, g + 1) if g % d == 0)
-            assert len(_necklaces(dim, k)) * dim == terms, (dim, k)
+            assert len(_necklaces(dim, k)) == _necklace_count(dim, k), (dim, k)
 
 
 @pytest.mark.parametrize("dim", range(2, 13))
@@ -358,21 +444,44 @@ def test_necklaces_meet_each_orbit_once(dim):
             assert len(orbit & reps) == 1, (dim, c)
 
 
+def _visited(plan, dim, m, n):
+    # the m x n blocks (R, C) the plan reaches: an enumerated class's own,
+    # a served class's complements of its source's, and at m + n = N with
+    # m > n the complements of the (n, m) blocks
+    full = set(range(dim))
+
+    def flip(sets):
+        return [full - set(x) for x in sets]
+
+    enumerated = {(a, b): (rows, cols) for a, b, rows, cols, _ in _enumerated(plan)}
+    served = _served(plan)
+    if (m, n) in enumerated:
+        rows, cols = enumerated[m, n]
+    elif (m, n) in served:
+        rows, cols = enumerated[served[m, n]]
+        rows, cols = (rows, flip(cols)) if m == 2 else (flip(rows), cols)
+    else:
+        assert m + n == dim and m > n, (m, n)
+        rows, cols = zip(*_visited(plan, dim, n, m))
+        return {(tuple(sorted(r)), tuple(sorted(c))) for r, c in zip(flip(rows), flip(cols))}
+    return {(tuple(sorted(r)), tuple(sorted(c))) for r in rows for c in cols}
+
+
 @pytest.mark.parametrize(
     "dim, sym", [(6, (1, 1, 1)), (6, (1, 0, 0)), (6, (0, 1, 0)), (6, (0, 0, 1)), (7, (0, 1, 0)), (7, (0, 0, 1))]
 )
 def test_block_sets_meet_every_orbit(dim, sym):
     """Every block (R, C) has a translate (and, in the self-complementary
-    class, a complement) among the blocks the kernel visits."""
+    class, a complement) among the blocks the plan reaches."""
     rows_shift, cols_shift, both = sym
     steps = range(dim)
     moves = {(a * rows_shift + c * both, b * cols_shift + c * both) for a in steps for b in steps for c in steps}
     full = set(range(dim))
+    plan = submatrices._class_plan(dim, tuple(bool(x) for x in sym))
     for m in range(2, dim - 1):
         for n in range(2, dim + 1 - m):
             half = m == n and m + n == dim
-            rows, cols = submatrices._block_sets(dim, m, n, np.array(sym, dtype=bool), half)
-            seen = {(tuple(r), tuple(c)) for r in rows for c in cols}
+            seen = _visited(plan, dim, m, n)
             for r in itertools.combinations(range(dim), m):
                 for c in itertools.combinations(range(dim), n):
                     pairs = [(r, c)] + ([(full - set(r), full - set(c))] if half else [])
@@ -389,21 +498,15 @@ def _dephased(u, seed):
     return x[:, None] * u * y
 
 
-def _path(u3, monkeypatch):
-    # "full" when every class visits every block (one of each complementary
-    # pair in the self-complementary class), "reduced" when all visit fewer
-    seen = []
-    block_max = submatrices._block_max
+def _path(u3):
+    # "full" when every enumerated class visits every block (one of each
+    # complementary pair in the self-complementary class), "reduced" when
+    # all visit fewer
     dim = u3.shape[1]
-
-    def spy(u3, m, n, floor2, rows, cols, low=False):
-        whole = rows is _combinations(dim, m) or rows is submatrices._with_zero(dim, m)
-        seen.append(whole and cols is _combinations(dim, n))
-        return block_max(u3, m, n, floor2, rows, cols, low=low)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(submatrices, "_block_max", spy)
-        s_coefficients_batch(u3)
+    seen = [
+        (rows is _combinations(dim, m) or rows is submatrices._with_zero(dim, m)) and cols is _combinations(dim, n)
+        for m, n, rows, cols, _ in _enumerated(_plan_of(u3))
+    ]
     assert seen and (all(seen) or not any(seen))
     return "full" if all(seen) else "reduced"
 
@@ -428,27 +531,27 @@ KERNEL_PATHS = {
 
 
 @pytest.mark.parametrize("name", list(KERNEL_PATHS))
-def test_kernel_path_follows_translation_symmetry(name, monkeypatch):
+def test_kernel_path_follows_translation_symmetry(name):
     u, held = KERNEL_PATHS[name]
     u3 = np.asarray(u, dtype=complex)[None]
     assert _translation_symmetry(u3).tolist() == [bool(h) for h in held]
-    assert _path(u3, monkeypatch) == ("reduced" if any(held) else "full")
+    assert _path(u3) == ("reduced" if any(held) else "full")
 
 
-def test_one_asymmetric_matrix_sends_its_stack_down_the_full_path(monkeypatch):
+def test_one_asymmetric_matrix_sends_its_stack_down_the_full_path():
     circulants = [permutation_power(6, beta) for beta in np.linspace(0.0, 1.0, 33)]
-    assert _path(np.array(circulants), monkeypatch) == "reduced"
+    assert _path(np.array(circulants)) == "reduced"
     circulants[17] = haar_unitary(6, RngSeed(SEED + 1310))
-    assert _path(np.array(circulants), monkeypatch) == "full"
+    assert _path(np.array(circulants)) == "full"
 
 
 @pytest.mark.parametrize("how", ["phase", "modulus"])
-def test_a_perturbed_circulant_takes_the_full_path(how, monkeypatch):
+def test_a_perturbed_circulant_takes_the_full_path(how):
     u = permutation_power(8, 0.5)
     x = u[2, 5]
     u[2, 5] = x * np.exp(10j * SYMMETRY_TOL / abs(x)) if how == "phase" else x * (1.0 + 10 * SYMMETRY_TOL / abs(x))
     assert not _translation_symmetry(u[None]).any()
-    assert _path(u[None], monkeypatch) == "full"
+    assert _path(u[None]) == "full"
 
 
 def test_a_haar_led_stack_is_tested_on_its_first_matrix_only(monkeypatch):
@@ -490,9 +593,10 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
 def _served_lambda(u, shape, sym):
     # a served class's maximum squared norm as the kernel takes it: 1 minus
     # the least bottom eigenvalue over its source class's blocks
-    dim = len(u)
-    source = submatrices._complement_classes(dim)[shape]
-    rows, cols = submatrices._block_sets(dim, *source, sym, False)
+    plan = submatrices._class_plan(len(u), tuple(sym.tolist()))
+    source = _served(plan)[shape]
+    rows, cols, low = {(m, n): how for m, n, *how in _enumerated(plan)}[source]
+    assert low
     return 1.0 - submatrices._block_max(u[None], *source, np.zeros(1), rows, cols, low=True)[1][0]
 
 
@@ -563,6 +667,17 @@ def _near_tolerance(u, seed, frac=0.7):
     return perturbed(eps * frac * UNITARITY_TOL / max(_residuals(perturbed(eps))))
 
 
+def _enumerated_plan(dim, sym, plan=submatrices._class_plan):
+    # the plan with every served class enumerated over every block, and no
+    # source taking its bottom eigenvalues; for inputs without symmetry
+    def every_block(m, n, how):
+        if how is None:
+            return how
+        return (_combinations(dim, m), _combinations(dim, n), False) if len(how) == 2 else (*how[:2], False)
+
+    return tuple(tuple((m, n, every_block(m, n, how)) for m, n, how in entries) for entries in plan(dim, sym))
+
+
 @pytest.mark.parametrize("dim", range(5, 9))
 def test_complement_classes_near_the_unitarity_tolerance(dim, monkeypatch):
     """With residuals r at 0.5-0.9 UNITARITY_TOL, a served class is within
@@ -576,13 +691,14 @@ def test_complement_classes_near_the_unitarity_tolerance(dim, monkeypatch):
         by_rows, by_cols = _residuals(u)
         assert 0.5 * UNITARITY_TOL <= max(by_rows, by_cols) <= 0.9 * UNITARITY_TOL, name
         assert unitarity_residual(u) <= UNITARITY_TOL
+        assert not _translation_symmetry(u[None]).any(), name
         for shape in SERVED[dim]:
             r = by_rows if shape[0] == 2 else by_cols
             direct = _all_blocks(u[None], *shape, np.zeros(1))[0]
             assert abs(_served_lambda(u, shape, _no_symmetry(u[None])) - direct) <= 2 * r + eps, (name, shape)
         s = s_coefficients(u).s
         with monkeypatch.context() as mp:
-            mp.setattr(submatrices, "_complement_classes", lambda dim: {})
+            mp.setattr(submatrices, "_class_plan", _enumerated_plan)
             enumerated = s_coefficients(u).s
         assert np.max(np.abs(s**2 - enumerated**2)) <= 2 * max(by_rows, by_cols) + eps, name
         # the other entries keep their bits
