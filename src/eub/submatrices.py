@@ -57,10 +57,11 @@ error below 1e-323, far below such a trace.
 
 ``_class_plan`` lists, once per N and translation symmetry, the blocks
 the kernel visits, by four reductions. Two are exact: every shape with
-m + n > N contains a full row or column of some unitary completion and has norm
-exactly 1, and at m + n = N a block and its complementary block share
-their largest singular value, so the self-complementary shape runs the
-row sets containing index 0 (unless its row sets are reduced as below).
+m + n > N contains a full row or column of some unitary completion and
+has norm exactly 1, and at m + n = N a block and its complementary block
+share their largest singular value, so class N runs m <= n only and the
+self-complementary shape runs the row sets containing index 0 (unless
+its row sets are reduced as below).
 
 A third reduction holds up to rounding. A circulant U, such as P_N^beta,
 has U[i + a, j + a] = U[i, j], and F_N has F[i + a, j + b] = x_i F[i, j]

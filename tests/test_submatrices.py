@@ -462,8 +462,7 @@ def _visited(plan, dim, m, n):
         rows, cols = (rows, flip(cols)) if m == 2 else (flip(rows), cols)
     else:
         assert m + n == dim and m > n, (m, n)
-        rows, cols = zip(*_visited(plan, dim, n, m))
-        return {(tuple(sorted(r)), tuple(sorted(c))) for r, c in zip(flip(rows), flip(cols))}
+        return {(tuple(sorted(full - set(r))), tuple(sorted(full - set(c)))) for r, c in _visited(plan, dim, n, m)}
     return {(tuple(sorted(r)), tuple(sorted(c))) for r in rows for c in cols}
 
 
