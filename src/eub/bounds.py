@@ -135,6 +135,15 @@ def bound_ladder(u: np.ndarray, alpha, allow_large: bool = False) -> BoundReport
     return ladder_from_coefficients(s_coefficients(u, allow_large=allow_large), a)
 
 
+def _distributions(u: np.ndarray, rows: np.ndarray) -> tuple:
+    # The one rule for what a state measures, unchecked: p = |psi|^2 and
+    # q = |U psi|^2, states (S, N) against one U or (P * S, N) against P of them
+    p = np.abs(rows) ** 2
+    q = np.abs(np.matmul(u[..., None, :, :], rows.reshape(u.shape[:-2] + (-1, u.shape[-1], 1))).reshape(p.shape)) ** 2
+    # rounding from the product is absorbed before any entropy or slack
+    return p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+
+
 def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
     """H_alpha(p) + H_alpha(q) for p_i = |psi_i|^2, q_j = |(U psi)_j|^2.
 
@@ -147,11 +156,7 @@ def eur_lhs(u: np.ndarray, psi: np.ndarray, alpha):
         raise ValueError(f"states of shape {np.shape(psi)} for a stack of {len(u)} unitaries; expected (P, S, N)")
     rows = _unit_rows(np.reshape(psi, (-1, np.shape(psi)[-1])) if u.ndim == 3 else psi, u.shape[-1])
     a = _check_order(alpha)
-    p = np.abs(rows) ** 2
-    q = np.abs(np.matmul(u[..., None, :, :], rows.reshape(u.shape[:-2] + (-1, u.shape[-1], 1))).reshape(p.shape)) ** 2
-    # rounding from the product is absorbed before the entropy evaluation
-    p = p / p.sum(axis=1, keepdims=True)
-    q = q / q.sum(axis=1, keepdims=True)
+    p, q = _distributions(u, rows)
     lhs = _renyi_rows(p, a) + _renyi_rows(q, a)
     return float(lhs[0]) if np.ndim(psi) == 1 else lhs.reshape(np.shape(psi)[:-1])
 

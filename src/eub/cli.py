@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import (  # noqa: F401, bench/tracer.py wraps ladder_from_coefficients
     _classical_entropies,
     _classical_slacks,
+    _distributions,
     _ladder_report,
     bound_deutsch,
     bound_mu,
@@ -409,9 +410,8 @@ def _verify_deutsch(seed: RngSeed):
         # rows of u index the transformed basis, columns the input one
         j_star, i_star = np.unravel_index(np.abs(us).reshape(20, -1).argmax(axis=1), (n, n))
         psi = maximizing_state(SubspacePair(np.eye(n)[i_star, None], us[draws, j_star, None].conj()))
-        p = np.abs(psi[draws, i_star]) ** 2
-        q = np.abs((us @ psi[..., None])[draws, j_star, 0]) ** 2
-        attained = np.abs(p * q - deutsch_max_product(us)) <= MAX_PRODUCT_TOL
+        p, q = _distributions(us, psi)
+        attained = np.abs(p[draws, i_star] * q[draws, j_star] - deutsch_max_product(us)) <= MAX_PRODUCT_TOL
         bad = _first_failure(np.column_stack((ordered, attained)).ravel())  # draw by draw, the ordering first
         if bad is not None:
             return False, ("closed-form ordering violated", "max product cross-check failed")[bad % 2] + f" at n={n}"

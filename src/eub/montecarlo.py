@@ -13,7 +13,8 @@ loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
 summaries of one pass over it, ``_beat_and_gaps``. ``majorization_fuzz``
-pads Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
+takes p and q from ``bounds._distributions``, as ``eur_lhs`` does, and pads
+Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _closed_forms, _q_rows
+from .bounds import _closed_forms, _distributions, _q_rows
 from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
 from .matrices import MAJORIZATION_TOL, RngSeed, _seek, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
@@ -129,7 +130,8 @@ def _haar_batch(n: int, rng: RngSeed, start: int, count: int, with_state: bool):
     # index range is checked before the first draw. Row off of `draws` holds
     # sample start + off's normals in draw order: the Ginibre real and
     # imaginary parts, then the optional state's, so the unitaries do not
-    # depend on with_state.
+    # depend on with_state. States keep np.linalg.norm(axis=1)'s bits, not
+    # matrices._unit_normalized's: the pinned fuzz digests hold them.
     g = sample_generator(rng, start)
     nn = n * n
     draws = np.empty((count, 2 * nn + (2 * n if with_state else 0)))
@@ -231,20 +233,17 @@ def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatR
 def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     """Check p (x) q against Q on Haar (U, psi) pairs.
 
-    For each pair the flattened product distribution must be majorized by
-    Q, whose partial sums count as 1.0 past its n components, within
-    MAJORIZATION_TOL; a NaN slack counts as a violation and is reported as
-    the worst slack. Expected violations: zero; any hit is an
-    implementation bug, reported with the worst partial-sum slack.
+    p and q come from ``bounds._distributions``, as in ``eur_lhs``. Each pair's
+    flattened product distribution must be majorized by Q, whose partial sums
+    count as 1.0 past its n components, within MAJORIZATION_TOL. Expected
+    violations: zero; any hit is an implementation bug, reported with the
+    worst partial-sum slack, and a NaN slack is a violation and the worst.
     """
     _check_ensemble(n, pairs, "pairs")
     violations = 0
     worst = math.inf  # np.minimum keeps a NaN, which min() would drop
     for _, u, psi, s in _ensemble(n, pairs, rng, with_state=True):
-        p = np.abs(psi) ** 2
-        q = np.abs(np.einsum("bij,bj->bi", u, psi)) ** 2
-        p /= p.sum(axis=1, keepdims=True)
-        q /= q.sum(axis=1, keepdims=True)
+        p, q = _distributions(u, psi)
         pq = (p[:, :, None] * q[:, None, :]).reshape(-1, n * n)
         slack = _majorization_slack(_q_rows(s, n - 1), pq)
         worst = np.minimum(worst, slack.min())

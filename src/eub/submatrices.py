@@ -233,15 +233,6 @@ def _necklaces(dim: int, k: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _with_zero(dim: int, k: int) -> np.ndarray:
-    # The k-subsets of range(dim) that contain 0; one of each complementary
-    # pair when 2k = dim. Cached, so read-only.
-    out = np.insert(_combinations(dim - 1, k - 1) + 1, 0, 0, axis=1)
-    out.setflags(write=False)
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def _triu(dim: int):
     # Upper-triangle pairs (i, j), i <= j, in row-major order, and the map
@@ -517,8 +508,10 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
             else:
                 # the diagonal shift alone reduces the smaller side
                 reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
-                half = 2 * m == k + 1 == dim
-                rows = _necklaces(dim, m) if reduce_rows else _with_zero(dim, m) if half else _combinations(dim, m)
+                rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
+                if not reduce_rows and 2 * m == k + 1 == dim:
+                    # the m-subsets containing 0 lead the lexicographic table
+                    rows = rows[: math.comb(dim - 1, m - 1)]
                 cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
                 how = (rows, cols, (m, n) in served.values())
             entries.append((m, n, how))

@@ -9,6 +9,7 @@ from eub import RngSeed, beat_rate, bound_gap_stats, haar_unitary, majorization_
 from eub.cli import main
 from eub.matrices import philox_key
 from eub.montecarlo import _haar_from_ginibre
+from eub.submatrices import s_coefficients_batch
 
 SEED = 1717
 
@@ -152,6 +153,23 @@ def test_majorization_fuzz_reproducible():
     a = majorization_fuzz(3, 200, RngSeed(44))
     b = majorization_fuzz(3, 200, RngSeed(44))
     assert a.worst_slack == b.worst_slack
+
+
+@pytest.mark.parametrize("n, pairs, seed", [(3, 300, SEED + 3), (4, 2000, 0), (8, 200, 0)])
+def test_majorization_fuzz_measures_states_as_eur_lhs_does(n, pairs, seed):
+    # the worst slack, to the bit, of the fuzz's own Haar draws measured one
+    # state at a time as test_bounds._scalar_eur_lhs does: p = |psi|^2 and
+    # q = |U psi|^2, each divided by its sum. (4, 2000, 0) is the pinned
+    # `fuzz --n 4` digest run
+    rng = RngSeed(seed)
+    u, psi = montecarlo._haar_batch(n, rng, 0, pairs, True)
+    pq = []
+    for ui, v in zip(u, psi):
+        p = np.abs(v) ** 2
+        q = np.abs(ui @ v) ** 2
+        pq.append(np.outer(p / p.sum(), q / q.sum()).ravel())
+    slack = montecarlo._majorization_slack(montecarlo._q_rows(s_coefficients_batch(u), n - 1), np.array(pq))
+    assert majorization_fuzz(n, pairs, rng).worst_slack.hex() == slack.min().hex()
 
 
 def test_gap_stats():

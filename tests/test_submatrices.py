@@ -503,7 +503,7 @@ def _path(u3):
     # all visit fewer
     dim = u3.shape[1]
     seen = [
-        (rows is _combinations(dim, m) or rows is submatrices._with_zero(dim, m)) and cols is _combinations(dim, n)
+        (rows is _combinations(dim, m) or rows.base is _combinations(dim, m)) and cols is _combinations(dim, n)
         for m, n, rows, cols, _ in _enumerated(_plan_of(u3))
     ]
     assert seen and (all(seen) or not any(seen))
