@@ -189,45 +189,43 @@ def check_stochastic(t) -> np.ndarray:
     return t
 
 
-def _classical_entropies(t):
-    # Validates t, one matrix or a stack on the leading axis, and takes all its
-    # column entropies in one call; returns the function that validates P and
-    # gives (mixture entropy, H(TP), H(P)), the three numbers every classical
-    # check compares. P is one vector (three floats) or a stack of rows (three
-    # arrays): one row per matrix of a stack, or any number against one matrix.
+def _classical_entropies(t, p) -> tuple:
+    # Validates t, one matrix or a stack on the leading axis, and P, and gives
+    # (mixture entropy, H(TP), H(P)), the three numbers every classical check
+    # compares, with all of t's column entropies taken in one call. P is one
+    # vector (three floats) or a stack of rows (three arrays): one row per
+    # matrix of a stack, or any number against one matrix.
     t = check_stochastic(t)
     n = t.shape[-1]
     columns = renyi_entropy(np.ascontiguousarray(np.swapaxes(t, -1, -2)).reshape(-1, t.shape[-2]), 1.0)
     columns = columns.reshape(-1, n)
-
-    def entropies(p) -> tuple:
-        p = np.asarray(p, dtype=float)
-        rows = _probability_rows(p if p.ndim == 2 else p.reshape(1, -1))
-        if rows.shape[1] != n:
-            raise ValueError(f"weight vector length {rows.shape[1]} does not match {n} columns")
-        if t.ndim == 3 and len(rows) != len(t):
-            raise ValueError(f"{len(rows)} weight vectors for a stack of {len(t)} matrices")
-        # summed over i in column order, skipping zero weights: the bits of a Python sum
-        mixture = np.zeros(len(rows))
-        for i in range(n):
-            mixture = np.where(rows[:, i] > 0.0, mixture + rows[:, i] * columns[:, i], mixture)
-        h_tp = renyi_entropy(np.matmul(t, rows[..., None])[..., 0], 1.0)
-        h_p = renyi_entropy(rows, 1.0)
-        return (mixture, h_tp, h_p) if p.ndim == 2 else (float(mixture[0]), float(h_tp[0]), float(h_p[0]))
-
-    return entropies
+    p = np.asarray(p, dtype=float)
+    rows = _probability_rows(p if p.ndim == 2 else p.reshape(1, -1))
+    if rows.shape[1] != n:
+        raise ValueError(f"weight vector length {rows.shape[1]} does not match {n} columns")
+    if t.ndim == 3 and len(rows) != len(t):
+        raise ValueError(f"{len(rows)} weight vectors for a stack of {len(t)} matrices")
+    # summed over i in column order, skipping zero weights: the bits of a Python sum
+    mixture = np.zeros(len(rows))
+    for i in range(n):
+        mixture = np.where(rows[:, i] > 0.0, mixture + rows[:, i] * columns[:, i], mixture)
+    h_tp = renyi_entropy(np.matmul(t, rows[..., None])[..., 0], 1.0)
+    h_p = renyi_entropy(rows, 1.0)
+    return (mixture, h_tp, h_p) if p.ndim == 2 else (float(mixture[0]), float(h_tp[0]), float(h_p[0]))
 
 
-def _classical_slacks(lower: float, mid: float, h_p: float, bound: float) -> tuple:
-    # Slacks of mixture <= H(TP), H(TP) <= mixture + H(P) and -ln kappa <=
-    # H(P) + H(TP), from _classical_entropies' (mixture, H(TP), H(P)) and
-    # bound = classical_bound(T); each holds when its slack is >= -ENTROPY_TOL.
-    return mid - lower, lower + h_p - mid, h_p + mid - bound
+def _classical_slacks(lower, mid, h_p, bound=None) -> tuple:
+    # Slacks of mixture <= H(TP), H(TP) <= mixture + H(P) and, when
+    # bound = classical_bound(T) is given, -ln kappa <= H(P) + H(TP), from
+    # _classical_entropies' (mixture, H(TP), H(P)); each holds when its slack
+    # is >= -ENTROPY_TOL.
+    pair = (mid - lower, lower + h_p - mid)
+    return pair if bound is None else (*pair, h_p + mid - bound)
 
 
 def classical_mixture_entropy(t, p) -> float:
     """Average Shannon entropy of the columns of t, weighted by p."""
-    return _classical_entropies(t)(p)[0]
+    return _classical_entropies(t, p)[0]
 
 
 def classical_bound(t):
@@ -247,4 +245,4 @@ def slomczynski_check(t, p) -> bool:
     The column mixture entropy must not exceed H(TP), and H(TP) must not
     exceed the mixture entropy plus H(P).
     """
-    return min(_classical_slacks(*_classical_entropies(t)(p), classical_bound(t))[:2]) >= -ENTROPY_TOL
+    return min(_classical_slacks(*_classical_entropies(t, p))) >= -ENTROPY_TOL

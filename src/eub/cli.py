@@ -246,7 +246,7 @@ def _cmd_classical(args) -> int:
     obj = {"kappa": float(t.max()), "bound": bound}
     if args.p is not None:
         p = np.array([float(tok) for tok in args.p.split(",")])
-        mixture, out_entropy, p_entropy = _classical_entropies(t)(p)
+        mixture, out_entropy, p_entropy = _classical_entropies(t, p)
         slack_lower, slack_upper, slack_bound = _classical_slacks(mixture, out_entropy, p_entropy, bound)
         ok_pair = min(slack_lower, slack_upper) >= -ENTROPY_TOL
         ok_bound = slack_bound >= -ENTROPY_TOL
@@ -260,13 +260,12 @@ def _cmd_classical(args) -> int:
         _emit_all(((args.output, _dump_json(obj)),))
         return 0 if (ok_pair and ok_bound) else 1
     g = generator(_seed_of(args))
-    entropies = _classical_entropies(t)
     worst = [math.inf] * 3
     # P rows in ensemble-sized chunks, drawn in the per-sample order
     for start in range(0, args.samples, _CHUNK):
         p = g.exponential(size=(min(_CHUNK, args.samples - start), t.shape[1]))
         p /= p.sum(axis=1, keepdims=True)
-        slacks = _classical_slacks(*entropies(p), bound)
+        slacks = _classical_slacks(*_classical_entropies(t, p), bound)
         worst = [min(w, float(column.min())) for w, column in zip(worst, slacks)]
     worst_lower, worst_upper, worst_bound = worst
     all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
@@ -431,7 +430,7 @@ def _verify_classical(seed: RngSeed):
         p = blocks[:, start + n * n : start + n * n + n]
         p /= p.sum(axis=1, keepdims=True)
         start += n * n + n
-        lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t)(p), classical_bound(t))
+        lower, upper, vs_bound = _classical_slacks(*_classical_entropies(t, p), classical_bound(t))
         ok[:, n - 2, 0] = np.minimum(lower, upper) >= -ENTROPY_TOL
         ok[:, n - 2, 1] = vs_bound >= -ENTROPY_TOL
     failed = np.argwhere(~ok.reshape(500, 2))

@@ -256,10 +256,9 @@ def _clamp_debris(x: np.ndarray, axis: tuple):
 
 
 def _unit_normalized(v: np.ndarray) -> np.ndarray:
-    # The row-norm rule of checked inputs: each complex row (last axis) of v
-    # divided by its norm, with np.linalg.norm's bits on that row alone; a zero
-    # row stays as it is. Sampled fuzz states keep np.linalg.norm(axis=1) on the
-    # stack (montecarlo._haar_batch), which rounds otherwise in 12-16% of entries
+    # The one row-norm rule of states, sampled or checked: each complex row
+    # (last axis) of v divided by its norm, with np.linalg.norm's bits on that
+    # row alone; a zero row stays as it is.
     nrm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
     return np.where(nrm > 0.0, v / nrm, v)
 

@@ -631,7 +631,8 @@ def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoeffic
 def _enumeration_guard(dim: int, allow_large: bool) -> None:
     if dim > MAX_ENUMERATION_DIM and not allow_large:
         raise ValueError(
-            f"dimension {dim} exceeds the enumeration guard ({MAX_ENUMERATION_DIM}); pass allow_large=True to force"
+            f"dimension {dim} exceeds the enumeration guard ({MAX_ENUMERATION_DIM}); "
+            "pass allow_large=True (--allow-large-n on the command line) to force"
         )
 
 

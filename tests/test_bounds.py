@@ -324,12 +324,12 @@ def test_classical_slacks_known_answers():
         h_p = renyi_entropy(p, 1.0)
         # T = I: H(TP) = H(P), zero mixture entropy, bound -ln 1 = 0
         eye = np.eye(n)
-        assert _classical_slacks(*_classical_entropies(eye)(p), classical_bound(eye)) == (
+        assert _classical_slacks(*_classical_entropies(eye, p), classical_bound(eye)) == (
             h_p, 0.0, 2.0 * h_p,
         )
         # flat T: H(TP) = mixture = -ln kappa = ln n
         flat = np.full((n, n), 1.0 / n)
-        slacks = _classical_slacks(*_classical_entropies(flat)(p), classical_bound(flat))
+        slacks = _classical_slacks(*_classical_entropies(flat, p), classical_bound(flat))
         assert slacks == pytest.approx((0.0, h_p, h_p), abs=1e-12)
         # a basis input: both mixture inequalities are equalities, bit for bit
         t = rng.exponential(size=(n, n))
@@ -337,24 +337,35 @@ def test_classical_slacks_known_answers():
         for j in range(n):
             e_j = np.zeros(n)
             e_j[j] = 1.0
-            slacks = _classical_slacks(*_classical_entropies(t)(e_j), classical_bound(t))
+            slacks = _classical_slacks(*_classical_entropies(t, e_j), classical_bound(t))
             assert slacks[:2] == (0.0, 0.0)
 
 
 def test_classical_column_entropies_once_per_t(monkeypatch):
-    # H(t[:, i]) depends on T only: the four column entropies in one call,
-    # then H(TP) and H(P) per input, and the same numbers as a fresh T each time
+    # H(t[:, i]) depends on T only: ten inputs against one T take the four
+    # column entropies, H(TP) and H(P) in one call each, and give each input
+    # the numbers of its own call
     rng = np.random.default_rng(SEED)
     t = rng.exponential(size=(4, 4))
     t /= t.sum(axis=0, keepdims=True)
     ps = rng.dirichlet(np.ones(4), size=10)
-    fresh = [_classical_entropies(t)(p) for p in ps]
+    fresh = [_classical_entropies(t, p) for p in ps]
     calls = []
     entropy = bounds.renyi_entropy
     monkeypatch.setattr(bounds, "renyi_entropy", lambda x, a: calls.append(1) or entropy(x, a))
-    entropies = _classical_entropies(t)
-    assert [entropies(p) for p in ps] == fresh
-    assert len(calls) == 1 + 2 * len(ps)
+    stacked = _classical_entropies(t, ps)
+    assert [tuple(float(c[i]) for c in stacked) for i in range(len(ps))] == fresh
+    assert len(calls) == 3
+
+
+def test_slomczynski_check_validates_t_once(monkeypatch):
+    # the two mixture inequalities need no bound: one stochastic check of T
+    calls = []
+    check = bounds.check_stochastic
+    monkeypatch.setattr(bounds, "check_stochastic", lambda t: calls.append(1) or check(t))
+    t = np.array([[0.7, 0.2], [0.3, 0.8]])
+    assert slomczynski_check(t, np.array([0.4, 0.6]))
+    assert len(calls) == 1
 
 
 def test_classical_fuzz():
@@ -405,9 +416,9 @@ def test_classical_stack_rows_match_single_calls(n):
     # one P row per T of a stack, and many P rows against one T, give each
     # trial the bits of its single-T call
     ts, ps = _classical_cases(n, np.random.default_rng(SEED + n))
-    singles = [_classical_entropies(t)(p) + (classical_bound(t),) for t, p in zip(ts, ps)]
+    singles = [_classical_entropies(t, p) + (classical_bound(t),) for t, p in zip(ts, ps)]
     assert all(type(v) is float for row in singles for v in row)
-    stacked = _classical_entropies(ts)(ps) + (classical_bound(ts),)
+    stacked = _classical_entropies(ts, ps) + (classical_bound(ts),)
     assert all(np.shape(column) == (12,) for column in stacked)
     for column, single in zip(stacked, zip(*singles)):
         assert _hex(column) == _hex(single)
@@ -417,12 +428,12 @@ def test_classical_stack_rows_match_single_calls(n):
     assert _hex(stacked[0]) == _hex(oracle)
     single_slacks = [_classical_slacks(*row) for row in singles]
     assert [_hex(c) for c in _classical_slacks(*stacked)] == [_hex(c) for c in zip(*single_slacks)]
-    against_one = _classical_entropies(ts[0])(ps)
-    for column, single in zip(against_one, zip(*[_classical_entropies(ts[0])(p) for p in ps])):
+    against_one = _classical_entropies(ts[0], ps)
+    for column, single in zip(against_one, zip(*[_classical_entropies(ts[0], p) for p in ps])):
         assert _hex(column) == _hex(single)
     # a stack of one is a stack: arrays, not floats
     assert np.shape(classical_bound(ts[:1])) == (1,)
-    assert np.shape(_classical_entropies(ts[:1])(ps[:1])[0]) == (1,)
+    assert np.shape(_classical_entropies(ts[:1], ps[:1])[0]) == (1,)
 
 
 def test_classical_bound_stays_math_log_per_matrix():
@@ -450,7 +461,7 @@ def test_stochastic_stack_first_bad_matrix_raises_its_single_message(first, late
     assert str(single.value).startswith(message)
     second = _BAD_STOCHASTIC[later][0] if later != first else [[-1.0, 0.5], [2.0, 0.5]]
     stack = np.array([np.full((2, 2), 0.5), bad, second])
-    for check in (check_stochastic, classical_bound, _classical_entropies):
+    for check in (check_stochastic, classical_bound, lambda t: _classical_entropies(t, np.full((3, 2), 0.5))):
         with pytest.raises(ValueError) as stacked:
             check(stack)
         assert str(stacked.value) == str(single.value)
@@ -460,10 +471,10 @@ def test_classical_stack_first_bad_row_raises_its_single_message():
     t = np.full((3, 3), 1.0 / 3.0)
     rows = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 0.5], [1.5, -0.5, 0.0]])
     with pytest.raises(ValueError, match=r"probability vector sums to 1\.5, not 1"):
-        _classical_entropies(t)(rows)
+        _classical_entropies(t, rows)
     with pytest.raises(ValueError, match="negative component -5.000e-01"):
-        _classical_entropies(t)(rows[[0, 2, 1]])
+        _classical_entropies(t, rows[[0, 2, 1]])
     with pytest.raises(ValueError, match="weight vector length 2 does not match 3 columns"):
-        _classical_entropies(t)(np.full((4, 2), 0.5))
+        _classical_entropies(t, np.full((4, 2), 0.5))
     with pytest.raises(ValueError, match="2 weight vectors for a stack of 3 matrices"):
-        _classical_entropies(np.array([t, t, t]))(rows[:1].repeat(2, axis=0))
+        _classical_entropies(np.array([t, t, t]), rows[:1].repeat(2, axis=0))

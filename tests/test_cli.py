@@ -215,7 +215,10 @@ def test_sweep_refuses_large_n_before_building(capsys, monkeypatch):
     for n in (13, 10**6):
         code, out, err = run(capsys, "sweep", "--family", f"perm_power:{n}", "--range", "0:1", "--steps", "3")
         assert code == 2 and out == ""
-        assert err == f"error: dimension {n} exceeds the enumeration guard (12); pass allow_large=True to force\n"
+        assert err == (
+            f"error: dimension {n} exceeds the enumeration guard (12); "
+            "pass allow_large=True (--allow-large-n on the command line) to force\n"
+        )
     # the opt-in still reaches the build
     code, out, err = run(
         capsys, "sweep", "--family", "perm_power:13", "--range", "0:1", "--steps", "3", "--allow-large-n",
@@ -888,15 +891,10 @@ def test_verify_classical_check_reports_the_first_failing_trial(monkeypatch, fau
         mats = np.reshape(t, (-1,) + np.shape(t)[-2:])
         return np.array([any(faults[i] in kinds and np.array_equal(m, trials[i]) for i in faults) for m in mats])
 
-    def faulty_entropies(t):
-        evaluate, bad = entropies(t), hits(t, ("mixture", "both"))
-
-        def faulty(p):
-            mixture, h_tp, h_p = evaluate(p)
-            mixture = mixture + bad
-            return (mixture, h_tp, h_p) if np.ndim(p) == 2 else (float(mixture[0]), h_tp, h_p)
-
-        return faulty
+    def faulty_entropies(t, p):
+        mixture, h_tp, h_p = entropies(t, p)
+        mixture = mixture + hits(t, ("mixture", "both"))
+        return (mixture, h_tp, h_p) if np.ndim(p) == 2 else (float(mixture[0]), h_tp, h_p)
 
     def faulty_bound(t):
         b = np.where(hits(t, ("bound", "both")), 100.0, bound(t))
@@ -912,12 +910,11 @@ def _classical_samples_reference(t, samples, seed):
     # sample at a time
     g = generator(RngSeed(seed))
     bound = classical_bound(t)
-    entropies = _classical_entropies(t)
     slacks = []
     for _ in range(samples):
         p = g.exponential(size=t.shape[1])
         p /= p.sum()
-        slacks.append(_classical_slacks(*entropies(p), bound))
+        slacks.append(_classical_slacks(*_classical_entropies(t, p), bound))
     worst = [min(column) for column in zip(*slacks)]
     obj = {
         "kappa": float(t.max()),

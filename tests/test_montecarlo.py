@@ -223,17 +223,16 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
 
 def _reference_haar_batch(n, rng, start, count, with_state):
     # the per-index loop the chunked sampler replaces: one jumped generator per
-    # sample, the Ginibre parts drawn as two matrices, then the state's; the
-    # stacked states are normalised row-wise in one call
+    # sample, the Ginibre parts drawn as two matrices, then the state's, which
+    # is normalised alone
     z = np.empty((count, n, n), dtype=complex)
     psi = np.empty((count, n), dtype=complex) if with_state else None
     for off in range(count):
         g = np.random.Generator(np.random.Philox(key=philox_key(rng)).jumped(start + off))
         z[off] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         if with_state:
-            psi[off] = g.standard_normal(n) + 1j * g.standard_normal(n)
-    if with_state:
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            v = g.standard_normal(n) + 1j * g.standard_normal(n)
+            psi[off] = v / np.linalg.norm(v)
     return _haar_from_ginibre(z), psi
 
 
