@@ -31,7 +31,7 @@ class's maximum is used, in one pass over sub-chunks of row sets. A block
 is held only as the real embedding H = [[A, -B], [B, A]] of its Gram
 G = A + iB, gathered once by np.take; H's spectrum is G's, each eigenvalue
 twice, so ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p,
-and falls towards it as p grows. One loop squares H; from p = 8 on, each
+and falls towards it as p grows. One loop squares H; from p = 2 on, each
 squaring is followed by a test that keeps the blocks whose ub reaches the
 floor within PRUNE_SLACK (a NaN bound is kept), and only those are squared
 again, up to p = 64. eigvalsh runs on the blocks that pass every tier, if
@@ -167,10 +167,9 @@ MAX_ENUMERATION_DIM = 12
 #   made one bounds report at N = 8-10 15-20% slower.
 _CHUNK_ELEMENTS = 250_000
 
-# Squarings of the real embedding H before the first bound test: three
-# give H^8, whose squared Frobenius norm tr H^16 bounds each block's top
-# eigenvalue. Survivors are squared and tested again, up to H^64.
-_SQUARINGS = 3
+# Squarings of the real embedding H, each followed by the bound test: the
+# squared Frobenius norm tr H^(2p) of H^p bounds each block's top eigenvalue
+# from p = 2 on, and survivors are squared and tested again, up to H^64.
 _MAX_SQUARINGS = 6
 
 
@@ -364,19 +363,18 @@ def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
     ``h`` holds the gathered embeddings, shape (batch, columns, row sets, 2m,
     2m), and ``floor2`` each matrix's floor, a squared norm. Index i is block
     i of ``h.reshape(-1, 2m, 2m)``, of matrix i // (columns * row sets). One
-    loop squares H; from H^(2^_SQUARINGS) on, each squaring is followed by the
-    keep test, and only the blocks that pass it go on, to H^(2^_MAX_SQUARINGS).
+    loop squares H; each squaring is followed by the keep test, and only the
+    blocks that pass it go on, to H^(2^_MAX_SQUARINGS).
     """
     per_matrix = h.shape[1] * h.shape[2]
     h = h.reshape((-1,) + h.shape[3:])
     alive = np.arange(h.shape[0])
     for squarings in range(1, _MAX_SQUARINGS + 1):
         h = h @ h
-        if squarings >= _SQUARINGS:
-            keep = _may_attain(_power_bound(h, squarings), floor2[alive // per_matrix])
-            alive, h = alive[keep], h[keep]
-            if not alive.size:
-                break
+        keep = _may_attain(_power_bound(h, squarings), floor2[alive // per_matrix])
+        alive, h = alive[keep], h[keep]
+        if not alive.size:
+            break
     return alive
 
 

@@ -762,8 +762,6 @@ def test_power_bound_caps_eigvalsh(m):
     hp, nan_hp = emb, nan_emb
     for squarings in range(1, submatrices._MAX_SQUARINGS + 1):
         hp, nan_hp = hp @ hp, nan_hp @ nan_hp
-        if squarings < submatrices._SQUARINGS:
-            continue
         ub = submatrices._power_bound(hp, squarings)
         # ub is an exact bound in real arithmetic and may miss by rounding;
         # half the slack keeps the attaining block in the class
@@ -771,7 +769,7 @@ def test_power_bound_caps_eigvalsh(m):
         assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
         nan_ub = submatrices._power_bound(nan_hp, squarings)
         assert np.isnan(nan_ub[0]) and submatrices._may_attain(nan_ub[0], 0.5)
-        if squarings == submatrices._SQUARINGS:
+        if squarings == 1:
             first = ub
     # all tiers together: a block passes at a floor at or below its top
     # eigenvalue, the NaN block at any floor, the zero block at none; two
@@ -786,7 +784,7 @@ def test_power_bound_caps_eigvalsh(m):
     low = 1 + list(cases).index("top_1/12")
     assert low not in kept[0] and low in kept[1]
     # the later tiers prune what the first keeps: a double top eigenvalue 0.8
-    # has ub = 0.8 * 2^(1/16) = 0.836 at H^8 but 0.8 * 2^(1/128) = 0.804 at H^64
+    # has ub >= 0.8 * 2^(1/4) = 0.951 at H^2 but 0.8 * 2^(1/128) = 0.804 at H^64
     double = list(cases).index("double_top")
     assert submatrices._may_attain(0.8 * first[double], 0.816)
     assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816])).size
