@@ -601,7 +601,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_cli_digests()
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 59
+    assert len(pinned) == 62
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -612,12 +612,13 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
     # for the n = 8 ensembles, which run the pruned classes batched, 3 for
     # the n = 5 ensembles, which take the (2, 3) class from its blocks'
-    # complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
+    # complements, 3 for the n = 6 and 7 ensembles, whose 3 x 3 classes have
+    # column complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
     # most of the time, 1 for the classical basis input, 4 for the scans at
     # orders other than 1, 2 for the sweeps at orders 0, 1/2, 2 and -0, 2
     # for verify at seed 1 and the chunked classical samples, and 4 for the
     # refused inputs, last
-    assert len(first) == 53
+    assert len(first) == 56
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

@@ -124,6 +124,14 @@ def command_set(workdir: str) -> list:
              "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
             ["fuzz", "--n", str(n), "--pairs", "2000"],
         ]
+    # ensembles at the sizes of the 3 x 3 Cardano classes with a column
+    # complement: at n = 6 the (3, 3) class is its own, and at n = 7 the
+    # (3, 4) class is that of (3, 3)
+    commands += [
+        ["mc", "--n", "6", "--samples", "320", "--seed", "3",
+         "--gap-hist", os.path.join(workdir, "gap_hist_n6.csv")],
+        ["fuzz", "--n", "7", "--pairs", "200"],
+    ]
     # ensembles at the sizes where the Haar draw is most of the time (the
     # ensemble-sampling benchmark's n = 2 and 3)
     commands += [
