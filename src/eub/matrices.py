@@ -38,18 +38,23 @@ import numpy as np
 # Read by is_unitary, require_unitary and _unitary_gram, by submatrices (the
 # bound on its eigenvalue repairs and on the spectral norm's excess over 1),
 # by extremal.SubspacePair and by the verify suite's haar-unitarity check.
-# submatrices also leans on it for the (2, n) classes it takes from their
-# column complements: by Weyl, |lambda_max(G_C[R, R]) - (1 - lambda_min(
-# G_C'[R, R]))| <= |(U U^dag - I)[R, R]|_2 <= 2 r for a two-row set R, r the
-# max-norm residual of U U^dag - I, so those classes' squared norms are
-# within 2 UNITARITY_TOL of enumeration's. The (n, 2) classes, taken by row
-# complements, have r of U^dag U - I instead, which no check reads; it is
-# at most |U^dag U - I|_2 = |U U^dag - I|_2 <= N UNITARITY_TOL.
+# submatrices also leans on it for the (2, n) and (3, n) classes it takes
+# from their column complements: by Weyl, |lambda_max(G_C[R, R]) - (1 -
+# lambda_min(G_C'[R, R]))| <= |(U U^dag - I)[R, R]|_2 <= |R| r, since the
+# spectral norm of an |R| x |R| matrix is at most its Frobenius norm, |R| r,
+# with r the max-norm residual of U U^dag - I: 2 r for a two-row set and
+# 3 r for a three-row set. So those classes' squared norms are within 2 or
+# 3 UNITARITY_TOL of enumeration's. The (n, 2) and (n, 3) classes, taken by
+# row complements, have r of U^dag U - I instead, which no check reads; it
+# is at most |U^dag U - I|_2 = |U U^dag - I|_2 <= N UNITARITY_TOL.
 UNITARITY_TOL = 1e-10
 # The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
-# 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1). Grams
-# with 1 + r below this gap are recomputed with eigvalsh, which bounds the
-# closed form's error to a few ulps of the Gram's trace. Read by submatrices.
+# 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1), and the
+# bottom one q + 2p cos(acos(r)/3 + 2 pi/3) as 1/sqrt(1 - r) when the bottom
+# eigenvalue is nearly double (r -> +1). Grams with 1 + r, or 1 - r where
+# the bottom root is taken, below this gap are recomputed with eigvalsh,
+# which bounds the closed form's error to a few ulps of the Gram's trace.
+# Read by submatrices.
 CARDANO_MIN_GAP = 1e-2
 # A block of an m >= 4 submatrix class goes to eigvalsh unless its
 # power-trace upper bound on the top Gram eigenvalue falls short of the

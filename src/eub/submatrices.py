@@ -60,8 +60,8 @@ the kernel visits, by four reductions. Two are exact: every shape with
 m + n > N contains a full row or column of some unitary completion and
 has norm exactly 1, and at m + n = N a block and its complementary block
 share their largest singular value, so class N runs m <= n only and the
-self-complementary shape runs the row sets containing index 0 (unless
-its row sets are reduced as below).
+shape (N/2, N/2) runs the row sets containing index 0 (unless its row
+sets are reduced as below).
 
 A third reduction holds up to rounding. A circulant U, such as P_N^beta,
 has U[i + a, j + a] = U[i, j], and F_N has F[i + a, j + b] = x_i F[i, j]
@@ -86,19 +86,25 @@ A fourth reduction holds up to the input's unitarity residual. With C'
 the complement of a column set C, G_C + G_C' = U U^dag, so on a row set R
 G_C[R, R] = I - G_C'[R, R] + E with E = (U U^dag - I)[R, R], and by Weyl
 lambda_max(G_C[R, R]) is within |E|_2 of 1 - lambda_min(G_C'[R, R]). For
-|R| = 2 that is at most 2 r, r the max-norm unitarity residual; by rows
-on U^T, r is that of U^dag U - I instead. So a (2, n) class with
-N - n < n <= N - 2 is not enumerated: its maximum is 1 minus the least
-bottom eigenvalue of the (2, N - n) blocks, which ran at a smaller k on
-the same row sets and the complementary column sets, and (n, 2) is taken
-from (N - n, 2) likewise. Under a translation
+|R| = 2 or 3 that is at most |R| r, r the max-norm unitarity residual; by
+rows on U^T, r is that of U^dag U - I instead. So a (2, n) or (3, n)
+class with N - n < n <= N - |R| is not enumerated: its maximum is 1 minus
+the least bottom eigenvalue of the (|R|, N - n) blocks, which ran at a
+smaller k on the same row sets and the complementary column sets, and
+(n, 2) and (n, 3) are taken from (N - n, 2) and (N - n, 3) likewise. A
+closed-form class whose column complement has its own shape, (2, N/2),
+(3, N/2) and their transposes (by row complements), is self-complementary,
+its own source: it visits only the column (row) sets containing index 0
+and takes both roots, the bottom ones serving the complementary sets,
+unless a translation symmetry already reduces that side. Under a translation
 symmetry the complements of one block per orbit are again one block per
-orbit. ``_top_eig_2x2`` returns the bottom eigenvalue from the same
-terms as the top one, so the sources' own maxima keep their bits, and s
-moves only at the k of a served class, by at most 2 r in lambda (see
-UNITARITY_TOL). The 3 x 3 Cardano classes stay enumerated: the bottom
-root loses accuracy near a double bottom eigenvalue as the top one does
-near a double top, and would need a fallback of its own.
+orbit. ``_top_eig_2x2`` and ``_top_eig_3x3`` return the bottom
+eigenvalue from the same terms as the top one, so the sources' own maxima
+keep their bits, and s moves only at the k of a served or
+self-complementary class, by at most 2 r or 3 r in lambda (see
+UNITARITY_TOL). The Cardano bottom root loses accuracy near a double
+bottom eigenvalue as the top one does near a double top, and has an
+eigvalsh fallback of its own (see CARDANO_MIN_GAP).
 
 ``max_norm_over_shape`` enumerates index pairs one by one through
 ``largest_singular_value``; it is the independent slow oracle the
@@ -139,12 +145,14 @@ MAX_ENUMERATION_DIM = 12
 # Budget, in float64 elements, for what one sub-chunk of a block class keeps
 # live: 250,000 elements, 2 MB, one core's L2 on the 2-core Xeon the timings
 # here come from. Per matrix, the column Grams (re and im) hold N (N + 1) C
-# elements for C column sets, and building them up to four times that when
-# C >= N (the gathered pairs and their products). Per block, a row sub-chunk
-# holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
-# entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
-# tracemalloc reads peaks of 4 and 14, and 4 for _top_eig_2x2 with its
-# bottom eigenvalue too) and 16 m^2 in the power bound (H and its powers).
+# elements for C column sets, and building them holds the gathered pairs and
+# their products, 3.5-4 N^2 (N + 1) elements whatever C (tracemalloc, N =
+# 4-8), so a matrix counts as N (N + 1) max(2N, C) elements: building is at
+# most four times that. Per block, a row sub-chunk holds 3 m^2 elements in
+# the closed forms (the 2 x 3 or 2 x 6 gathered Gram entries and at most 6
+# or 15 temporaries of _top_eig_2x2 or _top_eig_3x3; tracemalloc reads
+# peaks of 4 and 12, with or without the bottom eigenvalue) and 16 m^2 in
+# the power bound (H and its powers).
 # _block_max sizes the sub-chunks by one of two rules:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
 #   own arrays (best and least per matrix, the indicator, the entry
@@ -279,11 +287,13 @@ def _top_eig_2x2(re, im, low=False):
     return (h + r, h - r) if low else h + r
 
 
-def _top_eig_3x3(re, im):
-    # Trigonometric form of the cubic's largest root (O. K. Smith, CACM 4(4),
-    # 1961): with q = tr/3 and 6 p^2 = |G - qI|_F^2, lambda_max = q + 2p cos(phi)
-    # where cos(3 phi) = r = det(G - qI) / (2 p^3). The triu entries are
-    # (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
+def _top_eig_3x3(re, im, low=False):
+    # Trigonometric form of the cubic's roots (O. K. Smith, CACM 4(4), 1961):
+    # with q = tr/3 and 6 p^2 = |G - qI|_F^2, lambda_max = q + 2p cos(phi) and
+    # lambda_min = q + 2p cos(phi + 2 pi/3), where cos(3 phi) = r = det(G - qI)
+    # / (2 p^3) and 0 <= phi <= pi/3. With low, also returns lambda_min, from
+    # the same q, p and phi, so lambda_max has the same bits either way. The
+    # triu entries are (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
     q = (re[0] + re[3] + re[5]) / 3.0
     x, y, z = re[0] - q, re[3] - q, re[5] - q
     a01 = re[1] ** 2 + im[1] ** 2
@@ -293,23 +303,35 @@ def _top_eig_3x3(re, im):
     # 2 Re(g01 g12 conj(g02))
     cyc = 2.0 * ((re[1] * re[4] - im[1] * im[4]) * re[2] + (re[1] * im[4] + im[1] * re[4]) * im[2])
     det = x * y * z + cyc - x * a12 - y * a02 - z * a01
+    del x, y, z, a01, a02, a12, cyc
     with np.errstate(divide="ignore", invalid="ignore"):
         r = det / (2.0 * p**3)
-    lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    del det
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    lam = q + 2.0 * p * np.cos(phi)
     # Near r = -1 the top eigenvalue is nearly double and d(lambda)/dr blows up
-    # as 1/sqrt(1 + r); p = 0 (G = qI) gives r = NaN, which fails the test too.
-    bad = ~(r > CARDANO_MIN_GAP - 1.0)
-    if bad.any():
+    # as 1/sqrt(1 + r), and near r = +1 the bottom one, as 1/sqrt(1 - r);
+    # p = 0 (G = qI) gives r = NaN, which fails both tests.
+    redo = bad = ~(r > CARDANO_MIN_GAP - 1.0)
+    if low:
+        phi += 2.0 * np.pi / 3.0
+        bottom = q + 2.0 * p * np.cos(phi)
+        bad_low = ~(r < 1.0 - CARDANO_MIN_GAP)
+        redo = bad | bad_low
+    if redo.any():
         ti, tj, _ = _triu(3)
-        g = np.zeros((np.count_nonzero(bad), 3, 3), dtype=complex)
-        g.real[:, ti, tj], g.imag[:, ti, tj] = re[:, bad].T, im[:, bad].T
-        lam[bad] = _top_eig_eigvalsh(g)
-    return lam
+        g = np.zeros((np.count_nonzero(redo), 3, 3), dtype=complex)
+        g.real[:, ti, tj], g.imag[:, ti, tj] = re[:, redo].T, im[:, redo].T
+        eig = np.linalg.eigvalsh(g, UPLO="U")
+        lam[bad] = eig[bad[redo], -1]
+        if low:
+            bottom[bad_low] = eig[bad_low[redo], 0]
+    return (lam, bottom) if low else lam
 
 
 def _top_eig_eigvalsh(g):
-    # The kernel's one eigvalsh: top eigenvalues of Hermitian matrices from their
-    # upper triangles (G read back from H, or Cardano's fallback via _triu(3)).
+    # Top eigenvalues of the pruned classes' surviving Grams, read back from H,
+    # from their upper triangles as Cardano's fallback reads its own.
     return np.linalg.eigvalsh(g, UPLO="U")[..., -1]
 
 
@@ -483,16 +505,18 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
     entry is (m, n, how): how is None for a strip, the source's shape for a
     class served by its complements, and (rows, cols, low) for a class that
     ``_block_max`` enumerates over those row and column sets, low marking a
-    source. The reductions are the module docstring's. Strips run first,
-    then classes by min(m, n): the maximum so far is the floor the m >= 4
-    classes prune against. Cached, so its arrays are the read-only cached
-    subsets.
+    source. A self-complementary class is listed twice, enumerated as its
+    own source and then served from itself. The reductions are the module
+    docstring's. Strips run first, then classes by min(m, n): the maximum so
+    far is the floor the m >= 4 classes prune against. Cached, so its arrays
+    are the read-only cached subsets.
     """
     by_rows, by_cols, diagonal = sym
     served = {
         shape: source
-        for q in range(2, (dim + 1) // 2)
-        for shape, source in (((2, dim - q), (2, q)), ((dim - q, 2), (q, 2)))
+        for m in (2, 3)
+        for q in range(m, (dim + 1) // 2)
+        for shape, source in (((m, dim - q), (m, q)), ((dim - q, m), (q, m)))
     }
     plan = []
     for k in range(1, dim):
@@ -500,19 +524,28 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
         # class N runs m <= n only, one of each complementary pair of blocks
         for m, n in sorted(((m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1), key=min):
             if m == 1 or n == 1:
-                how = None
-            elif (m, n) in served:
-                how = served[m, n]
-            else:
-                # the diagonal shift alone reduces the smaller side
-                reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
-                rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
-                if not reduce_rows and 2 * m == k + 1 == dim:
-                    # the m-subsets containing 0 lead the lexicographic table
-                    rows = rows[: math.comb(dim - 1, m - 1)]
-                cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
-                how = (rows, cols, (m, n) in served.values())
-            entries.append((m, n, how))
+                entries.append((m, n, None))
+                continue
+            if (m, n) in served:
+                entries.append((m, n, served[m, n]))
+                continue
+            # the diagonal shift alone reduces the smaller side
+            reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
+            rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
+            cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
+            # the subsets containing 0 lead the lexicographic table: the
+            # half rows of class N, and the half columns (or else rows) of a
+            # closed-form class that is its own column (row) complement
+            if not reduce_rows and 2 * m == k + 1 == dim:
+                rows = rows[: math.comb(dim - 1, m - 1)]
+            own = min(m, n) <= 3 and (not reduce_cols if 2 * n == dim else not reduce_rows and 2 * m == dim)
+            if own and 2 * n == dim:
+                cols = cols[: math.comb(dim - 1, n - 1)]
+            elif own:
+                rows = rows[: math.comb(dim - 1, m - 1)]
+            entries.append((m, n, (rows, cols, own or (m, n) in served.values())))
+            if own:
+                entries.append((m, n, (m, n)))
         plan.append(tuple(entries))
     return tuple(plan)
 
@@ -532,7 +565,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     blocks and equals it wherever that maximum is above ``floor2``. A zero
     floor keeps every block.
 
-    With ``low`` (min(m, n) = 2 only), also returns each matrix's least
+    With ``low`` (min(m, n) = 2 or 3 only), also returns each matrix's least
     bottom eigenvalue over the same blocks, which a complement class reads.
     """
     if m > n:
@@ -546,7 +579,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
         top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # sub-chunk sizes: see _CHUNK_ELEMENTS
-    span = dim * (dim + 1) * max(dim, ncols)
+    span = dim * (dim + 1) * max(2 * dim, ncols)
     budget = _CHUNK_ELEMENTS
     if hidx is None and batch > 1:
         budget -= 2 * batch + dim * ncols + entries.size
