@@ -27,25 +27,35 @@ moduli), and s_k = sqrt(max lambda) is taken once per k; sqrt is monotone
 and correctly rounded, so that is the largest norm.
 
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
-class's maximum is used, in one pass over sub-chunks of row sets. A block
-is held only as the real embedding H = [[A, -B], [B, A]] of its Gram
-G = A + iB, gathered once by np.take; H's spectrum is G's, each eigenvalue
-twice, so ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p,
-and falls towards it as p grows. One loop squares H; from p = 2 on, each
-squaring is followed by a test that keeps the blocks whose ub reaches the
-floor within PRUNE_SLACK (a NaN bound is kept), and only those are squared
-again, up to p = 64. eigvalsh runs on the blocks that pass every tier, if
-any, on G read back from H: A = H[:m, :m], and B = H[m:, :m] holds the
-column Gram's own imaginary parts above the diagonal, so the triangle
-eigvalsh reads is the Gram's, bit for bit. The floor of a matrix is the
-exact maximum lambda already found for the same k (strips and smaller
-classes run first), so it is known before the class starts and nothing is
-stored between sub-chunks; a zero floor keeps every block. This leaves s
-bit-identical: eigvalsh works on one matrix at a time, so a surviving
-block gets the same value as without pruning, and a block whose top
-eigenvalue is above the floor has ub >= lambda_max > floor at every tier,
-up to rounding far below PRUNE_SLACK, so it always survives. The floor
-enters only that test, never the returned maximum.
+class's maximum is used, in one pass over sub-chunks of row sets. Each
+test keeps the blocks whose upper bound ub on lambda_max reaches the floor
+within PRUNE_SLACK (a NaN bound is kept). The first tier bounds a block
+(R, C), |R| = m, by its complementary columns C': the Grams G of U[R, C]
+and F of U[R, C'] add up to I + E, E = (U U^dag - I)[R, R], so lambda_max(G)
+<= 1 + e - lambda_min(F) <= 1 + e - det F / (1 + e)^(m-1), where
+|E|_2 <= e = N UNITARITY_TOL for a unitary within that tolerance (see
+UNITARITY_TOL) and F's eigenvalues are at most 1 + e. By Cauchy-Binet det F
+is the sum of |det U[R, S]|^2 over the m-subsets S of C', and one table of
+squared minors per row sub-chunk serves every column set. Where the floor
+is near 1, as at the larger k, this leaves a few blocks in a thousand, and
+only those are gathered as the real embedding H = [[A, -B], [B, A]] of
+their Gram G = A + iB. H's spectrum is G's, each eigenvalue twice, so
+ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p, and falls
+towards it as p grows. One loop squares H; from p = 2 on, each squaring is
+followed by the test, and only the blocks that pass it are squared again,
+up to p = 64. eigvalsh runs on the blocks that pass every tier, if any, on
+G read back from H: A = H[:m, :m], and B = H[m:, :m] holds the column
+Gram's own imaginary parts above the diagonal, so the triangle eigvalsh
+reads is the Gram's, bit for bit. The floor of a matrix is the exact
+maximum lambda already found for the same k (strips and smaller classes
+run first), so it is known before the class starts and nothing is stored
+between sub-chunks; a zero floor keeps every block, since both bounds are
+at least 0. This leaves s bit-identical: eigvalsh works on one matrix at a
+time, so a surviving block gets the same value as without pruning, and a
+block whose top eigenvalue is above the floor has ub >= lambda_max > floor
+at every tier, up to rounding far below PRUNE_SLACK (each minor is a sum
+of products of entries of modulus at most 1), so it always survives. The
+floor enters only that test, never the returned maximum.
 
 Nothing in the bound overflows or underflows where it matters. The
 entries of H^p are at most lambda_max^p <= 1, since G is the Gram of a
@@ -134,12 +144,12 @@ from .matrices import (
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
 # 6x per step in N here. One s_coefficients call on a Haar draw, each in a
-# fresh process (2-core Xeon, one BLAS thread), took 0.17-0.28 s at N = 10,
-# 0.74-0.95 s at N = 11 and 5.2-5.6 s at N = 12, at 43, 44 and 46-47 MB
-# peak RSS. Inputs with translation symmetry visit one block per orbit: on
-# the same box, F_N took 13, 31 and 94 ms at N = 10, 11 and 12, and
-# P_N^(1/2) 47, 220 and 880 ms (0.19-9.2 s for both on every block).
-# Beyond this size the caller must opt in explicitly.
+# fresh process (2-core Xeon, one BLAS thread, a box whose speed swings by
+# up to 1.5x between runs hours apart), took 47-57 ms at N = 10, 0.14-0.23
+# s at N = 11 and 0.72-1.09 s at N = 12, at 42, 43 and 45 MB peak RSS.
+# Inputs with translation symmetry visit one block per orbit: on the same
+# box, F_N took 10, 28 and 131 ms at N = 10, 11 and 12, and P_N^(1/2) 24,
+# 84 and 343 ms. Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
 # Budget, in float64 elements, for what one sub-chunk of a block class keeps
@@ -151,8 +161,12 @@ MAX_ENUMERATION_DIM = 12
 # most four times that. Per block, a row sub-chunk holds 3 m^2 elements in
 # the closed forms (the 2 x 3 or 2 x 6 gathered Gram entries and at most 6
 # or 15 temporaries of _top_eig_2x2 or _top_eig_3x3; tracemalloc reads
-# peaks of 4 and 12, with or without the bottom eigenvalue) and 16 m^2 in
-# the power bound (H and its powers).
+# peaks of 4 and 12, with or without the bottom eigenvalue) and 8 in the
+# pruned classes (the complement bound, its sum, the keep mask and the
+# indices of the blocks that pass), plus 10 C(N, m) per row set for its
+# squared minors (a level of complex minors, its two gathered operands and
+# their product). The embeddings of the blocks that pass, H and its powers
+# at 16 m^2 elements a block, go in pieces that fill the budget on their own.
 # _block_max sizes the sub-chunks by one of two rules:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
 #   own arrays (best and least per matrix, the indicator, the entry
@@ -168,11 +182,12 @@ MAX_ENUMERATION_DIM = 12
 #   n = 7, one BLAS thread, median CPU time of 9 interleaved runs, against
 #   the second rule: 3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254
 #   us;
-# - the power bound (m >= 4), and the closed forms on a stack of one: the
-#   Grams of a batch sub-chunk, and the blocks of a row sub-chunk at 16 m^2
-#   or m^2 elements each, may each fill the whole budget. The power bound ran
-#   best at these sizes, and a stack of one's row sub-chunks cut to a quarter
-#   made one bounds report at N = 8-10 15-20% slower.
+# - the pruned classes (m >= 4), and the closed forms on a stack of one: the
+#   Grams of a batch sub-chunk, and a row sub-chunk at the counts above (at
+#   m^2 elements a block in the closed forms), may each fill the whole
+#   budget. The power bound ran best at these sizes, and a stack of one's
+#   row sub-chunks cut to a quarter made one bounds report at N = 8-10
+#   15-20% slower.
 _CHUNK_ELEMENTS = 250_000
 
 # Squarings of the real embedding H, each followed by the bound test: the
@@ -339,8 +354,9 @@ def _embedding(re, im):
     """Column Grams laid out for ``_embedding_index``: [re; im; -im; 0].
 
     Takes the ``_column_grams`` output, shape (batch, pairs, columns), and
-    returns shape (batch, columns, 3 * pairs + 1): ``np.take`` along the last
-    axis gathers the embeddings C-contiguous, so reshaping them is a view.
+    returns shape (batch, columns, 3 * pairs + 1), so that indexing it by
+    matrix, column set and ``_embedding_index`` gathers each block's
+    embedding as one C-contiguous array.
     """
     zero = np.zeros(re.shape[:-2] + (1, re.shape[-1]))
     return np.ascontiguousarray(np.concatenate([re, im, -im, zero], axis=-2).swapaxes(-1, -2))
@@ -366,12 +382,13 @@ def _power_bound(hp: np.ndarray, squarings: int) -> np.ndarray:
     """Upper bound on the top eigenvalue from powers H^p of real embeddings.
 
     ``hp`` holds H^p, p = 2^squarings, for 2m x 2m embeddings H of PSD
-    Grams G on its last two axes. H's spectrum is G's with each eigenvalue
-    twice, so tr H^(2p) / 2 bounds lambda_max^(2p) from above. A NaN Gram
-    gets a NaN bound.
+    Grams G on its last two axes. H^p embeds G^p, so its first m rows are
+    [Re G^p, -Im G^p], whose squared Frobenius norm tr G^(2p) = tr H^(2p) / 2
+    bounds lambda_max^(2p) from above; summing half of H^p halves the test's
+    cost. A NaN Gram gets a NaN bound.
     """
-    tr = np.einsum("...ij,...ij->...", hp, hp)  # tr H^(2p), H^p symmetric
-    return (0.5 * tr) ** (1.0 / 2 ** (squarings + 1))
+    top = hp[..., : hp.shape[-1] // 2, :]
+    return np.einsum("...ij,...ij->...", top, top) ** (1.0 / 2 ** (squarings + 1))
 
 
 def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -379,22 +396,100 @@ def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return ~(ub < thr * (1.0 - PRUNE_SLACK))
 
 
-def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
-    """Flat indices of the blocks whose bound may reach the floor at every tier.
+@functools.lru_cache(maxsize=64)
+def _mask_order(dim: int, k: int):
+    # The bitmasks of the k-subsets of range(dim), sorted, and the rank of
+    # each in _combinations order; cached, so read-only.
+    masks = (1 << _combinations(dim, k)).sum(axis=1)
+    order = np.argsort(masks)
+    out = masks[order], order
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    ``h`` holds the gathered embeddings, shape (batch, columns, row sets, 2m,
-    2m), and ``floor2`` each matrix's floor, a squared norm. Index i is block
-    i of ``h.reshape(-1, 2m, 2m)``, of matrix i // (columns * row sets). One
-    loop squares H; each squaring is followed by the keep test, and only the
-    blocks that pass it go on, to H^(2^_MAX_SQUARINGS).
+
+def _subset_rank(dim: int, subsets: np.ndarray) -> np.ndarray:
+    # Rank in _combinations(dim, k) of each k-subset on the last axis
+    masks, order = _mask_order(dim, subsets.shape[-1])
+    return order[np.searchsorted(masks, (1 << subsets).sum(axis=-1))]
+
+
+@functools.lru_cache(maxsize=64)
+def _laplace_index(dim: int, k: int):
+    # For each k-subset S of range(dim), in _combinations order, and each
+    # j < k: the column S[j], and the rank of S without it among the
+    # (k - 1)-subsets, shape (k, C(dim, k)) each; cached, so read-only.
+    combos = _combinations(dim, k)
+    out = (
+        np.ascontiguousarray(combos.T),
+        np.stack([_subset_rank(dim, np.delete(combos, j, axis=1)) for j in range(k)]),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _squared_minors(u3: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|det U[R, S]|^2 for each row set R of ``rows`` and every |R|-subset S.
+
+    Shape (batch, row sets, C(N, |R|)), S in ``_combinations`` order. The
+    minors on R's last j rows come from those on its last j - 1 by Laplace
+    expansion along the new first row.
     """
-    per_matrix = h.shape[1] * h.shape[2]
-    h = h.reshape((-1,) + h.shape[3:])
-    alive = np.arange(h.shape[0])
+    m, dim = rows.shape[1], u3.shape[1]
+    det = u3[:, rows[:, -1], :]
+    for k in range(2, m + 1):
+        cols, minor = _laplace_index(dim, k)
+        lead = u3[:, rows[:, m - k], :]
+        nxt = lead[..., cols[0]] * det[..., minor[0]]
+        for j in range(1, k):
+            term = lead[..., cols[j]] * det[..., minor[j]]
+            if j % 2:
+                nxt -= term
+            else:
+                nxt += term
+        det = nxt
+    return det.real**2 + det.imag**2
+
+
+def _complement_sets(indicator: np.ndarray, m: int) -> np.ndarray:
+    # Ranks among the m-subsets of the m-subsets of the complement of each
+    # column set of the _indicator matrix, shape (C(N - n, m), column sets)
+    dim, ncols = indicator.shape
+    rest = np.nonzero(indicator.T == 0)[1].reshape(ncols, -1)
+    return np.ascontiguousarray(_subset_rank(dim, rest[:, _combinations(rest.shape[1], m)]).T)
+
+
+def _complement_bound(u3: np.ndarray, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Upper bound on the top eigenvalue of each block Gram from its complementary columns.
+
+    Blocks U[R, C] for R a row of ``rows`` and C a column set, whose
+    complement's m-subsets ``sets`` lists as ``_complement_sets`` does.
+    Returns 1 + e - det F / (1 + e)^(m-1), shape (batch, row sets, column
+    sets), det F the sum of the squared minors on R and those subsets; see
+    the module docstring. A NaN entry gives a NaN bound.
+    """
+    minors = _squared_minors(u3, rows)
+    det = minors[..., sets[0]]
+    for more in sets[1:]:
+        det += minors[..., more]
+    e = u3.shape[1] * UNITARITY_TOL
+    return (1.0 + e) - det / (1.0 + e) ** (rows.shape[1] - 1)
+
+
+def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
+    """Indices of the blocks whose bound may reach the floor at every tier.
+
+    ``h`` holds real embeddings, shape (blocks, 2m, 2m), and ``floor2`` each
+    block's floor, a squared norm. One loop squares H; each squaring is
+    followed by the keep test, and only the blocks that pass it go on, to
+    H^(2^_MAX_SQUARINGS).
+    """
+    alive = np.arange(len(h))
     for squarings in range(1, _MAX_SQUARINGS + 1):
         h = h @ h
-        keep = _may_attain(_power_bound(h, squarings), floor2[alive // per_matrix])
-        alive, h = alive[keep], h[keep]
+        keep = _may_attain(_power_bound(h, squarings), floor2)
+        alive, h, floor2 = alive[keep], h[keep], floor2[keep]
         if not alive.size:
             break
     return alive
@@ -560,10 +655,10 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     of the N x N Gram of the column set C (see ``_column_grams``), and its
     top eigenvalue is taken in closed form for m = 2 and 3, and by eigvalsh
     above. ``floor2`` holds a squared norm per matrix already attained at
-    the same k. For m >= 4, eigvalsh skips the blocks whose ``_power_bound``
-    cannot reach it: the result never exceeds the maximum over the listed
-    blocks and equals it wherever that maximum is above ``floor2``. A zero
-    floor keeps every block.
+    the same k. For m >= 4, eigvalsh skips the blocks whose
+    ``_complement_bound`` or ``_power_bound`` cannot reach it: the result
+    never exceeds the maximum over the listed blocks and equals it wherever
+    that maximum is above ``floor2``. A zero floor keeps every block.
 
     With ``low`` (min(m, n) = 2 or 3 only), also returns each matrix's least
     bottom eigenvalue over the same blocks, which a complement class reads.
@@ -572,30 +667,36 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
         u3, m, n, rows, cols = np.swapaxes(u3, 1, 2), n, m, cols, rows
     batch, dim = u3.shape[0], u3.shape[1]
     ncols = len(cols)
-    hidx = _embedding_index(rows, dim) if m >= 4 else None
-    if hidx is None:
+    indicator = _indicator(dim, cols)
+    pruned = m >= 4
+    if pruned:
+        sets = _complement_sets(indicator, m)
+        hstep = max(1, _CHUNK_ELEMENTS // (16 * m * m))  # blocks per piece of embeddings
+    else:
         # Pair positions of each row set's upper triangle: entries x row sets.
         ti, tj, _ = _triu(m)
         entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
         top = _top_eig_2x2 if m == 2 else _top_eig_3x3
-    # sub-chunk sizes: see _CHUNK_ELEMENTS
+    # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS
     span = dim * (dim + 1) * max(2 * dim, ncols)
     budget = _CHUNK_ELEMENTS
-    if hidx is None and batch > 1:
+    if not pruned and batch > 1:
         budget -= 2 * batch + dim * ncols + entries.size
-        bstep, held, width = max(1, budget // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m
+        bstep, held, width = max(1, budget // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m * ncols
     else:
-        bstep, held, width = max(1, budget // span), 0, m * m if hidx is None else 16 * m * m
-    indicator = _indicator(dim, cols)
+        bstep, held = max(1, budget // span), 0
+        width = 8 * ncols + 10 * math.comb(dim, m) if pruned else m * m * ncols
     best = np.zeros(batch)
     least = np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(u3[chunk], indicator)
-        src = None if hidx is None else _embedding(re, im)
-        rstep = max(1, (budget - re.shape[0] * held) // (re.shape[0] * ncols * width))
+        u = u3[chunk]
+        # a pruned class builds its Grams only once a block passes the first tier
+        re, im = (None, None) if pruned else _column_grams(u, indicator)
+        src = None
+        rstep = max(1, (budget - len(u) * held) // (len(u) * width))
         for r0 in range(0, rows.shape[0], rstep):
-            if hidx is None:
+            if not pruned:
                 idx = entries[:, r0 : r0 + rstep]
                 # the gathered entries are not named, and lam and bottom are
                 # deleted, so that they are freed before the next row or
@@ -613,13 +714,23 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
                 best[chunk] = np.maximum(best[chunk], lam.max(axis=0).max(axis=1))
                 del lam
                 continue
-            h = np.take(src, hidx[r0 : r0 + rstep], axis=2)
-            alive = _survivors(h, floor2[chunk])
-            if alive.size:
-                kept = h.reshape(-1, 2 * m, 2 * m)[alive]
-                g = np.empty((alive.size, m, m), dtype=complex)
-                g.real, g.imag = kept[:, :m, :m], kept[:, m:, :m]
-                np.maximum.at(best, b0 + alive // (ncols * h.shape[2]), _top_eig_eigvalsh(g))
+            ub = _complement_bound(u, rows[r0 : r0 + rstep], sets)
+            b, r, c = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
+            if not b.size:
+                continue
+            if src is None:
+                src = _embedding(*_column_grams(u, indicator))
+            # the embeddings of the blocks that pass, matrix-major, then by
+            # row set and column set
+            for k0 in range(0, b.size, hstep):
+                kb, kr, kc = b[k0 : k0 + hstep], r[k0 : k0 + hstep], c[k0 : k0 + hstep]
+                h = src[kb[:, None, None], kc[:, None, None], _embedding_index(rows[r0 + kr], dim)]
+                alive = _survivors(h, floor2[chunk][kb])
+                if alive.size:
+                    kept = h[alive]
+                    g = np.empty((alive.size, m, m), dtype=complex)
+                    g.real, g.imag = kept[:, :m, :m], kept[:, m:, :m]
+                    np.maximum.at(best, b0 + kb[alive], _top_eig_eigvalsh(g))
     return (best, least) if low else best
 
 

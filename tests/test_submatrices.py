@@ -255,29 +255,37 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
 
 
 def test_embeddings_are_gathered_contiguous(monkeypatch):
-    """Each row sub-chunk's embeddings come out of the gather C-contiguous,
-    so flattening them is a view, and each is its block Gram's embedding."""
-    seen = []
-    survivors = submatrices._survivors
+    """The blocks that pass the first tier come out of the gather C-contiguous,
+    matrix-major, then by row set and column set, in pieces of at most
+    250,000 / (16 m^2) blocks, and each is its block Gram's embedding."""
+    seen, row_chunks = [], []
+    survivors, bound = submatrices._survivors, submatrices._complement_bound
 
     def spy(h, floor2):
         seen.append(h)
         return survivors(h, floor2)
 
+    def spy_bound(u3, rows, sets):
+        row_chunks.append(len(rows))
+        return bound(u3, rows, sets)
+
+    monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
     monkeypatch.setattr(submatrices, "_survivors", spy)
+    monkeypatch.setattr(submatrices, "_complement_bound", spy_bound)
     batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(3)])
     _all_blocks(batch, 4, 4, np.zeros(3))
     combos = submatrices._combinations(8, 4)
-    r0 = 0
-    for h in seen:
-        assert h.flags.c_contiguous and h.shape[:2] == (3, len(combos))
-        assert np.shares_memory(h, h.reshape(-1, 8, 8))
-        for b, c, r in ((0, 0, 0), (2, len(combos) - 1, h.shape[2] - 1)):
+    assert all(h.flags.c_contiguous and h.shape[1:] == (8, 8) and len(h) <= 250_000 // 256 for h in seen)
+    h = np.concatenate(seen)
+    assert len(row_chunks) > 1 and sum(row_chunks) == len(combos) and len(h) == 3 * len(combos) ** 2
+    r0 = k0 = 0
+    for nrows in row_chunks:
+        for b, r, c in ((0, 0, 0), (1, nrows // 2, 17), (2, nrows - 1, len(combos) - 1)):
             x = batch[b][np.ix_(combos[r0 + r], combos[c])]
             g = x @ x.conj().T
-            assert np.allclose(h[b, c, r], np.block([[g.real, -g.imag], [g.imag, g.real]]), rtol=0, atol=1e-14)
-        r0 += h.shape[2]
-    assert len(seen) > 1 and r0 == len(combos)
+            got = h[k0 + (b * nrows + r) * len(combos) + c]
+            assert np.allclose(got, np.block([[g.real, -g.imag], [g.imag, g.real]]), rtol=0, atol=1e-14)
+        r0, k0 = r0 + nrows, k0 + 3 * nrows * len(combos)
 
 
 # The (2, n), (3, n), (n, 2) and (n, 3) classes with N - n < n <= N - 2 or
@@ -694,6 +702,13 @@ def _degenerate(dim):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _degenerate_oracle(dim, name, shape=None):
+    # the oracle's norm of one shape, or its whole chain, shared by both paths
+    u = _degenerate(dim)[name]
+    return max_norm_over_shape(u, *shape) if shape else _oracle_s(u)
+
+
 @pytest.mark.parametrize("path", ["reduced", "full"])
 @pytest.mark.parametrize("dim", range(4, 9))
 def test_complement_classes_match_the_oracle_on_degenerate_grams(dim, path, monkeypatch):
@@ -707,12 +722,12 @@ def test_complement_classes_match_the_oracle_on_degenerate_grams(dim, path, monk
         assert set(served) - _own(served) == set(SERVED[dim]) - _own(SERVED[dim]), name
         for shape in served:
             top = math.sqrt(_served_lambda(u, shape, sym))
-            assert top == pytest.approx(max_norm_over_shape(u, *shape), abs=1e-12), (name, shape)
+            assert top == pytest.approx(_degenerate_oracle(dim, name, shape), abs=1e-12), (name, shape)
         if dim <= 7:
             with monkeypatch.context() as mp:
                 if path == "full":
                     mp.setattr(submatrices, "_translation_symmetry", _no_symmetry)
-                ref = _oracle_s(u)
+                ref = _degenerate_oracle(dim, name)
                 assert np.max(np.abs(s_coefficients(u).s - ref)) <= 1e-12, name
                 assert np.max(np.abs(s_coefficients_batch(u[None])[0] - ref)) <= 1e-12, name
 
@@ -916,7 +931,7 @@ def test_power_bound_caps_eigvalsh(m):
     # matrices in one stack, each against its own floor
     stack = np.concatenate([nan_emb, emb])
     floors = np.array([0.5, 1.0 / 12.0])
-    alive = submatrices._survivors(np.stack([stack, stack])[:, None], floors)
+    alive = submatrices._survivors(np.concatenate([stack, stack]), np.repeat(floors, len(stack)))
     kept = [{int(a) - i * len(stack) for a in alive if a // len(stack) == i} for i in range(2)]
     for floor2, mine in zip(floors, kept):
         must = {0} | {1 + i for i in np.flatnonzero(top >= floor2)}
@@ -927,7 +942,70 @@ def test_power_bound_caps_eigvalsh(m):
     # has ub >= 0.8 * 2^(1/4) = 0.951 at H^2 but 0.8 * 2^(1/128) = 0.804 at H^64
     double = list(cases).index("double_top")
     assert submatrices._may_attain(0.8 * first[double], 0.816)
-    assert not submatrices._survivors(0.8 * emb[None, None, double : double + 1], np.array([0.816])).size
+    assert not submatrices._survivors(0.8 * emb[double : double + 1], np.array([0.816])).size
+
+
+def _block_grams(u, rows, cols):
+    # the Gram of every block U[R, C], shape (row sets, column sets, m, m)
+    x = u[rows[:, None, :, None], cols[None, :, None, :]]
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 10])
+def test_complement_bound_caps_eigvalsh(dim):
+    """The first tier's bound on every block of the pruned shapes is at least
+    0 and at least the block's top eigenvalue, on Haar draws, near the
+    unitarity tolerance and on degenerate Grams, both ways round; its
+    determinant is det(I - G) of the block's own Gram, up to the residual."""
+    haar = haar_unitary(dim, RngSeed(SEED + 1600 + dim))
+    inputs = {"haar": haar}
+    if dim < 10:  # the other inputs at N = 10 cost the suite seconds
+        inputs.update({"haar near tolerance": _near_tolerance(haar, SEED + 1610 + dim), **_degenerate(dim)})
+    e = dim * UNITARITY_TOL
+    for name, u0 in inputs.items():
+        # det F and det(I - G) differ by O(r), r of U U^dag - I (of U^dag U - I on U^T)
+        atol = 1e-12 + dim * max(_residuals(u0))
+        for u in (u0, u0.T):
+            for m in range(4, dim // 2 + 1):
+                rows = _combinations(dim, m)
+                for n in range(m, dim - m + 1):
+                    cols = _combinations(dim, n)
+                    ub = submatrices._complement_bound(u[None], rows, submatrices._complement_sets(submatrices._indicator(dim, cols), m))[0]
+                    g = _block_grams(u, rows, cols)
+                    lam = np.linalg.eigvalsh(g)[..., -1]
+                    assert ub.min() >= 0.0, (name, m, n)
+                    # an exact bound in real arithmetic; half the slack keeps the attaining block
+                    assert np.all(lam <= ub * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - ub).max())
+                    det = (1.0 + e - ub) * (1.0 + e) ** (m - 1)
+                    assert np.allclose(det, np.linalg.det(np.eye(m) - g).real, rtol=0, atol=atol), (name, m, n)
+
+
+def test_squared_minors_match_numpy_determinants():
+    u = haar_unitary(9, RngSeed(SEED + 1620))
+    for m in (1, 2, 4, 5):
+        rows, every = _necklaces(9, m), _combinations(9, m)
+        minors = submatrices._squared_minors(u[None], rows)[0]
+        want = np.abs(np.linalg.det(u[rows[:, None, :, None], every[None, :, None, :]])) ** 2
+        assert minors.shape == (len(rows), len(every)) and np.allclose(minors, want, rtol=0, atol=1e-14)
+
+
+def test_complement_bound_prunes_most_blocks_before_the_embeddings(monkeypatch):
+    """On a Haar draw at N = 10 fewer than 1% of the pruned classes' blocks
+    reach the power bound, and s keeps its bits (see the unpruned tests)."""
+    gathered = []
+    survivors = submatrices._survivors
+    monkeypatch.setattr(submatrices, "_survivors", lambda h, floor2: gathered.append(len(h)) or survivors(h, floor2))
+    s_coefficients(haar_unitary(10, RngSeed(SEED + 1630)))
+    blocks = 2 * math.comb(10, 4) * math.comb(10, 5) + math.comb(10, 4) ** 2 * 2 + math.comb(9, 4) * math.comb(10, 5)
+    assert 0 < sum(gathered) < 0.01 * blocks
+
+
+@pytest.mark.parametrize("dim", [8, 9])
+def test_pruning_keeps_near_tolerance_s_bit_identical(dim, monkeypatch):
+    # the first tier leans on the unitarity tolerance through e = N UNITARITY_TOL
+    u = _near_tolerance(haar_unitary(dim, RngSeed(SEED + 1640 + dim)), SEED + 1650 + dim, frac=0.95)
+    assert unitarity_residual(u) <= UNITARITY_TOL
+    assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
 def _no_symmetry(u3):
@@ -1069,7 +1147,8 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     # one matrix: a row sub-chunk takes 250,000 elements at m^2 a block in
-    # the closed forms and 16 m^2 in the power bound, whatever its Grams hold
+    # the closed forms, and at 8 a block plus 10 C(N, m) a row set in the
+    # complement bound of the pruned classes, whatever its Grams hold
     classes = []
     block_max = submatrices._block_max
 
@@ -1085,15 +1164,18 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
 
         return run
 
-    # blocks per row sub-chunk: one Gram entry each, or one embedding each
+    # blocks per row sub-chunk: one Gram entry each, or one bound each
     monkeypatch.setattr(submatrices, "_block_max", spy_block_max)
     monkeypatch.setattr(submatrices, "_top_eig_2x2", spy(submatrices._top_eig_2x2, lambda re: re[0].size))
     monkeypatch.setattr(submatrices, "_top_eig_3x3", spy(submatrices._top_eig_3x3, lambda re: re[0].size))
-    monkeypatch.setattr(submatrices, "_survivors", spy(submatrices._survivors, lambda h: math.prod(h.shape[:3])))
+    bound = submatrices._complement_bound
+    monkeypatch.setattr(
+        submatrices, "_complement_bound", lambda u3, rows, sets: classes[-1][3].append(len(rows) * sets.shape[1]) or bound(u3, rows, sets)
+    )
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
     for m, nrows, ncols, steps in classes:
-        rstep = max(1, 250_000 // (ncols * m * m * (1 if m <= 3 else 16)))
+        rstep = max(1, 250_000 // (ncols * m * m if m <= 3 else 8 * ncols + 10 * math.comb(dim, m)))
         assert steps == [ncols * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
 
 
