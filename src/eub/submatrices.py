@@ -17,7 +17,7 @@ class runs over sub-chunks of the stack's matrices and of its row sets,
 sized so that what one keeps live fits _CHUNK_ELEMENTS, about one core's
 L2 cache: in the closed forms on a stack, the column Grams take a quarter
 of it and the gathered entries and their temporaries the rest, while a
-stack of one and the power bound let each part fill it. Chunking never
+stack of one and the pruned classes let each part fill it. Chunking never
 changes s, since every block's value is computed on its own and a class
 keeps only each matrix's maximum.
 
@@ -27,43 +27,29 @@ moduli), and s_k = sqrt(max lambda) is taken once per k; sqrt is monotone
 and correctly rounded, so that is the largest norm.
 
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
-class's maximum is used, in one pass over sub-chunks of row sets. Each
-test keeps the blocks whose upper bound ub on lambda_max reaches the floor
-within PRUNE_SLACK (a NaN bound is kept). The first tier bounds a block
-(R, C), |R| = m, by its complementary columns C': the Grams G of U[R, C]
-and F of U[R, C'] add up to I + E, E = (U U^dag - I)[R, R], so lambda_max(G)
-<= 1 + e - lambda_min(F) <= 1 + e - det F / (1 + e)^(m-1), where
-|E|_2 <= e = N UNITARITY_TOL for a unitary within that tolerance (see
-UNITARITY_TOL) and F's eigenvalues are at most 1 + e. By Cauchy-Binet det F
-is the sum of |det U[R, S]|^2 over the m-subsets S of C', and one table of
-squared minors per row sub-chunk serves every column set. Where the floor
-is near 1, as at the larger k, this leaves a few blocks in a thousand, and
-only those are gathered as the real embedding H = [[A, -B], [B, A]] of
-their Gram G = A + iB. H's spectrum is G's, each eigenvalue twice, so
-ub = (tr H^(2p) / 2)^(1/2p) is at least lambda_max for every p, and falls
-towards it as p grows. One loop squares H; from p = 2 on, each squaring is
-followed by the test, and only the blocks that pass it are squared again,
-up to p = 64. eigvalsh runs on the blocks that pass every tier, if any, on
-G read back from H: A = H[:m, :m], and B = H[m:, :m] holds the column
-Gram's own imaginary parts above the diagonal, so the triangle eigvalsh
-reads is the Gram's, bit for bit. The floor of a matrix is the exact
-maximum lambda already found for the same k (strips and smaller classes
-run first), so it is known before the class starts and nothing is stored
-between sub-chunks; a zero floor keeps every block, since both bounds are
-at least 0. This leaves s bit-identical: eigvalsh works on one matrix at a
-time, so a surviving block gets the same value as without pruning, and a
-block whose top eigenvalue is above the floor has ub >= lambda_max > floor
-at every tier, up to rounding far below PRUNE_SLACK (each minor is a sum
-of products of entries of modulus at most 1), so it always survives. The
-floor enters only that test, never the returned maximum.
-
-Nothing in the bound overflows or underflows where it matters. The
-entries of H^p are at most lambda_max^p <= 1, since G is the Gram of a
-block of a unitary. A block that can reach the floor has lambda_max >=
-floor >= 1/N (each row of a unitary has an entry of modulus at least
-1/sqrt(N)), so tr H^(2p) >= lambda_max^128 >= N^-128 at p = 64, a normal
-double for N <= 250. Smaller terms round to subnormals with an absolute
-error below 1e-323, far below such a trace.
+class's maximum is used, in one pass over sub-chunks of row sets. The test
+keeps the blocks whose upper bound ub on lambda_max reaches the floor
+within PRUNE_SLACK (a NaN bound is kept). It bounds a block (R, C), |R| =
+m, by its complementary columns C': the Grams G of U[R, C] and F of U[R,
+C'] add up to I + E, E = (U U^dag - I)[R, R], so lambda_max(G) <= 1 + e -
+lambda_min(F) <= 1 + e - det F / (1 + e)^(m-1), where |E|_2 <= e = N
+UNITARITY_TOL for a unitary within that tolerance (see UNITARITY_TOL) and
+F's eigenvalues are at most 1 + e. By Cauchy-Binet det F is the sum of
+|det U[R, S]|^2 over the m-subsets S of C', and one table of squared
+minors per row sub-chunk serves every column set. Where the floor is near
+1, as at the larger k, this leaves a few blocks in a thousand, and only
+those are gathered, each as the upper triangle of its Gram at the row
+set's pair positions, as the closed forms gather theirs, for eigvalsh to
+read. The floor of a matrix is the exact maximum lambda already found for
+the same k (strips and smaller classes run first), so it is known before
+the class starts and nothing is stored between sub-chunks; a zero floor
+keeps every block, since the bound is at least 0. This leaves s
+bit-identical: eigvalsh works on one matrix at a time, so a surviving
+block gets the same value as without pruning, and a block whose top
+eigenvalue is above the floor has ub >= lambda_max > floor, up to rounding
+far below PRUNE_SLACK (each minor is a sum of products of entries of
+modulus at most 1), so it always survives. The floor enters only that
+test, never the returned maximum.
 
 ``_class_plan`` lists, once per N and translation symmetry, the blocks
 the kernel visits, by four reductions. Two are exact: every shape with
@@ -145,11 +131,12 @@ from .matrices import (
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
 # 6x per step in N here. One s_coefficients call on a Haar draw, each in a
 # fresh process (2-core Xeon, one BLAS thread, a box whose speed swings by
-# up to 1.5x between runs hours apart), took 47-57 ms at N = 10, 0.14-0.23
-# s at N = 11 and 0.72-1.09 s at N = 12, at 42, 43 and 45 MB peak RSS.
-# Inputs with translation symmetry visit one block per orbit: on the same
-# box, F_N took 10, 28 and 131 ms at N = 10, 11 and 12, and P_N^(1/2) 24,
-# 84 and 343 ms. Beyond this size the caller must opt in explicitly.
+# up to 1.5x between runs hours apart; three processes each), took 43-47 ms
+# at N = 10, 0.14-0.17 s at N = 11 and 0.65-0.66 s at N = 12, at 42, 43 and
+# 44 MB peak RSS. Inputs with translation symmetry visit one block per
+# orbit: on the same box, F_N took 9, 20 and 75-78 ms at N = 10, 11 and 12,
+# and P_N^(1/2) 15-16, 48-52 and 169-197 ms. Beyond this size the caller
+# must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
 # Budget, in float64 elements, for what one sub-chunk of a block class keeps
@@ -165,8 +152,10 @@ MAX_ENUMERATION_DIM = 12
 # pruned classes (the complement bound, its sum, the keep mask and the
 # indices of the blocks that pass), plus 10 C(N, m) per row set for its
 # squared minors (a level of complex minors, its two gathered operands and
-# their product). The embeddings of the blocks that pass, H and its powers
-# at 16 m^2 elements a block, go in pieces that fill the budget on their own.
+# their product). The Grams of the blocks that pass go to eigvalsh in pieces
+# of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block holds its complex Gram
+# (2 m^2 elements), its upper triangle's pair positions and real and
+# imaginary parts (1.5 m (m + 1)) and its m eigenvalues, at most 4 m (m + 1).
 # _block_max sizes the sub-chunks by one of two rules:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
 #   own arrays (best and least per matrix, the indicator, the entry
@@ -183,17 +172,11 @@ MAX_ENUMERATION_DIM = 12
 #   the second rule: 3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254
 #   us;
 # - the pruned classes (m >= 4), and the closed forms on a stack of one: the
-#   Grams of a batch sub-chunk, and a row sub-chunk at the counts above (at
-#   m^2 elements a block in the closed forms), may each fill the whole
-#   budget. The power bound ran best at these sizes, and a stack of one's
-#   row sub-chunks cut to a quarter made one bounds report at N = 8-10
-#   15-20% slower.
+#   Grams of a batch sub-chunk, a row sub-chunk at the counts above (at m^2
+#   elements a block in the closed forms) and an eigvalsh piece may each
+#   fill the whole budget. A stack of one's row sub-chunks cut to a quarter
+#   made one bounds report at N = 8-10 15-20% slower.
 _CHUNK_ELEMENTS = 250_000
-
-# Squarings of the real embedding H, each followed by the bound test: the
-# squared Frobenius norm tr H^(2p) of H^p bounds each block's top eigenvalue
-# from p = 2 on, and survivors are squared and tested again, up to H^64.
-_MAX_SQUARINGS = 6
 
 
 @dataclass(frozen=True)
@@ -334,61 +317,27 @@ def _top_eig_3x3(re, im, low=False):
         bad_low = ~(r < 1.0 - CARDANO_MIN_GAP)
         redo = bad | bad_low
     if redo.any():
-        ti, tj, _ = _triu(3)
-        g = np.zeros((np.count_nonzero(redo), 3, 3), dtype=complex)
-        g.real[:, ti, tj], g.imag[:, ti, tj] = re[:, redo].T, im[:, redo].T
-        eig = np.linalg.eigvalsh(g, UPLO="U")
+        eig = np.linalg.eigvalsh(_upper_triangles(re[:, redo], im[:, redo], 3), UPLO="U")
         lam[bad] = eig[bad[redo], -1]
         if low:
             bottom[bad_low] = eig[bad_low[redo], 0]
     return (lam, bottom) if low else lam
 
 
+def _upper_triangles(re, im, m):
+    # Complex m x m matrices from their upper triangles, re and im of shape
+    # (m (m + 1) / 2, matrices) in _triu(m) order; the lower triangles stay
+    # zero, so only eigvalsh(UPLO="U") may read them
+    ti, tj, _ = _triu(m)
+    g = np.zeros((re.shape[1], m, m), dtype=complex)
+    g.real[:, ti, tj], g.imag[:, ti, tj] = re.T, im.T
+    return g
+
+
 def _top_eig_eigvalsh(g):
-    # Top eigenvalues of the pruned classes' surviving Grams, read back from H,
-    # from their upper triangles as Cardano's fallback reads its own.
+    # Top eigenvalues of the pruned classes' surviving Grams, from their upper
+    # triangles (see _upper_triangles), as Cardano's fallback reads its own.
     return np.linalg.eigvalsh(g, UPLO="U")[..., -1]
-
-
-def _embedding(re, im):
-    """Column Grams laid out for ``_embedding_index``: [re; im; -im; 0].
-
-    Takes the ``_column_grams`` output, shape (batch, pairs, columns), and
-    returns shape (batch, columns, 3 * pairs + 1), so that indexing it by
-    matrix, column set and ``_embedding_index`` gathers each block's
-    embedding as one C-contiguous array.
-    """
-    zero = np.zeros(re.shape[:-2] + (1, re.shape[-1]))
-    return np.ascontiguousarray(np.concatenate([re, im, -im, zero], axis=-2).swapaxes(-1, -2))
-
-
-def _embedding_index(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Gather table of the real embeddings H = [[A, -B], [B, A]] of block Grams.
-
-    For each row set R (a row of ``rows``), G = A + iB is the principal
-    submatrix at R of a column Gram laid out by ``_embedding``. Returns
-    shape (row sets, 2m, 2m): the position of each entry of H in that layout.
-    """
-    npairs = dim * (dim + 1) // 2
-    i, j = np.indices((rows.shape[1],) * 2)
-    pair = _triu(dim)[2][rows[:, np.minimum(i, j)], rows[:, np.maximum(i, j)]]
-    # B = Im G is im above the diagonal, -im below it and 0 on it
-    above, below = i < j, i > j
-    b = np.select([above, below], [npairs + pair, 2 * npairs + pair], 3 * npairs)
-    return np.block([[pair, b.swapaxes(1, 2)], [b, pair]])  # -B = B^T
-
-
-def _power_bound(hp: np.ndarray, squarings: int) -> np.ndarray:
-    """Upper bound on the top eigenvalue from powers H^p of real embeddings.
-
-    ``hp`` holds H^p, p = 2^squarings, for 2m x 2m embeddings H of PSD
-    Grams G on its last two axes. H^p embeds G^p, so its first m rows are
-    [Re G^p, -Im G^p], whose squared Frobenius norm tr G^(2p) = tr H^(2p) / 2
-    bounds lambda_max^(2p) from above; summing half of H^p halves the test's
-    cost. A NaN Gram gets a NaN bound.
-    """
-    top = hp[..., : hp.shape[-1] // 2, :]
-    return np.einsum("...ij,...ij->...", top, top) ** (1.0 / 2 ** (squarings + 1))
 
 
 def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -475,24 +424,6 @@ def _complement_bound(u3: np.ndarray, rows: np.ndarray, sets: np.ndarray) -> np.
         det += minors[..., more]
     e = u3.shape[1] * UNITARITY_TOL
     return (1.0 + e) - det / (1.0 + e) ** (rows.shape[1] - 1)
-
-
-def _survivors(h: np.ndarray, floor2: np.ndarray) -> np.ndarray:
-    """Indices of the blocks whose bound may reach the floor at every tier.
-
-    ``h`` holds real embeddings, shape (blocks, 2m, 2m), and ``floor2`` each
-    block's floor, a squared norm. One loop squares H; each squaring is
-    followed by the keep test, and only the blocks that pass it go on, to
-    H^(2^_MAX_SQUARINGS).
-    """
-    alive = np.arange(len(h))
-    for squarings in range(1, _MAX_SQUARINGS + 1):
-        h = h @ h
-        keep = _may_attain(_power_bound(h, squarings), floor2)
-        alive, h, floor2 = alive[keep], h[keep], floor2[keep]
-        if not alive.size:
-            break
-    return alive
 
 
 # Generators of the translations the kernel looks for, as (row, column)
@@ -656,8 +587,8 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     top eigenvalue is taken in closed form for m = 2 and 3, and by eigvalsh
     above. ``floor2`` holds a squared norm per matrix already attained at
     the same k. For m >= 4, eigvalsh skips the blocks whose
-    ``_complement_bound`` or ``_power_bound`` cannot reach it: the result
-    never exceeds the maximum over the listed blocks and equals it wherever
+    ``_complement_bound`` cannot reach it, and reads the upper triangles of
+    the others in pieces (see ``_CHUNK_ELEMENTS``): the result never exceeds the maximum over the listed blocks and equals it wherever
     that maximum is above ``floor2``. A zero floor keeps every block.
 
     With ``low`` (min(m, n) = 2 or 3 only), also returns each matrix's least
@@ -669,13 +600,13 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     ncols = len(cols)
     indicator = _indicator(dim, cols)
     pruned = m >= 4
+    # Pair positions of each row set's upper triangle: entries x row sets.
+    ti, tj, _ = _triu(m)
+    entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
     if pruned:
         sets = _complement_sets(indicator, m)
-        hstep = max(1, _CHUNK_ELEMENTS // (16 * m * m))  # blocks per piece of embeddings
+        gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
     else:
-        # Pair positions of each row set's upper triangle: entries x row sets.
-        ti, tj, _ = _triu(m)
-        entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
         top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS
     span = dim * (dim + 1) * max(2 * dim, ncols)
@@ -691,9 +622,8 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
         u = u3[chunk]
-        # a pruned class builds its Grams only once a block passes the first tier
+        # a pruned class builds its Grams only once a block passes the bound
         re, im = (None, None) if pruned else _column_grams(u, indicator)
-        src = None
         rstep = max(1, (budget - len(u) * held) // (len(u) * width))
         for r0 in range(0, rows.shape[0], rstep):
             if not pruned:
@@ -718,19 +648,15 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
             b, r, c = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
             if not b.size:
                 continue
-            if src is None:
-                src = _embedding(*_column_grams(u, indicator))
-            # the embeddings of the blocks that pass, matrix-major, then by
-            # row set and column set
-            for k0 in range(0, b.size, hstep):
-                kb, kr, kc = b[k0 : k0 + hstep], r[k0 : k0 + hstep], c[k0 : k0 + hstep]
-                h = src[kb[:, None, None], kc[:, None, None], _embedding_index(rows[r0 + kr], dim)]
-                alive = _survivors(h, floor2[chunk][kb])
-                if alive.size:
-                    kept = h[alive]
-                    g = np.empty((alive.size, m, m), dtype=complex)
-                    g.real, g.imag = kept[:, :m, :m], kept[:, m:, :m]
-                    np.maximum.at(best, b0 + kb[alive], _top_eig_eigvalsh(g))
+            if re is None:
+                re, im = _column_grams(u, indicator)
+            # the Grams of the blocks that pass, matrix-major, then by row
+            # set and column set
+            for k0 in range(0, b.size, gstep):
+                kb, kc = b[k0 : k0 + gstep], c[k0 : k0 + gstep]
+                idx = entries[:, r0 + r[k0 : k0 + gstep]]
+                g = _upper_triangles(re[kb, idx, kc], im[kb, idx, kc], m)
+                np.maximum.at(best, b0 + kb, _top_eig_eigvalsh(g))
     return (best, least) if low else best
 
 

@@ -587,9 +587,9 @@ def test_bad_alpha_exit(tmp_path, capsys):
         assert "order" in err
 
 
-def _load_cli_digests():
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", path)
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -599,7 +599,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     """Every command of tools/cli_digests.py exits 0, or 2 for the refused
     inputs, and reruns byte-identically, and, on the build the pinned lines
     were made with, prints those lines."""
-    tool = _load_cli_digests()
+    tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
     assert len(pinned) == 62
     # bounds reports at N = 10 take most of a full pass
@@ -627,6 +627,40 @@ def test_cli_digests_rerun_identical(monkeypatch):
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert first == [by_argv[line.split("  ", 2)[2]] for line in first]
 
+
+
+def test_bench_record_summarises_runs(monkeypatch):
+    """tools/bench_record.py runs every workload seed by seed, takes the
+    median and IQR of each end-to-end metric over the runs, and refuses
+    runs made in different environments."""
+    tool = _load_tool("bench_record")
+    assert tool.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "iqr": 1.5, "runs": [4.0, 1.0, 3.0, 2.0]}
+    assert tool.summary([2.0]) == {"median": 2.0, "iqr": 0.0, "runs": [2.0]}
+    names = ("setup_s", "wall_s", "items_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+    calls = []
+
+    def fake(workload, seed, seconds, src="x"):
+        calls.append((workload, seed))
+        value = float(seed - 100)
+        bad = workload == "small-reports" and seed == 103
+        detail = {"env": {"src_sha256": src, "seed": seed}, "raw_round_walls_s": [value]}
+        result = {"correct": not bad, "failed": int(bad), "attempted": 5, "metrics": {n: {"value": value} for n in names}}
+        return detail, result
+
+    monkeypatch.setattr(tool, "run_once", fake)
+    out = tool.record(20.0)
+    assert calls[:4] == [(w, 101) for w in ("ensemble-sampling", "ensemble-kernel", "large-n-report", "small-reports")]
+    assert len(calls) == 12 and out["env"] == {"src_sha256": "x"} and out["seeds"] == [101, 102, 103]
+    small = out["workloads"]["small-reports"]
+    assert (small["correct"], small["failed"], small["attempted"]) == (False, 1, 15)
+    assert small["metrics"]["wall_s"] == {"unit": "s", "median": 2.0, "iqr": 1.0, "runs": [1.0, 2.0, 3.0]}
+    assert small["raw_round_walls_s"] == [[1.0], [2.0], [3.0]]
+    assert out["workloads"]["large-n-report"]["correct"] is True
+    monkeypatch.setattr(tool, "run_once", lambda w, seed, seconds: fake(w, seed, seconds, src=str(seed)))
+    with pytest.raises(RuntimeError, match="another environment"):
+        tool.record(20.0)
+    with pytest.raises(SystemExit):
+        tool.main(["../elsewhere"])
 
 def _states_per_draw(seed, n, pairs):
     # the extremal check's states drawn one at a time, as (real, imaginary)

@@ -207,12 +207,21 @@ def test_pruning_keeps_haar_s_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize(
     "u",
-    [F(9), permutation_power(9, 1.0 / 3.0), _permuted(F(9)), _permuted(permutation_power(9, 1.0 / 3.0))],
-    ids=["F9", "P9^(1/3)", "F9 permuted", "P9^(1/3) permuted"],
+    [
+        F(9),
+        permutation_power(9, 1.0 / 3.0),
+        _permuted(F(9)),
+        _permuted(permutation_power(9, 1.0 / 3.0)),
+        F(10),
+        permutation_power(10, 0.5),
+        permutation_power(10, 1.0 / 3.0),
+    ],
+    ids=["F9", "P9^(1/3)", "F9 permuted", "P9^(1/3) permuted", "F10", "P10^(1/2)", "P10^(1/3)"],
 )
 def test_pruning_keeps_tied_s_bit_identical(u, monkeypatch):
-    # exact ties through the (4, 5) class: many blocks pass every tier, on
-    # the representatives and (permuted) on the full enumeration
+    # exact ties through the pruned classes: many blocks pass the bound, on
+    # the representatives and (permuted) on the full enumeration; the N = 10
+    # inputs are the degenerate-Gram ones of the large-n-report benchmark
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
@@ -227,10 +236,25 @@ def test_keep_test_gates_every_tier(monkeypatch):
     assert calls == []
 
 
+def test_keep_test_keeps_nan_bounds():
+    # U[1, 2] = NaN makes the bound NaN on the blocks whose rows hold 1 and
+    # whose complementary columns hold 2; the keep test keeps them at any floor
+    u = F(8)
+    u[1, 2] = np.nan
+    rows = cols = _combinations(8, 4)
+    ub = submatrices._complement_bound(u[None], rows, submatrices._complement_sets(submatrices._indicator(8, cols), 4))[0]
+    want = (rows == 1).any(axis=1)[:, None] & ~(cols == 2).any(axis=1)[None, :]
+    assert np.array_equal(np.isnan(ub), want)
+    assert submatrices._may_attain(ub, np.array(1.0))[want].all()
+    assert submatrices._may_attain(ub, np.array(0.0)).all()
+    assert not submatrices._may_attain(np.array([0.5]), np.array([0.6]))[0]
+
+
 @pytest.mark.parametrize("u", [haar_unitary(9, RngSeed(SEED + 1170)), F(9)], ids=["haar9", "F9"])
 def test_floor_is_a_squared_norm(u, monkeypatch):
     """A zero floor sends every block of a pruned class to eigvalsh; a floor
-    lambda prunes every block whose top eigenvalue the bound puts below it."""
+    lambda sends every block whose top eigenvalue reaches it, and none whose
+    complement bound, taken from numpy determinants, falls below it."""
     seen = []
     top_eig = submatrices._top_eig_eigvalsh
 
@@ -240,52 +264,65 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
         return lam
 
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
+    e = 9 * UNITARITY_TOL
     for m, n in ((4, 4), (4, 5), (5, 4)):
         seen.clear()
         top = _all_blocks(u[None], m, n, np.zeros(1))[0]
         lam = np.concatenate(seen)
         assert lam.size == math.comb(9, m) * math.comb(9, n)
         assert math.sqrt(top) == pytest.approx(max_norm_over_shape(u, m, n), abs=1e-12)
-        # a 4 x 4 Gram has ub <= lambda_max * 4^(1/128) at H^64, the last tier
+        # 1 + e - det F / (1 + e)^(p-1), F the Gram of the block's rows on
+        # its complementary columns; m > n on the transpose, as the kernel
+        v, p, cols = (u, m, _combinations(9, n)) if m <= n else (u.T, n, _combinations(9, m))
+        rest = np.array([np.setdiff1d(np.arange(9), c) for c in cols])
+        det = np.linalg.det(_block_grams(v, _combinations(9, p), rest)).real
+        ub = 1.0 + e - det / (1.0 + e) ** (p - 1)
         floor2 = 0.9 * top
-        reach = floor2 * (1.0 - 2 * PRUNE_SLACK) / 4.0 ** (1.0 / 2 ** (submatrices._MAX_SQUARINGS + 1))
         seen.clear()
         assert _all_blocks(u[None], m, n, np.array([floor2]))[0] == top
-        assert sum(x.size for x in seen) <= np.count_nonzero(lam >= reach)
+        reached = sum(x.size for x in seen)
+        assert np.count_nonzero(lam >= floor2) <= reached <= np.count_nonzero(ub >= floor2 * (1.0 - 2 * PRUNE_SLACK))
 
 
-def test_embeddings_are_gathered_contiguous(monkeypatch):
-    """The blocks that pass the first tier come out of the gather C-contiguous,
-    matrix-major, then by row set and column set, in pieces of at most
-    250,000 / (16 m^2) blocks, and each is its block Gram's embedding."""
+def test_surviving_grams_are_gathered_in_pieces(monkeypatch):
+    """The blocks that pass the complement bound reach eigvalsh as the upper
+    triangles of their Grams, matrix-major, then by row set and column set,
+    in pieces of 250,000 / (4 m (m + 1)) blocks, fewer only at the end of a
+    row sub-chunk."""
     seen, row_chunks = [], []
-    survivors, bound = submatrices._survivors, submatrices._complement_bound
+    top_eig, bound = submatrices._top_eig_eigvalsh, submatrices._complement_bound
 
-    def spy(h, floor2):
-        seen.append(h)
-        return survivors(h, floor2)
+    def spy(g):
+        seen.append(g.copy())
+        return top_eig(g)
 
     def spy_bound(u3, rows, sets):
         row_chunks.append(len(rows))
         return bound(u3, rows, sets)
 
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
-    monkeypatch.setattr(submatrices, "_survivors", spy)
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
     monkeypatch.setattr(submatrices, "_complement_bound", spy_bound)
     batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(3)])
     _all_blocks(batch, 4, 4, np.zeros(3))
-    combos = submatrices._combinations(8, 4)
-    assert all(h.flags.c_contiguous and h.shape[1:] == (8, 8) and len(h) <= 250_000 // 256 for h in seen)
-    h = np.concatenate(seen)
-    assert len(row_chunks) > 1 and sum(row_chunks) == len(combos) and len(h) == 3 * len(combos) ** 2
+    combos = _combinations(8, 4)
+    piece = 250_000 // (4 * 4 * 5)
+    assert len(row_chunks) > 1 and sum(row_chunks) == len(combos)
+    sizes = [len(g) for g in seen]
+    want = []
+    for nrows in row_chunks:
+        blocks = 3 * nrows * len(combos)
+        want += [min(piece, blocks - k0) for k0 in range(0, blocks, piece)]
+    assert sizes == want and max(sizes) == piece
+    got = np.triu(np.concatenate(seen))
     r0 = k0 = 0
     for nrows in row_chunks:
-        for b, r, c in ((0, 0, 0), (1, nrows // 2, 17), (2, nrows - 1, len(combos) - 1)):
-            x = batch[b][np.ix_(combos[r0 + r], combos[c])]
-            g = x @ x.conj().T
-            got = h[k0 + (b * nrows + r) * len(combos) + c]
-            assert np.allclose(got, np.block([[g.real, -g.imag], [g.imag, g.real]]), rtol=0, atol=1e-14)
-        r0, k0 = r0 + nrows, k0 + 3 * nrows * len(combos)
+        for u in batch:
+            grams = _block_grams(u, combos[r0 : r0 + nrows], combos).reshape(-1, 4, 4)
+            assert np.allclose(got[k0 : k0 + len(grams)], np.triu(grams), rtol=0, atol=1e-14)
+            k0 += len(grams)
+        r0 += nrows
+    assert k0 == len(got)
 
 
 # The (2, n), (3, n), (n, 2) and (n, 3) classes with N - n < n <= N - 2 or
@@ -809,8 +846,7 @@ def _hermitian_cases(m):
         "rank1": v @ v.conj().T,
         "double_top": spectrum(1.0, 1.0, *tail),
         "double_bottom": spectrum(1.0, *tail, tail[-1]),
-        # the smallest squared floor at N <= 12: a block must still pass
-        # every tier with lambda_max = 1/12
+        # lambda_max = 1/12, the smallest squared floor at N <= 12
         "top_1/12": spectrum(1.0 / 12.0, *(t / 12.0 for t in tail), 0.0),
     }
     for e in range(4, 11):
@@ -893,58 +929,6 @@ def test_a_double_bottom_eigenvalue_serves_its_complement():
     assert np.max(np.abs(s_coefficients(u).s - _oracle_s(u))) <= 1e-12
 
 
-def _embeddings(h):
-    # real embeddings of a stack of m x m Grams, gathered as the kernel does
-    m = h.shape[-1]
-    ti, tj = np.triu_indices(m)
-    src = submatrices._embedding(h[:, ti, tj].real.T[None], h[:, ti, tj].imag.T[None])
-    return np.take(src, submatrices._embedding_index(submatrices._combinations(m, m), m), axis=2)[0, :, 0]
-
-
-@pytest.mark.parametrize("m", [4, 5, 6])
-def test_power_bound_caps_eigvalsh(m):
-    rng = np.random.default_rng(SEED + m)
-    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    g = x @ x.conj().T / np.linalg.norm(x, 2) ** 2
-    cases = {"random": 0.5 * (g + g.conj().T), **_hermitian_cases(m)}
-    h = np.array(list(cases.values()), dtype=complex)
-    emb = _embeddings(h)
-    assert np.array_equal(emb, np.block([[h.real, -h.imag], [h.imag, h.real]]))
-    top = np.linalg.eigvalsh(h)[:, -1]
-    # a NaN Gram has a NaN bound at every tier, and the keep test keeps it
-    h[0, 0, 1], h[0, 1, 0] = np.nan, np.nan
-    nan_emb = _embeddings(h[:1])
-    hp, nan_hp = emb, nan_emb
-    for squarings in range(1, submatrices._MAX_SQUARINGS + 1):
-        hp, nan_hp = hp @ hp, nan_hp @ nan_hp
-        ub = submatrices._power_bound(hp, squarings)
-        # ub is an exact bound in real arithmetic and may miss by rounding;
-        # half the slack keeps the attaining block in the class
-        assert np.all(top <= ub * (1.0 + PRUNE_SLACK / 2)), (squarings, dict(zip(cases, top - ub)))
-        assert not submatrices._may_attain(ub[list(cases).index("zero")], 0.5)
-        nan_ub = submatrices._power_bound(nan_hp, squarings)
-        assert np.isnan(nan_ub[0]) and submatrices._may_attain(nan_ub[0], 0.5)
-        if squarings == 1:
-            first = ub
-    # all tiers together: a block passes at a floor at or below its top
-    # eigenvalue, the NaN block at any floor, the zero block at none; two
-    # matrices in one stack, each against its own floor
-    stack = np.concatenate([nan_emb, emb])
-    floors = np.array([0.5, 1.0 / 12.0])
-    alive = submatrices._survivors(np.concatenate([stack, stack]), np.repeat(floors, len(stack)))
-    kept = [{int(a) - i * len(stack) for a in alive if a // len(stack) == i} for i in range(2)]
-    for floor2, mine in zip(floors, kept):
-        must = {0} | {1 + i for i in np.flatnonzero(top >= floor2)}
-        assert must <= mine and 1 + list(cases).index("zero") not in mine
-    low = 1 + list(cases).index("top_1/12")
-    assert low not in kept[0] and low in kept[1]
-    # the later tiers prune what the first keeps: a double top eigenvalue 0.8
-    # has ub >= 0.8 * 2^(1/4) = 0.951 at H^2 but 0.8 * 2^(1/128) = 0.804 at H^64
-    double = list(cases).index("double_top")
-    assert submatrices._may_attain(0.8 * first[double], 0.816)
-    assert not submatrices._survivors(0.8 * emb[double : double + 1], np.array([0.816])).size
-
-
 def _block_grams(u, rows, cols):
     # the Gram of every block U[R, C], shape (row sets, column sets, m, m)
     x = u[rows[:, None, :, None], cols[None, :, None, :]]
@@ -953,7 +937,7 @@ def _block_grams(u, rows, cols):
 
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_complement_bound_caps_eigvalsh(dim):
-    """The first tier's bound on every block of the pruned shapes is at least
+    """The complement bound on every block of the pruned shapes is at least
     0 and at least the block's top eigenvalue, on Haar draws, near the
     unitarity tolerance and on degenerate Grams, both ways round; its
     determinant is det(I - G) of the block's own Gram, up to the residual."""
@@ -989,20 +973,20 @@ def test_squared_minors_match_numpy_determinants():
         assert minors.shape == (len(rows), len(every)) and np.allclose(minors, want, rtol=0, atol=1e-14)
 
 
-def test_complement_bound_prunes_most_blocks_before_the_embeddings(monkeypatch):
+def test_complement_bound_prunes_most_blocks_before_eigvalsh(monkeypatch):
     """On a Haar draw at N = 10 fewer than 1% of the pruned classes' blocks
-    reach the power bound, and s keeps its bits (see the unpruned tests)."""
-    gathered = []
-    survivors = submatrices._survivors
-    monkeypatch.setattr(submatrices, "_survivors", lambda h, floor2: gathered.append(len(h)) or survivors(h, floor2))
+    reach eigvalsh, and s keeps its bits (see the unpruned tests)."""
+    reached = []
+    top_eig = submatrices._top_eig_eigvalsh
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda g: reached.append(len(g)) or top_eig(g))
     s_coefficients(haar_unitary(10, RngSeed(SEED + 1630)))
     blocks = 2 * math.comb(10, 4) * math.comb(10, 5) + math.comb(10, 4) ** 2 * 2 + math.comb(9, 4) * math.comb(10, 5)
-    assert 0 < sum(gathered) < 0.01 * blocks
+    assert 0 < sum(reached) < 0.01 * blocks
 
 
 @pytest.mark.parametrize("dim", [8, 9])
 def test_pruning_keeps_near_tolerance_s_bit_identical(dim, monkeypatch):
-    # the first tier leans on the unitarity tolerance through e = N UNITARITY_TOL
+    # the complement bound leans on the unitarity tolerance through e = N UNITARITY_TOL
     u = _near_tolerance(haar_unitary(dim, RngSeed(SEED + 1640 + dim)), SEED + 1650 + dim, frac=0.95)
     assert unitarity_residual(u) <= UNITARITY_TOL
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
