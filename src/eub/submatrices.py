@@ -588,8 +588,9 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     above. ``floor2`` holds a squared norm per matrix already attained at
     the same k. For m >= 4, eigvalsh skips the blocks whose
     ``_complement_bound`` cannot reach it, and reads the upper triangles of
-    the others in pieces (see ``_CHUNK_ELEMENTS``): the result never exceeds the maximum over the listed blocks and equals it wherever
-    that maximum is above ``floor2``. A zero floor keeps every block.
+    the others in pieces (see ``_CHUNK_ELEMENTS``): the result never
+    exceeds the maximum over the listed blocks and equals it wherever that
+    maximum is above ``floor2``. A zero floor keeps every block.
 
     With ``low`` (min(m, n) = 2 or 3 only), also returns each matrix's least
     bottom eigenvalue over the same blocks, which a complement class reads.

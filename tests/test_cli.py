@@ -639,7 +639,7 @@ def test_bench_record_summarises_runs(monkeypatch):
     names = ("setup_s", "wall_s", "items_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
     calls = []
 
-    def fake(workload, seed, seconds, src="x"):
+    def fake(workload, seed, src="x"):
         calls.append((workload, seed))
         value = float(seed - 100)
         bad = workload == "small-reports" and seed == 103
@@ -648,7 +648,7 @@ def test_bench_record_summarises_runs(monkeypatch):
         return detail, result
 
     monkeypatch.setattr(tool, "run_once", fake)
-    out = tool.record(20.0)
+    out = tool.record()
     assert calls[:4] == [(w, 101) for w in ("ensemble-sampling", "ensemble-kernel", "large-n-report", "small-reports")]
     assert len(calls) == 12 and out["env"] == {"src_sha256": "x"} and out["seeds"] == [101, 102, 103]
     small = out["workloads"]["small-reports"]
@@ -656,9 +656,9 @@ def test_bench_record_summarises_runs(monkeypatch):
     assert small["metrics"]["wall_s"] == {"unit": "s", "median": 2.0, "iqr": 1.0, "runs": [1.0, 2.0, 3.0]}
     assert small["raw_round_walls_s"] == [[1.0], [2.0], [3.0]]
     assert out["workloads"]["large-n-report"]["correct"] is True
-    monkeypatch.setattr(tool, "run_once", lambda w, seed, seconds: fake(w, seed, seconds, src=str(seed)))
+    monkeypatch.setattr(tool, "run_once", lambda w, seed: fake(w, seed, src=str(seed)))
     with pytest.raises(RuntimeError, match="another environment"):
-        tool.record(20.0)
+        tool.record()
     with pytest.raises(SystemExit):
         tool.main(["../elsewhere"])
 

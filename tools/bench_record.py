@@ -1,8 +1,8 @@
 """Record the benchmark's end-to-end metrics to ``BENCH_<label>.json``.
 
 Runs ``bench/run.py --trace 0`` as a subprocess on every workload of
-``BENCHMARK.json``, for each of ``SEEDS`` at ``--seconds`` (default 20),
-and writes ``BENCH_<label>.json`` at the repository root:
+``BENCHMARK.json``, for each of ``SEEDS`` at ``--seconds 20``, and
+writes ``BENCH_<label>.json`` at the repository root:
 
     python3 tools/bench_record.py LABEL
 
@@ -20,8 +20,9 @@ the median and interquartile range over the runs of every end-to-end
 metric with each run's value, and each run's raw round walls. Quartiles
 are ``statistics.quantiles(..., n=4, method="inclusive")``.
 
-To compare two files, quote the per-metric medians side by side; a change
-that claims a gain should also run alternating pairs (see bench/README.md).
+Two files are compared by their per-metric medians. Three runs a side show
+no win rate, so a change that claims a gain also runs at least ten
+``bench/run.py`` pairs of parent and change, alternating which goes first.
 
 Needs only the standard library.
 """
@@ -39,12 +40,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103)
+SECONDS = 20.0
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple:
+def run_once(workload: str, seed: int) -> tuple:
     """One ``bench/run.py --trace 0`` run: its detail line and result line."""
     argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
@@ -61,7 +63,7 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def record(seconds: float) -> dict:
+def record() -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     names = [w["name"] for w in spec["workloads"]]
@@ -70,7 +72,7 @@ def record(seconds: float) -> dict:
     env = None
     for seed in SEEDS:
         for name in names:
-            detail, result = run_once(name, seed, seconds)
+            detail, result = run_once(name, seed)
             print(f"{name} seed {seed}: correct {result['correct']}, "
                   f"wall_s {result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
             mine = {k: v for k, v in detail["env"].items() if k != "seed"}
@@ -91,18 +93,17 @@ def record(seconds: float) -> dict:
             },
             "raw_round_walls_s": [detail["raw_round_walls_s"] for detail, _ in done],
         }
-    return {"env": env, "seeds": list(SEEDS), "seconds": seconds, "workloads": workloads}
+    return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", help="names the output file, BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each bench/run.py run")
     args = parser.parse_args(argv)
     if not args.label or not all(c.isalnum() or c in "-_." for c in args.label):
         parser.error("the label may hold only letters, digits, '-', '_' and '.'")
     out = ROOT / f"BENCH_{args.label}.json"
-    data = dict(label=args.label, **record(args.seconds))
+    data = dict(label=args.label, **record())
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
