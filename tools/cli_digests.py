@@ -38,9 +38,9 @@ import eub
 from eub.cli import main
 from eub.matrices import generator
 
-HAAR_DIMS = tuple(range(3, 12))
-FOURIER_DIMS = (4, 6, 8, 9, 10)
-PERM_HALF_DIMS = (6, 8, 9, 10, 11)
+HAAR_DIMS = tuple(range(3, 13))
+FOURIER_DIMS = (4, 6, 8, 9, 10, 12)
+PERM_HALF_DIMS = (6, 8, 9, 10, 11, 12)
 # P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
 PERM_THIRD_DIMS = (9, 10)
 # F_N with rows and columns permuted by non-affine permutations: tied
