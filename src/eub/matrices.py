@@ -289,9 +289,9 @@ def _unit_rows(psi, dim: int) -> np.ndarray:
 
 
 def _square_matrix(m) -> np.ndarray:
-    # m as a complex array; the one square-shape rule
+    # m as a complex array; the one square-shape rule, at least 1 x 1
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -310,11 +310,11 @@ def require_unitary(m: np.ndarray) -> np.ndarray:
     """Return m as a complex array, or raise naming the violated invariant.
 
     m is one matrix or a stack (P, N, N) of them. Raises ValueError for a
-    non-square m and for a unitarity residual (max-norm of M M^dag - I)
+    non-square or empty (N = 0) m and for a unitarity residual (max-norm of M M^dag - I)
     above UNITARITY_TOL, the first failing matrix of a stack naming its own.
     """
     m = np.asarray(m, dtype=complex)
-    _unitary_gram(m if m.ndim == 3 and m.shape[1] == m.shape[2] else _square_matrix(m))
+    _unitary_gram(m if m.ndim == 3 and m.shape[1] == m.shape[2] and m.shape[1] else _square_matrix(m))
     return m
 
 

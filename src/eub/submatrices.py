@@ -7,24 +7,20 @@ The derived r_k = ((1 + s_k) / 2)^2 feed the bound construction.
 One vectorized enumeration, ``s_coefficients_batch``, computes the chain
 for a stack of unitaries; ``_checked_coefficients`` validates every matrix
 of a stack before it, and ``s_coefficients`` runs one matrix as a stack of
-one. Vector strips reduce to sorted cumulative sums of
-squared moduli. A block's Gram is a principal submatrix of the N x N Gram
-of its column set, and one matmul against a 0/1 indicator matrix gives
-those for every column set. Top eigenvalues of 2x2 and 3x3 Grams are taken
-in closed form (3x3 by the trigonometric Cardano form, with an eigvalsh
-fallback near a double top eigenvalue), larger ones by eigvalsh. Each
-class runs over sub-chunks of the stack's matrices and of its row sets,
-sized so that what one keeps live fits _CHUNK_ELEMENTS, about one core's
-L2 cache: in the closed forms on a stack, the column Grams take a quarter
-of it and the gathered entries and their temporaries the rest, while a
-stack of one and the pruned classes let each part fill it. Chunking never
-changes s, since every block's value is computed on its own and a class
-keeps only each matrix's maximum.
-
-The kernel works on squared norms lambda = sigma^2: each class yields
-its largest block-Gram top eigenvalue (a strip, its largest sum of squared
-moduli), and s_k = sqrt(max lambda) is taken once per k; sqrt is monotone
-and correctly rounded, so that is the largest norm.
+one. It works on squared norms lambda = sigma^2, one per matrix and k: the
+strips fill every k at once from sorted cumulative sums of squared moduli,
+each enumerated class raises its own k by its largest block-Gram top
+eigenvalue, and s = sqrt(lambda) is taken at the end; sqrt is monotone and
+correctly rounded, so that is the largest norm. A block's Gram is a
+principal submatrix of the N x N Gram of its column set, and one matmul
+against a 0/1 indicator matrix gives those for every column set. Top
+eigenvalues of 2x2 and 3x3 Grams are taken in closed form (3x3 by the
+trigonometric Cardano form, with an eigvalsh fallback near a double top
+eigenvalue), larger ones by eigvalsh. Each class runs over sub-chunks of
+the stack's matrices and of its row sets, sized against _CHUNK_ELEMENTS,
+about one core's L2 cache, a target that a class may exceed (see there).
+Chunking never changes s, since every block's value is computed on its own
+and a class keeps only each matrix's maximum.
 
 Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
 class's maximum is used, in one pass over sub-chunks of row sets. The test
@@ -41,23 +37,25 @@ minors per row sub-chunk serves every column set. Where the floor is near
 those are gathered, each as the upper triangle of its Gram at the row
 set's pair positions, as the closed forms gather theirs, for eigvalsh to
 read. The floor of a matrix is the exact maximum lambda already found for
-the same k (strips and smaller classes run first), so it is known before
-the class starts and nothing is stored between sub-chunks; a zero floor
-keeps every block, since the bound is at least 0. This leaves s
-bit-identical: eigvalsh works on one matrix at a time, so a surviving
-block gets the same value as without pruning, and a block whose top
-eigenvalue is above the floor has ub >= lambda_max > floor, up to rounding
-far below PRUNE_SLACK (each minor is a sum of products of entries of
-modulus at most 1), so it always survives. The floor enters only that
-test, never the returned maximum.
+the same k (the strips, the classes served from a smaller k and the
+smaller classes come first), so it is known before the class starts and
+nothing is stored between sub-chunks; a zero floor keeps every block,
+since the bound is at least 0. This leaves s bit-identical: eigvalsh works
+on one matrix at a time, so a surviving block gets the same value as
+without pruning, and a block whose top eigenvalue is above the floor has
+ub >= lambda_max > floor, up to rounding far below PRUNE_SLACK (each minor
+is a sum of products of entries of modulus at most 1), so it always
+survives. The floor enters only that test, never the returned maximum.
 
-``_class_plan`` lists, once per N and translation symmetry, the blocks
-the kernel visits, by four reductions. Two are exact: every shape with
-m + n > N contains a full row or column of some unitary completion and
-has norm exactly 1, and at m + n = N a block and its complementary block
-share their largest singular value, so class N runs m <= n only and the
-shape (N/2, N/2) runs the row sets containing index 0 (unless its row
-sets are reduced as below).
+``_class_plan`` lists, once per N and translation symmetry, each class the
+kernel enumerates, once, with the row and column sets it visits; strips
+and the classes served by complements (below) have no entry. The sets come
+from four reductions. Two are exact: every shape with m + n > N contains a
+full row or column of some unitary completion and has norm exactly 1, and
+at m + n = N a block and its complementary block share their largest
+singular value, so class N runs m <= n only and the shape (N/2, N/2) runs
+the row sets containing index 0 (unless its row sets are reduced as
+below).
 
 A third reduction holds up to rounding. A circulant U, such as P_N^beta,
 has U[i + a, j + a] = U[i, j], and F_N has F[i + a, j + b] = x_i F[i, j]
@@ -78,26 +76,28 @@ over the representatives is within 2 ((k + 1) / 2) SYMMETRY_TOL of the
 full enumeration's s_k, plus rounding (see SYMMETRY_TOL); in practice a
 few ulps below it, since translates differ only by rounding.
 
-A fourth reduction holds up to the input's unitarity residual. With C'
-the complement of a column set C, G_C + G_C' = U U^dag, so on a row set R
+A fourth reduction holds up to the input's unitarity residual. With C' the
+complement of a column set C, G_C + G_C' = U U^dag, so on a row set R
 G_C[R, R] = I - G_C'[R, R] + E with E = (U U^dag - I)[R, R], and by Weyl
 lambda_max(G_C[R, R]) is within |E|_2 of 1 - lambda_min(G_C'[R, R]). For
 |R| = 2 or 3 that is at most |R| r, r the max-norm unitarity residual; by
-rows on U^T, r is that of U^dag U - I instead. So a (2, n) or (3, n)
-class with N - n < n <= N - |R| is not enumerated: its maximum is 1 minus
-the least bottom eigenvalue of the (|R|, N - n) blocks, which ran at a
-smaller k on the same row sets and the complementary column sets, and
-(n, 2) and (n, 3) are taken from (N - n, 2) and (N - n, 3) likewise. A
-closed-form class whose column complement has its own shape, (2, N/2),
+rows on U^T, r is that of U^dag U - I instead. So a (2, n) or (3, n) class
+with N - n < n <= N - |R| is not enumerated: its maximum is 1 minus the
+least bottom eigenvalue of the (|R|, N - n) blocks, the same row sets on
+the complementary column sets, and (n, 2) and (n, 3) are taken from
+(N - n, 2) and (N - n, 3) likewise. The source, at a smaller k, names the
+served k in its plan entry's ``serves`` and raises that k's lambda to at
+least 1 minus its least bottom eigenvalue before any class of that k runs.
+A closed-form class whose column complement has its own shape, (2, N/2),
 (3, N/2) and their transposes (by row complements), is self-complementary,
-its own source: it visits only the column (row) sets containing index 0
-and takes both roots, the bottom ones serving the complementary sets,
-unless a translation symmetry already reduces that side. Under a translation
-symmetry the complements of one block per orbit are again one block per
-orbit. ``_top_eig_2x2`` and ``_top_eig_3x3`` return the bottom
-eigenvalue from the same terms as the top one, so the sources' own maxima
-keep their bits, and s moves only at the k of a served or
-self-complementary class, by at most 2 r or 3 r in lambda (see
+its own source (``serves`` its own k): it visits only the column (row)
+sets containing index 0 and takes both roots, the bottom ones serving the
+complementary sets, unless a translation symmetry already reduces that
+side. Under a translation symmetry the complements of one block per orbit
+are again one block per orbit. ``_top_eig_2x2`` and ``_top_eig_3x3``
+return the bottom eigenvalue from the same terms as the top one, so the
+sources' own maxima keep their bits, and s moves only at the k of a served
+or self-complementary class, by at most 2 r or 3 r in lambda (see
 UNITARITY_TOL). The Cardano bottom root loses accuracy near a double
 bottom eigenvalue as the top one does near a double top, and has an
 eigvalsh fallback of its own (see CARDANO_MIN_GAP).
@@ -129,33 +129,34 @@ from .matrices import (
 )
 
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
-# 6x per step in N here. One s_coefficients call on a Haar draw, each in a
-# fresh process (2-core Xeon, one BLAS thread, a box whose speed swings by
-# up to 1.5x between runs hours apart; three processes each), took 43-47 ms
-# at N = 10, 0.14-0.17 s at N = 11 and 0.65-0.66 s at N = 12, at 42, 43 and
-# 44 MB peak RSS. Inputs with translation symmetry visit one block per
-# orbit: on the same box, F_N took 9, 20 and 75-78 ms at N = 10, 11 and 12,
-# and P_N^(1/2) 15-16, 48-52 and 169-197 ms. Beyond this size the caller
-# must opt in explicitly.
+# 6x per step in N here. One s_coefficients call, each in a fresh process
+# (2-core Xeon, one BLAS thread, three processes each; the box's speed swings
+# by up to 1.5x), took 29-37 ms, 114-141 ms and 0.51-0.68 s at N = 10, 11 and
+# 12 on a Haar draw (42-44 MB peak RSS), 7, 16-20 and 57-70 ms on F_N, and
+# 15-18, 36-40 and 150-170 ms on P_N^(1/2), whose translation symmetry lets
+# the kernel visit one block per orbit (at N = 12 over every block: 1.8-1.9 s
+# and 1.3-1.4 s). Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
-# Budget, in float64 elements, for what one sub-chunk of a block class keeps
-# live: 250,000 elements, 2 MB, one core's L2 on the 2-core Xeon the timings
-# here come from. Per matrix, the column Grams (re and im) hold N (N + 1) C
-# elements for C column sets, and building them holds the gathered pairs and
-# their products, 3.5-4 N^2 (N + 1) elements whatever C (tracemalloc, N =
-# 4-8), so a matrix counts as N (N + 1) max(2N, C) elements: building is at
-# most four times that. Per block, a row sub-chunk holds 3 m^2 elements in
-# the closed forms (the 2 x 3 or 2 x 6 gathered Gram entries and at most 6
-# or 15 temporaries of _top_eig_2x2 or _top_eig_3x3; tracemalloc reads
-# peaks of 4 and 12, with or without the bottom eigenvalue) and 8 in the
-# pruned classes (the complement bound, its sum, the keep mask and the
-# indices of the blocks that pass), plus 10 C(N, m) per row set for its
-# squared minors (a level of complex minors, its two gathered operands and
-# their product). The Grams of the blocks that pass go to eigvalsh in pieces
-# of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block holds its complex Gram
-# (2 m^2 elements), its upper triangle's pair positions and real and
-# imaginary parts (1.5 m (m + 1)) and its m eigenvalues, at most 4 m (m + 1).
+# Sizing target, in float64 elements, for what one sub-chunk of a block
+# class keeps live: 250,000 elements, 2 MB, one core's L2 on the 2-core Xeon
+# the timings here come from. The rules below size each part against it, not
+# their sum (last paragraph). Per matrix, the column Grams (re and im) hold
+# N (N + 1) C elements for C column sets, and building them holds the
+# gathered pairs and their products, 3.5-4 N^2 (N + 1) elements whatever C
+# (tracemalloc, N = 4-8), so a matrix counts as N (N + 1) max(2N, C)
+# elements: building is at most four times that. Per block, a row sub-chunk
+# holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
+# entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
+# tracemalloc reads peaks of 4 and 12, with or without the bottom
+# eigenvalue) and 8 in the pruned classes (the complement bound, its sum,
+# the keep mask and the indices of the blocks that pass), plus 10 C(N, m)
+# per row set for its squared minors (a level of complex minors, its two
+# gathered operands and their product). The Grams of the blocks that pass go
+# to eigvalsh in pieces of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block
+# holds its complex Gram (2 m^2 elements), its upper triangle's pair
+# positions and real and imaginary parts (1.5 m (m + 1)) and its m
+# eigenvalues, at most 4 m (m + 1).
 # _block_max sizes the sub-chunks by one of two rules:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
 #   own arrays (best and least per matrix, the indicator, the entry
@@ -176,6 +177,15 @@ MAX_ENUMERATION_DIM = 12
 #   elements a block in the closed forms) and an eigvalsh piece may each
 #   fill the whole budget. A stack of one's row sub-chunks cut to a quarter
 #   made one bounds report at N = 8-10 15-20% slower.
+# So a class may peak above the target. tracemalloc peaks per _block_max
+# call over the memory at entry, on 200 Haar draws at n = 8 and 40 at n = 9:
+# closed forms 0.89-0.90x, pruned classes 1.72x, as the Grams of a batch
+# sub-chunk, built at its first survivor, and the next row sub-chunk's minors
+# and bound may each fill the target. On a stack of one at N = 9-12: closed
+# forms 1.07x, 2.52x, 2.93x and 3.20x, as a row sub-chunk at m^2 elements a
+# block gathers m (m + 1) entries a block and _top_eig_3x3 keeps up to 12
+# temporaries a block (pruned classes 0.65-1.43x). Holding either to the
+# target cost speed or page faults (ROADMAP item 4's dead ends).
 _CHUNK_ELEMENTS = 250_000
 
 
@@ -206,13 +216,21 @@ def max_norm_over_shape(u: np.ndarray, m: int, n: int) -> float:
     return best
 
 
-def _row_col_cumsums(u3: np.ndarray):
-    # Descending cumulative sums of squared moduli along rows and columns;
-    # the squared norm of a 1 x n strip is the sum of the top-n row entries.
+def _strip_maxima(u3: np.ndarray) -> np.ndarray:
+    # Squared norms (batch, N): column k - 1 holds the largest 1 x k or k x 1
+    # strip, 1 x (N - 1) alone at class N (which runs m <= n), and column N - 1
+    # the pinned 1. A 1 x n strip's is the sum of its row's top n squared
+    # moduli. Maxima over rows (columns) go slice by slice, twice as fast as
+    # one reduction over that axis.
+    dim = u3.shape[1]
     absq = np.abs(u3) ** 2
     row_cum = np.cumsum(np.sort(absq, axis=2)[:, :, ::-1], axis=2)
     col_cum = np.cumsum(np.sort(absq.transpose(0, 2, 1), axis=2)[:, :, ::-1], axis=2)
-    return row_cum, col_cum
+    lam = functools.reduce(np.maximum, row_cum.swapaxes(0, 1))
+    cols = functools.reduce(np.maximum, col_cum[:, :, : dim - 2].swapaxes(0, 1))
+    lam[:, : dim - 2] = np.maximum(lam[:, : dim - 2], cols)
+    lam[:, dim - 1] = 1.0
+    return lam
 
 
 @functools.lru_cache(maxsize=256)
@@ -525,17 +543,16 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
 
 @functools.lru_cache(maxsize=64)
 def _class_plan(dim: int, sym: tuple) -> tuple:
-    """The classes ``s_coefficients_batch`` runs at k = 1..N-1, one tuple per k.
+    """The block classes ``s_coefficients_batch`` enumerates, in run order.
 
     ``sym`` is ``_translation_symmetry``'s result as a tuple of bools. Each
-    entry is (m, n, how): how is None for a strip, the source's shape for a
-    class served by its complements, and (rows, cols, low) for a class that
-    ``_block_max`` enumerates over those row and column sets, low marking a
-    source. A self-complementary class is listed twice, enumerated as its
-    own source and then served from itself. The reductions are the module
-    docstring's. Strips run first, then classes by min(m, n): the maximum so
-    far is the floor the m >= 4 classes prune against. Cached, so its arrays
-    are the read-only cached subsets.
+    entry (k, m, n, rows, cols, serves) runs the m x n blocks of class k + 1
+    over those row and column sets; ``serves`` is None, or for a source the
+    k of the class its bottom eigenvalues serve (its own k if it is
+    self-complementary). Entries run by k, then min(m, n), so the floor of
+    an m >= 4 class holds its k's strips, served and smaller classes. The
+    reductions are the module docstring's. Cached, so its arrays are the
+    read-only cached subsets.
     """
     by_rows, by_cols, diagonal = sym
     served = {
@@ -544,16 +561,12 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
         for q in range(m, (dim + 1) // 2)
         for shape, source in (((m, dim - q), (m, q)), ((dim - q, m), (q, m)))
     }
+    sources = {source: sum(shape) - 1 for shape, source in served.items()}
     plan = []
     for k in range(1, dim):
-        entries = []
         # class N runs m <= n only, one of each complementary pair of blocks
-        for m, n in sorted(((m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1), key=min):
-            if m == 1 or n == 1:
-                entries.append((m, n, None))
-                continue
+        for m, n in sorted(((m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1), key=min):
             if (m, n) in served:
-                entries.append((m, n, served[m, n]))
                 continue
             # the diagonal shift alone reduces the smaller side
             reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
@@ -569,10 +582,7 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
                 cols = cols[: math.comb(dim - 1, n - 1)]
             elif own:
                 rows = rows[: math.comb(dim - 1, m - 1)]
-            entries.append((m, n, (rows, cols, own or (m, n) in served.values())))
-            if own:
-                entries.append((m, n, (m, n)))
-        plan.append(tuple(entries))
+            plan.append((k, m, n, rows, cols, k if own else sources.get((m, n))))
     return tuple(plan)
 
 
@@ -592,8 +602,9 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
     exceeds the maximum over the listed blocks and equals it wherever that
     maximum is above ``floor2``. A zero floor keeps every block.
 
-    With ``low`` (min(m, n) = 2 or 3 only), also returns each matrix's least
-    bottom eigenvalue over the same blocks, which a complement class reads.
+    Returns (best, least) per matrix: that maximum, and with ``low``
+    (min(m, n) = 2 or 3 only) the least bottom eigenvalue over the same
+    blocks, which a source's complements read, else inf.
     """
     if m > n:
         u3, m, n, rows, cols = np.swapaxes(u3, 1, 2), n, m, cols, rows
@@ -658,7 +669,7 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
                 idx = entries[:, r0 + r[k0 : k0 + gstep]]
                 g = _upper_triangles(re[kb, idx, kc], im[kb, idx, kc], m)
                 np.maximum.at(best, b0 + kb, _top_eig_eigvalsh(g))
-    return (best, least) if low else best
+    return best, least
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
@@ -729,31 +740,19 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
 
     The trusted entry, and the only enumeration: it checks the stack's
     shape but assumes every matrix is unitary (the Haar sampler and
-    ``_checked_coefficients`` feed it) and does not limit N. Semiperimeter class
-    N + 1 is pinned to exactly 1, and classes 2..N run the entries of
-    ``_class_plan`` for the symmetry every matrix of the stack shares. A
-    chain that needs a repair larger than UNITARITY_TOL to be monotone and
-    <= 1 raises ValueError.
+    ``_checked_coefficients`` feed it) and does not limit N. The strips fill
+    every k, class N + 1 is pinned to exactly 1, and each entry of
+    ``_class_plan``, for the symmetry the whole stack shares, raises its k
+    and a source's ``serves``. A chain that needs a repair larger than
+    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
-    if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2]:
+    if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
         raise ValueError("expected a stack of square matrices")
-    batch, dim = u_batch.shape[0], u_batch.shape[1]
-    row_cum, col_cum = _row_col_cumsums(u_batch)
-    least = {}  # each source class's least bottom eigenvalue per matrix
-    s = np.zeros((batch, dim))
-    s[:, dim - 1] = 1.0
-    for k, entries in enumerate(_class_plan(dim, tuple(_translation_symmetry(u_batch).tolist())), 1):
-        best = np.zeros(batch)  # squared norms
-        for m, n, how in entries:
-            if how is None:
-                lam = (row_cum[:, :, n - 1] if m == 1 else col_cum[:, :, m - 1]).max(axis=1)
-            elif len(how) == 2:
-                lam = 1.0 - least[how]
-            elif how[2]:
-                lam, least[m, n] = _block_max(u_batch, m, n, best, how[0], how[1], low=True)
-            else:
-                lam = _block_max(u_batch, m, n, best, how[0], how[1])
-            best = np.maximum(best, lam)
-        s[:, k - 1] = np.sqrt(best)
-    return _finalize(s)
+    lam = _strip_maxima(u_batch)
+    for k, m, n, rows, cols, serves in _class_plan(u_batch.shape[1], tuple(_translation_symmetry(u_batch).tolist())):
+        best, least = _block_max(u_batch, m, n, lam[:, k - 1], rows, cols, low=serves is not None)
+        lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
+        if serves is not None:
+            lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
+    return _finalize(np.sqrt(lam))

@@ -143,6 +143,13 @@ def test_require_unitary_messages():
         eub.dephase(np.array([np.eye(2)] * 2))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 0, 0)])
+def test_require_unitary_refuses_an_empty_dimension(shape):
+    # N = 0, one matrix or a stack, empty or not, fails the square-shape rule
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(" + ", ".join(map(str, shape))):
+        require_unitary(np.zeros(shape))
+
+
 def test_submatrix_basic():
     m = np.arange(12.0).reshape(3, 4)
     s = submatrix(m, [0, 2], [1, 3])

@@ -40,9 +40,9 @@ def _oracle_s(u):
 
 
 def _all_blocks(u3, m, n, floor2):
-    # _block_max over every m x n block, as for an input without symmetry
+    # _block_max's maximum over every m x n block, as for an input without symmetry
     dim = u3.shape[1]
-    return submatrices._block_max(u3, m, n, floor2, _combinations(dim, m), _combinations(dim, n))
+    return submatrices._block_max(u3, m, n, floor2, _combinations(dim, m), _combinations(dim, n))[0]
 
 
 def _direct_sum(*blocks):
@@ -362,14 +362,20 @@ def _head(a, dim, k):
     return a is table or a.base is table and np.array_equal(a, table[: len(a)])
 
 
-def _enumerated(plan):
-    # the plan's enumerated classes in run order, (m, n, rows, cols, low)
-    return [(m, n, *how) for entries in plan for m, n, how in entries if how is not None and len(how) == 3]
+def _classes(plan):
+    # the plan's classes, {shape: (rows, cols)}
+    return {(m, n): (rows, cols) for _, m, n, rows, cols, _ in plan}
 
 
 def _served(plan):
-    # the plan's served classes, {shape: source}
-    return {(m, n): how for entries in plan for m, n, how in entries if how is not None and len(how) == 2}
+    # the served classes, {shape: source}: a source serves the class at k =
+    # serves of its column complements, (m, N - n), if m <= n, else of its
+    # row complements, (N - m, n); a self-complementary class serves itself
+    return {
+        ((m, serves + 1 - m) if m <= n else (serves + 1 - n, n)): (m, n)
+        for _, m, n, _, _, serves in plan
+        if serves is not None
+    }
 
 
 def _plan_of(u3):
@@ -382,14 +388,13 @@ def test_class_loop_runs_each_block_shape_once(dim):
     """Classes below N run every block shape but the served ones; class N
     runs m <= n only. Only the sources take their bottom eigenvalues."""
     plan = _plan_of(haar_unitary(dim, RngSeed(SEED + 1180 + dim))[None])
-    runs = _enumerated(plan)
-    shapes = {(m, n): (rows, cols) for m, n, rows, cols, _ in runs}
+    shapes = _classes(plan)
     below = [(m, k - m) for k in range(4, dim) for m in range(2, k - 1)]
     at_n = [(m, dim - m) for m in range(2, dim // 2 + 1)]
     served = SERVED[dim]
     assert _served(plan) == served
-    assert len(runs) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - (set(served) - _own(served)))
-    assert {(m, n) for m, n, _, _, low in runs if low} == set(served.values())
+    assert len(plan) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - (set(served) - _own(served)))
+    assert {(m, n) for _, m, n, _, _, serves in plan if serves is not None} == set(served.values())
 
     def halved(sets, k):
         # the k-subsets containing index 0, one of each complementary pair
@@ -416,14 +421,19 @@ REACHABLE_SYMMETRIES = [(0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 @pytest.mark.parametrize("sym", REACHABLE_SYMMETRIES)
 @pytest.mark.parametrize("dim", range(2, 13))
 def test_class_plan_lists_each_shape_once(dim, sym):
-    """Each shape of classes 2..N once (class N with m <= n only), but a
-    self-complementary one, enumerated and then served from itself; sources
-    enumerated before the classes they serve, strips first, min(m, n) never
-    falling, and the row and column set counts of the reductions."""
+    """Only enumerated classes, each once, by k, then min(m, n): at each k
+    the plan's classes and the classes its sources serve are every shape of
+    class k + 1 but the strips (class N with m <= n only), overlapping only
+    in the self-complementary classes, which serve their own k; any other
+    source serves a larger k, with its complements. Also the row and column
+    set counts of the reductions."""
     sym = tuple(bool(x) for x in sym)
     plan = submatrices._class_plan(dim, sym)
-    assert len(plan) == dim - 1
-    enumerated = {(m, n): (rows, cols, low) for m, n, rows, cols, low in _enumerated(plan)}
+    enumerated = _classes(plan)
+    assert len(enumerated) == len(plan)
+    assert all(k == m + n - 1 and min(m, n) >= 2 for k, m, n, *_ in plan)
+    order = [(k, min(m, n)) for k, m, n, *_ in plan]
+    assert order == sorted(order)
     by_rows, by_cols, diagonal = sym
 
     def reduced(m, n):
@@ -436,33 +446,26 @@ def test_class_plan_lists_each_shape_once(dim, sym):
         reduce_rows, reduce_cols = reduced(m, n)
         return min(m, n) <= 3 and (not reduce_cols if 2 * n == dim else 2 * m == dim and not reduce_rows)
 
-    for k, entries in enumerate(plan, 1):
-        shapes = [(m, n) for m, n, how in entries if not (how is not None and len(how) == 2 and how == (m, n))]
-        want = {(m, k + 1 - m) for m in range(1, k + 1) if k + 1 < dim or 2 * m <= k + 1}
-        assert len(shapes) == len(want) and set(shapes) == want, k
-        sides = [min(m, n) for m, n, _ in entries]
-        assert sides == sorted(sides), k
-        for i, (m, n, how) in enumerate(entries):
-            assert (how is None) == (min(m, n) == 1), (m, n)
-            if how is not None and len(how) == 2:
-                # served: from the (2 or 3, N - n) column complements or the
-                # (N - m, 2 or 3) row complements
-                assert how in ((m, dim - n), (dim - m, n)) and min(m, n) <= 3, (m, n)
-                assert (how == (m, dim - n)) == (m <= 3 and n >= dim - n and (how != (m, n) or 2 * n == dim)), (m, n)
-                assert enumerated[how][2], (m, n, how)
-                if how == (m, n):
-                    # self-served right after its own enumeration
-                    assert own(m, n) and entries[i - 1][:2] == (m, n) and len(entries[i - 1][2]) == 3, (m, n)
-                else:
-                    assert sum(how) - 1 < k, (m, n, how)
     served = _served(plan)
-    assert {shape for shape, (_, _, low) in enumerated.items() if low} == set(served.values())
+    for k in range(1, dim):
+        runs = {(m, n) for m, n in enumerated if m + n == k + 1}
+        serve = {(m, n) for m, n in served if m + n == k + 1}
+        want = {(m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1}
+        assert runs | serve == want and runs & serve == _own(served) & want, k
+    for k, m, n, _, _, serves in plan:
+        if serves is None:
+            continue
+        assert (serves == k) == own(m, n) and serves >= k, (m, n, serves)
+        # from the (2 or 3, N - n) column complements or the (N - m, 2 or
+        # 3) row complements
+        shape = next(a for a, b in served.items() if b == (m, n))
+        assert shape in ((m, dim - n), (dim - m, n)) and min(shape) <= 3, (m, n, shape)
     assert _own(served) == {shape for shape in enumerated if own(*shape)}
     if dim in SERVED:
         assert {a: b for a, b in served.items() if a != b} == {a: b for a, b in SERVED[dim].items() if a != b}
         if not any(sym):
             assert served == SERVED[dim]
-    for (m, n), (rows, cols, _) in enumerated.items():
+    for (m, n), (rows, cols) in enumerated.items():
         reduce_rows, reduce_cols = reduced(m, n)
         # the half class of class N, and the halved side of a self-complementary class
         half_rows = 2 * m == dim == m + n and not reduce_rows or own(m, n) and 2 * n != dim
@@ -487,24 +490,27 @@ BLOCK_MAX_INPUTS = {
 
 @pytest.mark.parametrize("name", list(BLOCK_MAX_INPUTS))
 def test_kernel_runs_the_plan(name, monkeypatch):
-    """_block_max is called on exactly the plan's enumerated classes, in
-    order, with the plan's own arrays, and with low by keyword for the
-    sources only."""
+    """_block_max is called once on each entry of the plan, in order, with
+    the plan's own arrays, the squared norms so far at the entry's k as the
+    floor, and low set by keyword for the sources only."""
     u3 = np.asarray(BLOCK_MAX_INPUTS[name], dtype=complex)[None]
     calls = []
     block_max = submatrices._block_max
 
     def spy(u3, m, n, floor2, rows, cols, **kw):
-        calls.append((m, n, rows, cols, kw))
+        calls.append((m, n, rows, cols, floor2.copy(), kw))
         return block_max(u3, m, n, floor2, rows, cols, **kw)
 
     monkeypatch.setattr(submatrices, "_block_max", spy)
-    s_coefficients_batch(u3)
-    want = _enumerated(_plan_of(u3))
+    s = s_coefficients_batch(u3)
+    strips = submatrices._strip_maxima(u3)
+    want = _plan_of(u3)
     assert len(calls) == len(want)
-    for (m, n, rows, cols, kw), (pm, pn, prows, pcols, low) in zip(calls, want):
+    for (m, n, rows, cols, floor2, kw), (k, pm, pn, prows, pcols, serves) in zip(calls, want):
         assert (m, n) == (pm, pn) and rows is prows and cols is pcols, (m, n)
-        assert kw == ({"low": True} if low else {}), (m, n)
+        assert kw == {"low": serves is not None}, (m, n)
+        # at least the strips, and never above the final s_k
+        assert strips[0, k - 1] <= floor2[0] <= s[0, k - 1] ** 2 * (1.0 + 4 * np.finfo(float).eps), (m, n)
 
 
 def test_pruning_keeps_a_rank_one_maximum():
@@ -559,7 +565,7 @@ def _visited(plan, dim, m, n):
     def flip(sets):
         return [full - set(x) for x in sets]
 
-    enumerated = {(a, b): (rows, cols) for a, b, rows, cols, _ in _enumerated(plan)}
+    enumerated = _classes(plan)
     served = _served(plan)
     if (m, n) not in enumerated and (m, n) not in served:
         assert m + n == dim and m > n, (m, n)
@@ -609,7 +615,7 @@ def _path(u3):
     # complementary pair in class N's (N/2, N/2) and in a self-complementary
     # class), "reduced" when all visit fewer
     dim = u3.shape[1]
-    seen = [_head(rows, dim, m) and _head(cols, dim, n) for m, n, rows, cols, _ in _enumerated(_plan_of(u3))]
+    seen = [_head(rows, dim, m) and _head(cols, dim, n) for _, m, n, rows, cols, _ in _plan_of(u3)]
     assert seen and (all(seen) or not any(seen))
     return "full" if all(seen) else "reduced"
 
@@ -699,8 +705,7 @@ def _served_lambda(u, shape, sym):
     # self-complementary class the larger of that and its own maximum
     plan = submatrices._class_plan(len(u), tuple(sym.tolist()))
     source = _served(plan)[shape]
-    rows, cols, low = {(m, n): how for m, n, *how in _enumerated(plan)}[source]
-    assert low
+    rows, cols = _classes(plan)[source]
     top, least = submatrices._block_max(u[None], *source, np.zeros(1), rows, cols, low=True)
     return max(top[0], 1.0 - least[0]) if source == shape else 1.0 - least[0]
 
@@ -790,14 +795,14 @@ def _near_tolerance(u, seed, frac=0.7):
 
 
 def _enumerated_plan(dim, sym, plan=submatrices._class_plan):
-    # the plan with every served class enumerated over every block, and no
-    # source taking its bottom eigenvalues; for inputs without symmetry
-    def every_block(m, n, how):
-        if how is None:
-            return how
-        return (_combinations(dim, m), _combinations(dim, n), False) if len(how) == 2 else (*how[:2], False)
-
-    return tuple(tuple((m, n, every_block(m, n, how)) for m, n, how in entries) for entries in plan(dim, sym))
+    # the plan with every served class, a self-complementary one too,
+    # enumerated over every block at its k, and no source taking its bottom
+    # eigenvalues; for inputs without symmetry
+    entries = plan(dim, sym)
+    served = _served(entries)
+    every = [(k, m, n, rows, cols, None) for k, m, n, rows, cols, _ in entries if (m, n) not in served]
+    every += [(m + n - 1, m, n, _combinations(dim, m), _combinations(dim, n), None) for m, n in served]
+    return tuple(sorted(every, key=lambda entry: (entry[0], min(entry[1:3]))))
 
 
 @pytest.mark.parametrize("dim", range(4, 9))
@@ -1212,6 +1217,38 @@ def test_batch_refuses_non_finite_input(n, value):
 def test_batch_takes_an_empty_stack():
     for n in (3, 5):
         assert s_coefficients_batch(np.zeros((0, n, n), dtype=complex)).shape == (0, n)
+
+
+def test_entries_refuse_an_empty_dimension():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        s_coefficients(np.zeros((0, 0)))
+    for batch in (0, 1):
+        with pytest.raises(ValueError, match="expected a stack of square matrices"):
+            s_coefficients_batch(np.zeros((batch, 0, 0)))
+
+
+STRIP_INPUTS = {
+    "haar": lambda dim: haar_unitary(dim, RngSeed(SEED + 1700 + dim)),
+    "F": fourier_matrix,
+    "I": lambda dim: np.eye(dim, dtype=complex),
+    "P^(1/2)": lambda dim: permutation_power(dim, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(STRIP_INPUTS))
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_strip_maxima_match_the_oracle(dim, name):
+    """Column k - 1 of the strip step is the largest squared norm over the
+    1 x k and k x 1 shapes for k + 1 < N, over 1 x (N - 1) alone at class
+    N, and 1 at class N + 1; a stack's rows are those of each matrix alone."""
+    u = STRIP_INPUTS[name](dim)
+    got = submatrices._strip_maxima(u[None])[0]
+    want = [max(max_norm_over_shape(u, 1, k), max_norm_over_shape(u, k, 1)) ** 2 for k in range(1, dim - 1)]
+    want += [max_norm_over_shape(u, 1, dim - 1) ** 2, 1.0]
+    assert got.shape == (dim,) and np.allclose(got, want, rtol=0, atol=1e-14), got - want
+    assert got[-1] == 1.0
+    stack = np.stack([u, haar_unitary(dim, RngSeed(SEED + 1710 + dim))])
+    assert np.array_equal(submatrices._strip_maxima(stack)[0], got)
 
 
 def test_batch_agrees_with_oracle():
