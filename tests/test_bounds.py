@@ -162,15 +162,6 @@ def test_stacked_ladder_rows_match_single_reports():
                 assert float(rep.b_mu[i]).hex() == one.b_mu.hex()
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
-def test_mu_and_ladder_refuse_an_empty_dimension(shape):
-    with pytest.raises(ValueError, match="expected a square matrix"):
-        bound_mu(np.zeros(shape))
-    if len(shape) == 2:
-        with pytest.raises(ValueError, match="expected a square matrix"):
-            bound_ladder(np.zeros(shape), 1.0)
-
-
 @pytest.mark.parametrize("alpha", [float("nan"), -2.0, -math.inf])
 def test_ladder_rejects_bad_order_at_every_n(alpha):
     # N = 1 has no rungs, so the order is checked before any is evaluated
