@@ -124,6 +124,12 @@ def command_set(workdir: str) -> list:
              "--gap-hist", os.path.join(workdir, f"gap_hist_n{n}.csv")],
             ["fuzz", "--n", str(n), "--pairs", "2000"],
         ]
+    # an ensemble at the first size with a pruned class of more rows than
+    # columns below class N, (5, 4), which runs batched on the transposes
+    commands.append(
+        ["mc", "--n", "10", "--samples", "16", "--seed", "3",
+         "--gap-hist", os.path.join(workdir, "gap_hist_n10.csv")]
+    )
     # ensembles at the sizes of the 3 x 3 Cardano classes with a column
     # complement: at n = 6 the (3, 3) class is its own, and at n = 7 the
     # (3, 4) class is that of (3, 3)
