@@ -601,7 +601,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 65
+    assert len(pinned) == 67
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -610,7 +610,8 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # translation symmetry, F8 with rows and columns permuted, which loses
     # it, and F8 with only its rows or only its columns permuted, which
     # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
-    # for the n = 8 ensembles, which run the pruned classes batched, 3 for
+    # for the n = 8 ensembles, which run the pruned classes batched, 2 for
+    # the n = 10 ensemble, whose (5, 4) class runs on the transposes, 3 for
     # the n = 5 ensembles, which take the (2, 3) class from its blocks'
     # complements, 3 for the n = 6 and 7 ensembles, whose 3 x 3 classes have
     # column complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
@@ -618,7 +619,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # orders other than 1, 2 for the sweeps at orders 0, 1/2, 2 and -0, 2
     # for verify at seed 1 and the chunked classical samples, and 4 for the
     # refused inputs, last
-    assert len(first) == 56
+    assert len(first) == 58
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first
@@ -626,6 +627,31 @@ def test_cli_digests_rerun_identical(monkeypatch):
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert first == [by_argv[line.split("  ", 2)[2]] for line in first]
+
+
+def test_cli_digests_large_bounds_match_pinned(tmp_path):
+    """The bounds reports at N = 10-12, which the rerun test leaves out,
+    print their pinned lines, on the build they were pinned on."""
+    tool = _load_tool("cli_digests")
+    header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
+    if header != tool.environment():
+        pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
+    workdir = str(tmp_path)
+    large = {
+        f"{name}{n}.json"
+        for name, dims in (
+            ("haar", tool.HAAR_DIMS), ("fourier", tool.FOURIER_DIMS),
+            ("perm_half", tool.PERM_HALF_DIMS), ("perm_third", tool.PERM_THIRD_DIMS),
+        )
+        for n in dims
+        if n >= 10
+    }
+    commands = [argv for argv in tool.command_set(workdir) if argv[0] == "bounds" and Path(argv[2]).name in large]
+    # Haar 10-12, F10, F12, P10^(1/2)-P12^(1/2) and P10^(1/3)
+    assert len(commands) == len(large) == 9
+    lines = tool.digest_lines(commands, workdir)
+    by_argv = {line.split("  ", 2)[2]: line for line in pinned}
+    assert lines == [by_argv[line.split("  ", 2)[2]] for line in lines]
 
 
 
