@@ -46,22 +46,22 @@ import numpy as np
 # 3 r for a three-row set. So those classes' squared norms are within 2 or
 # 3 UNITARITY_TOL of enumeration's. The (n, 2) and (n, 3) classes, taken by
 # row complements, have r of U^dag U - I instead, which no check reads; it
-# is at most |U^dag U - I|_2 = |U U^dag - I|_2 <= N UNITARITY_TOL. The first
-# pruning tier of the m >= 4 classes takes that N UNITARITY_TOL as its bound
-# on |E|_2 either way round, so its bound holds for every input within this
-# tolerance and s keeps its bits.
+# is at most |U^dag U - I|_2 = |U U^dag - I|_2 <= N UNITARITY_TOL. The
+# complement bound that prunes the m >= 4 classes takes that N UNITARITY_TOL
+# as its bound on |E|_2 either way round, so it holds for every input within
+# this tolerance and s keeps its bits.
 UNITARITY_TOL = 1e-10
 # The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
 # 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1), and the
 # bottom one q + 2p cos(acos(r)/3 + 2 pi/3) as 1/sqrt(1 - r) when the bottom
-# eigenvalue is nearly double (r -> +1). Grams with 1 + r, or 1 - r where
-# the bottom root is taken, below this gap are recomputed with eigvalsh,
-# which bounds the closed form's error to a few ulps of the Gram's trace.
+# eigenvalue is nearly double (r -> +1). Grams with 1 + r or 1 - r below
+# this gap are recomputed with eigvalsh, which bounds the closed form's
+# error to a few ulps of the Gram's trace.
 # Read by submatrices.
 CARDANO_MIN_GAP = 1e-2
-# A block of an m >= 4 submatrix class goes to eigvalsh unless one of its
-# upper bounds on the top Gram eigenvalue (from the complementary columns'
-# minors, or a power trace) falls short of the class threshold by more than
+# A block of an m >= 4 submatrix class goes to eigvalsh unless its upper
+# bound on the top Gram eigenvalue, from the squared minors of its
+# complementary columns, falls short of the class threshold by more than
 # this relative margin. The bounds and eigvalsh each round at about 1e-15
 # relative, or 1e-12 absolute for the sums of squared minors, so the block
 # that attains the class maximum always passes. Read by submatrices.

@@ -13,16 +13,19 @@ each enumerated class raises its own k by its largest block-Gram top
 eigenvalue, and s = sqrt(lambda) is taken at the end; sqrt is monotone and
 correctly rounded, so that is the largest norm. A block's Gram is a
 principal submatrix of the N x N Gram of its column set, and one matmul
-against a 0/1 indicator matrix gives those for every column set. Top
-eigenvalues of 2x2 and 3x3 Grams are taken in closed form (3x3 by the
-trigonometric Cardano form, with an eigvalsh fallback near a double top
-eigenvalue), larger ones by eigvalsh. Each class runs over sub-chunks of
-the stack's matrices and of its row sets, sized against _CHUNK_ELEMENTS,
-about one core's L2 cache, a target that a class may exceed (see there).
-Chunking never changes s, since every block's value is computed on its own
-and a class keeps only each matrix's maximum.
+against a 0/1 indicator matrix gives those for every column set. A class
+runs one of two kernels, on U, or on U^T where its blocks have more rows
+than columns. ``_closed_form_max`` runs the classes with min(m, n) = 2 or
+3 and takes the top and bottom eigenvalues of their Grams in closed form
+(3x3 by the trigonometric Cardano form, with an eigvalsh fallback near a
+double eigenvalue); ``_pruned_max`` runs the larger ones through eigvalsh.
+Each runs over sub-chunks of the stack's matrices and of its row sets,
+sized against _CHUNK_ELEMENTS, about one core's L2 cache, a target that a
+class may exceed (see there). Chunking never changes s, since every
+block's value is computed on its own and a class keeps only each matrix's
+maximum.
 
-Classes with min(m, n) >= 4 are pruned before eigvalsh, since only each
+``_pruned_max`` prunes its blocks before eigvalsh, since only each
 class's maximum is used, in one pass over sub-chunks of row sets. The test
 keeps the blocks whose upper bound ub on lambda_max reaches the floor
 within PRUNE_SLACK (a NaN bound is kept). It bounds a block (R, C), |R| =
@@ -48,9 +51,14 @@ is a sum of products of entries of modulus at most 1), so it always
 survives. The floor enters only that test, never the returned maximum.
 
 ``_class_plan`` lists, once per N and translation symmetry, each class the
-kernel enumerates, once, with the row and column sets it visits; strips
-and the classes served by complements (below) have no entry. The sets come
-from four reductions. Two are exact: every shape with m + n > N contains a
+kernels enumerate, once, with the row and column sets it visits; strips
+and the classes served by complements (below) have no entry. Each entry
+also carries the tables its kernel reads, in the kernel's orientation
+(row and column sets swapped for U^T): the column sets' indicator matrix,
+each row set's pair positions in the N x N Grams, and for a pruned class
+the ranks of its complement sets. They are built with the plan and cached
+with it, so a call builds none of them. The sets come from four
+reductions. Two are exact: every shape with m + n > N contains a
 full row or column of some unitary completion and has norm exactly 1, and
 at m + n = N a block and its complementary block share their largest
 singular value, so class N runs m <= n only and the shape (N/2, N/2) runs
@@ -91,13 +99,14 @@ least 1 minus its least bottom eigenvalue before any class of that k runs.
 A closed-form class whose column complement has its own shape, (2, N/2),
 (3, N/2) and their transposes (by row complements), is self-complementary,
 its own source (``serves`` its own k): it visits only the column (row)
-sets containing index 0 and takes both roots, the bottom ones serving the
-complementary sets, unless a translation symmetry already reduces that
-side. Under a translation symmetry the complements of one block per orbit
-are again one block per orbit. ``_top_eig_2x2`` and ``_top_eig_3x3``
-return the bottom eigenvalue from the same terms as the top one, so the
-sources' own maxima keep their bits, and s moves only at the k of a served
-or self-complementary class, by at most 2 r or 3 r in lambda (see
+sets containing index 0, the bottom roots serving the complementary sets,
+unless a translation symmetry already reduces that side. Under a
+translation symmetry the complements of one block per orbit are again one
+block per orbit. ``_top_eig_2x2`` and ``_top_eig_3x3`` return both roots
+and ``_closed_form_max`` takes both on every class; only the sources' are
+read (the closed-form classes that serve none are those that F_N's three
+shifts reduce at even N). So s moves only at the k of a served or
+self-complementary class, by at most 2 r or 3 r in lambda (see
 UNITARITY_TOL). The Cardano bottom root loses accuracy near a double
 bottom eigenvalue as the top one does near a double top, and has an
 eigvalsh fallback of its own (see CARDANO_MIN_GAP).
@@ -148,8 +157,8 @@ MAX_ENUMERATION_DIM = 12
 # elements: building is at most four times that. Per block, a row sub-chunk
 # holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
-# tracemalloc reads peaks of 4 and 12, with or without the bottom
-# eigenvalue) and 8 in the pruned classes (the complement bound, its sum,
+# tracemalloc reads peaks of 4 and 12, both roots taken) and 8 in the
+# pruned classes (the complement bound, its sum,
 # the keep mask and the indices of the blocks that pass), plus 10 C(N, m)
 # per row set for its squared minors (a level of complex minors, its two
 # gathered operands and their product). The Grams of the blocks that pass go
@@ -157,10 +166,12 @@ MAX_ENUMERATION_DIM = 12
 # holds its complex Gram (2 m^2 elements), its upper triangle's pair
 # positions and real and imaginary parts (1.5 m (m + 1)) and its m
 # eigenvalues, at most 4 m (m + 1).
-# _block_max sizes the sub-chunks by one of two rules:
+# _closed_form_max sizes its sub-chunks by the first of two rules on a stack
+# of two or more matrices and by the second on a stack of one; _pruned_max
+# always by the second:
 # - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
-#   own arrays (best and least per matrix, the indicator, the entry
-#   positions) come off the budget first. A batch sub-chunk's Grams take at
+#   own arrays (best and least per matrix, and the plan's indicator and
+#   entry positions) come off the budget first. A batch sub-chunk's Grams take at
 #   most a quarter of the rest, so that building them fits it, and its row
 #   sub-chunks take what the Grams leave. A row sub-chunk's eigenvalues are
 #   freed before the next one gathers, or the next batch sub-chunk builds
@@ -177,14 +188,15 @@ MAX_ENUMERATION_DIM = 12
 #   elements a block in the closed forms) and an eigvalsh piece may each
 #   fill the whole budget. A stack of one's row sub-chunks cut to a quarter
 #   made one bounds report at N = 8-10 15-20% slower.
-# So a class may peak above the target. tracemalloc peaks per _block_max
-# call over the memory at entry, on 200 Haar draws at n = 8 and 40 at n = 9:
-# closed forms 0.89-0.90x, pruned classes 1.72x, as the Grams of a batch
-# sub-chunk, built at its first survivor, and the next row sub-chunk's minors
-# and bound may each fill the target. On a stack of one at N = 9-12: closed
-# forms 1.07x, 2.52x, 2.93x and 3.20x, as a row sub-chunk at m^2 elements a
-# block gathers m (m + 1) entries a block and _top_eig_3x3 keeps up to 12
-# temporaries a block (pruned classes 0.65-1.43x). Holding either to the
+# So a class may peak above the target. tracemalloc peaks per kernel call
+# over the memory at entry, on 200 Haar draws at n = 8 and 40 at n = 9:
+# closed forms 0.89x, pruned classes 1.71x, as the Grams of a batch
+# sub-chunk (freed before the next one builds its own) and a row
+# sub-chunk's minors and bound may each fill the target. On a stack of one
+# at N = 9-12: closed forms 1.06x, 2.51x, 2.91x and 3.16x, as a row
+# sub-chunk at m^2 elements a block gathers m (m + 1) entries a block and
+# _top_eig_3x3 keeps up to 12 temporaries a block (pruned classes
+# 0.68-1.33x). Holding either to the
 # target cost speed or page faults (ROADMAP item 4's dead ends).
 _CHUNK_ELEMENTS = 250_000
 
@@ -233,12 +245,17 @@ def _strip_maxima(u3: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _read_only(*arrays):
+    # Marks arrays kept in a cache read-only; returns the one array, or all
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
 @functools.lru_cache(maxsize=256)
 def _combinations(dim: int, k: int) -> np.ndarray:
     # Every k-subset of range(dim), one per row; cached, so read-only.
-    out = np.array(list(itertools.combinations(range(dim), k)), dtype=int)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.array(list(itertools.combinations(range(dim), k)), dtype=int))
 
 
 @functools.lru_cache(maxsize=256)
@@ -251,9 +268,7 @@ def _necklaces(dim: int, k: int) -> np.ndarray:
     masks = (1 << combos).sum(axis=1, keepdims=True)
     r = np.arange(dim)
     turns = ((masks << r) | (masks >> (dim - r))) & ((1 << dim) - 1)
-    out = combos[masks[:, 0] == turns.min(axis=1)]
-    out.setflags(write=False)
-    return out
+    return _read_only(combos[masks[:, 0] == turns.min(axis=1)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,9 +278,7 @@ def _triu(dim: int):
     iu, ju = np.triu_indices(dim)
     pos = np.zeros((dim, dim), dtype=int)
     pos[iu, ju] = np.arange(iu.size)
-    for a in (iu, ju, pos):
-        a.setflags(write=False)
-    return iu, ju, pos
+    return _read_only(iu, ju, pos)
 
 
 def _indicator(dim: int, cols: np.ndarray) -> np.ndarray:
@@ -294,22 +307,20 @@ def _column_grams(u3: np.ndarray, indicator: np.ndarray):
     return (ar * br + ai * bi) @ indicator, (ai * br - ar * bi) @ indicator
 
 
-def _top_eig_2x2(re, im, low=False):
-    # lambda_max = h + r; with low, also lambda_min = h - r from the same h
-    # and r, so lambda_max has the same bits either way
+def _top_eig_2x2(re, im):
+    # (lambda_max, lambda_min) = h + r, h - r
     a, d = re[0], re[2]
     h = 0.5 * (a + d)
     r = np.sqrt(0.25 * (a - d) ** 2 + re[1] ** 2 + im[1] ** 2)
-    return (h + r, h - r) if low else h + r
+    return h + r, h - r
 
 
-def _top_eig_3x3(re, im, low=False):
+def _top_eig_3x3(re, im):
     # Trigonometric form of the cubic's roots (O. K. Smith, CACM 4(4), 1961):
     # with q = tr/3 and 6 p^2 = |G - qI|_F^2, lambda_max = q + 2p cos(phi) and
     # lambda_min = q + 2p cos(phi + 2 pi/3), where cos(3 phi) = r = det(G - qI)
-    # / (2 p^3) and 0 <= phi <= pi/3. With low, also returns lambda_min, from
-    # the same q, p and phi, so lambda_max has the same bits either way. The
-    # triu entries are (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
+    # / (2 p^3) and 0 <= phi <= pi/3; returns the two. The triu entries are
+    # (0,0), (0,1), (0,2), (1,1), (1,2), (2,2).
     q = (re[0] + re[3] + re[5]) / 3.0
     x, y, z = re[0] - q, re[3] - q, re[5] - q
     a01 = re[1] ** 2 + im[1] ** 2
@@ -328,18 +339,15 @@ def _top_eig_3x3(re, im, low=False):
     # Near r = -1 the top eigenvalue is nearly double and d(lambda)/dr blows up
     # as 1/sqrt(1 + r), and near r = +1 the bottom one, as 1/sqrt(1 - r);
     # p = 0 (G = qI) gives r = NaN, which fails both tests.
-    redo = bad = ~(r > CARDANO_MIN_GAP - 1.0)
-    if low:
-        phi += 2.0 * np.pi / 3.0
-        bottom = q + 2.0 * p * np.cos(phi)
-        bad_low = ~(r < 1.0 - CARDANO_MIN_GAP)
-        redo = bad | bad_low
+    phi += 2.0 * np.pi / 3.0
+    bottom = q + 2.0 * p * np.cos(phi)
+    bad_top, bad_bottom = ~(r > CARDANO_MIN_GAP - 1.0), ~(r < 1.0 - CARDANO_MIN_GAP)
+    redo = bad_top | bad_bottom
     if redo.any():
         eig = np.linalg.eigvalsh(_upper_triangles(re[:, redo], im[:, redo], 3), UPLO="U")
-        lam[bad] = eig[bad[redo], -1]
-        if low:
-            bottom[bad_low] = eig[bad_low[redo], 0]
-    return (lam, bottom) if low else lam
+        lam[bad_top] = eig[bad_top[redo], -1]
+        bottom[bad_bottom] = eig[bad_bottom[redo], 0]
+    return lam, bottom
 
 
 def _upper_triangles(re, im, m):
@@ -369,10 +377,7 @@ def _mask_order(dim: int, k: int):
     # each in _combinations order; cached, so read-only.
     masks = (1 << _combinations(dim, k)).sum(axis=1)
     order = np.argsort(masks)
-    out = masks[order], order
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return _read_only(masks[order], order)
 
 
 def _subset_rank(dim: int, subsets: np.ndarray) -> np.ndarray:
@@ -387,13 +392,10 @@ def _laplace_index(dim: int, k: int):
     # j < k: the column S[j], and the rank of S without it among the
     # (k - 1)-subsets, shape (k, C(dim, k)) each; cached, so read-only.
     combos = _combinations(dim, k)
-    out = (
+    return _read_only(
         np.ascontiguousarray(combos.T),
         np.stack([_subset_rank(dim, np.delete(combos, j, axis=1)) for j in range(k)]),
     )
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 def _squared_minors(u3: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -446,8 +448,7 @@ def _complement_bound(u3: np.ndarray, rows: np.ndarray, sets: np.ndarray) -> np.
 
 # Generators of the translations the kernel looks for, as (row, column)
 # shifts: the rows alone, the columns alone, and both at once.
-_SHIFTS = np.array([(1, 0), (0, 1), (1, 1)])
-_SHIFTS.setflags(write=False)
+_SHIFTS = _read_only(np.array([(1, 0), (0, 1), (1, 1)]))
 
 
 def _translation_symmetry(u3: np.ndarray) -> np.ndarray:
@@ -478,9 +479,7 @@ def _shift_index(dim: int) -> np.ndarray:
     shift = _SHIFTS[:, None, :] * np.arange(1, dim)[:, None]
     idx = np.arange(dim)
     rows, cols = (idx + shift[..., :1]) % dim, (idx + shift[..., 1:]) % dim
-    out = (rows[..., :, None] * dim + cols[..., None, :]).reshape(len(_SHIFTS), dim - 1, dim * dim)
-    out.setflags(write=False)
-    return out
+    return _read_only((rows[..., :, None] * dim + cols[..., None, :]).reshape(len(_SHIFTS), dim - 1, dim * dim))
 
 
 def _shifts_hold(u3: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -546,13 +545,23 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
     """The block classes ``s_coefficients_batch`` enumerates, in run order.
 
     ``sym`` is ``_translation_symmetry``'s result as a tuple of bools. Each
-    entry (k, m, n, rows, cols, serves) runs the m x n blocks of class k + 1
-    over those row and column sets; ``serves`` is None, or for a source the
-    k of the class its bottom eigenvalues serve (its own k if it is
+    entry (k, m, n, serves, rows, cols, indicator, entries, sets) runs the
+    m x n blocks of class k + 1; ``serves`` is None, or for a source the k
+    of the class its bottom eigenvalues serve (its own k if it is
     self-complementary). Entries run by k, then min(m, n), so the floor of
     an m >= 4 class holds its k's strips, served and smaller classes. The
-    reductions are the module docstring's. Cached, so its arrays are the
-    read-only cached subsets.
+    reductions are the module docstring's.
+
+    The rest are the tables of the class's kernel, in the orientation it
+    runs in: on U^T for m > n, with the row and column sets swapped. The
+    row sets ``rows`` and column sets ``cols`` are the cached subsets;
+    ``indicator`` is the 0/1 matrix of ``cols`` (``_indicator``) and
+    ``entries`` the pair positions in ``_triu(N)`` order of each row set's
+    upper triangle, shape (p (p + 1) / 2, row sets), p = min(m, n). ``sets``
+    is None for a closed-form class (p = 2, 3), which runs
+    ``_closed_form_max``; for a pruned class (p >= 4), which runs
+    ``_pruned_max``, it holds the ranks ``_complement_sets`` gives. See
+    ``_class_tables``. Cached, so every array is read-only.
     """
     by_rows, by_cols, diagonal = sym
     served = {
@@ -582,86 +591,94 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
                 cols = cols[: math.comb(dim - 1, n - 1)]
             elif own:
                 rows = rows[: math.comb(dim - 1, m - 1)]
-            plan.append((k, m, n, rows, cols, k if own else sources.get((m, n))))
+            if m > n:
+                rows, cols = cols, rows
+            plan.append((k, m, n, k if own else sources.get((m, n)), rows, cols, *_class_tables(dim, rows, cols)))
     return tuple(plan)
 
 
-def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndarray, cols: np.ndarray, low=False):
-    """Max top eigenvalue of the block Grams, lambda = sigma^2, over m x n blocks.
-
-    The blocks are U[R, C] for R a row of ``rows`` (m-subsets) and C a row
-    of ``cols`` (n-subsets), as ``_class_plan`` lists them.
-    min(m, n) >= 2 required; m > n is taken on the transposes, with the two
-    lists swapped. The Gram of block (R, C) is the principal submatrix at R
-    of the N x N Gram of the column set C (see ``_column_grams``), and its
-    top eigenvalue is taken in closed form for m = 2 and 3, and by eigvalsh
-    above. ``floor2`` holds a squared norm per matrix already attained at
-    the same k. For m >= 4, eigvalsh skips the blocks whose
-    ``_complement_bound`` cannot reach it, and reads the upper triangles of
-    the others in pieces (see ``_CHUNK_ELEMENTS``): the result never
-    exceeds the maximum over the listed blocks and equals it wherever that
-    maximum is above ``floor2``. A zero floor keeps every block.
-
-    Returns (best, least) per matrix: that maximum, and with ``low``
-    (min(m, n) = 2 or 3 only) the least bottom eigenvalue over the same
-    blocks, which a source's complements read, else inf.
-    """
-    if m > n:
-        u3, m, n, rows, cols = np.swapaxes(u3, 1, 2), n, m, cols, rows
-    batch, dim = u3.shape[0], u3.shape[1]
-    ncols = len(cols)
+def _class_tables(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    # The tables a kernel reads for the blocks U[R, C], R a row of rows and C
+    # of cols, read-only: the indicator of cols, the pair positions of each
+    # row set's upper triangle, and for rows of four or more indices the
+    # complement-set ranks, else None (see _class_plan)
+    p = rows.shape[1]
+    ti, tj, _ = _triu(p)
     indicator = _indicator(dim, cols)
-    pruned = m >= 4
-    # Pair positions of each row set's upper triangle: entries x row sets.
-    ti, tj, _ = _triu(m)
-    entries = _triu(dim)[2][rows[:, ti], rows[:, tj]].T
-    if pruned:
-        sets = _complement_sets(indicator, m)
-        gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
-    else:
-        top = _top_eig_2x2 if m == 2 else _top_eig_3x3
-    # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS
-    span = dim * (dim + 1) * max(2 * dim, ncols)
-    budget = _CHUNK_ELEMENTS
-    if not pruned and batch > 1:
+    sets = _read_only(_complement_sets(indicator, p)) if p >= 4 else None
+    return *_read_only(indicator, _triu(dim)[2][rows[:, ti], rows[:, tj]].T), sets
+
+
+def _closed_form_max(u3, rows, indicator, entries):
+    """Max and min over the blocks of a closed-form class of their Grams' top and bottom eigenvalues.
+
+    The blocks are U[R, C] for R a row of ``rows`` (2- or 3-subsets) and C
+    a column set of ``indicator``, with ``entries`` their pair positions, as
+    ``_class_plan`` lists them. The Gram of block (R, C) is the principal
+    submatrix at R of the N x N Gram of the column set C (see
+    ``_column_grams``), and its eigenvalues come from ``_top_eig_2x2`` or
+    ``_top_eig_3x3``. Returns (best, least) per matrix: the largest top
+    eigenvalue, lambda = sigma^2, and the least bottom one, which a
+    source's complements read. Sub-chunks are sized as ``_CHUNK_ELEMENTS``
+    says.
+    """
+    batch, dim = u3.shape[0], u3.shape[1]
+    m, ncols = rows.shape[1], indicator.shape[1]
+    top = _top_eig_2x2 if m == 2 else _top_eig_3x3
+    # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS. A stack
+    # of one runs in one batch sub-chunk.
+    budget, held, width = _CHUNK_ELEMENTS, 0, m * m * ncols
+    if batch > 1:
         budget -= 2 * batch + dim * ncols + entries.size
-        bstep, held, width = max(1, budget // (4 * span)), dim * (dim + 1) * ncols, 3 * m * m * ncols
-    else:
-        bstep, held = max(1, budget // span), 0
-        width = 8 * ncols + 10 * math.comb(dim, m) if pruned else m * m * ncols
-    best = np.zeros(batch)
-    least = np.full(batch, np.inf)
+        held, width = dim * (dim + 1) * ncols, 3 * width
+    bstep = max(1, budget // (4 * dim * (dim + 1) * max(2 * dim, ncols)))
+    best, least = np.zeros(batch), np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        u = u3[chunk]
-        # a pruned class builds its Grams only once a block passes the bound
-        re, im = (None, None) if pruned else _column_grams(u, indicator)
-        rstep = max(1, (budget - len(u) * held) // (len(u) * width))
-        for r0 in range(0, rows.shape[0], rstep):
-            if not pruned:
-                idx = entries[:, r0 : r0 + rstep]
-                # the gathered entries are not named, and lam and bottom are
-                # deleted, so that they are freed before the next row or
-                # batch sub-chunk gathers or builds its own. lam is (row
-                # sets, matrices, column sets): reducing the leading axis
-                # first runs elementwise over contiguous rows, 3-5x faster
-                # than one reduction over axes (0, 2) on the box of the
-                # _CHUNK_ELEMENTS timings
-                if low:
-                    lam, bottom = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx], low=True)
-                    least[chunk] = np.minimum(least[chunk], bottom.min(axis=0).min(axis=1))
-                    del bottom
-                else:
-                    lam = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
-                best[chunk] = np.maximum(best[chunk], lam.max(axis=0).max(axis=1))
-                del lam
-                continue
+        re, im = _column_grams(u3[chunk], indicator)
+        rstep = max(1, (budget - len(re) * held) // (len(re) * width))
+        for r0 in range(0, len(rows), rstep):
+            idx = entries[:, r0 : r0 + rstep]
+            # the gathered entries are not named, and lam and bottom are
+            # deleted, so that they are freed before the next row or batch
+            # sub-chunk gathers or builds its own. lam is (row sets,
+            # matrices, column sets): reducing the leading axis first runs
+            # elementwise over contiguous rows, 3-5x faster than one
+            # reduction over axes (0, 2) on the box of the _CHUNK_ELEMENTS
+            # timings
+            lam, bottom = top(re.swapaxes(0, 1)[idx], im.swapaxes(0, 1)[idx])
+            best[chunk] = np.maximum(best[chunk], lam.max(axis=0).max(axis=1))
+            least[chunk] = np.minimum(least[chunk], bottom.min(axis=0).min(axis=1))
+            del lam, bottom
+    return best, least
+
+
+def _pruned_max(u3, floor2, rows, indicator, entries, sets):
+    """Max top eigenvalue of the block Grams of a pruned class, lambda = sigma^2, per matrix.
+
+    The blocks are U[R, C] for R a row of ``rows`` (m-subsets, m >= 4) and
+    C a column set of ``indicator``, with ``entries`` their pair positions
+    and ``sets`` their complements' ranks, as ``_class_plan`` lists them.
+    ``floor2`` holds a squared norm per matrix already attained at the same
+    k. eigvalsh skips the blocks whose ``_complement_bound`` cannot reach
+    it, and reads the upper triangles of the others (see ``_column_grams``)
+    in pieces: the result never exceeds the maximum over the listed blocks
+    and equals it wherever that maximum is above ``floor2``. A zero floor
+    keeps every block. Sub-chunks are sized as ``_CHUNK_ELEMENTS`` says.
+    """
+    batch, dim = u3.shape[0], u3.shape[1]
+    m, ncols = rows.shape[1], indicator.shape[1]
+    bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(2 * dim, ncols)))
+    width = 8 * ncols + 10 * math.comb(dim, m)  # elements per row set
+    gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
+    best = np.zeros(batch)
+    for b0 in range(0, batch, bstep):
+        u = u3[b0 : b0 + bstep]
+        re, im = _column_grams(u, indicator)
+        rstep = max(1, _CHUNK_ELEMENTS // (len(u) * width))
+        for r0 in range(0, len(rows), rstep):
             ub = _complement_bound(u, rows[r0 : r0 + rstep], sets)
-            b, r, c = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
-            if not b.size:
-                continue
-            if re is None:
-                re, im = _column_grams(u, indicator)
+            b, r, c = np.nonzero(_may_attain(ub, floor2[b0 : b0 + bstep, None, None]))
             # the Grams of the blocks that pass, matrix-major, then by row
             # set and column set
             for k0 in range(0, b.size, gstep):
@@ -669,7 +686,10 @@ def _block_max(u3: np.ndarray, m: int, n: int, floor2: np.ndarray, rows: np.ndar
                 idx = entries[:, r0 + r[k0 : k0 + gstep]]
                 g = _upper_triangles(re[kb, idx, kc], im[kb, idx, kc], m)
                 np.maximum.at(best, b0 + kb, _top_eig_eigvalsh(g))
-    return best, least
+        # freed before the next batch sub-chunk builds its Grams, which may
+        # each fill the budget
+        del re, im
+    return best
 
 
 def _finalize(s: np.ndarray) -> np.ndarray:
@@ -750,9 +770,14 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
         raise ValueError("expected a stack of square matrices")
     lam = _strip_maxima(u_batch)
-    for k, m, n, rows, cols, serves in _class_plan(u_batch.shape[1], tuple(_translation_symmetry(u_batch).tolist())):
-        best, least = _block_max(u_batch, m, n, lam[:, k - 1], rows, cols, low=serves is not None)
+    sym = tuple(_translation_symmetry(u_batch).tolist())
+    for k, m, n, serves, rows, _, indicator, entries, sets in _class_plan(u_batch.shape[1], sym):
+        u = u_batch.swapaxes(1, 2) if m > n else u_batch
+        if sets is None:
+            best, least = _closed_form_max(u, rows, indicator, entries)
+            if serves is not None:
+                lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
+        else:
+            best = _pruned_max(u, lam[:, k - 1], rows, indicator, entries, sets)
         lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
-        if serves is not None:
-            lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
     return _finalize(np.sqrt(lam))

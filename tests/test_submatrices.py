@@ -39,10 +39,22 @@ def _oracle_s(u):
     )
 
 
+def _run_class(u3, m, n, floor2, rows, cols):
+    # The m x n blocks on rows x cols (m- and n-subsets) through the kernel
+    # the plan would name, with its tables, on the transposes for m > n:
+    # (best, least), least None from a pruned class
+    if m > n:
+        u3, rows, cols = u3.swapaxes(1, 2), cols, rows
+    indicator, entries, sets = submatrices._class_tables(u3.shape[1], rows, cols)
+    if sets is None:
+        return submatrices._closed_form_max(u3, rows, indicator, entries)
+    return submatrices._pruned_max(u3, floor2, rows, indicator, entries, sets), None
+
+
 def _all_blocks(u3, m, n, floor2):
-    # _block_max's maximum over every m x n block, as for an input without symmetry
+    # the kernel's maximum over every m x n block, as for an input without symmetry
     dim = u3.shape[1]
-    return submatrices._block_max(u3, m, n, floor2, _combinations(dim, m), _combinations(dim, n))[0]
+    return _run_class(u3, m, n, floor2, _combinations(dim, m), _combinations(dim, n))[0]
 
 
 def _direct_sum(*blocks):
@@ -225,7 +237,7 @@ def test_pruning_keeps_tied_s_bit_identical(u, monkeypatch):
     assert np.array_equal(s_coefficients(u).s, _unpruned_s(u, monkeypatch))
 
 
-def test_keep_test_gates_every_tier(monkeypatch):
+def test_keep_test_gates_eigvalsh(monkeypatch):
     """With every keep test failing, a pruned class evaluates no block."""
     calls = []
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.zeros(ub.shape, dtype=bool))
@@ -363,8 +375,9 @@ def _head(a, dim, k):
 
 
 def _classes(plan):
-    # the plan's classes, {shape: (rows, cols)}
-    return {(m, n): (rows, cols) for _, m, n, rows, cols, _ in plan}
+    # the plan's classes, {shape: (rows, cols)}, rows the m-subsets and cols
+    # the n-subsets, whichever way round the kernel runs
+    return {(m, n): (rows, cols) if m <= n else (cols, rows) for _, m, n, _, rows, cols, *_ in plan}
 
 
 def _served(plan):
@@ -373,7 +386,7 @@ def _served(plan):
     # row complements, (N - m, n); a self-complementary class serves itself
     return {
         ((m, serves + 1 - m) if m <= n else (serves + 1 - n, n)): (m, n)
-        for _, m, n, _, _, serves in plan
+        for _, m, n, serves, *_ in plan
         if serves is not None
     }
 
@@ -394,7 +407,7 @@ def test_class_loop_runs_each_block_shape_once(dim):
     served = SERVED[dim]
     assert _served(plan) == served
     assert len(plan) == len(shapes) and sorted(shapes) == sorted(set(below + at_n) - (set(served) - _own(served)))
-    assert {(m, n) for _, m, n, _, _, serves in plan if serves is not None} == set(served.values())
+    assert {(m, n) for _, m, n, serves, *_ in plan if serves is not None} == set(served.values())
 
     def halved(sets, k):
         # the k-subsets containing index 0, one of each complementary pair
@@ -426,7 +439,7 @@ def test_class_plan_lists_each_shape_once(dim, sym):
     class k + 1 but the strips (class N with m <= n only), overlapping only
     in the self-complementary classes, which serve their own k; any other
     source serves a larger k, with its complements. Also the row and column
-    set counts of the reductions."""
+    set counts of the reductions, and the tables of each entry's kernel."""
     sym = tuple(bool(x) for x in sym)
     plan = submatrices._class_plan(dim, sym)
     enumerated = _classes(plan)
@@ -452,7 +465,7 @@ def test_class_plan_lists_each_shape_once(dim, sym):
         serve = {(m, n) for m, n in served if m + n == k + 1}
         want = {(m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1}
         assert runs | serve == want and runs & serve == _own(served) & want, k
-    for k, m, n, _, _, serves in plan:
+    for k, m, n, serves, *_ in plan:
         if serves is None:
             continue
         assert (serves == k) == own(m, n) and serves >= k, (m, n, serves)
@@ -475,8 +488,27 @@ def test_class_plan_lists_each_shape_once(dim, sym):
         assert len(rows) == (_necklace_count(dim, m) if reduce_rows else whole_rows), (m, n)
         assert len(cols) == (_necklace_count(dim, n) if reduce_cols else whole_cols), (m, n)
         assert rows.shape[1:] == (m,) and cols.shape[1:] == (n,)
-        assert not rows.flags.writeable and not cols.flags.writeable
+    for _, m, n, _, *tables in plan:
+        _plan_tables_hold(dim, min(m, n), *tables)
     assert submatrices._class_plan(dim, sym) is plan
+
+
+def _plan_tables_hold(dim, p, rows, cols, indicator, entries, sets):
+    # an entry's tables, the smaller side p its row sets, all read-only: the
+    # 0/1 matrix of the column sets, each row set's upper-triangle pairs in
+    # _triu(N) order, and, for p >= 4 only, the ranks of the p-subsets of
+    # each column set's complement, in lexicographic order
+    assert rows.shape[1] == p and not any(a.flags.writeable for a in (rows, cols, indicator, entries))
+    assert indicator.shape == (dim, len(cols)) and np.array_equal(np.nonzero(indicator.T)[1].reshape(cols.shape), cols)
+    iu, ju = np.triu_indices(dim)
+    ti, tj = np.triu_indices(p)
+    assert np.array_equal(iu[entries].T, rows[:, ti]) and np.array_equal(ju[entries].T, rows[:, tj])
+    assert (sets is None) == (p < 4)
+    if sets is not None:
+        assert not sets.flags.writeable
+        rest = [sorted(set(range(dim)) - set(c)) for c in cols]
+        want = np.array([list(itertools.combinations(r, p)) for r in rest]).swapaxes(0, 1)
+        assert np.array_equal(_combinations(dim, p)[sets], want)
 
 
 BLOCK_MAX_INPUTS = {
@@ -490,27 +522,51 @@ BLOCK_MAX_INPUTS = {
 
 @pytest.mark.parametrize("name", list(BLOCK_MAX_INPUTS))
 def test_kernel_runs_the_plan(name, monkeypatch):
-    """_block_max is called once on each entry of the plan, in order, with
-    the plan's own arrays, the squared norms so far at the entry's k as the
-    floor, and low set by keyword for the sources only."""
+    """Each entry of the plan runs once, in order, through the kernel it
+    names, _closed_form_max without sets and _pruned_max with them, on the
+    stack or, for m > n, its transposed view, with the plan's own tables;
+    a pruned class gets the squared norms so far at the entry's k as its
+    floor."""
     u3 = np.asarray(BLOCK_MAX_INPUTS[name], dtype=complex)[None]
     calls = []
-    block_max = submatrices._block_max
+    closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
 
-    def spy(u3, m, n, floor2, rows, cols, **kw):
-        calls.append((m, n, rows, cols, floor2.copy(), kw))
-        return block_max(u3, m, n, floor2, rows, cols, **kw)
+    def spy_closed(u, *tables):
+        calls.append((u, None, tables))
+        return closed_form_max(u, *tables)
 
-    monkeypatch.setattr(submatrices, "_block_max", spy)
+    def spy_pruned(u, floor2, *tables):
+        calls.append((u, floor2.copy(), tables))
+        return pruned_max(u, floor2, *tables)
+
+    monkeypatch.setattr(submatrices, "_closed_form_max", spy_closed)
+    monkeypatch.setattr(submatrices, "_pruned_max", spy_pruned)
     s = s_coefficients_batch(u3)
     strips = submatrices._strip_maxima(u3)
     want = _plan_of(u3)
     assert len(calls) == len(want)
-    for (m, n, rows, cols, floor2, kw), (k, pm, pn, prows, pcols, serves) in zip(calls, want):
-        assert (m, n) == (pm, pn) and rows is prows and cols is pcols, (m, n)
-        assert kw == {"low": serves is not None}, (m, n)
-        # at least the strips, and never above the final s_k
-        assert strips[0, k - 1] <= floor2[0] <= s[0, k - 1] ** 2 * (1.0 + 4 * np.finfo(float).eps), (m, n)
+    for (u, floor2, tables), (k, m, n, _, rows, _, indicator, entries, sets) in zip(calls, want):
+        assert np.shares_memory(u, u3) and np.array_equal(u, u3.swapaxes(1, 2) if m > n else u3), (m, n)
+        assert all(a is b for a, b in zip(tables, (rows, indicator, entries, sets))), (m, n)
+        assert len(tables) == (3 if sets is None else 4) and (floor2 is None) == (sets is None), (m, n)
+        if sets is not None:
+            # at least the strips, and never above the final s_k
+            assert strips[0, k - 1] <= floor2[0] <= s[0, k - 1] ** 2 * (1.0 + 4 * np.finfo(float).eps), (m, n)
+
+
+def test_class_tables_are_built_once(monkeypatch):
+    """A second stack with the same N and symmetry builds no indicator and
+    no complement-set ranks: the plan holds them."""
+    built = []
+    for fn in ("_indicator", "_complement_sets"):
+        monkeypatch.setattr(submatrices, fn, lambda *a, fn=getattr(submatrices, fn): built.append(fn) or fn(*a))
+    submatrices._class_plan.cache_clear()
+    first = s_coefficients_batch(haar_unitary(9, RngSeed(SEED + 1210))[None])
+    assert {fn.__name__ for fn in built} == {"_indicator", "_complement_sets"}
+    built.clear()
+    batch = np.stack([haar_unitary(9, RngSeed(SEED + 1210 + i)) for i in range(3)])
+    assert np.array_equal(s_coefficients_batch(batch)[0], first[0])
+    assert built == []
 
 
 def test_pruning_keeps_a_rank_one_maximum():
@@ -615,7 +671,7 @@ def _path(u3):
     # complementary pair in class N's (N/2, N/2) and in a self-complementary
     # class), "reduced" when all visit fewer
     dim = u3.shape[1]
-    seen = [_head(rows, dim, m) and _head(cols, dim, n) for _, m, n, rows, cols, _ in _plan_of(u3)]
+    seen = [_head(rows, dim, m) and _head(cols, dim, n) for (m, n), (rows, cols) in _classes(_plan_of(u3)).items()]
     assert seen and (all(seen) or not any(seen))
     return "full" if all(seen) else "reduced"
 
@@ -706,7 +762,7 @@ def _served_lambda(u, shape, sym):
     plan = submatrices._class_plan(len(u), tuple(sym.tolist()))
     source = _served(plan)[shape]
     rows, cols = _classes(plan)[source]
-    top, least = submatrices._block_max(u[None], *source, np.zeros(1), rows, cols, low=True)
+    top, least = _run_class(u[None], *source, np.zeros(1), rows, cols)
     return max(top[0], 1.0 - least[0]) if source == shape else 1.0 - least[0]
 
 
@@ -796,12 +852,15 @@ def _near_tolerance(u, seed, frac=0.7):
 
 def _enumerated_plan(dim, sym, plan=submatrices._class_plan):
     # the plan with every served class, a self-complementary one too,
-    # enumerated over every block at its k, and no source taking its bottom
-    # eigenvalues; for inputs without symmetry
+    # enumerated over every block at its k, and no source's bottom
+    # eigenvalues read; for inputs without symmetry
     entries = plan(dim, sym)
     served = _served(entries)
-    every = [(k, m, n, rows, cols, None) for k, m, n, rows, cols, _ in entries if (m, n) not in served]
-    every += [(m + n - 1, m, n, _combinations(dim, m), _combinations(dim, n), None) for m, n in served]
+    every = [(k, m, n, None, *tables) for k, m, n, _, *tables in entries if (m, n) not in served]
+    for m, n in served:
+        rows, cols = _combinations(dim, m), _combinations(dim, n)
+        rows, cols = (rows, cols) if m <= n else (cols, rows)
+        every.append((m + n - 1, m, n, None, rows, cols, *submatrices._class_tables(dim, rows, cols)))
     return tuple(sorted(every, key=lambda entry: (entry[0], min(entry[1:3]))))
 
 
@@ -863,15 +922,15 @@ def test_top_eig_3x3_matches_eigvalsh():
     cases = _hermitian_cases(3)
     h = np.array(list(cases.values()), dtype=complex)
     ti, tj = np.triu_indices(3)
-    got = _top_eig_3x3(h[:, ti, tj].real.T, h[:, ti, tj].imag.T)
+    got = _top_eig_3x3(h[:, ti, tj].real.T, h[:, ti, tj].imag.T)[0]
     err = np.abs(got - np.linalg.eigvalsh(h)[:, -1])
     assert err.max() <= 8 * np.finfo(float).eps, dict(zip(cases, err))
 
 
 def test_top_eig_3x3_bottom_root():
-    """With low, lambda_max keeps the bits it has without, and lambda_min
-    matches eigvalsh, a double or nearly double bottom eigenvalue (r near +1)
-    through the fallback, whose eigvalsh sees those Grams."""
+    """lambda_min matches eigvalsh, a double or nearly double bottom
+    eigenvalue (r near +1) through the fallback, whose eigvalsh sees those
+    Grams, and lambda_max does too."""
     cases = _hermitian_cases(3)
     q = haar_unitary(3, RngSeed(SEED + 730))
     for e in range(4, 11):
@@ -888,8 +947,7 @@ def test_top_eig_3x3_bottom_root():
     eigvalsh = np.linalg.eigvalsh
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", lambda g, UPLO="L": sent.append(g.copy()) or eigvalsh(g, UPLO=UPLO))
-        top, bottom = _top_eig_3x3(re, im, low=True)
-    assert np.array_equal(top, _top_eig_3x3(re, im))
+        top, bottom = _top_eig_3x3(re, im)
     eig = np.linalg.eigvalsh(h)
     err = np.abs(bottom - eig[:, 0])
     assert err.max() <= 8 * np.finfo(float).eps, dict(zip(cases, err))
@@ -923,7 +981,7 @@ def test_a_double_bottom_eigenvalue_serves_its_complement():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": sent.append(a.copy()) or eigvalsh(a, UPLO=UPLO))
         one = np.array([[0, 1, 2]])
-        _, least = submatrices._block_max(u[None], 3, 3, np.zeros(1), one, one, low=True)
+        _, least = _run_class(u[None], 3, 3, np.zeros(1), one, one)
     assert [a.shape for a in sent] == [(1, 3, 3)] and np.allclose(np.triu(sent[0][0]), np.triu(g), rtol=0, atol=1e-15)
     assert least[0] == pytest.approx(0.25, rel=0, abs=4 * np.finfo(float).eps)
     r = np.abs(u @ u.conj().T - np.eye(7)).max()
@@ -1039,9 +1097,9 @@ def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
     # stacks that span several batch sub-chunks of the closed-form classes
     batch = _haar_stack(n, count, SEED + 850 + n)
     grams, classes = [], []
-    column_grams, block_max = submatrices._column_grams, submatrices._block_max
+    column_grams, closed_form_max = submatrices._column_grams, submatrices._closed_form_max
     monkeypatch.setattr(submatrices, "_column_grams", lambda u3, ind: grams.append(len(u3)) or column_grams(u3, ind))
-    monkeypatch.setattr(submatrices, "_block_max", lambda *a, **kw: classes.append(1) or block_max(*a, **kw))
+    monkeypatch.setattr(submatrices, "_closed_form_max", lambda *a: classes.append(1) or closed_form_max(*a))
     default = s_coefficients_batch(batch)
     assert len(grams) > 2 * len(classes) and max(grams) < count
     monkeypatch.undo()
@@ -1073,19 +1131,19 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         seen.append(("grams", len(u3), peak))
         return re, im
 
-    def spy_top(re, im, fn, **kw):
-        lam, peak = peak_of(functools.partial(fn, **kw), re, im)
+    def spy_top(re, im, fn):
+        out, peak = peak_of(fn, re, im)
         seen.append(("top", re.shape[2], held[0] + re.nbytes + im.nbytes + peak))
-        # the closed forms keep at most 4 temporaries a block, with or
-        # without the bottom eigenvalue: 2 + 4 or 6 + 4 of 3 m^2 elements
-        top_peak.append((fn.__name__, bool(kw), peak / re[0].nbytes))
-        return lam
+        # the closed forms keep at most 4 temporaries a block, both roots
+        # taken: 2 + 4 or 6 + 4 of 3 m^2 elements
+        top_peak.append((fn.__name__, peak / re[0].nbytes))
+        return out
 
     top_peak = []
     monkeypatch.setattr(submatrices, "_column_grams", spy_grams)
     for name in ("_top_eig_2x2", "_top_eig_3x3"):
         fn = getattr(submatrices, name)
-        monkeypatch.setattr(submatrices, name, lambda re, im, fn=fn, **kw: spy_top(re, im, fn, **kw))
+        monkeypatch.setattr(submatrices, name, lambda re, im, fn=fn: spy_top(re, im, fn))
     tracemalloc.start()
     try:
         s = s_coefficients_batch(batch)
@@ -1098,10 +1156,9 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         assert 1 < matrices < 2048 and live <= budget, (kind, matrices, live)
     # n = 5 runs only the (2, 2) source; n = 6 adds the self-complementary
     # (2, 3), (3, 2) and (3, 3), each its own source
-    kinds = {(name, low) for name, low, _ in top_peak}
-    assert kinds == {("_top_eig_2x2", True)} | (set() if n == 5 else {("_top_eig_3x3", True)})
-    for name, low, per_block in top_peak:
-        assert per_block <= (4.5 if name == "_top_eig_2x2" else 14.5), (name, low, per_block)
+    assert {name for name, _ in top_peak} == {"_top_eig_2x2"} | (set() if n == 5 else {"_top_eig_3x3"})
+    for name, per_block in top_peak:
+        assert per_block <= (4.5 if name == "_top_eig_2x2" else 14.5), (name, per_block)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -1109,28 +1166,28 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
     """A whole closed-form class of a 2048-stack, as tracemalloc reads it,
     fits _CHUNK_ELEMENTS: a row sub-chunk's gathered entries and eigenvalues
     are freed before the next one gathers its own or the next batch sub-chunk
-    builds its Grams, and a source's bottom eigenvalues fit too. Every n has
-    a source class: at n = 4, class N's (2, 2) is its own."""
+    builds its Grams, with each class's bottom eigenvalues. Every n has a
+    source class: at n = 4, class N's (2, 2) is its own."""
     batch = _haar_stack(n, 2048, SEED + 875 + n)
     seen = []
-    block_max = submatrices._block_max
+    closed_form_max = submatrices._closed_form_max
 
-    def spy(*args, **kw):
+    def spy(u3, rows, indicator, entries):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = block_max(*args, **kw)
-        seen.append((args[1:3], kw.get("low", False), tracemalloc.get_traced_memory()[1] - before))
+        out = closed_form_max(u3, rows, indicator, entries)
+        seen.append((rows.shape[1], indicator.shape[1], tracemalloc.get_traced_memory()[1] - before))
         return out
 
-    monkeypatch.setattr(submatrices, "_block_max", spy)
+    monkeypatch.setattr(submatrices, "_closed_form_max", spy)
     tracemalloc.start()
     try:
         s_coefficients_batch(batch)
     finally:
         tracemalloc.stop()
-    assert any(low for _, low, _ in seen)
-    for shape, low, peak in seen:
-        assert peak <= 8 * submatrices._CHUNK_ELEMENTS, (shape, low, peak)
+    assert len(seen) == len(_plan_of(batch[:1])) > 0
+    for m, ncols, peak in seen:
+        assert peak <= 8 * submatrices._CHUNK_ELEMENTS, (m, ncols, peak)
 
 
 @pytest.mark.parametrize("dim", [8, 9, 10])
@@ -1139,12 +1196,10 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     # the closed forms, and at 8 a block plus 10 C(N, m) a row set in the
     # complement bound of the pruned classes, whatever its Grams hold
     classes = []
-    block_max = submatrices._block_max
 
-    def spy_block_max(u3, m, n, floor2, rows, cols, low=False):
-        small, large = (rows, cols) if m <= n else (cols, rows)
-        classes.append((min(m, n), len(small), len(large), []))
-        return block_max(u3, m, n, floor2, rows, cols, low=low)
+    def note(rows, indicator):
+        # the kernels take the smaller side as their row sets
+        classes.append((rows.shape[1], len(rows), indicator.shape[1], []))
 
     def spy(fn, blocks):
         def run(*args, **kw):
@@ -1154,7 +1209,13 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
         return run
 
     # blocks per row sub-chunk: one Gram entry each, or one bound each
-    monkeypatch.setattr(submatrices, "_block_max", spy_block_max)
+    closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
+    monkeypatch.setattr(
+        submatrices, "_closed_form_max", lambda u3, rows, ind, *rest: note(rows, ind) or closed_form_max(u3, rows, ind, *rest)
+    )
+    monkeypatch.setattr(
+        submatrices, "_pruned_max", lambda u3, floor2, rows, ind, *rest: note(rows, ind) or pruned_max(u3, floor2, rows, ind, *rest)
+    )
     monkeypatch.setattr(submatrices, "_top_eig_2x2", spy(submatrices._top_eig_2x2, lambda re: re[0].size))
     monkeypatch.setattr(submatrices, "_top_eig_3x3", spy(submatrices._top_eig_3x3, lambda re: re[0].size))
     bound = submatrices._complement_bound

@@ -41,7 +41,7 @@ from eub.matrices import generator
 HAAR_DIMS = tuple(range(3, 13))
 FOURIER_DIMS = (4, 6, 8, 9, 10, 12)
 PERM_HALF_DIMS = (6, 8, 9, 10, 11, 12)
-# P^(1/3): degenerate Grams, where many blocks pass the first pruning tier
+# P^(1/3): degenerate Grams, where many blocks pass the complement bound
 PERM_THIRD_DIMS = (9, 10)
 # F_N with rows and columns permuted by non-affine permutations: tied
 # blocks, but no translation symmetry, so the kernel visits every block.
