@@ -601,13 +601,14 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 67
+    assert len(pinned) == 68
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    # 19 bounds inputs (four of them a dephased P8^(1/2), which keeps a
-    # translation symmetry, F8 with rows and columns permuted, which loses
+    # 20 bounds inputs (five of them a dephased P8^(1/2), which keeps a
+    # translation symmetry, a dephased N = 8 circulant whose links form four
+    # two-row components, F8 with rows and columns permuted, which loses
     # it, and F8 with only its rows or only its columns permuted, which
     # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
     # for the n = 8 ensembles, which run the pruned classes batched, 2 for
@@ -619,7 +620,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # orders other than 1, 2 for the sweeps at orders 0, 1/2, 2 and -0, 2
     # for verify at seed 1 and the chunked classical samples, and 4 for the
     # refused inputs, last
-    assert len(first) == 58
+    assert len(first) == 59
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

@@ -73,6 +73,13 @@ def write_inputs(workdir: str) -> list:
     # a dephased circulant, which keeps the diagonal translation symmetry
     phases = np.exp(2j * np.pi * generator(eub.RngSeed(8)).random((2, 8)))
     mats.append(("perm_half8_dephased", phases[0][:, None] * eub.permutation_power(8, 0.5) * phases[1]))
+    # a dephased circulant with first-row entries c_0 = 1/sqrt(2) and c_4 =
+    # i/sqrt(2): its links {i, i + 4} form four components of two rows, each
+    # with its own phase gauge
+    first = np.zeros(8, dtype=complex)
+    first[0], first[4] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    pairs = first[(np.arange(8)[None, :] - np.arange(8)[:, None]) % 8]
+    mats.append(("circulant8_pairs_dephased", phases[0][:, None] * pairs * phases[1]))
     mats.append(("fourier8_permuted", eub.fourier_matrix(8)[list(PERMUTED_ROWS)][:, list(PERMUTED_COLS)]))
     mats.append(("fourier8_rows_permuted", eub.fourier_matrix(8)[list(PERMUTED_ROWS)]))
     mats.append(("fourier8_cols_permuted", eub.fourier_matrix(8)[:, list(PERMUTED_COLS)]))
