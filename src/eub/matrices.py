@@ -73,11 +73,15 @@ PRUNE_SLACK = 1e-9
 # norm of the block of U it came from, and a row shift followed by a column
 # shift adds their two residuals, so s_k from the representatives is within
 # 2 ((k + 1) / 2) SYMMETRY_TOL of the full enumeration's, plus rounding.
-# Measured residuals at N = 4..16, dephased or not, with beta on a grid of
-# 65 points in [0, 2]: at most 6.7e-15 for F_N, 9.3e-15 for P_N^beta at
-# N <= 12 and 2.2e-14 at N = 13..16, and 5e-16 for the shift and the
-# identity, a margin of 4.5x or more. Twenty Haar draws per N missed
-# |W| = |U| by 0.61 or more. Read by submatrices.
+# Measured residuals of every accepted translate at N = 4..16, dephased or
+# not, with beta on a grid of 65 points in [0, 2]: at most 4.5e-15 for F_N
+# and P_N^beta at N <= 12 and 4.9e-15 at N = 13..16, and 5e-16 for the
+# shift and the identity, a margin of 20x or more; the tests hold it to 8x.
+# A dephased P_N^beta within 3/32 (N = 16) to 3/16 (N = 4) of an integer
+# beta has one link a row (see submatrices._phase_residual), so nothing
+# ties its rows' phases together: it reads 0.06 or more and takes the full
+# enumeration. Twenty Haar draws per N missed |W| = |U| by 0.61 or more.
+# Read by submatrices.
 SYMMETRY_TOL = 1e-13
 # The sum of a probability vector, and each row or column sum of a
 # (bi)stochastic matrix, may miss 1 by this much. Read by entropy's

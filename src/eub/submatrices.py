@@ -502,42 +502,43 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
     """max |W - diag(x) U diag(y)| for each translate W of each matrix U.
 
     ``w`` holds the translates, shape (batch, shifts, N, N), and ``mod`` is
-    |U|. The unit phases x, y are fitted along a spanning forest of the
-    links, the entries of modulus at least 1/(2 sqrt(N)) (each row and
-    column of a unitary has one): the lowest row of each connected
-    component takes x = 1, and every other row and column takes its phase
-    from one link to a row or column fitted before it, so a component's
-    phases share one gauge. Any fit would do, since the residual over every
-    entry decides; a poor one only sends U down the full enumeration.
+    |U|. The unit phases x, y are fitted in closed form on the links, the
+    entries of modulus at least 1/(2 sqrt(N)) (each row and column of a
+    unitary has one). On the links A = W o conj(U) is x_i y_j |U_ij|^2
+    where the translate holds, and off them it is exactly 0. So entry (i, k)
+    of A A^dag, a sum of products A_ij conj(A_kj), is exactly 0 unless rows
+    i and k share a link, and so is every entry of C = (A A^dag)^(2^p), p =
+    ceil(log2 N), across two link components; within one, C_ik is x_i
+    conj(x_k) times a positive number, as its diagonal is positive and 2^p
+    >= N steps join any two rows. x_i is the phase of C at row i's first
+    nonzero column, which sets the gauge to 1 at each component's lowest
+    row, and y_j that of A at column j's largest link times conj(x) of the
+    link's row. |A_ij| <= (|W_ij|^2 + |U_ij|^2) / 2, and the rows and
+    columns of |W|^2 and |U|^2 sum to 1 up to the unitarity residual, so
+    those of |A| sum to at most about 1, |A|_2 is at most about 1, and so
+    is every entry of every power of A A^dag: the squarings cannot
+    overflow. They weight each phase toward the strong links. Where A A^dag has no zero entry, every two rows share a
+    link, as in F_N, and it is read unsquared; a stack that needs them gets
+    all p squarings, since stopping at the first power without a zero entry
+    left P_15^(9/16) at 1.4e-14, through its weak links. Any fit would do,
+    since the residual over every entry decides; a poor one only sends U
+    down the full enumeration.
     """
-    batch, dim = mod.shape[0], mod.shape[1]
+    dim = mod.shape[1]
     link = mod >= 0.5 / math.sqrt(dim)  # the same for every translate of U
-    w, u = np.moveaxis(w, 1, -1), u3[..., None]  # translates last: one gather serves all
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = w * u.conj()
-        phase = ratio / np.abs(ratio)  # x_i y_j on the links
-    # rows reach each other through shared columns; a root reaches no lower row
-    reach = link @ link.swapaxes(1, 2)
-    for _ in range(math.ceil(math.log2(dim))):
-        reach = reach @ reach
-    fit_x = ~np.tril(reach, -1).any(axis=2)
-    fit_y = np.zeros((batch, dim), dtype=bool)
-    x, y = np.ones((2, batch, dim, w.shape[-1]), dtype=complex)
-    b, k = np.arange(batch)[:, None], np.arange(dim)
-    for _ in range(dim):
-        hit = np.where(link & fit_x[:, :, None], mod, 0.0)
-        new_y = ~fit_y & hit.any(axis=1)
-        i = hit.argmax(axis=1)  # the largest link of each column to a fitted row
-        y = np.where(new_y[..., None], phase[b, i, k] * x[b, i].conj(), y)
-        fit_y |= new_y
-        hit = np.where(link & fit_y[:, None, :], mod, 0.0)
-        new_x = ~fit_x & hit.any(axis=2)
-        j = hit.argmax(axis=2)  # the largest link of each row to a fitted column
-        x = np.where(new_x[..., None], phase[b, k, j] * y[b, j].conj(), x)
-        fit_x |= new_x
-        if fit_x.all() and fit_y.all() or not (new_x.any() or new_y.any()):
-            break
-    return np.abs(w - x[:, :, None] * u * y[:, None]).max(axis=(1, 2))
+    a = w * np.where(link, u3.conj(), 0.0)[:, None]
+    c = a @ a.conj().swapaxes(2, 3)
+    if not c.all():
+        for _ in range(math.ceil(math.log2(dim))):
+            c = c @ c
+    rows = c.reshape(-1, dim)  # every row of every C
+    x = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)].reshape(c.shape[:3])
+    x /= np.abs(x)
+    i = mod.argmax(axis=1)  # the row of each column's largest link
+    b, k = np.arange(len(mod))[:, None], np.arange(dim)
+    y = (a[b, :, i, k] * x[b, :, i].conj()).swapaxes(1, 2)
+    y /= np.abs(y)
+    return np.abs(w - x[..., None] * u3[:, None] * y[:, :, None]).max(axis=(2, 3))
 
 
 @functools.lru_cache(maxsize=64)

@@ -676,6 +676,19 @@ def _path(u3):
     return "full" if all(seen) else "reduced"
 
 
+def _circulant(first):
+    # U[i, j] = first[j - i mod N]
+    dim = len(first)
+    return np.asarray(first, dtype=complex)[(np.arange(dim)[None, :] - np.arange(dim)[:, None]) % dim]
+
+
+# circulants whose links (entries of modulus >= 1/(2 sqrt(N))) form several
+# multi-row components, each with its own phase gauge: four of two rows at
+# N = 8, {i, i + 4}, and three of three rows at N = 9, {i, i + 3, i + 6}
+CIRCULANT_PAIRS8 = _circulant([1 / math.sqrt(2), 0, 0, 0, 1j / math.sqrt(2), 0, 0, 0])
+CIRCULANT_TRIPLES9 = _circulant(np.kron(np.fft.ifft([1, 1, np.exp(2j * np.pi / 3)]), [1, 0, 0]))
+COMPONENT_CIRCULANTS = {8: CIRCULANT_PAIRS8, 9: CIRCULANT_TRIPLES9}
+
 # expected detector results: row shift, column shift, both at once
 KERNEL_PATHS = {
     "haar8": (haar_unitary(8, RngSeed(SEED + 1300)), (0, 0, 0)),
@@ -692,6 +705,10 @@ KERNEL_PATHS = {
     "shift8": (cyclic_shift(8), (0, 0, 1)),
     "I6": (np.eye(6), (0, 0, 1)),
     "P8^(1/2) dephased": (_dephased(permutation_power(8, 0.5), SEED), (0, 0, 1)),
+    "C8 pairs": (CIRCULANT_PAIRS8, (0, 0, 1)),
+    "C8 pairs dephased": (_dephased(CIRCULANT_PAIRS8, SEED), (0, 0, 1)),
+    "C9 triples": (CIRCULANT_TRIPLES9, (0, 0, 1)),
+    "C9 triples dephased": (_dephased(CIRCULANT_TRIPLES9, SEED), (0, 0, 1)),
 }
 
 
@@ -745,6 +762,9 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
         "F rows permuted": F(dim)[rng.permutation(dim)],
         "F columns permuted": F(dim)[:, rng.permutation(dim)],
     }
+    if dim in COMPONENT_CIRCULANTS:
+        cases["circulant"] = COMPONENT_CIRCULANTS[dim]
+        cases["circulant dephased"] = _dephased(COMPONENT_CIRCULANTS[dim], SEED + dim)
     bound = np.arange(2, dim + 2) * SYMMETRY_TOL + 8 * np.finfo(float).eps
     for name, u in cases.items():
         assert _translation_symmetry(u[None]).any(), name
@@ -753,6 +773,29 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
             mp.setattr(submatrices, "_translation_symmetry", _no_symmetry)
             full = s_coefficients_batch(u[None])[0]
         assert np.all(np.abs(reduced - full) <= bound), (name, np.abs(reduced - full).max())
+
+
+@pytest.mark.parametrize("dim", range(4, 17))
+def test_accepted_translates_fit_well_inside_the_tolerance(dim):
+    """On F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the
+    identity, each plain and dephased, every translate of a generator that
+    the detector accepts has a phase-fit residual of at most SYMMETRY_TOL / 8."""
+    cases = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
+    cases.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
+    cases.update({f"{name} dephased": _dephased(u, SEED + 1600 + dim) for name, u in cases.items()})
+    flat = submatrices._shift_index(dim)
+    held = {}
+    for name, u in cases.items():
+        u3 = u[None]
+        held[name] = _translation_symmetry(u3)
+        for g in np.flatnonzero(held[name]):
+            w = u3.reshape(1, -1)[:, flat[g]].reshape(1, dim - 1, dim, dim)
+            resid = submatrices._phase_residual(u3, np.abs(u3), w)
+            assert resid.max() <= SYMMETRY_TOL / 8, (name, g, resid.max())
+    # the fit is reached: F_N holds under all three generators, and every
+    # plain circulant under the diagonal one
+    assert held["F"].all() and held["F dephased"].all()
+    assert all(h[2] for name, h in held.items() if "dephased" not in name)
 
 
 def _served_lambda(u, shape, sym):
