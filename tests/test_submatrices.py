@@ -793,7 +793,7 @@ def test_accepted_translates_fit_well_inside_the_tolerance(dim):
             resid = submatrices._phase_residual(u3, np.abs(u3), w)
             assert resid.max() <= SYMMETRY_TOL / 8, (name, g, resid.max())
     # the fit is reached: F_N holds under all three generators, and every
-    # plain circulant under the diagonal one
+    # plain input under the diagonal one
     assert held["F"].all() and held["F dephased"].all()
     assert all(h[2] for name, h in held.items() if "dephased" not in name)
 
