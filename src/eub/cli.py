@@ -11,6 +11,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -501,7 +502,10 @@ def _add_seed_args(sp) -> None:
     sp.add_argument("--stream", type=int, default=0, help="RNG stream id (default 0)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and reused by every main call: parse_args leaves the
+    # parser as it was, and prog is fixed, so the usage never reads sys.argv.
     parser = argparse.ArgumentParser(
         prog="eub",
         description="Majorization-based entropic uncertainty bounds",

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -587,6 +588,59 @@ def test_bad_alpha_exit(tmp_path, capsys):
         assert "order" in err
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # the top parser and its 7 subparsers on the first call, none after
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    path = write_f3(tmp_path)
+    counts = []
+    for argv in (
+        ["bounds", "--input", path],
+        ["fuzz", "--n", "2", "--pairs", "3"],
+        ["sweep", "--family", "rotation", "--range", "0:1", "--steps", "3"],
+    ):
+        assert main(argv) == 0
+        counts.append(len(built))
+    capsys.readouterr()
+    assert counts == [8, 8, 8]
+    assert built[0] == "eub" and len(set(built)) == 8
+
+
+def test_main_reuse_carries_no_state(tmp_path, capsys):
+    # a reused parser reads every call as a fresh one would: no order, refusal
+    # or gap histogram of an earlier call leaks into the next
+    path = write_f3(tmp_path)
+    cli._build_parser.cache_clear()
+    code, first, _ = run(capsys, "bounds", "--input", path)
+    assert code == 0
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, "bounds", "--input", path, "--alpha", "2", "--alpha", "inf")
+    assert code == 0
+    assert [r["alpha"] for r in json.loads(out)["reports"]] == [2.0, "inf"]
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds"])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    code, again, _ = run(capsys, "bounds", "--input", path)
+    assert code == 0 and again == first
+    assert [r["alpha"] for r in json.loads(again)["reports"]] == [1.0]
+
+    hist_path = tmp_path / "gap.csv"
+    args = ["mc", "--n", "2", "--samples", "100", "--seed", "3"]
+    assert main(args + ["--gap-hist", str(hist_path)]) == 0
+    hist_path.unlink()
+    assert main(args) == 0
+    capsys.readouterr()
+    assert not hist_path.exists() and list(tmp_path.glob("*.csv")) == []
+
+
 def _load_tool(name):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -688,6 +742,43 @@ def test_bench_record_summarises_runs(monkeypatch):
         tool.record()
     with pytest.raises(SystemExit):
         tool.main(["../elsewhere"])
+
+
+def test_bench_record_compares_two_files(tmp_path, capsys):
+    """--compare prints both medians of every workload and end-to-end metric,
+    the relative change, its direction by the metric's `better` and whether it
+    exceeds both IQRs, and refuses files from different environments."""
+    tool = _load_tool("bench_record")
+    spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
+    env = {"python": "3", "nproc": 2, "git_sha": "a", "src_sha256": "a"}
+
+    def write(name, medians, iqr, **changes):
+        metrics = {m["name"]: {"unit": m["unit"], "median": medians.get(m["name"], 1.0), "iqr": iqr, "runs": []}
+                   for m in spec["end_to_end"]}
+        data = {"env": dict(env, **changes), "workloads": {w["name"]: {"metrics": metrics} for w in spec["workloads"]}}
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    old = write("old.json", {"op_p50_ms": 4.0, "items_per_s": 100.0}, 0.1)
+    new = write("new.json", {"op_p50_ms": 3.0, "items_per_s": 90.0}, 0.5, git_sha="b", src_sha256="b")
+    assert tool.main(["--compare", old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs"]
+    assert len(lines) == 1 + len(spec["workloads"]) * len(spec["end_to_end"])
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    assert rows[("large-n-report", "op_p50_ms")] == ["4", "3", "-25.0%", "better", "yes"]
+    assert rows[("small-reports", "items_per_s")] == ["100", "90", "-10.0%", "worse", "yes"]
+    assert rows[("small-reports", "wall_s")] == ["1", "1", "+0.0%", "same", "no"]
+    wide = write("wide.json", {"op_p50_ms": 3.0}, 2.0)
+    wide_rows = {row[:2]: row[2:] for row in tool.compare(tool.load_json(old), tool.load_json(wide))}
+    assert wide_rows[("large-n-report", "op_p50_ms")] == ("4", "3", "-25.0%", "better", "no")  # inside the new IQR
+    other = write("other.json", {}, 0.1, nproc=4)
+    with pytest.raises(ValueError, match="different environments"):
+        tool.compare(tool.load_json(old), tool.load_json(other))
+    for argv in ([], ["--compare", old, other], ["--compare", old, new, "label"], ["--compare", old, str(tmp_path / "none")]):
+        with pytest.raises(SystemExit):
+            tool.main(argv)
 
 def _states_per_draw(seed, n, pairs):
     # the extremal check's states drawn one at a time, as (real, imaginary)

@@ -20,9 +20,17 @@ the median and interquartile range over the runs of every end-to-end
 metric with each run's value, and each run's raw round walls. Quartiles
 are ``statistics.quantiles(..., n=4, method="inclusive")``.
 
-Two files are compared by their per-metric medians. Three runs a side show
-no win rate, so a change that claims a gain also runs at least ten
-``bench/run.py`` pairs of parent and change, alternating which goes first.
+Two files are compared by their per-metric medians:
+
+    python3 tools/bench_record.py --compare OLD.json NEW.json
+
+prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
+medians, the relative change, whether that change is better or worse by the
+metric's ``better``, and whether it exceeds the IQR of both files. Files
+whose ``env`` differs in anything but the git sha, ``src_sha256`` or the
+seed are refused. Three runs a side show no win rate, so a change that
+claims a gain also runs at least ten ``bench/run.py`` pairs of parent and
+change, alternating which goes first.
 
 Needs only the standard library.
 """
@@ -41,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103)
 SECONDS = 20.0
+# env keys that name the code or the draw, not the machine; two files may differ in them
+CODE_KEYS = ("git_sha", "src_sha256", "seed")
 
 
 def run_once(workload: str, seed: int) -> tuple:
@@ -63,9 +73,13 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
+def load_json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def record() -> dict:
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = load_json(ROOT / "BENCHMARK.json")
     names = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     runs = {name: [] for name in names}
@@ -96,10 +110,50 @@ def record() -> dict:
     return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": workloads}
 
 
+def compare(old: dict, new: dict) -> list:
+    """Table rows comparing two records' medians, metric by metric."""
+    machine = [{k: v for k, v in rec["env"].items() if k not in CODE_KEYS} for rec in (old, new)]
+    if machine[0] != machine[1]:
+        raise ValueError(f"the files were made in different environments: {machine[0]} != {machine[1]}")
+    spec = load_json(ROOT / "BENCHMARK.json")
+    rows = [("workload", "metric", "old", "new", "change", "by metric", "beyond both IQRs")]
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            try:
+                a, b = (rec["workloads"][workload]["metrics"][metric["name"]] for rec in (old, new))
+            except KeyError:
+                raise ValueError(f"{workload} {metric['name']} is missing from a file") from None
+            delta = b["median"] - a["median"]
+            change = f"{delta / a['median']:+.1%}" if a["median"] else "n/a"
+            if delta == 0:
+                verdict = "same"
+            else:
+                verdict = "better" if (delta < 0) == (metric["better"] == "lower") else "worse"
+            beyond = abs(delta) > a["iqr"] and abs(delta) > b["iqr"]
+            rows.append((workload, metric["name"], f"{a['median']:.6g}", f"{b['median']:.6g}",
+                         change, verdict, "yes" if beyond else "no"))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", help="names the output file, BENCH_<label>.json")
+    parser.add_argument("label", nargs="?", help="names the output file, BENCH_<label>.json")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two BENCH_*.json files instead of recording")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.label is not None:
+            parser.error("--compare takes no label")
+        try:
+            rows = compare(*(load_json(path) for path in args.compare))
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        return 0
+    if args.label is None:
+        parser.error("give a label, or --compare OLD NEW")
     if not args.label or not all(c.isalnum() or c in "-_." for c in args.label):
         parser.error("the label may hold only letters, digits, '-', '_' and '.'")
     out = ROOT / f"BENCH_{args.label}.json"
