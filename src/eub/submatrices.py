@@ -35,11 +35,13 @@ lambda_min(F) <= 1 + e - det F / (1 + e)^(m-1), where |E|_2 <= e = N
 UNITARITY_TOL for a unitary within that tolerance (see UNITARITY_TOL) and
 F's eigenvalues are at most 1 + e. By Cauchy-Binet det F is the sum of
 |det U[R, S]|^2 over the m-subsets S of C', and one table of squared
-minors per row sub-chunk serves every column set. Where the floor is near
-1, as at the larger k, this leaves a few blocks in a thousand, and only
-those are gathered, each as the upper triangle of its Gram at the row
-set's pair positions, as the closed forms gather theirs, for eigvalsh to
-read. The floor of a matrix is the exact maximum lambda already found for
+minors on the class's row sets serves every column set, and on a stack of
+one every class with those row sets (see ``_CallTables``). Where the floor
+is near 1, as at the larger k, this leaves a few blocks in a thousand. The
+AM-GM tier (below) then drops most of those, and only the rest are
+gathered, each as the upper triangle of its Gram at the row set's pair
+positions, as the closed forms gather theirs, for eigvalsh to read. The
+floor of a matrix is the exact maximum lambda already found for
 the same k (the strips, the classes served from a smaller k and the
 smaller classes come first), so it is known before the class starts and
 nothing is stored between sub-chunks; a zero floor keeps every block,
@@ -49,6 +51,30 @@ without pruning, and a block whose top eigenvalue is above the floor has
 ub >= lambda_max > floor, up to rounding far below PRUNE_SLACK (each minor
 is a sum of products of entries of modulus at most 1), so it always
 survives. The floor enters only that test, never the returned maximum.
+
+The AM-GM tier reads the same minor sum D = det F and the trace T = tr F,
+the sum of |U[i, j]|^2 over i in R and j in C'. F is positive
+semidefinite with eigenvalues mu_1 <= ... <= mu_m, and AM-GM on the other
+m - 1 gives D <= mu_1 ((T - mu_1) / (m - 1))^(m-1). So the steps mu <-
+g(mu) = D ((m - 1) / (T - mu))^(m-1), from mu = 0, never pass mu_1: if mu
+<= mu_1 then T - mu >= T - mu_1 and g(mu) <= D ((m - 1) / (T - mu_1))^(m-1)
+<= mu_1. Every step is thus a valid lower bound on lambda_min(F), however
+far from convergence, and g rising makes the steps rise, toward the least
+root of mu ((T - mu) / (m - 1))^(m-1) = D. ``_amgm_bound`` takes
+_AMGM_STEPS of them (the first is D ((m - 1) / T)^(m-1)) and the larger of
+the last and the complement bound's D / (1 + e)^(m-1), so lambda_max(G) <=
+1 + e - mu is never looser than that bound; neither D nor T leans on the
+unitarity tolerance, which enters only through Weyl's 1 + e. It runs on the
+blocks the complement bound keeps, at the cost of a gather of m sums a
+block: at N = 10 it leaves 554 of P10^(1/2)'s 1410 and 11 of 182 blocks of
+a Haar draw for eigvalsh, and s keeps its bits as above. Rounding: T sums
+m (N - n) squares and D C(N - n, m) squared minors, each right to a few
+ulps times its count of terms, as entries have modulus at most 1; mu <=
+T / m keeps T - mu from cancelling, and g has slope at most 1 on [0,
+mu_1], since (m - 1) g(mu) / (T - mu) <= (m - 1) (T / m) / (T (m - 1) / m),
+so the steps do not grow an error. The computed bound is thus within about
+1e-14 of the exact one, far below PRUNE_SLACK times a floor, which is at
+least 1/N (the strips).
 
 ``_class_plan`` lists, once per N and translation symmetry, each class the
 kernels enumerate, once, with the row and column sets it visits; strips
@@ -140,11 +166,12 @@ from .matrices import (
 # Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
 # 6x per step in N here. One s_coefficients call, each in a fresh process
 # (2-core Xeon, one BLAS thread, three processes each; the box's speed swings
-# by up to 1.5x), took 29-37 ms, 114-141 ms and 0.51-0.68 s at N = 10, 11 and
-# 12 on a Haar draw (42-44 MB peak RSS), 7, 16-20 and 57-70 ms on F_N, and
-# 15-18, 36-40 and 150-170 ms on P_N^(1/2), whose translation symmetry lets
-# the kernel visit one block per orbit (at N = 12 over every block: 1.8-1.9 s
-# and 1.3-1.4 s). Beyond this size the caller must opt in explicitly.
+# by up to 1.5x), took 29-42 ms, 109-118 ms and 0.43-0.50 s at N = 10, 11 and
+# 12 on a Haar draw (42-52 MB peak RSS), 3-4, 11-17 and 8-12 ms on F_N, whose
+# chain is 1 from k = 6 on at N = 10 and 12, and 16, 41-43 and 124-150 ms on
+# P_N^(1/2), whose translation symmetry lets the kernel visit one block per
+# orbit (at N = 12 over every block: 60-80 ms and 0.91-0.96 s). Beyond this
+# size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
 # Sizing target, in float64 elements, for what one sub-chunk of a block
@@ -158,10 +185,27 @@ MAX_ENUMERATION_DIM = 12
 # holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
 # tracemalloc reads peaks of 4 and 12, both roots taken) and 8 in the
-# pruned classes (the complement bound, its sum,
-# the keep mask and the indices of the blocks that pass), plus 10 C(N, m)
-# per row set for its squared minors (a level of complex minors, its two
-# gathered operands and their product). The Grams of the blocks that pass go
+# pruned classes (the complement bound, its sum, the keep mask and the
+# indices of the blocks that pass), plus 10 C(N, m) per row set for its
+# squared minors (a level of complex minors, its two gathered operands and
+# their product). The AM-GM tier adds m and a few more elements per block
+# that passes the complement bound, and per matrix |U|^2 summed over each
+# complement, N C elements, under its Grams' N (N + 1) C.
+# A sub-chunk of a larger stack builds the minors per row sub-chunk and
+# keeps no table. A batch sub-chunk that holds the whole stack, as on a
+# stack of one, keeps per call (_CallTables) one table of squared minors per
+# orientation, m and row list, built in pieces of row sets of the size
+# above: C(N, m) elements per row set and matrix, from the table's first
+# reader to its last. At N = 10 the 4-row table (0.35 MB) lives from k = 7
+# to 9 and the 5-row one on class N's half rows (0.25 MB) at k = 9; at N =
+# 12 the 4- and 5-row tables (2.0 and 5.0 MB) overlap at k = 9-11, and the
+# 6-row one (3.4 MB) is built after both are dropped.
+# It keeps each orientation's pair products too, N^2 (N + 1) elements a
+# matrix, at most an eighth of a closed-form batch sub-chunk's budget, until
+# their last reader. tracemalloc peaks of one call at N = 10, 11 and 12,
+# against building the minors per row sub-chunk: Haar 5.05, 5.84 and 10.2
+# MB (5.03, 5.82 and 6.32), P_N^(1/2) 0.85, 2.37 and 4.41 MB (0.84, 1.84
+# and 3.88). The Grams of the blocks that pass go
 # to eigvalsh in pieces of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block
 # holds its complex Gram (2 m^2 elements), its upper triangle's pair
 # positions and real and imaginary parts (1.5 m (m + 1)) and its m
@@ -288,23 +332,34 @@ def _indicator(dim: int, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_grams(u3: np.ndarray, indicator: np.ndarray):
-    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, C a set of ``indicator``.
+def _pair_products(u3: np.ndarray):
+    """Real and imaginary parts of U[i, c] conj(U[j, c]) for each pair (i, j), i <= j, and column c.
 
-    Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
-    so all subsets come out of a matmul of the per-column outer products
-    with the 0/1 indicator matrix of the subsets (``_indicator``). Returns
-    the real and imaginary parts, shape (batch, N(N+1)/2, column sets),
-    indexed by pair (i, j), i <= j, in ``_triu(N)`` order.
+    Shape (batch, N(N+1)/2, N) each, pairs in ``_triu(N)`` order: the
+    per-column outer products that ``_column_grams`` sums over column sets.
     """
     iu, ju, _ = _triu(u3.shape[1])
     a, b = u3[:, iu], u3[:, ju]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # Real arithmetic, since numpy's complex multiply does not round alike at
-    # every array size; and stacked products, one small matmul per matrix,
-    # since a single (batch * pairs) x N product may round differently with
-    # the batch size. So a matrix's Grams do not depend on its batch.
-    return (ar * br + ai * bi) @ indicator, (ai * br - ar * bi) @ indicator
+    # every array size. So a matrix's products do not depend on its batch.
+    return ar * br + ai * bi, ai * br - ar * bi
+
+
+def _column_grams(pairs, indicator: np.ndarray):
+    """Upper triangles of the N x N Grams U[:, C] U[:, C]^dag, C a set of ``indicator``.
+
+    Entry (i, j) of such a Gram is the sum over c in C of U[i, c] conj(U[j, c]),
+    so all subsets come out of a matmul of the per-column outer products,
+    ``pairs`` as ``_pair_products`` returns them, with the 0/1 indicator
+    matrix of the subsets (``_indicator``). Returns the real and imaginary
+    parts, shape (batch, N(N+1)/2, column sets), indexed by pair (i, j), i <=
+    j, in ``_triu(N)`` order.
+    """
+    # stacked products, one small matmul per matrix, since a single (batch *
+    # pairs) x N product may round differently with the batch size. So a
+    # matrix's Grams do not depend on its batch.
+    return pairs[0] @ indicator, pairs[1] @ indicator
 
 
 def _top_eig_2x2(re, im):
@@ -429,21 +484,117 @@ def _complement_sets(indicator: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray(_subset_rank(dim, rest[:, _combinations(rest.shape[1], m)]).T)
 
 
-def _complement_bound(u3: np.ndarray, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _minor_table(u3: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # _squared_minors on every row set of rows, built in pieces of row sets
+    # whose temporaries, 10 C(N, m) elements a row set (see _CHUNK_ELEMENTS),
+    # fit the budget
+    size = math.comb(u3.shape[1], rows.shape[1])
+    step = max(1, _CHUNK_ELEMENTS // (len(u3) * 10 * size))
+    if step >= len(rows):
+        return _squared_minors(u3, rows)
+    table = np.empty((len(u3), len(rows), size))
+    for r0 in range(0, len(rows), step):
+        table[:, r0 : r0 + step] = _squared_minors(u3, rows[r0 : r0 + step])
+    return table
+
+
+def _complement_bound(minors: np.ndarray, sets: np.ndarray, dim: int, m: int):
     """Upper bound on the top eigenvalue of each block Gram from its complementary columns.
 
-    Blocks U[R, C] for R a row of ``rows`` and C a column set, whose
-    complement's m-subsets ``sets`` lists as ``_complement_sets`` does.
-    Returns 1 + e - det F / (1 + e)^(m-1), shape (batch, row sets, column
-    sets), det F the sum of the squared minors on R and those subsets; see
-    the module docstring. A NaN entry gives a NaN bound.
+    Blocks U[R, C] of an N x N unitary, N = ``dim``, for R a row set of
+    ``minors`` (the squared m x m minors on R, as ``_squared_minors`` gives
+    them) and C a column set, whose complement's m-subsets ``sets`` lists as
+    ``_complement_sets`` does. Returns det F, the sum of the squared minors
+    on R and those subsets, and the bound 1 + e - det F / (1 + e)^(m-1),
+    each of shape (batch, row sets, column sets); see the module docstring.
+    A NaN entry gives a NaN bound.
     """
-    minors = _squared_minors(u3, rows)
     det = minors[..., sets[0]]
     for more in sets[1:]:
         det += minors[..., more]
-    e = u3.shape[1] * UNITARITY_TOL
-    return (1.0 + e) - det / (1.0 + e) ** (rows.shape[1] - 1)
+    e = dim * UNITARITY_TOL
+    return det, (1.0 + e) - det / (1.0 + e) ** (m - 1)
+
+
+# Fixed-point steps of the AM-GM tier, the first from mu = 0; each is a
+# valid lower bound on lambda_min(F) (see the module docstring)
+_AMGM_STEPS = 5
+
+
+def _amgm_bound(det: np.ndarray, trace: np.ndarray, dim: int, m: int) -> np.ndarray:
+    """The AM-GM tier's upper bound 1 + e - mu on the top eigenvalue of each block Gram.
+
+    ``det`` and ``trace`` are det F and tr F, F the m x m Gram of a block's
+    rows on its complementary columns, of an N x N unitary, N = ``dim``. mu
+    is the larger of the complement bound's det F / (1 + e)^(m-1) and the
+    lower bound on lambda_min(F) that ``_AMGM_STEPS`` steps mu <- det ((m -
+    1) / (trace - mu))^(m - 1) from mu = 0 reach; see the module docstring.
+    So the bound is never above ``_complement_bound``'s. A NaN ``det``
+    gives a NaN bound.
+    """
+    e = dim * UNITARITY_TOL
+    mu = np.zeros_like(det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_AMGM_STEPS):
+            mu = det * ((m - 1) / (trace - mu)) ** (m - 1)
+    # fmax passes over the steps' NaN where the trace is 0, as then F = 0
+    return (1.0 + e) - np.fmax(det / (1.0 + e) ** (m - 1), mu)
+
+
+class _CallTables:
+    """The tables that the plan entries of one ``s_coefficients_batch`` call share.
+
+    The kernels read them by batch sub-chunk: the column-pair products of U,
+    or of U^T for the entries with m > n (``_pair_products``), and the
+    squared-minor tables of the pruned classes (``_minor_table``). Only a
+    sub-chunk that holds the whole stack keeps its tables for the entries
+    after it. Every entry runs that sub-chunk on a stack of one, so there one
+    table of each kind serves every entry that reads it. The sub-chunks of a
+    larger stack are sized per class, so they rarely meet: they build their
+    tables as they go, the minors per row sub-chunk, and keep none. One minor
+    table serves each orientation, m and row list, and a full list of
+    m-subsets serves both orientations, U^T's table being U's transposed. A
+    table is dropped after the last entry of ``plan`` that reads it.
+    """
+
+    def __init__(self, u_batch: np.ndarray, plan: tuple = ()):
+        self.views = (u_batch, u_batch.swapaxes(1, 2))
+        self.held = {}
+        self.last = {}  # the index in plan of the last entry that reads each table
+        for i, (_, m, n, _, rows, *_, sets) in enumerate(plan):
+            self.last[m > n] = i
+            if sets is not None:
+                self.last[self._minor_key(m > n, rows)] = i
+
+    def _minor_key(self, transposed: bool, rows: np.ndarray) -> tuple:
+        # The plan gives every entry of one orientation and m the same row
+        # list, bar class N's leading half, so its length tells them apart
+        full = len(rows) == math.comb(self.views[0].shape[1], rows.shape[1])
+        return (rows.shape[1], len(rows)) if full else (rows.shape[1], len(rows), transposed)
+
+    def pairs(self, transposed: bool, chunk: slice):
+        u = self.views[transposed][chunk]
+        if len(u) < len(self.views[0]):
+            return _pair_products(u)
+        if transposed not in self.held:
+            self.held[transposed] = _pair_products(u)
+        return self.held[transposed]
+
+    def minors(self, transposed: bool, chunk: slice, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # the squared minors on the row sets rows[lo:hi]
+        u = self.views[transposed][chunk]
+        if len(u) < len(self.views[0]):
+            return _minor_table(u, rows[lo:hi])
+        key = self._minor_key(transposed, rows)
+        if key not in self.held:
+            self.held[key] = (transposed, _minor_table(u, rows))
+        built, table = self.held[key]
+        return (table if built == transposed else table.swapaxes(1, 2))[:, lo:hi]
+
+    def release(self, i: int) -> None:
+        # drops the tables whose last reader is entry i of the plan
+        for key in [key for key, last in self.last.items() if last == i]:
+            self.held.pop(key, None)
 
 
 # Generators of the translations the kernel looks for, as (row, column)
@@ -610,12 +761,14 @@ def _class_tables(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
     return *_read_only(indicator, _triu(dim)[2][rows[:, ti], rows[:, tj]].T), sets
 
 
-def _closed_form_max(u3, rows, indicator, entries):
+def _closed_form_max(tables, transposed, rows, indicator, entries):
     """Max and min over the blocks of a closed-form class of their Grams' top and bottom eigenvalues.
 
-    The blocks are U[R, C] for R a row of ``rows`` (2- or 3-subsets) and C
-    a column set of ``indicator``, with ``entries`` their pair positions, as
-    ``_class_plan`` lists them. The Gram of block (R, C) is the principal
+    The blocks are U[R, C], on U^T if ``transposed``, for R a row of
+    ``rows`` (2- or 3-subsets) and C a column set of ``indicator``, with
+    ``entries`` their pair positions, as ``_class_plan`` lists them; U is
+    the stack of ``tables`` (``_CallTables``), which also holds its pair
+    products. The Gram of block (R, C) is the principal
     submatrix at R of the N x N Gram of the column set C (see
     ``_column_grams``), and its eigenvalues come from ``_top_eig_2x2`` or
     ``_top_eig_3x3``. Returns (best, least) per matrix: the largest top
@@ -623,7 +776,7 @@ def _closed_form_max(u3, rows, indicator, entries):
     source's complements read. Sub-chunks are sized as ``_CHUNK_ELEMENTS``
     says.
     """
-    batch, dim = u3.shape[0], u3.shape[1]
+    batch, dim = tables.views[0].shape[0], tables.views[0].shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS. A stack
@@ -636,7 +789,7 @@ def _closed_form_max(u3, rows, indicator, entries):
     best, least = np.zeros(batch), np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(u3[chunk], indicator)
+        re, im = _column_grams(tables.pairs(transposed, chunk), indicator)
         rstep = max(1, (budget - len(re) * held) // (len(re) * width))
         for r0 in range(0, len(rows), rstep):
             idx = entries[:, r0 : r0 + rstep]
@@ -654,19 +807,23 @@ def _closed_form_max(u3, rows, indicator, entries):
     return best, least
 
 
-def _pruned_max(u3, floor2, rows, indicator, entries, sets):
+def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     """Max top eigenvalue of the block Grams of a pruned class, lambda = sigma^2, per matrix.
 
-    The blocks are U[R, C] for R a row of ``rows`` (m-subsets, m >= 4) and
-    C a column set of ``indicator``, with ``entries`` their pair positions
-    and ``sets`` their complements' ranks, as ``_class_plan`` lists them.
-    ``floor2`` holds a squared norm per matrix already attained at the same
-    k. eigvalsh skips the blocks whose ``_complement_bound`` cannot reach
-    it, and reads the upper triangles of the others (see ``_column_grams``)
-    in pieces: the result never exceeds the maximum over the listed blocks
-    and equals it wherever that maximum is above ``floor2``. A zero floor
-    keeps every block. Sub-chunks are sized as ``_CHUNK_ELEMENTS`` says.
+    The blocks are U[R, C], on U^T if ``transposed``, for R a row of
+    ``rows`` (m-subsets, m >= 4) and C a column set of ``indicator``, with
+    ``entries`` their pair positions and ``sets`` their complements' ranks,
+    as ``_class_plan`` lists them; U is the stack of ``tables``
+    (``_CallTables``), which also holds its pair products and squared
+    minors. ``floor2`` holds a squared norm per matrix already attained at
+    the same k. eigvalsh skips the blocks whose ``_complement_bound``
+    cannot reach it, then those whose ``_amgm_bound`` cannot, and reads the
+    upper triangles of the others (see ``_column_grams``) in pieces: the
+    result never exceeds the maximum over the listed blocks and equals it
+    wherever that maximum is above ``floor2``. A zero floor keeps every
+    block. Sub-chunks are sized as ``_CHUNK_ELEMENTS`` says.
     """
+    u3 = tables.views[transposed]
     batch, dim = u3.shape[0], u3.shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(2 * dim, ncols)))
@@ -674,12 +831,21 @@ def _pruned_max(u3, floor2, rows, indicator, entries, sets):
     gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
     best = np.zeros(batch)
     for b0 in range(0, batch, bstep):
-        u = u3[b0 : b0 + bstep]
-        re, im = _column_grams(u, indicator)
+        chunk = slice(b0, b0 + bstep)
+        u = u3[chunk]
+        re, im = _column_grams(tables.pairs(transposed, chunk), indicator)
+        rest = None  # |U|^2 summed over each complement, for the AM-GM tier
         rstep = max(1, _CHUNK_ELEMENTS // (len(u) * width))
         for r0 in range(0, len(rows), rstep):
-            ub = _complement_bound(u, rows[r0 : r0 + rstep], sets)
-            b, r, c = np.nonzero(_may_attain(ub, floor2[b0 : b0 + bstep, None, None]))
+            det, ub = _complement_bound(tables.minors(transposed, chunk, rows, r0, r0 + rstep), sets, dim, m)
+            b, r, c = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
+            if b.size:
+                if rest is None:
+                    rest = np.abs(u) ** 2 @ (1.0 - indicator)
+                trace = rest[b[:, None], rows[r0 + r], c[:, None]].sum(axis=1)
+                keep = _may_attain(_amgm_bound(det[b, r, c], trace, dim, m), floor2[b0 + b])
+                b, r, c = b[keep], r[keep], c[keep]
+            del det, ub
             # the Grams of the blocks that pass, matrix-major, then by row
             # set and column set
             for k0 in range(0, b.size, gstep):
@@ -696,6 +862,9 @@ def _pruned_max(u3, floor2, rows, indicator, entries, sets):
 def _finalize(s: np.ndarray) -> np.ndarray:
     # Rounding may break monotonicity or push past 1 by an ulp or two; a
     # larger repair (or a NaN) means a non-unitary input or a kernel fault.
+    # s_coefficients_batch sets the rungs its plan loop skipped to exactly 1
+    # first, so the check does not see them: it can fire less, never on a
+    # valid input.
     fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
     repair = float(np.abs(fixed - s).max(initial=0.0))
     if not repair <= UNITARITY_TOL:
@@ -764,21 +933,31 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     ``_checked_coefficients`` feed it) and does not limit N. The strips fill
     every k, class N + 1 is pinned to exactly 1, and each entry of
     ``_class_plan``, for the symmetry the whole stack shares, raises its k
-    and a source's ``serves``. A chain that needs a repair larger than
-    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    and a source's ``serves``, reading the tables of one ``_CallTables``.
+    The loop stops at the first entry whose k already has, for every
+    matrix, a squared norm of at least 1 at k or below: s is then exactly 1
+    from k on, which those rungs are set to. A chain that needs a repair
+    larger than UNITARITY_TOL to be monotone and <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
         raise ValueError("expected a stack of square matrices")
     lam = _strip_maxima(u_batch)
     sym = tuple(_translation_symmetry(u_batch).tolist())
-    for k, m, n, serves, rows, _, indicator, entries, sets in _class_plan(u_batch.shape[1], sym):
-        u = u_batch.swapaxes(1, 2) if m > n else u_batch
+    plan = _class_plan(u_batch.shape[1], sym)
+    tables = _CallTables(u_batch, plan)
+    for i, (k, m, n, serves, rows, _, indicator, entries, sets) in enumerate(plan):
+        # once every matrix has a squared norm >= 1 at k or below, _finalize
+        # would set s to exactly 1 from k on, whatever the later entries find
+        if (lam[:, :k].max(axis=1) >= 1.0).all():
+            lam[:, k - 1 :] = 1.0
+            break
         if sets is None:
-            best, least = _closed_form_max(u, rows, indicator, entries)
+            best, least = _closed_form_max(tables, m > n, rows, indicator, entries)
             if serves is not None:
                 lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
         else:
-            best = _pruned_max(u, lam[:, k - 1], rows, indicator, entries, sets)
+            best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
         lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
+        tables.release(i)
     return _finalize(np.sqrt(lam))

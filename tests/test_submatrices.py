@@ -44,11 +44,12 @@ def _run_class(u3, m, n, floor2, rows, cols):
     # the plan would name, with its tables, on the transposes for m > n:
     # (best, least), least None from a pruned class
     if m > n:
-        u3, rows, cols = u3.swapaxes(1, 2), cols, rows
+        rows, cols = cols, rows
     indicator, entries, sets = submatrices._class_tables(u3.shape[1], rows, cols)
+    tables = submatrices._CallTables(u3)
     if sets is None:
-        return submatrices._closed_form_max(u3, rows, indicator, entries)
-    return submatrices._pruned_max(u3, floor2, rows, indicator, entries, sets), None
+        return submatrices._closed_form_max(tables, m > n, rows, indicator, entries)
+    return submatrices._pruned_max(tables, m > n, floor2, rows, indicator, entries, sets), None
 
 
 def _all_blocks(u3, m, n, floor2):
@@ -254,7 +255,8 @@ def test_keep_test_keeps_nan_bounds():
     u = F(8)
     u[1, 2] = np.nan
     rows = cols = _combinations(8, 4)
-    ub = submatrices._complement_bound(u[None], rows, submatrices._complement_sets(submatrices._indicator(8, cols), 4))[0]
+    minors = submatrices._squared_minors(u[None], rows)
+    ub = submatrices._complement_bound(minors, submatrices._complement_sets(submatrices._indicator(8, cols), 4), 8, 4)[1][0]
     want = (rows == 1).any(axis=1)[:, None] & ~(cols == 2).any(axis=1)[None, :]
     assert np.array_equal(np.isnan(ub), want)
     assert submatrices._may_attain(ub, np.array(1.0))[want].all()
@@ -308,9 +310,9 @@ def test_surviving_grams_are_gathered_in_pieces(monkeypatch):
         seen.append(g.copy())
         return top_eig(g)
 
-    def spy_bound(u3, rows, sets):
-        row_chunks.append(len(rows))
-        return bound(u3, rows, sets)
+    def spy_bound(minors, *rest):
+        row_chunks.append(minors.shape[1])
+        return bound(minors, *rest)
 
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
@@ -520,38 +522,64 @@ BLOCK_MAX_INPUTS = {
 }
 
 
+# the rung at which each input's chain reaches 1: k = 5 for F_8, whose
+# least support uncertainty is 2 + 8/2 (see test_known_answers.py), k = N
+# for the others
+SATURATES_AT = {"F8": 5, "F8 rows permuted": 5, "F8 columns permuted": 5}
+
+
 @pytest.mark.parametrize("name", list(BLOCK_MAX_INPUTS))
 def test_kernel_runs_the_plan(name, monkeypatch):
-    """Each entry of the plan runs once, in order, through the kernel it
-    names, _closed_form_max without sets and _pruned_max with them, on the
-    stack or, for m > n, its transposed view, with the plan's own tables;
-    a pruned class gets the squared norms so far at the entry's k as its
-    floor."""
+    """The entries of the plan run once each, in order, through the kernel
+    each names, _closed_form_max without sets and _pruned_max with them, on
+    U or, for m > n, U^T, with the plan's own tables; a pruned class gets
+    the squared norms so far at the entry's k as its floor. The run stops
+    at the rung where the chain reaches 1, and the skipped entries' kernels,
+    run directly, cannot move s."""
     u3 = np.asarray(BLOCK_MAX_INPUTS[name], dtype=complex)[None]
     calls = []
     closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
 
-    def spy_closed(u, *tables):
-        calls.append((u, None, tables))
-        return closed_form_max(u, *tables)
+    def spy_closed(tables, transposed, *rest):
+        calls.append((tables, transposed, None, rest))
+        return closed_form_max(tables, transposed, *rest)
 
-    def spy_pruned(u, floor2, *tables):
-        calls.append((u, floor2.copy(), tables))
-        return pruned_max(u, floor2, *tables)
+    def spy_pruned(tables, transposed, floor2, *rest):
+        calls.append((tables, transposed, floor2.copy(), rest))
+        return pruned_max(tables, transposed, floor2, *rest)
 
     monkeypatch.setattr(submatrices, "_closed_form_max", spy_closed)
     monkeypatch.setattr(submatrices, "_pruned_max", spy_pruned)
     s = s_coefficients_batch(u3)
+    monkeypatch.undo()
     strips = submatrices._strip_maxima(u3)
-    want = _plan_of(u3)
-    assert len(calls) == len(want)
-    for (u, floor2, tables), (k, m, n, _, rows, _, indicator, entries, sets) in zip(calls, want):
-        assert np.shares_memory(u, u3) and np.array_equal(u, u3.swapaxes(1, 2) if m > n else u3), (m, n)
-        assert all(a is b for a, b in zip(tables, (rows, indicator, entries, sets))), (m, n)
-        assert len(tables) == (3 if sets is None else 4) and (floor2 is None) == (sets is None), (m, n)
+    plan = _plan_of(u3)
+    top = SATURATES_AT.get(name, u3.shape[1])
+    # within an ulp of 1 from that rung on (exactly 1 past the first rung
+    # whose squared norm rounds to 1 or more)
+    assert s[0, top - 2] < 1.0 - 1e-9 and np.all(s[0, top - 1 :] >= 1.0 - np.finfo(float).eps)
+    # every entry below the saturating rung runs, and none above it
+    ran, skipped = plan[: len(calls)], plan[len(calls) :]
+    assert all(entry[0] <= top for entry in ran) and all(entry[0] >= top for entry in skipped)
+    for (tables, transposed, floor2, rest), (k, m, n, _, rows, _, indicator, entries, sets) in zip(calls, ran):
+        assert np.shares_memory(tables.views[0], u3) and transposed == (m > n), (m, n)
+        assert np.array_equal(tables.views[transposed], u3.swapaxes(1, 2) if m > n else u3), (m, n)
+        assert all(a is b for a, b in zip(rest, (rows, indicator, entries, sets))), (m, n)
+        assert len(rest) == (3 if sets is None else 4) and (floor2 is None) == (sets is None), (m, n)
         if sets is not None:
             # at least the strips, and never above the final s_k
             assert strips[0, k - 1] <= floor2[0] <= s[0, k - 1] ** 2 * (1.0 + 4 * np.finfo(float).eps), (m, n)
+    lam = s**2
+    for k, m, n, serves, rows, _, indicator, entries, sets in skipped:
+        tables = submatrices._CallTables(u3)
+        if sets is None:
+            best, least = closed_form_max(tables, m > n, rows, indicator, entries)
+            if serves is not None:
+                lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
+        else:
+            best = pruned_max(tables, m > n, np.zeros(1), rows, indicator, entries, sets)
+        lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
+    assert np.array_equal(submatrices._finalize(np.sqrt(lam)), s)
 
 
 def test_class_tables_are_built_once(monkeypatch):
@@ -1041,33 +1069,53 @@ def _block_grams(u, rows, cols):
     return x @ x.conj().swapaxes(-1, -2)
 
 
+# inputs of the two tiers' validity test beyond a Haar draw per N: exact
+# ties of the pruned classes, the benchmark's at N = 9 and 10. Each is run
+# one way round only: F_N and I are symmetric, the rest circulants or their
+# row and column permutations, whose transposes have the same blocks up to
+# such permutations
+TIER_INPUTS = {
+    8: {**{f"structured {name}": u for name, u in STRUCTURED_8.items()}},
+    9: {"P^(1/3)": permutation_power(9, 1.0 / 3.0)},
+    10: {"F": F(10), "P^(1/2)": permutation_power(10, 0.5)},
+}
+
+
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_complement_bound_caps_eigvalsh(dim):
-    """The complement bound on every block of the pruned shapes is at least
-    0 and at least the block's top eigenvalue, on Haar draws, near the
-    unitarity tolerance and on degenerate Grams, both ways round; its
-    determinant is det(I - G) of the block's own Gram, up to the residual."""
+    """Both tiers' bounds on every block of the pruned shapes are at least
+    the block's top eigenvalue, on Haar draws, near the unitarity tolerance,
+    on exact ties and on degenerate Grams, both ways round. The complement
+    bound is at least 0, and its determinant is det(I - G) of the block's
+    own Gram, up to the residual; the AM-GM bound, fed that determinant and
+    the trace of the complementary Gram, is never above it, so it keeps no
+    block the complement bound drops."""
     haar = haar_unitary(dim, RngSeed(SEED + 1600 + dim))
-    inputs = {"haar": haar}
+    inputs = {"haar": haar, **TIER_INPUTS[dim]}
     if dim < 10:  # the other inputs at N = 10 cost the suite seconds
         inputs.update({"haar near tolerance": _near_tolerance(haar, SEED + 1610 + dim), **_degenerate(dim)})
     e = dim * UNITARITY_TOL
     for name, u0 in inputs.items():
         # det F and det(I - G) differ by O(r), r of U U^dag - I (of U^dag U - I on U^T)
         atol = 1e-12 + dim * max(_residuals(u0))
-        for u in (u0, u0.T):
+        for u in (u0,) if name in TIER_INPUTS[dim] else (u0, u0.T):
             for m in range(4, dim // 2 + 1):
                 rows = _combinations(dim, m)
+                minors = submatrices._squared_minors(u[None], rows)
                 for n in range(m, dim - m + 1):
-                    cols = _combinations(dim, n)
-                    ub = submatrices._complement_bound(u[None], rows, submatrices._complement_sets(submatrices._indicator(dim, cols), m))[0]
-                    g = _block_grams(u, rows, cols)
+                    indicator = submatrices._indicator(dim, _combinations(dim, n))
+                    det, ub = (x[0] for x in submatrices._complement_bound(minors, submatrices._complement_sets(indicator, m), dim, m))
+                    trace = (np.abs(u) ** 2 @ (1.0 - indicator))[rows].sum(axis=1)
+                    tight = submatrices._amgm_bound(det, trace, dim, m)
+                    g = _block_grams(u, rows, _combinations(dim, n))
                     lam = np.linalg.eigvalsh(g)[..., -1]
                     assert ub.min() >= 0.0, (name, m, n)
-                    # an exact bound in real arithmetic; half the slack keeps the attaining block
+                    # exact bounds in real arithmetic; half the slack keeps the attaining block
                     assert np.all(lam <= ub * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - ub).max())
-                    det = (1.0 + e - ub) * (1.0 + e) ** (m - 1)
-                    assert np.allclose(det, np.linalg.det(np.eye(m) - g).real, rtol=0, atol=atol), (name, m, n)
+                    assert np.all(lam <= tight * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - tight).max())
+                    assert np.all(tight <= ub), (name, m, n, (tight - ub).max())
+                    det_g = (1.0 + e - ub) * (1.0 + e) ** (m - 1)
+                    assert np.allclose(det_g, np.linalg.det(np.eye(m) - g).real, rtol=0, atol=atol), (name, m, n)
 
 
 def test_squared_minors_match_numpy_determinants():
@@ -1081,13 +1129,38 @@ def test_squared_minors_match_numpy_determinants():
 
 def test_complement_bound_prunes_most_blocks_before_eigvalsh(monkeypatch):
     """On a Haar draw at N = 10 fewer than 1% of the pruned classes' blocks
-    reach eigvalsh, and s keeps its bits (see the unpruned tests)."""
+    reach eigvalsh, and s keeps its bits (see the unpruned tests). On
+    P10^(1/2), whose tied Grams pass the complement bound by the thousand
+    (1410 of its 18,100 representatives), the AM-GM tier leaves at most 600."""
     reached = []
     top_eig = submatrices._top_eig_eigvalsh
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda g: reached.append(len(g)) or top_eig(g))
     s_coefficients(haar_unitary(10, RngSeed(SEED + 1630)))
     blocks = 2 * math.comb(10, 4) * math.comb(10, 5) + math.comb(10, 4) ** 2 * 2 + math.comb(9, 4) * math.comb(10, 5)
     assert 0 < sum(reached) < 0.01 * blocks
+    reached.clear()
+    s_coefficients(permutation_power(10, 0.5))
+    assert 0 < sum(reached) <= 600
+
+
+def test_a_call_builds_each_table_once(monkeypatch):
+    """A stack of one builds the pair products once per orientation and one
+    squared-minor table per m: at N = 10 the 4 x 4 table serves (4, 4),
+    (4, 5), (4, 6) and, transposed, (5, 4), and the 5 x 5 table on class N's
+    half rows serves (5, 5). Each is dropped after its last reader, so at
+    most one minor table is held at a time here and none at the end."""
+    built, held = [], []
+    for name in ("_pair_products", "_minor_table"):
+        fn = getattr(submatrices, name)
+        monkeypatch.setattr(submatrices, name, lambda *a, fn=fn: built.append((fn.__name__, a[-1].shape)) or fn(*a))
+    release = submatrices._CallTables.release
+    monkeypatch.setattr(submatrices._CallTables, "release", lambda self, i: release(self, i) or held.append(set(self.held)))
+    u = haar_unitary(10, RngSeed(SEED + 1630))
+    s = s_coefficients(u).s
+    assert built == [("_pair_products", (1, 10, 10))] * 2 + [("_minor_table", (210, 4)), ("_minor_table", (126, 5))]
+    assert all(sum(isinstance(key, tuple) for key in keys) <= 1 for keys in held) and held[-1] == set()
+    monkeypatch.undo()
+    assert np.array_equal(s_coefficients(u).s, s)
 
 
 @pytest.mark.parametrize("dim", [8, 9])
@@ -1141,7 +1214,7 @@ def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
     batch = _haar_stack(n, count, SEED + 850 + n)
     grams, classes = [], []
     column_grams, closed_form_max = submatrices._column_grams, submatrices._closed_form_max
-    monkeypatch.setattr(submatrices, "_column_grams", lambda u3, ind: grams.append(len(u3)) or column_grams(u3, ind))
+    monkeypatch.setattr(submatrices, "_column_grams", lambda pairs, ind: grams.append(len(pairs[0])) or column_grams(pairs, ind))
     monkeypatch.setattr(submatrices, "_closed_form_max", lambda *a: classes.append(1) or closed_form_max(*a))
     default = s_coefficients_batch(batch)
     assert len(grams) > 2 * len(classes) and max(grams) < count
@@ -1155,8 +1228,8 @@ def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
 @pytest.mark.parametrize("n", [5, 6])
 def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
     """What a closed-form sub-chunk of a 2048-stack keeps live, as tracemalloc
-    reads it, fits _CHUNK_ELEMENTS: building the column Grams, and the Grams
-    with the entries gathered for _top_eig_2x2 / _top_eig_3x3 and those
+    reads it, fits _CHUNK_ELEMENTS: building the pair products, then the
+    column Grams from them, and the Grams with the entries gathered for _top_eig_2x2 / _top_eig_3x3 and those
     functions' temporaries."""
     batch = _haar_stack(n, 2048, SEED + 870 + n)
     budget = 8 * submatrices._CHUNK_ELEMENTS  # bytes
@@ -1168,10 +1241,15 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         out = fn(*args)
         return out, tracemalloc.get_traced_memory()[1] - before
 
-    def spy_grams(u3, indicator, fn=submatrices._column_grams):
-        (re, im), peak = peak_of(fn, u3, indicator)
+    def spy_pairs(u3, fn=submatrices._pair_products):
+        pairs, peak = peak_of(fn, u3)
+        seen.append(("pairs", len(u3), peak))
+        return pairs
+
+    def spy_grams(pairs, indicator, fn=submatrices._column_grams):
+        (re, im), peak = peak_of(fn, pairs, indicator)
         held[0] = re.nbytes + im.nbytes
-        seen.append(("grams", len(u3), peak))
+        seen.append(("grams", len(re), pairs[0].nbytes + pairs[1].nbytes + peak))
         return re, im
 
     def spy_top(re, im, fn):
@@ -1183,6 +1261,7 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         return out
 
     top_peak = []
+    monkeypatch.setattr(submatrices, "_pair_products", spy_pairs)
     monkeypatch.setattr(submatrices, "_column_grams", spy_grams)
     for name in ("_top_eig_2x2", "_top_eig_3x3"):
         fn = getattr(submatrices, name)
@@ -1194,7 +1273,7 @@ def test_closed_form_sub_chunks_stay_within_the_budget(n, monkeypatch):
         tracemalloc.stop()
     monkeypatch.undo()
     assert np.array_equal(s, s_coefficients_batch(batch))
-    assert {kind for kind, _, _ in seen} == {"grams", "top"}
+    assert {kind for kind, _, _ in seen} == {"pairs", "grams", "top"}
     for kind, matrices, live in seen:
         assert 1 < matrices < 2048 and live <= budget, (kind, matrices, live)
     # n = 5 runs only the (2, 2) source; n = 6 adds the self-complementary
@@ -1215,10 +1294,10 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
     seen = []
     closed_form_max = submatrices._closed_form_max
 
-    def spy(u3, rows, indicator, entries):
+    def spy(tables, transposed, rows, indicator, entries):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = closed_form_max(u3, rows, indicator, entries)
+        out = closed_form_max(tables, transposed, rows, indicator, entries)
         seen.append((rows.shape[1], indicator.shape[1], tracemalloc.get_traced_memory()[1] - before))
         return out
 
@@ -1254,16 +1333,18 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     # blocks per row sub-chunk: one Gram entry each, or one bound each
     closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
     monkeypatch.setattr(
-        submatrices, "_closed_form_max", lambda u3, rows, ind, *rest: note(rows, ind) or closed_form_max(u3, rows, ind, *rest)
+        submatrices, "_closed_form_max", lambda tables, t, rows, ind, *rest: note(rows, ind) or closed_form_max(tables, t, rows, ind, *rest)
     )
     monkeypatch.setattr(
-        submatrices, "_pruned_max", lambda u3, floor2, rows, ind, *rest: note(rows, ind) or pruned_max(u3, floor2, rows, ind, *rest)
+        submatrices,
+        "_pruned_max",
+        lambda tables, t, floor2, rows, ind, *rest: note(rows, ind) or pruned_max(tables, t, floor2, rows, ind, *rest),
     )
     monkeypatch.setattr(submatrices, "_top_eig_2x2", spy(submatrices._top_eig_2x2, lambda re: re[0].size))
     monkeypatch.setattr(submatrices, "_top_eig_3x3", spy(submatrices._top_eig_3x3, lambda re: re[0].size))
     bound = submatrices._complement_bound
     monkeypatch.setattr(
-        submatrices, "_complement_bound", lambda u3, rows, sets: classes[-1][3].append(len(rows) * sets.shape[1]) or bound(u3, rows, sets)
+        submatrices, "_complement_bound", lambda minors, sets, *rest: classes[-1][3].append(minors.shape[1] * sets.shape[1]) or bound(minors, sets, *rest)
     )
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
@@ -1278,8 +1359,8 @@ def test_grams_do_not_depend_on_batch():
     for n in (5, 6):
         batch = np.stack([haar_unitary(n, RngSeed(SEED + 1000 + i)) for i in range(300)])
         indicator = submatrices._indicator(n, _combinations(n, 3))
-        grams = np.stack(submatrices._column_grams(batch, indicator))
-        alone = [np.stack(submatrices._column_grams(u[None], indicator))[:, 0] for u in batch]
+        grams = np.stack(submatrices._column_grams(submatrices._pair_products(batch), indicator))
+        alone = [np.stack(submatrices._column_grams(submatrices._pair_products(u[None]), indicator))[:, 0] for u in batch]
         assert np.array_equal(grams, np.stack(alone, axis=1))
 
 

@@ -28,9 +28,22 @@ prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
 medians, the relative change, whether that change is better or worse by the
 metric's ``better``, and whether it exceeds the IQR of both files. Files
 whose ``env`` differs in anything but the git sha, ``src_sha256`` or the
-seed are refused. Three runs a side show no win rate, so a change that
-claims a gain also runs at least ten ``bench/run.py`` pairs of parent and
-change, alternating which goes first.
+seed are refused.
+
+Three runs a side show no win rate, so a change that claims a gain also
+runs pairs of parent and change on one workload:
+
+    python3 tools/bench_record.py --pairs PARENT_CHECKOUT --workload NAME --seed FIRST [--count 10]
+
+runs ``bench/run.py`` of PARENT_CHECKOUT (another checkout, such as a
+``git archive`` of the parent commit) and of this checkout, ``--count``
+pairs on seeds FIRST, FIRST + 1, ..., alternating which side goes first,
+each run as ``record`` runs it. It prints each pair's values of every
+end-to-end metric, then per metric both sides' medians and quartiles, the
+change of the medians, whether it exceeds the parent's IQR, and in how
+many pairs the change was better by the metric's ``better`` (ties count
+for neither side). Runs whose ``env`` differs in anything but the code
+keys are refused.
 
 Needs only the standard library.
 """
@@ -53,14 +66,14 @@ SECONDS = 20.0
 CODE_KEYS = ("git_sha", "src_sha256", "seed")
 
 
-def run_once(workload: str, seed: int) -> tuple:
-    """One ``bench/run.py --trace 0`` run: its detail line and result line."""
-    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+def run_once(workload: str, seed: int, root: Path = ROOT) -> tuple:
+    """One ``bench/run.py --trace 0`` run of the checkout at root: its detail line and result line."""
+    argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+        out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode not in (0, 1) or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {out.returncode}: {out.stderr.strip()}")
@@ -69,8 +82,8 @@ def run_once(workload: str, seed: int) -> tuple:
 
 def summary(values: list) -> dict:
     """Median and interquartile range of one metric over the runs."""
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "iqr": q3 - q1, "runs": values}
 
 
 def load_json(path) -> dict:
@@ -110,11 +123,67 @@ def record() -> dict:
     return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": workloads}
 
 
+def machine(env: dict) -> dict:
+    """The keys of a run's ``env`` that name the machine, not the code or the draw."""
+    return {k: v for k, v in env.items() if k not in CODE_KEYS}
+
+
+def quartiles(values: list) -> tuple:
+    """First quartile, median and third quartile, as ``summary`` takes them."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return q1, statistics.median(values), q3
+
+
+def pairs(parent: Path, workload: str, first_seed: int, count: int) -> list:
+    """Alternating runs of the parent checkout and this one; the report's lines."""
+    spec = load_json(ROOT / "BENCHMARK.json")
+    if workload not in [w["name"] for w in spec["workloads"]]:
+        raise ValueError(f"no workload {workload!r} in BENCHMARK.json")
+    if not (parent / "bench" / "run.py").is_file():
+        raise ValueError(f"{parent} holds no bench/run.py")
+    metrics = spec["end_to_end"]
+    sides = {"parent": parent, "change": ROOT}
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    lines, env = [], None
+    for i in range(count):
+        seed = first_seed + i
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        for side in order:
+            detail, result = run_once(workload, seed, sides[side])
+            if env is None:
+                env = machine(detail["env"])
+            elif machine(detail["env"]) != env:
+                raise RuntimeError(f"{side} seed {seed} ran in another environment: {detail['env']}")
+            if not result["correct"] or result["failed"]:
+                lines.append(f"seed {seed} {side}: correct {result['correct']}, failed {result['failed']}")
+            for m in metrics:
+                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+        pair = ", ".join(f"{m['name']} {values['parent'][m['name']][-1]:.6g} -> {values['change'][m['name']][-1]:.6g}"
+                         for m in metrics)
+        lines.append(f"pair {i + 1} seed {seed} ({order[0]} first): {pair}")
+        print(lines[-1], file=sys.stderr)
+    rows = [("metric", "parent q1/median/q3", "change q1/median/q3", "change", "beyond parent IQR", "change better")]
+    for m in metrics:
+        old, new = values["parent"][m["name"]], values["change"][m["name"]]
+        (a1, a2, a3), (b1, b2, b3) = quartiles(old), quartiles(new)
+        wins = sum((b < a) if m["better"] == "lower" else (b > a) for a, b in zip(old, new))
+        rows.append((m["name"], f"{a1:.6g} / {a2:.6g} / {a3:.6g}", f"{b1:.6g} / {b2:.6g} / {b3:.6g}",
+                     f"{(b2 - a2) / a2:+.1%}" if a2 else "n/a", "yes" if abs(b2 - a2) > a3 - a1 else "no",
+                     f"{wins} of {count}"))
+    return lines + [f"{workload}: {count} pairs, seeds {first_seed}-{first_seed + count - 1}"] + table(rows)
+
+
+def table(rows: list) -> list:
+    """Rows of cells as lines of left-aligned columns."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def compare(old: dict, new: dict) -> list:
     """Table rows comparing two records' medians, metric by metric."""
-    machine = [{k: v for k, v in rec["env"].items() if k not in CODE_KEYS} for rec in (old, new)]
-    if machine[0] != machine[1]:
-        raise ValueError(f"the files were made in different environments: {machine[0]} != {machine[1]}")
+    envs = [machine(rec["env"]) for rec in (old, new)]
+    if envs[0] != envs[1]:
+        raise ValueError(f"the files were made in different environments: {envs[0]} != {envs[1]}")
     spec = load_json(ROOT / "BENCHMARK.json")
     rows = [("workload", "metric", "old", "new", "change", "by metric", "beyond both IQRs")]
     for workload in (w["name"] for w in spec["workloads"]):
@@ -140,20 +209,34 @@ def main(argv=None) -> int:
     parser.add_argument("label", nargs="?", help="names the output file, BENCH_<label>.json")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two BENCH_*.json files instead of recording")
+    parser.add_argument("--pairs", metavar="PARENT_CHECKOUT", type=Path,
+                        help="run alternating pairs of that checkout and this one instead of recording")
+    parser.add_argument("--workload", help="the workload of --pairs")
+    parser.add_argument("--seed", type=int, help="the first seed of --pairs")
+    parser.add_argument("--count", type=int, default=10, help="the number of --pairs (default 10)")
     args = parser.parse_args(argv)
+    if args.compare and args.pairs:
+        parser.error("give --compare or --pairs, not both")
+    if (args.compare or args.pairs) and args.label is not None:
+        parser.error("--compare and --pairs take no label")
     if args.compare:
-        if args.label is not None:
-            parser.error("--compare takes no label")
         try:
             rows = compare(*(load_json(path) for path in args.compare))
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print("\n".join(table(rows)))
+        return 0
+    if args.pairs:
+        if args.workload is None or args.seed is None or args.count < 1:
+            parser.error("--pairs needs --workload, --seed and a --count of at least 1")
+        try:
+            lines = pairs(args.pairs.resolve(), args.workload, args.seed, args.count)
+        except ValueError as exc:
+            parser.error(str(exc))
+        print("\n".join(lines))
         return 0
     if args.label is None:
-        parser.error("give a label, or --compare OLD NEW")
+        parser.error("give a label, or --compare OLD NEW, or --pairs PARENT_CHECKOUT")
     if not args.label or not all(c.isalnum() or c in "-_." for c in args.label):
         parser.error("the label may hold only letters, digits, '-', '_' and '.'")
     out = ROOT / f"BENCH_{args.label}.json"
