@@ -186,17 +186,17 @@ MAX_ENUMERATION_DIM = 12
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
 # tracemalloc reads peaks of 4 and 12, both roots taken) and 8 in the
 # pruned classes (the complement bound, its sum, the keep mask and the
-# indices of the blocks that pass), plus 10 C(N, m) per row set for its
-# squared minors (a level of complex minors, its two gathered operands and
-# their product). The AM-GM tier adds m and a few more elements per block
-# that passes the complement bound, and per matrix |U|^2 summed over each
-# complement, N C elements, under its Grams' N (N + 1) C.
-# A sub-chunk of a larger stack builds the minors per row sub-chunk and
-# keeps no table. A batch sub-chunk that holds the whole stack, as on a
-# stack of one, keeps per call (_CallTables) one table of squared minors per
-# orientation, m and row list, built in pieces of row sets of the size
-# above: C(N, m) elements per row set and matrix, from the table's first
-# reader to its last. At N = 10 the 4-row table (0.35 MB) lives from k = 7
+# indices of the blocks that pass). The AM-GM tier adds m and a few more
+# elements per block that passes the complement bound, and per matrix |U|^2
+# summed over each complement, N C elements, under its Grams' N (N + 1) C.
+# A sub-chunk of a larger stack builds the squared minors of each row
+# sub-chunk and keeps none, which adds 10 C(N, m) per row set (a level of
+# complex minors, its two gathered operands and their product). A batch
+# sub-chunk that holds the whole stack, as on a stack of one, reads them
+# from the call's tables (_CallTables) instead, which keep one table of
+# squared minors per orientation, m and row list, built in pieces of row
+# sets of 10 C(N, m) elements: C(N, m) elements per row set and matrix,
+# from the table's first reader to its last. At N = 10 the 4-row table (0.35 MB) lives from k = 7
 # to 9 and the 5-row one on class N's half rows (0.25 MB) at k = 9; at N =
 # 12 the 4- and 5-row tables (2.0 and 5.0 MB) overlap at k = 9-11, and the
 # 6-row one (3.4 MB) is built after both are dropped.
@@ -533,10 +533,11 @@ def _amgm_bound(det: np.ndarray, trace: np.ndarray, dim: int, m: int) -> np.ndar
     gives a NaN bound.
     """
     e = dim * UNITARITY_TOL
+    scaled = det * float((m - 1) ** (m - 1))
     mu = np.zeros_like(det)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_AMGM_STEPS):
-            mu = det * ((m - 1) / (trace - mu)) ** (m - 1)
+            mu = scaled / (trace - mu) ** (m - 1)
     # fmax passes over the steps' NaN where the trace is 0, as then F = 0
     return (1.0 + e) - np.fmax(det / (1.0 + e) ** (m - 1), mu)
 
@@ -827,7 +828,9 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     batch, dim = u3.shape[0], u3.shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(2 * dim, ncols)))
-    width = 8 * ncols + 10 * math.comb(dim, m)  # elements per row set
+    # elements per row set; a sub-chunk that holds the whole stack reads its
+    # minors from the call's table, built apart
+    width = 8 * ncols + (0 if bstep >= batch else 10 * math.comb(dim, m))
     gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
     best = np.zeros(batch)
     for b0 in range(0, batch, bstep):
@@ -949,7 +952,7 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     for i, (k, m, n, serves, rows, _, indicator, entries, sets) in enumerate(plan):
         # once every matrix has a squared norm >= 1 at k or below, _finalize
         # would set s to exactly 1 from k on, whatever the later entries find
-        if (lam[:, :k].max(axis=1) >= 1.0).all():
+        if lam[:, :k].max(initial=0.0) >= 1.0 and (lam[:, :k].max(axis=1) >= 1.0).all():
             lam[:, k - 1 :] = 1.0
             break
         if sets is None:

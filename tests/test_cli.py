@@ -780,6 +780,52 @@ def test_bench_record_compares_two_files(tmp_path, capsys):
         with pytest.raises(SystemExit):
             tool.main(argv)
 
+
+def test_bench_record_runs_alternating_pairs(tmp_path, capsys, monkeypatch):
+    """--pairs runs the parent checkout and this one on consecutive seeds,
+    alternating which goes first, prints each pair, then per end-to-end metric
+    both sides' quartiles, the change of the medians, whether it exceeds the
+    parent's IQR and the change's wins; it refuses a checkout without the
+    benchmark, an unknown workload and runs from different environments."""
+    tool = _load_tool("bench_record")
+    spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
+    parent = tmp_path / "parent"
+    (parent / "bench").mkdir(parents=True)
+    (parent / "bench" / "run.py").write_text("")
+    calls = []
+
+    def fake_run(workload, seed, root, nproc=2):
+        calls.append((workload, seed, "parent" if root == parent else "change"))
+        # the change reads 10% faster on every seed but the last
+        speed = 1.1 if root != parent and seed < 204 else 1.0
+        metrics = {m["name"]: {"value": float(seed) * (speed if m["better"] == "higher" else 1 / speed)}
+                   for m in spec["end_to_end"]}
+        env = {"nproc": nproc, "git_sha": str(root), "seed": seed}
+        return {"env": env}, {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["--pairs", str(parent), "--workload", "large-n-report", "--seed", "201", "--count", "4"]) == 0
+    assert calls == [("large-n-report", seed, side) for seed, first, second in
+                     ((201, "parent", "change"), (202, "change", "parent"), (203, "parent", "change"),
+                      (204, "change", "parent")) for side in (first, second)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:4]] == [f"pair {i} seed {200 + i} ({'parent' if i % 2 else 'change'} first)"
+                                                         for i in range(1, 5)]
+    rows = {line.split()[0]: line for line in out[6:]}
+    assert len(rows) == len(spec["end_to_end"]) and out[5].split()[0] == "metric"
+    # parent runs 201-204: quartiles 201.75 / 202.5 / 203.25; the change wins 3 of 4
+    assert rows["items_per_s"].split()[1:6] == ["201.75", "/", "202.5", "/", "203.25"]
+    assert rows["items_per_s"].split()[-3:] == ["3", "of", "4"] and rows["wall_s"].split()[-3:] == ["3", "of", "4"]
+    for argv in (["--pairs", str(tmp_path), "--workload", "large-n-report", "--seed", "1"],
+                 ["--pairs", str(parent), "--workload", "none", "--seed", "1"],
+                 ["--pairs", str(parent), "--seed", "1"],
+                 ["--pairs", str(parent), "--workload", "large-n-report", "--seed", "1", "label"]):
+        with pytest.raises(SystemExit):
+            tool.main(argv)
+    monkeypatch.setattr(tool, "run_once", lambda w, seed, root: fake_run(w, seed, root, nproc=2 if root == parent else 4))
+    with pytest.raises(RuntimeError, match="another environment"):
+        tool.pairs(parent, "large-n-report", 1, 1)
+
 def _states_per_draw(seed, n, pairs):
     # the extremal check's states drawn one at a time, as (real, imaginary)
     # pairs from the check's generator, after each pair's two set sizes

@@ -317,15 +317,17 @@ def test_surviving_grams_are_gathered_in_pieces(monkeypatch):
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
     monkeypatch.setattr(submatrices, "_complement_bound", spy_bound)
-    batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(3)])
-    _all_blocks(batch, 4, 4, np.zeros(3))
+    # eight matrices, one batch sub-chunk, take two row sub-chunks
+    count = 8
+    batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(count)])
+    _all_blocks(batch, 4, 4, np.zeros(count))
     combos = _combinations(8, 4)
     piece = 250_000 // (4 * 4 * 5)
     assert len(row_chunks) > 1 and sum(row_chunks) == len(combos)
     sizes = [len(g) for g in seen]
     want = []
     for nrows in row_chunks:
-        blocks = 3 * nrows * len(combos)
+        blocks = count * nrows * len(combos)
         want += [min(piece, blocks - k0) for k0 in range(0, blocks, piece)]
     assert sizes == want and max(sizes) == piece
     got = np.triu(np.concatenate(seen))
@@ -1315,8 +1317,9 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     # one matrix: a row sub-chunk takes 250,000 elements at m^2 a block in
-    # the closed forms, and at 8 a block plus 10 C(N, m) a row set in the
-    # complement bound of the pruned classes, whatever its Grams hold
+    # the closed forms, and at 8 a block in the complement bound of the
+    # pruned classes, which read their minors from the call's table,
+    # whatever its Grams hold
     classes = []
 
     def note(rows, indicator):
@@ -1349,7 +1352,7 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
     for m, nrows, ncols, steps in classes:
-        rstep = max(1, 250_000 // (ncols * m * m if m <= 3 else 8 * ncols + 10 * math.comb(dim, m)))
+        rstep = max(1, 250_000 // (ncols * m * m if m <= 3 else 8 * ncols))
         assert steps == [ncols * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
 
 
