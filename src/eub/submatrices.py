@@ -951,7 +951,8 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     tables = _CallTables(u_batch, plan)
     for i, (k, m, n, serves, rows, _, indicator, entries, sets) in enumerate(plan):
         # once every matrix has a squared norm >= 1 at k or below, _finalize
-        # would set s to exactly 1 from k on, whatever the later entries find
+        # would set s to exactly 1 from k on, whatever the later entries find;
+        # the first test, one reduction, passes over a stack where none has
         if lam[:, :k].max(initial=0.0) >= 1.0 and (lam[:, :k].max(axis=1) >= 1.0).all():
             lam[:, k - 1 :] = 1.0
             break
