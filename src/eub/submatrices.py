@@ -205,8 +205,9 @@ MAX_ENUMERATION_DIM = 12
 # their last reader. tracemalloc peaks of one call at N = 10, 11 and 12,
 # against building the minors per row sub-chunk: Haar 5.05, 5.84 and 10.2
 # MB (5.03, 5.82 and 6.32), P_N^(1/2) 0.85, 2.37 and 4.41 MB (0.84, 1.84
-# and 3.88). The Grams of the blocks that pass go
-# to eigvalsh in pieces of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block
+# and 3.88). Past the guard nothing caps the tables: Haar N = 13 45.6 MB
+# (7.8), P14^(1/2) 22.1 MB (10.2).
+# The Grams of the blocks that pass go to eigvalsh in pieces of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block
 # holds its complex Gram (2 m^2 elements), its upper triangle's pair
 # positions and real and imaginary parts (1.5 m (m + 1)) and its m
 # eigenvalues, at most 4 m (m + 1).
