@@ -1087,7 +1087,8 @@ TIER_INPUTS = {
 def test_complement_bound_caps_eigvalsh(dim):
     """Both tiers' bounds on every block of the pruned shapes are at least
     the block's top eigenvalue, on Haar draws, near the unitarity tolerance,
-    on exact ties and on degenerate Grams, both ways round. The complement
+    on exact ties and on degenerate Grams, both ways round but for
+    TIER_INPUTS. The complement
     bound is at least 0, and its determinant is det(I - G) of the block's
     own Gram, up to the residual; the AM-GM bound, fed that determinant and
     the trace of the complementary Gram, is never above it, so it keeps no
