@@ -60,8 +60,8 @@ UNITARITY_TOL = 1e-10
 # Read by submatrices.
 CARDANO_MIN_GAP = 1e-2
 # A block of an m >= 4 submatrix class goes to eigvalsh unless its upper
-# bound on the top Gram eigenvalue, from the squared minors of its
-# complementary columns, falls short of the class threshold by more than
+# bound on the top Gram eigenvalue, from the squared minors and moduli of
+# its complementary columns, falls short of the class threshold by more than
 # this relative margin. The bounds and eigvalsh each round at about 1e-15
 # relative, or 1e-12 absolute for the sums of squared minors, so the block
 # that attains the class maximum always passes. Read by submatrices.

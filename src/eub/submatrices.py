@@ -26,55 +26,52 @@ block's value is computed on its own and a class keeps only each matrix's
 maximum.
 
 ``_pruned_max`` prunes its blocks before eigvalsh, since only each
-class's maximum is used, in one pass over sub-chunks of row sets. The test
-keeps the blocks whose upper bound ub on lambda_max reaches the floor
-within PRUNE_SLACK (a NaN bound is kept). It bounds a block (R, C), |R| =
-m, by its complementary columns C': the Grams G of U[R, C] and F of U[R,
-C'] add up to I + E, E = (U U^dag - I)[R, R], so lambda_max(G) <= 1 + e -
-lambda_min(F) <= 1 + e - det F / (1 + e)^(m-1), where |E|_2 <= e = N
-UNITARITY_TOL for a unitary within that tolerance (see UNITARITY_TOL) and
-F's eigenvalues are at most 1 + e. By Cauchy-Binet det F is the sum of
-|det U[R, S]|^2 over the m-subsets S of C', and one table of squared
-minors on the class's row sets serves every column set, and on a stack of
-one every class with those row sets (see ``_CallTables``). Where the floor
-is near 1, as at the larger k, this leaves a few blocks in a thousand. The
-AM-GM tier (below) then drops most of those, and only the rest are
-gathered, each as the upper triangle of its Gram at the row set's pair
-positions, as the closed forms gather theirs, for eigvalsh to read. The
-floor of a matrix is the exact maximum lambda already found for
-the same k (the strips, the classes served from a smaller k and the
-smaller classes come first), so it is known before the class starts and
-nothing is stored between sub-chunks; a zero floor keeps every block,
-since the bound is at least 0. This leaves s bit-identical: eigvalsh works
-on one matrix at a time, so a surviving block gets the same value as
-without pruning, and a block whose top eigenvalue is above the floor has
-ub >= lambda_max > floor, up to rounding far below PRUNE_SLACK (each minor
-is a sum of products of entries of modulus at most 1), so it always
-survives. The floor enters only that test, never the returned maximum.
+class's maximum is used, in one pass over sub-chunks of row sets. It bounds
+a block (R, C), |R| = m, by its complementary columns C': the Grams G of
+U[R, C] and F of U[R, C'] add up to I + E, E = (U U^dag - I)[R, R], so
+lambda_max(G) <= 1 + e - lambda_min(F), where |E|_2 <= e = N UNITARITY_TOL
+for a unitary within that tolerance (see UNITARITY_TOL). Both tiers are
+lower bounds mu on lambda_min(F), and one test, ``_may_attain``, keeps a
+block unless mu > gap = 1 + e - floor (1 - PRUNE_SLACK), computed once per
+matrix and class: only then is 1 + e - mu below the floor within
+PRUNE_SLACK. A NaN mu keeps its block. The det tier's mu is det F / (1 +
+e)^(m-1), as F's eigenvalues are at most 1 + e; by Cauchy-Binet det F is
+the sum D of |det U[R, S]|^2 over the m-subsets S of C', and one table of
+squared minors on the class's row sets serves every column set, and on a
+stack of one every class with those row sets (see ``_CallTables``). The
+tier compares D with gap (1 + e)^(m-1) and forms no bound. Where the floor
+is near 1, as at the larger k, it leaves a few blocks in a thousand.
 
-The AM-GM tier reads the same minor sum D = det F and the trace T = tr F,
-the sum of |U[i, j]|^2 over i in R and j in C'. F is positive
-semidefinite with eigenvalues mu_1 <= ... <= mu_m, and AM-GM on the other
-m - 1 gives D <= mu_1 ((T - mu_1) / (m - 1))^(m-1). So the steps mu <-
-g(mu) = D ((m - 1) / (T - mu))^(m-1), from mu = 0, never pass mu_1: if mu
-<= mu_1 then T - mu >= T - mu_1 and g(mu) <= D ((m - 1) / (T - mu_1))^(m-1)
-<= mu_1. Every step is thus a valid lower bound on lambda_min(F), however
-far from convergence, and g rising makes the steps rise, toward the least
-root of mu ((T - mu) / (m - 1))^(m-1) = D. ``_amgm_bound`` takes
-_AMGM_STEPS of them (the first is D ((m - 1) / T)^(m-1)) and the larger of
-the last and the complement bound's D / (1 + e)^(m-1), so lambda_max(G) <=
-1 + e - mu is never looser than that bound; neither D nor T leans on the
-unitarity tolerance, which enters only through Weyl's 1 + e. It runs on the
-blocks the complement bound keeps, at the cost of a gather of m sums a
-block: at N = 10 it leaves 554 of P10^(1/2)'s 1410 and 11 of 182 blocks of
-a Haar draw for eigvalsh, and s keeps its bits as above. Rounding: T sums
-m (N - n) squares and D C(N - n, m) squared minors, each right to a few
-ulps times its count of terms, as entries have modulus at most 1; mu <=
-T / m keeps T - mu from cancelling, and g has slope at most 1 on [0,
-mu_1], since (m - 1) g(mu) / (T - mu) <= (m - 1) (T / m) / (T (m - 1) / m),
-so the steps do not grow an error. The computed bound is thus within about
-1e-14 of the exact one, far below PRUNE_SLACK times a floor, which is at
-least 1/N (the strips).
+The AM-GM step reads D and the trace T = tr F, the sum of |U[i, j]|^2 over
+i in R and j in C', on those blocks alone. F is positive semidefinite with
+eigenvalues mu_1 <= ... <= mu_m, and AM-GM on the other m - 1 gives D <=
+mu_1 ((T - mu_1) / (m - 1))^(m-1) <= mu_1 (T / (m - 1))^(m-1), so mu_1 >=
+D ((m - 1) / T)^(m-1); neither D nor T leans on the unitarity tolerance,
+which enters only through Weyl's 1 + e. T = 0 forces F = 0 and D = 0, and
+the NaN that 0 inf gives keeps the block. At N = 10 the step leaves 554 of
+P10^(1/2)'s 1410 blocks and 11 of 182 of a Haar draw, and only those are
+gathered, each as the upper triangle of its Gram at the row set's pair
+positions, as the closed forms gather theirs, for eigvalsh to read.
+
+The floor of a matrix is the exact maximum lambda already found for the
+same k (the strips, the classes served from a smaller k and the smaller
+classes come first), so it is known before the class starts and nothing
+is stored between sub-chunks; a zero floor keeps every block, since
+lambda_min(F) <= 1 + e. This leaves s bit-identical: eigvalsh works on one
+matrix at a time, so a surviving block gets the same value as without
+pruning, and a block whose top eigenvalue is above the floor has mu <=
+lambda_min(F) <= 1 + e - floor, floor PRUNE_SLACK below gap, so it always
+survives up to rounding. Rounding stays far below that margin, as a floor
+is at least 1/N (the strips): a squared minor is a sum of products of
+entries of modulus at most 1, right to about m! ulps of the product of its
+rows' squared norms on C', at most (T / m)^m, and D sums C(N - n, m) of
+them, so mu is right to about C(N - n, m) m! ulps; T's few ulps, raised to
+m - 1, add a few relative ulps, and the threshold form (gap and its
+product with (1 + e)^(m-1)) a few ulps of 1. That is about 1e-12 at N =
+12, against PRUNE_SLACK / N, 8e-11 there. T comes from a matmul of |U|^2
+per batch sub-chunk, so it may round differently with the batch size:
+that changes only which blocks reach eigvalsh, never s. The floor enters
+only the test, never the returned maximum.
 
 ``_class_plan`` lists, once per N and translation symmetry, each class the
 kernels enumerate, once, with the row and column sets it visits; strips
@@ -185,10 +182,11 @@ MAX_ENUMERATION_DIM = 12
 # holds 3 m^2 elements in the closed forms (the 2 x 3 or 2 x 6 gathered Gram
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
 # tracemalloc reads peaks of 4 and 12, both roots taken) and 8 in the
-# pruned classes (the complement bound, its sum, the keep mask and the
-# indices of the blocks that pass). The AM-GM tier adds m and a few more
-# elements per block that passes the complement bound, and per matrix |U|^2
-# summed over each complement, N C elements, under its Grams' N (N + 1) C.
+# pruned classes (the minor sum, the det tier's masks and the three indices
+# of a block that passes it). The AM-GM step adds m + 3 elements per block
+# that passes the det tier (its gathered complement sums, and D, T and mu),
+# and per matrix |U|^2 summed over each complement, N C elements, under its
+# Grams' N (N + 1) C.
 # A sub-chunk of a larger stack builds the squared minors of each row
 # sub-chunk and keeps none, which adds 10 C(N, m) per row set (a level of
 # complex minors, its two gathered operands and their product). A batch
@@ -422,9 +420,10 @@ def _top_eig_eigvalsh(g):
     return np.linalg.eigvalsh(g, UPLO="U")[..., -1]
 
 
-def _may_attain(ub: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    # The eigvalsh keep test, written so that a NaN bound keeps its block.
-    return ~(ub < thr * (1.0 - PRUNE_SLACK))
+def _may_attain(mu: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    # The eigvalsh keep test on a lower bound mu on lambda_min(F) (see the
+    # module docstring), written so that a NaN mu keeps its block.
+    return ~(mu > gap)
 
 
 @functools.lru_cache(maxsize=64)
@@ -499,48 +498,20 @@ def _minor_table(u3: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _complement_bound(minors: np.ndarray, sets: np.ndarray, dim: int, m: int):
-    """Upper bound on the top eigenvalue of each block Gram from its complementary columns.
+def _complement_det(minors: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """det F of each block's rows on its complementary columns, by Cauchy-Binet.
 
-    Blocks U[R, C] of an N x N unitary, N = ``dim``, for R a row set of
-    ``minors`` (the squared m x m minors on R, as ``_squared_minors`` gives
-    them) and C a column set, whose complement's m-subsets ``sets`` lists as
-    ``_complement_sets`` does. Returns det F, the sum of the squared minors
-    on R and those subsets, and the bound 1 + e - det F / (1 + e)^(m-1),
-    each of shape (batch, row sets, column sets); see the module docstring.
-    A NaN entry gives a NaN bound.
+    Blocks U[R, C] for R a row set of ``minors`` (the squared m x m minors
+    on R, as ``_squared_minors`` gives them) and C a column set, whose
+    complement's m-subsets ``sets`` lists as ``_complement_sets`` does.
+    Returns the sum of the squared minors on R and those subsets, shape
+    (batch, row sets, column sets); see the module docstring. A NaN minor
+    gives a NaN sum.
     """
     det = minors[..., sets[0]]
     for more in sets[1:]:
         det += minors[..., more]
-    e = dim * UNITARITY_TOL
-    return det, (1.0 + e) - det / (1.0 + e) ** (m - 1)
-
-
-# Fixed-point steps of the AM-GM tier, the first from mu = 0; each is a
-# valid lower bound on lambda_min(F) (see the module docstring)
-_AMGM_STEPS = 5
-
-
-def _amgm_bound(det: np.ndarray, trace: np.ndarray, dim: int, m: int) -> np.ndarray:
-    """The AM-GM tier's upper bound 1 + e - mu on the top eigenvalue of each block Gram.
-
-    ``det`` and ``trace`` are det F and tr F, F the m x m Gram of a block's
-    rows on its complementary columns, of an N x N unitary, N = ``dim``. mu
-    is the larger of the complement bound's det F / (1 + e)^(m-1) and the
-    lower bound on lambda_min(F) that ``_AMGM_STEPS`` steps mu <- det ((m -
-    1) / (trace - mu))^(m - 1) from mu = 0 reach; see the module docstring.
-    So the bound is never above ``_complement_bound``'s. A NaN ``det``
-    gives a NaN bound.
-    """
-    e = dim * UNITARITY_TOL
-    scaled = det * float((m - 1) ** (m - 1))
-    mu = np.zeros_like(det)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_AMGM_STEPS):
-            mu = scaled / (trace - mu) ** (m - 1)
-    # fmax passes over the steps' NaN where the trace is 0, as then F = 0
-    return (1.0 + e) - np.fmax(det / (1.0 + e) ** (m - 1), mu)
+    return det
 
 
 class _CallTables:
@@ -818,12 +789,13 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     as ``_class_plan`` lists them; U is the stack of ``tables``
     (``_CallTables``), which also holds its pair products and squared
     minors. ``floor2`` holds a squared norm per matrix already attained at
-    the same k. eigvalsh skips the blocks whose ``_complement_bound``
-    cannot reach it, then those whose ``_amgm_bound`` cannot, and reads the
-    upper triangles of the others (see ``_column_grams``) in pieces: the
-    result never exceeds the maximum over the listed blocks and equals it
-    wherever that maximum is above ``floor2``. A zero floor keeps every
-    block. Sub-chunks are sized as ``_CHUNK_ELEMENTS`` says.
+    the same k. eigvalsh skips the blocks that the det tier, on
+    ``_complement_det``, shows cannot reach it, then those that the AM-GM
+    step shows cannot (``_may_attain``; see the module docstring), and
+    reads the upper triangles of the others (see ``_column_grams``) in
+    pieces: the result never exceeds the maximum over the listed blocks
+    and equals it wherever that maximum is above ``floor2``. A zero floor
+    keeps every block. Sub-chunks are sized as ``_CHUNK_ELEMENTS`` says.
     """
     u3 = tables.views[transposed]
     batch, dim = u3.shape[0], u3.shape[1]
@@ -833,23 +805,23 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     # minors from the call's table, built apart
     width = 8 * ncols + (0 if bstep >= batch else 10 * math.comb(dim, m))
     gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
+    e = dim * UNITARITY_TOL
+    gap = (1.0 + e) - floor2 * (1.0 - PRUNE_SLACK)
+    gap_det = gap * (1.0 + e) ** (m - 1)  # the det tier's, on D itself
     best = np.zeros(batch)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        u = u3[chunk]
         re, im = _column_grams(tables.pairs(transposed, chunk), indicator)
-        rest = None  # |U|^2 summed over each complement, for the AM-GM tier
-        rstep = max(1, _CHUNK_ELEMENTS // (len(u) * width))
+        rest = np.abs(u3[chunk]) ** 2 @ (1.0 - indicator)  # |U|^2 summed over each complement
+        rstep = max(1, _CHUNK_ELEMENTS // (len(re) * width))
         for r0 in range(0, len(rows), rstep):
-            det, ub = _complement_bound(tables.minors(transposed, chunk, rows, r0, r0 + rstep), sets, dim, m)
-            b, r, c = np.nonzero(_may_attain(ub, floor2[chunk, None, None]))
-            if b.size:
-                if rest is None:
-                    rest = np.abs(u) ** 2 @ (1.0 - indicator)
-                trace = rest[b[:, None], rows[r0 + r], c[:, None]].sum(axis=1)
-                keep = _may_attain(_amgm_bound(det[b, r, c], trace, dim, m), floor2[b0 + b])
-                b, r, c = b[keep], r[keep], c[keep]
-            del det, ub
+            det = _complement_det(tables.minors(transposed, chunk, rows, r0, r0 + rstep), sets)
+            b, r, c = np.nonzero(_may_attain(det, gap_det[chunk, None, None]))
+            det = det[b, r, c]
+            trace = rest[b[:, None], rows[r0 + r], c[:, None]].sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keep = _may_attain(det * ((m - 1) / trace) ** (m - 1), gap[b0 + b])
+            b, r, c = b[keep], r[keep], c[keep]
             # the Grams of the blocks that pass, matrix-major, then by row
             # set and column set
             for k0 in range(0, b.size, gstep):

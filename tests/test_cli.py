@@ -746,8 +746,9 @@ def test_bench_record_summarises_runs(monkeypatch):
 
 def test_bench_record_compares_two_files(tmp_path, capsys):
     """--compare prints both medians of every workload and end-to-end metric,
-    the relative change, its direction by the metric's `better` and whether it
-    exceeds both IQRs, and refuses files from different environments."""
+    the relative change, its direction by the metric's `better`, whether it
+    exceeds both IQRs and whether it is worse by more than the metric's
+    `bound`, and refuses files from different environments."""
     tool = _load_tool("bench_record")
     spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
     env = {"python": "3", "nproc": 2, "git_sha": "a", "src_sha256": "a"}
@@ -761,18 +762,31 @@ def test_bench_record_compares_two_files(tmp_path, capsys):
         return str(path)
 
     old = write("old.json", {"op_p50_ms": 4.0, "items_per_s": 100.0}, 0.1)
-    new = write("new.json", {"op_p50_ms": 3.0, "items_per_s": 90.0}, 0.5, git_sha="b", src_sha256="b")
+    # worse by 10% and 20% (bound 25%) and by 5% and 11% (bound 10%)
+    new = write("new.json", {"op_p50_ms": 3.0, "items_per_s": 90.0, "op_tail_ms": 1.2, "setup_s": 0.74,
+                             "peak_rss_mb": 1.05}, 0.5, git_sha="b", src_sha256="b")
     assert tool.main(["--compare", old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs"]
+    assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs",
+                                "past", "bound"]
     assert len(lines) == 1 + len(spec["workloads"]) * len(spec["end_to_end"])
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
-    assert rows[("large-n-report", "op_p50_ms")] == ["4", "3", "-25.0%", "better", "yes"]
-    assert rows[("small-reports", "items_per_s")] == ["100", "90", "-10.0%", "worse", "yes"]
-    assert rows[("small-reports", "wall_s")] == ["1", "1", "+0.0%", "same", "no"]
+    assert rows[("large-n-report", "op_p50_ms")] == ["4", "3", "-25.0%", "better", "yes", "no"]
+    assert rows[("small-reports", "items_per_s")] == ["100", "90", "-10.0%", "worse", "yes", "no"]
+    assert rows[("small-reports", "wall_s")] == ["1", "1", "+0.0%", "same", "no", "no"]
+    assert rows[("small-reports", "op_tail_ms")] == ["1", "1.2", "+20.0%", "worse", "no", "no"]
+    assert rows[("small-reports", "setup_s")] == ["1", "0.74", "-26.0%", "better", "no", "no"]
+    assert rows[("small-reports", "peak_rss_mb")] == ["1", "1.05", "+5.0%", "worse", "no", "no"]
+    # past the bound, whatever the IQRs: 30% on a 25% bound, 11% on 10%, and 26% fewer items
+    worse = write("worse.json", {"op_p50_ms": 4.0, "items_per_s": 74.0, "op_tail_ms": 1.3, "peak_rss_mb": 1.11}, 2.0)
+    worse_rows = {row[:2]: row[2:] for row in tool.compare(tool.load_json(old), tool.load_json(worse))}
+    assert worse_rows[("ensemble-kernel", "items_per_s")] == ("100", "74", "-26.0%", "worse", "yes", "yes")
+    assert worse_rows[("ensemble-kernel", "op_tail_ms")] == ("1", "1.3", "+30.0%", "worse", "no", "yes")
+    assert worse_rows[("ensemble-kernel", "peak_rss_mb")] == ("1", "1.11", "+11.0%", "worse", "no", "yes")
+    assert worse_rows[("ensemble-kernel", "op_p50_ms")] == ("4", "4", "+0.0%", "same", "no", "no")
     wide = write("wide.json", {"op_p50_ms": 3.0}, 2.0)
     wide_rows = {row[:2]: row[2:] for row in tool.compare(tool.load_json(old), tool.load_json(wide))}
-    assert wide_rows[("large-n-report", "op_p50_ms")] == ("4", "3", "-25.0%", "better", "no")  # inside the new IQR
+    assert wide_rows[("large-n-report", "op_p50_ms")] == ("4", "3", "-25.0%", "better", "no", "no")  # inside the new IQR
     other = write("other.json", {}, 0.1, nproc=4)
     with pytest.raises(ValueError, match="different environments"):
         tool.compare(tool.load_json(old), tool.load_json(other))
@@ -785,7 +799,8 @@ def test_bench_record_runs_alternating_pairs(tmp_path, capsys, monkeypatch):
     """--pairs runs the parent checkout and this one on consecutive seeds,
     alternating which goes first, prints each pair, then per end-to-end metric
     both sides' quartiles, the change of the medians, whether it exceeds the
-    parent's IQR and the change's wins; it refuses a checkout without the
+    parent's IQR, whether it is worse by more than the metric's `bound` and
+    the change's wins; it refuses a checkout without the
     benchmark, an unknown workload and runs from different environments."""
     tool = _load_tool("bench_record")
     spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
@@ -796,10 +811,14 @@ def test_bench_record_runs_alternating_pairs(tmp_path, capsys, monkeypatch):
 
     def fake_run(workload, seed, root, nproc=2):
         calls.append((workload, seed, "parent" if root == parent else "change"))
-        # the change reads 10% faster on every seed but the last
+        # the change reads 10% faster on every seed but the last, and its
+        # tail and peak RSS read 20% higher, inside and past their bounds
         speed = 1.1 if root != parent and seed < 204 else 1.0
         metrics = {m["name"]: {"value": float(seed) * (speed if m["better"] == "higher" else 1 / speed)}
                    for m in spec["end_to_end"]}
+        if root != parent:
+            for name in ("op_tail_ms", "peak_rss_mb"):
+                metrics[name]["value"] = float(seed) * 1.2
         env = {"nproc": nproc, "git_sha": str(root), "seed": seed}
         return {"env": env}, {"correct": True, "failed": 0, "metrics": metrics}
 
@@ -816,6 +835,9 @@ def test_bench_record_runs_alternating_pairs(tmp_path, capsys, monkeypatch):
     # parent runs 201-204: quartiles 201.75 / 202.5 / 203.25; the change wins 3 of 4
     assert rows["items_per_s"].split()[1:6] == ["201.75", "/", "202.5", "/", "203.25"]
     assert rows["items_per_s"].split()[-3:] == ["3", "of", "4"] and rows["wall_s"].split()[-3:] == ["3", "of", "4"]
+    # the past-bound column precedes the wins: 20% on a bound of 25% and of 10%
+    assert [rows[name].split()[-4] for name in ("items_per_s", "op_tail_ms", "peak_rss_mb")] == ["no", "no", "yes"]
+    assert rows["peak_rss_mb"].split()[-6:] == ["+20.0%", "yes", "yes", "0", "of", "4"]
     for argv in (["--pairs", str(tmp_path), "--workload", "large-n-report", "--seed", "1"],
                  ["--pairs", str(parent), "--workload", "none", "--seed", "1"],
                  ["--pairs", str(parent), "--seed", "1"],

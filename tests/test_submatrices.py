@@ -249,19 +249,31 @@ def test_keep_test_gates_eigvalsh(monkeypatch):
     assert calls == []
 
 
-def test_keep_test_keeps_nan_bounds():
-    # U[1, 2] = NaN makes the bound NaN on the blocks whose rows hold 1 and
-    # whose complementary columns hold 2; the keep test keeps them at any floor
+def test_keep_test_keeps_nan_bounds(monkeypatch):
+    # U[1, 2] = NaN makes det F NaN on the blocks whose rows hold 1 and
+    # whose complementary columns hold 2; the keep test keeps them at any
+    # gap, the least (floor 1) and the greatest (floor 0, gap (1 + e)^m on D)
     u = F(8)
     u[1, 2] = np.nan
     rows = cols = _combinations(8, 4)
     minors = submatrices._squared_minors(u[None], rows)
-    ub = submatrices._complement_bound(minors, submatrices._complement_sets(submatrices._indicator(8, cols), 4), 8, 4)[1][0]
+    det = submatrices._complement_det(minors, submatrices._complement_sets(submatrices._indicator(8, cols), 4))[0]
     want = (rows == 1).any(axis=1)[:, None] & ~(cols == 2).any(axis=1)[None, :]
-    assert np.array_equal(np.isnan(ub), want)
-    assert submatrices._may_attain(ub, np.array(1.0))[want].all()
-    assert submatrices._may_attain(ub, np.array(0.0)).all()
-    assert not submatrices._may_attain(np.array([0.5]), np.array([0.6]))[0]
+    assert np.array_equal(np.isnan(det), want)
+    e = 8 * UNITARITY_TOL
+    assert submatrices._may_attain(det, np.array((e + PRUNE_SLACK) * (1.0 + e) ** 3))[want].all()
+    assert submatrices._may_attain(det, np.array((1.0 + e) ** 4)).all()
+    assert not submatrices._may_attain(np.array([0.6]), np.array([0.5]))[0]
+    # on I8 the block U[R, R] has a zero Gram F on its complementary
+    # columns, so T = 0 and D = 0, and the AM-GM step's 0 inf = NaN keeps it
+    # at floor 1: every block whose rows meet its columns reaches eigvalsh,
+    # its top eigenvalue 1, and only the disjoint ones (D = 1) are dropped
+    reached = []
+    top_eig = submatrices._top_eig_eigvalsh
+    monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", lambda g: reached.append(top_eig(g)) or reached[-1])
+    assert _all_blocks(np.eye(8, dtype=complex)[None], 4, 4, np.ones(1))[0] == 1.0
+    lam = np.concatenate(reached)
+    assert lam.size == len(rows) * (len(cols) - 1) and np.all(lam == 1.0)
 
 
 @pytest.mark.parametrize("u", [haar_unitary(9, RngSeed(SEED + 1170)), F(9)], ids=["haar9", "F9"])
@@ -299,12 +311,12 @@ def test_floor_is_a_squared_norm(u, monkeypatch):
 
 
 def test_surviving_grams_are_gathered_in_pieces(monkeypatch):
-    """The blocks that pass the complement bound reach eigvalsh as the upper
+    """The blocks that pass both keep tests reach eigvalsh as the upper
     triangles of their Grams, matrix-major, then by row set and column set,
     in pieces of 250,000 / (4 m (m + 1)) blocks, fewer only at the end of a
     row sub-chunk."""
     seen, row_chunks = [], []
-    top_eig, bound = submatrices._top_eig_eigvalsh, submatrices._complement_bound
+    top_eig, bound = submatrices._top_eig_eigvalsh, submatrices._complement_det
 
     def spy(g):
         seen.append(g.copy())
@@ -316,7 +328,7 @@ def test_surviving_grams_are_gathered_in_pieces(monkeypatch):
 
     monkeypatch.setattr(submatrices, "_may_attain", lambda ub, thr: np.ones(ub.shape, dtype=bool))
     monkeypatch.setattr(submatrices, "_top_eig_eigvalsh", spy)
-    monkeypatch.setattr(submatrices, "_complement_bound", spy_bound)
+    monkeypatch.setattr(submatrices, "_complement_det", spy_bound)
     # eight matrices, one batch sub-chunk, take two row sub-chunks
     count = 8
     batch = np.stack([haar_unitary(8, RngSeed(SEED + 1190 + i)) for i in range(count)])
@@ -1085,14 +1097,14 @@ TIER_INPUTS = {
 
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_complement_bound_caps_eigvalsh(dim):
-    """Both tiers' bounds on every block of the pruned shapes are at least
-    the block's top eigenvalue, on Haar draws, near the unitarity tolerance,
-    on exact ties and on degenerate Grams, both ways round but for
-    TIER_INPUTS. The complement
-    bound is at least 0, and its determinant is det(I - G) of the block's
-    own Gram, up to the residual; the AM-GM bound, fed that determinant and
-    the trace of the complementary Gram, is never above it, so it keeps no
-    block the complement bound drops."""
+    """Both tiers' lower bounds mu on lambda_min(F), F the Gram of a block's
+    rows on its complementary columns, read as 1 + e - mu, are at least the
+    block's top eigenvalue on every block of the pruned shapes: on Haar
+    draws, near the unitarity tolerance, on exact ties and on degenerate
+    Grams, both ways round but for TIER_INPUTS. The det tier's bound is at
+    least 0, and its D = det F is det(I - G) of the block's own Gram, up to
+    the residual; the AM-GM step's, fed D and the trace T of F, is NaN only
+    where T = 0, and there D = 0 (the kernel keeps NaN)."""
     haar = haar_unitary(dim, RngSeed(SEED + 1600 + dim))
     inputs = {"haar": haar, **TIER_INPUTS[dim]}
     if dim < 10:  # the other inputs at N = 10 cost the suite seconds
@@ -1107,18 +1119,20 @@ def test_complement_bound_caps_eigvalsh(dim):
                 minors = submatrices._squared_minors(u[None], rows)
                 for n in range(m, dim - m + 1):
                     indicator = submatrices._indicator(dim, _combinations(dim, n))
-                    det, ub = (x[0] for x in submatrices._complement_bound(minors, submatrices._complement_sets(indicator, m), dim, m))
+                    det = submatrices._complement_det(minors, submatrices._complement_sets(indicator, m))[0]
                     trace = (np.abs(u) ** 2 @ (1.0 - indicator))[rows].sum(axis=1)
-                    tight = submatrices._amgm_bound(det, trace, dim, m)
+                    ub = 1.0 + e - det / (1.0 + e) ** (m - 1)
+                    zero = trace == 0.0
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        tight = 1.0 + e - det * ((m - 1) / trace) ** (m - 1)
                     g = _block_grams(u, rows, _combinations(dim, n))
                     lam = np.linalg.eigvalsh(g)[..., -1]
                     assert ub.min() >= 0.0, (name, m, n)
                     # exact bounds in real arithmetic; half the slack keeps the attaining block
                     assert np.all(lam <= ub * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - ub).max())
-                    assert np.all(lam <= tight * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - tight).max())
-                    assert np.all(tight <= ub), (name, m, n, (tight - ub).max())
-                    det_g = (1.0 + e - ub) * (1.0 + e) ** (m - 1)
-                    assert np.allclose(det_g, np.linalg.det(np.eye(m) - g).real, rtol=0, atol=atol), (name, m, n)
+                    assert np.all(lam[~zero] <= tight[~zero] * (1.0 + PRUNE_SLACK / 2)), (name, m, n, (lam - tight)[~zero].max())
+                    assert np.array_equal(np.isnan(tight), zero) and np.all(det[zero] == 0.0), (name, m, n)
+                    assert np.allclose(det, np.linalg.det(np.eye(m) - g).real, rtol=0, atol=atol), (name, m, n)
 
 
 def test_squared_minors_match_numpy_determinants():
@@ -1318,7 +1332,7 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
 @pytest.mark.parametrize("dim", [8, 9, 10])
 def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     # one matrix: a row sub-chunk takes 250,000 elements at m^2 a block in
-    # the closed forms, and at 8 a block in the complement bound of the
+    # the closed forms, and at 8 a block in the det tier of the
     # pruned classes, which read their minors from the call's table,
     # whatever its Grams hold
     classes = []
@@ -1346,9 +1360,9 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     )
     monkeypatch.setattr(submatrices, "_top_eig_2x2", spy(submatrices._top_eig_2x2, lambda re: re[0].size))
     monkeypatch.setattr(submatrices, "_top_eig_3x3", spy(submatrices._top_eig_3x3, lambda re: re[0].size))
-    bound = submatrices._complement_bound
+    bound = submatrices._complement_det
     monkeypatch.setattr(
-        submatrices, "_complement_bound", lambda minors, sets, *rest: classes[-1][3].append(minors.shape[1] * sets.shape[1]) or bound(minors, sets, *rest)
+        submatrices, "_complement_det", lambda minors, sets: classes[-1][3].append(minors.shape[1] * sets.shape[1]) or bound(minors, sets)
     )
     s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))

@@ -26,7 +26,9 @@ Two files are compared by their per-metric medians:
 
 prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
 medians, the relative change, whether that change is better or worse by the
-metric's ``better``, and whether it exceeds the IQR of both files. Files
+metric's ``better``, whether it exceeds the IQR of both files, and whether
+the new median is worse than the old by more than the metric's ``bound``, a
+fraction of the old median: the benchmark's rule for a regression. Files
 whose ``env`` differs in anything but the git sha, ``src_sha256`` or the
 seed are refused.
 
@@ -40,10 +42,11 @@ runs ``bench/run.py`` of PARENT_CHECKOUT (another checkout, such as a
 pairs on seeds FIRST, FIRST + 1, ..., alternating which side goes first,
 each run as ``record`` runs it. It prints each pair's values of every
 end-to-end metric, then per metric both sides' medians and quartiles, the
-change of the medians, whether it exceeds the parent's IQR, and in how
-many pairs the change was better by the metric's ``better`` (ties count
-for neither side). Runs whose ``env`` differs in anything but the code
-keys are refused.
+change of the medians, whether it exceeds the parent's IQR, whether the
+change's median is worse than the parent's by more than the metric's
+``bound`` (as for ``--compare``), and in how many pairs the change was
+better by the metric's ``better`` (ties count for neither side). Runs
+whose ``env`` differs in anything but the code keys are refused.
 
 Needs only the standard library.
 """
@@ -134,6 +137,12 @@ def quartiles(values: list) -> tuple:
     return q1, statistics.median(values), q3
 
 
+def past_bound(metric: dict, old: float, new: float) -> str:
+    """Whether ``new`` is worse than ``old`` by more than the metric's ``bound``, a fraction of ``old``: yes or no."""
+    worse = new - old if metric["better"] == "lower" else old - new
+    return "yes" if worse > metric["bound"] * abs(old) else "no"
+
+
 def pairs(parent: Path, workload: str, first_seed: int, count: int) -> list:
     """Alternating runs of the parent checkout and this one; the report's lines."""
     spec = load_json(ROOT / "BENCHMARK.json")
@@ -162,14 +171,15 @@ def pairs(parent: Path, workload: str, first_seed: int, count: int) -> list:
                          for m in metrics)
         lines.append(f"pair {i + 1} seed {seed} ({order[0]} first): {pair}")
         print(lines[-1], file=sys.stderr)
-    rows = [("metric", "parent q1/median/q3", "change q1/median/q3", "change", "beyond parent IQR", "change better")]
+    rows = [("metric", "parent q1/median/q3", "change q1/median/q3", "change", "beyond parent IQR", "past bound",
+             "change better")]
     for m in metrics:
         old, new = values["parent"][m["name"]], values["change"][m["name"]]
         (a1, a2, a3), (b1, b2, b3) = quartiles(old), quartiles(new)
         wins = sum((b < a) if m["better"] == "lower" else (b > a) for a, b in zip(old, new))
         rows.append((m["name"], f"{a1:.6g} / {a2:.6g} / {a3:.6g}", f"{b1:.6g} / {b2:.6g} / {b3:.6g}",
                      f"{(b2 - a2) / a2:+.1%}" if a2 else "n/a", "yes" if abs(b2 - a2) > a3 - a1 else "no",
-                     f"{wins} of {count}"))
+                     past_bound(m, a2, b2), f"{wins} of {count}"))
     return lines + [f"{workload}: {count} pairs, seeds {first_seed}-{first_seed + count - 1}"] + table(rows)
 
 
@@ -185,7 +195,7 @@ def compare(old: dict, new: dict) -> list:
     if envs[0] != envs[1]:
         raise ValueError(f"the files were made in different environments: {envs[0]} != {envs[1]}")
     spec = load_json(ROOT / "BENCHMARK.json")
-    rows = [("workload", "metric", "old", "new", "change", "by metric", "beyond both IQRs")]
+    rows = [("workload", "metric", "old", "new", "change", "by metric", "beyond both IQRs", "past bound")]
     for workload in (w["name"] for w in spec["workloads"]):
         for metric in spec["end_to_end"]:
             try:
@@ -200,7 +210,7 @@ def compare(old: dict, new: dict) -> list:
                 verdict = "better" if (delta < 0) == (metric["better"] == "lower") else "worse"
             beyond = abs(delta) > a["iqr"] and abs(delta) > b["iqr"]
             rows.append((workload, metric["name"], f"{a['median']:.6g}", f"{b['median']:.6g}",
-                         change, verdict, "yes" if beyond else "no"))
+                         change, verdict, "yes" if beyond else "no", past_bound(metric, a["median"], b["median"])))
     return rows
 
 
