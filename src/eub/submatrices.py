@@ -183,10 +183,10 @@ MAX_ENUMERATION_DIM = 12
 # entries and at most 6 or 15 temporaries of _top_eig_2x2 or _top_eig_3x3;
 # tracemalloc reads peaks of 4 and 12, both roots taken) and 8 in the
 # pruned classes (the minor sum, the det tier's masks and the three indices
-# of a block that passes it). The AM-GM step adds m + 3 elements per block
-# that passes the det tier (its gathered complement sums, and D, T and mu),
-# and per matrix |U|^2 summed over each complement, N C elements, under its
-# Grams' N (N + 1) C.
+# of a block that passes it). The AM-GM step adds about 2 m + 5 elements
+# per block that passes the det tier (the row indices and complement sums
+# it gathers, D, T, mu and their temporaries), and per matrix |U|^2 summed
+# over each complement, N C elements, under its Grams' N (N + 1) C.
 # A sub-chunk of a larger stack builds the squared minors of each row
 # sub-chunk and keeps none, which adds 10 C(N, m) per row set (a level of
 # complex minors, its two gathered operands and their product). A batch
