@@ -66,17 +66,23 @@ CARDANO_MIN_GAP = 1e-2
 # relative, or 1e-12 absolute for the sums of squared minors, so the block
 # that attains the class maximum always passes. Read by submatrices.
 PRUNE_SLACK = 1e-9
-# A translate W[i, j] = U[i + a, j + b] of a unitary counts as U up to unit
-# phases, W = diag(x) U diag(y), when the fitted x, y leave a max-norm
-# residual r <= this. The kernel then visits one block per translation
-# orbit. An m x n block of W is within sqrt(mn) r <= ((k + 1) / 2) r of the
-# norm of the block of U it came from, and a row shift followed by a column
-# shift adds their two residuals, so s_k from the representatives is within
-# 2 ((k + 1) / 2) SYMMETRY_TOL of the full enumeration's, plus rounding.
-# Measured residuals of every accepted translate at N = 4..16, dephased or
-# not, with beta on a grid of 65 points in [0, 2]: at most 4.5e-15 for F_N
-# and P_N^beta at N <= 12 and 4.9e-15 at N = 13..16, and 5e-16 for the
-# shift and the identity, a margin of 20x or more; the tests hold it to 8x.
+# A one-step translate W[i, j] = U[i + a, j + b], a, b in {0, 1}, of a
+# unitary counts as U up to unit phases, W = diag(x) U diag(y), when the
+# fitted x, y leave a max-norm residual r <= this; its powers are not
+# tested. The kernel then visits one block per translation orbit. Steps
+# compose and their residuals add, so each block of an orbit, within
+# floor(N/2) steps of its representative, is within floor(N/2) r of it up
+# to phases, and its norm within floor(N/2) sqrt(mn) r <= floor(N/2)
+# ((k + 1) / 2) r. A row shift followed by a column shift adds their two
+# residuals, so s_k from the representatives is within 2 ((k + 1) / 2)
+# floor(N/2) SYMMETRY_TOL of the full enumeration's, plus rounding: 1.4e-11
+# at N = 16, k = 16, far inside the 2 or 3 UNITARITY_TOL that the served
+# complement classes allow. Measured residuals of every accepted translate
+# at every power, N = 4..16, dephased or not, with beta on a grid of 65
+# points in [0, 2]: at most 4.5e-15 for F_N and P_N^beta at N <= 12 and
+# 4.9e-15 at N = 13..16 (4.7e-15 at one step), and 5e-16 for the shift and
+# the identity, a margin of 20x or more; the tests hold it to 8x. A threshold of this over
+# floor(N/2) would leave no such margin, so the tolerance stays one-step.
 # A dephased P_N^beta within 3/32 (N = 16) to 3/16 (N = 4) of an integer
 # beta has one link a row (see submatrices._phase_residual), so nothing
 # ties its rows' phases together: it reads 0.06 or more and takes the full

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import math
+from datetime import datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -732,6 +733,7 @@ def test_bench_record_summarises_runs(monkeypatch):
     out = tool.record()
     assert calls[:4] == [(w, 101) for w in ("ensemble-sampling", "ensemble-kernel", "large-n-report", "small-reports")]
     assert len(calls) == 12 and out["env"] == {"src_sha256": "x"} and out["seeds"] == [101, 102, 103]
+    assert datetime.fromisoformat(out["recorded_utc"]).utcoffset() == timedelta(0)
     small = out["workloads"]["small-reports"]
     assert (small["correct"], small["failed"], small["attempted"]) == (False, 1, 15)
     assert small["metrics"]["wall_s"] == {"unit": "s", "median": 2.0, "iqr": 1.0, "runs": [1.0, 2.0, 3.0]}
@@ -748,15 +750,20 @@ def test_bench_record_compares_two_files(tmp_path, capsys):
     """--compare prints both medians of every workload and end-to-end metric,
     the relative change, its direction by the metric's `better`, whether it
     exceeds both IQRs and whether it is worse by more than the metric's
-    `bound`, and refuses files from different environments."""
+    `bound`; above the table it names each file's label, git sha and
+    recording time ("unknown" where a file lacks one) and says that medians
+    from separate sessions give no verdict. It refuses files from different
+    environments."""
     tool = _load_tool("bench_record")
     spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
     env = {"python": "3", "nproc": 2, "git_sha": "a", "src_sha256": "a"}
 
-    def write(name, medians, iqr, **changes):
+    def write(name, medians, iqr, stamp=None, **changes):
         metrics = {m["name"]: {"unit": m["unit"], "median": medians.get(m["name"], 1.0), "iqr": iqr, "runs": []}
                    for m in spec["end_to_end"]}
         data = {"env": dict(env, **changes), "workloads": {w["name"]: {"metrics": metrics} for w in spec["workloads"]}}
+        if stamp is not None:
+            data.update(label="new", recorded_utc=stamp)
         path = tmp_path / name
         path.write_text(json.dumps(data))
         return str(path)
@@ -764,9 +771,13 @@ def test_bench_record_compares_two_files(tmp_path, capsys):
     old = write("old.json", {"op_p50_ms": 4.0, "items_per_s": 100.0}, 0.1)
     # worse by 10% and 20% (bound 25%) and by 5% and 11% (bound 10%)
     new = write("new.json", {"op_p50_ms": 3.0, "items_per_s": 90.0, "op_tail_ms": 1.2, "setup_s": 0.74,
-                             "peak_rss_mb": 1.05}, 0.5, git_sha="b", src_sha256="b")
+                             "peak_rss_mb": 1.05}, 0.5, stamp="2026-01-02T03:04:05+00:00", git_sha="b", src_sha256="b")
     assert tool.main(["--compare", old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "old: label unknown, git_sha a, recorded_utc unknown"
+    assert lines[1] == "new: label new, git_sha b, recorded_utc 2026-01-02T03:04:05+00:00"
+    assert "no verdict" in lines[2] and "--pairs" in lines[2]
+    lines = lines[3:]
     assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs",
                                 "past", "bound"]
     assert len(lines) == 1 + len(spec["workloads"]) * len(spec["end_to_end"])

@@ -12,6 +12,7 @@ import eub.submatrices as submatrices
 from eub import (
     RngSeed,
     cyclic_shift,
+    dephase,
     fourier_matrix,
     haar_unitary,
     largest_singular_value,
@@ -820,24 +821,36 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
 @pytest.mark.parametrize("dim", range(4, 17))
 def test_accepted_translates_fit_well_inside_the_tolerance(dim):
     """On F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the
-    identity, each plain and dephased, every translate of a generator that
-    the detector accepts has a phase-fit residual of at most SYMMETRY_TOL / 8."""
-    cases = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
-    cases.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
-    cases.update({f"{name} dephased": _dephased(u, SEED + 1600 + dim) for name, u in cases.items()})
-    flat = submatrices._shift_index(dim)
+    identity, each plain, with random unit phases on both sides and in
+    dephased form, the detector, which tests one step of each generator,
+    accepts exactly the generators whose every power a = 1..N-1 passes its
+    rule, and every such translate of an accepted generator has a phase-fit
+    residual of at most SYMMETRY_TOL / 8."""
+    plain = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
+    plain.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
+    cases = dict(plain)
+    cases.update({f"{name} phased": _dephased(u, SEED + 1600 + dim) for name, u in plain.items()})
+    cases.update({f"{name} dephased": dephase(u) for name, u in plain.items()})
     held = {}
     for name, u in cases.items():
-        u3 = u[None]
+        u3 = np.asarray(u, dtype=complex)[None]
         held[name] = _translation_symmetry(u3)
-        for g in np.flatnonzero(held[name]):
-            w = u3.reshape(1, -1)[:, flat[g]].reshape(1, dim - 1, dim, dim)
-            resid = submatrices._phase_residual(u3, np.abs(u3), w)
-            assert resid.max() <= SYMMETRY_TOL / 8, (name, g, resid.max())
+        every_power = []
+        for g, (g0, g1) in enumerate(submatrices._SHIFTS):
+            # W[i, j] = U[i + a g_0, j + a g_1] for a = 1..N-1
+            w = np.stack([np.roll(u3[0], (-a * g0, -a * g1), axis=(0, 1)) for a in range(1, dim)])[None]
+            holds = bool((np.abs(np.abs(w) - np.abs(u3)[:, None]) <= SYMMETRY_TOL).all())
+            if holds:
+                resid = submatrices._phase_residual(u3, np.abs(u3), w)
+                holds = bool((resid <= SYMMETRY_TOL).all())
+                if held[name][g]:
+                    assert resid.max() <= SYMMETRY_TOL / 8, (name, g, resid.max())
+            every_power.append(holds)
+        assert held[name].tolist() == every_power, name
     # the fit is reached: F_N holds under all three generators, and every
     # plain input under the diagonal one
-    assert held["F"].all() and held["F dephased"].all()
-    assert all(h[2] for name, h in held.items() if "dephased" not in name)
+    assert held["F"].all() and held["F phased"].all() and held["F dephased"].all()
+    assert all(held[name][2] for name in plain)
 
 
 def _served_lambda(u, shape, sym):

@@ -17,8 +17,9 @@ The file holds the ``env`` of the first run's detail line (versions,
 it but for the seed), the seeds and seconds, and per workload: ``correct``
 (every run correct), ``failed`` and ``attempted`` (summed over the runs),
 the median and interquartile range over the runs of every end-to-end
-metric with each run's value, and each run's raw round walls. Quartiles
-are ``statistics.quantiles(..., n=4, method="inclusive")``.
+metric with each run's value, each run's raw round walls, and
+``recorded_utc``, the UTC time the last run ended. Quartiles are
+``statistics.quantiles(..., n=4, method="inclusive")``.
 
 Two files are compared by their per-metric medians:
 
@@ -28,9 +29,13 @@ prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
 medians, the relative change, whether that change is better or worse by the
 metric's ``better``, whether it exceeds the IQR of both files, and whether
 the new median is worse than the old by more than the metric's ``bound``, a
-fraction of the old median: the benchmark's rule for a regression. Files
-whose ``env`` differs in anything but the git sha, ``src_sha256`` or the
-seed are refused.
+fraction of the old median: the benchmark's rule for a regression. Above
+the table it prints each file's label, git sha and ``recorded_utc``
+("unknown" where a file lacks one), and a line saying that medians from
+separate sessions give no verdict: the box's speed drifts between
+sessions, and only ``--pairs`` runs both sides in one. Files whose ``env``
+differs in anything but the git sha, ``src_sha256`` or the seed are
+refused.
 
 Three runs a side show no win rate, so a change that claims a gain also
 runs pairs of parent and change on one workload:
@@ -60,6 +65,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,7 +129,8 @@ def record() -> dict:
             },
             "raw_round_walls_s": [detail["raw_round_walls_s"] for detail, _ in done],
         }
-    return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": workloads}
+    recorded = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "recorded_utc": recorded, "workloads": workloads}
 
 
 def machine(env: dict) -> dict:
@@ -214,6 +221,14 @@ def compare(old: dict, new: dict) -> list:
     return rows
 
 
+def provenance(old: dict, new: dict) -> list:
+    """The lines ``--compare`` prints above its table: where each file came from, and what medians can show."""
+    lines = [f"{side}: label {rec.get('label', 'unknown')}, git_sha {rec['env'].get('git_sha', 'unknown')}, "
+             f"recorded_utc {rec.get('recorded_utc', 'unknown')}" for side, rec in (("old", old), ("new", new))]
+    return lines + ["Medians from separate sessions carry the box's drift between them and give no verdict on a "
+                    "change; --pairs runs both sides in one session and gives one."]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", nargs="?", help="names the output file, BENCH_<label>.json")
@@ -231,10 +246,11 @@ def main(argv=None) -> int:
         parser.error("--compare and --pairs take no label")
     if args.compare:
         try:
-            rows = compare(*(load_json(path) for path in args.compare))
+            records = [load_json(path) for path in args.compare]
+            rows = compare(*records)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        print("\n".join(table(rows)))
+        print("\n".join(provenance(*records) + table(rows)))
         return 0
     if args.pairs:
         if args.workload is None or args.seed is None or args.count < 1:
