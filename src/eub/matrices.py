@@ -81,8 +81,9 @@ PRUNE_SLACK = 1e-9
 # at every power, N = 4..16, dephased or not, with beta on a grid of 65
 # points in [0, 2]: at most 4.5e-15 for F_N and P_N^beta at N <= 12 and
 # 4.9e-15 at N = 13..16 (4.7e-15 at one step), and 5e-16 for the shift and
-# the identity, a margin of 20x or more; the tests hold it to 8x. A threshold of this over
-# floor(N/2) would leave no such margin, so the tolerance stays one-step.
+# the identity, a margin of 20x or more; the tests hold it to 8x. A
+# threshold of this over floor(N/2) would leave no such margin, so the
+# tolerance stays one-step.
 # A dephased P_N^beta within 3/32 (N = 16) to 3/16 (N = 4) of an integer
 # beta has one link a row (see submatrices._phase_residual), so nothing
 # ties its rows' phases together: it reads 0.06 or more and takes the full

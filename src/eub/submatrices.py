@@ -589,14 +589,14 @@ def _translation_symmetry(u3: np.ndarray) -> np.ndarray:
     residuals of steps add, so the a-th power of g is within |a| r of U up
     to phases, and an orbit's blocks, each within floor(N/2) steps of the
     representative, have norms within floor(N/2) sqrt(mn) r of it (the
-    module docstring's bound). On 2860 inputs at N = 4..16 (F_N, P_N^beta,
-    plain and phased, Haar draws, F_N with rows or columns permuted) this
-    accepted exactly what testing every power did; the worst accepted
-    residual was 4.7e-15 at one step and 4.9e-15 over every power. Matrix
-    0 is tested first, so a stack led by a Haar draw pays one comparison of
-    moduli; a generator holds for the stack only if it holds for every
-    matrix. N <= 3 has no block class to reduce, and it and an empty stack
-    return all False.
+    module docstring's bound). On F_N, P_N^beta, the shift and the
+    identity at N = 4..16, plain or phased, the tests check that this
+    accepts exactly what testing every power would; the worst accepted
+    residual there is 4.7e-15 at one step and 4.9e-15 over every power.
+    Matrix 0 is tested first, so a stack led by a Haar draw pays one
+    comparison of moduli; a generator holds for the stack only if it holds
+    for every matrix. N <= 3 has no block class to reduce, and it and an
+    empty stack return all False.
     """
     held = np.zeros(len(_SHIFTS), dtype=bool)
     if u3.shape[1] <= 3 or not len(u3):

@@ -777,6 +777,9 @@ def test_bench_record_compares_two_files(tmp_path, capsys):
     assert lines[0] == "old: label unknown, git_sha a, recorded_utc unknown"
     assert lines[1] == "new: label new, git_sha b, recorded_utc 2026-01-02T03:04:05+00:00"
     assert "no verdict" in lines[2] and "--pairs" in lines[2]
+    # a record made outside a git checkout holds a null git sha
+    null_sha = tool.provenance({"env": {"git_sha": None}}, {"env": {}})
+    assert null_sha[0] == "old: label unknown, git_sha unknown, recorded_utc unknown"
     lines = lines[3:]
     assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs",
                                 "past", "bound"]

@@ -31,7 +31,8 @@ metric's ``better``, whether it exceeds the IQR of both files, and whether
 the new median is worse than the old by more than the metric's ``bound``, a
 fraction of the old median: the benchmark's rule for a regression. Above
 the table it prints each file's label, git sha and ``recorded_utc``
-("unknown" where a file lacks one), and a line saying that medians from
+("unknown" where a file lacks one or holds null, as ``git_sha`` does in a
+record made outside a git checkout), and a line saying that medians from
 separate sessions give no verdict: the box's speed drifts between
 sessions, and only ``--pairs`` runs both sides in one. Files whose ``env``
 differs in anything but the git sha, ``src_sha256`` or the seed are
@@ -223,8 +224,8 @@ def compare(old: dict, new: dict) -> list:
 
 def provenance(old: dict, new: dict) -> list:
     """The lines ``--compare`` prints above its table: where each file came from, and what medians can show."""
-    lines = [f"{side}: label {rec.get('label', 'unknown')}, git_sha {rec['env'].get('git_sha', 'unknown')}, "
-             f"recorded_utc {rec.get('recorded_utc', 'unknown')}" for side, rec in (("old", old), ("new", new))]
+    lines = [f"{side}: label {rec.get('label') or 'unknown'}, git_sha {rec['env'].get('git_sha') or 'unknown'}, "
+             f"recorded_utc {rec.get('recorded_utc') or 'unknown'}" for side, rec in (("old", old), ("new", new))]
     return lines + ["Medians from separate sessions carry the box's drift between them and give no verdict on a "
                     "change; --pairs runs both sides in one session and gives one."]
 
