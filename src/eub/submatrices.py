@@ -73,14 +73,16 @@ per batch sub-chunk, so it may round differently with the batch size:
 that changes only which blocks reach eigvalsh, never s. The floor enters
 only the test, never the returned maximum.
 
-``_class_plan`` lists, once per N and translation symmetry, each class the
-kernels enumerate, once, with the row and column sets it visits; strips
-and the classes served by complements (below) have no entry. Each entry
-also carries the tables its kernel reads, in the kernel's orientation
-(row and column sets swapped for U^T): the column sets' indicator matrix,
-each row set's pair positions in the N x N Grams, and for a pruned class
-the ranks of its complement sets. They are built with the plan and cached
-with it, so a call builds none of them. The sets come from four
+``_class_plan`` lists, once per N, translation symmetry and rung k, each
+class of rung k the kernels enumerate, once, with the row and column sets
+it visits; strips and the classes served by complements (below) have no
+entry. Each entry also carries the tables its kernel reads, in the
+kernel's orientation (row and column sets swapped for U^T): the column
+sets' indicator matrix, each row set's pair positions in the N x N Grams,
+and for a pruned class the ranks of its complement sets. They are built
+with the rung's plan and cached with it, so a call builds none of them
+for a rung it has met before, and a chain that stops early builds only
+the rungs it reaches, and the next. The sets come from four
 reductions. Two are exact: every shape with m + n > N contains a
 full row or column of some unitary completion and has norm exactly 1, and
 at m + n = N a block and its complementary block share their largest
@@ -530,18 +532,15 @@ class _CallTables:
     larger stack are sized per class, so they rarely meet: they build their
     tables as they go, the minors per row sub-chunk, and keep none. One minor
     table serves each orientation, m and row list, and a full list of
-    m-subsets serves both orientations, U^T's table being U's transposed. A
-    table is dropped after the last entry of ``plan`` that reads it.
+    m-subsets serves both orientations, U^T's table being U's transposed.
+    After each entry, ``release`` drops the tables that neither the rest of
+    its rung nor the next rung reads. The readers of every table sit on
+    consecutive rungs, so that is right after the table's last reader.
     """
 
-    def __init__(self, u_batch: np.ndarray, plan: tuple = ()):
+    def __init__(self, u_batch: np.ndarray):
         self.views = (u_batch, u_batch.swapaxes(1, 2))
         self.held = {}
-        self.last = {}  # the index in plan of the last entry that reads each table
-        for i, (_, m, n, _, rows, *_, sets) in enumerate(plan):
-            self.last[m > n] = i
-            if sets is not None:
-                self.last[self._minor_key(m > n, rows)] = i
 
     def _minor_key(self, transposed: bool, rows: np.ndarray) -> tuple:
         # The plan gives every entry of one orientation and m the same row
@@ -568,10 +567,15 @@ class _CallTables:
         built, table = self.held[key]
         return (table if built == transposed else table.swapaxes(1, 2))[:, lo:hi]
 
-    def release(self, i: int) -> None:
-        # drops the tables whose last reader is entry i of the plan
-        for key in [key for key, last in self.last.items() if last == i]:
-            self.held.pop(key, None)
+    def reads(self, entry: tuple) -> set:
+        # the keys of the tables that a plan entry's kernel reads
+        m, n, _, rows, *_, sets = entry
+        return {m > n} if sets is None else {m > n, self._minor_key(m > n, rows)}
+
+    def release(self, later: tuple) -> None:
+        # drops the held tables that no entry of later reads
+        keep = set().union(*map(self.reads, later))
+        self.held = {key: table for key, table in self.held.items() if key in keep}
 
 
 # Generators of the translations the kernel looks for, as (row, column)
@@ -663,17 +667,18 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
     return np.abs(w - x[..., None] * u3[:, None] * y[:, :, None]).max(axis=(2, 3))
 
 
-@functools.lru_cache(maxsize=64)
-def _class_plan(dim: int, sym: tuple) -> tuple:
-    """The block classes ``s_coefficients_batch`` enumerates, in run order.
+@functools.lru_cache(maxsize=1024)
+def _class_plan(dim: int, sym: tuple, k: int) -> tuple:
+    """The block classes of rung k that ``s_coefficients_batch`` enumerates, in run order.
 
     ``sym`` is ``_translation_symmetry``'s result as a tuple of bools. Each
-    entry (k, m, n, serves, rows, cols, indicator, entries, sets) runs the
+    entry (m, n, serves, rows, cols, indicator, entries, sets) runs the
     m x n blocks of class k + 1; ``serves`` is None, or for a source the k
     of the class its bottom eigenvalues serve (its own k if it is
-    self-complementary). Entries run by k, then min(m, n), so the floor of
-    an m >= 4 class holds its k's strips, served and smaller classes. The
-    reductions are the module docstring's.
+    self-complementary, else a larger one). Entries run by min(m, n), so the
+    floor of an m >= 4 class holds its k's strips, served and smaller
+    classes. Rungs below 3 and from N on have no entry. The reductions are
+    the module docstring's.
 
     The rest are the tables of the class's kernel, in the orientation it
     runs in: on U^T for m > n, with the row and column sets swapped. The
@@ -684,7 +689,8 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
     is None for a closed-form class (p = 2, 3), which runs
     ``_closed_form_max``; for a pruned class (p >= 4), which runs
     ``_pruned_max``, it holds the ranks ``_complement_sets`` gives. See
-    ``_class_tables``. Cached, so every array is read-only.
+    ``_class_tables``. Cached per rung, so every array is read-only; 1024
+    rungs hold 64 chains up to N = 17.
     """
     by_rows, by_cols, diagonal = sym
     served = {
@@ -695,28 +701,28 @@ def _class_plan(dim: int, sym: tuple) -> tuple:
     }
     sources = {source: sum(shape) - 1 for shape, source in served.items()}
     plan = []
-    for k in range(1, dim):
-        # class N runs m <= n only, one of each complementary pair of blocks
-        for m, n in sorted(((m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1), key=min):
-            if (m, n) in served:
-                continue
-            # the diagonal shift alone reduces the smaller side
-            reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
-            rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
-            cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
-            # the subsets containing 0 lead the lexicographic table: the
-            # half rows of class N, and the half columns (or else rows) of a
-            # closed-form class that is its own column (row) complement
-            if not reduce_rows and 2 * m == k + 1 == dim:
-                rows = rows[: math.comb(dim - 1, m - 1)]
-            own = min(m, n) <= 3 and (not reduce_cols if 2 * n == dim else not reduce_rows and 2 * m == dim)
-            if own and 2 * n == dim:
-                cols = cols[: math.comb(dim - 1, n - 1)]
-            elif own:
-                rows = rows[: math.comb(dim - 1, m - 1)]
-            if m > n:
-                rows, cols = cols, rows
-            plan.append((k, m, n, k if own else sources.get((m, n)), rows, cols, *_class_tables(dim, rows, cols)))
+    # class N runs m <= n only, one of each complementary pair of blocks,
+    # and none runs past it
+    for m, n in sorted(((m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1 == dim), key=min):
+        if (m, n) in served:
+            continue
+        # the diagonal shift alone reduces the smaller side
+        reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
+        rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
+        cols = _necklaces(dim, n) if reduce_cols else _combinations(dim, n)
+        # the subsets containing 0 lead the lexicographic table: the half
+        # rows of class N, and the half columns (or else rows) of a
+        # closed-form class that is its own column (row) complement
+        if not reduce_rows and 2 * m == k + 1 == dim:
+            rows = rows[: math.comb(dim - 1, m - 1)]
+        own = min(m, n) <= 3 and (not reduce_cols if 2 * n == dim else not reduce_rows and 2 * m == dim)
+        if own and 2 * n == dim:
+            cols = cols[: math.comb(dim - 1, n - 1)]
+        elif own:
+            rows = rows[: math.comb(dim - 1, m - 1)]
+        if m > n:
+            rows, cols = cols, rows
+        plan.append((m, n, k if own else sources.get((m, n)), rows, cols, *_class_tables(dim, rows, cols)))
     return tuple(plan)
 
 
@@ -905,34 +911,39 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     The trusted entry, and the only enumeration: it checks the stack's
     shape but assumes every matrix is unitary (the Haar sampler and
     ``_checked_coefficients`` feed it) and does not limit N. The strips fill
-    every k, class N + 1 is pinned to exactly 1, and each entry of
-    ``_class_plan``, for the symmetry the whole stack shares, raises its k
-    and a source's ``serves``, reading the tables of one ``_CallTables``.
-    The loop stops at the first entry whose k already has, for every
-    matrix, a squared norm of at least 1 at k or below: s is then exactly 1
-    from k on, which those rungs are set to. A chain that needs a repair
-    larger than UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    every k, class N + 1 is pinned to exactly 1, and the loop runs rung by
+    rung: it fetches rung k's ``_class_plan``, for the symmetry the whole
+    stack shares, when it reaches k, and each entry raises its k and a
+    source's ``serves``, reading the tables of one ``_CallTables``. The
+    loop stops at the first entry whose k already has, for every matrix, a
+    squared norm of at least 1 at k or below: s is then exactly 1 from k
+    on, which those rungs are set to, and no rung past k + 1 is built. A
+    chain that needs a repair larger than UNITARITY_TOL to be monotone and
+    <= 1 raises ValueError.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
         raise ValueError("expected a stack of square matrices")
     lam = _strip_maxima(u_batch)
+    dim = u_batch.shape[1]
     sym = tuple(_translation_symmetry(u_batch).tolist())
-    plan = _class_plan(u_batch.shape[1], sym)
-    tables = _CallTables(u_batch, plan)
-    for i, (k, m, n, serves, rows, _, indicator, entries, sets) in enumerate(plan):
-        # once every matrix has a squared norm >= 1 at k or below, _finalize
-        # would set s to exactly 1 from k on, whatever the later entries find;
-        # the first test, one reduction, passes over a stack where none has
-        if lam[:, :k].max(initial=0.0) >= 1.0 and (lam[:, :k].max(axis=1) >= 1.0).all():
-            lam[:, k - 1 :] = 1.0
-            break
-        if sets is None:
-            best, least = _closed_form_max(tables, m > n, rows, indicator, entries)
-            if serves is not None:
-                lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
-        else:
-            best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
-        lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
-        tables.release(i)
+    tables = _CallTables(u_batch)
+    for k in range(3, dim):  # rungs 1 and 2 hold strips alone
+        rung = _class_plan(dim, sym, k)
+        for i, (m, n, serves, rows, _, indicator, entries, sets) in enumerate(rung):
+            # once every matrix has a squared norm >= 1 at k or below,
+            # _finalize would set s to exactly 1 from k on, whatever the later
+            # entries find; the first test, one reduction, passes over a stack
+            # where none has
+            if lam[:, :k].max(initial=0.0) >= 1.0 and (lam[:, :k].max(axis=1) >= 1.0).all():
+                lam[:, k - 1 :] = 1.0
+                return _finalize(np.sqrt(lam))
+            if sets is None:
+                best, least = _closed_form_max(tables, m > n, rows, indicator, entries)
+                if serves is not None:
+                    lam[:, serves - 1] = np.maximum(lam[:, serves - 1], 1.0 - least)
+            else:
+                best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
+            lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
+            tables.release(rung[i + 1 :] + _class_plan(dim, sym, k + 1))
     return _finalize(np.sqrt(lam))

@@ -656,9 +656,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 68
+    assert len(pinned) == 71
     # bounds reports at N = 10 take most of a full pass
-    for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS"):
+    for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
     # 20 bounds inputs (five of them a dephased P8^(1/2), which keeps a
@@ -686,8 +686,10 @@ def test_cli_digests_rerun_identical(monkeypatch):
 
 
 def test_cli_digests_large_bounds_match_pinned(tmp_path):
-    """The bounds reports at N = 10-12, which the rerun test leaves out,
-    print their pinned lines, on the build they were pinned on."""
+    """The bounds reports at N = 10-12, and those past the enumeration guard
+    (F13, F16 and the 16-cycle shift, with --allow-large-n), which the rerun
+    test leaves out, print their pinned lines, on the build they were pinned
+    on."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
     if header != tool.environment():
@@ -698,13 +700,16 @@ def test_cli_digests_large_bounds_match_pinned(tmp_path):
         for name, dims in (
             ("haar", tool.HAAR_DIMS), ("fourier", tool.FOURIER_DIMS),
             ("perm_half", tool.PERM_HALF_DIMS), ("perm_third", tool.PERM_THIRD_DIMS),
+            ("fourier", tool.LARGE_FOURIER_DIMS), ("shift", tool.LARGE_SHIFT_DIMS),
         )
         for n in dims
         if n >= 10
     }
     commands = [argv for argv in tool.command_set(workdir) if argv[0] == "bounds" and Path(argv[2]).name in large]
-    # Haar 10-12, F10, F12, P10^(1/2)-P12^(1/2) and P10^(1/3)
-    assert len(commands) == len(large) == 9
+    # Haar 10-12, F10, F12, P10^(1/2)-P12^(1/2) and P10^(1/3), and past the
+    # guard F13, F16 and the 16-cycle shift
+    assert len(commands) == len(large) == 12
+    assert sum("--allow-large-n" in argv for argv in commands) == 3
     lines = tool.digest_lines(commands, workdir)
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert lines == [by_argv[line.split("  ", 2)[2]] for line in lines]

@@ -408,9 +408,14 @@ def _served(plan):
     }
 
 
+def _full_plan(dim, sym, plan=submatrices._class_plan):
+    # every rung's entries in run order, each with its k put back in front
+    return tuple((k, *entry) for k in range(1, dim) for entry in plan(dim, sym, k))
+
+
 def _plan_of(u3):
-    # the plan the kernel runs for a stack
-    return submatrices._class_plan(u3.shape[1], tuple(_translation_symmetry(u3).tolist()))
+    # the plan the kernel runs for a stack, rung by rung
+    return _full_plan(u3.shape[1], tuple(_translation_symmetry(u3).tolist()))
 
 
 @pytest.mark.parametrize("dim", [5, 6, 7, 8, 9])
@@ -458,7 +463,10 @@ def test_class_plan_lists_each_shape_once(dim, sym):
     source serves a larger k, with its complements. Also the row and column
     set counts of the reductions, and the tables of each entry's kernel."""
     sym = tuple(bool(x) for x in sym)
-    plan = submatrices._class_plan(dim, sym)
+    rungs = [submatrices._class_plan(dim, sym, k) for k in range(dim + 2)]
+    # rungs 0-2 hold strips alone, and none runs past class N
+    assert rungs[:3] == [(), (), ()] and rungs[dim:] == [(), ()]
+    plan = _full_plan(dim, sym)
     enumerated = _classes(plan)
     assert len(enumerated) == len(plan)
     assert all(k == m + n - 1 and min(m, n) >= 2 for k, m, n, *_ in plan)
@@ -507,7 +515,8 @@ def test_class_plan_lists_each_shape_once(dim, sym):
         assert rows.shape[1:] == (m,) and cols.shape[1:] == (n,)
     for _, m, n, _, *tables in plan:
         _plan_tables_hold(dim, min(m, n), *tables)
-    assert submatrices._class_plan(dim, sym) is plan
+    # each rung is cached
+    assert all(submatrices._class_plan(dim, sym, k) is rung for k, rung in enumerate(rungs))
 
 
 def _plan_tables_hold(dim, p, rows, cols, indicator, entries, sets):
@@ -688,7 +697,7 @@ def test_block_sets_meet_every_orbit(dim, sym):
     steps = range(dim)
     moves = {(a * rows_shift + c * both, b * cols_shift + c * both) for a in steps for b in steps for c in steps}
     full = set(range(dim))
-    plan = submatrices._class_plan(dim, tuple(bool(x) for x in sym))
+    plan = _full_plan(dim, tuple(bool(x) for x in sym))
     for m in range(2, dim - 1):
         for n in range(2, dim + 1 - m):
             half = m == n and m + n == dim
@@ -857,7 +866,7 @@ def _served_lambda(u, shape, sym):
     # a served class's maximum squared norm as the kernel takes it: 1 minus
     # the least bottom eigenvalue over its source class's blocks, or for a
     # self-complementary class the larger of that and its own maximum
-    plan = submatrices._class_plan(len(u), tuple(sym.tolist()))
+    plan = _full_plan(len(u), tuple(sym.tolist()))
     source = _served(plan)[shape]
     rows, cols = _classes(plan)[source]
     top, least = _run_class(u[None], *source, np.zeros(1), rows, cols)
@@ -914,7 +923,7 @@ def test_complement_classes_match_the_oracle_on_degenerate_grams(dim, path, monk
     the oracle too."""
     for name, u in _degenerate(dim).items():
         sym = _translation_symmetry(u[None]) if path == "reduced" else _no_symmetry(u[None])
-        served = _served(submatrices._class_plan(dim, tuple(sym.tolist())))
+        served = _served(_full_plan(dim, tuple(sym.tolist())))
         assert set(served) - _own(served) == set(SERVED[dim]) - _own(SERVED[dim]), name
         for shape in served:
             top = math.sqrt(_served_lambda(u, shape, sym))
@@ -948,18 +957,18 @@ def _near_tolerance(u, seed, frac=0.7):
     return perturbed(eps * frac * UNITARITY_TOL / max(_residuals(perturbed(eps))))
 
 
-def _enumerated_plan(dim, sym, plan=submatrices._class_plan):
-    # the plan with every served class, a self-complementary one too,
-    # enumerated over every block at its k, and no source's bottom
-    # eigenvalues read; for inputs without symmetry
-    entries = plan(dim, sym)
-    served = _served(entries)
-    every = [(k, m, n, None, *tables) for k, m, n, _, *tables in entries if (m, n) not in served]
+def _enumerated_plan(dim, sym, k, plan=submatrices._class_plan):
+    # rung k of the plan with every served class of the chain, a
+    # self-complementary one too, enumerated over every block at its k, and
+    # no source's bottom eigenvalues read; for inputs without symmetry
+    served = _served(_full_plan(dim, sym, plan))
+    every = [(m, n, None, *tables) for m, n, _, *tables in plan(dim, sym, k) if (m, n) not in served]
     for m, n in served:
-        rows, cols = _combinations(dim, m), _combinations(dim, n)
-        rows, cols = (rows, cols) if m <= n else (cols, rows)
-        every.append((m + n - 1, m, n, None, rows, cols, *submatrices._class_tables(dim, rows, cols)))
-    return tuple(sorted(every, key=lambda entry: (entry[0], min(entry[1:3]))))
+        if m + n - 1 == k:
+            rows, cols = _combinations(dim, m), _combinations(dim, n)
+            rows, cols = (rows, cols) if m <= n else (cols, rows)
+            every.append((m, n, None, rows, cols, *submatrices._class_tables(dim, rows, cols)))
+    return tuple(sorted(every, key=lambda entry: min(entry[:2])))
 
 
 @pytest.mark.parametrize("dim", range(4, 9))
@@ -1191,6 +1200,62 @@ def test_a_call_builds_each_table_once(monkeypatch):
     assert all(sum(isinstance(key, tuple) for key in keys) <= 1 for keys in held) and held[-1] == set()
     monkeypatch.undo()
     assert np.array_equal(s_coefficients(u).s, s)
+
+
+@pytest.mark.parametrize(
+    "dim, syms",
+    [(dim, REACHABLE_SYMMETRIES) for dim in range(4, 13)] + [(dim, [(1, 1, 1)]) for dim in range(13, 17)],
+    ids=lambda x: str(x) if isinstance(x, int) else "every" if len(x) > 1 else "F",
+)
+def test_every_table_is_read_on_consecutive_rungs(dim, syms):
+    """The readers of each per-call table, the pair products of either
+    orientation and each minor table, sit on consecutive rungs. So release,
+    which keeps what the rest of the entry's rung and the next rung read,
+    drops every table right after its last reader in the whole plan. Past
+    the guard only F_N's symmetry: plans without one hold hundreds of MB."""
+    tables = submatrices._CallTables(np.zeros((1, dim, dim), dtype=complex))
+    for sym in syms:
+        sym = tuple(bool(x) for x in sym)
+        readers = {}
+        for k in range(1, dim):
+            for entry in submatrices._class_plan(dim, sym, k):
+                for key in tables.reads(entry):
+                    readers.setdefault(key, set()).add(k)
+        assert readers, sym
+        for key, rungs in readers.items():
+            assert rungs == set(range(min(rungs), max(rungs) + 1)), (sym, key, sorted(rungs))
+        plan = _full_plan(dim, sym)
+        for i, (k, *entry) in enumerate(plan):
+            read = set().union(*(tables.reads(e[1:]) for e in plan[: i + 1]))
+            later = set().union(*(tables.reads(e[1:]) for e in plan[i + 1 :]))
+            tables.held = dict.fromkeys(read)
+            rest = tuple(e[1:] for e in plan[i + 1 :] if e[0] == k)
+            tables.release(rest + submatrices._class_plan(dim, sym, k + 1))
+            assert set(tables.held) == read & later, (sym, k, entry[:2])
+
+
+SATURATED_16 = {"shift16": cyclic_shift(16), "I16": np.eye(16, dtype=complex), "F16": fourier_matrix(16)}
+
+
+@pytest.mark.parametrize("name", list(SATURATED_16))
+def test_a_saturated_chain_builds_only_the_rungs_it_reaches(name, monkeypatch):
+    """A chain that stops at the first entry whose k already has a squared
+    norm of 1 builds the tables of the rungs up to there and of one rung
+    more, which release looks at, and no other: the 16-cycle shift and I16
+    stop at rung 3, their strips being 1 from k = 1 on, and F16 stops with
+    the first exact 1, at k = 8, of its 15 rungs."""
+    built = []
+    class_tables = submatrices._class_tables
+    monkeypatch.setattr(
+        submatrices, "_class_tables", lambda dim, rows, cols: built.append(rows.shape[1] + cols.shape[1] - 1) or class_tables(dim, rows, cols)
+    )
+    submatrices._class_plan.cache_clear()
+    s = s_coefficients_batch(SATURATED_16[name][None])[0]
+    first = int(np.argmax(s == 1.0)) + 1  # the first rung at exactly 1
+    assert first == (8 if name == "F16" else 1) and np.all(s[first - 1 :] == 1.0)
+    assert built and sorted(set(built)) == list(range(3, max(3, first + 1) + 1)), sorted(set(built))
+    monkeypatch.undo()
+    submatrices._class_plan.cache_clear()
 
 
 @pytest.mark.parametrize("dim", [8, 9])

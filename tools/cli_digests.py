@@ -37,12 +37,18 @@ import numpy as np
 import eub
 from eub.cli import main
 from eub.matrices import generator
+from eub.submatrices import MAX_ENUMERATION_DIM
 
 HAAR_DIMS = tuple(range(3, 13))
 FOURIER_DIMS = (4, 6, 8, 9, 10, 12)
 PERM_HALF_DIMS = (6, 8, 9, 10, 11, 12)
 # P^(1/3): degenerate Grams, where many blocks pass the complement bound
 PERM_THIRD_DIMS = (9, 10)
+# Inputs past the enumeration guard, run with --allow-large-n: F16 and the
+# 16-cycle shift, whose chains stop early (at k = 8 and at once), and F13,
+# prime, whose chain reaches 1 only at k = N
+LARGE_FOURIER_DIMS = (13, 16)
+LARGE_SHIFT_DIMS = (16,)
 # F_N with rows and columns permuted by non-affine permutations: tied
 # blocks, but no translation symmetry, so the kernel visits every block.
 # Rows alone keep the column shift, and columns alone the row shift, so
@@ -70,6 +76,8 @@ def write_inputs(workdir: str) -> list:
     mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in FOURIER_DIMS]
     mats += [(f"perm_half{n}", eub.permutation_power(n, 0.5)) for n in PERM_HALF_DIMS]
     mats += [(f"perm_third{n}", eub.permutation_power(n, 1.0 / 3.0)) for n in PERM_THIRD_DIMS]
+    mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in LARGE_FOURIER_DIMS]
+    mats += [(f"shift{n}", eub.cyclic_shift(n)) for n in LARGE_SHIFT_DIMS]
     # a dephased circulant, which keeps the diagonal translation symmetry
     phases = np.exp(2j * np.pi * generator(eub.RngSeed(8)).random((2, 8)))
     mats.append(("perm_half8_dephased", phases[0][:, None] * eub.permutation_power(8, 0.5) * phases[1]))
@@ -101,6 +109,8 @@ def command_set(workdir: str) -> list:
         argv = ["bounds", "--input", path]
         for a in BOUNDS_ALPHAS:
             argv += ["--alpha", a]
+        if len(eub.load_matrix(path)) > MAX_ENUMERATION_DIM:
+            argv.append("--allow-large-n")
         commands.append(argv)
     stochastic = os.path.join(workdir, "stochastic4.json")
     commands += [
