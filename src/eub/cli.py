@@ -120,10 +120,6 @@ def _seed_of(args) -> RngSeed:
     return RngSeed(seed=args.seed, stream=args.stream)
 
 
-def _fmt12(v) -> str:
-    return "" if v is None else f"{v:.12g}"
-
-
 # --- subcommand implementations ----------------------------------------------
 
 
@@ -192,21 +188,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_scan(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    records = cross_section_scan(args.grid_step, alpha)
     lines = ["a,b,feasible,b_mu,b_ladder_2,diff"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt12(rec.a),
-                    _fmt12(rec.b),
-                    "1" if rec.feasible else "0",
-                    _fmt12(rec.b_mu),
-                    _fmt12(rec.b_ladder_2),
-                    _fmt12(rec.diff),
-                ]
-            )
-        )
+    # the records come through this module's cross_section_scan, which
+    # bench/tracer.py wraps; cells carry 12 significant digits, and an
+    # infeasible point's are empty
+    for r in cross_section_scan(args.grid_step, alpha):
+        if r.feasible:
+            lines.append(f"{r.a:.12g},{r.b:.12g},1,{r.b_mu:.12g},{r.b_ladder_2:.12g},{r.diff:.12g}")
+        else:
+            lines.append(f"{r.a:.12g},{r.b:.12g},0,,,")
     _emit_all(((args.output, "\n".join(lines) + "\n"),))
     return 0
 

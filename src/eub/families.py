@@ -219,28 +219,29 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
     steps = int(round(1.0 / grid_step))
+    index = np.arange(steps + 1)
+    ia, ib = np.nonzero(np.add.outer(index, index) <= steps)
+    a, b = ia * grid_step, ib * grid_step
     # the same edge allowance as BirkhoffPoint, so every kept point is a
     # valid one
-    grid = [(ia * grid_step, ib * grid_step) for ia in range(steps + 1) for ib in range(steps + 1 - ia)]
-    grid = [(a, bb) for a, bb in grid if a + bb <= 1.0 + NEGATIVE_CLAMP]
-    points = np.array(grid)
-    ab = np.minimum(points, 1.0)
-    mats = birkhoff_matrix(BirkhoffPoint(ab[:, 0], ab[:, 1]))
+    kept = a + b <= 1.0 + NEGATIVE_CLAMP
+    a, b = a[kept], b[kept]
+    mats = birkhoff_matrix(BirkhoffPoint(np.minimum(a, 1.0), np.minimum(b, 1.0)))
     feasible = _link_triangle(mats)[2]
     # (0, 0), the identity, is always feasible, so the stack is never empty
     lifts = unistochastic_lift_3(mats[feasible])
     resid = lift_residual(lifts, mats[feasible])
     bad = _first_failure(resid <= LIFT_RESIDUAL_TOL)
     if bad is not None:
-        a, bb = points[feasible][bad].tolist()
-        raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({a}, {bb}) exceeds {LIFT_RESIDUAL_TOL:g}")
+        x, y = a[feasible][bad].item(), b[feasible][bad].item()
+        raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({x}, {y}) exceeds {LIFT_RESIDUAL_TOL:g}")
     report = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha)
     values = zip(report.b_mu.tolist(), report.ladder[:, 1].tolist())
     records = []
-    for (a, bb), ok in zip(grid, feasible):
+    for x, y, ok in zip(a.tolist(), b.tolist(), feasible.tolist()):
         if not ok:
-            records.append(ScanRecord(a, bb, False, None, None, None))
+            records.append(ScanRecord(x, y, False, None, None, None))
             continue
         mu, b2 = next(values)
-        records.append(ScanRecord(a, bb, True, mu, b2, mu - b2))
+        records.append(ScanRecord(x, y, True, mu, b2, mu - b2))
     return records

@@ -49,7 +49,10 @@ import numpy as np
 # is at most |U^dag U - I|_2 = |U U^dag - I|_2 <= N UNITARITY_TOL. The
 # complement bound that prunes the m >= 4 classes takes that N UNITARITY_TOL
 # as its bound on |E|_2 either way round, so it holds for every input within
-# this tolerance and s keeps its bits.
+# this tolerance and s keeps its bits. The same r settles most of the norm
+# check: by Gershgorin, lambda_max(U U^dag) <= 1 + N r, so a matrix with
+# N r <= UNITARITY_TOL has norm at most 1 + UNITARITY_TOL / 2, and eigvalsh
+# runs only on the others.
 UNITARITY_TOL = 1e-10
 # The closed-form 3x3 top eigenvalue q + 2p cos(acos(r)/3) loses accuracy as
 # 1/sqrt(1 + r) when the top eigenvalue is nearly double (r -> -1), and the
@@ -329,15 +332,15 @@ def require_unitary(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _unitary_gram(m: np.ndarray) -> np.ndarray:
+def _unitary_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The check of require_unitary on a complex square matrix, or on each
     # matrix of a stack (the first failing one names the residual), returning
-    # M M^dag for callers that reuse it
+    # M M^dag and its residual for callers that reuse them
     g, resid = _orthonormality_residual(m)
     bad = _first_failure(resid <= UNITARITY_TOL)
     if bad is not None:
         raise ValueError(f"unitarity residual {resid.flat[bad]:.3e} exceeds tolerance {UNITARITY_TOL:g}")
-    return g
+    return g, resid
 
 
 def largest_singular_value(a: np.ndarray) -> float:

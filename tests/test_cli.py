@@ -266,6 +266,25 @@ def test_scan_csv(tmp_path, capsys):
                 assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 13
 
 
+@pytest.mark.parametrize("alpha", ["0", "0.5", "1", "2", "inf"])
+@pytest.mark.parametrize("grid_step", ["0.1", "0.05", "0.05000000002"])
+def test_scan_rows_are_the_records(capsys, grid_step, alpha):
+    # the CSV, printed from the scan's columns, holds the public records
+    # with 12 significant digits, an infeasible point's cells empty
+    code, out, _ = run(capsys, "scan", "--grid-step", grid_step, "--alpha", alpha)
+    assert code == 0
+
+    def cell(v):
+        return "" if v is None else f"{v:.12g}"
+
+    records = families.cross_section_scan(float(grid_step), float(alpha))
+    want = ["a,b,feasible,b_mu,b_ladder_2,diff"] + [
+        ",".join([cell(r.a), cell(r.b), "1" if r.feasible else "0", cell(r.b_mu), cell(r.b_ladder_2), cell(r.diff)])
+        for r in records
+    ]
+    assert out.split("\n") == want + [""]
+
+
 def test_mc_reruns_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -656,7 +675,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 71
+    assert len(pinned) == 72
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -671,11 +690,11 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # the n = 5 ensembles, which take the (2, 3) class from its blocks'
     # complements, 3 for the n = 6 and 7 ensembles, whose 3 x 3 classes have
     # column complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
-    # most of the time, 1 for the classical basis input, 4 for the scans at
-    # orders other than 1, 2 for the sweeps at orders 0, 1/2, 2 and -0, 2
-    # for verify at seed 1 and the chunked classical samples, and 4 for the
-    # refused inputs, last
-    assert len(first) == 59
+    # most of the time, 1 for the classical basis input, 5 for the scans at
+    # orders other than 1, one at a step that does not divide 1, 2 for the
+    # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
+    # chunked classical samples, and 4 for the refused inputs, last
+    assert len(first) == 60
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

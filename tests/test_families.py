@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 
@@ -20,6 +22,7 @@ from eub import (
     unistochastic_lift_3,
 )
 import eub.bounds as bounds
+import eub.cli as cli
 import eub.families as families
 import eub.submatrices as submatrices
 from eub.families import _check_bistochastic_3, _link_triangle
@@ -223,7 +226,15 @@ def test_scan_matches_per_point_oracle(grid_step, alpha):
     assert got == want
 
 
-def test_scan_computes_s_in_one_batch(monkeypatch):
+def _cli_scan_feasible(grid_step):
+    # the feasible rows that `eub scan` prints, at order 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["scan", "--grid-step", str(grid_step)]) == 0
+    return sum(line.split(",")[2] == "1" for line in out.getvalue().splitlines()[1:])
+
+
+def _spy_batch(monkeypatch):
     calls = []
     batch = submatrices.s_coefficients_batch
 
@@ -237,11 +248,22 @@ def test_scan_computes_s_in_one_batch(monkeypatch):
     monkeypatch.setattr(submatrices, "s_coefficients_batch", spy)
     for module, name in ((submatrices, "s_coefficients"), (bounds, "s_coefficients"), (families, "bound_ladder")):
         monkeypatch.setattr(module, name, refuse)
+    return calls
+
+
+def test_scan_computes_s_in_one_batch(monkeypatch):
+    calls = _spy_batch(monkeypatch)
     records = cross_section_scan(0.05, 1.0)
     assert calls == [(sum(r.feasible for r in records), 3, 3)]
 
 
-def test_scan_ladders_in_one_call(monkeypatch):
+def test_cli_scan_computes_s_in_one_batch(monkeypatch):
+    calls = _spy_batch(monkeypatch)
+    n = _cli_scan_feasible(0.05)
+    assert calls == [(n, 3, 3)]
+
+
+def _spy_ladder(monkeypatch):
     calls = []
     ladder = bounds.ladder_from_coefficients
 
@@ -250,11 +272,22 @@ def test_scan_ladders_in_one_call(monkeypatch):
         return ladder(sc, alpha)
 
     monkeypatch.setattr(bounds, "ladder_from_coefficients", spy)
+    return calls
+
+
+def test_scan_ladders_in_one_call(monkeypatch):
+    calls = _spy_ladder(monkeypatch)
     records = cross_section_scan(0.05, 1.0)
     assert calls == [(sum(r.feasible for r in records), 3)]
 
 
-def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
+def test_cli_scan_ladders_in_one_call(monkeypatch):
+    calls = _spy_ladder(monkeypatch)
+    n = _cli_scan_feasible(0.05)
+    assert calls == [(n, 3)]
+
+
+def _spy_lift(monkeypatch):
     calls = []
     for name in ("unistochastic_lift_3", "lift_residual"):
         def spy(*args, _rule=getattr(families, name), _name=name):
@@ -262,8 +295,19 @@ def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
             return _rule(*args)
 
         monkeypatch.setattr(families, name, spy)
+    return calls
+
+
+def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
+    calls = _spy_lift(monkeypatch)
     records = cross_section_scan(0.05, 1.0)
     n = sum(r.feasible for r in records)
+    assert calls == [("unistochastic_lift_3", (n, 3, 3)), ("lift_residual", (n, 3, 3))]
+
+
+def test_cli_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
+    calls = _spy_lift(monkeypatch)
+    n = _cli_scan_feasible(0.05)
     assert calls == [("unistochastic_lift_3", (n, 3, 3)), ("lift_residual", (n, 3, 3))]
 
 

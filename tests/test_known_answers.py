@@ -2,13 +2,19 @@
 
 Each comes from an exact structural fact, so it checks s_coefficients at
 sizes where the one-block-at-a-time oracle, max_norm_over_shape, is too
-slow to run.
+slow to run. A sort-free majorization oracle checks, beside the sorted
+partial sums of entropy._majorization_slack, the pairs that the fuzz and
+the chain check compare.
 """
 
 import numpy as np
 import pytest
 
-from eub import RngSeed, fourier_matrix, haar_unitary, s_coefficients
+import eub.cli as cli
+import eub.montecarlo as montecarlo
+from eub import RngSeed, fourier_matrix, haar_unitary, majorization_fuzz, s_coefficients
+from eub.entropy import _majorization_slack
+from eub.matrices import MAJORIZATION_TOL
 from eub.submatrices import _translation_symmetry
 
 SEED = 626262
@@ -77,3 +83,66 @@ def test_kronecker_fourier_matches_fourier(p, q):
     large = p * q > 12
     s = s_coefficients(kron, allow_large=large).s
     assert np.max(np.abs(s - s_coefficients(fourier_matrix(p * q), allow_large=large).s)) <= AGREE
+
+
+# The sort-free slack sums at most 36 entries in [0, 1] per side, so it
+# rounds by a few tens of EPS at worst; on the pairs below it read at most
+# 3 EPS below 0 and below the partial-sum slack, and the sums 2 EPS apart.
+SORT_FREE_TOL = 64 * EPS
+
+
+def _sort_free_slack(y_rows, x_rows):
+    # Per row, the least over t of sum_i max(y_i - t, 0) - sum_i max(x_i - t, 0),
+    # t running over the entries of x and y and the zero of the padding. For
+    # equal sums, x is majorized by y iff it is >= 0 (Marshall, Olkin, Arnold,
+    # Inequalities: Theory of Majorization and Its Applications, 2nd ed.,
+    # Springer (2011)): no sort and no partial sums. Zero-padding the shorter
+    # side adds nothing to its sums at t >= 0.
+    t = np.concatenate([y_rows, x_rows, np.zeros((len(x_rows), 1))], axis=1)[:, None, :]
+    excess = np.maximum(y_rows[:, :, None] - t, 0.0).sum(axis=1) - np.maximum(x_rows[:, :, None] - t, 0.0).sum(axis=1)
+    return excess.min(axis=1)
+
+
+def _compared_pairs(monkeypatch, module, run):
+    # the (y, x) pairs that run hands to module._majorization_slack
+    pairs = []
+
+    def spy(y_rows, x_rows):
+        pairs.append((y_rows, x_rows))
+        return _majorization_slack(y_rows, x_rows)
+
+    monkeypatch.setattr(module, "_majorization_slack", spy)
+    run()
+    assert pairs
+    return pairs
+
+
+def _check_beside_partial_sums(y_rows, x_rows):
+    # both oracles find x majorized by y on every row; the sort-free slack,
+    # at t among x's entries, is never below the partial-sum one, up to rounding
+    partial = _majorization_slack(y_rows, x_rows).min(axis=1)
+    sort_free = _sort_free_slack(y_rows, x_rows)
+    assert np.abs(y_rows.sum(axis=1) - x_rows.sum(axis=1)).max() <= SORT_FREE_TOL
+    assert (partial >= -MAJORIZATION_TOL).all()
+    assert sort_free.min() >= -SORT_FREE_TOL
+    assert (sort_free >= partial - SORT_FREE_TOL).all()
+
+
+def test_sort_free_oracle_on_fuzz_pairs(monkeypatch):
+    """The fuzz's (Q, p (x) q) pairs at n = 2..6: p (x) q is majorized by Q
+    under both oracles, Q zero-padded from n to n^2 entries."""
+    pairs = _compared_pairs(monkeypatch, montecarlo, lambda: [majorization_fuzz(n, 300, RngSeed(SEED)) for n in range(2, 7)])
+    assert sorted({x.shape[1] for _, x in pairs}) == [4, 9, 16, 25, 36]
+    for y_rows, x_rows in pairs:
+        _check_beside_partial_sums(y_rows, x_rows)
+
+
+def test_sort_free_oracle_on_chain_truncations(monkeypatch):
+    """verify's chain check, Q^(k + 1) majorized by Q^(k) at n = 3..6: both
+    oracles accept every pair, and both refuse every reversed pair, whose
+    partial-sum slack is below -6e-6 on these draws."""
+    pairs = _compared_pairs(monkeypatch, cli, lambda: cli._verify_chain(RngSeed(SEED)))
+    for y_rows, x_rows in pairs:
+        _check_beside_partial_sums(y_rows, x_rows)
+        assert (_majorization_slack(x_rows, y_rows).min(axis=1) < -MAJORIZATION_TOL).all()
+        assert (_sort_free_slack(x_rows, y_rows) < -MAJORIZATION_TOL).all()

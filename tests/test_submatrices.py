@@ -1553,10 +1553,9 @@ def test_rejects_non_unitary():
         s_coefficients(np.eye(3) * 0.99)
 
 
-def _norm_above_one():
+def _norm_above_one(eps=0.99e-10):
     # (I + eps J)^(1/2) F6 has unitarity residual eps = 9.9e-11, inside the
     # tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10
-    eps = 0.99e-10
     c = np.expm1(0.5 * np.log1p(6 * eps)) / 6  # (I + cJ)^2 = I + eps J
     return (np.eye(6) + c * np.ones((6, 6))) @ fourier_matrix(6)
 
@@ -1576,8 +1575,10 @@ def test_rejects_norm_above_one():
         [fourier_matrix(6), np.eye(6) * 0.99, np.eye(6) * 0.9],
         [fourier_matrix(6), _norm_above_one(), fourier_matrix(6)],
         [np.eye(13), np.eye(13)],
+        # two norms above one, the first the smaller: the first is named
+        [fourier_matrix(6), _norm_above_one(0.5e-10), _norm_above_one()],
     ],
-    ids=["unitarity", "norm", "guard"],
+    ids=["unitarity", "norm", "guard", "norm-first"],
 )
 def test_stack_check_raises_the_single_message(stack):
     with pytest.raises(ValueError) as single:
@@ -1585,6 +1586,76 @@ def test_stack_check_raises_the_single_message(stack):
     with pytest.raises(ValueError) as batched:
         _checked_coefficients(np.array(stack, dtype=complex))
     assert str(batched.value) == str(single.value)
+
+
+def _eigvalsh_norm_rule(u3):
+    # the norm check with eigvalsh on every matrix: the message of the first
+    # matrix whose norm exceeds 1 by more than UNITARITY_TOL, or None
+    g = u3 @ u3.conj().swapaxes(-1, -2)
+    excess = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, -1], 0.0)) - 1.0
+    bad = np.flatnonzero(~(excess <= UNITARITY_TOL))
+    return f"s_N deviates from 1: the norm of u exceeds 1 by {excess[bad[0]]:.3e}" if bad.size else None
+
+
+def _spy_gram_norm(monkeypatch):
+    calls = []
+    gram_norm = submatrices._gram_norm
+
+    def spy(g):
+        calls.append(np.shape(g))
+        return gram_norm(g)
+
+    monkeypatch.setattr(submatrices, "_gram_norm", spy)
+    return calls
+
+
+def test_norm_check_settles_unitary_stacks_from_the_gram(monkeypatch):
+    # N r <= UNITARITY_TOL on Haar draws and on F_N, so no eigvalsh runs
+    calls = _spy_gram_norm(monkeypatch)
+    for n in range(2, 9):
+        _checked_coefficients(montecarlo._haar_batch(n, RngSeed(SEED + n), 0, 16, False)[0])
+    _checked_coefficients(np.array([fourier_matrix(6)] * 3))
+    for n in range(2, 11):
+        s_coefficients(fourier_matrix(n))
+    assert calls == []
+
+
+def _scaled_f6(t):
+    # (1 + t) F6: residual 2t + t^2 and norm 1 + t
+    return (1.0 + t) * fourier_matrix(6)
+
+
+@pytest.mark.parametrize(
+    "u, settled",
+    [
+        # N r = 6 (2t + t^2) on either side of UNITARITY_TOL: accepted both ways
+        (_scaled_f6(0.999 * UNITARITY_TOL / 12), True),
+        (_scaled_f6(1.001 * UNITARITY_TOL / 12), False),
+        (_scaled_f6(0.49 * UNITARITY_TOL), False),
+        # N r = 6 eps and norm (1 + 6 eps)^(1/2): settled and accepted below
+        # eps = UNITARITY_TOL / 6, accepted by eigvalsh up to UNITARITY_TOL / 3
+        # and refused above it
+        (_norm_above_one(0.999 * UNITARITY_TOL / 6), True),
+        (_norm_above_one(1.001 * UNITARITY_TOL / 6), False),
+        (_norm_above_one(0.999 * UNITARITY_TOL / 3), False),
+        (_norm_above_one(1.001 * UNITARITY_TOL / 3), False),
+        (_norm_above_one(), False),
+    ],
+    ids=["scaled-below", "scaled-above", "scaled-far", "sqrt-below", "sqrt-above", "sqrt-accepted", "sqrt-refused", "sqrt-9.9e-11"],
+)
+def test_norm_check_matches_eigvalsh_on_both_sides_of_the_bound(u, settled, monkeypatch):
+    u3 = u[None]
+    r = unitarity_residual(u)
+    assert r <= UNITARITY_TOL and (6 * r <= UNITARITY_TOL) == settled
+    calls = _spy_gram_norm(monkeypatch)
+    want = _eigvalsh_norm_rule(u3)
+    if want is None:
+        _checked_coefficients(u3)
+    else:
+        with pytest.raises(ValueError) as got:
+            _checked_coefficients(u3)
+        assert str(got.value) == want
+    assert calls == ([] if settled else [(1, 6, 6)])
 
 
 def test_stack_check_gives_the_single_coefficients():
