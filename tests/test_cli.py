@@ -269,8 +269,8 @@ def test_scan_csv(tmp_path, capsys):
 @pytest.mark.parametrize("alpha", ["0", "0.5", "1", "2", "inf"])
 @pytest.mark.parametrize("grid_step", ["0.1", "0.05", "0.05000000002"])
 def test_scan_rows_are_the_records(capsys, grid_step, alpha):
-    # the CSV, printed from the scan's columns, holds the public records
-    # with 12 significant digits, an infeasible point's cells empty
+    # the CSV holds the public records with 12 significant digits, an
+    # infeasible point's cells empty
     code, out, _ = run(capsys, "scan", "--grid-step", grid_step, "--alpha", alpha)
     assert code == 0
 

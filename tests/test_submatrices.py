@@ -1554,8 +1554,8 @@ def test_rejects_non_unitary():
 
 
 def _norm_above_one(eps=0.99e-10):
-    # (I + eps J)^(1/2) F6 has unitarity residual eps = 9.9e-11, inside the
-    # tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10
+    # (I + eps J)^(1/2) F6 has unitarity residual eps, 9.9e-11 by default,
+    # inside the tolerance, but norm (1 + 6 eps)^(1/2) = 1 + 3.0e-10
     c = np.expm1(0.5 * np.log1p(6 * eps)) / 6  # (I + cJ)^2 = I + eps J
     return (np.eye(6) + c * np.ones((6, 6))) @ fourier_matrix(6)
 
