@@ -114,6 +114,25 @@ ENTROPY_TOL = 1e-10
 # exceed the majorizing one's by this much. Read by entropy.majorizes and
 # montecarlo.majorization_fuzz.
 MAJORIZATION_TOL = 1e-10
+# A wins-only beat rate decides a Haar draw before its last rung once its
+# Shannon rung B^j beats -2 ln c by more than this (a win), or its loss
+# bound falls short of it by more (a loss); a draw within it runs to rung k
+# (see montecarlo._decided). Each decision, like the count of the draws that
+# run to rung k, compares the entropy of a vector of at most 12 components,
+# built by _q_rows from the same s bits, with the same -2 ln c, so the
+# margin covers the error of two such evaluations against exact
+# arithmetic on those bits. In one, each component of the vector before its
+# renormalization is within eta <= NEGATIVE_CLAMP + 8 ulps of the exact one:
+# r and its differences round by a few ulps, and the clamp zeroes only
+# entries at most NEGATIVE_CLAMP below 0 (exact components are >= 0, as s is
+# monotone). -x ln x moves by at most -eta ln eta <= 2.8e-11 per component,
+# its modulus of continuity, so 3.4e-10 over 12. Renormalizing by a sum
+# sigma within 12 eta of 1 moves H by at most 12 eta (1 + ln 12) <= 4.5e-11,
+# as H(q / sigma) = H(q) / sigma + ln sigma, and the sum of the terms
+# rounds by about 1e-15. That is 3.9e-10 an evaluation and 7.8e-10 for two,
+# inside this. A larger margin only sends more draws to rung k. Read by
+# montecarlo.
+DECIDED_MARGIN = 1e-9
 # Components below this are treated as exact zeros for alpha < 1 and for
 # support counting: subnormal leakage must not flip the support size. Read
 # by entropy._renyi_rows.

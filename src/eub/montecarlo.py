@@ -12,7 +12,9 @@ or ``haar_unitary`` (sample 0) asks for it. The experiments share one ensemble
 loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two
-summaries of one pass over it, ``_beat_and_gaps``. ``majorization_fuzz``
+summaries of one pass over it, ``_beat_and_gaps``. A beat rate alone stops
+each draw's chain at the first rung that decides its win or loss
+(``_decided``); the gaps and the fuzz read full chains. ``majorization_fuzz``
 takes p and q from ``bounds._distributions``, as ``eur_lhs`` does, and pads
 Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bounds import _closed_forms, _distributions, _q_rows
 from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
-from .matrices import MAJORIZATION_TOL, RngSeed, _seek, _unit_normalized, sample_generator
+from .matrices import DECIDED_MARGIN, MAJORIZATION_TOL, RngSeed, _seek, _unit_normalized, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 
 _CHUNK = 2048
@@ -167,12 +169,13 @@ def _check_ensemble(n: int, count: int, what: str) -> None:
         raise ValueError(f"{what} must be >= 1")
 
 
-def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False):
+def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False, *, stop=None):
     # The one chunked ensemble loop: yields (start, u, psi, s) for sample
-    # indices start .. start + len(u) - 1, with s from the batch kernel.
+    # indices start .. start + len(u) - 1, with s from the batch kernel,
+    # which stop, if given, stops row by row (s_coefficients_batch).
     for start in range(0, count, _CHUNK):
         u, psi = _haar_batch(n, rng, start, min(_CHUNK, count - start), with_state)
-        yield start, u, psi, s_coefficients_batch(u)
+        yield start, u, psi, s_coefficients_batch(u, stop=stop)
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -187,12 +190,39 @@ def _gap_summary(gaps: np.ndarray):
     return float(gaps.mean()), quantiles, (edges[:-1].copy(), edges[1:].copy(), cnt)
 
 
+def _decided(s: np.ndarray, j: int, k: int):
+    """Which rows of final s_1..s_j have their Shannon rung B^k decided against -2 ln c.
+
+    Returns (wins, losses), one bool per row, for j < k. B^j = H(Q^(j)) is
+    nondecreasing in j: Q^(j+1) splits the last component 1 - r_j of Q^(j)
+    in two, r_{j+1} - r_j and 1 - r_{j+1}, so Q^(j) padded with a zero
+    majorizes it, and H is Schur-concave. So B^j > -2 ln c is a win of
+    rung k. And Q^(k) = (q_1..q_j, then k - j + 1 components summing to 1 -
+    r_j), whatever s_{j+1}..s_k hold; 1 - r_j split evenly over those
+    components is majorized by every such tail, so H of (q_1..q_j, then
+    the even split) bounds B^k above, and its falling short of -2 ln c is a
+    loss. Both tests keep DECIDED_MARGIN, which covers the rounding of
+    these evaluations and of the count of the rows that run to rung k (see
+    there): a row within the margin is not decided here. -2 ln c has the
+    bits of that count's, since c = s_1.
+    """
+    mu = _closed_forms(s[:, 0])[1]
+    q = _q_rows(s, j)
+    wins = _renyi_rows(q, 1.0) > mu + DECIDED_MARGIN
+    rest = k - j + 1
+    bound = np.concatenate([q[:, :j], np.repeat(q[:, j:] / rest, rest, axis=1)], axis=1)
+    return wins, _renyi_rows(bound, 1.0) < mu - DECIDED_MARGIN
+
+
 def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
     # The one pass behind beat_rate (k given), bound_gap_stats (alpha given)
     # and `mc --gap-hist` (both): each chunk is drawn and kernelled once. The
     # Shannon rung B^k counts wins over -2 ln c, the top rung B_alpha^{n-1}
     # gives the gaps, and at (k, alpha) = (n - 1, 1) the two are one ladder.
-    # Returns (BeatRateResult or None, GapStats or None).
+    # Without gaps, the kernel stops each row at the first rung j whose s_1..
+    # s_j decide its win or loss (_decided), or at rung k, where every row
+    # stops; only the rows that reach rung k are counted below. The gaps
+    # read full chains. Returns (BeatRateResult or None, GapStats or None).
     _check_ensemble(n, samples, "samples")
     if k is not None and not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
@@ -200,11 +230,24 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
         alpha = _check_order(alpha)
     wins = 0
     gaps_mu, gaps_d = (None, None) if alpha is None else (np.empty(samples), np.empty(samples))
-    for start, _, _, s in _ensemble(n, samples, rng):
+    stop = None
+    if alpha is None:
+
+        def stop(j, s):
+            nonlocal wins
+            if j >= k:
+                return np.ones(len(s), dtype=bool)
+            won, lost = _decided(s, j, k)
+            wins += int(np.count_nonzero(won))
+            return won | lost
+
+    for start, _, _, s in _ensemble(n, samples, rng, stop=stop):
         b_deutsch, b_mu = _closed_forms(s[:, 0])
         if k is not None:
-            shannon = _renyi_rows(_q_rows(s, k), 1.0)
-            wins += int(np.count_nonzero(shannon > b_mu))
+            # a row stop decided holds NaN from its rung on, s_k included
+            ran = ~np.isnan(s[:, k - 1])
+            shannon = _renyi_rows(_q_rows(s[ran], k), 1.0)
+            wins += int(np.count_nonzero(shannon > b_mu[ran]))
         if alpha is not None:
             shared = k == n - 1 and alpha == 1.0
             top = shannon if shared else _renyi_rows(_q_rows(s, n - 1), alpha)
@@ -226,7 +269,8 @@ def beat_rate(n: int, samples: int, rng: RngSeed, k: int | None = None) -> BeatR
 
     The ladder level defaults to the strongest one, k = n - 1 (the full
     majorizing vector); lower levels can be compared via ``k``. Ties count
-    as non-wins.
+    as non-wins. A draw whose win or loss is decided at a lower rung
+    (``_decided``) stops there; the count is that of full chains.
     """
     return _beat_and_gaps(n, samples, rng, n - 1 if k is None else k, None)[0]
 

@@ -10,20 +10,20 @@ of a stack before it, and ``s_coefficients`` runs one matrix as a stack of
 one. It works on squared norms lambda = sigma^2, one per matrix and k: the
 strips fill every k at once from sorted cumulative sums of squared moduli,
 each enumerated class raises its own k by its largest block-Gram top
-eigenvalue, and s = sqrt(lambda) is taken at the end; sqrt is monotone and
-correctly rounded, so that is the largest norm. A block's Gram is a
-principal submatrix of the N x N Gram of its column set, and one matmul
-against a 0/1 indicator matrix gives those for every column set. A class
-runs one of two kernels, on U, or on U^T where its blocks have more rows
-than columns. ``_closed_form_max`` runs the classes with min(m, n) = 2 or
-3 and takes the top and bottom eigenvalues of their Grams in closed form
-(3x3 by the trigonometric Cardano form, with an eigvalsh fallback near a
-double eigenvalue); ``_pruned_max`` runs the larger ones through eigvalsh.
-Each runs over sub-chunks of the stack's matrices and of its row sets,
-sized against _CHUNK_ELEMENTS, about one core's L2 cache, a target that a
-class may exceed (see there). Chunking never changes s, since every
-block's value is computed on its own and a class keeps only each matrix's
-maximum.
+eigenvalue, and s = sqrt(lambda) is taken as each matrix leaves the rung
+loop; sqrt is monotone and correctly rounded, so that is the largest norm.
+A block's Gram is a principal submatrix of the N x N Gram of its column
+set, and one matmul against a 0/1 indicator matrix gives those for every
+column set. A class runs one of two kernels, on U, or on U^T where its
+blocks have more rows than columns. ``_closed_form_max`` runs the classes
+with min(m, n) = 2 or 3 and takes the top and bottom eigenvalues of their
+Grams in closed form (3x3 by the trigonometric Cardano form, with an
+eigvalsh fallback near a double eigenvalue); ``_pruned_max`` runs the
+larger ones through eigvalsh. Each runs over sub-chunks of the stack's
+matrices and of its row sets, sized against _CHUNK_ELEMENTS, about one
+core's L2 cache, a target that a class may exceed (see there). Chunking
+never changes s, since every block's value is computed on its own and a
+class keeps only each matrix's maximum.
 
 ``_pruned_max`` prunes its blocks before eigvalsh, since only each
 class's maximum is used, in one pass over sub-chunks of row sets. It bounds
@@ -842,9 +842,12 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
 def _finalize(s: np.ndarray) -> np.ndarray:
     # Rounding may break monotonicity or push past 1 by an ulp or two; a
     # larger repair (or a NaN) means a non-unitary input or a kernel fault.
-    # s_coefficients_batch sets the rungs its plan loop skipped to exactly 1
-    # first, so the check does not see them: it can fire less, never on a
-    # valid input.
+    # s_coefficients_batch runs it on each row as the row leaves its rung
+    # loop: on the whole chain, of which a saturated row has its rungs from
+    # its exit on set to exactly 1 first, so the check does not see them (it
+    # can fire less, never on a valid input), or on the prefix a stop rule
+    # read. Each entry depends on its prefix alone, so a finalized prefix
+    # has the bits of the finalized chain's.
     fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
     repair = float(np.abs(fixed - s).max(initial=0.0))
     if not repair <= UNITARITY_TOL:
@@ -853,6 +856,20 @@ def _finalize(s: np.ndarray) -> np.ndarray:
             f"(tolerance {UNITARITY_TOL:g})"
         )
     return fixed
+
+
+def _leave(s, live, go, chains, lam, u):
+    # The rows marked in go leave the rung loop: their finalized chains (or
+    # prefixes) go to their stack rows live[go] of s, and s, live, lam and u
+    # come back, the last three without them. s is made, all NaN, when the
+    # first rows leave, so a call whose rows all run to the end holds none
+    if not go.any():
+        return s, live, lam, u
+    if s is None:
+        s = np.full(lam.shape, np.nan)
+    s[live[go], : chains.shape[1]] = chains
+    stay = ~go
+    return s, live[stay], lam[stay], u[stay]
 
 
 def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoefficients:
@@ -911,7 +928,7 @@ def _checked_coefficients(u3: np.ndarray, allow_large: bool = False) -> Submatri
     return SubmatrixCoefficients(n=dim, s=s, r=((1.0 + s) / 2.0) ** 2)
 
 
-def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
+def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     """Vectorized s vectors, shape (batch, N), for a stack of unitaries.
 
     The trusted entry, and the only enumeration: it checks the stack's
@@ -920,12 +937,25 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     every k, class N + 1 is pinned to exactly 1, and the loop runs rung by
     rung: it fetches rung k's ``_class_plan``, for the symmetry the whole
     stack shares, when it reaches k, and each entry raises its k and a
-    source's ``serves``, reading the tables of one ``_CallTables``. The
-    loop stops at the first entry whose k already has, for every matrix, a
-    squared norm of at least 1 at k or below: s is then exactly 1 from k
-    on, which those rungs are set to, and no rung past k + 1 is built. A
-    chain that needs a repair larger than UNITARITY_TOL to be monotone and
-    <= 1 raises ValueError.
+    source's ``serves``, reading the tables of one ``_CallTables``. Once
+    rung k has run, s_1..s_k are final: later entries raise larger k only.
+
+    Rows leave the loop before an entry, and it goes on with the rest under
+    a fresh ``_CallTables`` and the call's first symmetry. A matrix's s does
+    not depend on its stack-mates, so the rows that stay keep their bits.
+    A row with a squared norm of at least 1 at k or below leaves with s
+    exactly 1 from k on, which ``_finalize`` would set whatever the later
+    entries find. The loop ends when no row is left, having built the plans
+    of rungs up to one past the last it ran, or when the last rung has run,
+    and the rows still in it then return their full chains. So without
+    ``stop`` every row returns its full chain. A chain that needs a repair
+    larger than UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+
+    ``stop``, a rule the caller passes, is called as ``stop(k - 1, s)``
+    before the first entry of each rung k that has plan entries, so never
+    at N <= 3, with s the final s_1..s_{k-1}, one row per row still in the
+    loop. It returns one bool per row, and the rows it marks leave: a row
+    that stops there returns its s_1..s_{k-1} and NaN after.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
@@ -933,17 +963,24 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
     lam = _strip_maxima(u_batch)
     dim = u_batch.shape[1]
     sym = tuple(_translation_symmetry(u_batch).tolist())
-    tables = _CallTables(u_batch)
+    s, live, u, tables = None, np.arange(len(lam)), u_batch, _CallTables(u_batch)
     for k in range(3, dim):  # rungs 1 and 2 hold strips alone
         rung = _class_plan(dim, sym, k)
         for i, (m, n, serves, rows, _, indicator, entries, sets) in enumerate(rung):
-            # once every matrix has a squared norm >= 1 at k or below,
-            # _finalize would set s to exactly 1 from k on, whatever the later
-            # entries find; the first test, one reduction, passes over a stack
-            # where none has
-            if lam[:, :k].max(initial=0.0) >= 1.0 and (lam[:, :k].max(axis=1) >= 1.0).all():
-                lam[:, k - 1 :] = 1.0
-                return _finalize(np.sqrt(lam))
+            # the first test, one reduction, passes over a stack where no
+            # row has reached 1
+            if lam[:, :k].max(initial=0.0) >= 1.0:
+                full = lam[:, :k].max(axis=1) >= 1.0
+                lam[full, k - 1 :] = 1.0
+                s, live, lam, u = _leave(s, live, full, _finalize(np.sqrt(lam[full])), lam, u)
+            if stop is not None and not i:
+                prefix = _finalize(np.sqrt(lam[:, : k - 1]))
+                go = stop(k - 1, prefix)
+                s, live, lam, u = _leave(s, live, go, prefix[go], lam, u)
+            if len(u) < len(tables.views[0]):
+                if not len(u):
+                    return s
+                tables = _CallTables(u)
             if sets is None:
                 best, least = _closed_form_max(tables, m > n, rows, indicator, entries)
                 if serves is not None:
@@ -952,4 +989,7 @@ def s_coefficients_batch(u_batch: np.ndarray) -> np.ndarray:
                 best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
             lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
             tables.release(rung[i + 1 :] + _class_plan(dim, sym, k + 1))
-    return _finalize(np.sqrt(lam))
+    if s is None:
+        return _finalize(np.sqrt(lam))
+    s[live] = _finalize(np.sqrt(lam))
+    return s

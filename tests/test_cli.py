@@ -313,17 +313,18 @@ def test_mc_gap_hist(tmp_path, capsys):
 
 
 def test_mc_gap_hist_is_one_pass(tmp_path, capsys, monkeypatch):
-    # 3000 samples are two chunks: one kernel call each, not two
+    # 3000 samples are two chunks: one kernel call each, not two, and with
+    # no stop rule, since the gaps read full chains
     calls = []
     kernel = montecarlo.s_coefficients_batch
-    monkeypatch.setattr(montecarlo, "s_coefficients_batch", lambda u: calls.append(len(u)) or kernel(u))
+    monkeypatch.setattr(montecarlo, "s_coefficients_batch", lambda u, **kw: calls.append((len(u), kw)) or kernel(u, **kw))
     hist_path = tmp_path / "gap.csv"
     code, out, err = run(
         capsys, "mc", "--n", "3", "--samples", "3000", "--seed", "4", "--k", "1", "--alpha", "2",
         "--gap-hist", str(hist_path),
     )
     assert code == 0 and err == ""
-    assert calls == [2048, 952]
+    assert calls == [(2048, {"stop": None}), (952, {"stop": None})]
     # the one pass gives what the two separate experiments give
     monkeypatch.undo()
     assert json.loads(out) == beat_rate(3, 3000, RngSeed(4), k=1).to_json()
@@ -675,7 +676,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 72
+    assert len(pinned) == 76
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -693,8 +694,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # most of the time, 1 for the classical basis input, 5 for the scans at
     # orders other than 1, one at a step that does not divide 1, 2 for the
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
-    # chunked classical samples, and 4 for the refused inputs, last
-    assert len(first) == 60
+    # chunked classical samples, 4 for the wins-only ensembles, whose draws
+    # stop at their deciding rung, and 4 for the refused inputs, last
+    assert len(first) == 64
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

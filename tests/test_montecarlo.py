@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import eub.montecarlo as montecarlo
+import eub.submatrices as submatrices
 from eub import RngSeed, beat_rate, bound_gap_stats, haar_unitary, majorization_fuzz
 from eub.cli import main
 from eub.matrices import philox_key
@@ -219,6 +220,110 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     for a, b in zip(default[2], chunked[2]):
         assert np.array_equal(a, b)
     assert all(h.size == montecarlo._GAP_BINS for h in default[2])
+
+
+# draws per beat rate at each n for the full-chain comparison: several
+# chunks at n <= 4, and few draws where a full chain costs most
+DECIDED_SAMPLES = {2: 2500, 3: 2500, 4: 2500, 5: 1200, 6: 400, 7: 120, 8: 40, 9: 12}
+
+
+def _full_chain_wins(n, samples, rng, k):
+    # the count on full chains, chunk by chunk as the ensemble draws them
+    wins = 0
+    for start in range(0, samples, montecarlo._CHUNK):
+        u, _ = montecarlo._haar_batch(n, rng, start, min(montecarlo._CHUNK, samples - start), False)
+        s = s_coefficients_batch(u)
+        shannon = montecarlo._renyi_rows(montecarlo._q_rows(s, k), 1.0)
+        wins += int(np.count_nonzero(shannon > montecarlo._closed_forms(s[:, 0])[1]))
+    return wins
+
+
+@pytest.mark.parametrize("n", sorted(DECIDED_SAMPLES))
+def test_decided_wins_equal_the_full_chain_count(n):
+    """Wins-only beat rates, whose draws stop at the rung that decides them,
+    count what full chains count, at every rung k."""
+    for seed in (SEED + 30, SEED + 31, SEED + 32):
+        for k in sorted({1, n // 2, n - 1}):
+            rng = RngSeed(seed)
+            assert beat_rate(n, DECIDED_SAMPLES[n], rng, k).wins == _full_chain_wins(n, DECIDED_SAMPLES[n], rng, k), (seed, k)
+
+
+def _solve(f, lo, hi, target):
+    # the float t in [lo, hi] nearest where the monotone f crosses target
+    rising = f(hi) > f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (f(mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_near_ties_stay_undecided():
+    """A row whose B^j, or whose loss bound, is within DECIDED_MARGIN / 2 of
+    -2 ln c on either side is neither a win nor a loss; at twice the margin
+    it is decided. Rows (s_1, s_2) = (0.7, t) at j = 2 and k = 5: B^2 rises
+    through -2 ln 0.7 for t in [0.7, 0.85], and the loss bound falls
+    through it for t in [0.8, 1]."""
+    j, k, c = 2, 5, 0.7
+    delta = montecarlo.DECIDED_MARGIN
+    mu = montecarlo._closed_forms(np.array([c]))[1][0]
+
+    def rung(t):
+        return montecarlo._renyi_rows(montecarlo._q_rows(np.array([[c, t]]), j), 1.0)[0]
+
+    def loss_bound(t):
+        q = montecarlo._q_rows(np.array([[c, t]]), j)
+        split = np.concatenate([q[:, :j], np.repeat(q[:, j:] / (k - j + 1), k - j + 1, axis=1)], axis=1)
+        return montecarlo._renyi_rows(split, 1.0)[0]
+
+    for f, lo, hi, decides in ((rung, 0.7, 0.85, "win"), (loss_bound, 0.8, 1.0, "loss")):
+        for offset in (-2.0, -0.5, 0.5, 2.0):
+            t = _solve(f, lo, hi, mu + offset * delta)
+            assert abs(f(t) - (mu + offset * delta)) < 1e-14
+            won, lost = montecarlo._decided(np.array([[c, t]]), j, k)
+            assert (bool(won[0]), bool(lost[0])) == (
+                decides == "win" and offset == 2.0,
+                decides == "loss" and offset == -2.0,
+            ), (decides, offset)
+
+
+def test_beat_rate_calls_the_kernel_once_a_chunk(monkeypatch):
+    """beat_rate hands each chunk to the module's s_coefficients_batch as
+    one positional (batch, n, n) stack with a stop rule, which the
+    benchmark's tracer times and sizes by that argument."""
+    calls = []
+    kernel = montecarlo.s_coefficients_batch
+
+    def spy(*args, **kwargs):
+        calls.append((tuple(np.shape(a) for a in args), set(kwargs), callable(kwargs.get("stop"))))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "s_coefficients_batch", spy)
+    wins = beat_rate(5, 3000, RngSeed(SEED + 33)).wins
+    assert calls == [(((2048, 5, 5),), {"stop"}, True), (((952, 5, 5),), {"stop"}, True)]
+    monkeypatch.undo()
+    assert wins == _full_chain_wins(5, 3000, RngSeed(SEED + 33), 4)
+
+
+def test_decided_draws_skip_the_later_rungs(monkeypatch):
+    """At n = 8 the strips and the 2- and 3-row classes decide nearly every
+    draw, wins and losses both, so few draws reach the pruned classes of
+    rung 7 (none on this seed); with --gap-hist's full chains every draw
+    does."""
+    decided, heights = [], []
+    rule, pruned_max = montecarlo._decided, submatrices._pruned_max
+    monkeypatch.setattr(montecarlo, "_decided", lambda s, j, k: decided.append(rule(s, j, k)) or decided[-1])
+    monkeypatch.setattr(submatrices, "_pruned_max", lambda tables, *a: heights.append(len(tables.views[0])) or pruned_max(tables, *a))
+    wins = beat_rate(8, 200, RngSeed(SEED + 35)).wins
+    assert sum(int(w.sum()) for w, _ in decided) > 150 and sum(int(lost.sum()) for _, lost in decided) > 0
+    assert max(heights, default=0) < 20
+    heights.clear()
+    assert montecarlo._beat_and_gaps(8, 200, RngSeed(SEED + 35), 7, 1.0)[0].wins == wins
+    assert heights and min(heights) == 200
 
 
 def _reference_haar_batch(n, rng, start, count, with_state):

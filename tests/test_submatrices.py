@@ -1257,6 +1257,112 @@ def test_a_saturated_chain_builds_only_the_rungs_it_reaches(name, monkeypatch):
     assert built and sorted(set(built)) == list(range(3, max(3, first + 1) + 1)), sorted(set(built))
 
 
+def _mixed_stack(dim, seed):
+    # Haar draws with a permutation in every other row: the permutations'
+    # chains are 1 from k = 1 on
+    u3 = montecarlo._haar_batch(dim, RngSeed(seed), 0, 8, False)[0]
+    u3[::2] = np.eye(dim)[np.roll(np.arange(dim), 3)][::-1]
+    return u3
+
+
+STOP_STACKS = {
+    **{f"haar{dim}": montecarlo._haar_batch(dim, RngSeed(SEED + 1700 + dim), 0, count, False)[0]
+       for dim, count in ((4, 300), (5, 300), (6, 120), (7, 40), (8, 12), (9, 4))},
+    # P6^beta on a grid through the permutations at beta = 0, 1 and 2
+    "P6 sweep": np.stack([permutation_power(6, beta) for beta in np.linspace(0.0, 2.0, 17)]),
+    "mixed7": _mixed_stack(7, SEED + 1710),
+}
+
+
+def _stop_rules(dim):
+    # (name, rule) pairs: every row at one rung, each kmax; rows picked by
+    # their s_1 at every rung, so different rows leave at different rungs;
+    # and a rule that stops none
+    rules = [(f"at {j}", lambda j0, s, j=j: np.full(len(s), j0 >= j)) for j in range(2, dim - 1)]
+    rules.append(("by s_1", lambda j, s: (s[:, 0] * 1e6 * j) % 1.0 < 0.3))
+    rules.append(("never", lambda j, s: np.zeros(len(s), dtype=bool)))
+    return rules
+
+
+@pytest.mark.parametrize("name", list(STOP_STACKS))
+def test_a_stop_rule_keeps_each_rows_prefix(name):
+    """Under every rule, each row returns the full chain's s_1..s_j bit for
+    bit and NaN after, j the rung it stopped after, or its whole chain. The
+    rule sees the full chain's prefix s_1..s_{k-1} of the rows still in the
+    loop, before each rung k with plan entries; a row whose chain has
+    reached 1 leaves with it before the rule sees it."""
+    u3 = STOP_STACKS[name]
+    dim = u3.shape[1]
+    full = s_coefficients_batch(u3)
+    assert np.array_equal(s_coefficients_batch(u3, stop=None), full)
+    rungs = [k for k in range(3, dim) if submatrices._class_plan(dim, tuple(_translation_symmetry(u3).tolist()), k)]
+    for rule_name, rule in _stop_rules(dim):
+        seen = []
+
+        def spy(j, s, rule=rule):
+            seen.append((j, s.copy(), rule(j, s)))
+            return seen[-1][2]
+
+        s = s_coefficients_batch(u3, stop=spy)
+        kept = np.isfinite(s).sum(axis=1)
+        for row, j in enumerate(kept):
+            assert np.array_equal(s[row, :j], full[row, :j]) and np.isnan(s[row, j:]).all(), (rule_name, row)
+            assert j == dim or j + 1 in rungs, (rule_name, row, j)
+        # the rule's calls, rung by rung, each on the rows still in the loop
+        assert [j + 1 for j, *_ in seen] == rungs[: len(seen)], rule_name
+        for j, prefix, go in seen:
+            # a row whose chain is 1 at s_j left before the rule's call at
+            # j; one that reaches 1 first at s_{j+1} would leave before or
+            # after it, by its squared norms then, and these stacks have none
+            assert not ((full[:, j - 1] < 1.0) & (full[:, j] == 1.0)).any()
+            stayed = (kept >= j) & (full[:, j - 1] < 1.0)
+            assert np.array_equal(prefix, full[stayed, :j]), (rule_name, j)
+            # the rows it marks stop there, and only they
+            seen_rows = np.flatnonzero(stayed)
+            assert (kept[seen_rows[go]] == j).all() and (kept[seen_rows[~go]] > j).all(), (rule_name, j)
+    if name == "mixed7":
+        assert len(seen[0][1]) == 4  # the Haar rows; the permutations left first
+
+
+def test_a_stop_rule_never_runs_below_rung_3():
+    """N <= 3 has no rung with plan entries, so no rule is called, and every
+    row keeps its full chain."""
+    def fail(j, s):
+        raise AssertionError("called")
+
+    for dim in (2, 3):
+        u3 = montecarlo._haar_batch(dim, RngSeed(SEED + 1720 + dim), 0, 5, False)[0]
+        assert np.array_equal(s_coefficients_batch(u3, stop=fail), s_coefficients_batch(u3))
+
+
+def test_stopped_rows_leave_the_kernels(monkeypatch):
+    """After a rule stops rows at rung k, the kernels of rungs k and up run
+    on the rows that stay: the closed forms and the pruned classes both see
+    the stack shrink."""
+    u3 = STOP_STACKS["haar8"]
+    full = s_coefficients_batch(u3)
+    low, high = np.quantile(full[:, 0], [0.25, 0.75])
+
+    def rule(j, s):
+        # the top quarter by s_1 before rung 3, the bottom quarter before rung 5
+        return s[:, 0] > high if j == 2 else s[:, 0] < low if j == 4 else np.zeros(len(s), dtype=bool)
+
+    heights = []
+    closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
+    monkeypatch.setattr(submatrices, "_closed_form_max", lambda tables, *a: heights.append(len(tables.views[0])) or closed_form_max(tables, *a))
+    monkeypatch.setattr(submatrices, "_pruned_max", lambda tables, *a: heights.append(-len(tables.views[0])) or pruned_max(tables, *a))
+    s = s_coefficients_batch(u3, stop=rule)
+    plan = _plan_of(u3)
+    assert len(heights) == len(plan)
+    first, later = np.sum(full[:, 0] <= high), np.sum((full[:, 0] <= high) & (full[:, 0] >= low))
+    assert 0 < later < first < len(u3)
+    for height, (k, *_, sets) in zip(heights, plan):
+        assert height == (first if k < 5 else later) * (1 if sets is None else -1), k
+    assert any(h < 0 for h in heights)  # the pruned classes ran
+    stayed = (full[:, 0] <= high) & (full[:, 0] >= low)
+    assert np.array_equal(s[stayed], full[stayed])
+
+
 @pytest.mark.parametrize("dim", [8, 9])
 def test_pruning_keeps_near_tolerance_s_bit_identical(dim, monkeypatch):
     # the complement bound leans on the unitarity tolerance through e = N UNITARITY_TOL

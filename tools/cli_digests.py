@@ -185,6 +185,16 @@ def command_set(workdir: str) -> list:
         ["verify", "--seed", "1"],
         ["classical", "--input", stochastic, "--samples", "4097", "--seed", "9"],
     ]
+    # wins-only ensembles, whose kernel stops each draw at the first rung
+    # that decides its win or loss: one chunk of 2048 draws at n = 5, where
+    # the strips decide most, n = 6 and 8, and n = 8 at rung 3, where every
+    # undecided draw stops
+    commands += [
+        ["mc", "--n", "5", "--samples", "2048", "--seed", "3"],
+        ["mc", "--n", "6", "--samples", "2000", "--seed", "3"],
+        ["mc", "--n", "8", "--samples", "200", "--seed", "3"],
+        ["mc", "--n", "8", "--samples", "200", "--seed", "3", "--k", "3"],
+    ]
     # refused inputs, which exit 2 with one line on stderr: a negative
     # weight, a row-stochastic T, a non-unitary U and a weight vector of the
     # wrong length
