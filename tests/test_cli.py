@@ -676,13 +676,14 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 76
+    assert len(pinned) == 77
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    # 20 bounds inputs (five of them a dephased P8^(1/2), which keeps a
-    # translation symmetry, a dephased N = 8 circulant whose links form four
+    # 21 bounds inputs (six of them a dephased P8^(1/2), which keeps a
+    # translation symmetry, a dephased P8^(1/16), one large entry a row, a
+    # dephased N = 8 circulant whose links form four
     # two-row components, F8 with rows and columns permuted, which loses
     # it, and F8 with only its rows or only its columns permuted, which
     # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
@@ -696,7 +697,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
     # chunked classical samples, 4 for the wins-only ensembles, whose draws
     # stop at their deciding rung, and 4 for the refused inputs, last
-    assert len(first) == 64
+    assert len(first) == 65
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

@@ -81,6 +81,9 @@ def write_inputs(workdir: str) -> list:
     # a dephased circulant, which keeps the diagonal translation symmetry
     phases = np.exp(2j * np.pi * generator(eub.RngSeed(8)).random((2, 8)))
     mats.append(("perm_half8_dephased", phases[0][:, None] * eub.permutation_power(8, 0.5) * phases[1]))
+    # a dephased circulant with one large entry a row: P8^(1/16), its first
+    # row and column made real
+    mats.append(("perm_sixteenth8_dephased", eub.dephase(eub.permutation_power(8, 1 / 16))))
     # a dephased circulant with first-row entries c_0 = 1/sqrt(2) and c_4 =
     # i/sqrt(2): its links {i, i + 4} form four components of two rows, each
     # with its own phase gauge
