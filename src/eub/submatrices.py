@@ -594,9 +594,9 @@ def _translation_symmetry(u3: np.ndarray) -> np.ndarray:
     to phases, and an orbit's blocks, each within floor(N/2) steps of the
     representative, have norms within floor(N/2) sqrt(mn) r of it (the
     module docstring's bound). On F_N, P_N^beta, the shift and the
-    identity at N = 4..16, plain or phased, the tests check that this
-    accepts exactly what testing every power would; the worst accepted
-    residual there is 4.7e-15 at one step and 4.9e-15 over every power.
+    identity at N = 4..16, plain, phased or dephased, the tests check that
+    this accepts exactly what testing every power would; the worst accepted
+    residual there is 6.4e-15 at one step and 7.4e-15 over every power.
     Matrix 0 is tested first, so a stack led by a Haar draw pays one
     comparison of moduli; a generator holds for the stack only if it holds
     for every matrix. N <= 3 has no block class to reduce, and it and an
@@ -628,39 +628,37 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
     """max |W - diag(x) U diag(y)| for each translate W of each matrix U.
 
     ``w`` holds the translates, shape (batch, shifts, N, N), and ``mod`` is
-    |U|. The unit phases x, y are fitted in closed form on the links, the
-    entries of modulus at least 1/(2 sqrt(N)) (each row and column of a
-    unitary has one). On the links A = W o conj(U) is x_i y_j |U_ij|^2
-    where the translate holds, and off them it is exactly 0. So entry (i, k)
-    of A A^dag, a sum of products A_ij conj(A_kj), is exactly 0 unless rows
-    i and k share a link, and so is every entry of C = (A A^dag)^(2^p), p =
-    ceil(log2 N), across two link components; within one, C_ik is x_i
-    conj(x_k) times a positive number, as its diagonal is positive and 2^p
-    >= N steps join any two rows. x_i is the phase of C at row i's first
-    nonzero column, which sets the gauge to 1 at each component's lowest
-    row, and y_j that of A at column j's largest link times conj(x) of the
-    link's row. |A_ij| <= (|W_ij|^2 + |U_ij|^2) / 2, and the rows and
-    columns of |W|^2 and |U|^2 sum to 1 up to the unitarity residual, so
-    those of |A| sum to at most about 1, |A|_2 is at most about 1, and so
-    is every entry of every power of A A^dag: the squarings cannot
-    overflow. They weight each phase toward the strong links. Where A A^dag has no zero entry, every two rows share a
-    link, as in F_N, and it is read unsquared; a stack that needs them gets
-    all p squarings, since stopping at the first power without a zero entry
-    left P_15^(9/16) at 1.4e-14, through its weak links. Any fit would do,
-    since the residual over every entry decides; a poor one only sends U
-    down the full enumeration.
+    |U|. The unit phases x, y are fitted in closed form from A = W o
+    conj(U) on every entry. Where the translate holds, A_ij is x_i y_j
+    |U_ij|^2, so each entry weighs in by |U_ij|^2 and the strong entries
+    carry the fit. Entry (i, k) of A A^dag, a sum of products A_ij
+    conj(A_kj), is then x_i conj(x_k) times a nonnegative number, and so is
+    every entry of C = (A A^dag)^(2^p), p = ceil(log2 N). All p squarings
+    always run, for two reasons. They reach across a sparse support: 2^p >=
+    N steps join any two rows that a chain of shared nonzero entries
+    connects, however weak its entries, and C_ik is positive there. And
+    they weight each phase further toward the strong entries. Rows that no
+    such chain joins, as across the blocks of a direct sum, a permutation
+    or a circulant with zero entries, meet only in exact zeros, so C_ik is
+    exactly 0 and each component keeps its own gauge. x_i is the phase of C
+    at row i's first nonzero column, which sets the gauge to 1 at each
+    component's lowest row, and y_j that of A at column j's largest entry
+    times conj(x) of that entry's row. |A_ij| <= (|W_ij|^2 + |U_ij|^2) / 2,
+    and the rows and columns of |W|^2 and |U|^2 sum to 1 up to the
+    unitarity residual, so those of |A| sum to at most about 1, |A|_2 is at
+    most about 1, and so is every entry of every power of A A^dag: the
+    squarings cannot overflow. Any fit would do, since the residual over
+    every entry decides; a poor one only sends U down the full enumeration.
     """
     dim = mod.shape[1]
-    link = mod >= 0.5 / math.sqrt(dim)  # the same for every translate of U
-    a = w * np.where(link, u3.conj(), 0.0)[:, None]
+    a = w * u3.conj()[:, None]
     c = a @ a.conj().swapaxes(2, 3)
-    if not c.all():
-        for _ in range(math.ceil(math.log2(dim))):
-            c = c @ c
+    for _ in range(math.ceil(math.log2(dim))):
+        c = c @ c
     rows = c.reshape(-1, dim)  # every row of every C
     x = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)].reshape(c.shape[:3])
     x /= np.abs(x)
-    i = mod.argmax(axis=1)  # the row of each column's largest link
+    i = mod.argmax(axis=1)  # the row of each column's largest entry
     b, k = np.arange(len(mod))[:, None], np.arange(dim)
     y = (a[b, :, i, k] * x[b, :, i].conj()).swapaxes(1, 2)
     y /= np.abs(y)

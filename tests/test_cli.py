@@ -682,9 +682,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
     # 21 bounds inputs (six of them a dephased P8^(1/2), which keeps a
-    # translation symmetry, a dephased P8^(1/16), one large entry a row, a
-    # dephased N = 8 circulant whose links form four
-    # two-row components, F8 with rows and columns permuted, which loses
+    # translation symmetry, a dephased P8^(1/16), one large entry a row,
+    # which keeps it too, a dephased N = 8 circulant whose nonzero entries
+    # join its rows in pairs, F8 with rows and columns permuted, which loses
     # it, and F8 with only its rows or only its columns permuted, which
     # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
     # for the n = 8 ensembles, which run the pruned classes batched, 2 for

@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -734,9 +735,10 @@ def _circulant(first):
     return np.asarray(first, dtype=complex)[(np.arange(dim)[None, :] - np.arange(dim)[:, None]) % dim]
 
 
-# circulants whose links (entries of modulus >= 1/(2 sqrt(N))) form several
-# multi-row components, each with its own phase gauge: four of two rows at
-# N = 8, {i, i + 4}, and three of three rows at N = 9, {i, i + 3, i + 6}
+# circulants whose nonzero entries join the rows into several multi-row
+# components, which meet only in exact zeros, so the phase fit gives each
+# its own gauge: four of two rows at N = 8, {i, i + 4}, and three of three
+# rows at N = 9, {i, i + 3, i + 6}
 CIRCULANT_PAIRS8 = _circulant([1 / math.sqrt(2), 0, 0, 0, 1j / math.sqrt(2), 0, 0, 0])
 CIRCULANT_TRIPLES9 = _circulant(np.kron(np.fft.ifft([1, 1, np.exp(2j * np.pi / 3)]), [1, 0, 0]))
 COMPONENT_CIRCULANTS = {8: CIRCULANT_PAIRS8, 9: CIRCULANT_TRIPLES9}
@@ -757,6 +759,7 @@ KERNEL_PATHS = {
     "shift8": (cyclic_shift(8), (0, 0, 1)),
     "I6": (np.eye(6), (0, 0, 1)),
     "P8^(1/2) dephased": (_dephased(permutation_power(8, 0.5), SEED), (0, 0, 1)),
+    "P8^(1/16) dephased": (dephase(permutation_power(8, 1 / 16)), (0, 0, 1)),
     "C8 pairs": (CIRCULANT_PAIRS8, (0, 0, 1)),
     "C8 pairs dephased": (_dephased(CIRCULANT_PAIRS8, SEED), (0, 0, 1)),
     "C9 triples": (CIRCULANT_TRIPLES9, (0, 0, 1)),
@@ -810,6 +813,9 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
         "shift": cyclic_shift(dim),
         "I": np.eye(dim, dtype=complex),
         "P^(1/2) dephased": _dephased(permutation_power(dim, 0.5), SEED + dim),
+        # one large entry a row
+        "P^(1/16) dephased": dephase(permutation_power(dim, 1 / 16)),
+        "P^(31/32) phased": _dephased(permutation_power(dim, 31 / 32), SEED + 100 + dim),
         # one side reduced: the column sets, then the row sets
         "F rows permuted": F(dim)[rng.permutation(dim)],
         "F columns permuted": F(dim)[:, rng.permutation(dim)],
@@ -835,11 +841,7 @@ def test_accepted_translates_fit_well_inside_the_tolerance(dim):
     accepts exactly the generators whose every power a = 1..N-1 passes its
     rule, and every such translate of an accepted generator has a phase-fit
     residual of at most SYMMETRY_TOL / 8."""
-    plain = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
-    plain.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
-    cases = dict(plain)
-    cases.update({f"{name} phased": _dephased(u, SEED + 1600 + dim) for name, u in plain.items()})
-    cases.update({f"{name} dephased": dephase(u) for name, u in plain.items()})
+    cases = _margin_family(dim)
     held = {}
     for name, u in cases.items():
         u3 = np.asarray(u, dtype=complex)[None]
@@ -857,9 +859,39 @@ def test_accepted_translates_fit_well_inside_the_tolerance(dim):
             every_power.append(holds)
         assert held[name].tolist() == every_power, name
     # the fit is reached: F_N holds under all three generators, and every
-    # plain input under the diagonal one
+    # input, plain, phased or dephased, under the diagonal one
     assert held["F"].all() and held["F phased"].all() and held["F dephased"].all()
-    assert all(held[name][2] for name in plain)
+    assert all(held[name][2] for name in cases)
+
+
+def _margin_family(dim):
+    # F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the identity,
+    # each plain, with random unit phases on both sides and in dephased form
+    plain = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
+    plain.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
+    cases = dict(plain)
+    cases.update({f"{name} phased": _dephased(u, SEED + 1600 + dim) for name, u in plain.items()})
+    cases.update({f"{name} dephased": dephase(u) for name, u in plain.items()})
+    return cases
+
+
+def test_the_detector_never_warns():
+    """The phase fit's products, squarings and divisions raise no floating-
+    point warning, which on the CLI would reach stderr: on the margin family,
+    random permutation matrices, direct sums, F2 x F3 and a Haar-led stack."""
+    rng = np.random.default_rng(SEED + 1700)
+    family = [np.asarray(u, dtype=complex)[None] for dim in (4, 9, 16) for u in _margin_family(dim).values()]
+    stacks = family + [np.eye(dim, dtype=complex)[rng.permutation(dim)][None] for dim in range(4, 13) for _ in range(3)]
+    stacks += [
+        _direct_sum(F(3), F(3))[None],
+        _direct_sum(F(4), cyclic_shift(4))[None],
+        np.kron(F(2), F(3))[None],
+        np.stack([haar_unitary(6, RngSeed(SEED + 1710))] + [permutation_power(6, b / 8) for b in range(8)]),
+    ]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        held = [_translation_symmetry(u3) for u3 in stacks]
+    assert all(h[2] for h in held[: len(family)])  # the margin family reaches the fit
 
 
 def _served_lambda(u, shape, sym):

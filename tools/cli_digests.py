@@ -85,8 +85,8 @@ def write_inputs(workdir: str) -> list:
     # row and column made real
     mats.append(("perm_sixteenth8_dephased", eub.dephase(eub.permutation_power(8, 1 / 16))))
     # a dephased circulant with first-row entries c_0 = 1/sqrt(2) and c_4 =
-    # i/sqrt(2): its links {i, i + 4} form four components of two rows, each
-    # with its own phase gauge
+    # i/sqrt(2): its nonzero entries join the rows into four components of
+    # two rows, {i, i + 4}, each with its own phase gauge
     first = np.zeros(8, dtype=complex)
     first[0], first[4] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
     pairs = first[(np.arange(8)[None, :] - np.arange(8)[:, None]) % 8]
