@@ -773,6 +773,26 @@ def test_bench_record_summarises_runs(monkeypatch):
         tool.main(["../elsewhere"])
 
 
+def test_bench_record_refuses_a_record_without_a_git_sha(tmp_path, monkeypatch, capsys):
+    """A record whose runs name no git commit, as in a checkout without
+    .git, exits 2 with a parser error and writes no file."""
+    tool = _load_tool("bench_record")
+    names = ("setup_s", "wall_s", "items_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+
+    def fake(workload, seed):
+        detail = {"env": {"git_sha": None, "src_sha256": "x", "seed": seed}, "raw_round_walls_s": [1.0]}
+        return detail, {"correct": True, "failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
+
+    monkeypatch.setattr(tool, "run_once", fake)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["nosha"])
+    assert exc.value.code == 2
+    assert "git clone" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
+
+
 def test_bench_record_compares_two_files(tmp_path, capsys):
     """--compare prints both medians of every workload and end-to-end metric,
     the relative change, its direction by the metric's `better`, whether it

@@ -19,7 +19,10 @@ it but for the seed), the seeds and seconds, and per workload: ``correct``
 the median and interquartile range over the runs of every end-to-end
 metric with each run's value, each run's raw round walls, and
 ``recorded_utc``, the UTC time the last run ended. Quartiles are
-``statistics.quantiles(..., n=4, method="inclusive")``.
+``statistics.quantiles(..., n=4, method="inclusive")``. Runs in a checkout
+without ``.git``, such as a ``git archive`` copy, report no git sha; such
+a record names no commit, so it is refused and no file is written: record
+from a ``git clone``.
 
 Two files are compared by their per-metric medians:
 
@@ -268,6 +271,8 @@ def main(argv=None) -> int:
         parser.error("the label may hold only letters, digits, '-', '_' and '.'")
     out = ROOT / f"BENCH_{args.label}.json"
     data = dict(label=args.label, **record())
+    if data["env"].get("git_sha") is None:
+        parser.error("the runs name no git commit (no .git in this checkout); record from a git clone")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
