@@ -833,6 +833,17 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
         assert np.all(np.abs(reduced - full) <= bound), (name, np.abs(reduced - full).max())
 
 
+def _margin_family(dim):
+    # F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the identity,
+    # each plain, with random unit phases on both sides and in dephased form
+    plain = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
+    plain.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
+    cases = dict(plain)
+    cases.update({f"{name} phased": _dephased(u, SEED + 1600 + dim) for name, u in plain.items()})
+    cases.update({f"{name} dephased": dephase(u) for name, u in plain.items()})
+    return cases
+
+
 @pytest.mark.parametrize("dim", range(4, 17))
 def test_accepted_translates_fit_well_inside_the_tolerance(dim):
     """On F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the
@@ -862,17 +873,6 @@ def test_accepted_translates_fit_well_inside_the_tolerance(dim):
     # input, plain, phased or dephased, under the diagonal one
     assert held["F"].all() and held["F phased"].all() and held["F dephased"].all()
     assert all(held[name][2] for name in cases)
-
-
-def _margin_family(dim):
-    # F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the identity,
-    # each plain, with random unit phases on both sides and in dephased form
-    plain = {"F": F(dim), "shift": cyclic_shift(dim), "I": np.eye(dim, dtype=complex)}
-    plain.update({f"P^({b}/32)": permutation_power(dim, b / 32) for b in range(65)})
-    cases = dict(plain)
-    cases.update({f"{name} phased": _dephased(u, SEED + 1600 + dim) for name, u in plain.items()})
-    cases.update({f"{name} dephased": dephase(u) for name, u in plain.items()})
-    return cases
 
 
 def test_the_detector_never_warns():
