@@ -11,7 +11,7 @@ column-stochastic matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,16 +20,14 @@ from .matrices import ENTROPY_TOL, PROB_SUM_TOL, _clamp_debris, _first_failure, 
 from .submatrices import SubmatrixCoefficients, s_coefficients
 
 
-@dataclass(frozen=True)
-class MajorizingVector:
+class MajorizingVector(NamedTuple):
     """Q and its truncations; truncations[k-1] is Q^(k), length k + 1 (per row of a stack)."""
 
     q_full: np.ndarray
     truncations: tuple
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated bounds for one unitary and one entropy order.
 
     ladder[k-1] = H_alpha(Q^(k)), stored ascending in k, so the array is

@@ -9,25 +9,20 @@ the tests exercise that invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import STATE_NORM_TOL, _as_generator, _square_matrix, require_unitary
+from .matrices import STATE_NORM_TOL, _as_generator, _checked_record, _square_matrix, require_unitary
 
 
-@dataclass(frozen=True)
-class EquivalenceTransform:
-    left_perm: np.ndarray
-    left_phases: np.ndarray
-    right_phases: np.ndarray
-    right_perm: np.ndarray
+class EquivalenceTransform(_checked_record("EquivalenceTransform", "left_perm left_phases right_phases right_perm")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        lp = np.asarray(self.left_perm, dtype=int)
-        rp = np.asarray(self.right_perm, dtype=int)
-        lph = np.asarray(self.left_phases, dtype=complex)
-        rph = np.asarray(self.right_phases, dtype=complex)
+    def __new__(cls, left_perm: np.ndarray, left_phases: np.ndarray, right_phases: np.ndarray, right_perm: np.ndarray):
+        lp = np.asarray(left_perm, dtype=int)
+        rp = np.asarray(right_perm, dtype=int)
+        lph = np.asarray(left_phases, dtype=complex)
+        rph = np.asarray(right_phases, dtype=complex)
         for name, arr in (("left_perm", lp), ("right_perm", rp)):
             if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
                 raise ValueError(f"{name} is not a permutation of 0..n-1")
@@ -36,10 +31,7 @@ class EquivalenceTransform:
                 raise ValueError(f"{name} entries must be unimodular")
         if not (lp.size == rp.size == lph.size == rph.size):
             raise ValueError("transform parts disagree on the dimension")
-        object.__setattr__(self, "left_perm", lp)
-        object.__setattr__(self, "right_perm", rp)
-        object.__setattr__(self, "left_phases", lph)
-        object.__setattr__(self, "right_phases", rph)
+        return super().__new__(cls, lp, lph, rph, rp)
 
     @property
     def dim(self) -> int:

@@ -13,30 +13,24 @@ item the bits of its own call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matrices import UNITARITY_TOL, _first_failure, _orthonormality_residual, _unit_normalized
+from .matrices import UNITARITY_TOL, _checked_record, _first_failure, _orthonormality_residual, _unit_normalized
 from .matrices import _unit_rows, require_unitary
 
 
-@dataclass(frozen=True)
-class SubspacePair:
+class SubspacePair(_checked_record("SubspacePair", "first_set second_set")):
     """Two orthonormal sets of vectors in a common ambient dimension.
 
     Vectors are rows: first_set is (m, N), second_set is (n, N); a stack of
     P pairs holds (P, m, N) and (P, n, N), the first failing pair raising.
     """
 
-    first_set: np.ndarray
-    second_set: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        first = np.atleast_2d(np.asarray(self.first_set, dtype=complex))
-        second = np.atleast_2d(np.asarray(self.second_set, dtype=complex))
-        object.__setattr__(self, "first_set", first)
-        object.__setattr__(self, "second_set", second)
+    def __new__(cls, first_set: np.ndarray, second_set: np.ndarray):
+        first = np.atleast_2d(np.asarray(first_set, dtype=complex))
+        second = np.atleast_2d(np.asarray(second_set, dtype=complex))
         if first.shape[:-2] + first.shape[-1:] != second.shape[:-2] + second.shape[-1:]:
             raise ValueError(f"sets live in different ambient dimensions or stacks: {first.shape}, {second.shape}")
         for label, vecs in (("first", first), ("second", second)):
@@ -48,6 +42,7 @@ class SubspacePair:
         bad = _first_failure((resid <= UNITARITY_TOL).ravel())  # pair by pair, the first set first
         if bad is not None:
             raise ValueError(f"{('first', 'second')[bad % 2]} set orthonormality residual {resid.flat[bad]:.3e}")
+        return super().__new__(cls, first, second)
 
 
 def cross_gram(sp: SubspacePair) -> np.ndarray:

@@ -18,7 +18,7 @@ functions are the same rules on one matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .matrices import (
     LINK_TRIANGLE_TOL,
     NEGATIVE_CLAMP,
     PROB_SUM_TOL,
+    _checked_record,
     _clamp_debris,
     _first_failure,
     _unit_normalized,
@@ -78,8 +79,7 @@ def permutation_power(n: int, beta: float) -> np.ndarray:
     return (f * phases[None, :]) @ f.conj().T
 
 
-@dataclass(frozen=True)
-class BirkhoffPoint:
+class BirkhoffPoint(_checked_record("BirkhoffPoint", "a b")):
     """Simplex coordinates of the bistochastic slice; a, b >= 0, a+b <= 1.
 
     Each of the weights a, b and 1 - a - b may be negative by at most
@@ -88,14 +88,14 @@ class BirkhoffPoint:
     a stack of points, each checked by the same rule.
     """
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = np.broadcast_arrays(self.a, self.b)
-        i = _first_failure((np.minimum(a, b) >= -NEGATIVE_CLAMP) & (a + b <= 1.0 + NEGATIVE_CLAMP))
+    def __new__(cls, a: float, b: float):
+        wa, wb = np.broadcast_arrays(a, b)
+        i = _first_failure((np.minimum(wa, wb) >= -NEGATIVE_CLAMP) & (wa + wb <= 1.0 + NEGATIVE_CLAMP))
         if i is not None:
-            raise ValueError(f"point ({a.flat[i]}, {b.flat[i]}) outside the simplex")
+            raise ValueError(f"point ({wa.flat[i]}, {wb.flat[i]}) outside the simplex")
+        return super().__new__(cls, a, b)
 
 
 def birkhoff_matrix(p: BirkhoffPoint) -> np.ndarray:
@@ -190,8 +190,7 @@ def lift_residual(u: np.ndarray, b) -> np.ndarray:
     return np.abs(np.abs(np.asarray(u)) ** 2 - np.asarray(b, dtype=float)).max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     a: float
     b: float
     feasible: bool

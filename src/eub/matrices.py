@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -186,28 +186,43 @@ BEAT_RATE_ALLOWANCE = 0.03
 _UINT64 = 2**64
 
 
-@dataclass(frozen=True)
-class RngSeed:
+def _checked_record(typename: str, field_names: str, defaults=None):
+    """A namedtuple base for a record whose subclass checks its fields in ``__new__``.
+
+    ``_make``, and so ``_replace``, and ``__reduce__``, and so copy, deepcopy
+    and pickle at every protocol, build through ``cls(*fields)``: a plain
+    namedtuple's would skip the subclass's ``__new__`` and its checks.
+    """
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+class RngSeed(_checked_record("RngSeed", "seed stream", defaults=(0,))):
     """Seed for the counter-based generator family used throughout.
 
     The pair (seed, stream) fixes the sample sequence completely. Derived
     per-sample streams (see ``sample_generator``) depend only on the pair
-    and the sample index, never on worker scheduling.
+    and the sample index, never on worker scheduling. Both are read through
+    ``operator.index`` and stored as Python ints, so a float or a string is
+    refused with TypeError.
     """
 
-    seed: int
-    stream: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= int(self.seed) < _UINT64 and 0 <= int(self.stream) < _UINT64):
+    def __new__(cls, seed: int, stream: int = 0):
+        seed, stream = operator.index(seed), operator.index(stream)
+        if not (0 <= seed < _UINT64 and 0 <= stream < _UINT64):
             raise ValueError("seed and stream must be unsigned 64-bit integers")
+        return super().__new__(cls, seed, stream)
 
     def to_json(self) -> dict:
-        return {"seed": int(self.seed), "stream": int(self.stream)}
+        return {"seed": self.seed, "stream": self.stream}
 
 
 def philox_key(rng: RngSeed) -> int:
-    return (int(rng.stream) << 64) | int(rng.seed)
+    return (rng.stream << 64) | rng.seed
 
 
 def generator(rng: RngSeed) -> np.random.Generator:
@@ -230,7 +245,7 @@ def _seek(bitgen: np.random.Philox, rng: RngSeed, start: int, count: int = 1):
     counter = [0, 0, start, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": counter, "key": (int(rng.seed), int(rng.stream))},
+        "state": {"counter": counter, "key": (rng.seed, rng.stream)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,

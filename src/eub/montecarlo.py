@@ -22,7 +22,7 @@ Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 _CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class BeatRateResult:
+class BeatRateResult(NamedTuple):
     """Fraction of Haar draws where the ladder bound beats the max-entry bound."""
 
     n: int
@@ -56,8 +55,7 @@ class BeatRateResult:
         }
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """Majorization fuzz outcome; violations are data, not exceptions."""
 
     n: int
@@ -76,8 +74,7 @@ class FuzzReport:
         }
 
 
-@dataclass(frozen=True)
-class GapStats:
+class GapStats(NamedTuple):
     """Summary of ladder-minus-closed-form gaps over a Haar ensemble."""
 
     n: int

@@ -150,7 +150,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,8 +250,7 @@ MAX_ENUMERATION_DIM = 12
 _CHUNK_ELEMENTS = 250_000
 
 
-@dataclass(frozen=True)
-class SubmatrixCoefficients:
+class SubmatrixCoefficients(NamedTuple):
     """The vectors s_1..s_N and r_k = ((1+s_k)/2)^2 for one unitary, or one row each for a stack."""
 
     n: int

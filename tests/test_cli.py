@@ -2,6 +2,9 @@ import argparse
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -662,6 +665,20 @@ def test_main_reuse_carries_no_state(tmp_path, capsys):
     assert not hist_path.exists() and list(tmp_path.glob("*.csv")) == []
 
 
+def test_import_generates_no_dataclass_code():
+    """Importing eub and eub.cli after numpy, argparse and json loads no
+    dataclasses: each frozen dataclass execs six generated methods when it
+    is defined, most of the package's import time from bytecode."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys, argparse, numpy; before = set(sys.modules); import eub, eub.cli; "
+            "print(json.dumps([eub.__file__, sorted(set(sys.modules) - before)]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    where, added = json.loads(out.stdout)
+    assert Path(where).parent == src / "eub" and "eub.cli" in added
+    assert "dataclasses" not in added
+
+
 def _load_tool(name):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -736,6 +753,29 @@ def test_cli_digests_large_bounds_match_pinned(tmp_path):
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert lines == [by_argv[line.split("  ", 2)[2]] for line in lines]
 
+
+
+def test_bench_record_runs_compile_eub_from_source(monkeypatch):
+    """run_once gives its bench/run.py an empty, fresh PYTHONPYCACHEPREFIX
+    and PYTHONDONTWRITEBYTECODE=1, so every set-up compiles eub from source,
+    as in a checkout that writes no bytecode, whatever the caller's
+    environment says."""
+    tool = _load_tool("bench_record")
+    seen = {}
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.update(argv=argv, cwd=cwd, cache=cache, empty=cache.is_dir() and not any(cache.iterdir()),
+                    nowrite=env["PYTHONDONTWRITEBYTECODE"])
+        return SimpleNamespace(returncode=0, stdout='{"detail": 1}\n{"result": 2}\n', stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run_once("small-reports", 7) == ({"detail": 1}, {"result": 2})
+    assert seen["argv"][1:] == [str(tool.ROOT / "bench" / "run.py"), "--workload", "small-reports", "--seed", "7",
+                                "--seconds", "20.0", "--trace", "0"]
+    assert seen["cwd"] == tool.ROOT and seen["empty"] and seen["nowrite"] == "1"
+    assert not seen["cache"].exists()
 
 
 def test_bench_record_summarises_runs(monkeypatch):

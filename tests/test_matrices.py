@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 import re
 import tokenize
 from pathlib import Path
@@ -39,6 +41,70 @@ def test_rng_seed_validation():
     with pytest.raises(ValueError):
         RngSeed(0, stream=-2)
     assert RngSeed(5, 7).to_json() == {"seed": 5, "stream": 7}
+    # seed and stream are read as integers, never truncated or parsed
+    for bad in ((1.5,), ("7",), (0, 2.0), (np.float64(3.0),)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            RngSeed(*bad)
+    rng = RngSeed(np.uint64(2**64 - 1), np.int8(3))
+    assert rng == (2**64 - 1, 3) and all(type(v) is int for v in rng)
+
+
+# One valid instance of each record type of the package; the four validated
+# types run their checks in __new__.
+RECORDS = {
+    "RngSeed": lambda: eub.RngSeed(3, 4),
+    "BirkhoffPoint": lambda: eub.BirkhoffPoint(0.25, 0.5),
+    "SubspacePair": lambda: eub.SubspacePair(np.eye(2), np.eye(2)[::-1]),
+    "EquivalenceTransform": lambda: eub.EquivalenceTransform((0, 1), (1.0, 1j), (-1.0, 1.0), (1, 0)),
+    "SubmatrixCoefficients": lambda: eub.SubmatrixCoefficients(2, np.ones(2), np.ones(2)),
+    "MajorizingVector": lambda: eub.MajorizingVector(np.ones(2) / 2, (np.ones(2) / 2,)),
+    "BoundReport": lambda: eub.BoundReport(2, 1.0, 0.5, 0.4, np.array([0.6])),
+    "BeatRateResult": lambda: eub.BeatRateResult(2, 10, 5, 0.5, 0.1, RngSeed(1)),
+    "FuzzReport": lambda: eub.FuzzReport(2, 10, 0, 0.0, RngSeed(1)),
+    "GapStats": lambda: eub.GapStats(2, 10, 1.0, RngSeed(1), 0.1, 0.2, {}, {}, (), ()),
+    "ScanRecord": lambda: eub.ScanRecord(0.0, 0.0, False, None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_tuples(name):
+    rec = RECORDS[name]()
+    assert isinstance(rec, tuple) and not hasattr(rec, "__dict__")
+    for field in (*rec._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("RngSeed", {"seed": -1}),
+        ("BirkhoffPoint", {"b": 0.9}),
+        ("SubspacePair", {"second_set": 2.0 * np.eye(2)}),
+        ("EquivalenceTransform", {"left_perm": (0, 0)}),
+    ],
+)
+def test_validated_records_check_every_way_they_are_built(name, change):
+    """_make, _replace, copy, deepcopy and pickle at every protocol build
+    through the constructor: a bad field raises its message, and a valid
+    record comes back equal, of its own type."""
+    rec = RECORDS[name]()
+    cls = type(rec)
+    bad = rec._asdict() | change
+    with pytest.raises(ValueError) as refused:
+        cls(**bad)
+    message = f"^{re.escape(str(refused.value))}$"
+    forged = tuple.__new__(cls, bad.values())  # the bad fields, past every check
+    builds = [lambda: cls._make(bad.values()), lambda: rec._replace(**change), lambda: copy.copy(forged),
+              lambda: copy.deepcopy(forged)]
+    builds += [lambda p=p: pickle.loads(pickle.dumps(forged, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+    twins = [cls._make(rec), rec._replace(), copy.copy(rec), copy.deepcopy(rec)]
+    twins += [pickle.loads(pickle.dumps(rec, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is cls and all(np.array_equal(x, y) for x, y in zip(twin, rec))
 
 
 def test_largest_singular_value_examples():

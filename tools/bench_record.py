@@ -8,9 +8,14 @@ writes ``BENCH_<label>.json`` at the repository root:
 
 The runs go seed by seed, each seed through every workload, so that a slow
 spell of the box spreads over all of them. Each run gets a fresh, empty
-``PYTHONPYCACHEPREFIX``, so its first import of ``eub`` compiles from
-source whatever bytecode the checkout holds, as in a new checkout; a stale
-``__pycache__`` can otherwise move ``setup_s`` by 80%.
+``PYTHONPYCACHEPREFIX`` and ``PYTHONDONTWRITEBYTECODE=1``, so every one of
+its set-ups compiles ``eub`` from source, whatever bytecode the checkout
+holds, as in a new checkout that writes no bytecode; a stale
+``__pycache__`` can otherwise move ``setup_s`` by 80%, and bytecode written
+by the first set-up would let the later ones skip the compile. Records
+made before this rule (set-up 1 compiling, set-ups 2-5 reading the bytecode
+it wrote) read ``setup_s`` about 2.5x lower and do not compare with newer
+ones on that metric.
 
 The file holds the ``env`` of the first run's detail line (versions,
 ``nproc``, BLAS threads, git sha, ``src_sha256``; every run must agree on
@@ -84,8 +89,7 @@ def run_once(workload: str, seed: int, root: Path = ROOT) -> tuple:
     argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
         out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode not in (0, 1) or len(lines) < 2:
