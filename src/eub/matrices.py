@@ -186,20 +186,20 @@ BEAT_RATE_ALLOWANCE = 0.03
 _UINT64 = 2**64
 
 
-def _checked_record(typename: str, field_names: str, defaults=None):
+def _checked_record(typename: str, field_names: str):
     """A namedtuple base for a record whose subclass checks its fields in ``__new__``.
 
     ``_make``, and so ``_replace``, and ``__reduce__``, and so copy, deepcopy
     and pickle at every protocol, build through ``cls(*fields)``: a plain
     namedtuple's would skip the subclass's ``__new__`` and its checks.
     """
-    base = namedtuple(typename, field_names, defaults=defaults)
+    base = namedtuple(typename, field_names)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     base.__reduce__ = lambda self: (type(self), tuple(self))
     return base
 
 
-class RngSeed(_checked_record("RngSeed", "seed stream", defaults=(0,))):
+class RngSeed(_checked_record("RngSeed", "seed stream")):
     """Seed for the counter-based generator family used throughout.
 
     The pair (seed, stream) fixes the sample sequence completely. Derived
