@@ -52,23 +52,23 @@ def test_rng_seed_validation():
 # One valid instance of each record type of the package; the four validated
 # types run their checks in __new__.
 RECORDS = {
-    "RngSeed": lambda: eub.RngSeed(3, 4),
-    "BirkhoffPoint": lambda: eub.BirkhoffPoint(0.25, 0.5),
-    "SubspacePair": lambda: eub.SubspacePair(np.eye(2), np.eye(2)[::-1]),
-    "EquivalenceTransform": lambda: eub.EquivalenceTransform((0, 1), (1.0, 1j), (-1.0, 1.0), (1, 0)),
-    "SubmatrixCoefficients": lambda: eub.SubmatrixCoefficients(2, np.ones(2), np.ones(2)),
-    "MajorizingVector": lambda: eub.MajorizingVector(np.ones(2) / 2, (np.ones(2) / 2,)),
-    "BoundReport": lambda: eub.BoundReport(2, 1.0, 0.5, 0.4, np.array([0.6])),
-    "BeatRateResult": lambda: eub.BeatRateResult(2, 10, 5, 0.5, 0.1, RngSeed(1)),
-    "FuzzReport": lambda: eub.FuzzReport(2, 10, 0, 0.0, RngSeed(1)),
-    "GapStats": lambda: eub.GapStats(2, 10, 1.0, RngSeed(1), 0.1, 0.2, {}, {}, (), ()),
-    "ScanRecord": lambda: eub.ScanRecord(0.0, 0.0, False, None, None, None),
+    "RngSeed": eub.RngSeed(3, 4),
+    "BirkhoffPoint": eub.BirkhoffPoint(0.25, 0.5),
+    "SubspacePair": eub.SubspacePair(np.eye(2), np.eye(2)[::-1]),
+    "EquivalenceTransform": eub.EquivalenceTransform((0, 1), (1.0, 1j), (-1.0, 1.0), (1, 0)),
+    "SubmatrixCoefficients": eub.SubmatrixCoefficients(2, np.ones(2), np.ones(2)),
+    "MajorizingVector": eub.MajorizingVector(np.ones(2) / 2, (np.ones(2) / 2,)),
+    "BoundReport": eub.BoundReport(2, 1.0, 0.5, 0.4, np.array([0.6])),
+    "BeatRateResult": eub.BeatRateResult(2, 10, 5, 0.5, 0.1, RngSeed(1)),
+    "FuzzReport": eub.FuzzReport(2, 10, 0, 0.0, RngSeed(1)),
+    "GapStats": eub.GapStats(2, 10, 1.0, RngSeed(1), 0.1, 0.2, {}, {}, (), ()),
+    "ScanRecord": eub.ScanRecord(0.0, 0.0, False, None, None, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_are_immutable_tuples(name):
-    rec = RECORDS[name]()
+    rec = RECORDS[name]
     assert isinstance(rec, tuple) and not hasattr(rec, "__dict__")
     for field in (*rec._fields, "extra"):
         with pytest.raises(AttributeError):
@@ -88,7 +88,7 @@ def test_validated_records_check_every_way_they_are_built(name, change):
     """_make, _replace, copy, deepcopy and pickle at every protocol build
     through the constructor: a bad field raises its message, and a valid
     record comes back equal, of its own type."""
-    rec = RECORDS[name]()
+    rec = RECORDS[name]
     cls = type(rec)
     bad = rec._asdict() | change
     with pytest.raises(ValueError) as refused:
