@@ -440,6 +440,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _require_numbers(value, key: str) -> None:
+    # numpy would read true as 1.0 and "1" as 1.0, and raise TypeError on {};
+    # what is not a list of rows is left to the shape check
+    for row in value if isinstance(value, list) else [value]:
+        for x in row if isinstance(row, list) else [row]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"{key} entries must be JSON numbers, not {type(x).__name__}")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix json must be an object")
@@ -450,8 +459,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     # bool is an int subclass; JSON true/false are not dimensions
     if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (rows, cols)):
         raise ValueError("rows and cols must be positive integers")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    for key in ("re", "im"):
+        _require_numbers(obj[key], key)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError("matrix entries must be finite (NaN/Inf rejected)") from None
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ValueError("re/im arrays do not match rows x cols")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -81,6 +81,19 @@ def test_bounds_rejects_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_matrix_inputs_take_numbers_only(tmp_path, capsys):
+    """An entry that is not a JSON number exits 2 with one line on stderr,
+    for bounds and classical alike, where an object used to escape as a
+    TypeError and true or "1" read as 1.0."""
+    for entry, kind in (("{}", "dict"), ("true", "bool"), ('"1"', "str")):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"rows": 1, "cols": 1, "re": [[{entry}]], "im": [[0.0]]}}')
+        for command in ("bounds", "classical"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: re entries must be JSON numbers, not {kind}\n"
+
+
 def test_bounds_rejects_wrong_format(tmp_path, capsys):
     # no subcommand has a --format option; each emits one format only
     path = write_f3(tmp_path)
@@ -679,8 +692,8 @@ def test_import_generates_no_dataclass_code():
     assert "dataclasses" not in added
 
 
-def _load_tool(name):
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+def _load_tool(name, folder="tools"):
+    path = Path(__file__).resolve().parents[1] / folder / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -755,199 +768,179 @@ def test_cli_digests_large_bounds_match_pinned(tmp_path):
 
 
 
-def test_bench_record_runs_compile_eub_from_source(monkeypatch):
-    """run_once gives its bench/run.py an empty, fresh PYTHONPYCACHEPREFIX
-    and PYTHONDONTWRITEBYTECODE=1, so every set-up compiles eub from source,
-    as in a checkout that writes no bytecode, whatever the caller's
-    environment says."""
+def test_bench_tracer_wraps_resolve(monkeypatch):
+    """Every (consuming module, name) pair that bench/tracer.py wraps
+    resolves, so a traced benchmark run can install its spans: eub.cli keeps
+    noqa imports of names that only the tracer reads."""
+    import eub  # noqa: F401
+    import eub.cli  # noqa: F401
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    tracer = _load_tool("tracer", "bench")
+    assert len(tracer.WRAPS) > 0
+    for module, name, _, _ in tracer.WRAPS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_bench_record_runs_as_the_benchmark_runs(monkeypatch, tmp_path):
+    """run_once runs bench/run.py of the checkout with no PYTHONPYCACHEPREFIX,
+    even when the caller set one, and with PYTHONDONTWRITEBYTECODE=1, so
+    numpy reads its installed bytecode and eub compiles from source, as in
+    the benchmark's own runs."""
     tool = _load_tool("bench_record")
     seen = {}
 
     def fake_run(argv, cwd, env, capture_output, text):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.update(argv=argv, cwd=cwd, cache=cache, empty=cache.is_dir() and not any(cache.iterdir()),
-                    nowrite=env["PYTHONDONTWRITEBYTECODE"])
+        seen.update(argv=argv, cwd=cwd, env=env)
         return SimpleNamespace(returncode=0, stdout='{"detail": 1}\n{"result": 2}\n', stderr="")
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
-    assert tool.run_once("small-reports", 7) == ({"detail": 1}, {"result": 2})
-    assert seen["argv"][1:] == [str(tool.ROOT / "bench" / "run.py"), "--workload", "small-reports", "--seed", "7",
+    assert tool.run_once("small-reports", 7, tmp_path) == ({"detail": 1}, {"result": 2})
+    assert seen["argv"][1:] == [str(tmp_path / "bench" / "run.py"), "--workload", "small-reports", "--seed", "7",
                                 "--seconds", "20.0", "--trace", "0"]
-    assert seen["cwd"] == tool.ROOT and seen["empty"] and seen["nowrite"] == "1"
-    assert not seen["cache"].exists()
+    assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in seen["env"] and seen["env"]["PATH"] == os.environ["PATH"]
+    assert os.environ["PYTHONPYCACHEPREFIX"] == str(tmp_path / "cache")
 
 
-def test_bench_record_summarises_runs(monkeypatch):
-    """tools/bench_record.py runs every workload seed by seed, takes the
-    median and IQR of each end-to-end metric over the runs, and refuses
-    runs made in different environments."""
-    tool = _load_tool("bench_record")
-    assert tool.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "iqr": 1.5, "runs": [4.0, 1.0, 3.0, 2.0]}
-    assert tool.summary([2.0]) == {"median": 2.0, "iqr": 0.0, "runs": [2.0]}
-    names = ("setup_s", "wall_s", "items_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
-    calls = []
-
-    def fake(workload, seed, src="x"):
-        calls.append((workload, seed))
-        value = float(seed - 100)
-        bad = workload == "small-reports" and seed == 103
-        detail = {"env": {"src_sha256": src, "seed": seed}, "raw_round_walls_s": [value]}
-        result = {"correct": not bad, "failed": int(bad), "attempted": 5, "metrics": {n: {"value": value} for n in names}}
-        return detail, result
-
-    monkeypatch.setattr(tool, "run_once", fake)
-    out = tool.record()
-    assert calls[:4] == [(w, 101) for w in ("ensemble-sampling", "ensemble-kernel", "large-n-report", "small-reports")]
-    assert len(calls) == 12 and out["env"] == {"src_sha256": "x"} and out["seeds"] == [101, 102, 103]
-    assert datetime.fromisoformat(out["recorded_utc"]).utcoffset() == timedelta(0)
-    small = out["workloads"]["small-reports"]
-    assert (small["correct"], small["failed"], small["attempted"]) == (False, 1, 15)
-    assert small["metrics"]["wall_s"] == {"unit": "s", "median": 2.0, "iqr": 1.0, "runs": [1.0, 2.0, 3.0]}
-    assert small["raw_round_walls_s"] == [[1.0], [2.0], [3.0]]
-    assert out["workloads"]["large-n-report"]["correct"] is True
-    monkeypatch.setattr(tool, "run_once", lambda w, seed: fake(w, seed, src=str(seed)))
-    with pytest.raises(RuntimeError, match="another environment"):
-        tool.record()
-    with pytest.raises(SystemExit):
-        tool.main(["../elsewhere"])
+def _bench_checkouts(tool, tmp_path, monkeypatch):
+    """A parent and a change checkout holding what the tool looks for; the change is the tool's ROOT."""
+    roots = {}
+    for side in ("parent", "change"):
+        root = roots[side] = tmp_path / side
+        for need in ("bench/run.py", "src/eub/__init__.py"):
+            (root / need).parent.mkdir(parents=True, exist_ok=True)
+            (root / need).write_text("")
+    (roots["change"] / "BENCHMARK.json").write_text((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", roots["change"])
+    return roots
 
 
-def test_bench_record_refuses_a_record_without_a_git_sha(tmp_path, monkeypatch, capsys):
-    """A record whose runs name no git commit, as in a checkout without
-    .git, exits 2 with a parser error and writes no file."""
-    tool = _load_tool("bench_record")
-    names = ("setup_s", "wall_s", "items_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
-
-    def fake(workload, seed):
-        detail = {"env": {"git_sha": None, "src_sha256": "x", "seed": seed}, "raw_round_walls_s": [1.0]}
-        return detail, {"correct": True, "failed": 0, "attempted": 1, "metrics": {n: {"value": 1.0} for n in names}}
-
-    monkeypatch.setattr(tool, "run_once", fake)
-    monkeypatch.setattr(tool, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
-    with pytest.raises(SystemExit) as exc:
-        tool.main(["nosha"])
-    assert exc.value.code == 2
-    assert "git clone" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
-
-
-def test_bench_record_compares_two_files(tmp_path, capsys):
-    """--compare prints both medians of every workload and end-to-end metric,
-    the relative change, its direction by the metric's `better`, whether it
-    exceeds both IQRs and whether it is worse by more than the metric's
-    `bound`; above the table it names each file's label, git sha and
-    recording time ("unknown" where a file lacks one) and says that medians
-    from separate sessions give no verdict. It refuses files from different
-    environments."""
-    tool = _load_tool("bench_record")
-    spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
-    env = {"python": "3", "nproc": 2, "git_sha": "a", "src_sha256": "a"}
-
-    def write(name, medians, iqr, stamp=None, **changes):
-        metrics = {m["name"]: {"unit": m["unit"], "median": medians.get(m["name"], 1.0), "iqr": iqr, "runs": []}
+def _fake_bench_runs(spec, roots, calls, sha=None, nproc=None):
+    """A run_once whose change reads 10% better than the parent on every seed
+    but the last, with op_tail_ms and peak_rss_mb 20% higher, and whose
+    small-reports run of the change at seed 202 fails one operation."""
+    def fake(workload, seed, root):
+        side = "parent" if root == roots["parent"] else "change"
+        calls.append((seed, workload, side))
+        speed = 1.1 if side == "change" and seed < 204 else 1.0
+        metrics = {m["name"]: {"value": float(seed) * (speed if m["better"] == "higher" else 1 / speed)}
                    for m in spec["end_to_end"]}
-        data = {"env": dict(env, **changes), "workloads": {w["name"]: {"metrics": metrics} for w in spec["workloads"]}}
-        if stamp is not None:
-            data.update(label="new", recorded_utc=stamp)
-        path = tmp_path / name
-        path.write_text(json.dumps(data))
-        return str(path)
-
-    old = write("old.json", {"op_p50_ms": 4.0, "items_per_s": 100.0}, 0.1)
-    # worse by 10% and 20% (bound 25%) and by 5% and 11% (bound 10%)
-    new = write("new.json", {"op_p50_ms": 3.0, "items_per_s": 90.0, "op_tail_ms": 1.2, "setup_s": 0.74,
-                             "peak_rss_mb": 1.05}, 0.5, stamp="2026-01-02T03:04:05+00:00", git_sha="b", src_sha256="b")
-    assert tool.main(["--compare", old, new]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "old: label unknown, git_sha a, recorded_utc unknown"
-    assert lines[1] == "new: label new, git_sha b, recorded_utc 2026-01-02T03:04:05+00:00"
-    assert "no verdict" in lines[2] and "--pairs" in lines[2]
-    # a record made outside a git checkout holds a null git sha
-    null_sha = tool.provenance({"env": {"git_sha": None}}, {"env": {}})
-    assert null_sha[0] == "old: label unknown, git_sha unknown, recorded_utc unknown"
-    lines = lines[3:]
-    assert lines[0].split() == ["workload", "metric", "old", "new", "change", "by", "metric", "beyond", "both", "IQRs",
-                                "past", "bound"]
-    assert len(lines) == 1 + len(spec["workloads"]) * len(spec["end_to_end"])
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
-    assert rows[("large-n-report", "op_p50_ms")] == ["4", "3", "-25.0%", "better", "yes", "no"]
-    assert rows[("small-reports", "items_per_s")] == ["100", "90", "-10.0%", "worse", "yes", "no"]
-    assert rows[("small-reports", "wall_s")] == ["1", "1", "+0.0%", "same", "no", "no"]
-    assert rows[("small-reports", "op_tail_ms")] == ["1", "1.2", "+20.0%", "worse", "no", "no"]
-    assert rows[("small-reports", "setup_s")] == ["1", "0.74", "-26.0%", "better", "no", "no"]
-    assert rows[("small-reports", "peak_rss_mb")] == ["1", "1.05", "+5.0%", "worse", "no", "no"]
-    # past the bound, whatever the IQRs: 30% on a 25% bound, 11% on 10%, and 26% fewer items
-    worse = write("worse.json", {"op_p50_ms": 4.0, "items_per_s": 74.0, "op_tail_ms": 1.3, "peak_rss_mb": 1.11}, 2.0)
-    worse_rows = {row[:2]: row[2:] for row in tool.compare(tool.load_json(old), tool.load_json(worse))}
-    assert worse_rows[("ensemble-kernel", "items_per_s")] == ("100", "74", "-26.0%", "worse", "yes", "yes")
-    assert worse_rows[("ensemble-kernel", "op_tail_ms")] == ("1", "1.3", "+30.0%", "worse", "no", "yes")
-    assert worse_rows[("ensemble-kernel", "peak_rss_mb")] == ("1", "1.11", "+11.0%", "worse", "no", "yes")
-    assert worse_rows[("ensemble-kernel", "op_p50_ms")] == ("4", "4", "+0.0%", "same", "no", "no")
-    wide = write("wide.json", {"op_p50_ms": 3.0}, 2.0)
-    wide_rows = {row[:2]: row[2:] for row in tool.compare(tool.load_json(old), tool.load_json(wide))}
-    assert wide_rows[("large-n-report", "op_p50_ms")] == ("4", "3", "-25.0%", "better", "no", "no")  # inside the new IQR
-    other = write("other.json", {}, 0.1, nproc=4)
-    with pytest.raises(ValueError, match="different environments"):
-        tool.compare(tool.load_json(old), tool.load_json(other))
-    for argv in ([], ["--compare", old, other], ["--compare", old, new, "label"], ["--compare", old, str(tmp_path / "none")]):
-        with pytest.raises(SystemExit):
-            tool.main(argv)
+        if side == "change":
+            for name in ("op_tail_ms", "peak_rss_mb"):
+                metrics[name]["value"] = float(seed) * 1.2
+        bad = (side, workload, seed) == ("change", "small-reports", 202)
+        env = {"nproc": (nproc or {}).get(side, 2), "git_sha": (sha or {}).get(side, f"sha-{side}"),
+               "src_sha256": f"src-{side}", "seed": seed}
+        return ({"env": env, "raw_round_walls_s": [seed / 100]},
+                {"correct": not bad, "failed": int(bad), "attempted": 3, "metrics": metrics})
+    return fake
 
 
 def test_bench_record_runs_alternating_pairs(tmp_path, capsys, monkeypatch):
-    """--pairs runs the parent checkout and this one on consecutive seeds,
-    alternating which goes first, prints each pair, then per end-to-end metric
-    both sides' quartiles, the change of the medians, whether it exceeds the
-    parent's IQR, whether it is worse by more than the metric's `bound` and
-    the change's wins; it refuses a checkout without the
-    benchmark, an unknown workload and runs from different environments."""
+    """The tool runs the parent checkout and this one seed by seed, each seed
+    through every named workload, with the other side first at each next
+    seed, prints per workload both sides' correctness and the verdict table,
+    and writes both sides' runs and that table to BENCH_<label>.json."""
     tool = _load_tool("bench_record")
-    spec = tool.load_json(tool.ROOT / "BENCHMARK.json")
-    parent = tmp_path / "parent"
-    (parent / "bench").mkdir(parents=True)
-    (parent / "bench" / "run.py").write_text("")
+    spec = tool.load_json(Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+    roots = _bench_checkouts(tool, tmp_path, monkeypatch)
     calls = []
-
-    def fake_run(workload, seed, root, nproc=2):
-        calls.append((workload, seed, "parent" if root == parent else "change"))
-        # the change reads 10% faster on every seed but the last, and its
-        # tail and peak RSS read 20% higher, inside and past their bounds
-        speed = 1.1 if root != parent and seed < 204 else 1.0
-        metrics = {m["name"]: {"value": float(seed) * (speed if m["better"] == "higher" else 1 / speed)}
-                   for m in spec["end_to_end"]}
-        if root != parent:
-            for name in ("op_tail_ms", "peak_rss_mb"):
-                metrics[name]["value"] = float(seed) * 1.2
-        env = {"nproc": nproc, "git_sha": str(root), "seed": seed}
-        return {"env": env}, {"correct": True, "failed": 0, "metrics": metrics}
-
-    monkeypatch.setattr(tool, "run_once", fake_run)
-    assert tool.main(["--pairs", str(parent), "--workload", "large-n-report", "--seed", "201", "--count", "4"]) == 0
-    assert calls == [("large-n-report", seed, side) for seed, first, second in
-                     ((201, "parent", "change"), (202, "change", "parent"), (203, "parent", "change"),
-                      (204, "change", "parent")) for side in (first, second)]
+    monkeypatch.setattr(tool, "run_once", _fake_bench_runs(spec, roots, calls))
+    assert tool.main(["snap", "--pairs", str(roots["parent"]), "--workload", "large-n-report",
+                      "--workload", "small-reports", "--seed", "201", "--count", "4"]) == 0
+    assert calls == [(seed, workload, side)
+                     for seed, order in ((201, ("parent", "change")), (202, ("change", "parent")),
+                                         (203, ("parent", "change")), (204, ("change", "parent")))
+                     for workload in ("large-n-report", "small-reports") for side in order]
+    data = json.loads((roots["change"] / "BENCH_snap.json").read_text())
+    assert datetime.fromisoformat(data.pop("recorded_utc")).utcoffset() == timedelta(0)
+    assert {k: v for k, v in data.items() if k != "workloads"} == {
+        "label": "snap", "env": {"nproc": 2}, "seeds": [201, 202, 203, 204], "count": 4, "seconds": 20.0,
+        "sides": {side: {"git_sha": f"sha-{side}", "src_sha256": f"src-{side}"} for side in ("parent", "change")}}
+    assert list(data["workloads"]) == ["large-n-report", "small-reports"]
+    small = data["workloads"]["small-reports"]
+    assert small["change"] == {"correct": False, "failed": 1, "attempted": 12,
+                               "raw_round_walls_s": [[2.01], [2.02], [2.03], [2.04]]}
+    assert (small["parent"]["correct"], small["parent"]["failed"]) == (True, 0)
+    metrics = data["workloads"]["large-n-report"]["metrics"]
+    assert list(metrics) == [m["name"] for m in spec["end_to_end"]]
+    items = metrics["items_per_s"]
+    assert items["unit"] == "1/s" and items["parent"] == [201.0, 202.0, 203.0, 204.0]
+    assert items["change"] == pytest.approx([221.1, 222.2, 223.3, 204.0])
+    # parent quartiles 201.75 / 202.5 / 203.25; the change wins 3 of 4
+    assert items["parent_quartiles"] == [201.75, 202.5, 203.25] and items["change_better"] == 3
+    assert items["beyond_parent_iqr"] and not items["past_bound"]
+    assert metrics["wall_s"]["change_better"] == 3
+    # 20% worse on a bound of 25% and of 10%
+    assert (metrics["op_tail_ms"]["past_bound"], metrics["peak_rss_mb"]["past_bound"]) == (False, True)
+    assert metrics["peak_rss_mb"]["change_of_medians"] == pytest.approx(0.2)
+    assert metrics["peak_rss_mb"]["change_better"] == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out[:4]] == [f"pair {i} seed {200 + i} ({'parent' if i % 2 else 'change'} first)"
-                                                         for i in range(1, 5)]
-    rows = {line.split()[0]: line for line in out[6:]}
-    assert len(rows) == len(spec["end_to_end"]) and out[5].split()[0] == "metric"
-    # parent runs 201-204: quartiles 201.75 / 202.5 / 203.25; the change wins 3 of 4
-    assert rows["items_per_s"].split()[1:6] == ["201.75", "/", "202.5", "/", "203.25"]
-    assert rows["items_per_s"].split()[-3:] == ["3", "of", "4"] and rows["wall_s"].split()[-3:] == ["3", "of", "4"]
-    # the past-bound column precedes the wins: 20% on a bound of 25% and of 10%
-    assert [rows[name].split()[-4] for name in ("items_per_s", "op_tail_ms", "peak_rss_mb")] == ["no", "no", "yes"]
-    assert rows["peak_rss_mb"].split()[-6:] == ["+20.0%", "yes", "yes", "0", "of", "4"]
-    for argv in (["--pairs", str(tmp_path), "--workload", "large-n-report", "--seed", "1"],
-                 ["--pairs", str(parent), "--workload", "none", "--seed", "1"],
-                 ["--pairs", str(parent), "--seed", "1"],
-                 ["--pairs", str(parent), "--workload", "large-n-report", "--seed", "1", "label"]):
-        with pytest.raises(SystemExit):
+    assert out[0] == "large-n-report: 4 pairs, seeds 201-204; parent correct True, failed 0; change correct True, failed 0"
+    assert out[1].split()[0] == "metric" and out[-1] == str(roots["change"] / "BENCH_snap.json")
+    rows = {line.split()[0]: line.split() for line in out[2:2 + len(spec["end_to_end"])]}
+    assert rows["items_per_s"][1:6] == ["201.75", "/", "202.5", "/", "203.25"]
+    assert rows["items_per_s"][-6:] == ["+9.5%", "yes", "no", "3", "of", "4"]
+    assert rows["peak_rss_mb"][-6:] == ["+20.0%", "yes", "yes", "0", "of", "4"]
+    heading = out[2 + len(spec["end_to_end"])]
+    assert heading.endswith("change correct False, failed 1")
+
+
+def test_bench_record_refuses_a_record_without_a_git_sha(tmp_path, monkeypatch, capsys):
+    """Runs of either side that name no git commit, as in a checkout without
+    .git, and runs made in different environments exit 2 and write no file;
+    so do an unknown workload, a count below 1 and a bad label."""
+    tool = _load_tool("bench_record")
+    spec = tool.load_json(Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+    roots = _bench_checkouts(tool, tmp_path, monkeypatch)
+    argv = ["nosha", "--pairs", str(roots["parent"]), "--workload", "ensemble-kernel", "--seed", "5", "--count", "2"]
+    for fake, message in (
+        *((_fake_bench_runs(spec, roots, [], sha={side: None}), "git clones") for side in ("parent", "change")),
+        (_fake_bench_runs(spec, roots, [], nproc={"change": 4}), "another environment"),
+    ):
+        monkeypatch.setattr(tool, "run_once", fake)
+        with pytest.raises(SystemExit) as exc:
             tool.main(argv)
-    monkeypatch.setattr(tool, "run_once", lambda w, seed, root: fake_run(w, seed, root, nproc=2 if root == parent else 4))
-    with pytest.raises(RuntimeError, match="another environment"):
-        tool.pairs(parent, "large-n-report", 1, 1)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+    for bad in (["--workload", "none"], ["--count", "0"], ["--workload"]):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(argv + bad)
+        assert exc.value.code == 2
+    for label in ("../elsewhere", ""):
+        with pytest.raises(SystemExit) as exc:
+            tool.main([label] + argv[1:])
+        assert exc.value.code == 2
+    assert sorted(p.name for p in roots["change"].iterdir()) == ["BENCHMARK.json", "bench", "src"]
+
+
+def test_bench_record_refuses_bytecode_under_src(tmp_path, monkeypatch, capsys):
+    """A __pycache__ anywhere under either checkout's src, or a checkout
+    without src/eub/__init__.py, is refused by name before any run starts,
+    and no file is written."""
+    tool = _load_tool("bench_record")
+    roots = _bench_checkouts(tool, tmp_path, monkeypatch)
+    calls = []
+    monkeypatch.setattr(tool, "run_once", lambda *args: calls.append(args))
+    argv = ["stale", "--pairs", str(roots["parent"]), "--workload", "small-reports", "--seed", "5"]
+    for side in ("parent", "change"):
+        for where in ("src/eub/__pycache__", "src/__pycache__", "src/eub/sub/__pycache__"):
+            stale = roots[side] / where
+            stale.mkdir(parents=True)
+            with pytest.raises(SystemExit) as exc:
+                tool.main(argv)
+            assert exc.value.code == 2 and str(stale) in capsys.readouterr().err
+            stale.rmdir()
+        init = roots[side] / "src" / "eub" / "__init__.py"
+        init.unlink()
+        with pytest.raises(SystemExit) as exc:
+            tool.main(argv)
+        assert exc.value.code == 2 and f"{roots[side]} holds no src/eub/__init__.py" in capsys.readouterr().err
+        init.write_text("")
+    assert calls == [] and not list(roots["change"].glob("BENCH_*"))
+
 
 def _states_per_draw(seed, n, pairs):
     # the extremal check's states drawn one at a time, as (real, imaginary)

@@ -268,6 +268,23 @@ def test_matrix_json_rejects_bad_payloads(tmp_path):
     bad["im"] = [[0.0, float("inf")], [0.0, 0.0]]
     with pytest.raises(ValueError):
         matrix_from_json(bad)
+    # entries are JSON numbers only: numpy would read true and "1" as 1.0,
+    # and raise TypeError on an object
+    for key in ("re", "im"):
+        for entry, kind in ((True, "bool"), (False, "bool"), ("1", "str"), ({}, "dict"), ([1.0], "list"),
+                            (None, "NoneType")):
+            # in a row, or in place of one
+            for payload in ([[entry, 0.0], [0.0, 1.0]], [entry, [0.0, 1.0]])[:1 if kind == "list" else 2]:
+                bad = dict(good, **{key: payload})
+                with pytest.raises(ValueError, match=f"^{key} entries must be JSON numbers, not {kind}$"):
+                    matrix_from_json(bad)
+    # the shape check still reads a payload that is not a list of rows
+    for payload in (1.0, [1.0, 0.0]):
+        with pytest.raises(ValueError, match="do not match rows x cols"):
+            matrix_from_json(dict(good, re=payload))
+    with pytest.raises(ValueError, match="must be finite"):
+        matrix_from_json(dict(good, re=[[10**400, 0], [0, 1]]))
+    assert matrix_from_json(dict(good, re=[[1, 0], [0, 1]])).dtype == complex
 
     # token-level NaN/Infinity in the file must also be rejected
     path = tmp_path / "nan.json"

@@ -1,66 +1,37 @@
-"""Record the benchmark's end-to-end metrics to ``BENCH_<label>.json``.
+"""Record the benchmark's end-to-end metrics of this checkout against its parent's, to ``BENCH_<label>.json``.
 
-Runs ``bench/run.py --trace 0`` as a subprocess on every workload of
-``BENCHMARK.json``, for each of ``SEEDS`` at ``--seconds 20``, and
-writes ``BENCH_<label>.json`` at the repository root:
+    python3 tools/bench_record.py LABEL --pairs PARENT_CHECKOUT --workload NAME [--workload NAME ...] --seed FIRST [--count N]
 
-    python3 tools/bench_record.py LABEL
+runs ``bench/run.py --trace 0 --seconds 20`` of PARENT_CHECKOUT, a ``git
+clone`` of the parent commit, and of this checkout in ``--count`` pairs (10
+by default) on seeds FIRST, FIRST + 1, ...: seed by seed, each seed through
+every named workload, so that a slow spell of the box spreads over all of
+them, with the other side first at each next seed. A snapshot of one commit
+is a run against a clone of that same commit, which also shows the noise
+floor.
 
-The runs go seed by seed, each seed through every workload, so that a slow
-spell of the box spreads over all of them. Each run gets a fresh, empty
-``PYTHONPYCACHEPREFIX`` and ``PYTHONDONTWRITEBYTECODE=1``, so every one of
-its set-ups compiles ``eub`` from source, whatever bytecode the checkout
-holds, as in a new checkout that writes no bytecode; a stale
-``__pycache__`` can otherwise move ``setup_s`` by 80%, and bytecode written
-by the first set-up would let the later ones skip the compile. Records
-made before this rule (set-up 1 compiling, set-ups 2-5 reading the bytecode
-it wrote) read ``setup_s`` about 2.5x lower and do not compare with newer
-ones on that metric.
+Each run is made as the benchmark makes its own: no
+``PYTHONPYCACHEPREFIX`` (the caller's is dropped, so numpy and the standard
+library read their installed bytecode) and ``PYTHONDONTWRITEBYTECODE=1``.
+Before any run, a checkout without ``bench/run.py`` or
+``src/eub/__init__.py``, or with a ``__pycache__`` anywhere under ``src``, is
+refused: stale bytecode of ``eub`` can move ``setup_s`` by 80%.
 
-The file holds the ``env`` of the first run's detail line (versions,
-``nproc``, BLAS threads, git sha, ``src_sha256``; every run must agree on
-it but for the seed), the seeds and seconds, and per workload: ``correct``
-(every run correct), ``failed`` and ``attempted`` (summed over the runs),
-the median and interquartile range over the runs of every end-to-end
-metric with each run's value, each run's raw round walls, and
-``recorded_utc``, the UTC time the last run ended. Quartiles are
-``statistics.quantiles(..., n=4, method="inclusive")``. Runs in a checkout
-without ``.git``, such as a ``git archive`` copy, report no git sha; such
-a record names no commit, so it is refused and no file is written: record
-from a ``git clone``.
-
-Two files are compared by their per-metric medians:
-
-    python3 tools/bench_record.py --compare OLD.json NEW.json
-
-prints, per workload and end-to-end metric of ``BENCHMARK.json``, both
-medians, the relative change, whether that change is better or worse by the
-metric's ``better``, whether it exceeds the IQR of both files, and whether
-the new median is worse than the old by more than the metric's ``bound``, a
-fraction of the old median: the benchmark's rule for a regression. Above
-the table it prints each file's label, git sha and ``recorded_utc``
-("unknown" where a file lacks one or holds null, as ``git_sha`` does in a
-record made outside a git checkout), and a line saying that medians from
-separate sessions give no verdict: the box's speed drifts between
-sessions, and only ``--pairs`` runs both sides in one. Files whose ``env``
-differs in anything but the git sha, ``src_sha256`` or the seed are
-refused.
-
-Three runs a side show no win rate, so a change that claims a gain also
-runs pairs of parent and change on one workload:
-
-    python3 tools/bench_record.py --pairs PARENT_CHECKOUT --workload NAME --seed FIRST [--count 10]
-
-runs ``bench/run.py`` of PARENT_CHECKOUT (another checkout, such as a
-``git archive`` of the parent commit) and of this checkout, ``--count``
-pairs on seeds FIRST, FIRST + 1, ..., alternating which side goes first,
-each run as ``record`` runs it. It prints each pair's values of every
-end-to-end metric, then per metric both sides' medians and quartiles, the
-change of the medians, whether it exceeds the parent's IQR, whether the
-change's median is worse than the parent's by more than the metric's
-``bound`` (as for ``--compare``), and in how many pairs the change was
-better by the metric's ``better`` (ties count for neither side). Runs
-whose ``env`` differs in anything but the code keys are refused.
+For each workload the tool prints, per end-to-end metric of
+``BENCHMARK.json``, both sides' quartiles
+(``statistics.quantiles(..., n=4, method="inclusive")``), the change of the
+medians, whether it exceeds the parent's IQR, whether the change's median is
+worse than the parent's by more than the metric's ``bound`` (a fraction of
+the parent's median: the benchmark's rule for a regression), and in how many
+pairs the change was better by the metric's ``better`` (ties count for
+neither side). ``BENCH_<label>.json`` at the repository root holds the same,
+with the label, ``recorded_utc``, the machine's ``env``, each side's
+``git_sha`` and ``src_sha256``, the seeds, count and seconds, and per
+workload and side ``correct``, ``failed``, ``attempted`` and the raw round
+walls, and per metric both sides' runs. Runs whose ``env`` differs in
+anything but the code keys, and runs that name no git commit (a checkout
+without ``.git``, such as a ``git archive`` copy), are refused, and no file
+is written (exit 2).
 
 Needs only the standard library.
 """
@@ -73,14 +44,13 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (101, 102, 103)
 SECONDS = 20.0
-# env keys that name the code or the draw, not the machine; two files may differ in them
+SIDES = ("parent", "change")
+# env keys that name the code or the draw, not the machine; the sides may differ in them
 CODE_KEYS = ("git_sha", "src_sha256", "seed")
 
 
@@ -88,19 +58,23 @@ def run_once(workload: str, seed: int, root: Path = ROOT) -> tuple:
     """One ``bench/run.py --trace 0`` run of the checkout at root: its detail line and result line."""
     argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
-        out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode not in (0, 1) or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {out.returncode}: {out.stderr.strip()}")
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def summary(values: list) -> dict:
-    """Median and interquartile range of one metric over the runs."""
-    q1, median, q3 = quartiles(values)
-    return {"median": median, "iqr": q3 - q1, "runs": values}
+def check_checkout(root: Path) -> None:
+    """Refuse a checkout that is not one of this package, or whose ``src`` holds bytecode a run could read."""
+    for need in ("bench/run.py", "src/eub/__init__.py"):
+        if not (root / need).is_file():
+            raise ValueError(f"{root} holds no {need}")
+    stale = next((root / "src").rglob("__pycache__"), None)
+    if stale is not None:
+        raise ValueError(f"{stale} holds bytecode that would move setup_s; delete it first")
 
 
 def load_json(path) -> dict:
@@ -108,94 +82,83 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
-def record() -> dict:
-    spec = load_json(ROOT / "BENCHMARK.json")
-    names = [w["name"] for w in spec["workloads"]]
-    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    runs = {name: [] for name in names}
-    env = None
-    for seed in SEEDS:
-        for name in names:
-            detail, result = run_once(name, seed)
-            print(f"{name} seed {seed}: correct {result['correct']}, "
-                  f"wall_s {result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-            mine = {k: v for k, v in detail["env"].items() if k != "seed"}
-            if env is None:
-                env = mine
-            elif mine != env:
-                raise RuntimeError(f"{name} seed {seed} ran in another environment: {mine} != {env}")
-            runs[name].append((detail, result))
-    workloads = {}
-    for name, done in runs.items():
-        workloads[name] = {
-            "correct": all(result["correct"] for _, result in done),
-            "failed": sum(result["failed"] for _, result in done),
-            "attempted": sum(result["attempted"] for _, result in done),
-            "metrics": {
-                metric: dict(unit=unit, **summary([result["metrics"][metric]["value"] for _, result in done]))
-                for metric, unit in units.items()
-            },
-            "raw_round_walls_s": [detail["raw_round_walls_s"] for detail, _ in done],
-        }
-    recorded = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return {"env": env, "seeds": list(SEEDS), "seconds": SECONDS, "recorded_utc": recorded, "workloads": workloads}
-
-
 def machine(env: dict) -> dict:
     """The keys of a run's ``env`` that name the machine, not the code or the draw."""
     return {k: v for k, v in env.items() if k not in CODE_KEYS}
 
 
-def quartiles(values: list) -> tuple:
-    """First quartile, median and third quartile, as ``summary`` takes them."""
+def quartiles(values: list) -> list:
+    """First quartile, median and third quartile."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return q1, statistics.median(values), q3
+    return [q1, statistics.median(values), q3]
 
 
-def past_bound(metric: dict, old: float, new: float) -> str:
-    """Whether ``new`` is worse than ``old`` by more than the metric's ``bound``, a fraction of ``old``: yes or no."""
-    worse = new - old if metric["better"] == "lower" else old - new
-    return "yes" if worse > metric["bound"] * abs(old) else "no"
+def verdict(metric: dict, old: list, new: list) -> dict:
+    """Both sides' runs of one metric and the table's columns for them."""
+    (a1, a2, a3), (b1, b2, b3) = quartiles(old), quartiles(new)
+    worse = b2 - a2 if metric["better"] == "lower" else a2 - b2
+    return {"unit": metric["unit"], "parent": old, "change": new, "parent_quartiles": [a1, a2, a3],
+            "change_quartiles": [b1, b2, b3], "change_of_medians": (b2 - a2) / a2 if a2 else None,
+            "beyond_parent_iqr": abs(b2 - a2) > a3 - a1, "past_bound": worse > metric["bound"] * abs(a2),
+            "change_better": sum((b < a) if metric["better"] == "lower" else (b > a) for a, b in zip(old, new))}
 
 
-def pairs(parent: Path, workload: str, first_seed: int, count: int) -> list:
-    """Alternating runs of the parent checkout and this one; the report's lines."""
+def pairs(parent: Path, workloads: list, first_seed: int, count: int) -> dict:
+    """Alternating runs of the parent checkout and this one, seed by seed through the workloads; the record."""
     spec = load_json(ROOT / "BENCHMARK.json")
-    if workload not in [w["name"] for w in spec["workloads"]]:
-        raise ValueError(f"no workload {workload!r} in BENCHMARK.json")
-    if not (parent / "bench" / "run.py").is_file():
-        raise ValueError(f"{parent} holds no bench/run.py")
-    metrics = spec["end_to_end"]
-    sides = {"parent": parent, "change": ROOT}
-    values = {side: {m["name"]: [] for m in metrics} for side in sides}
-    lines, env = [], None
+    for name in workloads:
+        if name not in [w["name"] for w in spec["workloads"]]:
+            raise ValueError(f"no workload {name!r} in BENCHMARK.json")
+    roots = dict(zip(SIDES, (parent, ROOT)))
+    for root in roots.values():
+        check_checkout(root)
+    runs = {name: {side: [] for side in SIDES} for name in workloads}
+    env, code = None, {}
     for i in range(count):
         seed = first_seed + i
-        order = list(sides) if i % 2 == 0 else list(reversed(sides))
-        for side in order:
-            detail, result = run_once(workload, seed, sides[side])
-            if env is None:
-                env = machine(detail["env"])
-            elif machine(detail["env"]) != env:
-                raise RuntimeError(f"{side} seed {seed} ran in another environment: {detail['env']}")
-            if not result["correct"] or result["failed"]:
-                lines.append(f"seed {seed} {side}: correct {result['correct']}, failed {result['failed']}")
-            for m in metrics:
-                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
-        pair = ", ".join(f"{m['name']} {values['parent'][m['name']][-1]:.6g} -> {values['change'][m['name']][-1]:.6g}"
-                         for m in metrics)
-        lines.append(f"pair {i + 1} seed {seed} ({order[0]} first): {pair}")
-        print(lines[-1], file=sys.stderr)
-    rows = [("metric", "parent q1/median/q3", "change q1/median/q3", "change", "beyond parent IQR", "past bound",
-             "change better")]
-    for m in metrics:
-        old, new = values["parent"][m["name"]], values["change"][m["name"]]
-        (a1, a2, a3), (b1, b2, b3) = quartiles(old), quartiles(new)
-        wins = sum((b < a) if m["better"] == "lower" else (b > a) for a, b in zip(old, new))
-        rows.append((m["name"], f"{a1:.6g} / {a2:.6g} / {a3:.6g}", f"{b1:.6g} / {b2:.6g} / {b3:.6g}",
-                     f"{(b2 - a2) / a2:+.1%}" if a2 else "n/a", "yes" if abs(b2 - a2) > a3 - a1 else "no",
-                     past_bound(m, a2, b2), f"{wins} of {count}"))
-    return lines + [f"{workload}: {count} pairs, seeds {first_seed}-{first_seed + count - 1}"] + table(rows)
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for name in workloads:
+            for side in order:
+                detail, result = run_once(name, seed, roots[side])
+                if detail["env"]["git_sha"] is None:
+                    raise ValueError(f"the {side} runs name no git commit (no .git in {roots[side]}); "
+                                     "run from git clones")
+                env = env or machine(detail["env"])
+                if machine(detail["env"]) != env:
+                    raise ValueError(f"{side} {name} seed {seed} ran in another environment: {detail['env']}")
+                code.setdefault(side, {k: detail["env"][k] for k in ("git_sha", "src_sha256")})
+                runs[name][side].append((detail, result))
+            last = {side: runs[name][side][-1][1]["metrics"] for side in SIDES}
+            pair = ", ".join(f"{m['name']} {last['parent'][m['name']]['value']:.6g} -> "
+                             f"{last['change'][m['name']]['value']:.6g}" for m in spec["end_to_end"])
+            print(f"pair {i + 1} seed {seed} {name} ({order[0]} first): {pair}", file=sys.stderr)
+    out = {}
+    for name, done in runs.items():
+        out[name] = {side: {"correct": all(r["correct"] for _, r in done[side]),
+                            "failed": sum(r["failed"] for _, r in done[side]),
+                            "attempted": sum(r["attempted"] for _, r in done[side]),
+                            "raw_round_walls_s": [d["raw_round_walls_s"] for d, _ in done[side]]} for side in SIDES}
+        out[name]["metrics"] = {m["name"]: verdict(m, *([r["metrics"][m["name"]]["value"] for _, r in done[side]]
+                                                        for side in SIDES)) for m in spec["end_to_end"]}
+    return {"recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"), "env": env, "sides": code,
+            "seeds": list(range(first_seed, first_seed + count)), "count": count, "seconds": SECONDS,
+            "workloads": out}
+
+
+def report(data: dict) -> list:
+    """Per workload, a heading with both sides' correctness and the table of the end-to-end metrics."""
+    lines, seeds = [], data["seeds"]
+    for name, entry in data["workloads"].items():
+        rows = [("metric", "parent q1/median/q3", "change q1/median/q3", "change", "beyond parent IQR",
+                 "past bound", "change better")]
+        for metric, v in entry["metrics"].items():
+            change = v["change_of_medians"]
+            rows.append((metric, *(" / ".join(f"{q:.6g}" for q in v[f"{side}_quartiles"]) for side in SIDES),
+                         "n/a" if change is None else f"{change:+.1%}", *("yes" if v[k] else "no" for k in
+                         ("beyond_parent_iqr", "past_bound")), f"{v['change_better']} of {data['count']}"))
+        sides = "; ".join(f"{side} correct {entry[side]['correct']}, failed {entry[side]['failed']}" for side in SIDES)
+        lines += [f"{name}: {data['count']} pairs, seeds {seeds[0]}-{seeds[-1]}; {sides}"] + table(rows)
+    return lines
 
 
 def table(rows: list) -> list:
@@ -204,83 +167,30 @@ def table(rows: list) -> list:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def compare(old: dict, new: dict) -> list:
-    """Table rows comparing two records' medians, metric by metric."""
-    envs = [machine(rec["env"]) for rec in (old, new)]
-    if envs[0] != envs[1]:
-        raise ValueError(f"the files were made in different environments: {envs[0]} != {envs[1]}")
-    spec = load_json(ROOT / "BENCHMARK.json")
-    rows = [("workload", "metric", "old", "new", "change", "by metric", "beyond both IQRs", "past bound")]
-    for workload in (w["name"] for w in spec["workloads"]):
-        for metric in spec["end_to_end"]:
-            try:
-                a, b = (rec["workloads"][workload]["metrics"][metric["name"]] for rec in (old, new))
-            except KeyError:
-                raise ValueError(f"{workload} {metric['name']} is missing from a file") from None
-            delta = b["median"] - a["median"]
-            change = f"{delta / a['median']:+.1%}" if a["median"] else "n/a"
-            if delta == 0:
-                verdict = "same"
-            else:
-                verdict = "better" if (delta < 0) == (metric["better"] == "lower") else "worse"
-            beyond = abs(delta) > a["iqr"] and abs(delta) > b["iqr"]
-            rows.append((workload, metric["name"], f"{a['median']:.6g}", f"{b['median']:.6g}",
-                         change, verdict, "yes" if beyond else "no", past_bound(metric, a["median"], b["median"])))
-    return rows
-
-
-def provenance(old: dict, new: dict) -> list:
-    """The lines ``--compare`` prints above its table: where each file came from, and what medians can show."""
-    lines = [f"{side}: label {rec.get('label') or 'unknown'}, git_sha {rec['env'].get('git_sha') or 'unknown'}, "
-             f"recorded_utc {rec.get('recorded_utc') or 'unknown'}" for side, rec in (("old", old), ("new", new))]
-    return lines + ["Medians from separate sessions carry the box's drift between them and give no verdict on a "
-                    "change; --pairs runs both sides in one session and gives one."]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", nargs="?", help="names the output file, BENCH_<label>.json")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="compare two BENCH_*.json files instead of recording")
-    parser.add_argument("--pairs", metavar="PARENT_CHECKOUT", type=Path,
-                        help="run alternating pairs of that checkout and this one instead of recording")
-    parser.add_argument("--workload", help="the workload of --pairs")
-    parser.add_argument("--seed", type=int, help="the first seed of --pairs")
-    parser.add_argument("--count", type=int, default=10, help="the number of --pairs (default 10)")
+    parser.add_argument("label", help="names the output file, BENCH_<label>.json")
+    parser.add_argument("--pairs", metavar="PARENT_CHECKOUT", type=Path, required=True,
+                        help="a git clone of the parent commit")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json; repeat it for more")
+    parser.add_argument("--seed", type=int, required=True, help="the first seed")
+    parser.add_argument("--count", type=int, default=10, help="the number of pairs a workload (default 10)")
     args = parser.parse_args(argv)
-    if args.compare and args.pairs:
-        parser.error("give --compare or --pairs, not both")
-    if (args.compare or args.pairs) and args.label is not None:
-        parser.error("--compare and --pairs take no label")
-    if args.compare:
-        try:
-            records = [load_json(path) for path in args.compare]
-            rows = compare(*records)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        print("\n".join(provenance(*records) + table(rows)))
-        return 0
-    if args.pairs:
-        if args.workload is None or args.seed is None or args.count < 1:
-            parser.error("--pairs needs --workload, --seed and a --count of at least 1")
-        try:
-            lines = pairs(args.pairs.resolve(), args.workload, args.seed, args.count)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print("\n".join(lines))
-        return 0
-    if args.label is None:
-        parser.error("give a label, or --compare OLD NEW, or --pairs PARENT_CHECKOUT")
+    if args.count < 1:
+        parser.error("--count must be at least 1")
     if not args.label or not all(c.isalnum() or c in "-_." for c in args.label):
         parser.error("the label may hold only letters, digits, '-', '_' and '.'")
+    try:
+        data = dict(label=args.label, **pairs(args.pairs.resolve(), list(dict.fromkeys(args.workload)),
+                                              args.seed, args.count))
+    except ValueError as exc:
+        parser.error(str(exc))
     out = ROOT / f"BENCH_{args.label}.json"
-    data = dict(label=args.label, **record())
-    if data["env"].get("git_sha") is None:
-        parser.error("the runs name no git commit (no .git in this checkout); record from a git clone")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
-    print(out)
+    print("\n".join(report(data) + [str(out)]))
     return 0
 
 
