@@ -772,9 +772,6 @@ def test_bench_tracer_wraps_resolve(monkeypatch):
     """Every (consuming module, name) pair that bench/tracer.py wraps
     resolves, so a traced benchmark run can install its spans: eub.cli keeps
     noqa imports of names that only the tracer reads."""
-    import eub  # noqa: F401
-    import eub.cli  # noqa: F401
-
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     tracer = _load_tool("tracer", "bench")
     assert len(tracer.WRAPS) > 0
