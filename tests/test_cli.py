@@ -915,8 +915,9 @@ def test_bench_record_refuses_a_record_without_a_git_sha(tmp_path, monkeypatch, 
 
 def test_bench_record_refuses_bytecode_under_src(tmp_path, monkeypatch, capsys):
     """A __pycache__ anywhere under either checkout's src, or a checkout
-    without src/eub/__init__.py, is refused by name before any run starts,
-    and no file is written."""
+    without bench/run.py or src/eub/__init__.py, is refused by name before
+    any run starts, and no file is written; so is a run that names no
+    workload."""
     tool = _load_tool("bench_record")
     roots = _bench_checkouts(tool, tmp_path, monkeypatch)
     calls = []
@@ -930,12 +931,15 @@ def test_bench_record_refuses_bytecode_under_src(tmp_path, monkeypatch, capsys):
                 tool.main(argv)
             assert exc.value.code == 2 and str(stale) in capsys.readouterr().err
             stale.rmdir()
-        init = roots[side] / "src" / "eub" / "__init__.py"
-        init.unlink()
-        with pytest.raises(SystemExit) as exc:
-            tool.main(argv)
-        assert exc.value.code == 2 and f"{roots[side]} holds no src/eub/__init__.py" in capsys.readouterr().err
-        init.write_text("")
+        for need in ("bench/run.py", "src/eub/__init__.py"):
+            (roots[side] / need).unlink()
+            with pytest.raises(SystemExit) as exc:
+                tool.main(argv)
+            assert exc.value.code == 2 and f"{roots[side]} holds no {need}" in capsys.readouterr().err
+            (roots[side] / need).write_text("")
+    with pytest.raises(SystemExit) as exc:
+        tool.main([arg for arg in argv if arg not in ("--workload", "small-reports")])
+    assert exc.value.code == 2 and "--workload" in capsys.readouterr().err
     assert calls == [] and not list(roots["change"].glob("BENCH_*"))
 
 
