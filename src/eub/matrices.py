@@ -466,6 +466,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         im = np.asarray(obj["im"], dtype=float)
     except OverflowError:  # a JSON integer past the float range
         raise ValueError("matrix entries must be finite (NaN/Inf rejected)") from None
+    except ValueError:  # ragged rows, which numpy refuses with its own text
+        raise ValueError("re/im arrays do not match rows x cols") from None
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ValueError("re/im arrays do not match rows x cols")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -94,6 +94,14 @@ def test_matrix_inputs_take_numbers_only(tmp_path, capsys):
             assert err == f"error: re entries must be JSON numbers, not {kind}\n"
 
 
+def test_matrix_inputs_refuse_ragged_rows(tmp_path, capsys):
+    # numpy's own "inhomogeneous shape" text does not reach stderr
+    path = tmp_path / "ragged.json"
+    path.write_text('{"rows": 2, "cols": 2, "re": [[1.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: re/im arrays do not match rows x cols\n")
+
+
 def test_bounds_rejects_wrong_format(tmp_path, capsys):
     # no subcommand has a --format option; each emits one format only
     path = write_f3(tmp_path)

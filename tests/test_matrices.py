@@ -282,6 +282,10 @@ def test_matrix_json_rejects_bad_payloads(tmp_path):
     for payload in (1.0, [1.0, 0.0]):
         with pytest.raises(ValueError, match="do not match rows x cols"):
             matrix_from_json(dict(good, re=payload))
+    # and ragged rows, which numpy refuses with a message of its own
+    for key in ("re", "im"):
+        with pytest.raises(ValueError, match="^re/im arrays do not match rows x cols$"):
+            matrix_from_json(dict(good, **{key: [[1.0], [0.0, 1.0]]}))
     with pytest.raises(ValueError, match="must be finite"):
         matrix_from_json(dict(good, re=[[10**400, 0], [0, 1]]))
     assert matrix_from_json(dict(good, re=[[1, 0], [0, 1]])).dtype == complex

@@ -1628,8 +1628,10 @@ def test_batch_refuses_non_finite_input(n, value):
     # which the bounded repair refuses
     u = F(n)
     u[1, 2] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        s_coefficients_batch(u[None])
+    # one matrix sorts its strips, 8 n copies take the sorting network
+    for stack in (u[None], np.stack([u] * (8 * n))):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            s_coefficients_batch(stack)
 
 
 def test_batch_takes_an_empty_stack():
@@ -1658,15 +1660,31 @@ STRIP_INPUTS = {
 def test_strip_maxima_match_the_oracle(dim, name):
     """Column k - 1 of the strip step is the largest squared norm over the
     1 x k and k x 1 shapes for k + 1 < N, over 1 x (N - 1) alone at class
-    N, and 1 at class N + 1; a stack's rows are those of each matrix alone."""
+    N, and 1 at class N + 1; a stack's rows are those of each matrix alone,
+    bit for bit, on the sorting network as on the sort."""
     u = STRIP_INPUTS[name](dim)
     got = submatrices._strip_maxima(u[None])[0]
     want = [max(max_norm_over_shape(u, 1, k), max_norm_over_shape(u, k, 1)) ** 2 for k in range(1, dim - 1)]
     want += [max_norm_over_shape(u, 1, dim - 1) ** 2, 1.0]
     assert got.shape == (dim,) and np.allclose(got, want, rtol=0, atol=1e-14), got - want
     assert got[-1] == 1.0
-    stack = np.stack([u, haar_unitary(dim, RngSeed(SEED + 1710 + dim))])
-    assert np.array_equal(submatrices._strip_maxima(stack)[0], got)
+    # a stack of 8 N takes the sorting network, a single matrix the sort
+    draws, _ = montecarlo._haar_batch(dim, RngSeed(SEED + 1710 + dim), 0, 8 * dim - 1, False)
+    stack = np.concatenate([u[None], draws])
+    strips = submatrices._strip_maxima(stack)
+    assert np.array_equal(strips[0], got)
+    assert np.array_equal(strips, np.concatenate([submatrices._strip_maxima(v[None]) for v in stack]))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sorting_network_sorts_every_0_1_vector(n):
+    # the 0-1 principle: a comparator network that sorts every 0/1 vector
+    # sorts every vector; N <= 16 covers every stack past the guard
+    v = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
+    for i, j in submatrices._sorting_network(n):
+        assert 0 <= i < j < n
+        v[i], v[j] = np.maximum(v[i], v[j]), np.minimum(v[i], v[j])
+    assert np.all(np.diff(v, axis=0) <= 0)
 
 
 def test_batch_agrees_with_oracle():
