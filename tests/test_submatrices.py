@@ -1671,15 +1671,14 @@ def test_strip_maxima_match_the_oracle(dim, name):
     # a stack of 8 N takes the sorting network, a single matrix the sort
     draws, _ = montecarlo._haar_batch(dim, RngSeed(SEED + 1710 + dim), 0, 8 * dim - 1, False)
     stack = np.concatenate([u[None], draws])
-    strips = submatrices._strip_maxima(stack)
-    assert np.array_equal(strips[0], got)
-    assert np.array_equal(strips, np.concatenate([submatrices._strip_maxima(v[None]) for v in stack]))
+    singles = np.concatenate([submatrices._strip_maxima(v[None]) for v in stack])
+    assert np.array_equal(submatrices._strip_maxima(stack), singles)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_sorting_network_sorts_every_0_1_vector(n):
     # the 0-1 principle: a comparator network that sorts every 0/1 vector
-    # sorts every vector; N <= 16 covers every stack past the guard
+    # sorts every vector; n <= 16 reaches the largest N the known answers run
     v = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
     for i, j in submatrices._sorting_network(n):
         assert 0 <= i < j < n
