@@ -12,9 +12,8 @@ strips fill every k at once from sorted cumulative sums of squared moduli,
 each enumerated class raises its own k by its largest block-Gram top
 eigenvalue, and s = sqrt(lambda) is taken as each matrix leaves the rung
 loop; sqrt is monotone and correctly rounded, so that is the largest norm.
-A stack of 8 N or more matrices sorts the rows and columns of all its
-matrices at once through one comparator network, a smaller one line by
-line, and both give the strips the same bits (see ``_strip_maxima``).
+The strips sort the rows and columns of every matrix of the stack at
+once through one comparator network (see ``_strip_maxima``).
 A block's Gram is a principal submatrix of the N x N Gram of its column
 set, and one matmul against a 0/1 indicator matrix gives those for every
 column set. A class runs one of two kernels, on U, or on U^T where its
@@ -304,38 +303,16 @@ def _strip_maxima(u3: np.ndarray) -> np.ndarray:
     # Squared norms (batch, N): column k - 1 holds the largest 1 x k or k x 1
     # strip, 1 x (N - 1) alone at class N (which runs m <= n), and column N - 1
     # the pinned 1. A 1 x n strip's is the sum of its line's top n squared
-    # moduli: a running sum, in cumsum's order, of the line sorted descending.
-    # A stack of at least 8 N matrices sorts every line of the stack at once
-    # through _sorting_network; a smaller one sorts line by line. Both give
-    # the same bits: a network outputs the same values in the same order, and
-    # a maximum is exact. On Haar stacks (best of 9 x 30 calls, one BLAS
-    # thread) the network took at most the sort's time from 1 matrix at N =
-    # 2-4, 2 at N = 5, 8 at N = 6-7, 12 at N = 8 and 16 at N = 9-12, and
-    # 0.47-0.58 of it at 8 N matrices, N = 2-12; on one matrix the sort was
-    # 1.1-2.1x faster at N = 5-12. So 8 N keeps a margin past every
-    # crossover, and every single-matrix report keeps the sort. On 2048
-    # draws the strips went from 724 to 55 us at N = 2 and from 3311 to 647
-    # us at N = 6.
-    dim = u3.shape[1]
+    # moduli: a running sum of the line sorted descending. The lines go
+    # batch-major: plane e holds entry e of every line, the stack's rows and
+    # then its columns, shape (2N, batch), so each comparator of
+    # _sorting_network is one elementwise max and min over contiguous planes
+    # (the planes swap buffers rather than copy), and each k one reduction
+    # over the leading axis. The bits are those of a sort and cumsum: a
+    # network outputs the same values in the same order, the sums run in
+    # cumsum's order, c_k = c_(k-1) + v_k, and a maximum is exact.
+    batch, dim = u3.shape[0], u3.shape[1]
     absq = np.abs(u3) ** 2
-    if len(u3) >= 8 * dim:
-        return _network_strip_maxima(absq)
-    row_cum = np.cumsum(np.sort(absq, axis=2)[:, :, ::-1], axis=2)
-    col_cum = np.cumsum(np.sort(absq.transpose(0, 2, 1), axis=2)[:, :, ::-1], axis=2)
-    lam = functools.reduce(np.maximum, row_cum.swapaxes(0, 1))
-    cols = functools.reduce(np.maximum, col_cum[:, :, : dim - 2].swapaxes(0, 1))
-    lam[:, : dim - 2] = np.maximum(lam[:, : dim - 2], cols)
-    lam[:, dim - 1] = 1.0
-    return lam
-
-
-def _network_strip_maxima(absq: np.ndarray) -> np.ndarray:
-    # _strip_maxima of a stack from its squared moduli, batch-major: plane e
-    # of lines holds entry e of every line, the stack's rows and then its
-    # columns, shape (2N, batch), so each comparator is one elementwise max
-    # and min over contiguous planes, and each k one reduction over the
-    # leading axis. The planes swap buffers rather than copy.
-    batch, dim = absq.shape[0], absq.shape[1]
     lines = np.empty((dim, 2 * dim, batch))
     lines[:, :dim] = absq.transpose(2, 1, 0)
     lines[:, dim:] = absq.transpose(1, 2, 0)

@@ -1628,7 +1628,7 @@ def test_batch_refuses_non_finite_input(n, value):
     # which the bounded repair refuses
     u = F(n)
     u[1, 2] = value
-    # one matrix sorts its strips, 8 n copies take the sorting network
+    # alone and in a stack, whose strips share the network's planes
     for stack in (u[None], np.stack([u] * (8 * n))):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             s_coefficients_batch(stack)
@@ -1660,19 +1660,24 @@ STRIP_INPUTS = {
 def test_strip_maxima_match_the_oracle(dim, name):
     """Column k - 1 of the strip step is the largest squared norm over the
     1 x k and k x 1 shapes for k + 1 < N, over 1 x (N - 1) alone at class
-    N, and 1 at class N + 1; a stack's rows are those of each matrix alone,
-    bit for bit, on the sorting network as on the sort."""
+    N, and 1 at class N + 1; the sorting network gives the bits of a sort
+    and cumsum, and a stack's rows are those of each matrix alone."""
     u = STRIP_INPUTS[name](dim)
     got = submatrices._strip_maxima(u[None])[0]
     want = [max(max_norm_over_shape(u, 1, k), max_norm_over_shape(u, k, 1)) ** 2 for k in range(1, dim - 1)]
     want += [max_norm_over_shape(u, 1, dim - 1) ** 2, 1.0]
     assert got.shape == (dim,) and np.allclose(got, want, rtol=0, atol=1e-14), got - want
     assert got[-1] == 1.0
-    # a stack of 8 N takes the sorting network, a single matrix the sort
     draws, _ = montecarlo._haar_batch(dim, RngSeed(SEED + 1710 + dim), 0, 8 * dim - 1, False)
     stack = np.concatenate([u[None], draws])
+    strips = submatrices._strip_maxima(stack)
     singles = np.concatenate([submatrices._strip_maxima(v[None]) for v in stack])
-    assert np.array_equal(submatrices._strip_maxima(stack), singles)
+    assert np.array_equal(strips, singles)
+    absq = np.abs(stack) ** 2
+    rows, cols = (np.cumsum(np.sort(a, axis=2)[:, :, ::-1], axis=2).max(axis=1) for a in (absq, absq.swapaxes(1, 2)))
+    rows[:, : dim - 2] = np.maximum(rows[:, : dim - 2], cols[:, : dim - 2])
+    rows[:, -1] = 1.0
+    assert np.array_equal(strips, rows)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
