@@ -13,7 +13,8 @@ each enumerated class raises its own k by its largest block-Gram top
 eigenvalue, and s = sqrt(lambda) is taken as each matrix leaves the rung
 loop; sqrt is monotone and correctly rounded, so that is the largest norm.
 The strips sort the rows and columns of every matrix of the stack at
-once through one comparator network (see ``_strip_maxima``).
+once through one comparator network, Batcher's merge exchange in the
+form of Knuth's Algorithm M (see ``_strip_maxima``).
 A block's Gram is a principal submatrix of the N x N Gram of its column
 set, and one matmul against a 0/1 indicator matrix gives those for every
 column set. A class runs one of two kernels, on U, or on U^T where its
@@ -278,24 +279,20 @@ def max_norm_over_shape(u: np.ndarray, m: int, n: int) -> float:
     return best
 
 
-@functools.lru_cache(maxsize=32)
+@functools.cache
 def _sorting_network(n: int) -> tuple:
-    # Batcher's odd-even merge sort (K. E. Batcher, AFIPS SJCC 1968) on n
-    # positions, as comparators (i, j), i < j, that put the larger value at i:
-    # the network of the next power of two without the comparators that reach
-    # past n, which would meet only the -inf padding there and move nothing
-    size = 1 << (n - 1).bit_length()
-    pairs = []
-    p = 1
-    while p < size:
-        k = p
-        while k:
-            for j in range(k % p, size - k, 2 * k):
-                for i in range(j, j + k):
-                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
-                        pairs.append((i, i + k))
-            k //= 2
-        p *= 2
+    # Batcher's merge exchange (K. E. Batcher, AFIPS SJCC 1968), as Knuth's
+    # Algorithm M (TAOCP vol. 3, 5.2.2), on n positions: comparators (i, j),
+    # i < j, that put the larger value at i. Any sorting network gives the
+    # strips the bits of a sort and cumsum (see _strip_maxima).
+    pairs, t = [], (n - 1).bit_length()
+    p = (1 << t) >> 1
+    while p:
+        q, r, d = (1 << t) >> 1, 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
     return tuple(pairs)
 
 

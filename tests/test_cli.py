@@ -102,6 +102,15 @@ def test_matrix_inputs_refuse_ragged_rows(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: re/im arrays do not match rows x cols\n")
 
 
+def test_matrix_inputs_refuse_a_file_that_is_not_json(tmp_path, capsys):
+    # json's decode error is a ValueError: one error line, nothing on stdout
+    path = tmp_path / "matrix.txt"
+    path.write_text("1 0\n0 1\n")
+    code, out, err = run(capsys, "bounds", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_bounds_rejects_wrong_format(tmp_path, capsys):
     # no subcommand has a --format option; each emits one format only
     path = write_f3(tmp_path)

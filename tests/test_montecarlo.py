@@ -32,6 +32,31 @@ def test_beat_rate_sanity_n2():
     assert res.wins == round(res.rate * 2000)
 
 
+def _n2_threshold():
+    # For Haar U(2), t = |U_11|^2 is uniform on [0, 1], so c^2 = max(t, 1 - t)
+    # is uniform on [1/2, 1] and s = (c, 1). The ladder top H(r, 1 - r),
+    # r = ((1 + c)/2)^2, beats -2 ln c exactly when c^2 > t*, the root of
+    # H(r, 1 - r) = -ln t: below it at t = 1/2, above it at t = 0.99
+    def excess(t):
+        r = ((1.0 + math.sqrt(t)) / 2.0) ** 2
+        return -r * math.log(r) - (1.0 - r) * math.log(1.0 - r) + math.log(t)
+
+    lo, hi = 0.5, 0.99
+    assert excess(lo) < 0.0 < excess(hi)
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return (lo + hi) / 2.0
+
+
+def test_beat_rate_n2_matches_the_exact_rate():
+    # the rate is P(c^2 > t*) = 2(1 - t*), about 0.81434
+    exact = 2.0 * (1.0 - _n2_threshold())
+    samples = 20000
+    res = beat_rate(2, samples, RngSeed(SEED + 4))
+    assert abs(res.rate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples)
+
+
 def test_beat_rate_stderr_formula():
     res = beat_rate(2, 500, RngSeed(SEED + 1))
     expect = math.sqrt(res.rate * (1.0 - res.rate) / 500)
@@ -471,3 +496,31 @@ def test_haar_batch_refuses_a_chunk_past_the_last_index_before_drawing(monkeypat
     # the last index itself is drawn, as the per-index reference draws it
     u, _ = montecarlo._haar_batch(3, rng, 2**64 - 4, 4, False)
     assert len(draws) == 4 and np.array_equal(u, _reference_haar_batch(3, rng, 2**64 - 4, 4, False)[0])
+
+
+# The Haar law's known moments: E|tr U^j|^2 = min(j, n) (Diaconis and
+# Shahshahani, J. Appl. Probab. 31A (1994)) and, as |U_ij|^2 follows
+# Beta(1, n - 1), E|U_ij|^4 = 2/(n(n + 1)). A QR factor without the phases of
+# R's diagonal keeps E|U_11|^2 = 1/n but misses E|tr U|^2 = 1 by tens of
+# standard errors. Each mean must lie within LAW_SIGMAS standard errors of
+# the sample itself.
+LAW_SIGMAS = 4.0
+
+
+def _within_sigmas(values, expected):
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    return abs(values.mean() - expected) <= LAW_SIGMAS * se
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_haar_batch_follows_the_haar_law(n):
+    u = montecarlo._haar_batch(n, RngSeed(SEED, stream=3), 0, 4000, False)[0]
+    power = u
+    for j in (1, 2, 3):
+        if j > 1:
+            power = power @ u
+        trace = np.trace(power, axis1=1, axis2=2)
+        assert _within_sigmas(np.abs(trace) ** 2, min(j, n)), j
+    # every entry has the law of U_11, so each draw's mean over its entries
+    # is one independent sample of E|U_11|^4
+    assert _within_sigmas((np.abs(u) ** 4).mean(axis=(1, 2)), 2.0 / (n * (n + 1)))

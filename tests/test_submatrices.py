@@ -1680,12 +1680,20 @@ def test_strip_maxima_match_the_oracle(dim, name):
     assert np.array_equal(strips, rows)
 
 
+# Comparators of Batcher's merge exchange at n = 1..16 (Knuth, TAOCP vol. 3,
+# 5.2.2): the odd-even merge network of the next power of two, trimmed to n,
+# has more at n = 9-12 (28, 32, 38, 42)
+MERGE_EXCHANGE_SIZES = (0, 1, 3, 5, 9, 12, 16, 19, 26, 31, 37, 41, 48, 53, 59, 63)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_sorting_network_sorts_every_0_1_vector(n):
     # the 0-1 principle: a comparator network that sorts every 0/1 vector
     # sorts every vector; n <= 16 reaches the largest N the known answers run
+    network = submatrices._sorting_network(n)
+    assert len(network) == MERGE_EXCHANGE_SIZES[n - 1]
     v = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
-    for i, j in submatrices._sorting_network(n):
+    for i, j in network:
         assert 0 <= i < j < n
         v[i], v[j] = np.maximum(v[i], v[j]), np.minimum(v[i], v[j])
     assert np.all(np.diff(v, axis=0) <= 0)
