@@ -515,10 +515,9 @@ def _within_sigmas(values, expected):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_haar_batch_follows_the_haar_law(n):
     u = montecarlo._haar_batch(n, RngSeed(SEED, stream=3), 0, 4000, False)[0]
-    power = u
+    power = np.eye(n)
     for j in (1, 2, 3):
-        if j > 1:
-            power = power @ u
+        power = power @ u
         trace = np.trace(power, axis1=1, axis2=2)
         assert _within_sigmas(np.abs(trace) ** 2, min(j, n)), j
     # every entry has the law of U_11, so each draw's mean over its entries
