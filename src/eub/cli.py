@@ -50,6 +50,7 @@ from .families import (  # noqa: F401, bench/tracer.py wraps unistochastic_lift_
 )
 from .matrices import (
     BEAT_RATE_ALLOWANCE,
+    BEAT_RATE_N2,
     BLOCK_EIGENVALUE_TOL,
     CLOSED_FORM_ORDER_TOL,
     ENTROPY_TOL,
@@ -433,8 +434,8 @@ def _verify_classical(seed: RngSeed):
 
 def _verify_beat_rate(seed: RngSeed):
     res = beat_rate(2, 3000, seed)
-    if not abs(res.rate - 0.814) <= BEAT_RATE_ALLOWANCE:
-        return False, f"beat rate {res.rate:.3f} far from 0.814"
+    if not abs(res.rate - BEAT_RATE_N2) <= BEAT_RATE_ALLOWANCE:
+        return False, f"beat rate {res.rate:.3f} far from {BEAT_RATE_N2:.3f}"
     return True, ""
 
 

@@ -178,9 +178,14 @@ CLOSED_FORM_ORDER_TOL = 1e-12
 # The largest product p_i q_j at the maximizing state against
 # ((1 + c) / 2)^2 (deutsch-closed-forms).
 MAX_PRODUCT_TOL = 1e-10
-# The n = 2 win rate of the ladder top over -2 ln c in 3000 Haar draws may
-# miss its reference 0.814 by this much: about 4 sigma of a binomial rate,
-# sqrt(0.814 * 0.186 / 3000) = 0.0071 (beat-rate-sanity).
+# The exact n = 2 win rate of the ladder top over -2 ln c, 2 (1 - t*): for
+# Haar U(2), t = |U_11|^2 is uniform on [0, 1], and the top wins exactly
+# when max(t, 1 - t) > t*, the root of H(r, 1 - r) = -ln t with
+# r = ((1 + sqrt t) / 2)^2, which tests/test_montecarlo.py bisects.
+BEAT_RATE_N2 = 0.8143396770
+# The n = 2 win rate in 3000 Haar draws may miss BEAT_RATE_N2 by this much:
+# about 4 sigma of a binomial rate, sqrt(0.814 * 0.186 / 3000) = 0.0071
+# (beat-rate-sanity).
 BEAT_RATE_ALLOWANCE = 0.03
 
 _UINT64 = 2**64

@@ -8,7 +8,11 @@ package's one Haar draw: a Ginibre matrix Z and the unitary factor of
 Z = U R with R's diagonal real and positive, computed for the whole stack
 at once and with the same bits at any batch size (``_haar_from_ginibre``).
 Sample i of a run is the same matrix whether an ensemble, the verify suite
-or ``haar_unitary`` (sample 0) asks for it. The experiments share one ensemble
+or ``haar_unitary`` (sample 0) asks for it. Its chain is the same too: a
+matrix's s depends on its stack-mates only through the translation
+symmetry that the whole stack holds (``s_coefficients_batch``), and Haar
+draws carry none, so every chunk takes the full enumeration and each
+draw's s has the bits it has alone. The experiments share one ensemble
 loop, ``_ensemble``, which draws the Haar unitaries (and states) chunk by
 chunk, one generator per chunk, and runs each chunk through the batched
 s-vector kernel. ``beat_rate`` and ``bound_gap_stats`` are two

@@ -874,12 +874,13 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
 def _finalize(s: np.ndarray) -> np.ndarray:
     # Rounding may break monotonicity or push past 1 by an ulp or two; a
     # larger repair (or a NaN) means a non-unitary input or a kernel fault.
-    # s_coefficients_batch runs it on each row as the row leaves its rung
-    # loop: on the whole chain, of which a saturated row has its rungs from
-    # its exit on set to exactly 1 first, so the check does not see them (it
-    # can fire less, never on a valid input), or on the prefix a stop rule
-    # read. Each entry depends on its prefix alone, so a finalized prefix
-    # has the bits of the finalized chain's.
+    # s_coefficients_batch runs it once on each group of rows that leaves
+    # its rung loop: in the exit step on the saturated rows' whole chains,
+    # their rungs from the exit on set to exactly 1 first, so the check does
+    # not see them (it can fire less, never on a valid input), and on the
+    # prefixes a stop rule reads; after the last rung on the full chains of
+    # the rows still in it. Each entry depends on its prefix alone, so a
+    # finalized prefix has the bits of the finalized chain's.
     fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
     repair = float(np.abs(fixed - s).max(initial=0.0))
     if not repair <= UNITARITY_TOL:
@@ -888,20 +889,6 @@ def _finalize(s: np.ndarray) -> np.ndarray:
             f"(tolerance {UNITARITY_TOL:g})"
         )
     return fixed
-
-
-def _leave(s, live, go, chains, lam, u):
-    # The rows marked in go leave the rung loop: their finalized chains (or
-    # prefixes) go to their stack rows live[go] of s, and s, live, lam and u
-    # come back, the last three without them. s is made, all NaN, when the
-    # first rows leave, so a call whose rows all run to the end holds none
-    if not go.any():
-        return s, live, lam, u
-    if s is None:
-        s = np.full(lam.shape, np.nan)
-    s[live[go], : chains.shape[1]] = chains
-    stay = ~go
-    return s, live[stay], lam[stay], u[stay]
 
 
 def s_coefficients(u: np.ndarray, allow_large: bool = False) -> SubmatrixCoefficients:
@@ -972,16 +959,27 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     source's ``serves``, reading the tables of one ``_CallTables``. Once
     rung k has run, s_1..s_k are final: later entries raise larger k only.
 
-    Rows leave the loop before an entry, and it goes on with the rest under
-    a fresh ``_CallTables`` and the call's first symmetry. A matrix's s does
-    not depend on its stack-mates, so the rows that stay keep their bits.
-    A row with a squared norm of at least 1 at k or below leaves with s
-    exactly 1 from k on, which ``_finalize`` would set whatever the later
-    entries find. The loop ends when no row is left, having built the plans
-    of rungs up to one past the last it ran, or when the last rung has run,
-    and the rows still in it then return their full chains. So without
-    ``stop`` every row returns its full chain. A chain that needs a repair
-    larger than UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    Rows leave the loop in one exit step before each entry. First the rows
+    with a squared norm of at least 1 at k or below leave, with s exactly 1
+    from k on, which ``_finalize`` would set whatever the later entries
+    find; then, before a rung's first entry, the rows that ``stop`` marks.
+    The step writes the leaving rows' chains into s and goes on with the
+    rest under a fresh ``_CallTables`` and the call's first symmetry. The
+    loop ends when no row is left, having built the plans of rungs up to one
+    past the last it ran, or when the last rung has run, and the rows still
+    in it then return their full chains. So without ``stop`` every row
+    returns its full chain. A chain that needs a repair larger than
+    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+
+    A matrix's s depends on its stack-mates only through that symmetry,
+    the generators that every matrix of the stack holds. A matrix that
+    holds none, as a Haar draw, takes the full enumeration in any stack and
+    keeps its bits; so do matrices that hold the same generators, as
+    P_N^(1/2) and P_N^(1/3), which hold the diagonal shift alone. A
+    stack-mate that lacks one of a matrix's generators sends it down a
+    fuller enumeration, which may move its s by a few ulps, within the
+    module docstring's bound. Rows that leave do not change the call's
+    symmetry, so the rows that stay keep their bits.
 
     ``stop``, a rule the caller passes, is called as ``stop(k - 1, s)``
     before the first entry of each rung k that has plan entries, so never
@@ -995,24 +993,29 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     lam = _strip_maxima(u_batch)
     dim = u_batch.shape[1]
     sym = tuple(_translation_symmetry(u_batch).tolist())
-    s, live, u, tables = None, np.arange(len(lam)), u_batch, _CallTables(u_batch)
+    s, live, u, tables = np.full(lam.shape, np.nan), np.arange(len(lam)), u_batch, _CallTables(u_batch)
     for k in range(3, dim):  # rungs 1 and 2 hold strips alone
         rung = _class_plan(dim, sym, k)
         for i, (m, n, serves, rows, _, indicator, entries, sets) in enumerate(rung):
-            # the first test, one reduction, passes over a stack where no
-            # row has reached 1
-            if lam[:, :k].max(initial=0.0) >= 1.0:
-                full = lam[:, :k].max(axis=1) >= 1.0
-                lam[full, k - 1 :] = 1.0
-                s, live, lam, u = _leave(s, live, full, _finalize(np.sqrt(lam[full])), lam, u)
-            if stop is not None and not i:
-                prefix = _finalize(np.sqrt(lam[:, : k - 1]))
-                go = stop(k - 1, prefix)
-                s, live, lam, u = _leave(s, live, go, prefix[go], lam, u)
-            if len(u) < len(tables.views[0]):
-                if not len(u):
-                    return s
-                tables = _CallTables(u)
+            # the exit step, where rows leave; its first test, one
+            # reduction, passes over a stack where no row has reached 1
+            asks, full = stop is not None and not i, lam[:, :k].max(initial=0.0) >= 1.0
+            if asks or full:
+                go = lam[:, :k].max(axis=1) >= 1.0 if full else np.zeros(len(u), dtype=bool)
+                lam[go, k - 1 :] = 1.0
+                s[live[go]] = _finalize(np.sqrt(lam[go]))
+                if asks:
+                    # a view, not a copy, where no row has reached 1
+                    stay = ~go if full else slice(None)
+                    prefix = _finalize(np.sqrt(lam[stay, : k - 1]))
+                    stops = stop(k - 1, prefix)
+                    s[live[stay][stops], : k - 1] = prefix[stops]
+                    go[stay] = stops
+                if go.any():
+                    live, lam, u = live[~go], lam[~go], u[~go]
+                    if not len(u):
+                        return s
+                    tables = _CallTables(u)
             if sets is None:
                 best, least = _closed_form_max(tables, m > n, rows, indicator, entries)
                 if serves is not None:
@@ -1021,7 +1024,5 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
                 best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
             lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
             tables.release(rung[i + 1 :] + _class_plan(dim, sym, k + 1))
-    if s is None:
-        return _finalize(np.sqrt(lam))
     s[live] = _finalize(np.sqrt(lam))
     return s

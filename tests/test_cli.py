@@ -28,7 +28,8 @@ from eub import (
 )
 from eub.bounds import MajorizingVector, _classical_entropies, _classical_slacks, _ladder_report
 from eub.cli import main
-from eub.matrices import generator
+from eub.extremal import cross_gram, maximizing_state
+from eub.matrices import _unit_normalized, generator
 
 
 def run(capsys, *argv):
@@ -109,6 +110,12 @@ def test_matrix_inputs_refuse_a_file_that_is_not_json(tmp_path, capsys):
     code, out, err = run(capsys, "bounds", "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_matrix_inputs_refuse_json_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text("[[1, 0], [0, 1]]")
+    assert run(capsys, "bounds", "--input", str(path)) == (2, "", "error: matrix json must be an object\n")
 
 
 def test_bounds_rejects_wrong_format(tmp_path, capsys):
@@ -196,6 +203,15 @@ def test_sweep_rejects_unbalanced_family(family, capsys):
 def test_sweep_rejects_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--family", "rotation", "--range", "1:1", "--steps", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "range_, steps, message",
+    [("0", "3", "cannot parse range '0'; expected lo:hi"), ("0:1", "1", "steps must be >= 2 (inclusive grid point count)")],
+)
+def test_sweep_refusals_print_one_error_line(range_, steps, message, capsys):
+    code, out, err = run(capsys, "sweep", "--family", "rotation", "--range", range_, "--steps", steps)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _spy_kernel_and_ladder(monkeypatch):
@@ -1148,10 +1164,52 @@ def test_verify_checks_fail_on_nan(monkeypatch, case):
     assert check(RngSeed(0)) == (False, want)
 
 
-@pytest.mark.parametrize("rate, fails", [(0.843, False), (0.785, False), (0.845, True), (0.783, True)])
+def _scan_with(points, **fields):
+    # cross_section_scan with fields changed on the records at points, the
+    # rounded (a, b) of verify's scan check, or on every record for None
+    def scan(grid_step, alpha):
+        records = families.cross_section_scan(grid_step, alpha)
+        return [r._replace(**fields) if points is None or (round(r.a, 9), round(r.b, 9)) in points else r for r in records]
+
+    return scan
+
+
+# (check, module and name patched, its stand-in, the failure) for the
+# verify failures that no NaN reaches
+VERIFY_FAULTS = {
+    # a maximizer moved by 1e-6: its objective drops by about 1e-12, inside
+    # OVERLAP_SUM_TOL, while its partial sums part by about 1e-6
+    "extremal-sums": (
+        cli._verify_extremal, cli, "maximizing_state",
+        lambda sp: _unit_normalized(maximizing_state(sp) + 1e-6 * sp.first_set[0]), "partial sums unequal at n=2",
+    ),
+    "extremal-block": (
+        cli._verify_extremal, cli, "cross_gram", lambda sp: 2 * cross_gram(sp), "block eigenvalue mismatch at n=2",
+    ),
+    "scan-corner": (
+        cli._verify_scan, cli, "cross_section_scan", _scan_with(None, feasible=False), "corner (0.0, 0.0) not feasible",
+    ),
+    "scan-center": (
+        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.3, 0.3)}, diff=None), "near-center point not feasible",
+    ),
+    "scan-edge": (
+        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.5, 0.5)}, feasible=True),
+        "edge midpoint unexpectedly feasible",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_FAULTS))
+def test_verify_checks_report_their_faults(monkeypatch, case):
+    check, module, name, stand_in, want = VERIFY_FAULTS[case]
+    monkeypatch.setattr(module, name, stand_in)
+    assert check(RngSeed(0)) == (False, want)
+
+
+@pytest.mark.parametrize("rate, fails", [(0.84334, False), (0.78534, False), (0.84534, True), (0.78334, True)])
 def test_verify_beat_rate_allowance(monkeypatch, rate, fails):
-    # the allowance is 0.03 on either side of 0.814: rates 0.001 inside it
-    # pass, and rates 0.001 outside it fail
+    # the allowance is 0.03 on either side of the exact rate 0.81434: rates
+    # 0.001 inside it pass, and rates 0.001 outside it fail
     monkeypatch.setattr(cli, "beat_rate", lambda n, samples, seed: SimpleNamespace(rate=rate))
     want = (False, f"beat rate {rate:.3f} far from 0.814") if fails else (True, "")
     assert cli._verify_beat_rate(RngSeed(0)) == want

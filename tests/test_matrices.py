@@ -358,3 +358,35 @@ def test_validated_entries_refuse_nan(name):
     call, message = NAN_INPUTS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# One call per refusal of a malformed shape, size or argument: (call, the
+# exception, its whole message)
+REFUSALS = {
+    "check_stochastic 1d": (lambda: eub.check_stochastic([0.5, 0.5]), ValueError, "expected a 2d array or a stack of them"),
+    "check_stochastic 4d": (
+        lambda: eub.check_stochastic(np.full((1, 1, 2, 2), 0.5)), ValueError, "expected a 2d array or a stack of them",
+    ),
+    "check_probability_vector": (lambda: eub.check_probability_vector([]), ValueError, "empty probability vector"),
+    "apply_transform": (
+        lambda: eub.apply_transform(np.eye(2), eub.random_transform(3, RngSeed(SEED))),
+        ValueError, "transform dimension 3 does not match matrix 2",
+    ),
+    "SubspacePair": (
+        lambda: eub.SubspacePair(np.eye(3)[:, :2], np.eye(2)[:1]), ValueError, "first set has more vectors than the dimension",
+    ),
+    "fourier_matrix": (lambda: fourier_matrix(0), ValueError, "n must be >= 1"),
+    "permutation_power": (lambda: eub.permutation_power(1, 0.5), ValueError, "n must be >= 2"),
+    "random_transform": (lambda: eub.random_transform(3, "x"), TypeError, "expected an RngSeed or numpy Generator"),
+    "largest_singular_value": (lambda: largest_singular_value(np.ones(3)), ValueError, "expected a 2d array"),
+    "matrix_to_json": (lambda: matrix_to_json(np.ones(3)), ValueError, "expected a 2d array"),
+    "haar_unitary": (lambda: haar_unitary(0, RngSeed(SEED)), ValueError, "n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_malformed_arguments_are_refused(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

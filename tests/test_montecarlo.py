@@ -8,7 +8,7 @@ import eub.montecarlo as montecarlo
 import eub.submatrices as submatrices
 from eub import RngSeed, beat_rate, bound_gap_stats, haar_unitary, majorization_fuzz
 from eub.cli import main
-from eub.matrices import philox_key
+from eub.matrices import BEAT_RATE_N2, philox_key
 from eub.montecarlo import _haar_from_ginibre
 from eub.submatrices import s_coefficients_batch
 
@@ -50,8 +50,10 @@ def _n2_threshold():
 
 
 def test_beat_rate_n2_matches_the_exact_rate():
-    # the rate is P(c^2 > t*) = 2(1 - t*), about 0.81434
+    # the rate is P(c^2 > t*) = 2(1 - t*), about 0.81434, the reference
+    # that verify's beat-rate check and ac02 read
     exact = 2.0 * (1.0 - _n2_threshold())
+    assert abs(BEAT_RATE_N2 - exact) <= 1e-9
     samples = 20000
     res = beat_rate(2, samples, RngSeed(SEED + 4))
     assert abs(res.rate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples)

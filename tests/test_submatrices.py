@@ -833,6 +833,27 @@ def test_representatives_match_full_enumeration(dim, monkeypatch):
         assert np.all(np.abs(reduced - full) <= bound), (name, np.abs(reduced - full).max())
 
 
+@pytest.mark.parametrize("dim", range(8, 13))
+def test_stack_mates_reach_s_through_the_symmetry_alone(dim):
+    """A matrix's s depends on its stack-mates only through the generators
+    the whole stack holds. A Haar draw holds none and keeps its bits beside
+    F_N and P_N^(1/2); P_N^(1/2) and P_N^(1/3) hold the diagonal shift alone
+    and keep theirs together. F_N and P_N^(1/2) beside a Haar draw take the
+    full enumeration, within the module docstring's bound of their own
+    reduced one."""
+    haar = haar_unitary(dim, RngSeed(SEED + 1730 + dim))
+    half, third = permutation_power(dim, 0.5), permutation_power(dim, 1 / 3)
+    alone = [s_coefficients_batch(u[None])[0] for u in (haar, F(dim), half, third)]
+    mixed = s_coefficients_batch(np.stack([haar, F(dim), half]))
+    assert np.array_equal(mixed[0], alone[0])
+    assert _translation_symmetry(half[None]).tolist() == _translation_symmetry(third[None]).tolist() == [False, False, True]
+    assert np.array_equal(s_coefficients_batch(np.stack([half, third])), np.stack(alone[2:]))
+    k = np.arange(1, dim + 1)
+    bound = 2 * ((k + 1) / 2) * (dim // 2) * SYMMETRY_TOL + 8 * np.finfo(float).eps
+    for row in (1, 2):
+        assert np.all(np.abs(mixed[row] - alone[row]) <= bound), (row, np.abs(mixed[row] - alone[row]).max())
+
+
 def _margin_family(dim):
     # F_N, P_N^beta for beta = 0, 1/32, ..., 2, the shift and the identity,
     # each plain, with random unit phases on both sides and in dephased form
@@ -1393,6 +1414,46 @@ def test_stopped_rows_leave_the_kernels(monkeypatch):
     assert any(h < 0 for h in heights)  # the pruned classes ran
     stayed = (full[:, 0] <= high) & (full[:, 0] >= low)
     assert np.array_equal(s[stayed], full[stayed])
+
+
+def _split_rows(dim, seed):
+    # X (+) Y, X a 3 x 3 and Y an (N - 3) x (N - 3) Haar draw, with rows i
+    # and i + 3 (i = 0, 1, 2) turned by [[0.6, 0.8], [-0.8, 0.6]]. Each pair
+    # spans X's row i, on columns 0-2, so its 2 x 3 block there has norm 1,
+    # while every row spans all N columns and columns 0-2 span six rows: the
+    # chain first reaches 1 at k = 4, in the rung's first class
+    x, y = (montecarlo._haar_batch(d, RngSeed(seed + i), 0, 1, False)[0][0] for i, d in enumerate((3, dim - 3)))
+    turn = np.eye(dim)
+    for i in range(3):
+        turn[np.ix_([i, i + 3], [i, i + 3])] = [[0.6, 0.8], [-0.8, 0.6]]
+    return turn @ _direct_sum(x, y)
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_a_row_that_saturates_inside_a_rung_leaves_before_its_next_entry(dim, monkeypatch):
+    """Rows whose squared norm reaches 1 at rung 4's first class leave
+    before its second, with or without a stop rule, and the entries after
+    that run on the rows that stay. Every row returns its own chain, or
+    the prefix the rule stopped it with."""
+    u3 = montecarlo._haar_batch(dim, RngSeed(SEED + 1740 + dim), 0, 6, False)[0]
+    u3[1::2] = [_split_rows(dim, SEED + 1750 + 2 * j) for j in range(3)]
+    alone = np.array([s_coefficients_batch(u[None])[0] for u in u3])
+    assert (alone[1::2, 2] < 1.0).all() and (alone[1::2, 3] == 1.0).all()
+    assert (alone[::2, :-1] < 1.0).all()
+    plan = _plan_of(u3)
+    assert [entry[:3] for entry in plan if entry[0] == 4] == [(4, 2, 3), (4, 3, 2)]
+    heights = []
+    closed_form_max, pruned_max = submatrices._closed_form_max, submatrices._pruned_max
+    monkeypatch.setattr(submatrices, "_closed_form_max", lambda tables, *a: heights.append(len(tables.views[0])) or closed_form_max(tables, *a))
+    monkeypatch.setattr(submatrices, "_pruned_max", lambda tables, *a: heights.append(len(tables.views[0])) or pruned_max(tables, *a))
+    # the rule stops Haar row 0 before rung 4
+    for rule, stopped in ((None, 0), (lambda j, s: (j == 3) & (s[:, 0] == alone[0, 0]), 1)):
+        heights.clear()
+        s = s_coefficients_batch(u3, stop=rule)
+        assert np.array_equal(s[stopped:], alone[stopped:])
+        assert np.array_equal(s[:stopped, :3], alone[:stopped, :3]) and np.isnan(s[:stopped, 3:]).all()
+        want = [6 if k < 4 else 6 - stopped if (k, m, n) == (4, 2, 3) else 3 - stopped for k, m, n, *_ in plan]
+        assert heights == want, (rule, heights)
 
 
 @pytest.mark.parametrize("dim", [8, 9])
