@@ -1206,7 +1206,11 @@ def test_verify_checks_report_their_faults(monkeypatch, case):
     assert check(RngSeed(0)) == (False, want)
 
 
-@pytest.mark.parametrize("rate, fails", [(0.84334, False), (0.78534, False), (0.84534, True), (0.78334, True)])
+@pytest.mark.parametrize(
+    "rate, fails",
+    [(0.84334, False), (0.78534, False), (0.84534, True), (0.78334, True)],
+    ids=lambda v: f"{v:.3f}" if isinstance(v, float) else None,  # the rate as the check prints it
+)
 def test_verify_beat_rate_allowance(monkeypatch, rate, fails):
     # the allowance is 0.03 on either side of the exact rate 0.81434: rates
     # 0.001 inside it pass, and rates 0.001 outside it fail

@@ -1420,8 +1420,9 @@ def _split_rows(dim, seed):
     # X (+) Y, X a 3 x 3 and Y an (N - 3) x (N - 3) Haar draw, with rows i
     # and i + 3 (i = 0, 1, 2) turned by [[0.6, 0.8], [-0.8, 0.6]]. Each pair
     # spans X's row i, on columns 0-2, so its 2 x 3 block there has norm 1,
-    # while every row spans all N columns and columns 0-2 span six rows: the
-    # chain first reaches 1 at k = 4, in the rung's first class
+    # while the turned rows span all N columns, the others Y's N - 3, and
+    # columns 0-2 span six rows: at N = 6 or N >= 8 the chain first reaches
+    # 1 at k = 4, in the rung's first class
     x, y = (montecarlo._haar_batch(d, RngSeed(seed + i), 0, 1, False)[0][0] for i, d in enumerate((3, dim - 3)))
     turn = np.eye(dim)
     for i in range(3):
