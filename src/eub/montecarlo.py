@@ -215,40 +215,42 @@ def _decided(s: np.ndarray, j: int, k: int):
     return wins, _renyi_rows(bound, 1.0) < mu - DECIDED_MARGIN
 
 
-def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
-    # The one pass behind beat_rate (k given), bound_gap_stats (alpha given)
-    # and `mc --gap-hist` (both): each chunk is drawn and kernelled once. The
+def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k: int, alpha):
+    # The one pass behind beat_rate (alpha None), bound_gap_stats (k = n - 1)
+    # and `mc --gap-hist`: each chunk is drawn and kernelled once. The
     # Shannon rung B^k counts wins over -2 ln c, the top rung B_alpha^{n-1}
     # gives the gaps, and at (k, alpha) = (n - 1, 1) the two are one ladder.
     # Without gaps, the kernel stops each row at the first rung j whose s_1..
     # s_j decide its win or loss (_decided), or at rung k, where every row
-    # stops; only the rows that reach rung k are counted below. The gaps
-    # read full chains. Returns (BeatRateResult or None, GapStats or None).
+    # stops; only the rows that reach rung k are counted below. The stop
+    # rule runs before the first entry of each rung k that has plan entries,
+    # so never at N <= 3. It gets a copy of the final s_1..s_{k-1} of the
+    # rows still in the loop, so writing into it changes nothing. A row it
+    # stops returns its prefix, then NaN. Rows whose chain has reached 1
+    # leave before the rule sees them. The gaps read full chains. Returns
+    # (BeatRateResult, GapStats or None).
     _check_ensemble(n, samples, "samples")
-    if k is not None and not (1 <= k <= n - 1):
+    if not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
     if alpha is not None:
         alpha = _check_order(alpha)
+        gaps_mu, gaps_d = np.empty(samples), np.empty(samples)
     wins = 0
-    gaps_mu, gaps_d = (None, None) if alpha is None else (np.empty(samples), np.empty(samples))
-    stop = None
-    if alpha is None:
 
-        def stop(j, s):
-            nonlocal wins
-            if j >= k:
-                return np.ones(len(s), dtype=bool)
-            won, lost = _decided(s, j, k)
-            wins += int(np.count_nonzero(won))
-            return won | lost
+    def stop(j, s):
+        nonlocal wins
+        if j >= k:
+            return np.ones(len(s), dtype=bool)
+        won, lost = _decided(s, j, k)
+        wins += int(np.count_nonzero(won))
+        return won | lost
 
-    for start, _, _, s in _ensemble(n, samples, rng, stop=stop):
+    for start, _, _, s in _ensemble(n, samples, rng, stop=stop if alpha is None else None):
         b_deutsch, b_mu = _closed_forms(s[:, 0])
-        if k is not None:
-            # a row stop decided holds NaN from its rung on, s_k included
-            ran = ~np.isnan(s[:, k - 1])
-            shannon = _renyi_rows(_q_rows(s[ran], k), 1.0)
-            wins += int(np.count_nonzero(shannon > b_mu[ran]))
+        # a row stop decided holds NaN from its rung on, s_k included
+        ran = ~np.isnan(s[:, k - 1])
+        shannon = _renyi_rows(_q_rows(s[ran], k), 1.0)
+        wins += int(np.count_nonzero(shannon > b_mu[ran]))
         if alpha is not None:
             shared = k == n - 1 and alpha == 1.0
             top = shannon if shared else _renyi_rows(_q_rows(s, n - 1), alpha)
@@ -256,7 +258,7 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k, alpha):
             gaps_d[start : start + len(s)] = top - b_deutsch
     rate = wins / samples
     stderr = math.sqrt(rate * (1.0 - rate) / samples)
-    beat = None if k is None else BeatRateResult(n, samples, wins, rate, stderr, rng)
+    beat = BeatRateResult(n, samples, wins, rate, stderr, rng)
     if alpha is None:
         return beat, None
     mean_mu, qs_mu, hist_mu = _gap_summary(gaps_mu)
@@ -303,4 +305,4 @@ def bound_gap_stats(n: int, samples: int, alpha, rng: RngSeed) -> GapStats:
     Gaps to -2 ln c and to the Deutsch value, each summarised by its mean,
     the ``_QUANTILES`` and a ``_GAP_BINS``-bin histogram.
     """
-    return _beat_and_gaps(n, samples, rng, None, alpha)[1]
+    return _beat_and_gaps(n, samples, rng, n - 1, alpha)[1]

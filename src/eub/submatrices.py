@@ -874,13 +874,18 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
 def _finalize(s: np.ndarray) -> np.ndarray:
     # Rounding may break monotonicity or push past 1 by an ulp or two; a
     # larger repair (or a NaN) means a non-unitary input or a kernel fault.
-    # s_coefficients_batch runs it once on each group of rows that leaves
-    # its rung loop: in the exit step on the saturated rows' whole chains,
-    # their rungs from the exit on set to exactly 1 first, so the check does
-    # not see them (it can fire less, never on a valid input), and on the
-    # prefixes a stop rule reads; after the last rung on the full chains of
-    # the rows still in it. Each entry depends on its prefix alone, so a
-    # finalized prefix has the bits of the finalized chain's.
+    # s_coefficients_batch runs it once in each exit step, on the final
+    # s_1..s_{k-1} of the rows that leave there (of every row when the stop
+    # rule runs), and after the last rung on the full chains of the rows
+    # still in the loop. A saturated row's s from k on is then written as
+    # exactly 1, so the check does not see it (it can fire less, never on a
+    # valid input). The stop rule runs before the first entry of each rung k
+    # that has plan entries, so never at N <= 3. It gets a copy of the final
+    # s_1..s_{k-1} of the rows still in the loop, so writing into it changes
+    # nothing. A row it stops returns its prefix, then NaN. Rows whose chain
+    # has reached 1 leave before the rule sees them. Each entry depends on
+    # its prefix alone, so a finalized prefix has the bits of the finalized
+    # chain's, and a row that stays is overwritten with its own bits later.
     fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
     repair = float(np.abs(fixed - s).max(initial=0.0))
     if not repair <= UNITARITY_TOL:
@@ -963,13 +968,15 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     with a squared norm of at least 1 at k or below leave, with s exactly 1
     from k on, which ``_finalize`` would set whatever the later entries
     find; then, before a rung's first entry, the rows that ``stop`` marks.
-    The step writes the leaving rows' chains into s and goes on with the
-    rest under a fresh ``_CallTables`` and the call's first symmetry. The
-    loop ends when no row is left, having built the plans of rungs up to one
-    past the last it ran, or when the last rung has run, and the rows still
-    in it then return their full chains. So without ``stop`` every row
-    returns its full chain. A chain that needs a repair larger than
-    UNITARITY_TOL to be monotone and <= 1 raises ValueError.
+    The step writes the final s_1..s_{k-1} of the leaving rows into s
+    through one ``_finalize`` call (under ``stop``, of every row, whose
+    prefixes the rule then reads from s) and goes on with the rest under a
+    fresh ``_CallTables`` and the call's first symmetry. The loop ends when
+    no row is left, having built the plans of rungs up to one past the last
+    it ran, or when the last rung has run, and the rows still in it then
+    return their full chains. So without ``stop`` every row returns its
+    full chain. A chain that needs a repair larger than UNITARITY_TOL to be
+    monotone and <= 1 raises ValueError.
 
     A matrix's s depends on its stack-mates only through that symmetry,
     the generators that every matrix of the stack holds. A matrix that
@@ -982,10 +989,12 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     symmetry, so the rows that stay keep their bits.
 
     ``stop``, a rule the caller passes, is called as ``stop(k - 1, s)``
-    before the first entry of each rung k that has plan entries, so never
-    at N <= 3, with s the final s_1..s_{k-1}, one row per row still in the
-    loop. It returns one bool per row, and the rows it marks leave: a row
-    that stops there returns its s_1..s_{k-1} and NaN after.
+    and returns one bool per row. The stop rule runs before the first
+    entry of each rung k that has plan entries, so never at N <= 3. It gets
+    a copy of the final s_1..s_{k-1} of the rows still in the loop, so
+    writing into it changes nothing. A row it stops returns its prefix,
+    then NaN. Rows whose chain has reached 1 leave before the rule sees
+    them.
     """
     u_batch = np.asarray(u_batch, dtype=complex)
     if u_batch.ndim != 3 or u_batch.shape[1] != u_batch.shape[2] or not u_batch.shape[1]:
@@ -1002,15 +1011,11 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
             asks, full = stop is not None and not i, lam[:, :k].max(initial=0.0) >= 1.0
             if asks or full:
                 go = lam[:, :k].max(axis=1) >= 1.0 if full else np.zeros(len(u), dtype=bool)
-                lam[go, k - 1 :] = 1.0
-                s[live[go]] = _finalize(np.sqrt(lam[go]))
+                ends = go | asks
+                s[live[ends], : k - 1] = _finalize(np.sqrt(lam[ends, : k - 1]))
+                s[live[go], k - 1 :] = 1.0
                 if asks:
-                    # a view, not a copy, where no row has reached 1
-                    stay = ~go if full else slice(None)
-                    prefix = _finalize(np.sqrt(lam[stay, : k - 1]))
-                    stops = stop(k - 1, prefix)
-                    s[live[stay][stops], : k - 1] = prefix[stops]
-                    go[stay] = stops
+                    go[~go] = stop(k - 1, s[live[~go], : k - 1])
                 if go.any():
                     live, lam, u = live[~go], lam[~go], u[~go]
                     if not len(u):

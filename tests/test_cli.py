@@ -733,6 +733,41 @@ def _load_tool(name, folder="tools"):
     return module
 
 
+CODE_LINES_FIXTURE = '''"""A module docstring.
+
+Its second paragraph.
+"""
+
+import os  # a trailing comment leaves its line code
+
+# a comment-only line
+TEXT = """first
+second
+"""
+
+
+def f():
+    """One line."""
+    return os.sep
+'''
+
+
+def test_code_lines_splits_a_file_by_kind(capsys):
+    """tools/code_lines.py counts a docstring with a blank line inside, a
+    comment-only line and a multi-line string inside code by the rule of
+    its docstring, and each file of src/eub sums to its line count."""
+    tool = _load_tool("code_lines")
+    assert tool.count(CODE_LINES_FIXTURE) == {"lines": 16, "code": 6, "comment": 1, "docstring": 4, "blank": 5}
+    files = tool.python_files([Path(tool.ROOT) / "src" / "eub"])
+    assert files
+    for path in files:
+        counts = tool.count(path.read_text(encoding="utf-8"))
+        assert sum(counts[kind] for kind in tool.KINDS) == counts["lines"] == len(path.read_text(encoding="utf-8").splitlines()), path
+    assert tool.main([]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == len(files) + 2 and rows[-1].endswith("  total")
+
+
 def test_cli_digests_rerun_identical(monkeypatch):
     """Every command of tools/cli_digests.py exits 0, or 2 for the refused
     inputs, and reruns byte-identically, and, on the build the pinned lines

@@ -353,6 +353,25 @@ def test_decided_draws_skip_the_later_rungs(monkeypatch):
     assert heights and min(heights) == 200
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf])
+def test_bound_gap_stats_runs_the_gap_hist_pass(alpha):
+    """bound_gap_stats is the `mc --gap-hist` pass at the top rung, field by
+    field, whether its top rung is the wins' Shannon rung (alpha = 1) or
+    not, and that pass's wins on full chains are beat_rate's, whose draws
+    stop at their deciding rung."""
+    rng = RngSeed(SEED + 36)
+    stats = bound_gap_stats(5, 300, alpha, rng)
+    beat, fused = montecarlo._beat_and_gaps(5, 300, rng, 4, alpha)
+    for field in montecarlo.GapStats._fields:
+        mine, theirs = getattr(stats, field), getattr(fused, field)
+        if field.startswith("hist_"):
+            assert len(mine) == len(theirs) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs)), field
+        else:
+            assert mine == theirs, field
+    assert beat.wins == beat_rate(5, 300, rng).wins
+
+
 def _reference_haar_batch(n, rng, start, count, with_state):
     # the per-index loop the chunked sampler replaces: one jumped generator per
     # sample, the Ginibre parts drawn as two matrices, then the state's, which

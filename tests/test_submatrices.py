@@ -1377,6 +1377,26 @@ def test_a_stop_rule_keeps_each_rows_prefix(name):
         assert len(seen[0][1]) == 4  # the Haar rows; the permutations left first
 
 
+@pytest.mark.parametrize("name", ["mixed7", "haar8"])
+def test_a_rule_that_writes_into_its_argument_changes_no_row(name):
+    """The rule gets a copy of the prefixes: one that sets its argument to
+    -1 and stops every other row it sees still leaves each row with the
+    full chain's s_1..s_j and NaN after, j the rung it stopped after, or
+    with its whole chain."""
+    u3 = STOP_STACKS[name]
+    full = s_coefficients_batch(u3)
+
+    def rule(j, s):
+        s[:] = -1.0
+        return np.arange(len(s)) % 2 == 0
+
+    s = s_coefficients_batch(u3, stop=rule)
+    kept = np.isfinite(s).sum(axis=1)
+    assert (kept < u3.shape[1]).any()
+    for row, j in enumerate(kept):
+        assert np.array_equal(s[row, :j], full[row, :j]) and np.isnan(s[row, j:]).all(), (row, s[row])
+
+
 def test_a_stop_rule_never_runs_below_rung_3():
     """N <= 3 has no rung with plan entries, so no rule is called, and every
     row keeps its full chain."""
