@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -189,15 +190,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_scan(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    lines = ["a,b,feasible,b_mu,b_ladder_2,diff"]
     # the records come through this module's cross_section_scan, which
     # bench/tracer.py wraps; cells carry 12 significant digits, and an
-    # infeasible point's are empty
-    for r in cross_section_scan(args.grid_step, alpha):
-        if r.feasible:
-            lines.append(f"{r.a:.12g},{r.b:.12g},1,{r.b_mu:.12g},{r.b_ladder_2:.12g},{r.diff:.12g}")
-        else:
-            lines.append(f"{r.a:.12g},{r.b:.12g},0,,,")
+    # infeasible point's are empty. A grid coordinate is formatted once
+    # (a and b take at most 1/step + 1 values), and each line by one format.
+    records = cross_section_scan(args.grid_step, alpha)
+    coords = set(map(operator.itemgetter(0), records)).union(map(operator.itemgetter(1), records))
+    shown = {v: f"{v:.12g}" for v in coords}
+    lines = ["a,b,feasible,b_mu,b_ladder_2,diff"]
+    lines += [
+        "%s,%s,1,%.12g,%.12g,%.12g" % (shown[a], shown[b], mu, b2, d) if ok else "%s,%s,0,,," % (shown[a], shown[b])
+        for a, b, ok, mu, b2, d in records
+    ]
     _emit_all(((args.output, "\n".join(lines) + "\n"),))
     return 0
 

@@ -17,6 +17,7 @@ functions are the same rules on one matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -37,6 +38,7 @@ from .matrices import (
     _clamp_debris,
     _first_failure,
     _unit_normalized,
+    _unit_reduce,
 )
 from .submatrices import _checked_coefficients
 
@@ -115,7 +117,8 @@ def _check_bistochastic_3(b) -> np.ndarray:
     if b.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3 x 3 matrices on the trailing axes, got shape {b.shape}")
     b, lows, clean = _clamp_debris(b, (-2, -1))
-    sums = np.maximum(np.abs(b.sum(axis=-2) - 1.0).max(axis=-1), np.abs(b.sum(axis=-1) - 1.0).max(axis=-1))
+    dev = np.maximum(np.abs(_unit_reduce(np.add, b, -2) - 1.0), np.abs(_unit_reduce(np.add, b, -1) - 1.0))
+    sums = _unit_reduce(np.maximum, dev, -1)
     bad = _first_failure(clean & (sums <= PROB_SUM_TOL))
     if bad is not None:
         if not clean.flat[bad]:
@@ -129,7 +132,7 @@ def _link_triangle(b) -> tuple:
     # triangle, per matrix of a stack on the trailing axes
     b = _check_bistochastic_3(b)
     links = np.sqrt(b[..., 0, :] * b[..., 1, :])
-    return b, links, 2.0 * links.max(axis=-1) <= links.sum(axis=-1) + LINK_TRIANGLE_TOL
+    return b, links, 2.0 * _unit_reduce(np.maximum, links, -1) <= _unit_reduce(np.add, links, -1) + LINK_TRIANGLE_TOL
 
 
 def unistochastic_check_3(b) -> bool:
@@ -163,7 +166,7 @@ def unistochastic_lift_3(b) -> np.ndarray:
     # zero first entry) leaves its matrix untouched, signed zeros included.
     with np.errstate(divide="ignore", invalid="ignore"):
         others = np.array([[1, 2], [0, 2], [0, 1]])[links.argmax(axis=-1)]
-        la = links.max(axis=-1)
+        la = _unit_reduce(np.maximum, links, -1)
         li, lj = np.moveaxis(np.take_along_axis(links, others, -1), -1, 0)
         px = (la * la + lj * lj - li * li) / (2.0 * la)
         py = np.sqrt(np.maximum(lj * lj - px * px, 0.0))
@@ -187,7 +190,18 @@ def unistochastic_lift_3(b) -> np.ndarray:
 
 def lift_residual(u: np.ndarray, b) -> np.ndarray:
     """Max deviation of |u|^2 from the target bistochastic matrix, per matrix of a stack."""
-    return np.abs(np.abs(np.asarray(u)) ** 2 - np.asarray(b, dtype=float)).max(axis=(-2, -1))
+    return _unit_reduce(np.maximum, np.abs(np.abs(np.asarray(u)) ** 2 - np.asarray(b, dtype=float)), (-2, -1))
+
+
+# The scan's cost grows with its grid's (steps + 1)(steps + 2)/2 points. At
+# steps 0.01-0.002 (5151-125,751 points, 2-core box, one BLAS thread) one
+# in-process `eub scan` took 2.2-2.4 us and a tracemalloc peak of 464-468
+# bytes a point, and its process's peak RSS grew by about 1.1 kB a point;
+# at this limit that is about 2.3 s, 0.47 GB traced and 1.1 GB RSS. Step
+# 0.001 (501,501 points) passes; a finer grid is refused before any array
+# is built (step 1e-4 would hold about 5e7 points, 1e-300 more than a float
+# can count).
+MAX_SCAN_POINTS = 1_000_000
 
 
 class ScanRecord(NamedTuple):
@@ -213,11 +227,18 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     the feasible ones are lifted and residual-checked as one stack. The
     lifts then pass the checks of ``s_coefficients`` as one stack, and one
     ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
-    the records of ``bound_ladder`` and ``bound_mu`` at every lift.
+    the records of ``bound_ladder`` and ``bound_mu`` at every lift, and the
+    records are built in one pass over those columns. A grid of more than
+    MAX_SCAN_POINTS points is refused with ValueError before it is built.
     """
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
-    steps = int(round(1.0 / grid_step))
+    # Python floats, so a step whose inverse overflows counts inf points
+    steps = float(np.rint(1.0 / grid_step))
+    points = (steps + 1.0) * (steps + 2.0) / 2.0
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(f"grid_step {grid_step!r} gives {points:.4g} grid points, more than the limit {MAX_SCAN_POINTS}")
+    steps = int(steps)
     index = np.arange(steps + 1)
     ia, ib = np.nonzero(np.add.outer(index, index) <= steps)
     a, b = ia * grid_step, ib * grid_step
@@ -235,12 +256,10 @@ def cross_section_scan(grid_step: float, alpha) -> list:
         x, y = a[feasible][bad].item(), b[feasible][bad].item()
         raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({x}, {y}) exceeds {LIFT_RESIDUAL_TOL:g}")
     report = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha)
-    values = zip(report.b_mu.tolist(), report.ladder[:, 1].tolist())
-    records = []
-    for x, y, ok in zip(a.tolist(), b.tolist(), feasible.tolist()):
-        if not ok:
-            records.append(ScanRecord(x, y, False, None, None, None))
-            continue
-        mu, b2 = next(values)
-        records.append(ScanRecord(x, y, True, mu, b2, mu - b2))
-    return records
+    # The records in one pass over the columns, the bounds None at an
+    # infeasible point; diff is one float64 subtraction a point, a Python
+    # float's. tuple.__new__ is ScanRecord._make without its length check.
+    bound_cells = np.full((3, a.size), None, dtype=object)
+    bound_cells[:, feasible] = report.b_mu, report.ladder[:, 1], report.b_mu - report.ladder[:, 1]
+    rows = zip(a.tolist(), b.tolist(), feasible.tolist(), *bound_cells.tolist())
+    return list(map(tuple.__new__, itertools.repeat(ScanRecord), rows))

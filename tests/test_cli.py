@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -292,6 +293,13 @@ def test_scan_step_just_above_a_grid_divisor(capsys):
     assert len(out.strip().split("\n")) == 211
 
 
+@pytest.mark.parametrize("grid_step", ["1e-300", "1e-6"])
+def test_scan_refuses_a_grid_past_the_limit(capsys, grid_step):
+    code, out, err = run(capsys, "scan", "--grid-step", grid_step)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: grid_step {float(grid_step)!r} gives (inf|5e\+11) grid points, more than the limit 1000000\n", err)
+
+
 def test_scan_csv(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run(capsys, "scan", "--grid-step", "0.1", "--output", str(out_path))
@@ -316,10 +324,12 @@ def test_scan_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("alpha", ["0", "0.5", "1", "2", "inf"])
-@pytest.mark.parametrize("grid_step", ["0.1", "0.05", "0.05000000002"])
+@pytest.mark.parametrize("grid_step", ["0.1", "0.05", "0.05000000002", "0.01", "0.03"])
 def test_scan_rows_are_the_records(capsys, grid_step, alpha):
     # the CSV holds the public records with 12 significant digits, an
-    # infeasible point's cells empty
+    # infeasible point's cells empty, each cell formatted on its own here;
+    # 0.03 does not divide 1, and six of its coordinates i * 0.03 are no
+    # short decimals (11 * 0.03 is 0.32999999999999996), so their cells round
     code, out, _ = run(capsys, "scan", "--grid-step", grid_step, "--alpha", alpha)
     assert code == 0
 
@@ -774,7 +784,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 77
+    assert len(pinned) == 78
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -790,12 +800,12 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # the n = 5 ensembles, which take the (2, 3) class from its blocks'
     # complements, 3 for the n = 6 and 7 ensembles, whose 3 x 3 classes have
     # column complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
-    # most of the time, 1 for the classical basis input, 5 for the scans at
-    # orders other than 1, one at a step that does not divide 1, 2 for the
+    # most of the time, 1 for the classical basis input, 6 for the scans at
+    # orders other than 1, two at steps that do not divide 1, 2 for the
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
     # chunked classical samples, 4 for the wins-only ensembles, whose draws
     # stop at their deciding rung, and 4 for the refused inputs, last
-    assert len(first) == 65
+    assert len(first) == 66
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ import eub.cli as cli
 import eub.families as families
 import eub.submatrices as submatrices
 from eub.families import _check_bistochastic_3, _link_triangle
-from eub.matrices import DEGENERATE_LINK, LIFT_RESIDUAL_TOL, NEGATIVE_CLAMP
+from eub.matrices import DEGENERATE_LINK, LIFT_RESIDUAL_TOL, NEGATIVE_CLAMP, _first_failure
 
 SEED = 31337
 
@@ -375,6 +376,62 @@ def test_bistochastic_stack_names_the_first_matrix_not_the_most_negative_entry()
         with pytest.raises(ValueError) as stacked:
             check(np.array([first, later]))
         assert str(stacked.value) == str(single.value)
+
+
+def _slice_stack():
+    # 20 unistochastic matrices of the slice, near its center
+    ab = np.random.default_rng(SEED).dirichlet(np.full(3, 50.0), size=20)[:, :2]
+    stack = birkhoff_matrix(BirkhoffPoint(ab[:, 0], ab[:, 1]))
+    assert _link_triangle(stack)[2].all()
+    return stack
+
+
+def _planted_stack():
+    # the slice stack with a row-sum deviation of 3e-9 planted in matrix 7
+    # and a larger one, 5e-8, in matrix 12
+    stack = _slice_stack()
+    stack[7, 0, 0] += 3e-9
+    stack[12, 2, 1] += 5e-8
+    return stack
+
+
+def test_stack_checks_name_the_first_failing_matrix():
+    stack = _planted_stack()
+    with pytest.raises(ValueError) as single:
+        _check_bistochastic_3(stack[7])
+    assert str(single.value) == "row/column sums deviate from 1 by 3.000e-09"
+    for check in (_check_bistochastic_3, _link_triangle, unistochastic_lift_3):
+        with pytest.raises(ValueError) as stacked:
+            check(stack)
+        assert str(stacked.value) == str(single.value)
+    # a NaN in matrix 7 fails it first too
+    stack[7, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="row/column sums deviate from 1 by nan"):
+        _check_bistochastic_3(stack)
+
+
+def test_lift_residual_stack_names_the_first_failing_lift():
+    # the lifts of clean targets, checked against targets that miss them in
+    # matrices 7 and 12: each residual has the bits of its matrix's alone,
+    # and the first above LIFT_RESIDUAL_TOL is matrix 7's
+    lifts, targets = unistochastic_lift_3(_slice_stack()), _planted_stack()
+    resid = lift_residual(lifts, targets)
+    assert resid.shape == (20,)
+    for i, (u, mat) in enumerate(zip(lifts, targets)):
+        assert resid[i].hex() == float(lift_residual(u, mat)).hex()
+    assert _first_failure(resid <= LIFT_RESIDUAL_TOL) == 7
+    assert resid[7] == pytest.approx(3e-9, rel=1e-6) and resid[12] == pytest.approx(5e-8, rel=1e-6)
+
+
+def test_scan_refuses_a_grid_past_the_limit_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(families, "birkhoff_matrix", refuse)
+    monkeypatch.setattr(families, "BirkhoffPoint", refuse)
+    for step, count in ((1e-300, "inf"), (1e-6, "5e+11")):
+        with pytest.raises(ValueError, match=rf"gives {re.escape(count)} grid points, more than the limit {families.MAX_SCAN_POINTS}"):
+            cross_section_scan(step, 1.0)
 
 
 def _scalar_lift_3(b):

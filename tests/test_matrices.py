@@ -25,7 +25,7 @@ from eub import (
     submatrix,
     unitarity_residual,
 )
-from eub.matrices import philox_key, sample_generator
+from eub.matrices import _first_failure, _unit_reduce, philox_key, sample_generator
 from eub.montecarlo import _haar_batch
 
 SEED = 20240817
@@ -381,6 +381,14 @@ REFUSALS = {
     "largest_singular_value": (lambda: largest_singular_value(np.ones(3)), ValueError, "expected a 2d array"),
     "matrix_to_json": (lambda: matrix_to_json(np.ones(3)), ValueError, "expected a 2d array"),
     "haar_unitary": (lambda: haar_unitary(0, RngSeed(SEED)), ValueError, "n must be >= 1"),
+    "cross_section_scan 1e-300": (
+        lambda: eub.cross_section_scan(1e-300, 1.0), ValueError,
+        "grid_step 1e-300 gives inf grid points, more than the limit 1000000",
+    ),
+    "cross_section_scan 1e-6": (
+        lambda: eub.cross_section_scan(1e-6, 1.0), ValueError,
+        "grid_step 1e-06 gives 5e+11 grid points, more than the limit 1000000",
+    ),
 }
 
 
@@ -390,3 +398,66 @@ def test_malformed_arguments_are_refused(name):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+
+
+# Entries a short reduction must carry through with numpy's bits: NaN,
+# signed zeros, subnormals, the smallest normal, and sums that round
+_SPECIAL_ENTRIES = np.array([np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1.0, -1.0, 0.1])
+
+
+def _special_stack(units, shape, seed):
+    # a stack of units, half their entries special and half uniform draws
+    rng = np.random.default_rng(seed)
+    x = rng.random((units,) + shape)
+    special = rng.random(x.shape) < 0.5
+    x[special] = rng.choice(_SPECIAL_ENTRIES, size=int(special.sum()))
+    return x
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("units", [1, 66, 5151])
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum], ids=lambda u: u.__name__)
+def test_unit_reduce_has_numpy_bits_over_three_entries(units, ufunc):
+    for seed, (shape, axis) in enumerate((((3,), -1), ((3, 3), -1), ((3, 3), -2))):
+        x = _special_stack(units, shape, SEED + seed)
+        want, got = ufunc.reduce(x, axis=axis), _unit_reduce(ufunc, x, axis)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+    # one unit with no leading axes reduces to a scalar, as numpy's does
+    for unit in _special_stack(64, (3,), SEED):
+        want, got = ufunc.reduce(unit), _unit_reduce(ufunc, unit, -1)
+        assert type(got) is type(want) and _bits(got) == _bits(want)
+
+
+def test_unit_reduce_sums_negative_zeros_from_the_identity():
+    # numpy's sum starts from +0.0: a sum of -0.0s is +0.0, which x0 + x1 + x2 is not
+    x = np.full((4, 3), -0.0)
+    x[1, 1] = 0.0
+    assert not np.signbit(_unit_reduce(np.add, x, -1)).any()
+    assert np.signbit(x[:, 0] + x[:, 1] + x[:, 2])[0]
+
+
+@pytest.mark.parametrize("units", [1, 66, 5151])
+@pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=lambda u: u.__name__)
+def test_unit_reduce_has_numpy_values_over_3x3_units(units, ufunc):
+    # Over 9 entries numpy orders max and min by its own unrolling, so only a
+    # zero result's sign may differ; on absolute values, as lift_residual
+    # reduces them, the bits agree.
+    x = _special_stack(units, (3, 3), SEED + 3)
+    want, got = ufunc.reduce(x, axis=(-2, -1)), _unit_reduce(ufunc, x, (-2, -1))
+    assert np.array_equal(got, want, equal_nan=True)
+    want, got = ufunc.reduce(np.abs(x), axis=(-2, -1)), _unit_reduce(ufunc, np.abs(x), (-2, -1))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_unit_reduce_keeps_a_nan_unit_failing():
+    # a NaN anywhere in a unit makes its sum and its max NaN, so the unit
+    # fails a "deviation <= tolerance" test and _first_failure names it
+    x = np.zeros((20, 3, 3))
+    x[7, 2, 1] = np.nan
+    for ufunc, axis in ((np.add, -1), (np.add, -2), (np.maximum, -1), (np.maximum, (-2, -1))):
+        dev = _unit_reduce(ufunc, x, axis)
+        ok = dev <= 1.0 if np.ndim(dev) == 1 else (dev <= 1.0).all(axis=-1)
+        assert _first_failure(ok) == 7

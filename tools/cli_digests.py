@@ -174,6 +174,9 @@ def command_set(workdir: str) -> list:
     # a scan whose step does not divide 1: 20 steps overshoot the edge
     # a + b = 1 by 4e-10, so the grid's edge rule decides which points print
     commands.append(["scan", "--grid-step", "0.05000000002", "--alpha", "0.5"])
+    # a scan whose step does not divide 1 either, and six of whose
+    # coordinates i * 0.03 are no short decimals, at the min-entropy order
+    commands.append(["scan", "--grid-step", "0.03", "--alpha", "inf"])
     # a sweep through the ladder's alpha = 0, alpha < 1 and alpha > 1
     # branches, and one whose order -0 prints as 0.0
     commands += [
