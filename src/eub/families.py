@@ -213,24 +213,11 @@ class ScanRecord(NamedTuple):
     diff: float | None
 
 
-def cross_section_scan(grid_step: float, alpha) -> list:
-    """Scan the simplex slice on a regular grid.
-
-    For each (a, b) with a + b <= 1 + NEGATIVE_CLAMP: record feasibility;
-    where feasible, lift to a unitary and record the gap between the
-    max-entry bound and the order-alpha two-step ladder bound. Deterministic output ordering,
-    sorted by (a, b). A lift that fails its own reconstruction residual
-    aborts the scan at the first such point in grid order: that is an
-    implementation bug, not data.
-
-    The grid's Birkhoff matrices are built and checked as one stack, and
-    the feasible ones are lifted and residual-checked as one stack. The
-    lifts then pass the checks of ``s_coefficients`` as one stack, and one
-    ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
-    the records of ``bound_ladder`` and ``bound_mu`` at every lift, and the
-    records are built in one pass over those columns. A grid of more than
-    MAX_SCAN_POINTS points is refused with ValueError before it is built.
-    """
+def _scan_columns(grid_step: float, alpha) -> tuple:
+    # cross_section_scan up to its records: the grid's a and b, feasibility,
+    # and b_mu and b_ladder_2 at the feasible points. The stacks built on the
+    # way (matrices, lifts, the kernel's tables) are freed on return, before
+    # the records are.
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
     # Python floats, so a step whose inverse overflows counts inf points
@@ -249,17 +236,40 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     mats = birkhoff_matrix(BirkhoffPoint(np.minimum(a, 1.0), np.minimum(b, 1.0)))
     feasible = _link_triangle(mats)[2]
     # (0, 0), the identity, is always feasible, so the stack is never empty
-    lifts = unistochastic_lift_3(mats[feasible])
-    resid = lift_residual(lifts, mats[feasible])
+    mats = mats[feasible]
+    lifts = unistochastic_lift_3(mats)
+    resid = lift_residual(lifts, mats)
     bad = _first_failure(resid <= LIFT_RESIDUAL_TOL)
     if bad is not None:
         x, y = a[feasible][bad].item(), b[feasible][bad].item()
         raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({x}, {y}) exceeds {LIFT_RESIDUAL_TOL:g}")
     report = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha)
-    # The records in one pass over the columns, the bounds None at an
-    # infeasible point; diff is one float64 subtraction a point, a Python
-    # float's. tuple.__new__ is ScanRecord._make without its length check.
+    return a, b, feasible, report.b_mu, report.ladder[:, 1]
+
+
+def cross_section_scan(grid_step: float, alpha) -> list:
+    """Scan the simplex slice on a regular grid.
+
+    For each (a, b) with a + b <= 1 + NEGATIVE_CLAMP: record feasibility;
+    where feasible, lift to a unitary and record the gap between the
+    max-entry bound and the order-alpha two-step ladder bound. Deterministic output ordering,
+    sorted by (a, b). A lift that fails its own reconstruction residual
+    aborts the scan at the first such point in grid order: that is an
+    implementation bug, not data.
+
+    The grid's Birkhoff matrices are built and checked as one stack, and
+    the feasible ones are lifted and residual-checked as one stack. The
+    lifts then pass the checks of ``s_coefficients`` as one stack, and one
+    ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
+    the records of ``bound_ladder`` and ``bound_mu`` at every lift, and the
+    records are built in one pass over those columns. A grid of more than
+    MAX_SCAN_POINTS points is refused with ValueError before it is built.
+    """
+    a, b, feasible, b_mu, b_ladder_2 = _scan_columns(grid_step, alpha)
+    # The bounds are None at an infeasible point; diff is one float64
+    # subtraction a point, a Python float's. tuple.__new__ is
+    # ScanRecord._make without its length check.
     bound_cells = np.full((3, a.size), None, dtype=object)
-    bound_cells[:, feasible] = report.b_mu, report.ladder[:, 1], report.b_mu - report.ladder[:, 1]
+    bound_cells[:, feasible] = b_mu, b_ladder_2, b_mu - b_ladder_2
     rows = zip(a.tolist(), b.tolist(), feasible.tolist(), *bound_cells.tolist())
     return list(map(tuple.__new__, itertools.repeat(ScanRecord), rows))

@@ -301,26 +301,29 @@ def _first_failure(ok: np.ndarray):
 
 
 def _unit_reduce(ufunc, x: np.ndarray, axis) -> np.ndarray:
-    # ufunc.reduce(x, axis) for units of a few entries on the trailing axes
-    # axis (the rows, columns and 3 x 3 matrices of the order-3 stack checks):
-    # one whole-stack ufunc call an entry, the unit's entries in C order,
-    # where numpy's axis reduction runs a short inner loop per unit (over
-    # 5151 units a 3-entry sum took 82 against 12 us, a 3 x 3 max 201 against
-    # 42 us). The calls write Fortran order, so the stack axis stays innermost
-    # where a unit keeps a short axis (an add of two rows of 5151 3 x 3
-    # matrices took 57 us in C order, 11 us so). For add, maximum and minimum
-    # over 3 entries it has numpy's bits, add starting from its identity as
-    # numpy's does, so a sum of -0.0s is +0.0. Over more entries numpy sums
-    # pairwise and orders max and min by its own unrolling, so read only max
-    # and min there, for their exact values: a zero result may differ in
-    # sign. A NaN propagates, its sign bit aside.
+    # ufunc.reduce(x, axis) for units of a few entries on the trailing axes axis
+    # (the rows, columns and 3 x 3 matrices of the order-3 stack checks): one
+    # whole-stack ufunc call an entry, the unit's entries in C order, where
+    # numpy's axis reduction runs a short inner loop per unit (over 5151 units a
+    # 3-entry sum took 82 against 12 us, a 3 x 3 max 201 against 42 us). It
+    # reduces into one Fortran-order copy of the first entry, so the stack axis
+    # stays innermost where a unit keeps a short axis (an add of two rows of
+    # 5151 3 x 3 matrices took 57 us in C order, 11 us so), and makes no
+    # temporary an entry. For add, maximum and minimum over 3 entries it has
+    # numpy's bits, add starting from its identity as numpy's does, so a sum of
+    # -0.0s is +0.0. Over more entries numpy sums pairwise and orders max and
+    # min by its own unrolling, so read only max and min there, for their exact
+    # values: a zero result may differ in sign. A NaN propagates, its sign bit
+    # aside.
     axis = (axis,) if isinstance(axis, int) else tuple(axis)
     lead = np.moveaxis(x, axis, tuple(range(len(axis))))
     entries = lead.reshape((-1,) + lead.shape[len(axis) :])
-    out = entries[0] if ufunc.identity is None else ufunc(ufunc.identity, entries[0], order="F")
+    out = np.array(entries[0], order="F")
+    if ufunc.identity is not None:
+        ufunc(ufunc.identity, out, out=out)
     for entry in entries[1:]:
-        out = ufunc(out, entry, order="F")
-    return out
+        ufunc(out, entry, out=out, order="F")
+    return out[()]
 
 
 def _clamp_debris(x: np.ndarray, axis: tuple):
