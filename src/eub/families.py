@@ -266,10 +266,16 @@ def cross_section_scan(grid_step: float, alpha) -> list:
     MAX_SCAN_POINTS points is refused with ValueError before it is built.
     """
     a, b, feasible, b_mu, b_ladder_2 = _scan_columns(grid_step, alpha)
-    # The bounds are None at an infeasible point; diff is one float64
-    # subtraction a point, a Python float's. tuple.__new__ is
-    # ScanRecord._make without its length check.
-    bound_cells = np.full((3, a.size), None, dtype=object)
-    bound_cells[:, feasible] = b_mu, b_ladder_2, b_mu - b_ladder_2
-    rows = zip(a.tolist(), b.tolist(), feasible.tolist(), *bound_cells.tolist())
+    # One pass over the points, each taking the next row of the feasible
+    # columns or of the infeasible ones, whose bounds are None: no per-point
+    # Python code and no object array. diff is one float64 subtraction a
+    # point, a Python float's; tuple.__new__ is ScanRecord._make without its
+    # length check.
+    none = itertools.repeat(None)
+    by_feasible = (
+        zip(a[~feasible].tolist(), b[~feasible].tolist(), itertools.repeat(False), none, none, none),
+        zip(a[feasible].tolist(), b[feasible].tolist(), itertools.repeat(True),
+            b_mu.tolist(), b_ladder_2.tolist(), (b_mu - b_ladder_2).tolist()),
+    )
+    rows = map(next, map(by_feasible.__getitem__, feasible.tolist()))
     return list(map(tuple.__new__, itertools.repeat(ScanRecord), rows))
