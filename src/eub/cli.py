@@ -193,7 +193,8 @@ def _cmd_scan(args) -> int:
     # the records come through this module's cross_section_scan, which
     # bench/tracer.py wraps; cells carry 12 significant digits, and an
     # infeasible point's are empty. A grid coordinate is formatted once
-    # (a and b take at most 1/step + 1 values), and each line by one format.
+    # (a and b take at most 1/step + 1 values i * step, none of them -0.0,
+    # so equal keys print alike), and each line by one format.
     records = cross_section_scan(args.grid_step, alpha)
     coords = set(map(operator.itemgetter(0), records)).union(map(operator.itemgetter(1), records))
     shown = {v: f"{v:.12g}" for v in coords}

@@ -195,9 +195,9 @@ def lift_residual(u: np.ndarray, b) -> np.ndarray:
 
 # The scan's cost grows with its grid's (steps + 1)(steps + 2)/2 points. At
 # steps 0.01-0.002 (5151-125,751 points, 2-core box, one BLAS thread) one
-# in-process `eub scan` took 2.2-2.4 us and a tracemalloc peak of 464-468
-# bytes a point, and its process's peak RSS grew by about 1.1 kB a point;
-# at this limit that is about 2.3 s, 0.47 GB traced and 1.1 GB RSS. Step
+# in-process `eub scan` took 2.2-2.4 us and a tracemalloc peak of 386-393
+# bytes a point, and its process's peak RSS grew by about 0.95 kB a point;
+# at this limit that is about 2.3 s, 0.39 GB traced and 0.95 GB RSS. Step
 # 0.001 (501,501 points) passes; a finer grid is refused before any array
 # is built (step 1e-4 would hold about 5e7 points, 1e-300 more than a float
 # can count).
