@@ -2,7 +2,6 @@ import contextlib
 import io
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -429,8 +428,9 @@ def test_scan_refuses_a_grid_past_the_limit_before_building_it(monkeypatch):
 
     monkeypatch.setattr(families, "birkhoff_matrix", refuse)
     monkeypatch.setattr(families, "BirkhoffPoint", refuse)
-    for step, count in ((1e-300, "inf"), (1e-6, "5e+11")):
-        with pytest.raises(ValueError, match=rf"gives {re.escape(count)} grid points, more than the limit {families.MAX_SCAN_POINTS}"):
+    # the whole messages are pinned with the other refusals in test_matrices
+    for step in (1e-300, 1e-6):
+        with pytest.raises(ValueError, match=f"more than the limit {families.MAX_SCAN_POINTS}"):
             cross_section_scan(step, 1.0)
 
 

@@ -458,6 +458,5 @@ def test_unit_reduce_keeps_a_nan_unit_failing():
     x = np.zeros((20, 3, 3))
     x[7, 2, 1] = np.nan
     for ufunc, axis in ((np.add, -1), (np.add, -2), (np.maximum, -1), (np.maximum, (-2, -1))):
-        dev = _unit_reduce(ufunc, x, axis)
-        ok = dev <= 1.0 if np.ndim(dev) == 1 else (dev <= 1.0).all(axis=-1)
+        ok = (_unit_reduce(ufunc, x, axis) <= 1.0).reshape(20, -1).all(axis=1)
         assert _first_failure(ok) == 7
