@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -83,10 +84,12 @@ def _parse_alpha(token: str) -> float:
 
 
 def _emit_all(outputs) -> None:
-    # Writes every (path, text) pair, to stdout where path is None, or none
-    # of them: two paths naming one file are refused, every file is opened
-    # (without truncation) before any is written, and files created before a
-    # failed open are removed, so an error leaves every destination as it was.
+    # Writes every (path, text) pair, to stdout where path is None. Two paths
+    # naming one file are refused, every file is opened (without truncation)
+    # before any is written, and files created before a failed open are
+    # removed, so a refusal or a failed open leaves every destination as it
+    # was. A regular file is then overwritten; any other destination, such as
+    # /dev/null, a FIFO or a terminal, is written as it is.
     real = [os.path.realpath(path) for path, _ in outputs if path is not None]
     if len(set(real)) < len(real):
         raise ValueError("two output destinations name the same file")
@@ -108,14 +111,9 @@ def _emit_all(outputs) -> None:
             sys.stdout.write(text)
     for fh, _, _, text in opened:
         with fh:
-            if fh.seekable():
-                fh.seek(0)
-                fh.truncate()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _seed_of(args) -> RngSeed:
@@ -125,7 +123,7 @@ def _seed_of(args) -> RngSeed:
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple:
     alphas = [_parse_alpha(a) for a in (args.alpha or ["1"])]
     u = load_matrix(args.input)
     sc = s_coefficients(u, allow_large=args.allow_large_n)
@@ -138,8 +136,7 @@ def _cmd_bounds(args) -> int:
         "q_truncations": [[float(v) for v in t] for t in mv.truncations],
         "reports": [_ladder_report(sc, mv, a).to_json() for a in alphas],
     }
-    _emit_all(((args.output, _dump_json(obj)),))
-    return 0
+    return 0, [(args.output, obj)]
 
 
 _FAMILY_RE = re.compile(r"perm_power(?::(\d+)|\((\d+)\))")
@@ -165,7 +162,7 @@ def _parse_range(token: str):
     return lo, hi
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     dim, build = _parse_family(args.family)
     lo, hi = _parse_range(args.range)
     if args.steps < 2:
@@ -184,11 +181,10 @@ def _cmd_sweep(args) -> int:
             cells = [repr(t), str(_order_json(a)), repr(float(rep.b_deutsch[i])), repr(float(rep.b_mu[i]))]
             cells += [repr(float(v)) for v in rep.ladder[i]]
             lines.append(",".join(cells))
-    _emit_all(((args.output, "\n".join(lines) + "\n"),))
-    return 0
+    return 0, [(args.output, lines)]
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple:
     alpha = _parse_alpha(args.alpha)
     # the records come through this module's cross_section_scan, which
     # bench/tracer.py wraps; cells carry 12 significant digits, and an
@@ -203,29 +199,26 @@ def _cmd_scan(args) -> int:
         "%s,%s,1,%.12g,%.12g,%.12g" % (shown[a], shown[b], mu, b2, d) if ok else "%s,%s,0,,," % (shown[a], shown[b])
         for a, b, ok, mu, b2, d in records
     ]
-    _emit_all(((args.output, "\n".join(lines) + "\n"),))
-    return 0
+    return 0, [(args.output, lines)]
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> tuple:
     alpha = _parse_alpha(args.alpha)
     k = args.n - 1 if args.k is None else args.k
     gap_alpha = None if args.gap_hist is None else alpha
     result, stats = _beat_and_gaps(args.n, args.samples, _seed_of(args), k, gap_alpha)
-    outputs = [(args.output, _dump_json(result.to_json()))]
+    outputs = [(args.output, result.to_json())]
     if stats is not None:
         lo, hi, cnt = stats.hist_mu
         lines = ["bin_lo,bin_hi,count"]
         lines += [f"{repr(float(a))},{repr(float(b))},{int(c)}" for a, b, c in zip(lo, hi, cnt)]
-        outputs.append((args.gap_hist, "\n".join(lines) + "\n"))
-    _emit_all(outputs)
-    return 0
+        outputs.append((args.gap_hist, lines))
+    return 0, outputs
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> tuple:
     report = majorization_fuzz(args.n, args.pairs, _seed_of(args))
-    _emit_all(((args.output, _dump_json(report.to_json())),))
-    return 0 if report.violations == 0 else 1
+    return (0 if report.violations == 0 else 1), [(args.output, report.to_json())]
 
 
 def _load_stochastic(path) -> np.ndarray:
@@ -235,7 +228,7 @@ def _load_stochastic(path) -> np.ndarray:
     return t.real.copy()
 
 
-def _cmd_classical(args) -> int:
+def _cmd_classical(args) -> tuple:
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
     t = _load_stochastic(args.input)
@@ -254,8 +247,7 @@ def _cmd_classical(args) -> int:
             mixture_inequalities_hold=bool(ok_pair),
             bound_holds=bool(ok_bound),
         )
-        _emit_all(((args.output, _dump_json(obj)),))
-        return 0 if (ok_pair and ok_bound) else 1
+        return (0 if (ok_pair and ok_bound) else 1), [(args.output, obj)]
     g = generator(_seed_of(args))
     worst = [math.inf] * 3
     # P rows in ensemble-sized chunks, drawn in the per-sample order
@@ -274,8 +266,7 @@ def _cmd_classical(args) -> int:
         min_slack_bound=worst_bound,
         all_hold=bool(all_hold),
     )
-    _emit_all(((args.output, _dump_json(obj)),))
-    return 0 if all_hold else 1
+    return (0 if all_hold else 1), [(args.output, obj)]
 
 
 # --- verify suite -------------------------------------------------------------
@@ -475,19 +466,13 @@ _VERIFY_CHECKS = (
 )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     seed = _seed_of(args)
-    failures = 0
-    for name, check in _VERIFY_CHECKS:
-        ok, detail = check(seed)
-        if ok:
-            print(f"PASS  {name}")
-        else:
-            failures += 1
-            print(f"FAIL  {name}: {detail}")
-    total = len(_VERIFY_CHECKS)
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
+    results = [(name, *check(seed)) for name, check in _VERIFY_CHECKS]
+    lines = [f"PASS  {name}" if ok else f"FAIL  {name}: {detail}" for name, ok, detail in results]
+    passed = sum(ok for _, ok, _ in results)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return (0 if passed == len(results) else 1), [(None, lines)]
 
 
 # --- parser -------------------------------------------------------------------
@@ -565,10 +550,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a subcommand returns its exit code and (destination, content)
+        # pairs, each content a JSON object or lines of text
+        code, outputs = args.func(args)
+        dump = functools.partial(json.dumps, indent=2, sort_keys=True)
+        _emit_all([(path, (dump(c) if isinstance(c, dict) else "\n".join(c)) + "\n") for path, c in outputs])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -105,9 +105,11 @@ def birkhoff_matrix(p: BirkhoffPoint) -> np.ndarray:
 
     For a stack of points, one matrix per point on the trailing axes.
     """
-    shift = cyclic_shift(3).real
-    a, b = np.asarray(p.a)[..., None, None], np.asarray(p.b)[..., None, None]
-    return a * shift + b * (shift @ shift) + (1.0 - a - b) * np.eye(3)
+    # the weights 1 - a - b, a and b gathered onto the patterns of I, P and
+    # P^2, as float64; adding 0.0 turns a weight of -0.0 into the 0.0 that
+    # the sum a P + b P^2 + (1 - a - b) I gives there
+    a, b = np.asarray(p.a), np.asarray(p.b)
+    return np.add(np.stack([1.0 - a - b, a, b], -1), 0.0, dtype=float)[..., [[0, 1, 2], [2, 0, 1], [1, 2, 0]]]
 
 
 def _check_bistochastic_3(b) -> np.ndarray:

@@ -222,13 +222,9 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k: int, alpha):
     # gives the gaps, and at (k, alpha) = (n - 1, 1) the two are one ladder.
     # Without gaps, the kernel stops each row at the first rung j whose s_1..
     # s_j decide its win or loss (_decided), or at rung k, where every row
-    # stops; only the rows that reach rung k are counted below. The stop
-    # rule runs before the first entry of each rung k that has plan entries,
-    # so never at N <= 3. It gets a copy of the final s_1..s_{k-1} of the
-    # rows still in the loop, so writing into it changes nothing. A row it
-    # stops returns its prefix, then NaN. Rows whose chain has reached 1
-    # leave before the rule sees them. The gaps read full chains. Returns
-    # (BeatRateResult, GapStats or None).
+    # stops; only the rows that reach rung k are counted below (the rule's
+    # contract is in s_coefficients_batch's docstring). The gaps read full
+    # chains. Returns (BeatRateResult, GapStats or None).
     _check_ensemble(n, samples, "samples")
     if not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")

@@ -879,13 +879,10 @@ def _finalize(s: np.ndarray) -> np.ndarray:
     # rule runs), and after the last rung on the full chains of the rows
     # still in the loop. A saturated row's s from k on is then written as
     # exactly 1, so the check does not see it (it can fire less, never on a
-    # valid input). The stop rule runs before the first entry of each rung k
-    # that has plan entries, so never at N <= 3. It gets a copy of the final
-    # s_1..s_{k-1} of the rows still in the loop, so writing into it changes
-    # nothing. A row it stops returns its prefix, then NaN. Rows whose chain
-    # has reached 1 leave before the rule sees them. Each entry depends on
-    # its prefix alone, so a finalized prefix has the bits of the finalized
-    # chain's, and a row that stays is overwritten with its own bits later.
+    # valid input). Each entry depends on its prefix alone, so a finalized
+    # prefix has the bits of the finalized chain's, and a row that stays is
+    # overwritten with its own bits later. What the stop rule sees is stated
+    # once, in s_coefficients_batch's docstring.
     fixed = np.maximum.accumulate(np.minimum(s, 1.0), axis=-1)
     repair = float(np.abs(fixed - s).max(initial=0.0))
     if not repair <= UNITARITY_TOL:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -447,6 +448,62 @@ def test_mc_same_destination_twice_writes_nothing(tmp_path, capsys):
         assert same.read_text() == "old\n"
 
 
+def _devnull_is_a_device():
+    try:
+        return stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    except OSError:
+        return False
+
+
+def _each_subcommand(tmp_path):
+    # one small run of every subcommand that takes --output
+    unitary, stochastic = tmp_path / "u.json", tmp_path / "t.json"
+    save_matrix(unitary, fourier_matrix(4))
+    save_matrix(stochastic, np.full((3, 3), 1.0 / 3.0))
+    return (
+        ["bounds", "--input", str(unitary)],
+        ["sweep", "--family", "rotation", "--range", "0:1", "--steps", "5"],
+        ["scan", "--grid-step", "0.1"],
+        ["mc", "--n", "3", "--samples", "50"],
+        ["fuzz", "--n", "3", "--pairs", "20"],
+        ["classical", "--input", str(stochastic), "--samples", "20"],
+    )
+
+
+@pytest.mark.skipif(not _devnull_is_a_device(), reason="os.devnull is not a character device")
+def test_output_to_devnull_succeeds(tmp_path, capsys):
+    # a destination that is not a regular file is written without a truncate
+    for argv in _each_subcommand(tmp_path):
+        assert run(capsys, *argv, "--output", os.devnull) == (0, "", ""), argv
+    code, out, err = run(capsys, "mc", "--n", "3", "--samples", "50", "--gap-hist", os.devnull)
+    assert code == 0 and err == ""
+    assert json.loads(out)["samples"] == 50
+    # two destinations naming the one device are still refused
+    code, out, err = run(capsys, "mc", "--n", "3", "--samples", "50", "--gap-hist", os.devnull, "--output", os.devnull)
+    assert code == 2 and out == "" and "two output destinations name the same file" in err
+
+
+def test_output_overwrites_longer_file(tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    for argv in _each_subcommand(tmp_path):
+        code, expected, _ = run(capsys, *argv)
+        out_path.write_text("x" * 100 + "\n" + expected * 3)
+        assert run(capsys, *argv, "--output", str(out_path)) == (code, "", ""), argv
+        assert out_path.read_text() == expected, argv
+
+
+def test_verify_writes_nothing_when_a_check_raises(monkeypatch, capsys):
+    # the report is written once every check has run
+    def broken(seed):
+        raise ValueError("broken check")
+
+    passing = cli._VERIFY_CHECKS[-1]
+    monkeypatch.setattr(cli, "_VERIFY_CHECKS", (passing, ("broken", broken), passing))
+    assert run(capsys, "verify") == (2, "", "error: broken check\n")
+    monkeypatch.setattr(cli, "_VERIFY_CHECKS", (passing, ("failing", lambda seed: (False, "why"))))
+    assert run(capsys, "verify") == (1, "PASS  scan-smoke\nFAIL  failing: why\n1/2 checks passed\n", "")
+
+
 def test_classical_rejects_nonpositive_samples(tmp_path, capsys):
     path = tmp_path / "t.json"
     save_matrix(path, np.eye(3))
@@ -784,7 +841,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 78
+    assert len(pinned) == 79
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -804,8 +861,9 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # orders other than 1, two at steps that do not divide 1, 2 for the
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
     # chunked classical samples, 4 for the wins-only ensembles, whose draws
-    # stop at their deciding rung, and 4 for the refused inputs, last
-    assert len(first) == 66
+    # stop at their deciding rung, 1 for the ensemble written to os.devnull,
+    # and 4 for the refused inputs, last
+    assert len(first) == 67
     assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
     assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
     assert tool.run() == first

@@ -346,6 +346,33 @@ def test_birkhoff_stack_is_pointwise():
         assert np.array_equal(row, single_links) and ok == single_ok == unistochastic_check_3(mat)
 
 
+def test_birkhoff_matrix_has_the_bits_of_the_product_sum():
+    # a P + b P^2 + (1 - a - b) I summed as three full products, against the
+    # gather of the three weights, on scan grids, random points, the corners
+    # and weights of -0.0 and of rounding debris
+    shift = cyclic_shift(3).real
+
+    def product_sum(a, b):
+        a, b = np.asarray(a)[..., None, None], np.asarray(b)[..., None, None]
+        return a * shift + b * (shift @ shift) + (1.0 - a - b) * np.eye(3)
+
+    points = []
+    for step in (0.1, 0.05, 0.03, 0.0333, 0.07, 0.01):
+        i, j = np.divmod(np.arange(int(1 / step + 1) ** 2), int(1 / step + 1))
+        inside = i + j <= 1 / step
+        points.append((i[inside] * step, j[inside] * step))
+    ab = np.random.default_rng(SEED).dirichlet(np.ones(3), size=2000)[:, :2]
+    points.append((ab[:, 0], ab[:, 1]))
+    points += [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1 / 3, 1 / 3), (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0)]
+    points += [(-NEGATIVE_CLAMP, 0.4), (0.6, -NEGATIVE_CLAMP), (0.5, 0.5 + NEGATIVE_CLAMP)]
+    # integer and float32 weights, whose 1 - a - b the sum takes in their own type
+    points += [(0, 1), (np.array([0, 1]), np.array([0, 0])), (ab[:50, 0].astype(np.float32), ab[:50, 1].astype(np.float32))]
+    for a, b in points:
+        got, want = birkhoff_matrix(BirkhoffPoint(a, b)), product_sum(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (a, b)
+
+
 def test_birkhoff_stack_names_the_first_point_outside():
     with pytest.raises(ValueError, match=r"point \(0.7, 0.4\) outside the simplex"):
         BirkhoffPoint(np.array([0.2, 0.7, 0.9]), np.array([0.3, 0.4, 0.5]))

@@ -201,6 +201,9 @@ def command_set(workdir: str) -> list:
         ["mc", "--n", "8", "--samples", "200", "--seed", "3"],
         ["mc", "--n", "8", "--samples", "200", "--seed", "3", "--k", "3"],
     ]
+    # a destination that is not a regular file, written without a truncate,
+    # so stdout and stderr stay empty
+    commands.append(["mc", "--n", "3", "--samples", "200", "--seed", "3", "--output", os.devnull])
     # refused inputs, which exit 2 with one line on stderr: a negative
     # weight, a row-stochastic T, a non-unitary U and a weight vector of the
     # wrong length
