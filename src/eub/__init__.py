@@ -8,6 +8,8 @@ sums. Classical column-stochastic analogues and an extremal two-subspace
 lemma round out the toolkit.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     MajorizingVector,
@@ -88,66 +90,5 @@ from .submatrices import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeatRateResult",
-    "BirkhoffPoint",
-    "BoundReport",
-    "EquivalenceTransform",
-    "FuzzReport",
-    "GapStats",
-    "MajorizingVector",
-    "RngSeed",
-    "ScanRecord",
-    "SubmatrixCoefficients",
-    "SubspacePair",
-    "apply_transform",
-    "beat_rate",
-    "birkhoff_matrix",
-    "bound_deutsch",
-    "bound_gap_stats",
-    "bound_ladder",
-    "bound_mu",
-    "canonical_rotation_angle",
-    "check_probability_vector",
-    "check_stochastic",
-    "classical_bound",
-    "classical_mixture_entropy",
-    "cross_gram",
-    "cross_section_scan",
-    "cyclic_shift",
-    "dephase",
-    "deutsch_max_product",
-    "eur_lhs",
-    "fourier_matrix",
-    "haar_unitary",
-    "is_unitary",
-    "ladder_from_coefficients",
-    "largest_singular_value",
-    "lemma_max_value",
-    "lift_residual",
-    "load_matrix",
-    "majorization_fuzz",
-    "majorizes",
-    "majorizing_vector",
-    "matrix_from_json",
-    "matrix_to_json",
-    "max_norm_over_shape",
-    "maximizing_state",
-    "pair_objective",
-    "perm_matrix",
-    "permutation_power",
-    "random_transform",
-    "renyi_entropy",
-    "require_unitary",
-    "rotation_matrix",
-    "s_coefficients",
-    "s_coefficients_batch",
-    "save_matrix",
-    "schur_concavity_witness",
-    "slomczynski_check",
-    "submatrix",
-    "tensor_product",
-    "unistochastic_check_3",
-    "unistochastic_lift_3",
-    "unitarity_residual",
-]
+# the names imported above, bar private ones and submodules, sorted
+__all__ = sorted(k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType)))

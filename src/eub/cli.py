@@ -5,7 +5,7 @@ is JSON or CSV written to --output (stdout by default) and is
 byte-identical across reruns with the same arguments, seeds included.
 
 Exit codes: 0 success, 1 property or assertion failure, 2 input or
-validation error.
+validation error, an unallocatable request included.
 """
 
 from __future__ import annotations
@@ -162,6 +162,17 @@ def _parse_range(token: str):
     return lo, hi
 
 
+# A sweep's memory grows with its steps x N^2 matrix entries. To os.devnull
+# (2-core box, one BLAS thread) one in-process `eub sweep` over 0:1 took
+# 7.9-9.9 us and 436-461 bytes of peak RSS growth a point for rotation
+# (N = 2; 1e5 and 1e6 steps), 78-85 us and 4.8-4.9 kB for perm_power:6
+# (2e4 and 1e5 steps) and 0.23 s and 20 kB for perm_power:12 (1e3 steps),
+# about 110-140 bytes an entry. At this limit that is about 0.76 GB and 17 s
+# at N = 2, 0.95 GB and 15 s at N = 6, and under 1 GB and 3 hours at N = 12;
+# a larger sweep is refused before its grid is built.
+MAX_SWEEP_ENTRIES = 7_000_000
+
+
 def _cmd_sweep(args) -> tuple:
     dim, build = _parse_family(args.family)
     lo, hi = _parse_range(args.range)
@@ -169,6 +180,9 @@ def _cmd_sweep(args) -> tuple:
         raise ValueError("steps must be >= 2 (inclusive grid point count)")
     alphas = [_parse_alpha(a) for a in (args.alpha or ["1"])]
     _enumeration_guard(dim, args.allow_large_n)  # before any N x N build
+    entries = args.steps * dim * dim
+    if entries > MAX_SWEEP_ENTRIES:
+        raise ValueError(f"steps {args.steps} at N = {dim} give {entries} entries, more than the limit {MAX_SWEEP_ENTRIES}")
     ts = [lo + (hi - lo) * i / (args.steps - 1) for i in range(args.steps)]
     sc = _checked_coefficients(np.array([build(t) for t in ts]), args.allow_large_n)
     mv = majorizing_vector(sc)
@@ -555,8 +569,9 @@ def main(argv=None) -> int:
         code, outputs = args.func(args)
         dump = functools.partial(json.dumps, indent=2, sort_keys=True)
         _emit_all([(path, (dump(c) if isinstance(c, dict) else "\n".join(c)) + "\n") for path, c in outputs])
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # an unallocatable request is an input error too; MemoryError() has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return code
 

@@ -356,12 +356,8 @@ def _necklaces(dim: int, k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _triu(dim: int):
-    # Upper-triangle pairs (i, j), i <= j, in row-major order, and the map
-    # from (i, j) to the pair's position in that order.
-    iu, ju = np.triu_indices(dim)
-    pos = np.zeros((dim, dim), dtype=int)
-    pos[iu, ju] = np.arange(iu.size)
-    return _read_only(iu, ju, pos)
+    # Upper-triangle pairs (i, j), i <= j, in row-major order; cached, so read-only.
+    return _read_only(*np.triu_indices(dim))
 
 
 def _indicator(dim: int, cols: np.ndarray) -> np.ndarray:
@@ -377,7 +373,7 @@ def _pair_products(u3: np.ndarray):
     Shape (batch, N(N+1)/2, N) each, pairs in ``_triu(N)`` order: the
     per-column outer products that ``_column_grams`` sums over column sets.
     """
-    iu, ju, _ = _triu(u3.shape[1])
+    iu, ju = _triu(u3.shape[1])
     a, b = u3[:, iu], u3[:, ju]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # Real arithmetic, since numpy's complex multiply does not round alike at
@@ -448,7 +444,7 @@ def _upper_triangles(re, im, m):
     # Complex m x m matrices from their upper triangles, re and im of shape
     # (m (m + 1) / 2, matrices) in _triu(m) order; the lower triangles stay
     # zero, so only eigvalsh(UPLO="U") may read them
-    ti, tj, _ = _triu(m)
+    ti, tj = _triu(m)
     g = np.zeros((re.shape[1], m, m), dtype=complex)
     g.real[:, ti, tj], g.imag[:, ti, tj] = re.T, im.T
     return g
@@ -466,19 +462,14 @@ def _may_attain(mu: np.ndarray, gap: np.ndarray) -> np.ndarray:
     return ~(mu > gap)
 
 
-@functools.lru_cache(maxsize=64)
-def _mask_order(dim: int, k: int):
-    # The bitmasks of the k-subsets of range(dim), sorted, and the rank of
-    # each in _combinations order; cached, so read-only.
-    masks = (1 << _combinations(dim, k)).sum(axis=1)
-    order = np.argsort(masks)
-    return _read_only(masks[order], order)
-
-
 def _subset_rank(dim: int, subsets: np.ndarray) -> np.ndarray:
-    # Rank in _combinations(dim, k) of each k-subset on the last axis
-    masks, order = _mask_order(dim, subsets.shape[-1])
-    return order[np.searchsorted(masks, (1 << subsets).sum(axis=-1))]
+    # Rank in _combinations(dim, k) of each k-subset c_0 < ... < c_(k-1) on
+    # the last axis: C(dim, k) - 1 - sum_i C(dim - 1 - c_i, k - i), read from
+    # binom[a, i] = C(a, k - i). Exact while C(dim, k) fits int64, as it
+    # does for every k at dim <= 62, the limit of _necklaces' masks.
+    k = subsets.shape[-1]
+    binom = np.array([[math.comb(a, k - i) for i in range(k)] for a in range(dim)], dtype=int)
+    return math.comb(dim, k) - 1 - binom[dim - 1 - subsets, np.arange(k)].sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -762,12 +753,14 @@ def _class_tables(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
     # The tables a kernel reads for the blocks U[R, C], R a row of rows and C
     # of cols, read-only: the indicator of cols, the pair positions of each
     # row set's upper triangle, and for rows of four or more indices the
-    # complement-set ranks, else None (see _class_plan)
+    # complement-set ranks, else None (see _class_plan). Pair (i, j) sits at
+    # i (2 dim + 1 - i) / 2 + j - i in _triu(dim) order.
     p = rows.shape[1]
-    ti, tj, _ = _triu(p)
+    ti, tj = _triu(p)
+    i, j = rows[:, ti], rows[:, tj]
     indicator = _indicator(dim, cols)
     sets = _read_only(_complement_sets(indicator, p)) if p >= 4 else None
-    return *_read_only(indicator, _triu(dim)[2][rows[:, ti], rows[:, tj]].T), sets
+    return *_read_only(indicator, (i * (2 * dim + 1 - i) // 2 + j - i).T), sets
 
 
 def _closed_form_max(tables, transposed, rows, indicator, entries):

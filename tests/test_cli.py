@@ -279,6 +279,26 @@ def test_sweep_refuses_large_n_before_building(capsys, monkeypatch):
     assert code == 2 and err == "error: built a 13 x 13 matrix\n"
 
 
+def test_sweep_refuses_a_grid_past_the_limit_before_building(capsys, monkeypatch):
+    """The smallest refused count of each family exits 2 with one line that
+    names the entries and the limit, before any matrix is built; the largest
+    accepted count reaches the build."""
+
+    def refuse(*args):
+        raise RuntimeError(f"built a matrix at {args}")
+
+    monkeypatch.setattr(cli, "rotation_matrix", refuse)
+    monkeypatch.setattr(cli, "permutation_power", refuse)
+    limit = cli.MAX_SWEEP_ENTRIES
+    for family, dim in (("rotation", 2), ("perm_power:6", 6)):
+        steps = limit // (dim * dim) + 1
+        code, out, err = run(capsys, "sweep", "--family", family, "--range", "0:1", "--steps", str(steps))
+        assert (code, out) == (2, "")
+        assert err == f"error: steps {steps} at N = {dim} give {steps * dim * dim} entries, more than the limit {limit}\n"
+        with pytest.raises(RuntimeError, match="built a matrix"):
+            main(["sweep", "--family", family, "--range", "0:1", "--steps", str(steps - 1)])
+
+
 def test_negative_zero_order_prints_signless(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--family", "rotation", "--range", "0:1", "--steps", "2", "--alpha", "-0")
     assert code == 0
@@ -404,6 +424,20 @@ def test_mc_rejects_bad_alpha_before_sampling(tmp_path, capsys):
         assert code == 2 and out == ""
         assert "cannot parse entropy order" in err
     assert not out_path.exists() and not hist_path.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB for an array", ""])
+def test_mc_unallocatable_request_is_an_input_error(tmp_path, capsys, monkeypatch, message):
+    # exit 2 with one error line, as for a ValueError, and no file written;
+    # a bare MemoryError() has no text of its own
+    def refuse(*args):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(cli, "_beat_and_gaps", refuse)
+    hist_path = tmp_path / "h.csv"
+    code, out, err = run(capsys, "mc", "--n", "3", "--samples", "10000000000000", "--gap-hist", str(hist_path))
+    assert (code, out) == (2, "") and err == f"error: {message or 'out of memory'}\n"
+    assert not hist_path.exists()
 
 
 def test_mc_unopenable_destination_writes_nothing(tmp_path, capsys):
@@ -841,7 +875,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 79
+    assert len(pinned) == 80
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -862,10 +896,11 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
     # chunked classical samples, 4 for the wins-only ensembles, whose draws
     # stop at their deciding rung, 1 for the ensemble written to os.devnull,
-    # and 4 for the refused inputs, last
-    assert len(first) == 67
-    assert [line.split("  ")[1] for line in first[-4:]] == ["2"] * 4
-    assert all(line.split("  ")[1] in ("0", "-") for line in first[:-4])
+    # and 5 for the refused inputs, last: the smallest rotation sweep past
+    # the limit and four bad matrices or weights
+    assert len(first) == 68
+    assert [line.split("  ")[1] for line in first[-5:]] == ["2"] * 5
+    assert all(line.split("  ")[1] in ("0", "-") for line in first[:-5])
     assert tool.run() == first
     if header != tool.environment():
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")

@@ -527,15 +527,48 @@ def _plan_tables_hold(dim, p, rows, cols, indicator, entries, sets):
     # each column set's complement, in lexicographic order
     assert rows.shape[1] == p and not any(a.flags.writeable for a in (rows, cols, indicator, entries))
     assert indicator.shape == (dim, len(cols)) and np.array_equal(np.nonzero(indicator.T)[1].reshape(cols.shape), cols)
-    iu, ju = np.triu_indices(dim)
-    ti, tj = np.triu_indices(p)
-    assert np.array_equal(iu[entries].T, rows[:, ti]) and np.array_equal(ju[entries].T, rows[:, tj])
+    _pair_positions_hold(dim, rows, entries)
     assert (sets is None) == (p < 4)
     if sets is not None:
         assert not sets.flags.writeable
         rest = [sorted(set(range(dim)) - set(c)) for c in cols]
         want = np.array([list(itertools.combinations(r, p)) for r in rest]).swapaxes(0, 1)
         assert np.array_equal(_combinations(dim, p)[sets], want)
+
+
+def _pair_positions_hold(dim, rows, entries):
+    # entries holds, for each row set, the positions of its upper-triangle
+    # pairs (i, j) in np.triu_indices(N) order
+    iu, ju = np.triu_indices(dim)
+    ti, tj = np.triu_indices(rows.shape[1])
+    assert np.array_equal(iu[entries].T, rows[:, ti]) and np.array_equal(ju[entries].T, rows[:, tj])
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_subset_rank_is_the_row_index(dim):
+    for k in range(dim + 1):
+        table = _combinations.__wrapped__(dim, k)  # uncached: N = 20 holds 2^20 subsets
+        assert np.array_equal(submatrices._subset_rank(dim, table), np.arange(len(table))), k
+
+
+def test_subset_rank_is_exact_at_62(monkeypatch):
+    """Up to N = 62, where C(N, k) still fits int64, against the count of
+    the lexicographically smaller subsets in Python integers, and without
+    listing the subsets (C(62, 31) is about 4.7e17)."""
+
+    def refuse(*args):
+        raise AssertionError(f"listed the subsets {args}")
+
+    monkeypatch.setattr(submatrices, "_combinations", refuse)
+    g = np.random.default_rng(SEED)
+    for k in (1, 2, 30, 31, 32, 61, 62):
+        subsets = np.array([np.arange(k), np.arange(62 - k, 62)] + [np.sort(g.choice(62, k, replace=False)) for _ in range(20)])
+        want = [
+            sum(math.comb(61 - x, k - 1 - i) for i, c in enumerate(subset) for x in range(subset[i - 1] + 1 if i else 0, c))
+            for subset in subsets.tolist()
+        ]
+        got = submatrices._subset_rank(62, subsets)
+        assert got.dtype == np.int64 and got.tolist() == want and want[:2] == [0, math.comb(62, k) - 1], k
 
 
 BLOCK_MAX_INPUTS = {
@@ -1265,7 +1298,8 @@ def test_every_table_is_read_on_consecutive_rungs(dim, syms):
     orientation and each minor table, sit on consecutive rungs. So release,
     which keeps what the rest of the entry's rung and the next rung read,
     drops every table right after its last reader in the whole plan. Past
-    the guard only F_N's symmetry: plans without one hold hundreds of MB."""
+    the guard only F_N's symmetry: plans without one hold hundreds of MB.
+    Also each entry's pair positions, up to N = 16."""
     tables = submatrices._CallTables(np.zeros((1, dim, dim), dtype=complex))
     for sym in syms:
         sym = tuple(bool(x) for x in sym)
@@ -1279,6 +1313,7 @@ def test_every_table_is_read_on_consecutive_rungs(dim, syms):
             assert rungs == set(range(min(rungs), max(rungs) + 1)), (sym, key, sorted(rungs))
         plan = _full_plan(dim, sym)
         for i, (k, *entry) in enumerate(plan):
+            _pair_positions_hold(dim, entry[3], entry[6])
             read = set().union(*(tables.reads(e[1:]) for e in plan[: i + 1]))
             later = set().union(*(tables.reads(e[1:]) for e in plan[i + 1 :]))
             tables.held = dict.fromkeys(read)

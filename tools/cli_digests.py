@@ -35,7 +35,7 @@ import tempfile
 import numpy as np
 
 import eub
-from eub.cli import main
+from eub.cli import MAX_SWEEP_ENTRIES, main
 from eub.matrices import generator
 from eub.submatrices import MAX_ENUMERATION_DIM
 
@@ -204,10 +204,12 @@ def command_set(workdir: str) -> list:
     # a destination that is not a regular file, written without a truncate,
     # so stdout and stderr stay empty
     commands.append(["mc", "--n", "3", "--samples", "200", "--seed", "3", "--output", os.devnull])
-    # refused inputs, which exit 2 with one line on stderr: a negative
-    # weight, a row-stochastic T, a non-unitary U and a weight vector of the
-    # wrong length
+    # refused inputs, which exit 2 with one line on stderr: the smallest
+    # rotation sweep past the limit (refused before its grid is built), a
+    # negative weight, a row-stochastic T, a non-unitary U and a weight
+    # vector of the wrong length
     commands += [
+        ["sweep", "--family", "rotation", "--range", "0:1", "--steps", str(MAX_SWEEP_ENTRIES // 4 + 1)],
         ["classical", "--input", stochastic, "--p", "0.5,0.6,-0.1,0"],
         ["classical", "--input", os.path.join(workdir, "row_stochastic4.json"), "--p", "0.1,0.2,0.3,0.4"],
         ["bounds", "--input", os.path.join(workdir, "nonunitary3.json")],
