@@ -83,37 +83,41 @@ def _parse_alpha(token: str) -> float:
     return _check_order(a)
 
 
-def _emit_all(outputs) -> None:
-    # Writes every (path, text) pair, to stdout where path is None. Two paths
-    # naming one file are refused, every file is opened (without truncation)
-    # before any is written, and files created before a failed open are
-    # removed, so a refusal or a failed open leaves every destination as it
-    # was. A regular file is then overwritten; any other destination, such as
-    # /dev/null, a FIFO or a terminal, is written as it is.
-    real = [os.path.realpath(path) for path, _ in outputs if path is not None]
-    if len(set(real)) < len(real):
+def _open_all(paths, opened: dict) -> None:
+    # Opens every destination of paths that is not None (stdout) into opened,
+    # keyed by path, without truncation, so that the caller can _discard them
+    # if a later open or its run fails. Two paths naming one file are refused
+    # before any is opened.
+    named = [path for path in paths if path is not None]
+    if len(set(map(os.path.realpath, named))) < len(named):
         raise ValueError("two output destinations name the same file")
-    opened = []
-    try:
-        for path, text in outputs:
-            if path is not None:
-                created = not os.path.exists(path)
-                fh = open(path, "a", encoding="utf-8", newline="\n")
-                opened.append((fh, path, created, text))
-    except OSError:
-        for fh, path, created, _ in opened:
-            fh.close()
-            if created:
-                os.remove(path)
-        raise
+    for path in named:
+        created = not os.path.exists(path)
+        opened[path] = (open(path, "a", encoding="utf-8", newline="\n"), created)
+
+
+def _discard(opened: dict) -> None:
+    # Closes the files of _open_all and removes those it created, so every
+    # destination is left as it was
+    for path, (fh, created) in opened.items():
+        fh.close()
+        if created:
+            os.remove(path)
+
+
+def _write_all(opened: dict, outputs) -> None:
+    # Writes every (path, text) pair, to stdout where path is None and else
+    # to its file of _open_all. A regular file is overwritten; any other
+    # destination, such as /dev/null, a FIFO or a terminal, is written as it
+    # is.
     for path, text in outputs:
         if path is None:
             sys.stdout.write(text)
-    for fh, _, _, text in opened:
-        with fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            fh.write(text)
+        else:
+            with opened[path][0] as fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
 
 
 def _seed_of(args) -> RngSeed:
@@ -563,12 +567,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    opened = {}
     try:
-        # a subcommand returns its exit code and (destination, content)
-        # pairs, each content a JSON object or lines of text
-        code, outputs = args.func(args)
+        # every destination is opened before the subcommand runs, so an
+        # unusable one is refused before any work; a refused open or a
+        # failed run leaves every destination as it was. A subcommand
+        # returns its exit code and (destination, content) pairs, each
+        # content a JSON object or lines of text
+        try:
+            _open_all([getattr(args, "output", None), getattr(args, "gap_hist", None)], opened)
+            code, outputs = args.func(args)
+        except BaseException:
+            _discard(opened)
+            raise
         dump = functools.partial(json.dumps, indent=2, sort_keys=True)
-        _emit_all([(path, (dump(c) if isinstance(c, dict) else "\n".join(c)) + "\n") for path, c in outputs])
+        _write_all(opened, [(path, (dump(c) if isinstance(c, dict) else "\n".join(c)) + "\n") for path, c in outputs])
     except (ValueError, OSError, MemoryError) as exc:
         # an unallocatable request is an input error too; MemoryError() has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

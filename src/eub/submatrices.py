@@ -169,15 +169,23 @@ from .matrices import (
     largest_singular_value,
 )
 
-# Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), about
-# 6x per step in N here. One s_coefficients call, each in a fresh process
-# (2-core Xeon, one BLAS thread, three processes each; the box's speed swings
-# by up to 1.5x), took 29-42 ms, 109-118 ms and 0.43-0.50 s at N = 10, 11 and
-# 12 on a Haar draw (42-52 MB peak RSS), 3-4, 11-17 and 8-12 ms on F_N, whose
-# chain is 1 from k = 6 on at N = 10 and 12, and 16, 41-43 and 124-150 ms on
-# P_N^(1/2), whose translation symmetry lets the kernel visit one block per
-# orbit (at N = 12 over every block: 60-80 ms and 0.91-0.96 s). Beyond this
-# size the caller must opt in explicitly.
+# Exhaustive enumeration scales as sum over shapes of C(N,m) C(N,n), and a
+# Haar call here about 3.5x per step in N. One s_coefficients call, each in
+# a fresh process (2-core Xeon, one BLAS thread, three processes each; the
+# box's speed swings by up to 1.5x), took 28-43 ms, 129-152 ms and 0.39-0.51
+# s at N = 10, 11 and 12 on three Haar draws each (42-52 MB peak RSS), and
+# 3-4, 11-17 and 8-12 ms on F_N, whose chain is 1 from k = 6 on at N = 10 and
+# 12. The circulants P_N^beta, whose translation symmetry lets the kernel
+# visit one block per orbit, cost most near a permutation. Over beta = 0,
+# 1/16, ..., 1 the worst case was beta = 1/16 or 15/16: 94-142 ms at N = 11
+# and 0.44-0.69 s at N = 12, as much as a Haar draw and 2-4x P_N^(1/2) by
+# median (40-45 and 117-176 ms; over every block at N = 12, F_N took 60-80
+# ms and P12^(1/2) 0.91-0.96 s). Beta = 0 and 1 took about 1 ms, their
+# chains being 1 at once. Near a permutation most blocks reach eigvalsh: at
+# P12^(1/16), 78,455 blocks of the pruned classes pass both tiers (9,292 at
+# beta = 1/2) and Cardano falls back on 55,709 of 70,642 3 x 3 blocks
+# (4,036), which took 0.37 and 0.15 s of a 0.67 s call under cProfile (0.03
+# and 0.01 of 0.09 s). Beyond this size the caller must opt in explicitly.
 MAX_ENUMERATION_DIM = 12
 
 # Sizing target, in float64 elements, for what one sub-chunk of a block
@@ -196,13 +204,14 @@ MAX_ENUMERATION_DIM = 12
 # per block that passes the det tier (the row indices and complement sums
 # it gathers, D, T, mu and their temporaries), and per matrix |U|^2 summed
 # over each complement, N C elements, under its Grams' N (N + 1) C.
-# A sub-chunk of a larger stack builds the squared minors of each row
-# sub-chunk and keeps none, which adds 10 C(N, m) per row set (a level of
-# complex minors, its two gathered operands and their product). A batch
-# sub-chunk that holds the whole stack, as on a stack of one, reads them
-# from the call's tables (_CallTables) instead, which keep one table of
+# A batch sub-chunk smaller than the stack builds its own pair products
+# and the squared minors of each row sub-chunk (_squared_minors) and keeps
+# none, which adds 10 C(N, m) per row set (a level of complex minors, its
+# two gathered operands and their product). A kernel whose one batch
+# sub-chunk holds the whole stack, as on a stack of one, reads them from
+# the call's tables (_CallTables) instead, which keep one table of
 # squared minors per orientation, m and row list, built in pieces of row
-# sets of 10 C(N, m) elements: C(N, m) elements per row set and matrix,
+# sets of 10 C(N, m) elements (_minor_table): C(N, m) elements per row set and matrix,
 # from the table's first reader to its last. At N = 10 the 4-row table (0.35 MB) lives from k = 7
 # to 9 and the 5-row one on class N's half rows (0.25 MB) at k = 9; at N =
 # 12 the 4- and 5-row tables (2.0 and 5.0 MB) overlap at k = 9-11, and the
@@ -516,13 +525,11 @@ def _complement_sets(indicator: np.ndarray, m: int) -> np.ndarray:
 
 
 def _minor_table(u3: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # _squared_minors on every row set of rows, built in pieces of row sets
-    # whose temporaries, 10 C(N, m) elements a row set (see _CHUNK_ELEMENTS),
-    # fit the budget
+    # _squared_minors on every row set of rows, for a table _CallTables
+    # holds, built in pieces of row sets whose temporaries, 10 C(N, m)
+    # elements a row set (see _CHUNK_ELEMENTS), fit the budget
     size = math.comb(u3.shape[1], rows.shape[1])
     step = max(1, _CHUNK_ELEMENTS // (len(u3) * 10 * size))
-    if step >= len(rows):
-        return _squared_minors(u3, rows)
     table = np.empty((len(u3), len(rows), size))
     for r0 in range(0, len(rows), step):
         table[:, r0 : r0 + step] = _squared_minors(u3, rows[r0 : r0 + step])
@@ -546,21 +553,21 @@ def _complement_det(minors: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 class _CallTables:
-    """The tables that the plan entries of one ``s_coefficients_batch`` call share.
+    """The whole-stack tables that the plan entries of one ``s_coefficients_batch`` call share.
 
-    The kernels read them by batch sub-chunk: the column-pair products of U,
-    or of U^T for the entries with m > n (``_pair_products``), and the
-    squared-minor tables of the pruned classes (``_minor_table``). Only a
-    sub-chunk that holds the whole stack keeps its tables for the entries
-    after it. Every entry runs that sub-chunk on a stack of one, so there one
-    table of each kind serves every entry that reads it. The sub-chunks of a
-    larger stack are sized per class, so they rarely meet: they build their
-    tables as they go, the minors per row sub-chunk, and keep none. One minor
-    table serves each orientation, m and row list, and a full list of
-    m-subsets serves both orientations, U^T's table being U's transposed.
-    After each entry, ``release`` drops the tables that neither the rest of
-    its rung nor the next rung reads. The readers of every table sit on
-    consecutive rungs, so that is right after the table's last reader.
+    These are the column-pair products of U, or of U^T for the entries with
+    m > n (``_pair_products``), and the squared-minor tables of the pruned
+    classes (``_minor_table``). A kernel reads them only when one batch
+    sub-chunk holds the whole stack, as on a stack of one, so there one
+    table of each kind serves every entry that reads it. The sub-chunks of
+    a larger stack are sized per class, so they rarely meet: the kernel
+    builds their pair products, and the squared minors of each row
+    sub-chunk, as it goes and keeps none. One minor table serves each
+    orientation, m and row list, and a full list of m-subsets serves both
+    orientations, U^T's table being U's transposed. After each entry,
+    ``release`` drops the tables that neither the rest of its rung nor the
+    next rung reads. The readers of every table sit on consecutive rungs,
+    so that is right after the table's last reader.
     """
 
     def __init__(self, u_batch: np.ndarray):
@@ -573,24 +580,18 @@ class _CallTables:
         full = len(rows) == math.comb(self.views[0].shape[1], rows.shape[1])
         return (rows.shape[1], len(rows)) if full else (rows.shape[1], len(rows), transposed)
 
-    def pairs(self, transposed: bool, chunk: slice):
-        u = self.views[transposed][chunk]
-        if len(u) < len(self.views[0]):
-            return _pair_products(u)
+    def pairs(self, transposed: bool):
         if transposed not in self.held:
-            self.held[transposed] = _pair_products(u)
+            self.held[transposed] = _pair_products(self.views[transposed])
         return self.held[transposed]
 
-    def minors(self, transposed: bool, chunk: slice, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        # the squared minors on the row sets rows[lo:hi]
-        u = self.views[transposed][chunk]
-        if len(u) < len(self.views[0]):
-            return _minor_table(u, rows[lo:hi])
+    def minors(self, transposed: bool, rows: np.ndarray) -> np.ndarray:
+        # the squared minors on every row set of rows
         key = self._minor_key(transposed, rows)
         if key not in self.held:
-            self.held[key] = (transposed, _minor_table(u, rows))
+            self.held[key] = (transposed, _minor_table(self.views[transposed], rows))
         built, table = self.held[key]
-        return (table if built == transposed else table.swapaxes(1, 2))[:, lo:hi]
+        return table if built == transposed else table.swapaxes(1, 2)
 
     def reads(self, entry: tuple) -> set:
         # the keys of the tables that a plan entry's kernel reads
@@ -769,8 +770,8 @@ def _closed_form_max(tables, transposed, rows, indicator, entries):
     The blocks are U[R, C], on U^T if ``transposed``, for R a row of
     ``rows`` (2- or 3-subsets) and C a column set of ``indicator``, with
     ``entries`` their pair positions, as ``_class_plan`` lists them; U is
-    the stack of ``tables`` (``_CallTables``), which also holds its pair
-    products. The Gram of block (R, C) is the principal
+    the stack of ``tables`` (``_CallTables``), whose pair products are read
+    when one batch sub-chunk holds the whole stack. The Gram of block (R, C) is the principal
     submatrix at R of the N x N Gram of the column set C (see
     ``_column_grams``), and its eigenvalues come from ``_top_eig_2x2`` or
     ``_top_eig_3x3``. Returns (best, least) per matrix: the largest top
@@ -778,7 +779,8 @@ def _closed_form_max(tables, transposed, rows, indicator, entries):
     source's complements read. Sub-chunks are sized as ``_CHUNK_ELEMENTS``
     says.
     """
-    batch, dim = tables.views[0].shape[0], tables.views[0].shape[1]
+    u3 = tables.views[transposed]
+    batch, dim = u3.shape[0], u3.shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     top = _top_eig_2x2 if m == 2 else _top_eig_3x3
     # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS. A stack
@@ -788,10 +790,11 @@ def _closed_form_max(tables, transposed, rows, indicator, entries):
         budget -= 2 * batch + dim * ncols + entries.size
         held, width = dim * (dim + 1) * ncols, 3 * width
     bstep = max(1, budget // (4 * dim * (dim + 1) * max(2 * dim, ncols)))
+    whole = bstep >= batch  # one batch sub-chunk, which reads the call's pair products
     best, least = np.zeros(batch), np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(tables.pairs(transposed, chunk), indicator)
+        re, im = _column_grams(tables.pairs(transposed) if whole else _pair_products(u3[chunk]), indicator)
         rstep = max(1, (budget - len(re) * held) // (len(re) * width))
         for r0 in range(0, len(rows), rstep):
             idx = entries[:, r0 : r0 + rstep]
@@ -816,8 +819,8 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     ``rows`` (m-subsets, m >= 4) and C a column set of ``indicator``, with
     ``entries`` their pair positions and ``sets`` their complements' ranks,
     as ``_class_plan`` lists them; U is the stack of ``tables``
-    (``_CallTables``), which also holds its pair products and squared
-    minors. ``floor2`` holds a squared norm per matrix already attained at
+    (``_CallTables``), whose pair products and squared minors are read when
+    one batch sub-chunk holds the whole stack. ``floor2`` holds a squared norm per matrix already attained at
     the same k. eigvalsh skips the blocks that the det tier, on
     ``_complement_det``, shows cannot reach it, then those that the AM-GM
     step shows cannot (``_may_attain``; see the module docstring), and
@@ -830,9 +833,11 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     batch, dim = u3.shape[0], u3.shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     bstep = max(1, _CHUNK_ELEMENTS // (dim * (dim + 1) * max(2 * dim, ncols)))
-    # elements per row set; a sub-chunk that holds the whole stack reads its
-    # minors from the call's table, built apart
-    width = 8 * ncols + (0 if bstep >= batch else 10 * math.comb(dim, m))
+    # one batch sub-chunk reads the call's tables, its minor table built
+    # apart; smaller ones build their own pair products and each row
+    # sub-chunk's squared minors, at 10 C(N, m) elements a row set
+    whole = bstep >= batch
+    width = 8 * ncols + (0 if whole else 10 * math.comb(dim, m))  # elements per row set
     gstep = max(1, _CHUNK_ELEMENTS // (4 * m * (m + 1)))  # blocks per eigvalsh piece
     e = dim * UNITARITY_TOL
     gap = (1.0 + e) - floor2 * (1.0 - PRUNE_SLACK)
@@ -840,11 +845,13 @@ def _pruned_max(tables, transposed, floor2, rows, indicator, entries, sets):
     best = np.zeros(batch)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
-        re, im = _column_grams(tables.pairs(transposed, chunk), indicator)
+        re, im = _column_grams(tables.pairs(transposed) if whole else _pair_products(u3[chunk]), indicator)
         rest = np.abs(u3[chunk]) ** 2 @ (1.0 - indicator)  # |U|^2 summed over each complement
         rstep = max(1, _CHUNK_ELEMENTS // (len(re) * width))
         for r0 in range(0, len(rows), rstep):
-            det = _complement_det(tables.minors(transposed, chunk, rows, r0, r0 + rstep), sets)
+            r1 = r0 + rstep
+            minors = tables.minors(transposed, rows)[:, r0:r1] if whole else _squared_minors(u3[chunk], rows[r0:r1])
+            det = _complement_det(minors, sets)
             b, r, c = np.nonzero(_may_attain(det, gap_det[chunk, None, None]))
             det = det[b, r, c]
             trace = rest[b[:, None], rows[r0 + r], c[:, None]].sum(axis=1)

@@ -482,6 +482,34 @@ def test_mc_same_destination_twice_writes_nothing(tmp_path, capsys):
         assert same.read_text() == "old\n"
 
 
+def test_unusable_destination_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # colliding and unopenable destinations exit 2 before the subcommand's
+    # work starts, which here fails the test if it is called, and leave no file
+    def never(*args, **kwargs):
+        pytest.fail("the subcommand ran")
+
+    for name in ("_beat_and_gaps", "majorization_fuzz", "cross_section_scan"):
+        monkeypatch.setattr(cli, name, never)
+    same, missing = str(tmp_path / "same.csv"), str(tmp_path / "nodir" / "x")
+    mc = ["mc", "--n", "3", "--samples", "50"]
+    for argv in (
+        [*mc, "--output", same, "--gap-hist", same],
+        [*mc, "--output", missing],
+        [*mc, "--output", str(tmp_path / "o.json"), "--gap-hist", missing],
+        [*mc, "--gap-hist", missing],
+        ["fuzz", "--n", "3", "--pairs", "20", "--output", missing],
+        ["scan", "--grid-step", "0.1", "--output", missing],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert list(tmp_path.iterdir()) == [], argv
+    # a run that fails with an error of another kind removes them too
+    monkeypatch.setattr(cli, "_beat_and_gaps", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main([*mc, "--output", str(tmp_path / "o.json"), "--gap-hist", str(tmp_path / "h.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def _devnull_is_a_device():
     try:
         return stat.S_ISCHR(os.stat(os.devnull).st_mode)
@@ -875,7 +903,7 @@ def test_cli_digests_rerun_identical(monkeypatch):
     were made with, prints those lines."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 80
+    assert len(pinned) == 81
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
@@ -896,11 +924,12 @@ def test_cli_digests_rerun_identical(monkeypatch):
     # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
     # chunked classical samples, 4 for the wins-only ensembles, whose draws
     # stop at their deciding rung, 1 for the ensemble written to os.devnull,
-    # and 5 for the refused inputs, last: the smallest rotation sweep past
-    # the limit and four bad matrices or weights
-    assert len(first) == 68
-    assert [line.split("  ")[1] for line in first[-5:]] == ["2"] * 5
-    assert all(line.split("  ")[1] in ("0", "-") for line in first[:-5])
+    # and 6 for the refused inputs, last: the smallest rotation sweep past
+    # the limit, four bad matrices or weights and two destinations naming
+    # one file
+    assert len(first) == 69
+    assert [line.split("  ")[1] for line in first[-6:]] == ["2"] * 6
+    assert all(line.split("  ")[1] in ("0", "-") for line in first[:-6])
     assert tool.run() == first
     if header != tool.environment():
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")

@@ -1557,16 +1557,22 @@ def _haar_stack(n, count, seed):
     return montecarlo._haar_batch(n, RngSeed(seed), 0, count, False)[0]
 
 
-@pytest.mark.parametrize("n,count", [(5, 700), (6, 300), (7, 64)])
+@pytest.mark.parametrize("n,count", [(5, 700), (6, 300), (7, 64), (8, 60)])
 def test_batch_sub_chunks_are_bit_identical(n, count, monkeypatch):
-    # stacks that span several batch sub-chunks of the closed-form classes
+    # stacks that span several batch sub-chunks of the closed-form classes,
+    # and at n = 8 of the pruned (4, 4) class too; such sub-chunks build
+    # their own pair products and squared minors and never read the call's
+    # tables
     batch = _haar_stack(n, count, SEED + 850 + n)
-    grams, classes = [], []
+    grams, classes, reads = [], [], []
     column_grams, closed_form_max = submatrices._column_grams, submatrices._closed_form_max
     monkeypatch.setattr(submatrices, "_column_grams", lambda pairs, ind: grams.append(len(pairs[0])) or column_grams(pairs, ind))
     monkeypatch.setattr(submatrices, "_closed_form_max", lambda *a: classes.append(1) or closed_form_max(*a))
+    for name in ("pairs", "minors"):
+        fn = getattr(submatrices._CallTables, name)
+        monkeypatch.setattr(submatrices._CallTables, name, lambda *a, name=name, fn=fn: reads.append(name) or fn(*a))
     default = s_coefficients_batch(batch)
-    assert len(grams) > 2 * len(classes) and max(grams) < count
+    assert len(grams) > 2 * len(classes) and max(grams) < count and reads == []
     monkeypatch.undo()
     for i, u in enumerate(batch):
         assert np.array_equal(s_coefficients_batch(u[None])[0], default[i])

@@ -3,8 +3,8 @@
 Runs every command of ``command_set`` in-process through ``eub.cli.main``
 and prints one line per command, ``sha256  exit  argv``, where the digest
 is of the command's stdout followed by its stderr, which is empty on
-success. Each ``mc --gap-hist`` CSV gets a line of its own with ``-`` in
-the exit column. Input matrices are written from fixed
+success. Each ``mc --gap-hist`` CSV of a run that exits 0 gets a line of
+its own with ``-`` in the exit column. Input matrices are written from fixed
 seeds to a temporary directory, which the printed argv shows as ``$TMP``,
 so two checkouts print the same lines exactly when their outputs agree:
 
@@ -206,14 +206,17 @@ def command_set(workdir: str) -> list:
     commands.append(["mc", "--n", "3", "--samples", "200", "--seed", "3", "--output", os.devnull])
     # refused inputs, which exit 2 with one line on stderr: the smallest
     # rotation sweep past the limit (refused before its grid is built), a
-    # negative weight, a row-stochastic T, a non-unitary U and a weight
-    # vector of the wrong length
+    # negative weight, a row-stochastic T, a non-unitary U, a weight vector
+    # of the wrong length and two destinations naming one file (refused
+    # before the run, and writing none)
     commands += [
         ["sweep", "--family", "rotation", "--range", "0:1", "--steps", str(MAX_SWEEP_ENTRIES // 4 + 1)],
         ["classical", "--input", stochastic, "--p", "0.5,0.6,-0.1,0"],
         ["classical", "--input", os.path.join(workdir, "row_stochastic4.json"), "--p", "0.1,0.2,0.3,0.4"],
         ["bounds", "--input", os.path.join(workdir, "nonunitary3.json")],
         ["classical", "--input", stochastic, "--p", "0.5,0.5"],
+        ["mc", "--n", "3", "--samples", "200", "--seed", "3",
+         "--output", os.path.join(workdir, "same.csv"), "--gap-hist", os.path.join(workdir, "same.csv")],
     ]
     return commands
 
@@ -239,7 +242,7 @@ def digest_lines(commands: list, workdir: str) -> list:
             code = main(argv)
         shown = " ".join(a.replace(workdir, "$TMP") for a in argv)
         lines.append(f"{_sha256((out.getvalue() + err.getvalue()).encode())}  {code}  {shown}")
-        if "--gap-hist" in argv:
+        if "--gap-hist" in argv and code == 0:
             path = argv[argv.index("--gap-hist") + 1]
             with open(path, "rb") as fh:
                 lines.append(f"{_sha256(fh.read())}  -  {path.replace(workdir, '$TMP')}")
