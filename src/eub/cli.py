@@ -86,14 +86,15 @@ def _parse_alpha(token: str) -> float:
 def _open_all(paths, opened: dict) -> None:
     # Opens every destination of paths that is not None (stdout) into opened,
     # keyed by path, without truncation, so that the caller can _discard them
-    # if a later open or its run fails. Two paths naming one file are refused
-    # before any is opened.
+    # if a later open or its run fails. Two destinations that are one file,
+    # one device and inode, as through a symbolic or hard link or the same
+    # path twice, are refused once all are open, before any is written.
     named = [path for path in paths if path is not None]
-    if len(set(map(os.path.realpath, named))) < len(named):
-        raise ValueError("two output destinations name the same file")
-    for path in named:
+    for path in dict.fromkeys(named):
         created = not os.path.exists(path)
         opened[path] = (open(path, "a", encoding="utf-8", newline="\n"), created)
+    if len({(st.st_dev, st.st_ino) for st in (os.fstat(fh.fileno()) for fh, _ in opened.values())}) < len(named):
+        raise ValueError("two output destinations name the same file")
 
 
 def _discard(opened: dict) -> None:

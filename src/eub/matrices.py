@@ -317,7 +317,7 @@ def _unit_reduce(ufunc, x: np.ndarray, axis) -> np.ndarray:
     # aside.
     axis = (axis,) if isinstance(axis, int) else tuple(axis)
     lead = np.moveaxis(x, axis, tuple(range(len(axis))))
-    entries = lead.reshape((-1,) + lead.shape[len(axis) :])
+    entries = lead.reshape((np.prod(lead.shape[: len(axis)], dtype=int),) + lead.shape[len(axis) :])
     out = np.array(entries[0], order="F")
     if ufunc.identity is not None:
         ufunc(ufunc.identity, out, out=out)

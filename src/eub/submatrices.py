@@ -85,13 +85,12 @@ sets' indicator matrix, each row set's pair positions in the N x N Grams,
 and for a pruned class the ranks of its complement sets. They are built
 with the rung's plan and cached with it, so a call builds none of them
 for a rung it has met before, and a chain that stops early builds only
-the rungs it reaches, and the next. The sets come from four
-reductions. Two are exact: every shape with m + n > N contains a
-full row or column of some unitary completion and has norm exactly 1, and
-at m + n = N a block and its complementary block share their largest
-singular value, so class N runs m <= n only and the shape (N/2, N/2) runs
-the row sets containing index 0 (unless its row sets are reduced as
-below).
+the rungs it reaches. The sets come from four reductions. Two are exact:
+every shape with m + n > N contains a full row or column of some unitary
+completion and has norm exactly 1, and at m + n = N a block and its
+complementary block share their largest singular value, so class N runs
+m <= n only and the shape (N/2, N/2) runs the row sets containing index 0
+(unless its row sets are reduced as below).
 
 A third reduction holds up to rounding. A circulant U, such as P_N^beta,
 has U[i + a, j + a] = U[i, j], and F_N has F[i + a, j + b] = x_i F[i, j]
@@ -211,18 +210,17 @@ MAX_ENUMERATION_DIM = 12
 # sub-chunk holds the whole stack, as on a stack of one, reads them from
 # the call's tables (_CallTables) instead, which keep one table of
 # squared minors per orientation, m and row list, built in pieces of row
-# sets of 10 C(N, m) elements (_minor_table): C(N, m) elements per row set and matrix,
-# from the table's first reader to its last. At N = 10 the 4-row table (0.35 MB) lives from k = 7
-# to 9 and the 5-row one on class N's half rows (0.25 MB) at k = 9; at N =
-# 12 the 4- and 5-row tables (2.0 and 5.0 MB) overlap at k = 9-11, and the
-# 6-row one (3.4 MB) is built after both are dropped.
-# It keeps each orientation's pair products too, N^2 (N + 1) elements a
-# matrix, at most an eighth of a closed-form batch sub-chunk's budget, until
-# their last reader. tracemalloc peaks of one call at N = 10, 11 and 12,
-# against building the minors per row sub-chunk: Haar 5.05, 5.84 and 10.2
-# MB (5.03, 5.82 and 6.32), P_N^(1/2) 0.85, 2.37 and 4.41 MB (0.84, 1.84
-# and 3.88). Past the guard nothing caps the tables: Haar N = 13 45.6 MB
-# (7.8), P14^(1/2) 22.1 MB (10.2).
+# sets of 10 C(N, m) elements (_minor_table): C(N, m) elements per row set
+# and matrix, held from the table's first reader until the call returns.
+# At N = 10 the 4-row table (0.35 MB) is built at k = 7 and the 5-row one
+# on class N's half rows (0.25 MB) at k = 9; at N = 12 the 4-, 5- and
+# 6-row tables (2.0, 5.0 and 3.4 MB) are all held at k = 11. It keeps each
+# orientation's pair products too, N^2 (N + 1) elements a matrix, at most
+# an eighth of a closed-form batch sub-chunk's budget. tracemalloc peaks of
+# one warm call at N = 10, 11 and 12, against building the minors per row
+# sub-chunk: Haar 5.05, 5.84 and 14.0 MB (5.05, 5.84 and 6.35), P_N^(1/2)
+# 1.01, 2.65 and 5.39 MB (0.88, 1.85 and 3.91). Nothing caps the tables:
+# past the guard Haar N = 13 45.8 MB (7.8), P14^(1/2) 32.3 MB (10.3).
 # The Grams of the blocks that pass go to eigvalsh in pieces of _CHUNK_ELEMENTS // (4 m (m + 1)) blocks: a block
 # holds its complex Gram (2 m^2 elements), its upper triangle's pair
 # positions and real and imaginary parts (1.5 m (m + 1)) and its m
@@ -564,10 +562,9 @@ class _CallTables:
     builds their pair products, and the squared minors of each row
     sub-chunk, as it goes and keeps none. One minor table serves each
     orientation, m and row list, and a full list of m-subsets serves both
-    orientations, U^T's table being U's transposed. After each entry,
-    ``release`` drops the tables that neither the rest of its rung nor the
-    next rung reads. The readers of every table sit on consecutive rungs,
-    so that is right after the table's last reader.
+    orientations, U^T's table being U's transposed. A table is built at its
+    first reader and held until the call returns, or until the exit step
+    replaces the instance for the rows that stay.
     """
 
     def __init__(self, u_batch: np.ndarray):
@@ -592,16 +589,6 @@ class _CallTables:
             self.held[key] = (transposed, _minor_table(self.views[transposed], rows))
         built, table = self.held[key]
         return table if built == transposed else table.swapaxes(1, 2)
-
-    def reads(self, entry: tuple) -> set:
-        # the keys of the tables that a plan entry's kernel reads
-        m, n, _, rows, *_, sets = entry
-        return {m > n} if sets is None else {m > n, self._minor_key(m > n, rows)}
-
-    def release(self, later: tuple) -> None:
-        # drops the held tables that no entry of later reads
-        keep = set().union(*map(self.reads, later))
-        self.held = {key: table for key, table in self.held.items() if key in keep}
 
 
 # Generators of the translations the kernel looks for, as (row, column)
@@ -969,11 +956,11 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     through one ``_finalize`` call (under ``stop``, of every row, whose
     prefixes the rule then reads from s) and goes on with the rest under a
     fresh ``_CallTables`` and the call's first symmetry. The loop ends when
-    no row is left, having built the plans of rungs up to one past the last
-    it ran, or when the last rung has run, and the rows still in it then
-    return their full chains. So without ``stop`` every row returns its
-    full chain. A chain that needs a repair larger than UNITARITY_TOL to be
-    monotone and <= 1 raises ValueError.
+    no row is left, having fetched the plans of the rungs it reached, or
+    when the last rung has run, and the rows still in it then return their
+    full chains. So without ``stop`` every row returns its full chain. A
+    chain that needs a repair larger than UNITARITY_TOL to be monotone and
+    <= 1 raises ValueError.
 
     A matrix's s depends on its stack-mates only through that symmetry,
     the generators that every matrix of the stack holds. A matrix that
@@ -1001,8 +988,7 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
     sym = tuple(_translation_symmetry(u_batch).tolist())
     s, live, u, tables = np.full(lam.shape, np.nan), np.arange(len(lam)), u_batch, _CallTables(u_batch)
     for k in range(3, dim):  # rungs 1 and 2 hold strips alone
-        rung = _class_plan(dim, sym, k)
-        for i, (m, n, serves, rows, _, indicator, entries, sets) in enumerate(rung):
+        for i, (m, n, serves, rows, _, indicator, entries, sets) in enumerate(_class_plan(dim, sym, k)):
             # the exit step, where rows leave; its first test, one
             # reduction, passes over a stack where no row has reached 1
             asks, full = stop is not None and not i, lam[:, :k].max(initial=0.0) >= 1.0
@@ -1025,6 +1011,5 @@ def s_coefficients_batch(u_batch: np.ndarray, *, stop=None) -> np.ndarray:
             else:
                 best = _pruned_max(tables, m > n, lam[:, k - 1], rows, indicator, entries, sets)
             lam[:, k - 1] = np.maximum(lam[:, k - 1], best)
-            tables.release(rung[i + 1 :] + _class_plan(dim, sym, k + 1))
     s[live] = _finalize(np.sqrt(lam))
     return s

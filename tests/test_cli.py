@@ -510,6 +510,23 @@ def test_unusable_destination_is_refused_before_the_run(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "link"), reason="no hard links here")
+def test_hard_linked_destinations_are_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # two names of one file differ as paths but share a device and inode; the
+    # run is refused before its work starts and both names keep their bytes
+    monkeypatch.setattr(cli, "_beat_and_gaps", lambda *a: pytest.fail("the subcommand ran"))
+    target, linked = tmp_path / "target.csv", tmp_path / "linked.csv"
+    target.write_bytes(b"kept\n")
+    try:
+        os.link(target, linked)
+    except OSError as exc:
+        pytest.skip(f"cannot hard-link here: {exc}")
+    code, out, err = run(capsys, "mc", "--n", "3", "--samples", "50", "--output", str(target), "--gap-hist", str(linked))
+    assert (code, out) == (2, "") and err == "error: two output destinations name the same file\n"
+    assert target.read_bytes() == linked.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linked.csv", "target.csv"]
+
+
 def _devnull_is_a_device():
     try:
         return stat.S_ISCHR(os.stat(os.devnull).st_mode)
@@ -897,44 +914,49 @@ def test_code_lines_splits_a_file_by_kind(capsys):
     assert len(rows) == len(files) + 2 and rows[-1].endswith("  total")
 
 
-def test_cli_digests_rerun_identical(monkeypatch):
-    """Every command of tools/cli_digests.py exits 0, or 2 for the refused
-    inputs, and reruns byte-identically, and, on the build the pinned lines
-    were made with, prints those lines."""
+def _large_inputs(tool):
+    # the file names of the bounds inputs at N = 10 and past, which the
+    # rerun test leaves out
+    dims = (
+        ("haar", tool.HAAR_DIMS), ("fourier", tool.FOURIER_DIMS),
+        ("perm_half", tool.PERM_HALF_DIMS), ("perm_third", tool.PERM_THIRD_DIMS),
+        ("fourier", tool.LARGE_FOURIER_DIMS), ("shift", tool.LARGE_SHIFT_DIMS),
+    )
+    return {f"{name}{n}.json" for name, ns in dims for n in ns if n >= 10}
+
+
+def _large_bounds(tool, workdir):
+    # the bounds commands on those inputs, in run order
+    large = _large_inputs(tool)
+    return [argv for argv in tool.command_set(workdir) if argv[0] == "bounds" and Path(argv[2]).name in large]
+
+
+def test_cli_digests_rerun_identical(tmp_path, monkeypatch):
+    """Every command of tools/cli_digests.py exits 0, or 2 for exactly the
+    refused inputs, which run last, and reruns byte-identically. The pinned
+    lines are one per command, those of this pass and of the large bounds
+    reports it leaves out; on the build they were made with, this pass
+    prints its own."""
     tool = _load_tool("cli_digests")
     header, *pinned = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()
-    assert len(pinned) == 81
+    workdir = str(tmp_path)
+    large = [tool.shown(argv, workdir) for argv in _large_bounds(tool, workdir)]
+    refused = [tool.shown(argv, workdir) for argv in tool.refused_commands(workdir)]
+    pinned_argvs = [line.split("  ", 2)[2] for line in pinned]
+    assert len(set(pinned_argvs)) == len(pinned_argvs)
     # bounds reports at N = 10 take most of a full pass
     for name in ("HAAR_DIMS", "FOURIER_DIMS", "PERM_HALF_DIMS", "PERM_THIRD_DIMS", "LARGE_FOURIER_DIMS", "LARGE_SHIFT_DIMS"):
         monkeypatch.setattr(tool, name, tuple(n for n in getattr(tool, name) if n <= 9))
     first = tool.run()
-    # 21 bounds inputs (six of them a dephased P8^(1/2), which keeps a
-    # translation symmetry, a dephased P8^(1/16), one large entry a row,
-    # which keeps it too, a dephased N = 8 circulant whose nonzero entries
-    # join its rows in pairs, F8 with rows and columns permuted, which loses
-    # it, and F8 with only its rows or only its columns permuted, which
-    # keeps the shift of the other side), 12 lines for the other commands and their CSVs, 3
-    # for the n = 8 ensembles, which run the pruned classes batched, 2 for
-    # the n = 10 ensemble, whose (5, 4) class runs on the transposes, 3 for
-    # the n = 5 ensembles, which take the (2, 3) class from its blocks'
-    # complements, 3 for the n = 6 and 7 ensembles, whose 3 x 3 classes have
-    # column complements, 3 for the n = 2 and 3 ensembles, where the Haar draw is
-    # most of the time, 1 for the classical basis input, 6 for the scans at
-    # orders other than 1, two at steps that do not divide 1, 2 for the
-    # sweeps at orders 0, 1/2, 2 and -0, 2 for verify at seed 1 and the
-    # chunked classical samples, 4 for the wins-only ensembles, whose draws
-    # stop at their deciding rung, 1 for the ensemble written to os.devnull,
-    # and 6 for the refused inputs, last: the smallest rotation sweep past
-    # the limit, four bad matrices or weights and two destinations naming
-    # one file
-    assert len(first) == 69
-    assert [line.split("  ")[1] for line in first[-6:]] == ["2"] * 6
-    assert all(line.split("  ")[1] in ("0", "-") for line in first[:-6])
+    argvs, codes = [line.split("  ", 2)[2] for line in first], [line.split("  ")[1] for line in first]
+    assert sorted(argvs + large) == sorted(pinned_argvs)
+    assert [argv for argv, code in zip(argvs, codes) if code == "2"] == refused == argvs[-len(refused) :]
+    assert set(codes[: -len(refused)]) <= {"0", "-"}
     assert tool.run() == first
     if header != tool.environment():
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
-    assert first == [by_argv[line.split("  ", 2)[2]] for line in first]
+    assert first == [by_argv[argv] for argv in argvs]
 
 
 def test_cli_digests_large_bounds_match_pinned(tmp_path):
@@ -947,25 +969,14 @@ def test_cli_digests_large_bounds_match_pinned(tmp_path):
     if header != tool.environment():
         pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
     workdir = str(tmp_path)
-    large = {
-        f"{name}{n}.json"
-        for name, dims in (
-            ("haar", tool.HAAR_DIMS), ("fourier", tool.FOURIER_DIMS),
-            ("perm_half", tool.PERM_HALF_DIMS), ("perm_third", tool.PERM_THIRD_DIMS),
-            ("fourier", tool.LARGE_FOURIER_DIMS), ("shift", tool.LARGE_SHIFT_DIMS),
-        )
-        for n in dims
-        if n >= 10
-    }
-    commands = [argv for argv in tool.command_set(workdir) if argv[0] == "bounds" and Path(argv[2]).name in large]
+    commands = _large_bounds(tool, workdir)
     # Haar 10-12, F10, F12, P10^(1/2)-P12^(1/2) and P10^(1/3), and past the
     # guard F13, F16 and the 16-cycle shift
-    assert len(commands) == len(large) == 12
+    assert len(commands) == len(_large_inputs(tool)) == 12
     assert sum("--allow-large-n" in argv for argv in commands) == 3
     lines = tool.digest_lines(commands, workdir)
     by_argv = {line.split("  ", 2)[2]: line for line in pinned}
     assert lines == [by_argv[line.split("  ", 2)[2]] for line in lines]
-
 
 
 def test_bench_tracer_wraps_resolve(monkeypatch):

@@ -436,6 +436,18 @@ def test_stack_checks_name_the_first_failing_matrix():
         _check_bistochastic_3(stack)
 
 
+def test_an_empty_stack_lifts_to_an_empty_stack():
+    # as birkhoff_matrix gives for an empty set of points: every stack
+    # function returns its results for no matrix
+    empty = birkhoff_matrix(BirkhoffPoint(np.zeros(0), np.zeros(0)))
+    assert empty.shape == (0, 3, 3)
+    u = unistochastic_lift_3(empty)
+    assert u.shape == (0, 3, 3) and u.dtype == complex
+    assert lift_residual(u, empty).shape == (0,)
+    b, links, closes = _link_triangle(empty)
+    assert b.shape == (0, 3, 3) and links.shape == (0, 3) and closes.shape == (0,)
+
+
 def test_lift_residual_stack_names_the_first_failing_lift():
     # the lifts of clean targets, checked against targets that miss them in
     # matrices 7 and 12: each residual has the bits of its matrix's alone,

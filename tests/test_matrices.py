@@ -418,7 +418,7 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("units", [1, 66, 5151])
+@pytest.mark.parametrize("units", [0, 1, 66, 5151])
 @pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum], ids=lambda u: u.__name__)
 def test_unit_reduce_has_numpy_bits_over_three_entries(units, ufunc):
     for seed, (shape, axis) in enumerate((((3,), -1), ((3, 3), -1), ((3, 3), -2))):
@@ -439,7 +439,7 @@ def test_unit_reduce_sums_negative_zeros_from_the_identity():
     assert np.signbit(x[:, 0] + x[:, 1] + x[:, 2])[0]
 
 
-@pytest.mark.parametrize("units", [1, 66, 5151])
+@pytest.mark.parametrize("units", [0, 1, 66, 5151])
 @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=lambda u: u.__name__)
 def test_unit_reduce_has_numpy_values_over_3x3_units(units, ufunc):
     # Over 9 entries numpy orders max and min by its own unrolling, so only a

@@ -1272,18 +1272,22 @@ def test_a_call_builds_each_table_once(monkeypatch):
     """A stack of one builds the pair products once per orientation and one
     squared-minor table per m: at N = 10 the 4 x 4 table serves (4, 4),
     (4, 5), (4, 6) and, transposed, (5, 4), and the 5 x 5 table on class N's
-    half rows serves (5, 5). Each is dropped after its last reader, so at
-    most one minor table is held at a time here and none at the end."""
-    built, held = [], []
+    half rows serves (5, 5). The call's one _CallTables holds every table it
+    built, each once, until the call returns."""
+    built, made, instances = [], [], []
     for name in ("_pair_products", "_minor_table"):
         fn = getattr(submatrices, name)
-        monkeypatch.setattr(submatrices, name, lambda *a, fn=fn: built.append((fn.__name__, a[-1].shape)) or fn(*a))
-    release = submatrices._CallTables.release
-    monkeypatch.setattr(submatrices._CallTables, "release", lambda self, i: release(self, i) or held.append(set(self.held)))
+        monkeypatch.setattr(
+            submatrices, name, lambda *a, fn=fn: built.append((fn.__name__, a[-1].shape)) or made.append(fn(*a)) or made[-1]
+        )
+    init = submatrices._CallTables.__init__
+    monkeypatch.setattr(submatrices._CallTables, "__init__", lambda self, u: instances.append(self) or init(self, u))
     u = haar_unitary(10, RngSeed(SEED + 1630))
     s = s_coefficients(u).s
     assert built == [("_pair_products", (1, 10, 10))] * 2 + [("_minor_table", (210, 4)), ("_minor_table", (126, 5))]
-    assert all(sum(isinstance(key, tuple) for key in keys) <= 1 for keys in held) and held[-1] == set()
+    (tables,) = instances
+    held = [table if isinstance(key, bool) else table[1] for key, table in tables.held.items()]
+    assert sorted(map(id, held)) == sorted(map(id, made))
     monkeypatch.undo()
     assert np.array_equal(s_coefficients(u).s, s)
 
@@ -1294,32 +1298,14 @@ def test_a_call_builds_each_table_once(monkeypatch):
     ids=lambda x: str(x) if isinstance(x, int) else "every" if len(x) > 1 else "F",
 )
 def test_every_table_is_read_on_consecutive_rungs(dim, syms):
-    """The readers of each per-call table, the pair products of either
-    orientation and each minor table, sit on consecutive rungs. So release,
-    which keeps what the rest of the entry's rung and the next rung read,
-    drops every table right after its last reader in the whole plan. Past
-    the guard only F_N's symmetry: plans without one hold hundreds of MB.
-    Also each entry's pair positions, up to N = 16."""
-    tables = submatrices._CallTables(np.zeros((1, dim, dim), dtype=complex))
+    """Each plan entry's pair positions, up to N = 16: every row set's
+    upper-triangle pairs in _triu(N) order. Past the guard only F_N's
+    symmetry: plans without one hold hundreds of MB."""
     for sym in syms:
-        sym = tuple(bool(x) for x in sym)
-        readers = {}
-        for k in range(1, dim):
-            for entry in submatrices._class_plan(dim, sym, k):
-                for key in tables.reads(entry):
-                    readers.setdefault(key, set()).add(k)
-        assert readers, sym
-        for key, rungs in readers.items():
-            assert rungs == set(range(min(rungs), max(rungs) + 1)), (sym, key, sorted(rungs))
-        plan = _full_plan(dim, sym)
-        for i, (k, *entry) in enumerate(plan):
+        plan = _full_plan(dim, tuple(bool(x) for x in sym))
+        assert plan, sym
+        for _, *entry in plan:
             _pair_positions_hold(dim, entry[3], entry[6])
-            read = set().union(*(tables.reads(e[1:]) for e in plan[: i + 1]))
-            later = set().union(*(tables.reads(e[1:]) for e in plan[i + 1 :]))
-            tables.held = dict.fromkeys(read)
-            rest = tuple(e[1:] for e in plan[i + 1 :] if e[0] == k)
-            tables.release(rest + submatrices._class_plan(dim, sym, k + 1))
-            assert set(tables.held) == read & later, (sym, k, entry[:2])
 
 
 SATURATED_16 = {"shift16": cyclic_shift(16), "I16": np.eye(16, dtype=complex), "F16": fourier_matrix(16)}
@@ -1328,11 +1314,10 @@ SATURATED_16 = {"shift16": cyclic_shift(16), "I16": np.eye(16, dtype=complex), "
 @pytest.mark.parametrize("name", list(SATURATED_16))
 def test_a_saturated_chain_builds_only_the_rungs_it_reaches(name, monkeypatch):
     """A chain that stops at the first entry whose k already has a squared
-    norm of 1 builds the tables of the rungs up to there and of one rung
-    more, which release looks at, and no other: the 16-cycle shift and I16
-    stop at rung 3, their strips being 1 from k = 1 on, and F16 stops with
-    its first exact 1, at k = 8, so it builds rungs 3-9 of the 13 that hold
-    classes."""
+    norm of 1 builds the tables of the rungs up to there and no other: the
+    16-cycle shift and I16 stop at rung 3, their strips being 1 from k = 1
+    on, and F16 stops with its first exact 1, at k = 8, so it builds rungs
+    3-8 of the 13 that hold classes."""
     built = []
     class_tables = submatrices._class_tables
     monkeypatch.setattr(
@@ -1342,7 +1327,7 @@ def test_a_saturated_chain_builds_only_the_rungs_it_reaches(name, monkeypatch):
     s = s_coefficients_batch(SATURATED_16[name][None])[0]
     first = int(np.argmax(s == 1.0)) + 1  # the first rung at exactly 1
     assert first == (8 if name == "F16" else 1) and np.all(s[first - 1 :] == 1.0)
-    assert built and sorted(set(built)) == list(range(3, max(3, first + 1) + 1)), sorted(set(built))
+    assert built and sorted(set(built)) == list(range(3, max(3, first) + 1)), sorted(set(built))
 
 
 def _mixed_stack(dim, seed):

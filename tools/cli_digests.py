@@ -69,8 +69,8 @@ COMPLEMENT_ENSEMBLE_DIMS = (5,)
 def write_inputs(workdir: str) -> list:
     """Write the bounds and classical input matrices; return bounds paths.
 
-    The refused inputs, a row-stochastic T and a non-unitary U, are written
-    too but not returned.
+    The refused inputs, a row-stochastic T, a non-unitary U and a file with
+    two names, are written too but not returned.
     """
     mats = [(f"haar{n}", eub.haar_unitary(n, eub.RngSeed(1000 + n))) for n in HAAR_DIMS]
     mats += [(f"fourier{n}", eub.fourier_matrix(n)) for n in FOURIER_DIMS]
@@ -102,6 +102,11 @@ def write_inputs(workdir: str) -> list:
     eub.save_matrix(os.path.join(workdir, "stochastic4.json"), t / t.sum(axis=0))
     eub.save_matrix(os.path.join(workdir, "row_stochastic4.json"), t / t.sum(axis=1, keepdims=True))
     eub.save_matrix(os.path.join(workdir, "nonunitary3.json"), 1.01 * eub.haar_unitary(3, eub.RngSeed(1003)))
+    # a file with a second name, a hard link, which refused_commands names
+    # twice
+    with open(os.path.join(workdir, "target.csv"), "w", encoding="utf-8") as fh:
+        fh.write("target\n")
+    os.link(os.path.join(workdir, "target.csv"), os.path.join(workdir, "linked.csv"))
     return paths
 
 
@@ -204,12 +209,20 @@ def command_set(workdir: str) -> list:
     # a destination that is not a regular file, written without a truncate,
     # so stdout and stderr stay empty
     commands.append(["mc", "--n", "3", "--samples", "200", "--seed", "3", "--output", os.devnull])
-    # refused inputs, which exit 2 with one line on stderr: the smallest
-    # rotation sweep past the limit (refused before its grid is built), a
-    # negative weight, a row-stochastic T, a non-unitary U, a weight vector
-    # of the wrong length and two destinations naming one file (refused
-    # before the run, and writing none)
-    commands += [
+    return commands + refused_commands(workdir)
+
+
+def refused_commands(workdir: str) -> list:
+    """The argv lists of the refused inputs, which ``command_set`` runs last.
+
+    Each exits 2 with one line on stderr: the smallest rotation sweep past
+    the limit (refused before its grid is built), a negative weight, a
+    row-stochastic T, a non-unitary U, a weight vector of the wrong length,
+    and two destinations naming one file, by one path and by a hard link
+    (refused before the run, and writing none).
+    """
+    stochastic = os.path.join(workdir, "stochastic4.json")
+    return [
         ["sweep", "--family", "rotation", "--range", "0:1", "--steps", str(MAX_SWEEP_ENTRIES // 4 + 1)],
         ["classical", "--input", stochastic, "--p", "0.5,0.6,-0.1,0"],
         ["classical", "--input", os.path.join(workdir, "row_stochastic4.json"), "--p", "0.1,0.2,0.3,0.4"],
@@ -217,8 +230,9 @@ def command_set(workdir: str) -> list:
         ["classical", "--input", stochastic, "--p", "0.5,0.5"],
         ["mc", "--n", "3", "--samples", "200", "--seed", "3",
          "--output", os.path.join(workdir, "same.csv"), "--gap-hist", os.path.join(workdir, "same.csv")],
+        ["mc", "--n", "3", "--samples", "200", "--seed", "3",
+         "--output", os.path.join(workdir, "target.csv"), "--gap-hist", os.path.join(workdir, "linked.csv")],
     ]
-    return commands
 
 
 def environment() -> str:
@@ -227,6 +241,11 @@ def environment() -> str:
     blas = config["Build Dependencies"]["blas"]
     simd = " ".join(config["SIMD Extensions"]["found"])
     return f"# numpy {np.__version__}; blas {blas['name']} {blas['version']}; simd {simd}"
+
+
+def shown(argv: list, workdir: str) -> str:
+    """A command as its digest line prints it, with the work directory as ``$TMP``."""
+    return " ".join(a.replace(workdir, "$TMP") for a in argv)
 
 
 def _sha256(data: bytes) -> str:
@@ -240,8 +259,7 @@ def digest_lines(commands: list, workdir: str) -> list:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        shown = " ".join(a.replace(workdir, "$TMP") for a in argv)
-        lines.append(f"{_sha256((out.getvalue() + err.getvalue()).encode())}  {code}  {shown}")
+        lines.append(f"{_sha256((out.getvalue() + err.getvalue()).encode())}  {code}  {shown(argv, workdir)}")
         if "--gap-hist" in argv and code == 0:
             path = argv[argv.index("--gap-hist") + 1]
             with open(path, "rb") as fh:
