@@ -49,7 +49,7 @@ from .extremal import (
 )
 from .families import (
     BirkhoffPoint,
-    ScanRecord,
+    ScanColumns,
     birkhoff_matrix,
     cross_section_scan,
     cyclic_shift,

@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import re
 import stat
@@ -205,18 +204,19 @@ def _cmd_sweep(args) -> tuple:
 
 def _cmd_scan(args) -> tuple:
     alpha = _parse_alpha(args.alpha)
-    # the records come through this module's cross_section_scan, which
+    # the columns come through this module's cross_section_scan, which
     # bench/tracer.py wraps; cells carry 12 significant digits, and an
     # infeasible point's are empty. A grid coordinate is formatted once
     # (a and b take at most 1/step + 1 values i * step, none of them -0.0,
     # so equal keys print alike), and each line by one format.
-    records = cross_section_scan(args.grid_step, alpha)
-    coords = set(map(operator.itemgetter(0), records)).union(map(operator.itemgetter(1), records))
-    shown = {v: f"{v:.12g}" for v in coords}
+    scan = cross_section_scan(args.grid_step, alpha)
+    a, b = scan.a.tolist(), scan.b.tolist()
+    shown = {v: f"{v:.12g}" for v in {*a, *b}}
+    cells = iter(zip(scan.b_mu.tolist(), scan.b_ladder_2.tolist(), (scan.b_mu - scan.b_ladder_2).tolist()))
     lines = ["a,b,feasible,b_mu,b_ladder_2,diff"]
     lines += [
-        "%s,%s,1,%.12g,%.12g,%.12g" % (shown[a], shown[b], mu, b2, d) if ok else "%s,%s,0,,," % (shown[a], shown[b])
-        for a, b, ok, mu, b2, d in records
+        "%s,%s,1,%.12g,%.12g,%.12g" % (shown[x], shown[y], *next(cells)) if ok else "%s,%s,0,,," % (shown[x], shown[y])
+        for x, y, ok in zip(a, b, scan.feasible.tolist())
     ]
     return 0, [(args.output, lines)]
 
@@ -456,17 +456,18 @@ def _verify_beat_rate(seed: RngSeed):
 
 def _verify_scan(seed: RngSeed):
     try:
-        records = cross_section_scan(0.1, 1.0)
+        scan = cross_section_scan(0.1, 1.0)
     except RuntimeError as exc:  # a lift beyond LIFT_RESIDUAL_TOL
         return False, str(exc)
-    by_point = {(round(r.a, 9), round(r.b, 9)): r for r in records}
+    # every feasible point has its bounds, so feasibility is the test
+    points = zip(scan.a.tolist(), scan.b.tolist(), scan.feasible.tolist())
+    feasible = {(round(a, 9), round(b, 9)): ok for a, b, ok in points}
     for corner in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
-        if not by_point[corner].feasible:
+        if not feasible[corner]:
             return False, f"corner {corner} not feasible"
-    center = by_point[(round(3 * 0.1, 9), round(3 * 0.1, 9))]
-    if not (center.feasible and center.diff is not None):
+    if not feasible[(round(3 * 0.1, 9), round(3 * 0.1, 9))]:
         return False, "near-center point not feasible"
-    if by_point[(0.5, 0.5)].feasible:
+    if feasible[(0.5, 0.5)]:
         return False, "edge midpoint unexpectedly feasible"
     return True, ""
 

@@ -17,7 +17,6 @@ functions are the same rules on one matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ import numpy as np
 # the tracer's WRAPS, which names them
 from . import bounds
 from .bounds import bound_ladder, bound_mu  # noqa: F401
+from .entropy import _check_order
 from .matrices import (
     DEGENERATE_LINK,
     LIFT_RESIDUAL_TOL,
@@ -196,30 +196,48 @@ def lift_residual(u: np.ndarray, b) -> np.ndarray:
 
 
 # The scan's cost grows with its grid's (steps + 1)(steps + 2)/2 points. At
-# steps 0.01-0.002 (5151-125,751 points, 2-core box, one BLAS thread) one
-# in-process `eub scan` took 2.2-2.4 us and a tracemalloc peak of 386-393
-# bytes a point, and its process's peak RSS grew by about 0.95 kB a point;
-# at this limit that is about 2.3 s, 0.39 GB traced and 0.95 GB RSS. Step
-# 0.001 (501,501 points) passes; a finer grid is refused before any array
-# is built (step 1e-4 would hold about 5e7 points, 1e-300 more than a float
-# can count).
+# steps 0.01-0.001 (5151-501,501 points, 2-core box, one BLAS thread) one
+# in-process `eub scan` took 2.1-2.6 us and a tracemalloc peak of 387-394
+# bytes a point, and the peak RSS of a process that had run a small scan
+# grew by 0.32-0.43 kB a point; at this limit that is about 2.6 s, 0.39 GB
+# traced and 0.43 GB RSS. Step 0.001 passes; a finer grid is refused before
+# any array is built (step 1e-4 would hold about 5e7 points, 1e-300 more
+# than a float can count).
 MAX_SCAN_POINTS = 1_000_000
 
 
-class ScanRecord(NamedTuple):
-    a: float
-    b: float
-    feasible: bool
-    b_mu: float | None
-    b_ladder_2: float | None
-    diff: float | None
+class ScanColumns(NamedTuple):
+    """The cross-section scan as columns, in (a, b) grid order.
+
+    a, b and feasible hold one entry per grid point; b_mu and b_ladder_2
+    one per feasible point, in the same order.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    feasible: np.ndarray
+    b_mu: np.ndarray
+    b_ladder_2: np.ndarray
 
 
-def _scan_columns(grid_step: float, alpha) -> tuple:
-    # cross_section_scan up to its records: the grid's a and b, feasibility,
-    # and b_mu and b_ladder_2 at the feasible points. The stacks built on the
-    # way (matrices, lifts, the kernel's tables) are freed on return, before
-    # the records are.
+def cross_section_scan(grid_step: float, alpha) -> ScanColumns:
+    """Scan the simplex slice on a regular grid.
+
+    For each (a, b) with a + b <= 1 + NEGATIVE_CLAMP: record feasibility;
+    where feasible, lift to a unitary and record the max-entry bound and
+    the order-alpha two-step ladder bound. Deterministic output ordering,
+    sorted by (a, b). A lift that fails its own reconstruction residual
+    aborts the scan at the first such point in grid order: that is an
+    implementation bug, not data.
+
+    The grid's Birkhoff matrices are built and checked as one stack, and
+    the feasible ones are lifted and residual-checked as one stack. The
+    lifts then pass the checks of ``s_coefficients`` as one stack, and one
+    ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
+    the bounds of ``bound_mu`` and ``bound_ladder`` at every lift. A grid
+    of more than MAX_SCAN_POINTS points, and an order that ``bound_ladder``
+    refuses, are refused with ValueError before any array is built.
+    """
     if not (0.0 < grid_step <= 0.1):
         raise ValueError("grid_step must lie in (0, 0.1]")
     # Python floats, so a step whose inverse overflows counts inf points
@@ -227,6 +245,7 @@ def _scan_columns(grid_step: float, alpha) -> tuple:
     points = (steps + 1.0) * (steps + 2.0) / 2.0
     if points > MAX_SCAN_POINTS:
         raise ValueError(f"grid_step {grid_step!r} gives {points:.4g} grid points, more than the limit {MAX_SCAN_POINTS}")
+    alpha = _check_order(alpha)
     steps = int(steps)
     index = np.arange(steps + 1)
     ia, ib = np.nonzero(np.add.outer(index, index) <= steps)
@@ -246,38 +265,4 @@ def _scan_columns(grid_step: float, alpha) -> tuple:
         x, y = a[feasible][bad].item(), b[feasible][bad].item()
         raise RuntimeError(f"lift residual {resid[bad]:.3e} at ({x}, {y}) exceeds {LIFT_RESIDUAL_TOL:g}")
     report = bounds.ladder_from_coefficients(_checked_coefficients(lifts), alpha)
-    return a, b, feasible, report.b_mu, report.ladder[:, 1]
-
-
-def cross_section_scan(grid_step: float, alpha) -> list:
-    """Scan the simplex slice on a regular grid.
-
-    For each (a, b) with a + b <= 1 + NEGATIVE_CLAMP: record feasibility;
-    where feasible, lift to a unitary and record the gap between the
-    max-entry bound and the order-alpha two-step ladder bound. Deterministic output ordering,
-    sorted by (a, b). A lift that fails its own reconstruction residual
-    aborts the scan at the first such point in grid order: that is an
-    implementation bug, not data.
-
-    The grid's Birkhoff matrices are built and checked as one stack, and
-    the feasible ones are lifted and residual-checked as one stack. The
-    lifts then pass the checks of ``s_coefficients`` as one stack, and one
-    ``s_coefficients_batch`` and one ``ladder_from_coefficients`` call give
-    the records of ``bound_ladder`` and ``bound_mu`` at every lift, and the
-    records are built in one pass over those columns. A grid of more than
-    MAX_SCAN_POINTS points is refused with ValueError before it is built.
-    """
-    a, b, feasible, b_mu, b_ladder_2 = _scan_columns(grid_step, alpha)
-    # One pass over the points, each taking the next row of the feasible
-    # columns or of the infeasible ones, whose bounds are None: no per-point
-    # Python code and no object array. diff is one float64 subtraction a
-    # point, a Python float's; tuple.__new__ is ScanRecord._make without its
-    # length check.
-    none = itertools.repeat(None)
-    by_feasible = (
-        zip(a[~feasible].tolist(), b[~feasible].tolist(), itertools.repeat(False), none, none, none),
-        zip(a[feasible].tolist(), b[feasible].tolist(), itertools.repeat(True),
-            b_mu.tolist(), b_ladder_2.tolist(), (b_mu - b_ladder_2).tolist()),
-    )
-    rows = map(next, map(by_feasible.__getitem__, feasible.tolist()))
-    return list(map(tuple.__new__, itertools.repeat(ScanRecord), rows))
+    return ScanColumns(a, b, feasible, report.b_mu, report.ladder[:, 1])

@@ -26,6 +26,7 @@ Q with zeros to p (x) q's n^2 components (``entropy._majorization_slack``).
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -159,15 +160,19 @@ def haar_unitary(n: int, rng: RngSeed) -> np.ndarray:
     return _haar_batch(n, rng, 0, 1, False)[0][0]
 
 
-def _check_ensemble(n: int, count: int, what: str) -> None:
+def _check_ensemble(n: int, count: int, what: str) -> tuple:
     # The argument rule of every ensemble, run before any sampling; `what`
-    # names the count in the error text.
+    # names the count in the error text. n and the count are read through
+    # operator.index, as RngSeed reads its fields, and returned as ints, so
+    # a float is refused with TypeError.
+    n, count = operator.index(n), operator.index(count)
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > MAX_ENUMERATION_DIM:
         raise ValueError(f"dimension {n} exceeds the enumeration guard ({MAX_ENUMERATION_DIM})")
     if count < 1:
         raise ValueError(f"{what} must be >= 1")
+    return n, count
 
 
 def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False, *, stop=None):
@@ -225,7 +230,8 @@ def _beat_and_gaps(n: int, samples: int, rng: RngSeed, k: int, alpha):
     # stops; only the rows that reach rung k are counted below (the rule's
     # contract is in s_coefficients_batch's docstring). The gaps read full
     # chains. Returns (BeatRateResult, GapStats or None).
-    _check_ensemble(n, samples, "samples")
+    n, samples = _check_ensemble(n, samples, "samples")
+    k = operator.index(k)
     if not (1 <= k <= n - 1):
         raise ValueError(f"ladder level k={k} out of range 1..{n - 1}")
     if alpha is not None:
@@ -283,7 +289,7 @@ def majorization_fuzz(n: int, pairs: int, rng: RngSeed) -> FuzzReport:
     violations: zero; any hit is an implementation bug, reported with the
     worst partial-sum slack, and a NaN slack is a violation and the worst.
     """
-    _check_ensemble(n, pairs, "pairs")
+    n, pairs = _check_ensemble(n, pairs, "pairs")
     violations = 0
     worst = math.inf  # np.minimum keeps a NaN, which min() would drop
     for _, u, psi, s in _ensemble(n, pairs, rng, with_state=True):

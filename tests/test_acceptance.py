@@ -120,22 +120,25 @@ def test_ac09_cross_section_scan():
     """At grid step 0.01 the feasible set matches an independent link-cri-
     terion recomputation; every feasible lift reproduces its matrix within
     1e-9; the flat center keeps a strictly positive bound improvement."""
-    records = cross_section_scan(0.01, 1.0)
-    assert len(records) == 5151
-    n_feasible = 0
-    for rec in records:
-        mat = birkhoff_matrix(BirkhoffPoint(min(rec.a, 1.0), min(rec.b, 1.0)))
+    scan = cross_section_scan(0.01, 1.0)
+    assert len(scan.a) == len(scan.b) == len(scan.feasible) == 5151
+    # the bounds are those of the feasible points alone, in grid order
+    n_feasible = int(scan.feasible.sum())
+    assert len(scan.b_mu) == len(scan.b_ladder_2) == n_feasible
+    diff = scan.b_mu - scan.b_ladder_2
+    j = 0
+    for a, b, ok in zip(scan.a.tolist(), scan.b.tolist(), scan.feasible.tolist()):
+        mat = birkhoff_matrix(BirkhoffPoint(min(a, 1.0), min(b, 1.0)))
         links = np.sqrt(np.clip(mat[0, :] * mat[1, :], 0.0, None))
         feasible = 2.0 * float(links.max()) <= float(links.sum()) + 1e-12
-        assert feasible == rec.feasible, f"flag mismatch at ({rec.a}, {rec.b})"
-        if rec.feasible:
-            n_feasible += 1
+        assert feasible == ok, f"flag mismatch at ({a}, {b})"
+        if ok:
             u = unistochastic_lift_3(mat)
             assert lift_residual(u, mat) <= 1e-9
-            assert rec.diff == pytest.approx(rec.b_mu - rec.b_ladder_2, abs=1e-15)
-        else:
-            assert rec.b_mu is None and rec.b_ladder_2 is None and rec.diff is None
-    assert 0 < n_feasible < len(records)
+            # -2 ln c from the lift's largest entry modulus
+            assert diff[j] == pytest.approx(-2.0 * math.log(np.abs(u).max()) - scan.b_ladder_2[j], abs=1e-12)
+            j += 1
+    assert 0 < n_feasible < len(scan.a)
 
     center = birkhoff_matrix(BirkhoffPoint(1.0 / 3.0, 1.0 / 3.0))
     u = unistochastic_lift_3(center)

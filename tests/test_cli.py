@@ -347,21 +347,27 @@ def test_scan_csv(tmp_path, capsys):
 @pytest.mark.parametrize("alpha", ["0", "0.5", "1", "2", "inf"])
 @pytest.mark.parametrize("grid_step", ["0.1", "0.05", "0.05000000002", "0.01", "0.03"])
 def test_scan_rows_are_the_records(capsys, grid_step, alpha):
-    # the CSV holds the public records with 12 significant digits, an
-    # infeasible point's cells empty, each cell formatted on its own here;
+    # the CSV holds the public columns, a row a grid point, with 12
+    # significant digits, an infeasible point's cells empty, each cell
+    # formatted on its own here, and diff the Python float b_mu - b_ladder_2;
     # 0.03 does not divide 1, and six of its coordinates i * 0.03 are no
     # short decimals (11 * 0.03 is 0.32999999999999996), so their cells round
     code, out, _ = run(capsys, "scan", "--grid-step", grid_step, "--alpha", alpha)
     assert code == 0
 
     def cell(v):
-        return "" if v is None else f"{v:.12g}"
+        return f"{v:.12g}"
 
-    records = families.cross_section_scan(float(grid_step), float(alpha))
-    want = ["a,b,feasible,b_mu,b_ladder_2,diff"] + [
-        ",".join([cell(r.a), cell(r.b), "1" if r.feasible else "0", cell(r.b_mu), cell(r.b_ladder_2), cell(r.diff)])
-        for r in records
-    ]
+    scan = families.cross_section_scan(float(grid_step), float(alpha))
+    assert len(scan.b_mu) == len(scan.b_ladder_2) == scan.feasible.sum()
+    rank = np.cumsum(scan.feasible) - 1
+    want = ["a,b,feasible,b_mu,b_ladder_2,diff"]
+    for a, b, ok, j in zip(scan.a, scan.b, scan.feasible, rank):
+        if ok:
+            mu, b2 = float(scan.b_mu[j]), float(scan.b_ladder_2[j])
+            want.append(",".join([cell(float(a)), cell(float(b)), "1", cell(mu), cell(b2), cell(mu - b2)]))
+        else:
+            want.append(",".join([cell(float(a)), cell(float(b)), "0", "", "", ""]))
     assert out.split("\n") == want + [""]
 
 
@@ -1342,12 +1348,13 @@ def test_verify_checks_fail_on_nan(monkeypatch, case):
     assert check(RngSeed(0)) == (False, want)
 
 
-def _scan_with(points, **fields):
-    # cross_section_scan with fields changed on the records at points, the
-    # rounded (a, b) of verify's scan check, or on every record for None
+def _scan_with(points, feasible):
+    # cross_section_scan with its feasibility column set to `feasible` at
+    # points, the rounded (a, b) of verify's scan check, or everywhere for None
     def scan(grid_step, alpha):
-        records = families.cross_section_scan(grid_step, alpha)
-        return [r._replace(**fields) if points is None or (round(r.a, 9), round(r.b, 9)) in points else r for r in records]
+        columns = families.cross_section_scan(grid_step, alpha)
+        at = [points is None or (round(a, 9), round(b, 9)) in points for a, b in zip(columns.a.tolist(), columns.b.tolist())]
+        return columns._replace(feasible=np.where(at, feasible, columns.feasible))
 
     return scan
 
@@ -1368,7 +1375,7 @@ VERIFY_FAULTS = {
         cli._verify_scan, cli, "cross_section_scan", _scan_with(None, feasible=False), "corner (0.0, 0.0) not feasible",
     ),
     "scan-center": (
-        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.3, 0.3)}, diff=None), "near-center point not feasible",
+        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.3, 0.3)}, feasible=False), "near-center point not feasible",
     ),
     "scan-edge": (
         cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.5, 0.5)}, feasible=True),

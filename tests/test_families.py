@@ -155,30 +155,47 @@ def test_lift_center_exact():
     assert lift_residual(u, mat) <= 1e-12
 
 
+def _scan_points(scan):
+    # the scan's points as (a, b, feasible, b_mu, b_ladder_2, diff) tuples of
+    # Python values, the bounds None at an infeasible point; the bound
+    # columns hold one entry per feasible point, in grid order
+    assert len(scan.a) == len(scan.b) == len(scan.feasible)
+    assert len(scan.b_mu) == len(scan.b_ladder_2) == np.count_nonzero(scan.feasible)
+    rank = np.cumsum(scan.feasible) - 1
+    points = []
+    for i in range(len(scan.a)):
+        a, b, ok = float(scan.a[i]), float(scan.b[i]), bool(scan.feasible[i])
+        if ok:
+            mu, b2 = float(scan.b_mu[rank[i]]), float(scan.b_ladder_2[rank[i]])
+            points.append((a, b, True, mu, b2, mu - b2))
+        else:
+            points.append((a, b, False, None, None, None))
+    return points
+
+
 def test_scan_smoke():
-    records = cross_section_scan(0.1, 1.0)
-    assert len(records) == 66
-    keys = [(r.a, r.b) for r in records]
+    points = _scan_points(cross_section_scan(0.1, 1.0))
+    assert len(points) == 66
+    keys = [(a, b) for a, b, *_ in points]
     assert keys == sorted(keys)
-    by_key = {(round(r.a, 9), round(r.b, 9)): r for r in records}
-    assert by_key[(0.0, 0.0)].feasible
-    assert by_key[(1.0, 0.0)].feasible
-    assert by_key[(0.0, 1.0)].feasible
-    assert not by_key[(0.5, 0.5)].feasible
-    corner = by_key[(0.0, 0.0)]
-    assert corner.b_mu == pytest.approx(0.0, abs=1e-12)
-    assert corner.diff == pytest.approx(0.0, abs=1e-12)
-    infeasible = by_key[(0.0, 0.5)]
-    assert infeasible.b_mu is None and infeasible.diff is None
+    by_key = {(round(p[0], 9), round(p[1], 9)): p for p in points}
+    assert by_key[(0.0, 0.0)][2]
+    assert by_key[(1.0, 0.0)][2]
+    assert by_key[(0.0, 1.0)][2]
+    assert not by_key[(0.5, 0.5)][2]
+    _, _, _, mu, _, diff = by_key[(0.0, 0.0)]
+    assert mu == pytest.approx(0.0, abs=1e-12)
+    assert diff == pytest.approx(0.0, abs=1e-12)
+    assert not by_key[(0.0, 0.5)][2]
 
 
 def test_scan_step_just_above_a_grid_divisor():
     # 20 steps of 0.05000000002 overshoot the edge a + b = 1 by 4e-10: those
     # points lie outside the simplex and are skipped, not passed on to
     # BirkhoffPoint, which refuses them
-    records = cross_section_scan(0.05000000002, 1.0)
-    assert len(records) == 210
-    assert all(r.a + r.b <= 1.0 + NEGATIVE_CLAMP for r in records)
+    scan = cross_section_scan(0.05000000002, 1.0)
+    assert len(scan.a) == 210
+    assert all(a + b <= 1.0 + NEGATIVE_CLAMP for a, b in zip(scan.a.tolist(), scan.b.tolist()))
 
 
 def test_scan_grid_step_validation():
@@ -219,8 +236,8 @@ def _per_point_scan(grid_step, alpha):
 @pytest.mark.parametrize("grid_step", [0.1, 0.05])
 def test_scan_matches_per_point_oracle(grid_step, alpha):
     got = [
-        (_hex(r.a), _hex(r.b), r.feasible, _hex(r.b_mu), _hex(r.b_ladder_2), _hex(r.diff))
-        for r in cross_section_scan(grid_step, alpha)
+        (_hex(a), _hex(b), ok, _hex(mu), _hex(b2), _hex(d))
+        for a, b, ok, mu, b2, d in _scan_points(cross_section_scan(grid_step, alpha))
     ]
     want = [(_hex(a), _hex(b), ok, _hex(mu), _hex(b2), _hex(d)) for a, b, ok, mu, b2, d in _per_point_scan(grid_step, alpha)]
     assert got == want
@@ -253,8 +270,8 @@ def _spy_batch(monkeypatch):
 
 def test_scan_computes_s_in_one_batch(monkeypatch):
     calls = _spy_batch(monkeypatch)
-    records = cross_section_scan(0.05, 1.0)
-    assert calls == [(sum(r.feasible for r in records), 3, 3)]
+    scan = cross_section_scan(0.05, 1.0)
+    assert calls == [(np.count_nonzero(scan.feasible), 3, 3)]
 
 
 def test_cli_scan_computes_s_in_one_batch(monkeypatch):
@@ -277,8 +294,8 @@ def _spy_ladder(monkeypatch):
 
 def test_scan_ladders_in_one_call(monkeypatch):
     calls = _spy_ladder(monkeypatch)
-    records = cross_section_scan(0.05, 1.0)
-    assert calls == [(sum(r.feasible for r in records), 3)]
+    scan = cross_section_scan(0.05, 1.0)
+    assert calls == [(np.count_nonzero(scan.feasible), 3)]
 
 
 def test_cli_scan_ladders_in_one_call(monkeypatch):
@@ -300,8 +317,7 @@ def _spy_lift(monkeypatch):
 
 def test_scan_lifts_and_checks_residuals_in_one_call(monkeypatch):
     calls = _spy_lift(monkeypatch)
-    records = cross_section_scan(0.05, 1.0)
-    n = sum(r.feasible for r in records)
+    n = np.count_nonzero(cross_section_scan(0.05, 1.0).feasible)
     assert calls == [("unistochastic_lift_3", (n, 3, 3)), ("lift_residual", (n, 3, 3))]
 
 
@@ -471,6 +487,16 @@ def test_scan_refuses_a_grid_past_the_limit_before_building_it(monkeypatch):
     for step in (1e-300, 1e-6):
         with pytest.raises(ValueError, match=f"more than the limit {families.MAX_SCAN_POINTS}"):
             cross_section_scan(step, 1.0)
+
+
+def test_scan_checks_its_order_before_building_the_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(families, "birkhoff_matrix", refuse)
+    for alpha in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match=f"^entropy order must be a nonnegative real or inf, got {alpha!r}$"):
+            cross_section_scan(0.002, alpha)
 
 
 def _scalar_lift_3(b):

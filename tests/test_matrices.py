@@ -62,7 +62,7 @@ RECORDS = {
     "BeatRateResult": eub.BeatRateResult(2, 10, 5, 0.5, 0.1, RngSeed(1)),
     "FuzzReport": eub.FuzzReport(2, 10, 0, 0.0, RngSeed(1)),
     "GapStats": eub.GapStats(2, 10, 1.0, RngSeed(1), 0.1, 0.2, {}, {}, (), ()),
-    "ScanRecord": eub.ScanRecord(0.0, 0.0, False, None, None, None),
+    "ScanColumns": eub.ScanColumns(np.zeros(2), np.zeros(2), np.array([True, False]), np.zeros(1), np.zeros(1)),
 }
 
 

@@ -113,6 +113,26 @@ def test_dimension_guard_before_sampling(monkeypatch):
         majorization_fuzz(3, 0, RngSeed(0))
 
 
+def test_non_integer_sizes_refused_before_sampling(monkeypatch):
+    # n, the count and the ladder level are read through operator.index, so
+    # an integral float is refused too, and numpy integers come back as ints
+    _no_sampling(monkeypatch)
+    for call in (
+        lambda: beat_rate(3, 10, RngSeed(1), k=1.0),
+        lambda: beat_rate(3.0, 10, RngSeed(1)),
+        lambda: beat_rate(3, 10.0, RngSeed(1)),
+        lambda: bound_gap_stats(3.0, 10, 1.0, RngSeed(1)),
+        lambda: bound_gap_stats(3, np.float64(10), 1.0, RngSeed(1)),
+        lambda: majorization_fuzz(3.0, 10, RngSeed(1)),
+        lambda: majorization_fuzz(3, "10", RngSeed(1)),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    monkeypatch.undo()
+    res = beat_rate(np.int64(3), np.int32(10), RngSeed(1), k=np.int8(1))
+    assert (res.n, res.samples) == (3, 10) and type(res.n) is int and type(res.samples) is int
+
+
 def test_beat_rate_json():
     res = beat_rate(2, 50, RngSeed(9, stream=4))
     obj = res.to_json()
