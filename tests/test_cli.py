@@ -355,19 +355,18 @@ def test_scan_rows_are_the_records(capsys, grid_step, alpha):
     code, out, _ = run(capsys, "scan", "--grid-step", grid_step, "--alpha", alpha)
     assert code == 0
 
-    def cell(v):
-        return f"{v:.12g}"
-
     scan = families.cross_section_scan(float(grid_step), float(alpha))
     assert len(scan.b_mu) == len(scan.b_ladder_2) == scan.feasible.sum()
     rank = np.cumsum(scan.feasible) - 1
     want = ["a,b,feasible,b_mu,b_ladder_2,diff"]
-    for a, b, ok, j in zip(scan.a, scan.b, scan.feasible, rank):
+    for a, b, ok, j in zip(scan.a.tolist(), scan.b.tolist(), scan.feasible.tolist(), rank.tolist()):
+        cells = [f"{a:.12g}", f"{b:.12g}", "1" if ok else "0"]
         if ok:
             mu, b2 = float(scan.b_mu[j]), float(scan.b_ladder_2[j])
-            want.append(",".join([cell(float(a)), cell(float(b)), "1", cell(mu), cell(b2), cell(mu - b2)]))
+            cells += [f"{mu:.12g}", f"{b2:.12g}", f"{mu - b2:.12g}"]
         else:
-            want.append(",".join([cell(float(a)), cell(float(b)), "0", "", "", ""]))
+            cells += ["", "", ""]
+        want.append(",".join(cells))
     assert out.split("\n") == want + [""]
 
 
@@ -1353,7 +1352,8 @@ def _scan_with(points, feasible):
     # points, the rounded (a, b) of verify's scan check, or everywhere for None
     def scan(grid_step, alpha):
         columns = families.cross_section_scan(grid_step, alpha)
-        at = [points is None or (round(a, 9), round(b, 9)) in points for a, b in zip(columns.a.tolist(), columns.b.tolist())]
+        keys = [(round(a, 9), round(b, 9)) for a, b in zip(columns.a.tolist(), columns.b.tolist())]
+        at = [points is None or key in points for key in keys]
         return columns._replace(feasible=np.where(at, feasible, columns.feasible))
 
     return scan
@@ -1375,7 +1375,8 @@ VERIFY_FAULTS = {
         cli._verify_scan, cli, "cross_section_scan", _scan_with(None, feasible=False), "corner (0.0, 0.0) not feasible",
     ),
     "scan-center": (
-        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.3, 0.3)}, feasible=False), "near-center point not feasible",
+        cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.3, 0.3)}, feasible=False),
+        "near-center point not feasible",
     ),
     "scan-edge": (
         cli._verify_scan, cli, "cross_section_scan", _scan_with({(0.5, 0.5)}, feasible=True),
