@@ -63,6 +63,7 @@ from .matrices import (
     TRANSFORM_INVARIANCE_TOL,
     UNITARITY_TOL,
     RngSeed,
+    _at_least,
     _first_failure,
     _orthonormality_residual,
     _unit_normalized,
@@ -248,8 +249,7 @@ def _load_stochastic(path) -> np.ndarray:
 
 
 def _cmd_classical(args) -> tuple:
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _at_least(args.samples, 1, "samples")
     t = _load_stochastic(args.input)
     bound = classical_bound(t)
     obj = {"kappa": float(t.max()), "bound": bound}
@@ -270,15 +270,15 @@ def _cmd_classical(args) -> tuple:
     g = generator(_seed_of(args))
     worst = [math.inf] * 3
     # P rows in ensemble-sized chunks, drawn in the per-sample order
-    for start in range(0, args.samples, _CHUNK):
-        p = g.exponential(size=(min(_CHUNK, args.samples - start), t.shape[1]))
+    for start in range(0, samples, _CHUNK):
+        p = g.exponential(size=(min(_CHUNK, samples - start), t.shape[1]))
         p /= p.sum(axis=1, keepdims=True)
         slacks = _classical_slacks(*_classical_entropies(t, p), bound)
         worst = [min(w, float(column.min())) for w, column in zip(worst, slacks)]
     worst_lower, worst_upper, worst_bound = worst
     all_hold = min(worst_lower, worst_upper, worst_bound) >= -ENTROPY_TOL
     obj.update(
-        samples=args.samples,
+        samples=samples,
         seed=_seed_of(args).to_json(),
         min_slack_lower=worst_lower,
         min_slack_upper=worst_upper,

@@ -95,6 +95,8 @@ def renyi_entropy(x, alpha):
     float, or an array with one entropy per row of a stack
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ValueError(f"expected a probability vector or a 2d stack of them, got shape {x.shape}")
     h = _renyi_rows(_probability_rows(x if x.ndim == 2 else x.reshape(1, -1)), _check_order(alpha))
     return h if x.ndim == 2 else float(h[0])
 

@@ -12,20 +12,25 @@ import math
 
 import numpy as np
 
-from .matrices import STATE_NORM_TOL, _as_generator, _checked_record, _square_matrix, require_unitary
+from .matrices import STATE_NORM_TOL, _as_generator, _at_least, _checked_record, _square_matrix, require_unitary
+
+
+def _permutation(perm, name: str) -> np.ndarray:
+    # The one permutation rule: the values as given, before any cast to int,
+    # must be 0..n-1 in some order, so 0.9 or a repeated index is refused
+    arr = np.asarray(perm)
+    if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
+        raise ValueError(f"{name} is not a permutation of 0..n-1")
+    return arr.astype(int, copy=False)
 
 
 class EquivalenceTransform(_checked_record("EquivalenceTransform", "left_perm left_phases right_phases right_perm")):
     __slots__ = ()
 
     def __new__(cls, left_perm: np.ndarray, left_phases: np.ndarray, right_phases: np.ndarray, right_perm: np.ndarray):
-        lp = np.asarray(left_perm, dtype=int)
-        rp = np.asarray(right_perm, dtype=int)
+        lp, rp = _permutation(left_perm, "left_perm"), _permutation(right_perm, "right_perm")
         lph = np.asarray(left_phases, dtype=complex)
         rph = np.asarray(right_phases, dtype=complex)
-        for name, arr in (("left_perm", lp), ("right_perm", rp)):
-            if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
-                raise ValueError(f"{name} is not a permutation of 0..n-1")
         for name, arr in (("left_phases", lph), ("right_phases", rph)):
             if arr.ndim != 1 or not np.abs(np.abs(arr) - 1.0).max() <= STATE_NORM_TOL:
                 raise ValueError(f"{name} entries must be unimodular")
@@ -39,8 +44,8 @@ class EquivalenceTransform(_checked_record("EquivalenceTransform", "left_perm le
 
 
 def perm_matrix(perm) -> np.ndarray:
-    """Permutation matrix P with P[i, perm[i]] = 1."""
-    perm = np.asarray(perm, dtype=int)
+    """Permutation matrix P with P[i, perm[i]] = 1; perm must be a permutation of 0..n-1."""
+    perm = _permutation(perm, "perm")
     p = np.zeros((perm.size, perm.size))
     p[np.arange(perm.size), perm] = 1.0
     return p
@@ -57,6 +62,7 @@ def apply_transform(u: np.ndarray, t: EquivalenceTransform) -> np.ndarray:
 
 def random_transform(n: int, source) -> EquivalenceTransform:
     """Random equivalence transform; source is an RngSeed or Generator."""
+    n = _at_least(n, 1, "n")
     g = _as_generator(source)
     return EquivalenceTransform(
         left_perm=g.permutation(n),

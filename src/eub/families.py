@@ -34,6 +34,7 @@ from .matrices import (
     LINK_TRIANGLE_TOL,
     NEGATIVE_CLAMP,
     PROB_SUM_TOL,
+    _at_least,
     _checked_record,
     _clamp_debris,
     _first_failure,
@@ -51,8 +52,7 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 def cyclic_shift(n: int) -> np.ndarray:
     """Circular shift permutation: entry 1 at (i, i+1 mod n)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least(n, 2, "n")
     p = np.zeros((n, n), dtype=complex)
     p[np.arange(n), (np.arange(n) + 1) % n] = 1.0
     return p
@@ -60,8 +60,7 @@ def cyclic_shift(n: int) -> np.ndarray:
 
 def fourier_matrix(n: int) -> np.ndarray:
     """F[j, k] = e^(2 pi i j k / n) / sqrt(n); all entry moduli 1/sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least(n, 1, "n")
     jk = np.outer(np.arange(n), np.arange(n))
     return np.exp(2j * np.pi * jk / n) / math.sqrt(n)
 
@@ -74,8 +73,7 @@ def permutation_power(n: int, beta: float) -> np.ndarray:
     principal branch (no wrap to negative frequencies). Unitary for all
     real beta, continuous, with exact endpoints at beta = 0 and 1.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _at_least(n, 2, "n")
     f = fourier_matrix(n)
     phases = np.exp(2j * np.pi * np.arange(n) * beta / n)
     return (f * phases[None, :]) @ f.conj().T

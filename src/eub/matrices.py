@@ -223,7 +223,17 @@ class RngSeed(_checked_record("RngSeed", "seed stream")):
         return super().__new__(cls, seed, stream)
 
     def to_json(self) -> dict:
-        return {"seed": self.seed, "stream": self.stream}
+        return self._asdict()
+
+
+def _at_least(value, least: int, what: str) -> int:
+    # The one rule of a size (a dimension or a count): value read through
+    # operator.index, as RngSeed reads its fields, and returned as an int, so
+    # a float or a string is refused with TypeError before anything is built
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def philox_key(rng: RngSeed) -> int:
@@ -435,9 +445,13 @@ def _gram_norm(g: np.ndarray) -> np.ndarray:
 
 
 def _check_index_set(idx, bound: int, label: str) -> np.ndarray:
-    arr = np.asarray(idx, dtype=int)
+    # the entries are read as given, so 0.9 is refused, not truncated to 0
+    arr = np.asarray(idx)
     if arr.ndim != 1 or arr.size == 0:
         raise IndexError(f"{label} index set must be a nonempty 1d sequence")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise IndexError(f"{label} indices must be integers")
+    arr = arr.astype(int, copy=False)
     if arr.min() < 0 or arr.max() >= bound:
         raise IndexError(f"{label} index out of range for bound {bound}")
     if arr.size > 1 and np.any(np.diff(arr) <= 0):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import _closed_forms, _distributions, _q_rows
 from .entropy import _check_order, _majorization_slack, _order_json, _renyi_rows
-from .matrices import DECIDED_MARGIN, MAJORIZATION_TOL, RngSeed, _seek, _unit_normalized, sample_generator
+from .matrices import DECIDED_MARGIN, MAJORIZATION_TOL, RngSeed, _at_least, _seek, _unit_normalized, sample_generator
 from .submatrices import MAX_ENUMERATION_DIM, s_coefficients_batch
 
 _CHUNK = 2048
@@ -50,14 +50,7 @@ class BeatRateResult(NamedTuple):
     seed: RngSeed
 
     def to_json(self) -> dict:
-        return {
-            "n": int(self.n),
-            "samples": int(self.samples),
-            "wins": int(self.wins),
-            "rate": float(self.rate),
-            "stderr": float(self.stderr),
-            "seed": self.seed.to_json(),
-        }
+        return {**self._asdict(), "seed": self.seed.to_json()}
 
 
 class FuzzReport(NamedTuple):
@@ -70,13 +63,7 @@ class FuzzReport(NamedTuple):
     seed: RngSeed
 
     def to_json(self) -> dict:
-        return {
-            "n": int(self.n),
-            "pairs": int(self.pairs),
-            "violations": int(self.violations),
-            "worst_slack": float(self.worst_slack),
-            "seed": self.seed.to_json(),
-        }
+        return {**self._asdict(), "seed": self.seed.to_json()}
 
 
 class GapStats(NamedTuple):
@@ -94,16 +81,9 @@ class GapStats(NamedTuple):
     hist_deutsch: tuple
 
     def to_json(self) -> dict:
-        return {
-            "n": int(self.n),
-            "samples": int(self.samples),
-            "alpha": _order_json(self.alpha),
-            "seed": self.seed.to_json(),
-            "mean_mu": float(self.mean_mu),
-            "mean_deutsch": float(self.mean_deutsch),
-            "quantiles_mu": self.quantiles_mu,
-            "quantiles_deutsch": self.quantiles_deutsch,
-        }
+        # the histograms travel as CSV (`eub mc --gap-hist`), not in the JSON
+        fields = {**self._asdict(), "alpha": _order_json(self.alpha), "seed": self.seed.to_json()}
+        return {key: value for key, value in fields.items() if not key.startswith("hist_")}
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -155,24 +135,17 @@ def haar_unitary(n: int, rng: RngSeed) -> np.ndarray:
 
     The same matrix as the first draw of every ensemble on that run.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _haar_batch(n, rng, 0, 1, False)[0][0]
+    return _haar_batch(_at_least(n, 1, "n"), rng, 0, 1, False)[0][0]
 
 
 def _check_ensemble(n: int, count: int, what: str) -> tuple:
-    # The argument rule of every ensemble, run before any sampling; `what`
-    # names the count in the error text. n and the count are read through
-    # operator.index, as RngSeed reads its fields, and returned as ints, so
-    # a float is refused with TypeError.
-    n, count = operator.index(n), operator.index(count)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    # The argument rule of every ensemble, run before any sampling: n and the
+    # count, which `what` names, are read by the one size rule (_at_least)
+    # and returned as ints, and n is held to the enumeration guard.
+    n = _at_least(n, 2, "n")
     if n > MAX_ENUMERATION_DIM:
         raise ValueError(f"dimension {n} exceeds the enumeration guard ({MAX_ENUMERATION_DIM})")
-    if count < 1:
-        raise ValueError(f"{what} must be >= 1")
-    return n, count
+    return n, _at_least(count, 1, what)
 
 
 def _ensemble(n: int, count: int, rng: RngSeed, with_state: bool = False, *, stop=None):

@@ -984,6 +984,18 @@ def test_cli_digests_large_bounds_match_pinned(tmp_path):
     assert lines == [by_argv[line.split("  ", 2)[2]] for line in lines]
 
 
+def test_cli_digests_under_an_unread_variable_moves_no_line(capsys):
+    """--under reruns the digests in one child process with the variable
+    added to its environment; one that nothing reads moves no line, on the
+    build the lines were pinned on."""
+    tool = _load_tool("cli_digests")
+    header = (Path(tool.__file__).parent / "cli_digests.expected").read_text().splitlines()[0]
+    if header != tool.environment():
+        pytest.skip(f"digests pinned on {header[2:]!r}, this is {tool.environment()[2:]!r}")
+    assert tool._main(["--under", "EUB_DIGESTS_UNREAD_VARIABLE=1"]) == 0
+    assert capsys.readouterr().out == f"0 of {len(tool.pinned_lines())} lines moved\n"
+
+
 def test_bench_tracer_wraps_resolve(monkeypatch):
     """Every (consuming module, name) pair that bench/tracer.py wraps
     resolves, so a traced benchmark run can install its spans: eub.cli keeps

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -25,6 +26,9 @@ from eub import (
     submatrix,
     unitarity_residual,
 )
+import eub.cli as cli
+import eub.montecarlo as montecarlo
+from eub.entropy import _order_json
 from eub.matrices import _first_failure, _unit_reduce, philox_key, sample_generator
 from eub.montecarlo import _haar_batch
 
@@ -105,6 +109,56 @@ def test_validated_records_check_every_way_they_are_built(name, change):
     twins += [pickle.loads(pickle.dumps(rec, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in twins:
         assert type(twin) is cls and all(np.array_equal(x, y) for x, y in zip(twin, rec))
+
+
+@pytest.mark.parametrize("name", ["BeatRateResult", "FuzzReport", "GapStats", "RngSeed"])
+def test_record_json_is_its_fields(name):
+    """to_json() holds the record's fields, in order, less the gap
+    histograms, which travel as CSV: each value as it is, a seed and an
+    entropy order in their JSON forms. It round-trips through json."""
+    rec = RECORDS[name]
+    if name == "GapStats":
+        rec = rec._replace(alpha=math.inf)
+    out = rec.to_json()
+    assert list(out) == [field for field in rec._fields if not field.startswith("hist_")]
+    for key, value in out.items():
+        field = getattr(rec, key)
+        assert value == (field.to_json() if isinstance(field, RngSeed) else _order_json(field) if key == "alpha" else field)
+    assert json.loads(json.dumps(out, sort_keys=True)) == out
+
+
+# Every size that the one size rule (matrices._at_least) reads: a call of
+# that size, and a valid value of it
+SIZES = {
+    "haar_unitary n": (lambda v: haar_unitary(v, RngSeed(SEED)), 3),
+    "cyclic_shift n": (lambda v: eub.cyclic_shift(v), 3),
+    "fourier_matrix n": (lambda v: fourier_matrix(v), 3),
+    "permutation_power n": (lambda v: eub.permutation_power(v, 0.5), 3),
+    "random_transform n": (lambda v: eub.random_transform(v, RngSeed(SEED)), 3),
+    "beat_rate n": (lambda v: eub.beat_rate(v, 5, RngSeed(SEED)), 3),
+    "beat_rate samples": (lambda v: eub.beat_rate(3, v, RngSeed(SEED)), 5),
+    "majorization_fuzz n": (lambda v: eub.majorization_fuzz(v, 5, RngSeed(SEED)), 3),
+    "majorization_fuzz pairs": (lambda v: eub.majorization_fuzz(3, v, RngSeed(SEED)), 5),
+    "bound_gap_stats n": (lambda v: eub.bound_gap_stats(v, 5, 1.0, RngSeed(SEED)), 3),
+    "bound_gap_stats samples": (lambda v: eub.bound_gap_stats(3, v, 1.0, RngSeed(SEED)), 5),
+    "classical --samples": (
+        lambda v: cli._cmd_classical(argparse.Namespace(samples=v, input=None, p=None, seed=SEED, stream=0, output="-")), 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_sizes_are_read_as_integers(name, monkeypatch):
+    """A float or a string size is refused with TypeError before anything
+    is drawn or built; a numpy integer gives the bits of a Python int."""
+    call, good = SIZES[name]
+    monkeypatch.setattr(cli, "_load_stochastic", lambda path: np.full((2, 2), 0.5))
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_haar_batch", lambda *args: pytest.fail("a Haar draw before the size check"))
+        for bad in (3.0, 2.5, np.float64(2.0), "3"):
+            with pytest.raises(TypeError):
+                call(bad)
+    assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 
 
 def test_largest_singular_value_examples():
@@ -381,6 +435,17 @@ REFUSALS = {
     "largest_singular_value": (lambda: largest_singular_value(np.ones(3)), ValueError, "expected a 2d array"),
     "matrix_to_json": (lambda: matrix_to_json(np.ones(3)), ValueError, "expected a 2d array"),
     "haar_unitary": (lambda: haar_unitary(0, RngSeed(SEED)), ValueError, "n must be >= 1"),
+    "submatrix non-integer": (lambda: submatrix(np.eye(3), [0.9], [1.7]), IndexError, "row indices must be integers"),
+    "perm_matrix repeated": (lambda: eub.perm_matrix([0, 0]), ValueError, "perm is not a permutation of 0..n-1"),
+    "perm_matrix non-integer": (lambda: eub.perm_matrix([1.9, 0.1]), ValueError, "perm is not a permutation of 0..n-1"),
+    "EquivalenceTransform non-integer": (
+        lambda: eub.EquivalenceTransform((0.9, 1.2), (1, 1), (1, 1), (1.5, 0.2)), ValueError,
+        "left_perm is not a permutation of 0..n-1",
+    ),
+    "renyi_entropy 3d": (
+        lambda: eub.renyi_entropy(np.full((1, 2, 2), 0.25), 1), ValueError,
+        "expected a probability vector or a 2d stack of them, got shape (1, 2, 2)",
+    ),
     "cross_section_scan 1e-300": (
         lambda: eub.cross_section_scan(1e-300, 1.0), ValueError,
         "grid_step 1e-300 gives inf grid points, more than the limit 1000000",

@@ -20,17 +20,29 @@ and record the change next to the diff of that file:
         > tools/cli_digests.expected
     PYTHONPATH=src python3 tools/cli_digests.py >> tools/cli_digests.expected
 
+``--under NAME=VALUE`` (repeatable) measures what another CPU target or
+build setting does to the lines: the tool reruns itself in one child
+process, with those variables added to the child's environment and
+``PYTHONPATH=src``, prints the argv of each child line that is not a
+pinned line, then ``K of N lines moved`` (N pinned lines), and exits 0. It
+is a record, not a check, and the variables act on the child alone:
+
+    PYTHONPATH=src python3 tools/cli_digests.py --under OPENBLAS_CORETYPE=Haswell
+
 Needs only the standard library, numpy and eub.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -272,5 +284,41 @@ def run() -> list:
         return digest_lines(command_set(workdir), workdir)
 
 
+def pinned_lines() -> list:
+    """The lines of ``cli_digests.expected`` below its header."""
+    return (Path(__file__).parent / "cli_digests.expected").read_text().splitlines()[1:]
+
+
+def moved_lines(under: dict) -> list:
+    """Rerun this tool in one child process under the variables ``under``; return its lines that are not pinned."""
+    env = {**os.environ, **under, "PYTHONPATH": "src"}
+    child = subprocess.run([sys.executable, __file__], cwd=Path(__file__).resolve().parents[1], env=env,
+                           capture_output=True, text=True, check=True)
+    pinned = set(pinned_lines())
+    return [line for line in child.stdout.splitlines() if line not in pinned]
+
+
+def _variable(token: str) -> tuple:
+    name, sep, value = token.partition("=")
+    if not (name and sep):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {token!r}")
+    return name, value
+
+
+def _main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 digests of a fixed set of eub CLI runs")
+    parser.add_argument("--under", action="append", type=_variable, metavar="NAME=VALUE",
+                        help="rerun in a child process with this variable set; report the lines that move")
+    args = parser.parse_args(argv)
+    if not args.under:
+        sys.stdout.write("".join(line + "\n" for line in run()))
+        return 0
+    moved = moved_lines(dict(args.under))
+    for line in moved:
+        print(line.split("  ", 2)[2])
+    print(f"{len(moved)} of {len(pinned_lines())} lines moved")
+    return 0
+
+
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in run()))
+    sys.exit(_main())
