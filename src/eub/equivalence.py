@@ -17,8 +17,10 @@ from .matrices import STATE_NORM_TOL, _as_generator, _at_least, _checked_record,
 
 def _permutation(perm, name: str) -> np.ndarray:
     # The one permutation rule: the values as given, before any cast to int,
-    # must be 0..n-1 in some order, so 0.9 or a repeated index is refused
+    # must be 0..n-1 in some order, n >= 1, so 0.9 or a repeated index is refused
     arr = np.asarray(perm)
+    if not arr.size:
+        raise ValueError(f"{name} is empty")
     if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
         raise ValueError(f"{name} is not a permutation of 0..n-1")
     return arr.astype(int, copy=False)

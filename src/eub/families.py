@@ -45,7 +45,9 @@ from .submatrices import _checked_coefficients
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
-    """Plane rotation by theta, as a complex 2 x 2 unitary."""
+    """Plane rotation by theta, as a complex 2 x 2 unitary; theta must be finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
@@ -71,9 +73,13 @@ def permutation_power(n: int, beta: float) -> np.ndarray:
     The shift diagonalizes in the Fourier basis with eigenphases
     2 pi k / n, k = 0..n-1; P^beta scales those phases by beta on the
     principal branch (no wrap to negative frequencies). Unitary for all
-    real beta, continuous, with exact endpoints at beta = 0 and 1.
+    real beta, continuous, with exact endpoints at beta = 0 and 1. A beta
+    whose phases 2 pi k beta / n are not all finite raises ValueError.
     """
     n = _at_least(n, 2, "n")
+    # the largest phase's product, rounded as the phases below round it
+    if not math.isfinite(2 * math.pi * (n - 1) * float(beta)):
+        raise ValueError(f"beta {beta} gives non-finite phases at n = {n}")
     f = fourier_matrix(n)
     phases = np.exp(2j * np.pi * np.arange(n) * beta / n)
     return (f * phases[None, :]) @ f.conj().T
@@ -85,13 +91,16 @@ class BirkhoffPoint(_checked_record("BirkhoffPoint", "a b")):
     Each of the weights a, b and 1 - a - b may be negative by at most
     NEGATIVE_CLAMP (rounding debris); anything beyond raises ValueError,
     naming the first such point. a and b may also be arrays of one shape,
-    a stack of points, each checked by the same rule.
+    a stack of points, each checked by the same rule; shapes that differ
+    raise ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: float, b: float):
-        wa, wb = np.broadcast_arrays(a, b)
+        wa, wb = np.asarray(a), np.asarray(b)
+        if wa.shape != wb.shape:
+            raise ValueError(f"a and b differ in shape, {wa.shape} and {wb.shape}")
         i = _first_failure((np.minimum(wa, wb) >= -NEGATIVE_CLAMP) & (wa + wb <= 1.0 + NEGATIVE_CLAMP))
         if i is not None:
             raise ValueError(f"point ({wa.flat[i]}, {wb.flat[i]}) outside the simplex")

@@ -41,7 +41,7 @@ PRUNE_SLACK. A NaN mu keeps its block. The det tier's mu is det F / (1 +
 e)^(m-1), as F's eigenvalues are at most 1 + e; by Cauchy-Binet det F is
 the sum D of |det U[R, S]|^2 over the m-subsets S of C', and one table of
 squared minors on the class's row sets serves every column set, and on a
-stack of one every class with those row sets (see ``_CallTables``). The
+whole call every class with those row sets (see ``_CallTables``). The
 tier compares D with gap (1 + e)^(m-1) and forms no bound. Where the floor
 is near 1, as at the larger k, it leaves a few blocks in a thousand.
 
@@ -120,24 +120,23 @@ complement of a column set C, G_C + G_C' = U U^dag, so on a row set R
 G_C[R, R] = I - G_C'[R, R] + E with E = (U U^dag - I)[R, R], and by Weyl
 lambda_max(G_C[R, R]) is within |E|_2 of 1 - lambda_min(G_C'[R, R]). For
 |R| = 2 or 3 that is at most |R| r, r the max-norm unitarity residual; by
-rows on U^T, r is that of U^dag U - I instead. So a (2, n) or (3, n) class
-with N - n < n <= N - |R| is not enumerated: its maximum is 1 minus the
-least bottom eigenvalue of the (|R|, N - n) blocks, the same row sets on
-the complementary column sets, and (n, 2) and (n, 3) are taken from
-(N - n, 2) and (N - n, 3) likewise. The source, at a smaller k, names the
-served k in its plan entry's ``serves`` and raises that k's lambda to at
-least 1 minus its least bottom eigenvalue before any class of that k runs.
-A closed-form class whose column complement has its own shape, (2, N/2),
-(3, N/2) and their transposes (by row complements), is self-complementary,
-its own source (``serves`` its own k): it visits only the column (row)
-sets containing index 0, the bottom roots serving the complementary sets,
-unless a translation symmetry already reduces that side. Under a
-translation symmetry the complements of one block per orbit are again one
-block per orbit. ``_top_eig_2x2`` and ``_top_eig_3x3`` return both roots
-and ``_closed_form_max`` takes both on every class; only the sources' are
-read (the closed-form classes that serve none are those that F_N's three
-shifts reduce at even N). So s moves only at the k of a served or
-self-complementary class, by at most 2 r or 3 r in lambda (see
+rows on U^T, r is that of U^dag U - I instead. So the rule for a
+closed-form class (p = min(m, n) = 2 or 3) reads p, q = max(m, n) and N
+alone. One with 2q > N is not enumerated: its maximum is 1 minus the least
+bottom eigenvalue of its complement class, (p, N - q) or (N - q, p), the
+same p-sets on the complementary (N - q)-sets, by columns or by rows. One
+with 2q < N is a source: at its k = p + q - 1 it names the k it serves,
+p + N - q - 1, in its plan entry's ``serves``, and raises that k's lambda
+to at least 1 minus its least bottom eigenvalue before any class of that k
+runs. One with 2q = N, (2, N/2), (3, N/2) and their transposes, is its own
+complement class and its own source (``serves`` its own k): it visits only
+the q-sets containing index 0, the bottom roots serving the complementary
+sets, unless a translation symmetry already reduces its q side, and then
+it serves nothing. Under a translation symmetry the complements of one
+block per orbit are again one block per orbit. ``_top_eig_2x2`` and
+``_top_eig_3x3`` return both roots and ``_closed_form_max`` takes both on
+every class; only the sources' are read. So s moves only at the k of a
+served or self-complementary class, by at most 2 r or 3 r in lambda (see
 UNITARITY_TOL). The Cardano bottom root loses accuracy near a double
 bottom eigenvalue as the top one does near a double top, and has an
 eigvalsh fallback of its own (see CARDANO_MIN_GAP).
@@ -225,13 +224,15 @@ MAX_ENUMERATION_DIM = 12
 # holds its complex Gram (2 m^2 elements), its upper triangle's pair
 # positions and real and imaginary parts (1.5 m (m + 1)) and its m
 # eigenvalues, at most 4 m (m + 1).
-# _closed_form_max sizes its sub-chunks by the first of two rules on a stack
-# of two or more matrices and by the second on a stack of one; _pruned_max
-# always by the second:
-# - closed forms (m = 2, 3) on a stack of two or more matrices: the class's
-#   own arrays (best and least per matrix, and the plan's indicator and
-#   entry positions) come off the budget first. A batch sub-chunk's Grams take at
-#   most a quarter of the rest, so that building them fits it, and its row
+# A kernel call is whole when one batch sub-chunk holds the stack, as on a
+# stack of one (whole = bstep >= batch), and split otherwise. That one fact
+# picks both the tables a call reads and the rule for its row sub-chunks:
+# the first of two rules on a split closed-form call, the second on any
+# other. _closed_form_max sizes its batch sub-chunks by the first on either.
+# The class's own arrays (per matrix, and the plan's tables) do not come
+# off the budget: about 2% of it at 2048 draws and N <= 6.
+# - split, closed forms (m = 2, 3): a batch sub-chunk's Grams take at most a
+#   quarter of the budget, so that building them fits it, and its row
 #   sub-chunks take what the Grams leave. A row sub-chunk's eigenvalues are
 #   freed before the next one gathers, or the next batch sub-chunk builds
 #   its Grams. The last Grams stay live while the next are built: the two
@@ -242,11 +243,11 @@ MAX_ENUMERATION_DIM = 12
 #   n = 7, one BLAS thread, median CPU time of 9 interleaved runs, against
 #   the second rule: 3.84 -> 3.07, 10.6 -> 9.1, 53.4 -> 39.4 and 329 -> 254
 #   us;
-# - the pruned classes (m >= 4), and the closed forms on a stack of one: the
-#   Grams of a batch sub-chunk, a row sub-chunk at the counts above (at m^2
-#   elements a block in the closed forms) and an eigvalsh piece may each
-#   fill the whole budget. A stack of one's row sub-chunks cut to a quarter
-#   made one bounds report at N = 8-10 15-20% slower.
+# - whole, the closed forms on a whole call and the pruned classes (m >= 4)
+#   on any: the Grams of a batch sub-chunk, a row sub-chunk at the counts
+#   above (at m^2 elements a block in the closed forms) and an eigvalsh
+#   piece may each fill the whole budget. A stack of one's row sub-chunks
+#   cut to a quarter made one bounds report at N = 8-10 15-20% slower.
 # So a class may peak above the target. tracemalloc peaks per kernel call
 # over the memory at entry, on 200 Haar draws at n = 8 and 40 at n = 9:
 # closed forms 0.89x, pruned classes 1.71x, as the Grams of a batch
@@ -342,13 +343,13 @@ def _read_only(*arrays):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _combinations(dim: int, k: int) -> np.ndarray:
     # Every k-subset of range(dim), one per row; cached, so read-only.
     return _read_only(np.array(list(itertools.combinations(range(dim), k)), dtype=int))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _necklaces(dim: int, k: int) -> np.ndarray:
     # One k-subset of range(dim) per orbit of the rotation i -> i + 1 mod dim:
     # those whose bitmask is the least of its dim rotations, in
@@ -361,7 +362,7 @@ def _necklaces(dim: int, k: int) -> np.ndarray:
     return _read_only(combos[masks[:, 0] == turns.min(axis=1)])
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _triu(dim: int):
     # Upper-triangle pairs (i, j), i <= j, in row-major order; cached, so read-only.
     return _read_only(*np.triu_indices(dim))
@@ -479,7 +480,7 @@ def _subset_rank(dim: int, subsets: np.ndarray) -> np.ndarray:
     return math.comb(dim, k) - 1 - binom[dim - 1 - subsets, np.arange(k)].sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _laplace_index(dim: int, k: int):
     # For each k-subset S of range(dim), in _combinations order, and each
     # j < k: the column S[j], and the rank of S without it among the
@@ -620,7 +621,7 @@ def _translation_symmetry(u3: np.ndarray) -> np.ndarray:
         return held
     held = _shifts_hold(u3[:1], ~held)
     if held.any() and len(u3) > 1:
-        held = _shifts_hold(u3, held)
+        held = _shifts_hold(u3[1:], held)
     return held
 
 
@@ -678,7 +679,7 @@ def _phase_residual(u3: np.ndarray, mod: np.ndarray, w: np.ndarray) -> np.ndarra
     return np.abs(w - x[..., None] * u3[:, None] * y[:, :, None]).max(axis=(2, 3))
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
 def _class_plan(dim: int, sym: tuple, k: int) -> tuple:
     """The block classes of rung k that ``s_coefficients_batch`` enumerates, in run order.
 
@@ -700,23 +701,16 @@ def _class_plan(dim: int, sym: tuple, k: int) -> tuple:
     is None for a closed-form class (p = 2, 3), which runs
     ``_closed_form_max``; for a pruned class (p >= 4), which runs
     ``_pruned_max``, it holds the ranks ``_complement_sets`` gives. See
-    ``_class_tables``. Cached per rung, so every array is read-only; 1024
-    rungs hold 64 chains up to N = 17.
+    ``_class_tables``. Cached per rung, so every array is read-only.
     """
     by_rows, by_cols, diagonal = sym
-    served = {
-        shape: source
-        for m in (2, 3)
-        for q in range(m, (dim + 1) // 2)
-        for shape, source in (((m, dim - q), (m, q)), ((dim - q, m), (q, m)))
-    }
-    sources = {source: sum(shape) - 1 for shape, source in served.items()}
     plan = []
     # class N runs m <= n only, one of each complementary pair of blocks,
     # and none runs past it
     for m, n in sorted(((m, k + 1 - m) for m in range(2, k) if k + 1 < dim or 2 * m <= k + 1 == dim), key=min):
-        if (m, n) in served:
-            continue
+        p, q = min(m, n), max(m, n)
+        if p <= 3 and 2 * q > dim:
+            continue  # served by its complement class, (p, N - q) or its transpose
         # the diagonal shift alone reduces the smaller side
         reduce_rows, reduce_cols = (by_rows, by_cols) if by_rows or by_cols or not diagonal else (m <= n, m > n)
         rows = _necklaces(dim, m) if reduce_rows else _combinations(dim, m)
@@ -724,16 +718,15 @@ def _class_plan(dim: int, sym: tuple, k: int) -> tuple:
         # the subsets containing 0 lead the lexicographic table: the half
         # rows of class N, and the half columns (or else rows) of a
         # closed-form class that is its own column (row) complement
-        if not reduce_rows and 2 * m == k + 1 == dim:
+        own = p <= 3 and (not reduce_cols if 2 * n == dim else not reduce_rows and 2 * m == dim)
+        if not reduce_rows and 2 * m == k + 1 == dim or own and 2 * n != dim:
             rows = rows[: math.comb(dim - 1, m - 1)]
-        own = min(m, n) <= 3 and (not reduce_cols if 2 * n == dim else not reduce_rows and 2 * m == dim)
         if own and 2 * n == dim:
             cols = cols[: math.comb(dim - 1, n - 1)]
-        elif own:
-            rows = rows[: math.comb(dim - 1, m - 1)]
         if m > n:
             rows, cols = cols, rows
-        plan.append((m, n, k if own else sources.get((m, n)), rows, cols, *_class_tables(dim, rows, cols)))
+        serves = k if own else p + dim - q - 1 if p <= 3 and 2 * q < dim else None
+        plan.append((m, n, serves, rows, cols, *_class_tables(dim, rows, cols)))
     return tuple(plan)
 
 
@@ -770,19 +763,15 @@ def _closed_form_max(tables, transposed, rows, indicator, entries):
     batch, dim = u3.shape[0], u3.shape[1]
     m, ncols = rows.shape[1], indicator.shape[1]
     top = _top_eig_2x2 if m == 2 else _top_eig_3x3
-    # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS. A stack
-    # of one runs in one batch sub-chunk.
-    budget, held, width = _CHUNK_ELEMENTS, 0, m * m * ncols
-    if batch > 1:
-        budget -= 2 * batch + dim * ncols + entries.size
-        held, width = dim * (dim + 1) * ncols, 3 * width
-    bstep = max(1, budget // (4 * dim * (dim + 1) * max(2 * dim, ncols)))
+    # sub-chunk sizes, in elements per row set: see _CHUNK_ELEMENTS
+    bstep = max(1, _CHUNK_ELEMENTS // (4 * dim * (dim + 1) * max(2 * dim, ncols)))
     whole = bstep >= batch  # one batch sub-chunk, which reads the call's pair products
+    held, width = (0, m * m * ncols) if whole else (dim * (dim + 1) * ncols, 3 * m * m * ncols)
     best, least = np.zeros(batch), np.full(batch, np.inf)
     for b0 in range(0, batch, bstep):
         chunk = slice(b0, b0 + bstep)
         re, im = _column_grams(tables.pairs(transposed) if whole else _pair_products(u3[chunk]), indicator)
-        rstep = max(1, (budget - len(re) * held) // (len(re) * width))
+        rstep = max(1, (_CHUNK_ELEMENTS - len(re) * held) // (len(re) * width))
         for r0 in range(0, len(rows), rstep):
             idx = entries[:, r0 : r0 + rstep]
             # the gathered entries are not named, and lam and bottom are

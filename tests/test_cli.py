@@ -207,12 +207,21 @@ def test_sweep_rejects_bad_range(capsys):
     assert code == 2
 
 
+SWEEP_REFUSALS = [
+    ("rotation", "0", "3", "cannot parse range '0'; expected lo:hi"),
+    ("rotation", "0:1", "1", "steps must be >= 2 (inclusive grid point count)"),
+    # the grid's last point, 0 + (1e308 - 0) * 2 / 2, is inf; perm_power's
+    # phases already overflow at its middle one
+    ("rotation", "0:1e308", "3", "rotation angle must be finite, got inf"),
+    ("perm_power:4", "0:1e308", "3", "beta 5e+307 gives non-finite phases at n = 4"),
+]
+
+
 @pytest.mark.parametrize(
-    "range_, steps, message",
-    [("0", "3", "cannot parse range '0'; expected lo:hi"), ("0:1", "1", "steps must be >= 2 (inclusive grid point count)")],
+    "family, range_, steps, message", [pytest.param(*case, id="-".join(case[1:])) for case in SWEEP_REFUSALS]
 )
-def test_sweep_refusals_print_one_error_line(range_, steps, message, capsys):
-    code, out, err = run(capsys, "sweep", "--family", "rotation", "--range", range_, "--steps", steps)
+def test_sweep_refusals_print_one_error_line(family, range_, steps, message, capsys):
+    code, out, err = run(capsys, "sweep", "--family", family, "--range", range_, "--steps", steps)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

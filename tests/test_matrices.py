@@ -431,6 +431,17 @@ REFUSALS = {
     ),
     "fourier_matrix": (lambda: fourier_matrix(0), ValueError, "n must be >= 1"),
     "permutation_power": (lambda: eub.permutation_power(1, 0.5), ValueError, "n must be >= 2"),
+    "permutation_power nan": (
+        lambda: eub.permutation_power(4, np.nan), ValueError, "beta nan gives non-finite phases at n = 4",
+    ),
+    "permutation_power 1e308": (
+        lambda: eub.permutation_power(4, 1e308), ValueError, "beta 1e+308 gives non-finite phases at n = 4",
+    ),
+    "rotation_matrix inf": (lambda: eub.rotation_matrix(math.inf), ValueError, "rotation angle must be finite, got inf"),
+    "rotation_matrix nan": (lambda: eub.rotation_matrix(math.nan), ValueError, "rotation angle must be finite, got nan"),
+    "BirkhoffPoint shapes": (
+        lambda: eub.BirkhoffPoint(np.array([0.1, 0.2]), 0.1), ValueError, "a and b differ in shape, (2,) and ()",
+    ),
     "random_transform": (lambda: eub.random_transform(3, "x"), TypeError, "expected an RngSeed or numpy Generator"),
     "largest_singular_value": (lambda: largest_singular_value(np.ones(3)), ValueError, "expected a 2d array"),
     "matrix_to_json": (lambda: matrix_to_json(np.ones(3)), ValueError, "expected a 2d array"),
@@ -438,10 +449,12 @@ REFUSALS = {
     "submatrix non-integer": (lambda: submatrix(np.eye(3), [0.9], [1.7]), IndexError, "row indices must be integers"),
     "perm_matrix repeated": (lambda: eub.perm_matrix([0, 0]), ValueError, "perm is not a permutation of 0..n-1"),
     "perm_matrix non-integer": (lambda: eub.perm_matrix([1.9, 0.1]), ValueError, "perm is not a permutation of 0..n-1"),
+    "perm_matrix empty": (lambda: eub.perm_matrix([]), ValueError, "perm is empty"),
     "EquivalenceTransform non-integer": (
         lambda: eub.EquivalenceTransform((0.9, 1.2), (1, 1), (1, 1), (1.5, 0.2)), ValueError,
         "left_perm is not a permutation of 0..n-1",
     ),
+    "EquivalenceTransform empty": (lambda: eub.EquivalenceTransform((), (), (), ()), ValueError, "left_perm is empty"),
     "renyi_entropy 3d": (
         lambda: eub.renyi_entropy(np.full((1, 2, 2), 0.25), 1), ValueError,
         "expected a probability vector or a 2d stack of them, got shape (1, 2, 2)",
@@ -457,6 +470,8 @@ REFUSALS = {
 }
 
 
+# A refusal comes before numpy could warn on the argument
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_malformed_arguments_are_refused(name):
     call, error, message = REFUSALS[name]

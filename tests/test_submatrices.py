@@ -520,6 +520,33 @@ def test_class_plan_lists_each_shape_once(dim, sym):
     assert all(submatrices._class_plan(dim, sym, k) is rung for k, rung in enumerate(rungs))
 
 
+@pytest.mark.parametrize("sym", REACHABLE_SYMMETRIES)
+def test_closed_form_classes_follow_the_complement_rule(sym, monkeypatch):
+    """The fourth reduction on (p, q, N), p = min(m, n) and q = max(m, n),
+    for N = 2..16: no closed-form class (p <= 3) with 2q > N is planned, as
+    its complement class serves it; one with 2q < N serves p + N - q - 1; one
+    with 2q = N serves its own k or nothing, and a class serves its own k
+    only where it halves a side; a class with p >= 4 serves nothing. The
+    tables are left out, so the plans of N = 13..16 cost little."""
+    monkeypatch.setattr(submatrices, "_class_tables", lambda dim, rows, cols: (None, None, None))
+    submatrices._class_plan.cache_clear()
+    try:
+        for dim in range(2, 17):
+            for k, m, n, serves, rows, cols, *_ in _full_plan(dim, tuple(bool(x) for x in sym)):
+                p, q = min(m, n), max(m, n)
+                halves = any(
+                    2 * sets.shape[1] == dim and len(sets) == math.comb(dim - 1, dim // 2 - 1) and _head(sets, dim, dim // 2)
+                    for sets in (rows, cols)
+                )
+                assert serves != k or halves, (dim, m, n)
+                if p >= 4:
+                    assert serves is None, (dim, m, n)
+                else:
+                    assert 2 * q <= dim and serves in ((None, k) if 2 * q == dim else (p + dim - q - 1,)), (dim, m, n)
+    finally:
+        submatrices._class_plan.cache_clear()
+
+
 def _plan_tables_hold(dim, p, rows, cols, indicator, entries, sets):
     # an entry's tables, the smaller side p its row sets, all read-only: the
     # 0/1 matrix of the column sets, each row set's upper-triangle pairs in
@@ -832,6 +859,16 @@ def test_a_haar_led_stack_is_tested_on_its_first_matrix_only(monkeypatch):
     stack = np.stack([haar_unitary(5, RngSeed(SEED + 1320 + i)) for i in range(50)])
     assert not _translation_symmetry(stack).any()
     assert calls == [1]
+
+
+def test_a_circulant_stack_tests_each_matrix_once(monkeypatch):
+    # matrix 0, then the rest: each matrix meets _shifts_hold once
+    calls = []
+    hold = submatrices._shifts_hold
+    monkeypatch.setattr(submatrices, "_shifts_hold", lambda u3, gens: calls.append(len(u3)) or hold(u3, gens))
+    stack = np.stack([permutation_power(8, 0.5), permutation_power(8, 1.0 / 3.0)])
+    assert _translation_symmetry(stack).tolist() == [False, False, True]
+    assert calls == [1, 1]
 
 
 @pytest.mark.parametrize("dim", range(4, 11))
@@ -1652,12 +1689,12 @@ def test_closed_form_classes_stay_within_the_budget(n, monkeypatch):
         assert peak <= 8 * submatrices._CHUNK_ELEMENTS, (m, ncols, peak)
 
 
-@pytest.mark.parametrize("dim", [8, 9, 10])
-def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
-    # one matrix: a row sub-chunk takes 250,000 elements at m^2 a block in
-    # the closed forms, and at 8 a block in the det tier of the
-    # pruned classes, which read their minors from the call's table,
-    # whatever its Grams hold
+@pytest.mark.parametrize("dim, count", [(8, 1), (9, 1), (10, 1), (10, 2)], ids=["8", "9", "10", "10-stack-of-2"])
+def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, count, monkeypatch):
+    # a stack that one batch sub-chunk holds, as one matrix does: a row
+    # sub-chunk takes 250,000 elements at m^2 a block and matrix in the
+    # closed forms, and at 8 in the det tier of the pruned classes, which
+    # read their minors from the call's table, whatever its Grams hold
     classes = []
 
     def note(rows, indicator):
@@ -1687,11 +1724,14 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, monkeypatch):
     monkeypatch.setattr(
         submatrices, "_complement_det", lambda minors, sets: classes[-1][3].append(minors.shape[1] * sets.shape[1]) or bound(minors, sets)
     )
-    s_coefficients_batch(haar_unitary(dim, RngSeed(SEED + 880 + dim))[None])
+    s_coefficients_batch(np.stack([haar_unitary(dim, RngSeed(SEED + 880 + dim + 100 * i)) for i in range(count)]))
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
     for m, nrows, ncols, steps in classes:
-        rstep = max(1, 250_000 // (ncols * m * m if m <= 3 else 8 * ncols))
-        assert steps == [ncols * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
+        # the closed forms' Gram entries count each matrix's blocks, the
+        # det tier's bounds one block per row and column set
+        per_row, rstep = (count * ncols, 250_000 // (count * m * m * ncols)) if m <= 3 else (ncols, 250_000 // (count * 8 * ncols))
+        rstep = max(1, rstep)
+        assert steps == [per_row * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
 
 
 def test_grams_do_not_depend_on_batch():
