@@ -1727,10 +1727,10 @@ def test_a_stack_of_one_keeps_the_whole_budget_sub_chunks(dim, count, monkeypatc
     s_coefficients_batch(np.stack([haar_unitary(dim, RngSeed(SEED + 880 + dim + 100 * i)) for i in range(count)]))
     assert {m for m, _, _, _ in classes} == set(range(2, dim // 2 + 1))
     for m, nrows, ncols, steps in classes:
-        # the closed forms' Gram entries count each matrix's blocks, the
-        # det tier's bounds one block per row and column set
-        per_row, rstep = (count * ncols, 250_000 // (count * m * m * ncols)) if m <= 3 else (ncols, 250_000 // (count * 8 * ncols))
-        rstep = max(1, rstep)
+        rstep = max(1, 250_000 // (count * ncols * (m * m if m <= 3 else 8)))
+        # the closed forms' Gram entries count every matrix's blocks, the det
+        # tier's bounds one block per row and column set
+        per_row = count * ncols if m <= 3 else ncols
         assert steps == [per_row * min(rstep, nrows - r0) for r0 in range(0, nrows, rstep)], (m, nrows, ncols)
 
 
